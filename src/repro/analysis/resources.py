@@ -10,9 +10,12 @@ From per-slot bounds the analyzer derives the quantities the overload
 and sharing machinery care about:
 
 * **window state** — tuples retained across firings: live basic-window
-  bundles in the partial store(s), prep caches and pair results for
-  joins.  Landmark windows retain *every* basic window, so their state
-  is finite only when the combine program compacts (all outputs stay
+  bundles in the partial store(s) — plus, for deep sliding windows whose
+  combine compensates, the merge tree's pre-merged nodes (at most
+  ``n/(K−1)`` bundles on top of the ``n`` singles, DESIGN.md §17) —
+  prep caches and pair results for joins.  Landmark windows retain
+  *every* basic window, so their state is finite only when the combine
+  program compacts (all outputs stay
   bounded when the packed inputs are unbounded — true for aggregates,
   false for concatenation flows).  Non-compacting landmark state is the
   ``unbounded-landmark`` finding.
@@ -37,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.analysis.diagnostics import Report
+from repro.core.partials import MERGE_FANOUT, merge_levels
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
 from repro.core.windows import WindowSpec
 from repro.kernel.execution.program import Instr, Lit, Program, Ref
@@ -267,11 +271,14 @@ class AliasBounds:
     window_tuples: Bound
     #: live basic windows retained (inf for landmark without compaction).
     live_windows: Bound
-    #: tuples retained across firings for this input (partials/preps).
+    #: tuples retained across firings for this input (partials/preps,
+    #: merge-tree nodes included).
     state: Bound
     #: minimum basket occupancy needed for the factory to fire once.
     basket_need: Bound
     capacity: Optional[int] = None
+    #: pre-merged merge-tree bundles kept beside the live singles.
+    tree_nodes: Bound = Bound(0)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -285,6 +292,7 @@ class AliasBounds:
             },
             "window_tuples": self.window_tuples.to_json(),
             "live_windows": self.live_windows.to_json(),
+            "tree_nodes": self.tree_nodes.to_json(),
             "state": self.state.to_json(),
             "basket_need": self.basket_need.to_json(),
             "capacity": self.capacity,
@@ -317,10 +325,13 @@ class ResourceReport:
         lines = [f"-- resources: {self.subject}"]
         for ab in self.aliases:
             cap = "unbounded" if not ab.capacity else str(ab.capacity)
+            nodes = (
+                f"tree nodes = {ab.tree_nodes.render()}, " if ab.tree_nodes.coeff else ""
+            )
             lines.append(
                 f"  {ab.alias} ({ab.relation}, {ab.window.kind}): "
                 f"basic window = {ab.window_tuples.render()} tuples, "
-                f"live windows = {ab.live_windows.render()}, "
+                f"live windows = {ab.live_windows.render()}, {nodes}"
                 f"state = {ab.state.render()}, "
                 f"basket need = {ab.basket_need.render()} (capacity {cap})"
             )
@@ -363,6 +374,35 @@ def combine_compacts(plan: IncrementalPlan) -> bool:
     inputs = {packed(flow.name): UNBOUNDED for flow in plan.flows}
     outs = output_bounds(plan.combine, inputs)
     return all(bound.finite for bound in outs.values())
+
+
+def tree_node_bounds(
+    plan: IncrementalPlan, live_windows: int, flow_bounds: Sequence[Bound]
+) -> tuple[Bound, Bound]:
+    """``(node count, node tuples)`` the merge tree adds to a store.
+
+    Mirrors ``IncrementalFactory._new_store``: single-stream plans whose
+    combine compensates seal ``merge_levels(n)`` levels.  At most
+    ``n // K^l`` aligned level-``l`` nodes fit in a window of ``n`` basic
+    windows, and one holds what combine makes of ``K^l`` packed partials
+    (``flow_bounds``: one basic window's rows per flow, in flow order) —
+    one row for a global aggregate, up to ``K^l`` partials' worth of
+    groups for a grouped one.
+    """
+    count = tuples = ZERO
+    if plan.is_join or not plan.compensates:
+        return count, tuples
+    for level in range(1, merge_levels(live_windows) + 1):
+        span = MERGE_FANOUT**level
+        nodes = Bound(live_windows // span)
+        packed_inputs = {
+            packed(flow.name): bound.scaled(span)
+            for flow, bound in zip(plan.flows, flow_bounds)
+        }
+        node = bound_sum(list(output_bounds(plan.combine, packed_inputs).values()))
+        count = count.add(nodes)
+        tuples = tuples.add(nodes.mul(node))
+    return count, tuples
 
 
 def _scan_inputs(plan: IncrementalPlan, alias: str, bound: Bound) -> dict[str, Bound]:
@@ -447,6 +487,7 @@ def analyze_resources(
 
         # Per-basic-window retained tuples: fragment flow outputs for
         # single-stream plans, prep outputs for joins.
+        flow_bounds: list[Bound] = []
         if plan.is_join:
             prep = plan.preps.get(alias)
             if prep is not None:
@@ -455,8 +496,9 @@ def analyze_resources(
             else:  # pragma: no cover - joins always prep both sides
                 per_window = w_tuples
         elif plan.fragment is not None:
-            outs = output_bounds(plan.fragment, _scan_inputs(plan, alias, w_tuples))
-            per_window = bound_sum(list(outs.values()))
+            env = program_bounds(plan.fragment, _scan_inputs(plan, alias, w_tuples))
+            flow_bounds = [env.get(slot, UNBOUNDED) for slot in plan.fragment.outputs]
+            per_window = bound_sum(flow_bounds)
         else:  # pragma: no cover - incremental plans always have a fragment
             per_window = w_tuples
 
@@ -473,6 +515,10 @@ def analyze_resources(
             )
         else:
             state = live.mul(per_window)
+        tree_nodes, node_state = tree_node_bounds(
+            plan, window.basic_windows, flow_bounds
+        )
+        state = state.add(node_state)
         total = total.add(state)
 
         basket_need = w_tuples  # the factory fires per basic window
@@ -513,6 +559,7 @@ def analyze_resources(
                 state=state,
                 basket_need=basket_need,
                 capacity=capacity,
+                tree_nodes=tree_nodes,
             )
         )
 

@@ -68,6 +68,17 @@ class CollectingEmitter:
         with self._lock:
             self._batches.clear()
 
+    def drain(self) -> tuple[int, list[ResultBatch]]:
+        """Hand over the retained batches and forget them.
+
+        Returns ``(total_batches, batches)`` from one locked view, so a
+        consumer that tracks how many batches it has taken can tell how
+        many of the returned (newest-last) batches are new to it.
+        """
+        with self._lock:
+            batches, self._batches = self._batches, []
+            return self.total_batches, batches
+
     def snapshot_state(self) -> dict:
         """Serializable image for checkpointing (see repro.core.durability)."""
         with self._lock:

@@ -779,11 +779,26 @@ class DataCellEngine:
         (surfaced in :meth:`metrics` under ``"landmark_spill"`` and as
         ``repro_landmark_spill_*`` Prometheus families, docs/METRICS.md).
         """
+        return self._incremental_stats(IncrementalFactory.landmark_spill_stats)
+
+    def merge_stats(self) -> dict[str, dict]:
+        """Per-query merge-tree gauges of single-stream incremental queries.
+
+        ``merge_cover_len`` is the number of bundles the last firing
+        merged (the window's basic-window count for a flat store, far
+        fewer once tree nodes cover it), ``merge_nodes_sealed`` the
+        pre-merged nodes folded so far and ``merge_nodes_live`` those
+        currently held (DESIGN.md §17; surfaced in :meth:`metrics` under
+        ``"merge"`` and as ``repro_merge_*`` Prometheus families).
+        """
+        return self._incremental_stats(IncrementalFactory.merge_stats)
+
+    def _incremental_stats(self, stat) -> dict[str, dict]:
+        """``stat(factory)`` per incremental query, Nones left out."""
         stats: dict[str, dict] = {}
         for name, handle in self._queries.items():
-            factory = handle.factory
-            if isinstance(factory, IncrementalFactory):
-                per = factory.landmark_spill_stats()
+            if isinstance(handle.factory, IncrementalFactory):
+                per = stat(handle.factory)
                 if per is not None:
                     stats[name] = per
         return stats

@@ -27,7 +27,14 @@ import numpy as np
 
 from repro.core.basket import Basket
 from repro.core.landmark import SpillingStore
-from repro.core.partials import Bundle, FragmentCache, PairStore, PartialStore, ShareKey
+from repro.core.partials import (
+    Bundle,
+    FragmentCache,
+    PairStore,
+    PartialStore,
+    ShareKey,
+    merge_levels,
+)
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
 from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.algebra.setops import concat
@@ -180,8 +187,17 @@ class IncrementalFactory(FactoryBase):
             )
             self._table_bundle: Optional[Bundle] = None
         else:
-            alias = plan.stream_aliases[0]
-            self._store = PartialStore(plan.windows[alias].basic_windows)
+            self._store = self._new_store()
+
+    def _new_store(self) -> PartialStore:
+        """The single-stream partial ring, with the merge tree armed
+        where a pre-merged node is smaller than its children: combines
+        that compensate.  A concatenating combine would only copy the
+        window, so those flows stay flat; so does every window too
+        shallow to seal a level (``merge_levels``, landmark included)."""
+        n = self.plan.windows[self.plan.stream_aliases[0]].basic_windows
+        levels = merge_levels(n) if self.plan.compensates else 0
+        return PartialStore(n, levels=levels)
 
     # ------------------------------------------------------------------
     # readiness (Petri-net firing condition)
@@ -463,10 +479,19 @@ class IncrementalFactory(FactoryBase):
         }
 
     # -- merge ------------------------------------------------------
-    def _live_bundles(self) -> list[Bundle]:
+    def _live_bundles(self, profiler: Optional[Profiler] = None) -> list[Bundle]:
+        """The in-order bundles whose merge is the current window.
+
+        Single-stream stores answer with their cover — all live singles,
+        or fewer pre-merged tree nodes (sealed on demand, charged to
+        ``profiler``) that tile the same basic windows."""
         if self.plan.is_join:
             return [bundle for __, bundle in self._pairs.live()]
-        return [bundle for __, bundle in self._store.live()]
+        if self._spilling:
+            return [bundle for __, bundle in self._store.live()]
+        return self._store.cover(
+            lambda bundles: self._fold_bundles(bundles, profiler)
+        )
 
     def _pack_flows(self, bundles: list[Bundle], profiler: Profiler) -> dict[str, BAT]:
         """Concatenate each flow's partials across live bundles."""
@@ -480,12 +505,10 @@ class IncrementalFactory(FactoryBase):
         return packed_cols
 
     def _merge_and_finalize(self, profiler: Profiler) -> ResultBatch:
-        bundles = self._live_bundles()
+        bundles = self._live_bundles(profiler)
         if not bundles:
             raise SchedulerError("no live partials to merge")
-        packed_cols = self._pack_flows(bundles, profiler)
-        combined = self._interp.run(self.plan.combine, packed_cols, profiler)
-        bundle = {flow.name: combined[flow.name] for flow in self.plan.flows}
+        bundle = self._fold_bundles(bundles, profiler)
         if self._compactable and not self._spilling:
             # A spilling store manages its own folding (hot-suffix
             # compaction + cold runs); collapsing to the combined bundle
@@ -541,16 +564,24 @@ class IncrementalFactory(FactoryBase):
             profiler=profiler,
         )
 
-    def _fold_bundles(self, bundles: list[Bundle]) -> Bundle:
-        """Fold a bundle prefix through the combine program.
+    def _fold_bundles(
+        self, bundles: list[Bundle], profiler: Optional[Profiler] = None
+    ) -> Bundle:
+        """Fold an in-order run of bundles through the combine program.
 
-        Sound for any prefix: combine is an associative n-ary merge by
-        construction — it runs over a varying number of live bundles
-        every firing, and landmark compaction already feeds its output
-        back as a later input — so pre-merging cold history preserves
-        the final merged result bit-for-bit.
+        Sound for any contiguous run: combine is an associative,
+        order-preserving n-ary merge by construction — it runs over a
+        varying number of live bundles every firing, and landmark
+        compaction already feeds its output back as a later input.
+        Pre-merging (cold landmark history, merge-tree nodes, m-chunk
+        partials) therefore reproduces the flat merge bit-for-bit for
+        integer sums, counts, min/max and group keys; float sums are
+        equal only up to reassociation (last-ulp), which is why tree
+        nodes sit on aligned seq ranges — the association order is then
+        a function of the window alone, not of when a node was folded.
         """
-        profiler = Profiler()
+        if profiler is None:
+            profiler = Profiler()
         packed_cols = self._pack_flows(bundles, profiler)
         combined = self._interp.run(self.plan.combine, packed_cols, profiler)
         return {flow.name: combined[flow.name] for flow in self.plan.flows}
@@ -559,6 +590,17 @@ class IncrementalFactory(FactoryBase):
         """Install (or clear) the fault-injection hook on the spill store."""
         if self._spilling:
             self._store.fault_hook = hook
+
+    def merge_stats(self) -> Optional[dict]:
+        """Merge-tree gauges of a single-stream ring store (METRICS.md)."""
+        if self.plan.is_join or self._spilling:
+            return None
+        store = self._store
+        return {
+            "merge_cover_len": store.cover_len,
+            "merge_nodes_sealed": store.nodes_sealed,
+            "merge_nodes_live": store.nodes_live,
+        }
 
     def landmark_spill_stats(self) -> Optional[dict]:
         """Spill gauges when this factory runs a spilling landmark store."""
@@ -689,8 +731,7 @@ class IncrementalFactory(FactoryBase):
         elif self._spilling:
             self._store.reset()  # drops hot state and spilled runs alike
         else:
-            alias = self.plan.stream_aliases[0]
-            self._store = PartialStore(self.plan.windows[alias].basic_windows)
+            self._store = self._new_store()
         for alias, slicer in self._slicers.items():
             # Re-anchor time slicing at the next arrival after the reset.
             remaining = self._baskets[alias]
@@ -760,9 +801,7 @@ class IncrementalFactory(FactoryBase):
             basket.delete_head(sizes[-1])
             self._consumed[alias] += sizes[-1]
         if m > 1:
-            packed_cols = self._pack_flows(chunk_bundles, profiler)
-            combined = self._interp.run(self.plan.combine, packed_cols, profiler)
-            bw_bundle = {flow.name: combined[flow.name] for flow in self.plan.flows}
+            bw_bundle = self._fold_bundles(chunk_bundles, profiler)
         else:
             bw_bundle = chunk_bundles[0]
         self._store.add(bw_bundle)

@@ -10,6 +10,13 @@ bundle per *pair* of basic windows, expiring a pair when either side does.
 A *bundle* is a dict ``flow name → BAT`` — the cached output of one
 per-basic-window (or per-pair) plan fragment.
 
+On top of the ring a :class:`PartialStore` can keep a *merge tree*
+(DESIGN.md §17): pre-merged nodes over the aligned seq ranges
+``[i·K^l, (i+1)·K^l)``, each folded once from its ``K`` children through
+the plan's own combine program.  :meth:`PartialStore.cover` then tiles the
+live range with the few largest nodes that fit plus edge singles, so a
+slide merges O(K·log_K n) bundles instead of all ``n``.
+
 :class:`FragmentCache` extends the same idea *across* queries: factories
 whose per-basic-window fragments are alpha-equivalent over the same stream
 compute each basic window's bundle once and share the result (BATs are
@@ -50,6 +57,38 @@ from repro.kernel.execution.profiler import (
 Bundle = dict[str, BAT]
 
 
+#: Fan-out ``K`` of the merge tree: a level-``l`` node pre-merges ``K``
+#: level-``l-1`` nodes, i.e. ``K^l`` basic windows.  Chosen by the
+#: committed n × K sweep (benchmarks/results/merge_tree_sweep.txt).
+MERGE_FANOUT = 8
+
+#: A level is sealed only while one of its nodes spans at most
+#: ``1/MERGE_SPAN_DIVISOR`` of the window.  A wider node serves few
+#: slides before its oldest basic window expires; the sweep
+#: (benchmarks/results/merge_tree_sealing.txt) shows such levels buy no
+#: measurable time, so they would only add a window's worth of retained
+#: state each — and windows with ``n < 4·K`` stay entirely flat.
+MERGE_SPAN_DIVISOR = 4
+
+#: Folds an in-order list of bundles into one (the factory's combine
+#: program).
+Fold = Callable[[list[Bundle]], Bundle]
+
+
+def merge_levels(capacity: int) -> int:
+    """Sealed tree levels for a window of ``capacity`` basic windows.
+
+    Zero for ``capacity < MERGE_SPAN_DIVISOR · MERGE_FANOUT`` (and for
+    unbounded/landmark stores): such a store keeps no node at all.
+    """
+    levels = 0
+    span = MERGE_FANOUT
+    while span * MERGE_SPAN_DIVISOR <= capacity:
+        levels += 1
+        span *= MERGE_FANOUT
+    return levels
+
+
 @dataclass
 class PartialStore:
     """Ring of per-basic-window bundles for one (stream's) flow set.
@@ -57,11 +96,28 @@ class PartialStore:
     ``capacity`` is the number of live basic windows ``n``; 0 means
     unbounded (landmark mode keeps a single *cumulative* bundle instead,
     see :meth:`replace_all`).
+
+    ``levels`` arms the merge tree: the factory passes
+    :func:`merge_levels` of the window for flows whose combine
+    compensates, and :meth:`cover` then seals pre-merged nodes lazily
+    (0, the default, keeps the store flat).  Nodes are derived state —
+    addressed by aligned seq ranges, dropped as soon as their oldest
+    basic window expires, never snapshotted — so a restored store
+    rebuilds exactly the nodes an uninterrupted one holds.
     """
 
     capacity: int
+    levels: int = 0
     _bundles: "OrderedDict[int, Bundle]" = field(default_factory=OrderedDict)
     _next_seq: int = 0
+    #: node span (``K^l``) → first seq covered → pre-merged bundle
+    _nodes: dict[int, dict[int, Bundle]] = field(default_factory=dict)
+    #: Nodes folded over this store's lifetime (not restored: a counter
+    #: of work done by this process), and nodes currently held.
+    nodes_sealed: int = 0
+    nodes_live: int = 0
+    #: Entries the last :meth:`cover` returned.
+    cover_len: int = 0
 
     def add(self, bundle: Bundle) -> int:
         """Store the newest bundle; returns its sequence number."""
@@ -71,7 +127,12 @@ class PartialStore:
         if self.capacity:
             low = seq - self.capacity
             while self._bundles and next(iter(self._bundles)) <= low:
-                self._bundles.popitem(last=False)
+                expired, __ = self._bundles.popitem(last=False)
+                # A node is usable only while every seq it covers is
+                # live; its first seq is the first to go.
+                for nodes in self._nodes.values():
+                    if nodes.pop(expired, None) is not None:
+                        self.nodes_live -= 1
         return seq
 
     def live(self) -> list[tuple[int, Bundle]]:
@@ -80,6 +141,52 @@ class PartialStore:
 
     def live_seqs(self) -> list[int]:
         return list(self._bundles)
+
+    def cover(self, fold: Optional[Fold] = None) -> list[Bundle]:
+        """The bundles to merge for the current window, oldest first.
+
+        The unique minimal in-order tiling of the live seq range by
+        maximal aligned nodes plus edge singles; nodes it needs and does
+        not hold yet are folded through ``fold`` (and kept) on the way.
+        A store without sealed levels returns its singles.  ``fold`` is
+        passed per call, not held: a store owning its factory's bound
+        method would tie the two into a reference cycle.
+        """
+        if not self.levels or not self._bundles:
+            out = list(self._bundles.values())
+        else:
+            if fold is None:
+                raise SchedulerError("a store with sealed levels needs a fold")
+            top = MERGE_FANOUT**self.levels
+            out = []
+            pos = next(iter(self._bundles))
+            end = self._next_seq
+            while pos < end:
+                span = top
+                while span > 1 and (pos % span or pos + span > end):
+                    span //= MERGE_FANOUT
+                out.append(self._node(pos, span, fold))
+                pos += span
+        self.cover_len = len(out)
+        return out
+
+    def _node(self, start: int, span: int, fold: Fold) -> Bundle:
+        if span == 1:
+            return self._bundles[start]
+        nodes = self._nodes.setdefault(span, {})
+        node = nodes.get(start)
+        if node is None:
+            child = span // MERGE_FANOUT
+            node = fold(
+                [
+                    self._node(start + i * child, child, fold)
+                    for i in range(MERGE_FANOUT)
+                ]
+            )
+            nodes[start] = node
+            self.nodes_sealed += 1
+            self.nodes_live += 1
+        return node
 
     def bundle(self, seq: int) -> Bundle:
         try:
@@ -109,7 +216,11 @@ class PartialStore:
         return len(self._bundles)
 
     def snapshot_state(self) -> dict:
-        """Serializable image: seq counter + live bundles, oldest first."""
+        """Serializable image: seq counter + live bundles, oldest first.
+
+        Tree nodes are left out: they are a function of the live bundles
+        and their seqs, and :meth:`cover` folds them again on demand.
+        """
         return {
             "next_seq": self._next_seq,
             "bundles": [[seq, dict(bundle)] for seq, bundle in self._bundles.items()],
@@ -120,6 +231,8 @@ class PartialStore:
         self._bundles = OrderedDict(
             (int(seq), bundle) for seq, bundle in state["bundles"]
         )
+        self._nodes = {}
+        self.nodes_live = 0
 
 
 @dataclass

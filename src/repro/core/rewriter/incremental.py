@@ -98,6 +98,14 @@ class IncrementalPlan:
     def is_join(self) -> bool:
         return self.pair_fragment is not None
 
+    @property
+    def compensates(self) -> bool:
+        """True when combine re-aggregates its packed inputs (Figure 3's
+        "concat + compensation" classes) rather than only concatenating
+        ``pack`` flows — i.e. when a pre-merged run of partials can be
+        smaller than the partials themselves."""
+        return any(flow.kind != "pack" for flow in self.flows)
+
     def describe(self) -> str:
         """Readable dump of all programs (EXPLAIN CONTINUOUS)."""
         parts = []

@@ -193,10 +193,20 @@ def _worker_main(conn, init: dict) -> None:
             by_stream[stream] = list(names)
 
     def _collect() -> list[tuple]:
+        """Ship every batch emitted since the last collect, then forget it.
+
+        The coordinator owns the results from here on; a worker that kept
+        them would carry the whole emission history into every snapshot.
+        ``collected`` counts batches shipped over the query's lifetime
+        (against the emitter's ``total_batches``), so a restored emitter
+        that still holds already-shipped batches — snapshots written
+        before workers trimmed — resends none of them.
+        """
         out = []
         for qname, state in queries.items():
-            batches = state["handle"].results()
-            for batch in batches[state["collected"]:]:
+            total, batches = state["handle"].emitter.drain()
+            fresh = total - state["collected"]
+            for batch in batches[-fresh:] if fresh else ():
                 out.append(
                     (
                         qname,
@@ -208,7 +218,7 @@ def _worker_main(conn, init: dict) -> None:
                         },
                     )
                 )
-            state["collected"] = len(batches)
+            state["collected"] = total
         return out
 
     while True:

@@ -97,6 +97,11 @@ def collect_metrics(engine) -> dict:
         stats = spill()
         if stats:
             metrics["landmark_spill"] = stats
+    merge = getattr(engine, "merge_stats", None)
+    if merge is not None:
+        stats = merge()
+        if stats:
+            metrics["merge"] = stats
     if obs is not None:
         metrics["latency"] = obs.latency.snapshot()
         metrics["firing_duration"] = obs.firing_duration.snapshot()
@@ -332,6 +337,21 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
         for key, name, help_text in spill_gauges:
             w.header(name, "gauge", help_text)
             for qname, stats in sorted(spill.items()):
+                w.sample(name, stats.get(key, 0), query=qname)
+
+    merge = metrics.get("merge")
+    if merge:
+        merge_families = (
+            ("merge_cover_len", "repro_merge_cover_len", "gauge",
+             "Bundles merged by a query's last firing (tree cover length)."),
+            ("merge_nodes_sealed", "repro_merge_nodes_sealed_total", "counter",
+             "Pre-merged merge-tree nodes a query has folded."),
+            ("merge_nodes_live", "repro_merge_nodes_live", "gauge",
+             "Pre-merged merge-tree nodes a query currently holds."),
+        )
+        for key, name, kind, help_text in merge_families:
+            w.header(name, kind, help_text)
+            for qname, stats in sorted(merge.items()):
                 w.sample(name, stats.get(key, 0), query=qname)
 
     cache = metrics["fragment_cache"]

@@ -14,7 +14,7 @@ class deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -46,6 +46,18 @@ TAXONOMY: tuple[str, ...] = (
 
 #: Time-based window steps, in milliseconds (parser multiplies by 1000).
 _TIME_STEPS_MS = (10, 20, 50)
+
+#: Feature tag of a deep-window draw (:meth:`QueryGenerator.deepen`).  Not
+#: part of :data:`TAXONOMY`: the runner's focus rotation is keyed on that
+#: tuple's length, and historical (seed, iteration) pairs must keep their
+#: focus.
+DEEP_WINDOW = "window-deep"
+#: Share of eligible (single-stream, sliding) queries redrawn deep, and
+#: the basic-window range — straddling the merge tree's first sealed
+#: level (n = 32) and its second (n = 256 is out of reach by design:
+#: feeds stay a few hundred rows).
+_DEEP_RATE = 0.30
+_DEEP_BASIC_WINDOWS = (32, 161)
 
 
 @dataclass(frozen=True)
@@ -551,6 +563,43 @@ class QueryGenerator:
             n = int(rng.integers(1, 7))
         kind = "tumbling" if n == 1 else "sliding"
         return WindowGeometry(kind, n * step, step if n > 1 else n * step, time_based)
+
+    def deepen(self, query: FuzzQuery) -> Optional[FuzzQuery]:
+        """Maybe redraw a single-stream sliding window with many basic
+        windows (n ∈ [32, 160], small steps) so the hierarchical merge
+        tree is exercised — ``_window`` never exceeds n = 6.
+
+        Draws only for eligible queries and must be called *after* every
+        other draw of an iteration: (seed, iteration) pairs that do not
+        deepen then replay exactly as before this draw existed.  Returns
+        None when the query is left as drawn.
+        """
+        if len(query.aliases) != 1:
+            return None
+        alias = query.aliases[0]
+        geometry = query.windows[alias]
+        if geometry.kind == "landmark":
+            return None
+        rng = self.rng
+        if rng.random() >= _DEEP_RATE:
+            return None
+        n = int(rng.integers(*_DEEP_BASIC_WINDOWS))
+        if geometry.time_based:
+            step = _TIME_STEPS_MS[0]
+        else:
+            step = int(rng.integers(1, 4))
+        deep = replace(
+            query,
+            windows={
+                alias: WindowGeometry("sliding", n * step, step, geometry.time_based)
+            },
+            features=query.features | {DEEP_WINDOW},
+        )
+        try:
+            self._validate(deep)
+        except ReproError:
+            return None
+        return deep
 
     def _pick_column(self, columns: list[tuple[str, str]], atom: str) -> str:
         pool = [name for name, t in columns if t == atom]

@@ -7,7 +7,10 @@ two integers printed in the banner.  Each iteration:
 
 1. draws a valid query with a *focus* feature rotating through
    :data:`~repro.testing.fuzz.generator.TAXONOMY` (guaranteed operator
-   coverage at modest budgets) plus a matching feed;
+   coverage at modest budgets) plus a matching feed; about three in ten
+   single-stream sliding draws are then redrawn with 32–160 basic
+   windows (``window-deep``), deep enough for the hierarchical merge
+   tree to seal nodes;
 2. lints the rewritten plan (:mod:`repro.analysis.lint`) — the fuzzer
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
@@ -40,7 +43,12 @@ import numpy as np
 
 from repro.analysis.lint import lint_sql
 from repro.errors import ReproError
-from repro.testing.fuzz.generator import TAXONOMY, QueryGenerator, build_engine
+from repro.testing.fuzz.generator import (
+    DEEP_WINDOW,
+    TAXONOMY,
+    QueryGenerator,
+    build_engine,
+)
 from repro.testing.fuzz.metamorphic import RELATIONS, check_relation, random_chunk_plan
 from repro.testing.fuzz.minimize import (
     ReproCase,
@@ -133,6 +141,15 @@ class FuzzSession:
             return True
         feed = generator.feed(query, rows_scale=self.rows_scale)
         config = self._config(rng, query, feed)
+        # Deep-window draw: LAST of the iteration, after the query, feed
+        # and axis draws, so (seed, iteration) pairs it leaves alone —
+        # and every saved .repro.json — replay exactly as before.  A
+        # deepened query needs a feed and axes that fit its new window.
+        deep = generator.deepen(query)
+        if deep is not None:
+            query = deep
+            feed = generator.feed(query, rows_scale=self.rows_scale)
+            config = self._config(rng, query, feed)
         self.coverage.update(query.features)
 
         if self.lint:
@@ -265,6 +282,7 @@ class FuzzSession:
             count = self.coverage[feature]
             marker = "" if count else "   <-- NOT COVERED"
             self.println(f"  {feature:<16} {count:>5}{marker}")
+        self.println(f"  {DEEP_WINDOW:<16} {self.coverage[DEEP_WINDOW]:>5}")
         missing = self._missing()
         if missing and self.budget >= 2 * len(TAXONOMY):
             self.println(f"coverage FAILED: {', '.join(missing)} never generated")

@@ -112,3 +112,13 @@ def assert_rows_equal(got, expected, float_tol: float = 1e-9):
                 assert gv == pytest.approx(ev, abs=float_tol), (got, expected)
             else:
                 assert gv == ev, (got, expected)
+
+
+def cover_bound(n: int) -> int:
+    """Most bundles a merge-tree cover of ``n`` live basic windows holds:
+    the top-level nodes inside the window plus ``K - 1`` smaller entries
+    per lower level on either edge (DESIGN.md §17)."""
+    from repro.core.partials import MERGE_FANOUT, merge_levels
+
+    levels = merge_levels(n)
+    return n // MERGE_FANOUT**levels + 2 * (MERGE_FANOUT - 1) * levels

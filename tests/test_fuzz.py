@@ -83,8 +83,8 @@ class BrokenMerge:
     def __enter__(self):
         self._original = IncrementalFactory._live_bundles
 
-        def broken(factory):
-            bundles = self._original(factory)
+        def broken(factory, profiler=None):
+            bundles = self._original(factory, profiler)
             return bundles[:-1] if len(bundles) > 1 else bundles
 
         IncrementalFactory._live_bundles = broken
@@ -142,6 +142,30 @@ class TestGenerator:
         clone = FuzzQuery.from_json(json.loads(json.dumps(query.to_json())))
         assert clone.sql == query.sql
         assert clone.features == query.features
+
+    def test_deepen_draws_merge_tree_depths_after_everything_else(self):
+        """The deep-window draw reaches n >= 32 (``_window`` stops at 6),
+        only for single-stream sliding queries, and consumes RNG state
+        only after the query and feed draws — so the draws before it
+        match a generator that never deepens."""
+        depths = []
+        for i in range(40):
+            plain = QueryGenerator(np.random.default_rng([SEED, i]))
+            deepening = QueryGenerator(np.random.default_rng([SEED, i]))
+            query = plain.query(TAXONOMY[i % len(TAXONOMY)])
+            again = deepening.query(TAXONOMY[i % len(TAXONOMY)])
+            assert again.sql == query.sql
+            assert deepening.feed(again).to_json() == plain.feed(query).to_json()
+            deep = deepening.deepen(again)
+            if deep is None:
+                continue
+            assert len(query.aliases) == 1 and not query.has_landmark
+            geometry = deep.windows[deep.aliases[0]]
+            assert geometry.kind == "sliding"
+            depths.append(geometry.size // geometry.step)
+            assert "window-deep" in deep.features
+            assert deep.render(windows=query.windows) == query.sql
+        assert depths and all(32 <= n <= 160 for n in depths)
 
     def test_render_with_substituted_window(self):
         query = make_query()
@@ -357,6 +381,16 @@ class TestRunnerCli:
         session.run()
         for feature in ("project", "single-stream"):
             assert session.coverage[feature] > 0
+
+    def test_session_fuzzes_deep_windows(self, tmp_path):
+        out = io.StringIO()
+        session = FuzzSession(
+            budget=2 * len(TAXONOMY), seed=4, out_dir=str(tmp_path),
+            metamorphic=False, lint=False, out=out,
+        )
+        assert session.run() == 0
+        assert session.coverage["window-deep"] > 0
+        assert "window-deep" in out.getvalue()
 
     def test_injected_bug_end_to_end(self, tmp_path):
         """Acceptance: a broken merge is caught, shrunk, and written as a

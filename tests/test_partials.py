@@ -1,9 +1,17 @@
 """Unit tests for partial-result stores (the transition machinery)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SchedulerError
-from repro.core.partials import PairStore, PartialStore
+from repro.core.partials import (
+    MERGE_FANOUT,
+    PairStore,
+    PartialStore,
+    merge_levels,
+)
+
+from conftest import cover_bound
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
 
@@ -59,6 +67,102 @@ class TestPartialStore:
 
     def test_newest_seq_empty(self):
         assert PartialStore(capacity=1).newest_seq is None
+
+
+# ----------------------------------------------------------------------
+# merge tree (DESIGN.md §17)
+# ----------------------------------------------------------------------
+def span_bundle(seq):
+    """A stand-in bundle that only remembers the seq range it covers."""
+    return {"lo": seq, "hi": seq}
+
+
+def span_fold(children):
+    """Fold for span bundles: children must be adjacent and in order."""
+    for left, right in zip(children, children[1:]):
+        assert left["hi"] + 1 == right["lo"], children
+    return {"lo": children[0]["lo"], "hi": children[-1]["hi"]}
+
+
+class TestMergeTree:
+    def test_levels_follow_the_quarter_window_rule(self):
+        K = MERGE_FANOUT
+        assert [merge_levels(n) for n in (0, 1, 4 * K - 1)] == [0, 0, 0]
+        assert merge_levels(4 * K) == 1
+        assert merge_levels(4 * K * K - 1) == 1
+        assert merge_levels(4 * K * K) == 2
+
+    def test_flat_store_covers_with_its_singles(self):
+        store = PartialStore(capacity=100)
+        for i in range(150):
+            store.add(span_bundle(i))
+        cover = store.cover()
+        assert [b["lo"] for b in cover] == list(range(50, 150))
+        assert store.cover_len == 100
+        assert store.nodes_sealed == store.nodes_live == 0
+
+    def test_cover_packs_logarithmically_few_bundles(self):
+        store = PartialStore(capacity=512, levels=merge_levels(512))
+        for i in range(512 + 300):
+            store.add(span_bundle(i))
+            if i >= 511:
+                assert len(store.cover(span_fold)) <= cover_bound(512) == 36
+        assert store.nodes_live <= 512 // (MERGE_FANOUT - 1)
+
+    def test_sealed_levels_need_a_fold(self):
+        store = PartialStore(capacity=32, levels=1)
+        store.add(span_bundle(0))
+        with pytest.raises(SchedulerError):
+            store.cover()
+
+    @given(
+        n=st.integers(1, 700),
+        offset=st.integers(0, 2 * MERGE_FANOUT**2),
+        slides=st.integers(0, 200),
+    )
+    def test_cover_tiles_the_live_range_exactly(self, n, offset, slides):
+        """For any window depth, alignment of the first full window and
+        slide count: the cover is a contiguous, oldest-first tiling of
+        exactly the live seqs by aligned nodes, within the size bound."""
+        store = PartialStore(capacity=n, levels=merge_levels(n))
+        spans = {MERGE_FANOUT**level for level in range(store.levels + 1)}
+        seq = -1
+        for __ in range(offset):  # shift where the first full window starts
+            seq = store.add(span_bundle(seq + 1))
+        for __ in range(n - 1):
+            seq = store.add(span_bundle(seq + 1))
+        for __ in range(slides + 1):
+            seq = store.add(span_bundle(seq + 1))
+            live = store.live_seqs()
+            cover = store.cover(span_fold)
+            assert cover[0]["lo"] == live[0]  # never an expired seq
+            assert cover[-1]["hi"] == live[-1] == seq
+            for left, right in zip(cover, cover[1:]):
+                assert left["hi"] + 1 == right["lo"]
+            for node in cover:
+                span = node["hi"] - node["lo"] + 1
+                assert node["lo"] % span == 0  # aligned
+                assert span in spans
+            assert len(cover) == store.cover_len <= cover_bound(n)
+            assert store.nodes_live <= n // (MERGE_FANOUT - 1)
+
+    def test_nodes_are_rebuilt_identically_after_restore(self):
+        """Nodes are not snapshotted; a restored store tiles the window
+        the way the uninterrupted one does (same aligned ranges)."""
+        store = PartialStore(capacity=64, levels=merge_levels(64))
+        for i in range(100):
+            store.add(span_bundle(i))
+        before = store.cover(span_fold)
+        state = store.snapshot_state()
+        assert set(state) == {"next_seq", "bundles"}
+        twin = PartialStore(capacity=64, levels=merge_levels(64))
+        twin.restore_state(state)
+        assert twin.nodes_live == 0
+        assert twin.cover(span_fold) == before
+        for i in range(100, 140):
+            store.add(span_bundle(i))
+            twin.add(span_bundle(i))
+            assert twin.cover(span_fold) == store.cover(span_fold)
 
 
 class TestPairStore:

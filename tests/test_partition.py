@@ -521,6 +521,47 @@ class TestLifecycle:
             engine.close()
         assert glob.glob(pattern) == [], "shared-memory segments leaked"
 
+    def test_workers_forget_shipped_batches(self, tmp_path):
+        """Regression: shard workers kept every batch they ever emitted,
+        so each snapshot carried (and each pump copied) the full history.
+        After 2 000 slides the worker emitters must be empty and a
+        checkpoint no bigger than after 500."""
+        engine = DataCellEngine(partitions=2, data_dir=str(tmp_path))
+        try:
+            engine.create_stream(
+                "s", [("k", "int"), ("v", "int")], partition_by="k"
+            )
+            q = engine.submit(
+                "SELECT k, sum(v) AS t FROM s [RANGE 8 SLIDE 4] GROUP BY k",
+                name="q",
+            )
+            rng = np.random.default_rng(5)
+            sizes = {}
+            windows = 0
+            for round_no in range(1, 41):  # 50 slides per round
+                engine.feed(
+                    "s",
+                    columns={
+                        "k": rng.integers(0, 6, 200),
+                        "v": rng.integers(0, 100, 200),
+                    },
+                )
+                engine.run_until_idle()
+                windows += len(q.batches)
+                q.batches.clear()  # a subscriber that takes what it reads
+                if round_no in (10, 40):
+                    sizes[round_no] = engine.checkpoint()["bytes"]
+            assert windows == 1999
+            states = [r[1] for r in engine._shards.request_all(("snapshot",))]
+            for worker in states:
+                emitter = worker["engine"]["query_states"]["q"]["emitter"]
+                assert emitter["batches"] == []
+                assert emitter["total_batches"] == 1999
+                assert dict(worker["queries"])["q"]["collected"] == 1999
+            assert sizes[40] <= 1.1 * sizes[10], sizes
+        finally:
+            engine.close()
+
     def test_partition_stats_shape(self):
         engine = DataCellEngine(partitions=2)
         try:
