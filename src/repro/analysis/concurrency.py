@@ -248,8 +248,6 @@ class _Scope:
         self.held: dict[str, Optional[str]] = {}
         #: local name -> inferred class (None = unknown, shadows NAME_HINTS)
         self.local_types: dict[str, Optional[str]] = {}
-        #: local name -> lock node (``span_lock``-style per-span locks)
-        self.local_locks: dict[str, str] = {}
         self.acquires: set[str] = set()
         self.calls: list[str] = []
 
@@ -390,12 +388,8 @@ class _Scope:
         ):
             return None
         target = node.func.value
-        if isinstance(target, ast.Name) and target.id in self.local_locks:
-            return target.id, self.local_locks[target.id]
-        if isinstance(target, (ast.Attribute, ast.Name)):
-            resolved = self._lock_item(target)
-            if resolved is not None:
-                return resolved
+        if isinstance(target, ast.Attribute):
+            return self._lock_item(target)
         return None
 
     # -- expressions ---------------------------------------------------
@@ -510,8 +504,6 @@ class _Scope:
             if guards is not None and "_lock" in guards.locks:
                 node = f"{cls}._lock"
             return f"{ast.unparse(base)}._lock", node
-        if isinstance(expr, ast.Name) and expr.id in self.local_locks:
-            return expr.id, self.local_locks[expr.id]
         return None
 
     def _acquire(self, text: str, node: Optional[str], line: int) -> bool:
@@ -556,11 +548,6 @@ class _Scope:
         return None
 
     def _track_local(self, name: str, value: ast.expr) -> None:
-        pending = self._pending_lock(value)
-        if pending is not None:
-            self.local_locks[name] = pending
-            self.local_types[name] = None
-            return
         if lock_ctor_name(value) is not None:
             self.local_types[name] = None
             return
@@ -572,20 +559,6 @@ class _Scope:
         cls = ctor_class(value)
         if cls is not None and cls in self.model.classes:
             return cls
-        return None
-
-    def _pending_lock(self, value: ast.expr) -> Optional[str]:
-        """``group.pending.setdefault(span, threading.Lock())`` — the
-        fragment cache's per-span compute locks form one graph node."""
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "setdefault"
-            and isinstance(value.func.value, ast.Attribute)
-            and value.func.value.attr == "pending"
-            and any(lock_ctor_name(arg) is not None for arg in value.args)
-        ):
-            return "FragmentCache.pending"
         return None
 
     def _shadow_targets(self, target: ast.expr) -> None:

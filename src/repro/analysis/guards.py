@@ -12,8 +12,8 @@ or write of that attribute.  On a ``def`` line it declares a *calling
 convention*: the method body runs with the named lock already held — the
 annotation both exempts the body from guard findings and seeds the
 checker's held-lock set so nested accesses stay checked.  The lock may
-be receiver-qualified (``registration.firing_lock``) for methods whose
-guard lives on a parameter rather than ``self``.
+be receiver-qualified (``other._lock``) for methods whose guard lives on
+a parameter rather than ``self``.
 
 This module extracts those annotations from source (:class:`GuardModel`
 via :func:`harvest_file`) and declares the engine-wide **lock order** —
@@ -34,15 +34,13 @@ from typing import Optional
 
 #: The engine-wide lock acquisition order (DESIGN.md §12).  A thread
 #: holding lock ``LOCK_ORDER[i]`` may only acquire locks at strictly
-#: higher positions.  Nodes are ``ClassName.attr``;
-#: ``FragmentCache.pending`` stands for the per-span compute locks.
+#: higher positions.  Nodes are ``ClassName.attr``.
 LOCK_ORDER: tuple[str, ...] = (
     "DurabilityManager.lock",
     "DataCellEngine._shard_pump_lock",
     "Scheduler._lock",
-    "_Registration.firing_lock",
+    "Scheduler._scan_lock",
     "Basket._lock",
-    "FragmentCache.pending",
     "FragmentCache._lock",
     "Profiler._lock",
     "Observability._lock",
@@ -63,7 +61,6 @@ LOCK_RANKS: dict[str, int] = {node: i for i, node in enumerate(LOCK_ORDER)}
 NAME_HINTS: dict[str, str] = {
     "basket": "Basket",
     "scheduler": "Scheduler",
-    "registration": "_Registration",
     "profiler": "Profiler",
     "obs": "Observability",
     "hist": "LogHistogram",
@@ -101,7 +98,7 @@ class ClassGuards:
     #: both: ``Condition(self._lock)`` shares the underlying lock).
     lock_aliases: dict[str, str] = field(default_factory=dict)
     #: method name → lock expression text the method is entered with
-    #: (``self._lock``, ``registration.firing_lock``, ...).
+    #: (``self._lock``, ``other._lock``, ...).
     guarded_methods: dict[str, str] = field(default_factory=dict)
     #: attribute → class name of the object stored there (for receiver
     #: chains like ``engine.obs.spans``).

@@ -26,10 +26,6 @@ Commands (case-insensitive keywords; one per line)::
 The console is a thin veneer: every command maps 1:1 onto a
 :class:`repro.DataCellEngine` method, so scripts double as API examples.
 
-``python -m repro --workers N [script...]`` runs the console's engine with
-a parallel firing scheduler (N worker threads); the default (1) is the
-deterministic sequential mode.
-
 ``--capacity N`` bounds every stream the console creates to N parked
 tuples per query basket, and ``--overflow POLICY`` picks what happens when
 producers outrun the engine (``fail``, ``block[:timeout]``,
@@ -121,7 +117,6 @@ class Console:
     def __init__(
         self,
         out: Optional[TextIO] = None,
-        workers: int = 1,
         capacity: Optional[int] = None,
         overflow: Optional[OverflowPolicy] = None,
         backend: str = "interpreted",
@@ -130,7 +125,6 @@ class Console:
         landmark_spill_mb: Optional[float] = None,
     ) -> None:
         self.engine = engine if engine is not None else DataCellEngine(
-            workers=workers,
             backend=backend,
             partitions=partitions,
             landmark_spill_mb=landmark_spill_mb,
@@ -477,7 +471,6 @@ def _run_serve_cli(argv: list[str]) -> int:
     data_dir: Optional[str] = None
     interval = 30.0
     checkpoint_bytes: Optional[int] = None
-    workers = 1
     partitions = 1
     backend = "interpreted"
     capacity: Optional[int] = None
@@ -491,8 +484,8 @@ def _run_serve_cli(argv: list[str]) -> int:
             name, __, inline = arg.partition("=")
             if name in (
                 "--data-dir", "--checkpoint-interval", "--checkpoint-bytes",
-                "--workers", "--partitions", "--backend", "--capacity",
-                "--overflow", "--landmark-spill-mb",
+                "--partitions", "--backend", "--capacity", "--overflow",
+                "--landmark-spill-mb",
             ):
                 if inline:
                     value = inline
@@ -511,10 +504,6 @@ def _run_serve_cli(argv: list[str]) -> int:
                     checkpoint_bytes = int(value)
                     if checkpoint_bytes < 1:
                         raise ValueError("--checkpoint-bytes must be >= 1")
-                elif name == "--workers":
-                    workers = int(value)
-                    if workers < 1:
-                        raise ValueError("--workers must be >= 1")
                 elif name == "--partitions":
                     partitions = int(value)
                     if partitions < 1:
@@ -553,7 +542,6 @@ def _run_serve_cli(argv: list[str]) -> int:
         print(f"recovered engine from {data_dir}", file=sys.stderr)
     else:
         engine = DataCellEngine(
-            workers=workers,
             backend=backend,
             partitions=partitions,
             data_dir=data_dir,
@@ -622,14 +610,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run_obs_cli(argv[0], argv[1:])
     if argv and argv[0] == "serve":
         return _run_serve_cli(argv[1:])
-    workers = 1
     capacity: Optional[int] = None
     overflow = None
     backend = "interpreted"
     partitions = 1
     landmark_spill_mb: Optional[float] = None
     known = (
-        "--workers", "--capacity", "--overflow", "--backend", "--partitions",
+        "--capacity", "--overflow", "--backend", "--partitions",
         "--landmark-spill-mb",
     )
     while argv and argv[0].startswith("--"):
@@ -646,11 +633,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {name} needs a value", file=sys.stderr)
             return 2
         try:
-            if name == "--workers":
-                workers = int(value)
-                if workers < 1:
-                    raise ValueError
-            elif name == "--partitions":
+            if name == "--partitions":
                 partitions = int(value)
                 if partitions < 1:
                     raise ValueError
@@ -686,7 +669,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: --overflow needs --capacity", file=sys.stderr)
         return 2
     console = Console(
-        workers=workers,
         capacity=capacity,
         overflow=overflow,
         backend=backend,

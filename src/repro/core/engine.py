@@ -194,10 +194,11 @@ class DataCellEngine:
     default follows the ``REPRO_VERIFY_PLANS`` environment variable
     (``1``/``true``/``yes``/``on`` enables it).
 
-    ``workers`` sets the scheduler's firing parallelism (1 = the
-    deterministic sequential mode, N > 1 fires ready factories
-    concurrently on a thread pool).  ``fragment_sharing`` (default on)
-    lets queries whose per-basic-window fragments are equivalent share one
+    Factories fire one at a time on whichever thread pumps the scheduler
+    (DESIGN.md §6); ``workers`` is accepted only as ``1``, for callers
+    written against the removed thread-pool mode.  ``fragment_sharing``
+    (default on) lets queries whose per-basic-window fragments are
+    equivalent share one
     computation per basic window through an engine-wide
     :class:`FragmentCache`; it never changes results, only work.
 
@@ -226,6 +227,12 @@ class DataCellEngine:
         data_dir: Optional[str] = None,
         landmark_spill_mb: Optional[float] = None,
     ) -> None:
+        if workers != 1:
+            raise ReproError(
+                f"workers={workers!r}: the thread-pool scheduler mode was "
+                "removed (one firing thread per process); the only accepted "
+                "value is 1 — scale out with partitions= instead"
+            )
         if partitions < 1:
             raise ReproError("partitions must be >= 1")
         if landmark_spill_mb is not None and landmark_spill_mb <= 0:
@@ -259,7 +266,7 @@ class DataCellEngine:
         #: hot paths then pay a single ``is None`` test (DESIGN.md §11).
         self.obs: Optional[Observability] = Observability() if observability else None
         self.catalog = Catalog()
-        self.scheduler = Scheduler(workers=workers, obs=self.obs)
+        self.scheduler = Scheduler(obs=self.obs)
         self.fragment_cache = FragmentCache()
         self._queries: dict[str, ContinuousQuery] = {}
         self._stream_baskets: dict[str, list[Basket]] = {}
@@ -332,7 +339,6 @@ class DataCellEngine:
         return {
             "backend": self.backend,
             "partitions": self.partitions,
-            "workers": self.scheduler.workers,
             "fragment_sharing": self.fragment_sharing,
             "observability": self.obs is not None,
             "verify_plans": self.verify_plans,
@@ -1206,14 +1212,13 @@ class DataCellEngine:
         self.scheduler.stop(drain=drain)
 
     def close(self) -> None:
-        """Stop background work and release the scheduler's worker pool.
+        """Stop background work and release everything the engine holds.
 
         Shard workers are shut down gracefully and every outstanding
         shared-memory segment is unlinked — ``/dev/shm`` holds nothing of
         this engine's after close (the CI partition job asserts this).
         """
         self.scheduler.stop(drain=False)
-        self.scheduler.close()
         if self._shards is not None:
             self._shards.close()
         if self._dur is not None:
@@ -1277,9 +1282,10 @@ class DataCellEngine:
                     f"journal does not start with a meta record (got {kind!r})"
                 )
             meta = payload
+        # A "workers" key (data dirs written before the thread-pool mode
+        # was removed) is ignored: one thread fires in the same order.
         engine = cls(
             verify_plans=meta["verify_plans"],
-            workers=meta["workers"],
             fragment_sharing=meta["fragment_sharing"],
             observability=meta["observability"],
             backend=meta["backend"],
@@ -1320,7 +1326,6 @@ class DataCellEngine:
             self.scheduler.stop(drain=False)
         except Exception:  # noqa: BLE001 - crash path: state is forfeit
             pass
-        self.scheduler.close()
         if self._shards is not None:
             self._shards.abandon()
         if self._dur is not None:

@@ -236,16 +236,29 @@ class IncrementalFactory(FactoryBase):
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
-    def step(self, profiler: Optional[Profiler] = None) -> Optional[ResultBatch]:
-        """Consume one slide's worth of input and emit the window result."""
+    def step(
+        self, profiler: Optional[Profiler] = None, chunks: Optional[int] = None
+    ) -> Optional[ResultBatch]:
+        """Consume one slide's worth of input and emit the window result.
+
+        ``chunks=m`` is the paper's m-chunk optimization (§3 "Optimized
+        Incremental Plans"): the newest basic window is processed in ``m``
+        pieces.  Chunks 0..m-2 model work done *while tuples stream in*;
+        only the last chunk plus all merging counts toward the reported
+        response time — exactly the latency the paper's Figure 8 measures.
+        Only single-stream count-based sliding queries support it.
+        """
+        chunks = self._check_chunks(chunks) if chunks is not None else 1
         if not self.ready():
             return None
         profiler = profiler if profiler is not None else Profiler()
         start = time.perf_counter()
         if self.plan.is_join:
             self._step_join(profiler)
+        elif chunks == 1 or not self._initialized:
+            self._step_single(profiler)  # incl. the preface: plain first window
         else:
-            self._step_single(profiler)
+            start = self._step_single_chunked(chunks, profiler)
         batch = self._merge_and_finalize(profiler)
         batch.response_seconds = time.perf_counter() - start
         batch.breakdown = profiler.tags()
@@ -285,9 +298,46 @@ class IncrementalFactory(FactoryBase):
     # -- single stream ------------------------------------------------------
     def _step_single(self, profiler: Profiler) -> None:
         alias = self.plan.stream_aliases[0]
-        for start, cols in self._take_basic_windows(alias):
+        for start, cols in self._take_slices(alias, self._owed_counts(alias)):
             bundle = self._fragment_bundle(alias, start, cols, profiler)
             self._store.add(bundle)
+
+    def _check_chunks(self, m: int) -> int:
+        """Validate an m-chunk request; returns ``m`` capped at the step."""
+        if self.plan.is_join:
+            raise UnsupportedQueryError("m-chunk processing needs a single stream")
+        window = self.plan.windows[self.plan.stream_aliases[0]]
+        if window.time_based or window.is_landmark:
+            raise UnsupportedQueryError(
+                "m-chunk processing needs a count-based sliding window"
+            )
+        if m < 1:
+            raise UnsupportedQueryError("m must be >= 1")
+        return min(m, window.step)
+
+    def _step_single_chunked(self, m: int, profiler: Profiler) -> float:
+        """Add the newest basic window's bundle, computed in ``m`` chunks
+        merged by the *combine* program (bundle closure).  Returns the
+        instant the response clock starts: just before the last chunk.
+
+        Chunk slices are not basic-window aligned, so the shared fragment
+        cache is bypassed; the early chunks are charged to a throwaway
+        profiler since they are not part of the response.
+        """
+        alias = self.plan.stream_aliases[0]
+        step_size = self.plan.windows[alias].step
+        sizes = [step_size // m] * m
+        sizes[-1] += step_size - sum(sizes)
+        early = Profiler()
+        bundles = [
+            self._run_fragment(alias, cols, early)
+            for __, cols in self._take_slices(alias, sizes[:-1])
+        ]
+        start = time.perf_counter()
+        [(__, cols)] = self._take_slices(alias, sizes[-1:])
+        bundles.append(self._run_fragment(alias, cols, profiler))
+        self._store.add(self._fold_bundles(bundles, profiler))
+        return start
 
     def _fragment_bundle(
         self, alias: str, start: int, cols: dict[str, BAT], profiler: Profiler
@@ -303,17 +353,18 @@ class IncrementalFactory(FactoryBase):
             profiler,
         )
 
-    def _take_basic_windows(self, alias: str) -> list[tuple[int, dict[str, BAT]]]:
-        """Slice (and consume) the basic windows owed for this step.
+    def _take_slices(
+        self, alias: str, counts: list[int]
+    ) -> list[tuple[int, dict[str, BAT]]]:
+        """Slice (and consume) ``counts`` tuples at a time off the basket.
 
-        Returns ``(global start offset, columns)`` per basic window; the
-        offset addresses the slice on the stream's arrival axis (for the
-        shared fragment cache).
+        Returns ``(global start offset, columns)`` per slice; the offset
+        addresses the slice on the stream's arrival axis (for the shared
+        fragment cache).
         """
         basket = self._baskets[alias]
         columns = self.plan.scan_columns[alias]
         slices: list[tuple[int, dict[str, BAT]]] = []
-        counts = self._owed_counts(alias)
         with basket.locked():
             for count in counts:
                 # Materialize each slice: delete_head compacts the basket's
@@ -379,7 +430,7 @@ class IncrementalFactory(FactoryBase):
         for alias in self.plan.stream_aliases:
             store = self._prep_stores[alias]
             seqs = []
-            for __, cols in self._take_basic_windows(alias):
+            for __, cols in self._take_slices(alias, self._owed_counts(alias)):
                 bundle = self._run_prep(alias, cols, profiler)
                 seqs.append(store.add(bundle))
             new_bundles[alias] = seqs
@@ -739,75 +790,9 @@ class IncrementalFactory(FactoryBase):
             slicer.consumed_windows = 0
             slicer.observe(remaining)
 
-    # ------------------------------------------------------------------
-    # m-chunk optimization (paper §3 "Optimized Incremental Plans")
-    # ------------------------------------------------------------------
     def step_chunked(
         self, m: int, profiler: Optional[Profiler] = None
     ) -> Optional[ResultBatch]:
-        """One slide processing the newest basic window in ``m`` chunks.
-
-        Chunks 0..m-2 model work done *while tuples stream in*; only the
-        last chunk plus all merging counts toward the reported response
-        time — exactly the latency the paper's Figure 8 measures.  The
-        chunk results are themselves merged with the *combine* program
-        (bundle closure), then handled like a normal basic-window partial.
-
-        Only single-stream count-based sliding queries support chunking.
-        """
-        if self.plan.is_join:
-            raise UnsupportedQueryError("m-chunk processing needs a single stream")
-        alias = self.plan.stream_aliases[0]
-        window = self.plan.windows[alias]
-        if window.time_based or window.is_landmark:
-            raise UnsupportedQueryError(
-                "m-chunk processing needs a count-based sliding window"
-            )
-        if m < 1:
-            raise UnsupportedQueryError("m must be >= 1")
-        if not self.ready():
-            return None
-        if not self._initialized:
-            return self.step(profiler)  # preface: plain initial window
-        profiler = profiler if profiler is not None else Profiler()
-        basket = self._baskets[alias]
-        columns = self.plan.scan_columns[alias]
-        step_size = window.step
-        m = min(m, step_size)
-        chunk = step_size // m
-        sizes = [chunk] * m
-        sizes[-1] += step_size - chunk * m
-        chunk_bundles: list[Bundle] = []
-        pre_profiler = Profiler()
-        # Chunk slices are not basic-window aligned, so the shared fragment
-        # cache is bypassed — but the consumed offset still advances so a
-        # later plain step() addresses its spans correctly.
-        with basket.locked():
-            for size in sizes[:-1]:
-                cols = {
-                    scan_slot(alias, col): bat
-                    for col, bat in basket.head_slice(size, columns).items()
-                }
-                chunk_bundles.append(self._run_fragment(alias, cols, pre_profiler))
-                basket.delete_head(size)
-                self._consumed[alias] += size
-            # ---- response-time window starts with the last chunk ----
-            start = time.perf_counter()
-            cols = {
-                scan_slot(alias, col): bat
-                for col, bat in basket.head_slice(sizes[-1], columns).items()
-            }
-            chunk_bundles.append(self._run_fragment(alias, cols, profiler))
-            basket.delete_head(sizes[-1])
-            self._consumed[alias] += sizes[-1]
-        if m > 1:
-            bw_bundle = self._fold_bundles(chunk_bundles, profiler)
-        else:
-            bw_bundle = chunk_bundles[0]
-        self._store.add(bw_bundle)
-        batch = self._merge_and_finalize(profiler)
-        batch.response_seconds = time.perf_counter() - start
-        batch.breakdown = profiler.tags()
-        self.window_index += 1
-        batch.window_index = self.window_index
-        return batch
+        """One slide processing the newest basic window in ``m`` chunks
+        (:meth:`step` with ``chunks=m``)."""
+        return self.step(profiler, chunks=m)

@@ -34,7 +34,7 @@ left by a crash are pruned on restore and regenerated deterministically
 by journal replay.
 
 Thread-safety: like :class:`~repro.core.partials.PartialStore`, the
-store is confined to its owning factory — the scheduler's firing lock
+store is confined to its owning factory — the scheduler's scan lock
 serializes all access.
 """
 

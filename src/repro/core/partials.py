@@ -33,10 +33,10 @@ partial — stores only ever hold bundles computed from admitted tuples,
 and expiry needs no special casing under load shedding.
 
 Thread-safety: ``PartialStore`` is confined to its owning factory (the
-scheduler's firing lock serializes steps); ``FragmentCache`` is shared
-engine-wide and does its own locking — a cache-level lock for the index
-plus a per-span lock so concurrent misses compute a bundle once (lock
-order in DESIGN.md §6).
+scheduler's scan lock serializes steps); ``FragmentCache`` is shared
+engine-wide but only ever computed into by the one firing thread — its
+single lock guards the index and counters against ``stats()`` readers
+(lock order in DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -315,20 +315,20 @@ class _FragmentGroup:
 
     capacity: int
     bundles: "OrderedDict[Span, Bundle]" = field(default_factory=OrderedDict)
-    # Per-span compute locks: the first factory to miss computes, factories
-    # arriving for the same span meanwhile block and then reuse the result.
-    pending: dict[Span, threading.Lock] = field(default_factory=dict)
 
 
 class FragmentCache:
     """Cross-query cache of per-basic-window fragment bundles.
 
-    Lives in the engine; the scheduler's worker threads query it
-    concurrently.  Expiry mirrors :class:`PartialStore`'s seq discipline:
-    spans are produced in nondecreasing start order, so each group keeps
-    its most recent ``capacity`` entries by insertion order (``capacity``
-    is the largest live-basic-window count among the sharing queries — a
-    lagging factory that misses an evicted span just recomputes it).
+    Lives in the engine.  Only the firing thread looks bundles up and
+    computes them (the scheduler fires one factory at a time), so a miss
+    needs no compute lock; ``_lock`` keeps the index and counters coherent
+    for ``stats()`` / checkpoint readers on other threads.  Expiry mirrors
+    :class:`PartialStore`'s seq discipline: spans are produced in
+    nondecreasing start order, so each group keeps its most recent
+    ``capacity`` entries by insertion order (``capacity`` is the largest
+    live-basic-window count among the sharing queries — a lagging factory
+    that misses an evicted span just recomputes it).
     """
 
     def __init__(self) -> None:
@@ -368,23 +368,17 @@ class FragmentCache:
             bundle = group.bundles.get(span)
             if bundle is not None:
                 return self._hit(span, bundle, profiler)
-            span_lock = group.pending.setdefault(span, threading.Lock())
-        with span_lock:
-            # Re-check: another thread may have computed while we waited.
-            with self._lock:
-                bundle = group.bundles.get(span)
-                if bundle is not None:
-                    return self._hit(span, bundle, profiler)
-            bundle = compute()
-            with self._lock:
-                group.bundles[span] = bundle
-                group.pending.pop(span, None)
-                while len(group.bundles) > group.capacity:
-                    group.bundles.popitem(last=False)
-                self.misses += 1
-            if profiler is not None:
-                profiler.count(COUNTER_CACHE_MISSES)
-            return bundle
+        # Outside the lock: compute() runs kernel programs and may raise,
+        # in which case nothing was recorded and a retry is a plain miss.
+        bundle = compute()
+        with self._lock:
+            group.bundles[span] = bundle
+            while len(group.bundles) > group.capacity:
+                group.bundles.popitem(last=False)
+            self.misses += 1
+        if profiler is not None:
+            profiler.count(COUNTER_CACHE_MISSES)
+        return bundle
 
     def _hit(self, span: Span, bundle: Bundle, profiler: Optional[Profiler]) -> Bundle:  # guarded-by: self._lock
         self.hits += 1
@@ -417,7 +411,7 @@ class FragmentCache:
 
         Share keys are ``(relation, step, time_based, fingerprint)``
         tuples of JSON scalars, so they round-trip as lists; spans
-        likewise.  Pending per-span locks are transient and not captured.
+        likewise.
         """
         with self._lock:
             groups = []

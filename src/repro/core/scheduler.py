@@ -12,26 +12,20 @@ Two driving modes:
 * background — examples start :meth:`start` / :meth:`stop` to process
   arrivals from receptor threads continuously.
 
-Both modes can additionally run **parallel**: with ``workers=N`` (N > 1) a
-scan fires all ready factories concurrently on a shared thread pool — the
-Petri net enables many transitions at once, and the numpy kernels release
-the GIL while baskets carry their own locks.  Every factory owns a
-*firing lock* so it never steps twice concurrently, no matter how many
-threads drive the scheduler; ``workers=1`` keeps the exact sequential
-firing order of the original scheduler.  In-flight work is bounded: a scan
-submits at most one firing per factory and joins them all before
-returning.
+Either way **one factory fires at a time per process**: a scan holds the
+scheduler-wide *scan lock* from its first ``ready()`` test to its last
+dispatch, so a user thread calling :meth:`run_once` while the background
+loop is scanning waits for that scan instead of firing beside it.  Firing
+order is registration order, always.
 
-Lock order (see DESIGN.md §6): firing lock → basket lock → fragment-cache
-locks.  A firing never touches another factory's firing lock, so the
-order is acyclic.
+Lock order (see DESIGN.md §6): scan lock → basket lock → fragment-cache
+lock.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -51,73 +45,45 @@ from repro.obs.spans import FiringSpan
 ResultSink = Callable[[str, ResultBatch], None]
 
 
-def chain_errors(errors: list[BaseException]) -> BaseException:
-    """Link concurrent failures into one raisable chain.
-
-    The first error is primary; every later one is attached at the end of
-    its ``__context__`` chain, so ``raise chain_errors(errors)`` surfaces
-    *all* of them in the traceback ("During handling of the above
-    exception, ...") instead of silently dropping all but the first.
-    """
-    primary = errors[0]
-    for extra in errors[1:]:
-        cursor: BaseException = primary
-        while cursor.__context__ is not None and cursor.__context__ is not extra:
-            cursor = cursor.__context__
-        if cursor.__context__ is None and cursor is not extra:
-            cursor.__context__ = extra
-    return primary
-
-
 @dataclass
 class _Registration:
     factory: FactoryBase
     sinks: list[ResultSink] = field(default_factory=list)
-    steps: int = 0  # guarded-by: firing_lock
-    # Held around ready()+step()+dispatch so a factory never fires twice
-    # concurrently — not from two pool workers, and not from a test thread
-    # calling run_once() while the background loop is scanning.
-    firing_lock: threading.Lock = field(default_factory=threading.Lock)
+    # Written only by a scan (or restore_steps), under Scheduler._scan_lock.
+    steps: int = 0
     # Per-factory accumulation of firing profilers (timings + counters).
     profiler: Profiler = field(default_factory=Profiler)
     # perf_counter at the end of the last firing while the factory stayed
     # ready (observability only): the next firing's ready-wait baseline.
-    ready_since: Optional[float] = None  # guarded-by: firing_lock
+    # Same discipline as ``steps``.
+    ready_since: Optional[float] = None
 
 
 class Scheduler:
-    """Fires ready factories and dispatches their results.
-
-    ``workers`` sets the firing parallelism: 1 (default) is the
-    deterministic sequential mode; N > 1 fires ready factories
-    concurrently on a ``ThreadPoolExecutor`` of N threads.
-    """
+    """Fires ready factories, one at a time, and dispatches their results."""
 
     def __init__(
         self,
         max_steps_per_scan: int = 1_000_000,
-        workers: int = 1,
         obs: Optional[Observability] = None,
     ) -> None:
-        if workers < 1:
-            raise SchedulerError(f"workers must be >= 1, got {workers}")
         self._registrations: dict[str, _Registration] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
+        # Held around a whole scan (every ready()+step()+dispatch of one
+        # run_once) and by quiesced(): whoever holds it is the only thread
+        # firing.  Re-entrant only so that a pump from a sink on the firing
+        # thread reaches the ``_scanning`` test instead of deadlocking.
+        self._scan_lock = threading.RLock()
+        self._scanning = False  # guarded-by: _scan_lock
         self._thread: Optional[threading.Thread] = None  # guarded-by: _lock
         self._stop_event = threading.Event()
         self._max_steps_per_scan = max_steps_per_scan
-        self._workers = workers
-        self._executor: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._worker_error: Optional[BaseException] = None  # guarded-by: _lock
         self._ever_started = False  # guarded-by: _lock
         self.profiler = Profiler()
         #: Tracing sinks (spans, latency histograms); None = tracing off,
         #: in which case the firing path pays a single ``is None`` test.
         self.obs = obs
-
-    @property
-    def workers(self) -> int:
-        return self._workers
 
     # -- registration ------------------------------------------------------
     def register(self, factory: FactoryBase, *sinks: ResultSink) -> None:
@@ -156,46 +122,33 @@ class Scheduler:
 
     # -- synchronous driving ------------------------------------------------
     def run_once(self) -> int:
-        """One scan: step every currently-ready factory once.
+        """One scan: step every currently-ready factory once, in
+        registration order.  Returns the number of firings.
 
-        Returns the number of firings.  With ``workers > 1`` the firings
-        of one scan run concurrently; a factory that is already firing on
-        another thread is skipped (its owner will pick the work up).
-
-        Failures: the scan always joins every submitted firing first.
-        When several factories fail concurrently, all of their exceptions
-        are raised as one chain (:func:`chain_errors`) and counted in the
-        ``worker_errors`` profiler counter — one count per failed firing.
+        A caller that arrives while another thread is scanning waits for
+        that scan to finish (so :meth:`run_until_idle` is a barrier);
+        a sink that pumps the scheduler from inside a firing gets
+        :class:`SchedulerError`.  A failed firing aborts the scan, counts
+        once in the ``worker_errors`` profiler counter and re-raises.
         """
         with self._lock:
             registrations = list(self._registrations.values())
-        if self._workers == 1 or len(registrations) <= 1:
+        with self._scan_lock:
+            if self._scanning:
+                raise SchedulerError(
+                    "run_once() called from inside a firing (a sink or "
+                    "factory on the firing thread pumped the scheduler)"
+                )
+            self._scanning = True
             try:
                 return sum(self._fire(registration) for registration in registrations)
             except Exception:
                 self.profiler.count(COUNTER_WORKER_ERRORS)
                 raise
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(self._fire, registration)
-            for registration in registrations
-        ]
-        fired = 0
-        errors: list[BaseException] = []
-        for future in futures:
-            try:
-                fired += future.result()
-            except Exception as exc:  # join the whole scan before raising
-                errors.append(exc)
-        if errors:
-            # Surface *every* concurrent worker failure: the first error
-            # is primary, the rest ride along on its __context__ chain
-            # (previously only errors[0] survived the scan).
-            self.profiler.count(COUNTER_WORKER_ERRORS, len(errors))
-            raise chain_errors(errors)
-        return fired
+            finally:
+                self._scanning = False
 
-    def _fire(self, registration: _Registration) -> int:
+    def _fire(self, registration: _Registration) -> int:  # guarded-by: self._scan_lock
         """Fire one factory once if it is ready; returns 0 or 1.
 
         With observability enabled the firing is wrapped in a
@@ -205,29 +158,24 @@ class Scheduler:
         loop is closed here too: each basket's newest fully-consumed
         arrival stamp is subtracted from the dispatch time.
         """
-        if not registration.firing_lock.acquire(blocking=False):
-            return 0  # already firing on another thread
-        try:
-            factory = registration.factory
-            obs = self.obs
-            if obs is None:
-                if not factory.ready():
-                    return 0
-                profiler = Profiler()
-                batch = factory.step(profiler)
-                if batch is None:
-                    return 0
-                profiler.count(COUNTER_FIRINGS)
-                registration.steps += 1
-                registration.profiler.merge_from(profiler)
-                self.profiler.merge_from(profiler)
-                self._dispatch(factory.name, registration, batch)
-                return 1
+        factory = registration.factory
+        obs = self.obs
+        if obs is not None:
             return self._fire_traced(registration, obs)
-        finally:
-            registration.firing_lock.release()
+        if not factory.ready():
+            return 0
+        profiler = Profiler()
+        batch = factory.step(profiler)
+        if batch is None:
+            return 0
+        profiler.count(COUNTER_FIRINGS)
+        registration.steps += 1
+        registration.profiler.merge_from(profiler)
+        self.profiler.merge_from(profiler)
+        self._dispatch(factory.name, registration, batch)
+        return 1
 
-    def _fire_traced(self, registration: _Registration, obs: Observability) -> int:  # guarded-by: registration.firing_lock
+    def _fire_traced(self, registration: _Registration, obs: Observability) -> int:  # guarded-by: self._scan_lock
         """The observability-enabled twin of the plain firing path."""
         factory = registration.factory
         if not factory.ready():
@@ -276,14 +224,6 @@ class Scheduler:
         # still enabled, the wait it accrues starts now.
         registration.ready_since = end
         return 1
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._workers, thread_name_prefix="datacell-worker"
-                )
-            return self._executor
 
     def run_until_idle(self) -> int:
         """Scan until no factory is ready; returns total firings.
@@ -390,45 +330,32 @@ class Scheduler:
     # -- durability --------------------------------------------------------
     @contextmanager
     def quiesced(self):
-        """Hold every firing lock for a consistent checkpoint snapshot.
+        """Hold the scan lock for a consistent checkpoint snapshot.
 
-        Blocks until in-flight firings finish, then keeps all factories
-        parked while the caller gathers state.  Safe against the firing
-        path because a firing never takes ``Scheduler._lock`` (run_once
-        copies the registration list *before* firing), so holding
-        ``_lock`` here while blocking on firing locks cannot deadlock —
-        the order is Scheduler._lock → firing locks, same as ever.
+        Blocks until the scan in progress finishes, then keeps every
+        factory parked while the caller gathers state.  ``_lock`` is taken
+        first (declared order: Scheduler._lock → scan lock), which also
+        freezes the registration table for the duration.
         """
-        with self._lock:
-            registrations = list(self._registrations.values())
-            acquired: list[threading.Lock] = []
-            try:
-                for registration in registrations:
-                    registration.firing_lock.acquire()
-                    acquired.append(registration.firing_lock)
-                yield
-            finally:
-                for lock in reversed(acquired):
-                    lock.release()
+        with self._lock, self._scan_lock:
+            if self._scanning:
+                raise SchedulerError("quiesced() called from inside a firing")
+            yield
 
     def steps_snapshot(self) -> dict[str, int]:
-        """Per-factory firing counts; call inside :meth:`quiesced` (the
-        caller already holds every firing lock, which guards ``steps``)."""
+        """Per-factory firing counts; call inside :meth:`quiesced` (which
+        holds the scan lock, the only writer of ``steps``)."""
         with self._lock:
-            registrations = dict(self._registrations)
-        return {
-            name: self._read_steps(registration)
-            for name, registration in registrations.items()
-        }
-
-    def _read_steps(self, registration) -> int:  # guarded-by: registration.firing_lock
-        return registration.steps
+            return {
+                name: registration.steps
+                for name, registration in self._registrations.items()
+            }
 
     def restore_steps(self, name: str, steps: int) -> None:
         """Adopt a snapshot's firing count for one factory (restore path)."""
         with self._lock:
             registration = self._registrations[name]
-        with registration.firing_lock:
+        with self._scan_lock:
             registration.steps = steps
 
     def wrap_sinks(self, name: str, wrapper: Callable[[ResultSink], ResultSink]) -> None:
@@ -446,10 +373,3 @@ class Scheduler:
             error, self._worker_error = self._worker_error, None
         if error is not None:
             raise error
-
-    def close(self) -> None:
-        """Release the worker pool (no-op for sequential schedulers)."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)

@@ -1,8 +1,8 @@
 """Shard workers: per-partition engine processes and their control channel.
 
 Each partition of a ``PARTITION BY`` stream is owned by one worker
-process running a private, ordinary :class:`DataCellEngine` (workers=1,
-observability off).  The coordinating engine talks to workers over a
+process running a private, ordinary :class:`DataCellEngine`
+(observability off).  The coordinating engine talks to workers over a
 ``multiprocessing.Pipe`` control channel; bulk column data travels
 through named ``multiprocessing.shared_memory`` segments
 (:func:`repro.kernel.storage.write_segment`), with object-dtype (str)
@@ -63,7 +63,6 @@ def _worker_main(conn, init: dict) -> None:
 
     engine = DataCellEngine(
         verify_plans=init["verify_plans"],
-        workers=1,
         fragment_sharing=init["fragment_sharing"],
         observability=False,
         backend=init["backend"],

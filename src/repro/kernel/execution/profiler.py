@@ -7,12 +7,13 @@ instruction; this profiler accumulates wall time per tag and per opcode so
 benchmarks report measured — not modelled — breakdowns.
 
 Besides timings the profiler carries integer *counters* (factory firings,
-fragment-cache hits/misses, ...) so the parallel scheduler and the shared
+fragment-cache hits/misses, ...) so the scheduler and the shared
 fragment cache can report their behaviour through the same channel.
 
-Thread-safety: the parallel scheduler merges per-firing profilers from
-worker threads into shared per-factory and global profilers, so every
-mutating or snapshotting method takes the instance lock.
+Thread-safety: the firing thread merges per-firing profilers into shared
+per-factory and global profilers while receptors count retries and metrics
+readers snapshot them, so every mutating or snapshotting method takes the
+instance lock.
 """
 
 from __future__ import annotations
@@ -135,9 +136,7 @@ class Profiler:
 
         Timings (float seconds) and counters (ints) live in separate
         sub-dicts, so a counter whose name happens to match a cost tag can
-        never type-pun an int into the float timing view (the old flat
-        snapshot relied on names "never" colliding — see
-        :meth:`snapshot_flat`).
+        never type-pun an int into the float timing view.
         """
         with self._lock:
             return {
@@ -166,19 +165,6 @@ class Profiler:
             self.calls.update(snap["calls"])
             self.counters.clear()
             self.counters.update(snap["counters"])
-
-    def snapshot_flat(self) -> dict[str, float]:
-        """Deprecated: the pre-structured flat view (tags ∪ counters).
-
-        Kept for benchmarks written against the old shape.  When a
-        counter name collides with a tag the counter wins (the historical
-        ``dict.update`` behaviour) — use :meth:`snapshot` instead, which
-        keeps both.
-        """
-        with self._lock:
-            snap: dict[str, float] = dict(self.by_tag)
-            snap.update(self.counters)
-            return snap
 
     def reset(self) -> None:
         with self._lock:

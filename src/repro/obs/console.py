@@ -40,7 +40,6 @@ def render_top(engine) -> str:
     summary = (
         f"queries={metrics['engine']['queries']} "
         f"streams={metrics['engine']['streams']} "
-        f"workers={metrics['engine']['workers']} "
         f"firings={counters['firings']} "
         f"cache_hit_rate={cache.get('hit_rate', 0.0):.3f} "
         f"shed={counters['overflow_shed']} "

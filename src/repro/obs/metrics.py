@@ -72,7 +72,6 @@ def collect_metrics(engine) -> dict:
         "engine": {
             "queries": len(engine._queries),
             "streams": len(engine._stream_baskets),
-            "workers": engine.scheduler.workers,
             "partitions": getattr(engine, "partitions", 1),
             "observability": obs is not None,
         },

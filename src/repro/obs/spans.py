@@ -2,7 +2,7 @@
 
 A span is the observability twin of a Petri-net transition: it says *which*
 factory fired, *when*, how long the firing took, what it consumed and
-emitted, how long the factory had been ready before a worker picked it up,
+emitted, how long the factory had been ready before the scheduler fired it,
 and how the interpreter's cost tags (``main``/``merge``/``admin``) split
 the work.  The scheduler records spans into a :class:`SpanRecorder`, a
 fixed-capacity ring buffer: tracing a long-running engine costs bounded
@@ -32,7 +32,7 @@ class FiringSpan:
     #: Result rows emitted by this firing.
     emitted: int
     #: Seconds between the previous firing (while ready) and this one —
-    #: how long enabled work sat waiting for a scheduler worker.
+    #: how long enabled work sat waiting for the firing thread.
     ready_wait: float
     #: Per-tag cost breakdown of this firing (seconds by ``main``/
     #: ``merge``/``admin``), from the per-firing profiler.

@@ -685,7 +685,6 @@ class QueryGenerator:
 
 def build_engine(
     query: FuzzQuery,
-    workers: int = 1,
     fragment_sharing: bool = True,
     verify_plans: bool = False,
     backend: str = "interpreted",
@@ -704,7 +703,6 @@ def build_engine(
     """
     engine = DataCellEngine(
         verify_plans=verify_plans,
-        workers=workers,
         fragment_sharing=fragment_sharing,
         backend=backend,
         partitions=partitions,

@@ -22,9 +22,9 @@ window is compared across them:
   mid-run (DESIGN.md §15); recovery must reproduce the uninterrupted
   emission list exactly once.
 
-Configurable axes (workers, fragment sharing, feed chunking, lockcheck,
-execution backend) shake the concurrency, caching, and compilation
-layers with the *same* query; results must be invariant.  The
+Configurable axes (fragment sharing, feed chunking, lockcheck, execution
+backend) shake the locking, caching, and compilation layers with the
+*same* query; results must be invariant.  The
 ``backend`` axis runs the whole engine on the compiled backend
 (DESIGN.md §13), making every leg a differential test of compiled vs
 reference execution.  The ``lockcheck`` axis additionally runs the engine
@@ -62,7 +62,6 @@ PIVOT = "incremental"
 class OracleConfig:
     """One oracle run's execution axes."""
 
-    workers: int = 1
     fragment_sharing: bool = True
     duplicate: bool = False  # second incremental query (fragment sharing)
     chunk_plan: Optional[dict[str, list[int]]] = None  # feed batch sizes
@@ -75,7 +74,6 @@ class OracleConfig:
 
     def to_json(self) -> dict:
         return {
-            "workers": self.workers,
             "fragment_sharing": self.fragment_sharing,
             "duplicate": self.duplicate,
             "chunk_plan": self.chunk_plan,
@@ -89,8 +87,9 @@ class OracleConfig:
 
     @staticmethod
     def from_json(data: dict) -> "OracleConfig":
+        # A "workers" entry (reproducers saved before the thread-pool
+        # scheduler mode was removed) is ignored.
         return OracleConfig(
-            workers=data.get("workers", 1),
             fragment_sharing=data.get("fragment_sharing", True),
             duplicate=data.get("duplicate", False),
             chunk_plan=data.get("chunk_plan"),
@@ -107,7 +106,7 @@ class OracleConfig:
         )
 
     def describe(self) -> str:
-        parts = [f"workers={self.workers}", f"sharing={self.fragment_sharing}"]
+        parts = [f"sharing={self.fragment_sharing}"]
         if self.duplicate:
             parts.append("dup")
         if self.step_chunk:
@@ -234,7 +233,6 @@ def run_incremental(
     query: FuzzQuery,
     feed: Feed,
     chunk_plan: Optional[dict[str, list[int]]] = None,
-    workers: int = 1,
     fragment_sharing: bool = True,
     sql: Optional[str] = None,
 ) -> list[list[tuple]]:
@@ -243,7 +241,7 @@ def run_incremental(
     ``sql`` overrides the rendered query text (e.g. substituted window
     geometries) while keeping the query's schemas and feed.
     """
-    engine = build_engine(query, workers=workers, fragment_sharing=fragment_sharing)
+    engine = build_engine(query, fragment_sharing=fragment_sharing)
     try:
         handle = engine.submit(sql if sql is not None else query.sql)
         _feed_rounds(
@@ -259,8 +257,8 @@ def run_partitioned(
 ) -> Optional[list[list[tuple]]]:
     """The sharded leg: the same query on a P-partition engine.
 
-    Runs in its own engine (shard workers replace the thread axes — the
-    step-chunk and lockcheck instruments only see in-process state).
+    Runs in its own engine (the step-chunk and lockcheck instruments
+    only see in-process state).
     Returns None when the partition planner rejects the query shape, so
     the caller simply skips the leg.
     """
@@ -384,7 +382,6 @@ def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResu
 
     engine = build_engine(
         query,
-        workers=config.workers,
         fragment_sharing=config.fragment_sharing,
         backend=config.backend,
     )

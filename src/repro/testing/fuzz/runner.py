@@ -14,7 +14,7 @@ two integers printed in the banner.  Each iteration:
 2. lints the rewritten plan (:mod:`repro.analysis.lint`) — the fuzzer
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
-   (workers, fragment sharing, feed chunking, ``step_chunked``, a
+   (fragment sharing, feed chunking, ``step_chunked``, a
    ``lockcheck`` axis that replays observed lock acquisitions against
    the static lock order — always on under ``--lockcheck`` — and a
    ``backend`` axis that runs the engine on the compiled execution
@@ -190,8 +190,10 @@ class FuzzSession:
             )
         # New axes draw *after* the existing ones so historical
         # (seed, iteration) pairs keep reproducing the same config.
+        # The first draw used to pick the removed `workers` axis; it stays
+        # consumed so the remaining axes keep their historical values.
+        rng.random()
         config = OracleConfig(
-            workers=3 if rng.random() < 0.20 else 1,
             fragment_sharing=bool(rng.random() < 0.75),
             duplicate=bool(rng.random() < 0.35),
             chunk_plan=(
@@ -364,7 +366,7 @@ def run_fuzz_cli(argv: list[str], out: Optional[TextIO] = None) -> int:
                         help="skip static plan linting of generated queries")
     parser.add_argument("--fixed-axes", action="store_true",
                         help="run every query under the default axes "
-                        "(workers=1, sharing on, unchunked)")
+                        "(sharing on, unchunked)")
     parser.add_argument("--lockcheck", action="store_true",
                         help="run every oracle execution under ObservedLock "
                         "wrappers and fail on static/dynamic lock-order "

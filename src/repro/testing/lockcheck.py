@@ -12,15 +12,10 @@ the code *did* and what the static graph says it may do.
 
 :func:`instrument` swaps the observable locks of a built engine in
 place.  Call it after every ``submit`` and before feeding: swapping a
-lock some thread already holds would split its identity.  Two engine
-locks stay unobserved by design:
-
-* per-span pending locks (``FragmentCache.pending``) are created on
-  demand inside the cache; the static edge to ``FragmentCache._lock``
-  is checked by ``repro check`` instead;
-* ``Basket._not_full`` is a Condition *sharing* the basket lock —
-  waits go through the raw lock underneath the wrapper, which is
-  correct (same lock) but invisible here.
+lock some thread already holds would split its identity.  One engine
+lock stays unobserved by design: ``Basket._not_full`` is a Condition
+*sharing* the basket lock — waits go through the raw lock underneath the
+wrapper, which is correct (same lock) but invisible here.
 
 This module is test-tooling: nothing in the engine imports it.
 """
@@ -202,9 +197,7 @@ def instrument(engine: Any, observer: Optional[LockObserver] = None) -> LockObse
 
     scheduler = engine.scheduler
     wrap(scheduler, "_lock", "Scheduler._lock")
-    # Quiescent by contract (no threads yet), so the registry read is safe.
-    for registration in scheduler._registrations.values():  # repro-check: allow(unguarded-read)
-        wrap(registration, "firing_lock", "_Registration.firing_lock")
+    wrap(scheduler, "_scan_lock", "Scheduler._scan_lock")
     for baskets in engine._stream_baskets.values():
         for basket in baskets:
             wrap(basket, "_lock", "Basket._lock")

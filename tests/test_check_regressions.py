@@ -164,7 +164,7 @@ def test_scheduler_stop_joins_outside_the_lock():
     """stop() joins the loop thread after releasing _lock — the loop's
     scans take _lock themselves, so joining under it deadlocks.  A
     simple start/feed/stop cycle must terminate promptly."""
-    engine = DataCellEngine(workers=2)
+    engine = DataCellEngine()
     engine.create_stream("s", [("a", "int")])
     handle = engine.submit("SELECT sum(a) AS x FROM s [RANGE 8 SLIDE 4]")
     engine.scheduler.start()

@@ -170,7 +170,7 @@ class TestStatsCommand:
 
 
 class TestMainFlagParsing:
-    """`python -m repro` flag handling: --workers/--capacity/--overflow."""
+    """`python -m repro` flag handling: --capacity/--overflow."""
 
     def run_main(self, args, tmp_path, script_text="QUIT\n"):
         from repro.cli import main
@@ -210,7 +210,6 @@ class TestMainFlagParsing:
             ["--capacity"],            # missing value
             ["--capacity", "0"],       # must be positive
             ["--capacity", "nope"],    # not an integer
-            ["--workers", "0"],        # must be >= 1
             ["--overflow", "bogus", "--capacity", "4"],   # unknown policy
             ["--overflow", "shed-oldest"],                # needs --capacity
             ["--frobnicate", "1"],     # unknown flag

@@ -6,6 +6,7 @@ lint over the real ``src/repro`` tree and requires it to be clean —
 that is the CI gate ``repro check`` enforces.
 """
 
+import re
 import textwrap
 from pathlib import Path
 
@@ -220,13 +221,20 @@ def test_lock_order_is_a_total_order():
     assert all(LOCK_RANKS[n] == i for i, n in enumerate(LOCK_ORDER))
 
 
+def test_design_lock_table_is_lock_order():
+    """DESIGN.md §6 prints LOCK_ORDER as a table; the two must not drift."""
+    design = (SRC.parent.parent / "DESIGN.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d+) \| `([\w.]+)` \|", design, flags=re.M)
+    assert [(int(rank), node) for rank, node in rows] == list(enumerate(LOCK_ORDER))
+
+
 def test_repro_check_is_clean_on_the_engine_sources():
     """The CI gate: zero findings on the annotated src/repro tree."""
     result = check_paths([str(SRC)])
     rendered = result.report.render()
     assert result.report.ok, rendered
     assert not result.report.warnings(), rendered
-    # The one declared cross-class edge today: per-span pending locks
-    # are taken before the cache's own lock on the miss path.
+    # quiesced() freezes the registration table, then parks the firing
+    # thread: the scheduler's one statically visible nested acquisition.
     edges = {(e.src, e.dst) for e in result.edges}
-    assert ("FragmentCache.pending", "FragmentCache._lock") in edges
+    assert ("Scheduler._lock", "Scheduler._scan_lock") in edges

@@ -232,7 +232,7 @@ class TestOracle:
     def test_axes_do_not_change_results(self):
         feed = make_feed([0, 0, 1, 1, 0, 1, 1, 1])
         config = OracleConfig(
-            workers=3, fragment_sharing=False, duplicate=True,
+            fragment_sharing=False, duplicate=True,
             chunk_plan={"s0": [3, 5]}, step_chunk=2,
         )
         assert run_oracle(make_query(), feed, config).divergence is None
@@ -246,9 +246,11 @@ class TestOracle:
         assert "incremental" in (divergence.left, divergence.right)
 
     def test_config_json_roundtrip(self):
-        config = OracleConfig(workers=3, chunk_plan={"s0": [2, 2]}, step_chunk=3)
+        config = OracleConfig(chunk_plan={"s0": [2, 2]}, step_chunk=3)
         clone = OracleConfig.from_json(json.loads(json.dumps(config.to_json())))
         assert clone == config
+        # Reproducers saved before the thread-pool mode was removed.
+        assert OracleConfig.from_json({**config.to_json(), "workers": 3}) == config
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +383,24 @@ class TestRunnerCli:
         session.run()
         for feature in ("project", "single-stream"):
             assert session.coverage[feature] > 0
+
+    def test_axis_draws_are_pinned_across_the_removed_workers_axis(self, tmp_path):
+        """The `workers` axis is gone but its draw is still consumed, so a
+        historical (seed, iteration) pair draws the axes it always drew
+        (values recorded at the last commit that had the axis)."""
+        generator = QueryGenerator(np.random.default_rng([11, 3]))
+        query = generator.query("sum")
+        feed = generator.feed(query, rows_scale=0.5)
+        session = FuzzSession(budget=1, seed=0, out_dir=str(tmp_path), out=io.StringIO())
+        drawn = [
+            session._config(np.random.default_rng(seed), query, feed).describe()
+            for seed in (1, 2, 3)
+        ]
+        assert drawn == [
+            "sharing=False dup backend=compiled",
+            "sharing=True chunked-feed backend=compiled partitions=3",
+            "sharing=True lockcheck backend=compiled crash",
+        ]
 
     def test_session_fuzzes_deep_windows(self, tmp_path):
         out = io.StringIO()

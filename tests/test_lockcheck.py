@@ -85,8 +85,8 @@ def test_unranked_locks_are_ignored_by_violations():
 
 
 def test_instrument_live_engine_conforms():
-    """End-to-end: a parallel engine run never escapes the static order."""
-    engine = DataCellEngine(workers=2)
+    """End-to-end: a background-loop run never escapes the static order."""
+    engine = DataCellEngine()
     engine.create_stream("s", [("a", "int"), ("b", "int")])
     handle = engine.submit("SELECT sum(a) AS x FROM s [RANGE 40 SLIDE 10]")
     engine.submit("SELECT a, b FROM s [RANGE 20 SLIDE 10] WHERE a > 5")
@@ -100,9 +100,9 @@ def test_instrument_live_engine_conforms():
     assert observer.acquisitions > 0
     observer.assert_conforms()
     assert handle.results()  # the instrumented engine still computes
-    # Firing takes the basket lock under the registration's firing lock.
+    # Firing takes the basket lock under the scheduler's scan lock.
     assert any(
-        (e.src, e.dst) == ("_Registration.firing_lock", "Basket._lock")
+        (e.src, e.dst) == ("Scheduler._scan_lock", "Basket._lock")
         for e in observer.edges()
     )
 
@@ -136,5 +136,5 @@ def test_run_oracle_under_lockcheck_is_clean():
     generator = QueryGenerator(np.random.default_rng([11, 3]))
     query = generator.query("sum")
     feed = generator.feed(query, rows_scale=0.5)
-    result = run_oracle(query, feed, OracleConfig(workers=2, lockcheck=True))
+    result = run_oracle(query, feed, OracleConfig(lockcheck=True))
     assert result.ok, result.divergence and result.divergence.describe()

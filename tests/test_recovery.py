@@ -482,3 +482,38 @@ def test_fresh_engine_refuses_existing_data_dir(tmp_path):
     restored = DataCellEngine.restore(str(data_dir))
     assert restored.catalog.has_stream("s")
     restored.close()
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_restore_ignores_legacy_workers_meta(tmp_path, monkeypatch, checkpointed):
+    """Data dirs written before the thread-pool scheduler mode was removed
+    carry ``"workers": N`` in the journaled meta record and in every
+    snapshot's meta; restore must load them and re-emit the same windows
+    (one firing thread fires in the order ``workers=N`` results equalled)."""
+    current_meta = DataCellEngine._meta
+    monkeypatch.setattr(
+        DataCellEngine, "_meta", lambda self: {**current_meta(self), "workers": 2}
+    )
+    data_dir = tmp_path / "dd"
+    engine = DataCellEngine(data_dir=str(data_dir))
+    try:
+        engine.create_stream("s", [("v", "int")])
+        handle = engine.submit("SELECT sum(v) AS t FROM s [RANGE 8 SLIDE 4]", name="q")
+        engine.feed("s", columns={"v": np.arange(20, dtype=np.int64)})
+        engine.run_until_idle()
+        if checkpointed:
+            engine.checkpoint()
+        engine.feed("s", columns={"v": np.arange(20, 32, dtype=np.int64)})
+        engine.run_until_idle()
+        expected = [batch.rows() for batch in handle.results()]
+        assert len(expected) == 7
+        engine.abandon()
+        monkeypatch.undo()
+
+        engine = DataCellEngine.restore(str(data_dir))
+        engine.run_until_idle()
+        got = [batch.rows() for batch in engine.query("q").results()]
+        assert got == expected
+        assert "workers" not in engine._meta()
+    finally:
+        engine.close()
