@@ -101,7 +101,7 @@ def main() -> None:
     live = engine3.submit(
         "SELECT count(*) FROM photons [RANGE 2048 SLIDE 1024]", name="live"
     )
-    receptor = engine3.receptor(live, "photons")
+    receptor = engine3.receptor("photons")
     engine3.start()
     try:
         receptor.start(iter([(int(i % 6), int(i % 1000)) for i in range(10_240)]))

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.analysis.diagnostics import Report
+from repro.core.overflow import Block, Fail
 from repro.core.partials import MERGE_FANOUT, merge_levels
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
 from repro.core.windows import WindowSpec
@@ -537,7 +538,7 @@ def analyze_resources(
         elif (
             capacity is not None
             and template is not None
-            and getattr(template, "sheds", False)
+            and not isinstance(template, (Block, Fail))  # it drops tuples
             and basket_need.constant
             and capacity < 2 * basket_need.coeff
         ):

@@ -27,8 +27,8 @@ The console is a thin veneer: every command maps 1:1 onto a
 :class:`repro.DataCellEngine` method, so scripts double as API examples.
 
 ``--capacity N`` bounds every stream the console creates to N parked
-tuples per query basket, and ``--overflow POLICY`` picks what happens when
-producers outrun the engine (``fail``, ``block[:timeout]``,
+tuples (however many queries read it), and ``--overflow POLICY`` picks
+what happens when producers outrun the engine (``fail``, ``block[:timeout]``,
 ``shed-oldest``, ``shed-newest``, ``sample:rate[:seed]`` — see
 docs/OPERATIONS.md).  The ``STATS`` command prints per-stream overload
 counters and per-factory profiler snapshots.
@@ -110,8 +110,8 @@ class Console:
     """The command interpreter; one instance owns one engine.
 
     ``capacity``/``overflow`` are the console-wide overload defaults
-    applied to every ``CREATE STREAM`` (the policy template is cloned per
-    basket by the engine).
+    applied to every ``CREATE STREAM`` (the engine clones the policy
+    template once per stream).
     """
 
     def __init__(
@@ -178,7 +178,7 @@ class Console:
                 )
             return
         if upper == "STREAMS":
-            for stream in self.engine._stream_baskets:
+            for stream in self.engine._logs:
                 schema = self.engine.catalog.stream(stream).schema
                 cols = ", ".join(f"{n} {a.value}" for n, a in schema.columns)
                 self.println(f"{stream} ({cols})")
@@ -338,8 +338,8 @@ class Console:
             for stream, stats in overload.items():
                 capacity = stats["capacity"] or "unbounded"
                 self.println(
-                    f"{stream}: capacity={capacity} baskets={stats['baskets']} "
-                    f"parked={stats['parked']} (max {stats['max_parked']}) "
+                    f"{stream}: capacity={capacity} readers={stats['baskets']} "
+                    f"parked={stats['parked']} "
                     f"shed={stats['shed']} block_waits={stats['block_waits']} "
                     f"block_timeouts={stats['block_timeouts']}"
                 )

@@ -7,29 +7,41 @@ snapshot column views, consume basic windows, and drop expired tuples from
 the head (paper §2: "once a tuple has been seen by all relevant queries it
 is dropped from its basket").
 
+The engine keeps **one basket per stream** and hands every query a
+:class:`Cursor` into it: a cursor's ``position`` is the absolute arrival
+offset of the next tuple its query reads, and the basket trims its head to
+the slowest cursor — so ``len(basket)`` is the deepest cursor lag, and a
+basket nobody reads holds nothing.  A basket used without cursors is a
+plain single-consumer buffer whose head is the read position (direct-driven
+factories and the unit tests use it that way).
+
 Baskets are **unbounded by default** — the paper's model, which assumes the
 scheduler keeps up with arrival rates.  Passing ``capacity=`` bounds the
 basket and arms an :class:`~repro.core.overflow.OverflowPolicy` (default
 :class:`~repro.core.overflow.Fail`) that decides, batch-at-a-time on the
 append path, what happens when producers outrun factories: block with
-backpressure, shed from either end, sample, or fail loudly.  Shed and
-blocked counts are kept on the basket (``shed_total``, ``block_waits``,
-``block_timeouts``) and mirrored into an attached
+backpressure, shed from either end, sample, or fail loudly.  The decision
+is taken once per batch for every reader; a ``ShedOldest`` eviction moves
+each cursor it overtakes up to the new head and counts that cursor's loss.
+Shed and blocked counts are kept on the basket (``shed_total``,
+``block_waits``, ``block_timeouts``) and mirrored into an attached
 :class:`~repro.kernel.execution.profiler.Profiler` so overload shows up in
 the same counter channel as firings and cache hits.  docs/OPERATIONS.md is
 the operator-facing guide; DESIGN.md §7 gives the correctness argument for
 shedding under the incremental merge.
 
-Thread-safety: every mutating or snapshotting method takes the basket lock;
-factories take it once around a whole consume cycle via ``locked()``.  A
-producer blocked by the ``Block`` policy waits on a condition tied to that
-same lock, so consumers can drain (and wake it) while it sleeps.
+Thread-safety: every mutating or snapshotting method takes the basket lock
+(cursors take their basket's); factories take it once around a whole
+consume cycle via ``locked()``.  A producer blocked by the ``Block`` policy
+waits on a condition tied to that same lock, so consumers can drain (and
+wake it) while it sleeps.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -71,7 +83,101 @@ def _select_values(values, keep: Keep):
     return np.asarray(values)[keep]
 
 
-class Basket:
+class _Reader:
+    """The read side of a basket, from a read ``position`` on.
+
+    A :class:`Basket` reads itself at its head (single consumer); a
+    :class:`Cursor` reads its basket at its own position.  Factories take
+    either.
+    """
+
+    basket: "Basket"
+    position: int
+    _marked: int  # end offset of the last arrival mark taken
+
+    def locked(self):
+        """Context manager taking the basket lock (re-entrant)."""
+        return self.basket._lock
+
+    def __len__(self) -> int:
+        basket = self.basket
+        with basket._lock:
+            return basket._appended_total - self.position
+
+    @property
+    def count(self) -> int:
+        """Tuples not read yet (a basket without cursors: all parked)."""
+        return len(self)
+
+    def head_slice(self, count: int, columns: Sequence[str]) -> dict[str, BAT]:
+        """The oldest ``count`` unread tuples of the requested columns
+        (zero-copy views, valid until the basket's next delete)."""
+        basket = self.basket
+        with basket._lock:
+            if count > len(self):
+                raise BasketError(
+                    f"basket {basket.name!r} holds {len(self)} tuples, need {count}"
+                )
+            offset = self.position - basket._head()
+            return {
+                name: basket._builders[name].snapshot().slice(offset, offset + count)
+                for name in columns
+            }
+
+    def timestamps(self) -> BAT:
+        """Arrival timestamps of the unread tuples."""
+        basket = self.basket
+        with basket._lock:
+            if not basket._with_ts:
+                raise BasketError(f"basket {basket.name!r} has no timestamps")
+            ts = basket._builders[TS_COLUMN].snapshot()
+            return ts.slice(self.position - ts.hseq, len(ts))
+
+    def count_before(self, ts_bound: int) -> int:
+        """Unread tuples with arrival timestamp < ``ts_bound``.
+
+        Timestamps are nondecreasing by arrival, so this is a binary search;
+        time-based factories use it to slice basic windows.
+        """
+        with self.basket._lock:
+            return int(np.searchsorted(self.timestamps().tail, ts_bound, side="left"))
+
+    def max_timestamp(self) -> int | None:
+        """The time watermark as this reader sees it.
+
+        The larger of the newest unread arrival timestamp and any
+        explicitly advanced watermark (see :meth:`Basket.advance_watermark`).
+        """
+        basket = self.basket
+        with basket._lock:
+            ts = self.timestamps()
+            newest = None if ts.is_empty() else int(ts.tail[-1])
+            if basket._watermark is None:
+                return newest
+            if newest is None:
+                return basket._watermark
+            return max(newest, basket._watermark)
+
+    def take_consumed_arrival(self) -> Optional[float]:
+        """Arrival stamp (perf_counter) of the newest fully-consumed batch.
+
+        The arrival time of the batch containing the tuple that completed
+        the window (a batch counts once this reader has read or lost all
+        of it).  Returns ``None`` when no tracked batch finished since the
+        last call.
+        """
+        basket = self.basket
+        with basket._lock:
+            for end, stamp in reversed(basket._arrival_marks):
+                if end <= self.position:
+                    if end <= self._marked:
+                        return None
+                    self._marked = end
+                    return stamp
+            return None
+
+
+class Basket(_Reader):
     """Column-oriented append buffer for one stream.
 
     ``capacity`` (optional) bounds the number of parked tuples; ``overflow``
@@ -98,7 +204,7 @@ class Basket:
         self._with_ts = with_timestamps
         if with_timestamps:
             self._builders[TS_COLUMN] = BATBuilder(Atom.TIMESTAMP)
-        self._appended_total = 0  # guarded-by: _lock
+        self._appended_total = 0  # the tail's arrival offset; guarded-by: _lock
         self._clock = 0  # fallback logical timestamps; guarded-by: _lock
         self._watermark: int | None = None  # explicit time progress; guarded-by: _lock
         if capacity is not None and capacity < 1:
@@ -116,46 +222,41 @@ class Basket:
         self._profiler: Optional[Profiler] = None  # guarded-by: _lock
         # Ingest→emit latency tracking (observability): per-batch arrival
         # stamps as (absolute end offset, perf_counter).  Bounded so a
-        # directly-driven factory that never pops marks stays O(1) memory.
+        # reader that never takes its marks stays O(1) memory.
         self._track_arrivals = False  # guarded-by: _lock
         self._arrival_marks: deque[tuple[int, float]] = deque(maxlen=4096)  # guarded-by: _lock
-        self._consumed_abs = 0  # guarded-by: _lock
-        #: Tuples dropped by the overflow policy (either end), monotonic.
+        self._marked = 0  # end offset of the last mark taken; guarded-by: _lock
+        # Readers of a shared basket; empty = single consumer.  Weak, so
+        # a basket and its cursors never form a cycle that keeps dropped
+        # engines' buffers alive until the next cyclic collection.
+        self._cursors: weakref.WeakSet[Cursor] = weakref.WeakSet()  # guarded-by: _lock
+        #: Tuples dropped by the overflow policy (either end), counted
+        #: once per reader that lost them; monotonic.
         self.shed_total = 0  # guarded-by: _lock
         #: Appends that had to wait for room (Block policy), monotonic.
         self.block_waits = 0  # guarded-by: _lock
         #: Blocked appends that gave up at the timeout, monotonic.
         self.block_timeouts = 0  # guarded-by: _lock
-        # Input journal (durability): when attached, every direct append
-        # is logged *before* admission under the journal's outer lock —
-        # see :meth:`attach_journal` for the lock-order argument.
-        self._journal = None
-
-    # ------------------------------------------------------------------
-    # locking
-    # ------------------------------------------------------------------
-    def locked(self):
-        """Context manager taking the basket lock (re-entrant)."""
-        return self._lock
 
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            first = next(iter(self._builders.values()))
-            return len(first)
-
     @property
-    def count(self) -> int:
-        """Number of tuples currently parked in the basket."""
-        return len(self)
+    def basket(self) -> "Basket":
+        """Itself: a basket without cursors reads at its own head."""
+        return self
+
+    def _head(self) -> int:  # guarded-by: self._lock
+        return next(iter(self._builders.values())).hseq
 
     @property
     def hseq(self) -> int:
-        """Oid of the oldest tuple still present."""
+        """Arrival offset of the oldest tuple still present — the read
+        position of a basket used without cursors."""
         with self._lock:
-            return next(iter(self._builders.values())).hseq
+            return self._head()
+
+    position = hseq
 
     @property
     def appended_total(self) -> int:
@@ -163,6 +264,31 @@ class Basket:
         that were never admitted, includes admitted-then-evicted ones)."""
         with self._lock:
             return self._appended_total
+
+    # ------------------------------------------------------------------
+    # readers (one cursor per query on a shared basket)
+    # ------------------------------------------------------------------
+    def cursor(self) -> "Cursor":
+        """A new reader at the tail: it sees what arrives from now on."""
+        with self._lock:
+            cursor = Cursor(self, self._appended_total)
+            self._cursors.add(cursor)
+            return cursor
+
+    @property
+    def readers(self) -> int:
+        """Open cursors on this basket."""
+        with self._lock:
+            return len(self._cursors)
+
+    def _trim(self) -> None:  # guarded-by: self._lock
+        """Drop the head up to the slowest cursor (everything, with none)."""
+        low = min(
+            (cursor.position for cursor in self._cursors),
+            default=self._appended_total,
+        )
+        if low > self._head():
+            self.delete_head(low - self._head())
 
     # ------------------------------------------------------------------
     # capacity / overflow
@@ -200,21 +326,6 @@ class Basket:
         """Record the arrival of the batch ending at ``_appended_total``."""
         if self._track_arrivals:
             self._arrival_marks.append((self._appended_total, time.perf_counter()))
-
-    def take_consumed_arrival(self) -> Optional[float]:
-        """Arrival stamp (perf_counter) of the newest fully-consumed batch.
-
-        Pops every mark whose batch has been entirely consumed (or
-        evicted) and returns the most recent one — the arrival time of
-        the batch containing the tuple that completed the window.
-        Returns ``None`` when no tracked batch finished since the last
-        call.
-        """
-        with self._lock:
-            wall: Optional[float] = None
-            while self._arrival_marks and self._arrival_marks[0][0] <= self._consumed_abs:
-                wall = self._arrival_marks.popleft()[1]
-            return wall
 
     def abort_waiters(self, reason: str) -> None:
         """Wake producers parked on the ``Block`` policy with an error.
@@ -262,13 +373,20 @@ class Basket:
             return self._wait_for_room(incoming, self._policy.timeout)
         admission = self._policy.admit(room, incoming, self._capacity)
         if admission.evict_oldest:
-            for builder in self._builders.values():
-                builder.drop_head(admission.evict_oldest)
-            if self._track_arrivals:
-                self._consumed_abs += admission.evict_oldest
-        if admission.shed:
-            self.shed_total += admission.shed
-            self._count(COUNTER_SHED, admission.shed)
+            self._drop(admission.evict_oldest)
+        shed = admission.shed
+        if self._cursors:
+            # Cursors the eviction overtook skip to the new head; every
+            # reader loses what it skipped plus the batch's rejected part.
+            head = self._head()
+            rejected = admission.shed - admission.evict_oldest
+            shed = 0
+            for cursor in self._cursors:
+                shed += max(0, head - cursor.position) + rejected
+                cursor.position = max(cursor.position, head)
+        if shed:
+            self.shed_total += shed
+            self._count(COUNTER_SHED, shed)
         return admission.keep
 
     def _wait_for_room(self, incoming: int, timeout: Optional[float]) -> Keep:  # guarded-by: self._lock
@@ -305,42 +423,6 @@ class Basket:
         return slice(None)
 
     # ------------------------------------------------------------------
-    # journaling (durability)
-    # ------------------------------------------------------------------
-    def attach_journal(self, journal) -> None:
-        """Log every direct append (the receptor path) to ``journal``.
-
-        ``journal`` is a :class:`~repro.core.durability.DurabilityManager`;
-        its lock is the engine's *outermost* lock, so the append wrappers
-        take it strictly before this basket's own lock — the same order
-        ``engine.feed`` uses, which is what keeps a checkpoint's
-        ``(horizon, state)`` pair consistent against receptor threads.
-        The offered batch is journaled pre-admission: replay re-offers it
-        through the same policy (whose RNG state the snapshot carries),
-        so shedding decisions reproduce deterministically.
-        """
-        with self._lock:
-            self._journal = journal
-
-    def _journal_record(self, columns, timestamps) -> dict:
-        """One ``basket`` journal record for an offered batch."""
-        from repro.core.durability import typed_values
-
-        typed = {
-            name: typed_values(columns[name], self.schema.atom_of(name))
-            for name in self.schema.names
-        }
-        return {
-            "basket": self.name,
-            "columns": typed,
-            "timestamps": (
-                None
-                if timestamps is None
-                else np.asarray(timestamps, dtype=np.int64)
-            ),
-        }
-
-    # ------------------------------------------------------------------
     # appends (receptor side)
     # ------------------------------------------------------------------
     def append_rows(
@@ -352,26 +434,6 @@ class Basket:
         return value is then smaller than the input), block, or raise
         :class:`~repro.errors.BasketOverflowError`.
         """
-        journal = self._journal
-        if journal is not None:
-            rows = rows if isinstance(rows, list) else list(rows)
-            names = self.schema.names
-            for row in rows:
-                if len(row) != len(names):
-                    raise BasketError(
-                        f"row arity {len(row)} != schema arity {len(names)}"
-                    )
-            columns = {
-                name: [row[i] for row in rows] for i, name in enumerate(names)
-            }
-            with journal.lock:
-                journal.journal("basket", self._journal_record(columns, timestamps))
-                return self._append_rows(rows, timestamps)
-        return self._append_rows(rows, timestamps)
-
-    def _append_rows(
-        self, rows: Iterable[Sequence], timestamps: Sequence[int] | None
-    ) -> int:
         if self._capacity is None:
             with self._lock:
                 return self._append_rows_locked(rows, timestamps)
@@ -415,27 +477,6 @@ class Basket:
         Returns the number of tuples admitted (see :meth:`append_rows` for
         bounded-basket semantics).
         """
-        journal = self._journal
-        if journal is not None:
-            if set(columns) != set(self.schema.names):
-                raise BasketError(
-                    f"append_columns needs exactly columns "
-                    f"{sorted(self.schema.names)}"
-                )
-            if len({len(values) for values in columns.values()}) != 1:
-                raise BasketError("ragged column append")
-            with journal.lock:
-                journal.journal(
-                    "basket", self._journal_record(columns, timestamps)
-                )
-                return self._append_columns(columns, timestamps)
-        return self._append_columns(columns, timestamps)
-
-    def _append_columns(
-        self,
-        columns: Mapping[str, Sequence | np.ndarray],
-        timestamps: Sequence[int] | np.ndarray | None = None,
-    ) -> int:
         with self._lock:
             expected = set(self.schema.names)
             if set(columns) != expected:
@@ -474,7 +515,7 @@ class Basket:
             return count
 
     # ------------------------------------------------------------------
-    # snapshots (factory side)
+    # snapshots (factory side: head_slice & co. come from _Reader)
     # ------------------------------------------------------------------
     def column(self, name: str) -> BAT:
         """Zero-copy snapshot of one column (valid until the next delete)."""
@@ -482,50 +523,6 @@ class Basket:
             if name not in self._builders:
                 raise BasketError(f"basket {self.name!r} has no column {name!r}")
             return self._builders[name].snapshot()
-
-    def head_slice(self, count: int, columns: Sequence[str]) -> dict[str, BAT]:
-        """The oldest ``count`` tuples of the requested columns."""
-        with self._lock:
-            if count > len(self):
-                raise BasketError(
-                    f"basket {self.name!r} holds {len(self)} tuples, "
-                    f"need {count}"
-                )
-            return {
-                name: self._builders[name].snapshot().slice(0, count)
-                for name in columns
-            }
-
-    def timestamps(self) -> BAT:
-        """Snapshot of the implicit arrival-timestamp column."""
-        if not self._with_ts:
-            raise BasketError(f"basket {self.name!r} has no timestamps")
-        return self.column(TS_COLUMN)
-
-    def count_before(self, ts_bound: int) -> int:
-        """Tuples (from the head) with arrival timestamp < ``ts_bound``.
-
-        Timestamps are nondecreasing by arrival, so this is a binary search;
-        time-based factories use it to slice basic windows.
-        """
-        with self._lock:
-            ts = self.timestamps()
-            return int(np.searchsorted(ts.tail, ts_bound, side="left"))
-
-    def max_timestamp(self) -> int | None:
-        """The basket's time watermark.
-
-        The larger of the newest arrival timestamp and any explicitly
-        advanced watermark (see :meth:`advance_watermark`).
-        """
-        with self._lock:
-            ts = self.timestamps()
-            newest = None if ts.is_empty() else int(ts.tail[-1])
-            if self._watermark is None:
-                return newest
-            if newest is None:
-                return self._watermark
-            return max(newest, self._watermark)
 
     def advance_watermark(self, ts: int) -> None:
         """Declare that no tuple with arrival timestamp < ``ts`` will arrive.
@@ -542,6 +539,16 @@ class Basket:
     # ------------------------------------------------------------------
     # deletion (expiry)
     # ------------------------------------------------------------------
+    def _drop(self, count: int) -> None:  # guarded-by: self._lock
+        for builder in self._builders.values():
+            builder.drop_head(count)
+        # Keep the newest mark at or below the head: a reader standing
+        # there still needs it to report its last finished batch.
+        head = self._head()
+        marks = self._arrival_marks
+        while len(marks) > 1 and marks[1][0] <= head:
+            marks.popleft()
+
     def delete_head(self, count: int) -> None:
         """Drop the ``count`` oldest tuples (they were consumed/expired).
 
@@ -549,10 +556,7 @@ class Basket:
         the ``Block`` policy's not-full condition are woken here.
         """
         with self._lock:
-            for builder in self._builders.values():
-                builder.drop_head(count)
-            if self._track_arrivals:
-                self._consumed_abs += count
+            self._drop(count)
             if self._capacity is not None and count:
                 self._not_full.notify_all()
 
@@ -565,7 +569,8 @@ class Basket:
         Columns are deep-copied BATs (tail + hseq), so the snapshot stays
         valid however the live basket mutates afterwards.  Stateful
         overflow policies contribute their RNG state, keeping shedding
-        decisions identical across a checkpoint/restore boundary.
+        decisions identical across a checkpoint/restore boundary.  Cursor
+        positions belong to their queries and are saved with them.
         """
         with self._lock:
             columns = {}
@@ -577,7 +582,6 @@ class Basket:
                 "appended_total": self._appended_total,
                 "clock": self._clock,
                 "watermark": self._watermark,
-                "consumed_abs": self._consumed_abs,
                 "shed_total": self.shed_total,
                 "block_waits": self.block_waits,
                 "block_timeouts": self.block_timeouts,
@@ -597,10 +601,50 @@ class Basket:
             self._appended_total = state["appended_total"]
             self._clock = state["clock"]
             self._watermark = state["watermark"]
-            self._consumed_abs = state["consumed_abs"]
             self.shed_total = state["shed_total"]
             self.block_waits = state["block_waits"]
             self.block_timeouts = state["block_timeouts"]
             rng = getattr(self._policy, "_rng", None)
             if rng is not None and "policy_rng" in state:
                 rng.bit_generator.state = state["policy_rng"]
+
+
+class Cursor(_Reader):
+    """One query's read position on a shared :class:`Basket`.
+
+    Reads the basket from ``position`` on through the same reader
+    interface as a basket (``len``, ``head_slice``, ``count_before``,
+    ``max_timestamp``, ...), so factories take either; ``delete_head``
+    only advances the cursor, and the basket drops a tuple once every
+    cursor is past it.  Positions are arrival offsets on the stream, so
+    ``(position, count)`` names the same tuples for every query — the
+    fragment cache's span key.
+    """
+
+    def __init__(self, basket: Basket, position: int) -> None:
+        self.basket = basket
+        #: Arrival offset of the next tuple this cursor's query reads.
+        self.position = position
+        self._marked = position
+        self.closed = False
+
+    def __len__(self) -> int:
+        return 0 if self.closed else super().__len__()
+
+    def abort_waiters(self, reason: str) -> None:
+        self.basket.abort_waiters(reason)
+
+    def delete_head(self, count: int) -> None:
+        """Move past ``count`` consumed tuples, trimming the basket."""
+        with self.basket._lock:
+            self.position += count
+            self.basket._trim()
+
+    def close(self) -> None:
+        """Stop reading: the basket no longer keeps tuples for this
+        cursor (idempotent)."""
+        with self.basket._lock:
+            if not self.closed:
+                self.closed = True
+                self.basket._cursors.discard(self)
+                self.basket._trim()

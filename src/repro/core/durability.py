@@ -7,14 +7,16 @@ engines (PAPERS.md):
 
 * **Journal** — an append-only command log under ``<data_dir>/segments/``.
   Every state-changing engine call (``create_stream``, ``submit``,
-  ``feed``, ``advance_time``, receptor basket appends, ...) appends one
-  CRC-framed record carrying a monotonically increasing sequence number.
+  ``feed`` — receptors included, they feed through it — ``advance_time``,
+  ...) appends one CRC-framed record carrying a monotonically increasing
+  sequence number.
   Records are fsynced before the in-memory effect is applied (write-ahead
   under :attr:`DurabilityManager.lock`), so a crash at any instant loses
   at most in-memory effects the log can reproduce.
 
-* **Snapshot** — a periodic consistent image of the whole engine: basket
-  contents, factory partial stores and window slicers, emitter buffers,
+* **Snapshot** — a periodic consistent image of the whole engine: one
+  basket per stream plus each query's cursor positions, factory partial
+  stores and window slicers, emitter buffers,
   scheduler span-seq counters, fragment-cache entries, and the shard
   coordinator's routing state.  Written atomically (temp file + fsync +
   rename) and committed by rewriting ``MANIFEST.json`` the same way; the
@@ -451,7 +453,6 @@ class DurabilityManager:
         self._snapshot_id = 0  # guarded-by: lock
         self._writer: Optional[SegmentWriter] = None  # guarded-by: lock
         self._replaying = False  # guarded-by: lock
-        self._suppress = 0  # guarded-by: lock — feed fan-out depth
         self._closed = False  # guarded-by: lock
         self.last_checkpoint: dict = {}  # guarded-by: lock
 
@@ -519,26 +520,11 @@ class DurabilityManager:
             with self.lock:
                 self._replaying = False
 
-    @contextmanager
-    def suppressed(self):
-        """Suppress nested (per-basket) journaling inside a journaled call."""
-        with self.lock:
-            self._suppress += 1
-            try:
-                yield
-            finally:
-                self._suppress -= 1
-
-    @property
-    def active(self) -> bool:
-        with self.lock:
-            return not (self._replaying or self._suppress or self._closed)
-
     def journal(self, kind: str, payload) -> Optional[int]:
         """Durably append one command record; returns its seq (or None
-        when journaling is suppressed/replaying/closed)."""
+        while replaying or after close)."""
         with self.lock:
-            if self._replaying or self._suppress or self._closed:
+            if self._replaying or self._closed:
                 return None
             skeleton, blobs = pack_state(payload)
             self._seq += 1

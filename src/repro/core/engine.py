@@ -17,11 +17,10 @@ emitters::
     for batch in query.results():
         print(batch.rows())
 
-Basket sharing: every submitted continuous query gets its *own* basket per
-stream and :meth:`feed` fans arriving tuples out to all of them.  This
-keeps per-query consumption independent (the paper's refcounted shared
-baskets are an orthogonal multi-query optimization discussed in its future
-work).
+Baskets: each stream has exactly one basket (paper Figure 1) and every
+continuous query reads it through its own cursor, started at the tail when
+the query is submitted.  :meth:`feed` appends a batch once; the basket
+drops a tuple when the slowest cursor has passed it (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.basket import Basket
+from repro.core.basket import Basket, Cursor
 from repro.core.durability import (
     DurabilityError,
     DurabilityManager,
@@ -163,7 +162,8 @@ class ContinuousQuery:
     mode: str  # "incremental" | "reeval"
     factory: FactoryBase
     emitter: CollectingEmitter
-    baskets: dict[str, Basket] = field(default_factory=dict)  # alias -> basket
+    #: alias -> this query's cursor on the stream's basket
+    baskets: dict[str, Cursor] = field(default_factory=dict)
     #: Static worst-case state bounds (incremental mode only): a
     #: :class:`repro.analysis.resources.ResourceReport` computed at
     #: submit time, or None for reeval queries.
@@ -183,6 +183,21 @@ class ContinuousQuery:
     def response_times(self) -> list[float]:
         """Per-window response times in seconds."""
         return [batch.response_seconds for batch in self.results()]
+
+
+class _StreamFeed:
+    """:meth:`DataCellEngine.feed` for one stream in a basket's append
+    shape — the target :meth:`DataCellEngine.receptor` gives a receptor."""
+
+    def __init__(self, engine: "DataCellEngine", stream: str) -> None:
+        self.engine = engine
+        self.name = stream
+
+    def append_rows(self, rows, timestamps=None) -> int:
+        return self.engine.feed(self.name, rows=rows, timestamps=timestamps)
+
+    def append_columns(self, columns, timestamps=None) -> int:
+        return self.engine.feed(self.name, columns=columns, timestamps=timestamps)
 
 
 class DataCellEngine:
@@ -210,7 +225,7 @@ class DataCellEngine:
     static plan verifier runs on every submitted incremental plan.
 
     Overload control is configured per stream: ``create_stream(...,
-    capacity=, overflow=)`` bounds that stream's baskets and picks the
+    capacity=, overflow=)`` bounds that stream's basket and picks the
     policy applied when producers outrun factories (see
     :mod:`repro.core.overflow` and docs/OPERATIONS.md).  Shed/blocked
     counts surface through :attr:`profiler` and :meth:`overload_stats`.
@@ -269,17 +284,15 @@ class DataCellEngine:
         self.scheduler = Scheduler(obs=self.obs)
         self.fragment_cache = FragmentCache()
         self._queries: dict[str, ContinuousQuery] = {}
-        self._stream_baskets: dict[str, list[Basket]] = {}
+        # stream -> its one basket; queries read it through cursors.
+        self._logs: dict[str, Basket] = {}
+        #: Tuples offered per stream (partitioned streams: their arrival
+        #: offset; otherwise the basket tail, unless a policy shed).
         self._stream_fed: dict[str, int] = {}
-        # stream -> (capacity, overflow-policy template); templates are
-        # cloned per basket so stateful policies never share state.
+        # stream -> (capacity, overflow policy as declared).
         self._stream_limits: dict[
             str, tuple[Optional[int], Optional[OverflowPolicy]]
         ] = {}
-        # Streams whose per-query baskets no longer hold identical tuples
-        # (a Fail/Block overflow raised partway through feed's fan-out).
-        # Their queries must not share fragment-cache entries.
-        self._diverged_streams: set[str] = set()
         self._query_counter = 0
         self._interp = Interpreter()
         #: Sharded execution (DESIGN.md §14): ``partitions > 1`` spawns
@@ -374,15 +387,13 @@ class DataCellEngine:
         most ``capacity × partitions × queries`` tuples and shedding
         policies act on each partition's arrival order independently.
 
-        ``capacity`` bounds every basket bound to this stream (per query —
-        each continuous query has its own basket, so the worst-case parked
-        memory is ``capacity × queries``).  ``overflow`` is the policy
-        applied when an append does not fit (default
-        :class:`~repro.core.overflow.Fail`); the instance passed here is a
-        *template*, cloned per basket.  Streams with a shedding policy
-        (``ShedOldest``/``ShedNewest``/``Sample``) opt their queries out
-        of cross-query fragment sharing, because shedding breaks the
-        arrival-offset alignment the shared cache keys on (DESIGN.md §7).
+        ``capacity`` bounds the stream's basket: at most ``capacity``
+        tuples are parked however many queries read the stream (the
+        basket holds what the slowest query has not read yet).
+        ``overflow`` is the policy applied when an append does not fit
+        (default :class:`~repro.core.overflow.Fail`), decided once per
+        batch for every query; the instance passed here is a *template*,
+        cloned once for the stream (DESIGN.md §7).
         """
         with self._dur_guard():
             schema = self._create_stream_impl(
@@ -416,8 +427,17 @@ class DataCellEngine:
         schema = _as_schema(columns)
         if partition_by is not None:
             key_atom = validate_partition_key(schema, partition_by, name)
+        log = Basket(
+            name,
+            schema,
+            capacity=capacity,
+            overflow=overflow.clone() if overflow is not None else None,
+        )
         self.catalog.create_stream(name, schema)
-        self._stream_baskets[name] = []
+        log.attach_profiler(self.scheduler.profiler)
+        if self.obs is not None:
+            log.enable_arrival_tracking()
+        self._logs[name] = log
         self._stream_fed[name] = 0
         self._stream_limits[name] = (capacity, overflow)
         if partition_by is not None and self._shards is not None:
@@ -436,26 +456,6 @@ class DataCellEngine:
                     )
                 )
         return schema
-
-    def _new_basket(self, query_name: str, relation: str) -> Basket:
-        """A fresh per-query basket honouring the stream's overload knobs."""
-        capacity, template = self._stream_limits.get(relation, (None, None))
-        basket = Basket(
-            f"{query_name}:{relation}",
-            self.catalog.stream(relation).schema,
-            capacity=capacity,
-            overflow=template.clone() if template is not None else None,
-        )
-        basket.attach_profiler(self.scheduler.profiler)
-        if self.obs is not None:
-            basket.enable_arrival_tracking()
-        if self._dur is not None:
-            basket.attach_journal(self._dur)
-        return basket
-
-    def _stream_sheds(self, relation: str) -> bool:
-        __, template = self._stream_limits.get(relation, (None, None))
-        return template is not None and template.sheds
 
     def create_table(self, name: str, columns: Sequence[tuple[str, object]]) -> Table:
         """Create a persistent base table."""
@@ -531,92 +531,91 @@ class DataCellEngine:
                 return self._submit_partitioned(sql, mode, query_name)
         planned = optimize(plan_query(sql, self.catalog))
 
-        baskets: dict[str, Basket] = {}
+        streams: dict[str, str] = {}  # alias -> relation
         tables: dict[str, Table] = {}
-        seen_streams: set[str] = set()
         for scan in find_scans(planned.plan):
-            if scan.is_stream:
-                if scan.relation in seen_streams:
-                    raise UnsupportedQueryError(
-                        "self-joins on a single stream are not supported"
-                    )
-                seen_streams.add(scan.relation)
-                basket = self._new_basket(query_name, scan.relation)
-                baskets[scan.alias] = basket
-                self._stream_baskets[scan.relation].append(basket)
-            else:
+            if not scan.is_stream:
                 tables[scan.alias] = self.catalog.table(scan.relation)
-
-        factory: FactoryBase
-        resources = None
-        if mode == "incremental":
-            plan = rewrite(planned)
-            # Static resource bounds (repro.analysis.resources): always
-            # computed — it is one abstract-interpretation pass — and
-            # attached to the handle; hard findings (a capacity that can
-            # never admit a full basic window) raise only in verify mode
-            # so production submits keep their warn-at-runtime behaviour.
-            from repro.analysis.resources import analyze_resources
-
-            resources = analyze_resources(
-                plan,
-                self._stream_limits,
-                subject=query_name,
-                landmark_spill_mb=self.landmark_spill_mb,
-            )
-            if self.verify_plans and not resources.ok:
-                raise ReproError(
-                    "plan resource analysis failed:\n"
-                    + resources.report.render(include_warnings=False)
+            elif scan.relation in streams.values():
+                raise UnsupportedQueryError(
+                    "self-joins on a single stream are not supported"
                 )
-            if self.verify_plans or self.backend == "compiled":
-                # Imported lazily: repro.analysis depends on this module.
-                # The compiled backend always verifies first — the
-                # compiler must only ever see typed, validated programs.
-                from repro.analysis.plan_verifier import check_plan
+            else:
+                streams[scan.alias] = scan.relation
+        # The query reads each stream through a cursor started at the
+        # basket's tail; a failed registration closes them again so they
+        # never pin a basket's head.
+        baskets = {
+            alias: self._logs[relation].cursor()
+            for alias, relation in streams.items()
+        }
+        try:
+            factory: FactoryBase
+            resources = None
+            if mode == "incremental":
+                plan = rewrite(planned)
+                # Static resource bounds (repro.analysis.resources): always
+                # computed — it is one abstract-interpretation pass — and
+                # attached to the handle; hard findings (a capacity that can
+                # never admit a full basic window) raise only in verify mode
+                # so production submits keep their warn-at-runtime behaviour.
+                from repro.analysis.resources import analyze_resources
 
-                schemas = {
-                    scan.alias: dict(
-                        (
-                            self.catalog.stream(scan.relation)
-                            if scan.is_stream
-                            else self.catalog.table(scan.relation)
-                        ).schema.columns
+                resources = analyze_resources(
+                    plan,
+                    self._stream_limits,
+                    subject=query_name,
+                    landmark_spill_mb=self.landmark_spill_mb,
+                )
+                if self.verify_plans and not resources.ok:
+                    raise ReproError(
+                        "plan resource analysis failed:\n"
+                        + resources.report.render(include_warnings=False)
                     )
-                    for scan in find_scans(planned.plan)
-                }
-                check_plan(plan, schemas)
-            factory = IncrementalFactory(
-                plan, baskets, tables, name=query_name, backend=self.backend
-            )
-            if (
-                self.landmark_spill_mb is not None
-                and not plan.is_join
-                and plan.windows
-                and all(w.is_landmark for w in plan.windows.values())
-            ):
-                factory.enable_landmark_spill(
-                    self._spill_dir_for(query_name),
-                    int(self.landmark_spill_mb * 1024 * 1024),
-                    fault_hook=self._fault_hook,
-                    profiler=self.profiler,
-                )
-            if (
-                self.fragment_sharing
-                and plan.fragment is not None
-                and not any(
-                    self._stream_sheds(s) or s in self._diverged_streams
-                    for s in seen_streams
-                )
-            ):
-                self._enable_sharing(factory, plan)
-        else:
-            factory = ReevalFactory(
-                planned, baskets, tables, name=query_name, backend=self.backend
-            )
+                if self.verify_plans or self.backend == "compiled":
+                    # Imported lazily: repro.analysis depends on this module.
+                    # The compiled backend always verifies first — the
+                    # compiler must only ever see typed, validated programs.
+                    from repro.analysis.plan_verifier import check_plan
 
-        emitter = CollectingEmitter()
-        self.scheduler.register(factory, emitter)
+                    schemas = {
+                        scan.alias: dict(
+                            (
+                                self.catalog.stream(scan.relation)
+                                if scan.is_stream
+                                else self.catalog.table(scan.relation)
+                            ).schema.columns
+                        )
+                        for scan in find_scans(planned.plan)
+                    }
+                    check_plan(plan, schemas)
+                factory = IncrementalFactory(
+                    plan, baskets, tables, name=query_name, backend=self.backend
+                )
+                if (
+                    self.landmark_spill_mb is not None
+                    and not plan.is_join
+                    and plan.windows
+                    and all(w.is_landmark for w in plan.windows.values())
+                ):
+                    factory.enable_landmark_spill(
+                        self._spill_dir_for(query_name),
+                        int(self.landmark_spill_mb * 1024 * 1024),
+                        fault_hook=self._fault_hook,
+                        profiler=self.profiler,
+                    )
+                if self.fragment_sharing and plan.fragment is not None:
+                    self._enable_sharing(factory, plan)
+            else:
+                factory = ReevalFactory(
+                    planned, baskets, tables, name=query_name, backend=self.backend
+                )
+            emitter = CollectingEmitter()
+            self.scheduler.register(factory, emitter)
+        except BaseException:
+            for cursor in baskets.values():
+                cursor.close()
+            raise
         handle = ContinuousQuery(
             query_name, sql, mode, factory, emitter, baskets, resources
         )
@@ -709,8 +708,9 @@ class DataCellEngine:
         canonical fragment fingerprint)``: queries collide exactly when
         they run the same computation over the same basic-window slices —
         window *size* may differ, only the step must match.  Spans are
-        anchored at the stream's global arrival offset so queries
-        submitted at different times never alias each other's windows.
+        cursor positions on the stream's basket, so queries submitted at
+        different times — or skipped forward by ``ShedOldest`` — never
+        alias each other's windows.
         """
         alias = plan.stream_aliases[0]
         relation = plan.stream_relations[alias]
@@ -724,9 +724,7 @@ class DataCellEngine:
         # each basic window once, a short ring is plenty for them).
         capacity = window.basic_windows or 8
         self.fragment_cache.register(key, capacity)
-        factory.enable_fragment_sharing(
-            self.fragment_cache, key, self._stream_fed.get(relation, 0)
-        )
+        factory.enable_fragment_sharing(self.fragment_cache, key)
 
     # -- landmark spill plumbing (DESIGN.md §16) -----------------------
     def _spill_dir_for(self, query_name: str) -> str:
@@ -847,7 +845,7 @@ class DataCellEngine:
         handle.factory.reset_landmark()
 
     def remove(self, name: str) -> None:
-        """Unregister a continuous query and release its baskets."""
+        """Unregister a continuous query and close its cursors."""
         with self._dur_guard():
             self._remove_impl(name)
             if self._dur is not None:
@@ -865,11 +863,11 @@ class DataCellEngine:
         handle = self._queries.pop(name, None)
         if handle is None:
             return
-        self.scheduler.unregister(name)
-        for basket in handle.baskets.values():
-            for baskets in self._stream_baskets.values():
-                if basket in baskets:
-                    baskets.remove(basket)
+        # Between scans: a firing already in flight may still read them.
+        with self.scheduler.quiesced():
+            self.scheduler.unregister(name)
+            for cursor in handle.baskets.values():
+                cursor.close()
         self._drop_spill_dir(name)
 
     def query(self, name: str):
@@ -887,22 +885,18 @@ class DataCellEngine:
         columns: Optional[Mapping[str, Sequence | np.ndarray]] = None,
         timestamps: Optional[Sequence[int] | np.ndarray] = None,
     ) -> int:
-        """Append tuples to every basket bound to ``stream``.
+        """Append tuples to ``stream``'s basket, once for every query.
 
-        Returns the batch size *offered*; on a bounded stream each query's
-        basket admits tuples per its overflow policy independently (a
-        ``Fail`` policy raises :class:`~repro.errors.BasketOverflowError`,
-        ``Block`` may wait per basket).  Shedding is accounted on the
-        baskets and the engine profiler, not in the return value.
-
-        If an overflow raises after some baskets already admitted the
-        batch, those baskets have diverged from their neighbours: the
-        stream's queries are permanently opted out of fragment sharing
-        before the error propagates (a performance demotion, never a
-        correctness one), because the shared cache keys on every sharer
-        having seen the same tuples (DESIGN.md §7).
+        Returns the batch size *offered*; on a bounded stream the overflow
+        policy admits, thins, blocks or rejects the batch once for the
+        whole stream (a ``Fail`` policy raises
+        :class:`~repro.errors.BasketOverflowError` before any query sees
+        a tuple, ``Block`` waits for the slowest query).  Shedding is
+        accounted on the basket and the engine profiler, not in the
+        return value.  This is the one write-ahead point for stream
+        input: receptors feed through it too.
         """
-        if stream not in self._stream_baskets:
+        if stream not in self._logs:
             raise CatalogError(f"unknown stream {stream!r}")
         if (rows is None) == (columns is None):
             raise ReproError("feed needs exactly one of rows= or columns=")
@@ -910,17 +904,14 @@ class DataCellEngine:
             return self._feed_impl(stream, rows, columns, timestamps)
         if rows is not None:
             rows = list(rows)
-        # Write-ahead: the record lands before any basket admits a tuple,
+        # Write-ahead: the record lands before the basket admits a tuple,
         # so replay re-offers the batch through the restored overflow
-        # policies (RNG state included) and reproduces even a partial
-        # fan-out.  suppressed() keeps the per-basket journal hooks from
-        # double-logging the same tuples.
+        # policy (RNG state included) and reproduces its decision.
         with self._dur.lock:
             self._dur.journal(
                 "feed", self._feed_record(stream, rows, columns, timestamps)
             )
-            with self._dur.suppressed():
-                return self._feed_impl(stream, rows, columns, timestamps)
+            return self._feed_impl(stream, rows, columns, timestamps)
 
     def _feed_record(
         self,
@@ -965,29 +956,19 @@ class DataCellEngine:
     ) -> int:
         if stream in self._partitioned:
             return self._feed_partitioned(stream, rows, columns, timestamps)
-        baskets = self._stream_baskets[stream]
+        log = self._logs[stream]
         if rows is not None:
             rows = list(rows)
             count = len(rows)
+            log.append_rows(rows, timestamps)
         else:
             assert columns is not None
-            lengths = {len(values) for values in columns.values()}
-            count = lengths.pop() if len(lengths) == 1 else 0
-        admitted = 0
-        for basket in baskets:
-            try:
-                if rows is not None:
-                    basket.append_rows(rows, timestamps)
-                else:
-                    basket.append_columns(columns, timestamps)
-            except BasketOverflowError:
-                if admitted:
-                    self._demote_sharing(stream)
-                raise
-            admitted += 1
-        # Advance the stream's global arrival offset even when no query is
-        # bound yet: fragment-cache spans of queries submitted later must
-        # stay aligned with queries that did see these tuples.
+            log.append_columns(columns, timestamps)
+            count = len(next(iter(columns.values())))
+        if not log.readers:
+            # Nobody reads the stream: keep nothing, but the arrival
+            # offset still moves, so later cursors start on the same axis.
+            log.delete_head(len(log))
         self._stream_fed[stream] += count
         return count
 
@@ -1076,29 +1057,13 @@ class DataCellEngine:
         self._stream_fed[stream] += count
         return count
 
-    def _demote_sharing(self, stream: str) -> None:
-        """Opt a diverged stream's queries out of fragment sharing.
-
-        Called when a fan-out append failed partway: some baskets hold the
-        batch, others do not, so arrival offsets no longer describe the
-        same tuples across queries and shared cache entries would be
-        wrong.  Future submits on the stream stay unshared too.
-        """
-        self._diverged_streams.add(stream)
-        stream_baskets = self._stream_baskets[stream]
-        for handle in self._queries.values():
-            if isinstance(handle.factory, IncrementalFactory) and any(
-                basket in stream_baskets for basket in handle.baskets.values()
-            ):
-                handle.factory.disable_fragment_sharing()
-
     def advance_time(self, stream: str, ts: int) -> None:
-        """Advance the time watermark of every basket bound to ``stream``.
+        """Advance the time watermark of ``stream``'s basket.
 
         A punctuation: promises no tuple with arrival timestamp < ``ts``
         will arrive, so time-based windows can close during silence.
         """
-        if stream not in self._stream_baskets:
+        if stream not in self._logs:
             raise CatalogError(f"unknown stream {stream!r}")
         with self._dur_guard():
             if stream in self._partitioned:
@@ -1106,28 +1071,25 @@ class DataCellEngine:
                 # with the fed count and ignores user punctuations.
                 self._shards.broadcast(("advance", stream, int(ts)))
             else:
-                for basket in self._stream_baskets[stream]:
-                    basket.advance_watermark(ts)
+                self._logs[stream].advance_watermark(ts)
             if self._dur is not None:
                 self._dur.journal("advance", {"stream": stream, "ts": int(ts)})
 
-    def receptor(self, query: ContinuousQuery, stream_alias: str) -> Receptor:
-        """A receptor bound to one query's basket (threaded ingest).
+    def receptor(self, stream: str) -> Receptor:
+        """A receptor feeding ``stream`` (threaded ingest).
 
-        A receptor appends to *one* query's basket, bypassing
-        :meth:`feed`'s fan-out, so this query's arrival offsets stop
-        describing the same data as its neighbours' — fragment sharing is
-        switched off for it.
+        Its batches take the :meth:`feed` path — journaled, admitted once,
+        read by every query on the stream.
         """
-        if not hasattr(query, "baskets"):
+        if stream not in self._logs:
+            raise CatalogError(f"unknown stream {stream!r}")
+        if stream in self._partitioned:
             raise UnsupportedQueryError(
-                "receptors are not supported on partitioned queries; "
+                "receptors are not supported on partitioned streams; "
                 "feed() the coordinator instead"
             )
-        if isinstance(query.factory, IncrementalFactory):
-            query.factory.disable_fragment_sharing()
         return Receptor(
-            query.baskets[stream_alias],
+            _StreamFeed(self, stream),
             max_retries=3,
             profiler=self.scheduler.profiler,
         )
@@ -1155,27 +1117,20 @@ class DataCellEngine:
         return fired
 
     def overload_stats(self) -> dict[str, dict[str, int]]:
-        """Per-stream overload summary aggregated over its query baskets.
+        """Per-stream overload summary of the stream's basket.
 
-        For each stream: the configured ``capacity`` (0 = unbounded),
-        total ``parked`` tuples across baskets, the worst single-basket
-        occupancy ``max_parked``, and the summed ``shed`` /
+        For each stream: the configured ``capacity`` (0 = unbounded), the
+        number of queries reading it (``baskets``: cursors), the tuples
+        ``parked`` once for all of them, the deepest cursor lag
+        ``max_parked`` (the same number: the basket's head is the slowest
+        cursor), and the ``shed`` (per query that lost a tuple) /
         ``block_waits`` / ``block_timeouts`` counters.  The console's
         ``STATS`` command and docs/OPERATIONS.md build on this.
         """
-        stats: dict[str, dict[str, int]] = {}
-        for stream, baskets in self._stream_baskets.items():
-            capacity, __ = self._stream_limits.get(stream, (None, None))
-            per = [basket.overflow_stats() for basket in baskets]
-            stats[stream] = {
-                "capacity": capacity or 0,
-                "baskets": len(per),
-                "parked": sum(s["parked"] for s in per),
-                "max_parked": max((s["parked"] for s in per), default=0),
-                "shed": sum(s["shed"] for s in per),
-                "block_waits": sum(s["block_waits"] for s in per),
-                "block_timeouts": sum(s["block_timeouts"] for s in per),
-            }
+        stats = {}
+        for stream, log in self._logs.items():
+            per = stats[stream] = log.overflow_stats()
+            per.update(baskets=log.readers, max_parked=per["parked"])
         return stats
 
     def metrics(self, format: str = "dict"):
@@ -1385,10 +1340,10 @@ class DataCellEngine:
                         else None
                     ),
                 }
-                for name in self._stream_baskets
+                for name in self._logs
             ],
             "stream_fed": dict(self._stream_fed),
-            "diverged": sorted(self._diverged_streams),
+            "logs": {name: log.snapshot_state() for name, log in self._logs.items()},
             "tables": [
                 {
                     "name": name,
@@ -1412,9 +1367,9 @@ class DataCellEngine:
             "query_states": {
                 qname: {
                     "factory": handle.factory.snapshot_state(),
-                    "baskets": {
-                        alias: basket.snapshot_state()
-                        for alias, basket in handle.baskets.items()
+                    "cursors": {
+                        alias: cursor.position
+                        for alias, cursor in handle.baskets.items()
                     },
                     "emitter": handle.emitter.snapshot_state(),
                     "watermark": handle.factory.window_index,
@@ -1473,7 +1428,10 @@ class DataCellEngine:
                 broadcast=False,
             )
         self._stream_fed.update(state["stream_fed"])
-        self._diverged_streams.update(state["diverged"])
+        # A "diverged" key (per-query baskets a failed fan-out left
+        # unequal) is ignored: one basket per stream cannot diverge.
+        for name, lstate in state.get("logs", {}).items():
+            self._logs[name].restore_state(lstate)
         for tdecl in state["tables"]:
             table = self.catalog.create_table(
                 tdecl["name"],
@@ -1497,11 +1455,13 @@ class DataCellEngine:
             else:
                 self._submit_impl(entry["sql"], entry["mode"], entry["name"])
         self._query_counter = state["query_counter"]
+        if "logs" not in state:
+            self._adopt_query_baskets(state)
         for qname, qstate in state["query_states"].items():
             handle = self._queries[qname]
             handle.factory.restore_state(qstate["factory"])
-            for alias, bstate in qstate["baskets"].items():
-                handle.baskets[alias].restore_state(bstate)
+            for alias, position in qstate.get("cursors", {}).items():
+                handle.baskets[alias].position = position
             handle.emitter.restore_state(qstate["emitter"])
             self.scheduler.restore_steps(qname, state["steps"].get(qname, 0))
             self.scheduler.wrap_sinks(
@@ -1608,24 +1568,84 @@ class DataCellEngine:
             elif kind == "reset_landmark":
                 self.reset_landmark(payload["name"])
             elif kind == "basket":
-                basket = self._basket_by_name(payload["basket"])
-                if basket is not None:
-                    basket.append_columns(
-                        payload["columns"], payload.get("timestamps")
-                    )
+                # Legacy receptor record, "<query>:<stream>": the batch now
+                # goes to the stream, as a receptor's feed would.
+                self._feed_impl(
+                    payload["basket"].rsplit(":", 1)[1],
+                    None,
+                    payload["columns"],
+                    payload.get("timestamps"),
+                )
             else:
                 raise DurabilityError(f"unknown journal record kind {kind!r}")
         except BasketOverflowError:
-            # The live run continued past this overflow too; the basket
-            # state after the (partial) admission is what we want.
+            # The live run continued past this overflow too (it admitted
+            # nothing, or what the policy kept before raising).
             pass
 
-    def _basket_by_name(self, name: str) -> Optional[Basket]:
-        for handle in self._queries.values():
-            for basket in handle.baskets.values():
-                if basket.name == name:
-                    return basket
-        return None  # the owning query was removed later in the journal
+    def _adopt_query_baskets(self, state: dict) -> None:
+        """Rebuild each stream's basket from a snapshot that still holds
+        one basket image per query (data dirs from before per-stream
+        baskets).
+
+        The longest image becomes the basket, ending at the stream's fed
+        count; every query's cursor starts ``len(image)`` before that
+        tail, which holds when each shorter image is a suffix of the
+        longest — otherwise the queries saw different tuples and there is
+        no one basket to rebuild.
+        """
+        images: dict[str, list] = {}
+        for qname, qstate in state["query_states"].items():
+            handle = self._queries[qname]
+            for alias, image in qstate["baskets"].items():
+                cursor = handle.baskets[alias]
+                time_based = alias in handle.factory._slicers
+                images.setdefault(cursor.basket.name, []).append(
+                    (cursor, image, time_based)
+                )
+        for stream, log in self._logs.items():
+            entries = images.get(stream, [])
+            first = log.schema.names[0]
+
+            def held(image: dict) -> int:
+                return len(image["columns"][first])
+
+            longest = max(
+                (image for __, image, __ in entries),
+                key=held,
+                default=log.snapshot_state(),
+            )
+            tail = state["stream_fed"][stream]
+            for cursor, image, time_based in entries:
+                count = held(image)
+                for name in log.schema.names:
+                    mine = image["columns"][name].tail
+                    theirs = longest["columns"][name].tail[held(longest) - count :]
+                    if not np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"):
+                        raise DurabilityError(
+                            f"stream {stream!r}: the snapshot's per-query baskets "
+                            "hold different tuples; cannot rebuild its basket"
+                        )
+                if time_based and image["clock"] != longest["clock"]:
+                    raise DurabilityError(
+                        f"stream {stream!r}: a time-based query's basket kept "
+                        "its own logical clock; cannot rebuild its basket"
+                    )
+                cursor.position = tail - count
+            watermarks = [i["watermark"] for __, i, __ in entries if i["watermark"] is not None]
+            counters = ("shed_total", "block_waits", "block_timeouts")
+            log.restore_state(
+                {
+                    **longest,
+                    **{key: sum(i[key] for __, i, __ in entries) for key in counters},
+                    "columns": {
+                        name: BAT(bat.tail, bat.atom, tail - held(longest))
+                        for name, bat in longest["columns"].items()
+                    },
+                    "appended_total": tail,
+                    "watermark": max(watermarks, default=None),
+                }
+            )
 
     def partition_stats(self) -> dict:
         """Partition-execution gauges; ``{}`` unless sharding is active.

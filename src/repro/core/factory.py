@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.basket import Basket
+from repro.core.basket import Basket, Cursor
 from repro.core.landmark import SpillingStore
 from repro.core.partials import (
     Bundle,
@@ -36,6 +36,7 @@ from repro.core.partials import (
     merge_levels,
 )
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
+from repro.core.windows import WindowSpec
 from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.algebra.setops import concat
 from repro.kernel.bat import BAT
@@ -80,7 +81,7 @@ class _TimeSlicer:
         self.origin: Optional[int] = None
         self.consumed_windows = 0
 
-    def observe(self, basket: Basket) -> None:
+    def observe(self, basket: Basket | Cursor) -> None:
         if self.origin is None and len(basket):
             self.origin = int(basket.timestamps().tail[0])
 
@@ -96,12 +97,41 @@ class _TimeSlicer:
 
 
 class FactoryBase:
-    """Common interface of continuous-query executors."""
+    """Common interface of continuous-query executors.
+
+    Both implementations fill in ``windows`` and ``_baskets`` (the window
+    spec and the basket — or cursor on it — per stream alias) and the
+    time-based ``_slicers``, so the firing condition lives here.
+    """
 
     name: str
+    windows: dict[str, WindowSpec] = {}
+    _baskets: dict[str, Basket | Cursor] = {}
+    _slicers: dict[str, _TimeSlicer] = {}
+    _initialized = False
+    _consumed_total = 0
 
-    def ready(self) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
+    def ready(self) -> bool:
+        """The Petri-net firing condition: every input stream is ready."""
+        return all(self._stream_ready(alias) for alias in self.windows)
+
+    def _stream_ready(self, alias: str) -> bool:
+        """A first full window unread, then one more basic window (time
+        windows: the watermark past the next basic-window boundary)."""
+        window = self.windows[alias]
+        basket = self._baskets[alias]
+        if window.time_based:
+            slicer = self._slicers[alias]
+            slicer.observe(basket)
+            watermark = basket.max_timestamp()
+            if watermark is None or slicer.origin is None:
+                return False
+            if not self._initialized and not window.is_landmark:
+                return watermark >= slicer.origin + window.size
+            boundary = slicer.next_boundary
+            return boundary is not None and watermark >= boundary
+        first = not (self._initialized or window.is_landmark)
+        return len(basket) >= (window.size if first else window.step)
 
     def step(self, profiler: Optional[Profiler] = None) -> Optional[ResultBatch]:
         raise NotImplementedError  # pragma: no cover - interface
@@ -112,15 +142,11 @@ class FactoryBase:
         The scheduler differences it around a firing to report tuples
         consumed per span; the base offset is irrelevant, only deltas.
         """
-        return 0
+        return self._consumed_total
 
-    def baskets(self) -> tuple[Basket, ...]:
-        """The input baskets feeding this factory (observability hooks)."""
-        return ()
-
-    #: Time-based basic-window slicers by stream alias; both factory
-    #: implementations populate this in their constructors.
-    _slicers: dict[str, _TimeSlicer] = {}
+    def baskets(self) -> tuple[Basket | Cursor, ...]:
+        """The baskets (or cursors on them) feeding this factory."""
+        return tuple(self._baskets.values())
 
     def anchor_time(self, origin: int) -> None:
         """Pin every time-based slicer's window origin.
@@ -148,25 +174,25 @@ class IncrementalFactory(FactoryBase):
     def __init__(
         self,
         plan: IncrementalPlan,
-        baskets: dict[str, Basket],
+        baskets: dict[str, Basket | Cursor],
         tables: Optional[dict[str, Table]] = None,
         name: str = "factory",
         backend: str = "interpreted",
     ) -> None:
         self.name = name
         self.plan = plan
+        self.windows = plan.windows
         self._baskets = baskets
         self._tables = tables or {}
         self._interp = make_backend(backend)
         self._initialized = False
         self.window_index = 0
         # Cross-query fragment sharing (single-stream queries only): the
-        # engine wires a shared cache + key; ``_consumed`` tracks this
-        # factory's position on the stream's global arrival axis so basic
-        # windows can be addressed by (start offset, tuple count).
+        # engine wires a shared cache + key; basic windows are addressed by
+        # (basket position, tuple count) on the stream's arrival axis.
         self._fragment_cache: Optional[FragmentCache] = None
         self._share_key: Optional[ShareKey] = None
-        self._consumed: dict[str, int] = {alias: 0 for alias in plan.stream_aliases}
+        self._consumed_total = 0
         self._slicers: dict[str, _TimeSlicer] = {}
         for alias, window in plan.windows.items():
             if alias not in baskets:
@@ -198,40 +224,6 @@ class IncrementalFactory(FactoryBase):
         n = self.plan.windows[self.plan.stream_aliases[0]].basic_windows
         levels = merge_levels(n) if self.plan.compensates else 0
         return PartialStore(n, levels=levels)
-
-    # ------------------------------------------------------------------
-    # readiness (Petri-net firing condition)
-    # ------------------------------------------------------------------
-    def consumed_total(self) -> int:
-        return sum(self._consumed.values())
-
-    def baskets(self) -> tuple[Basket, ...]:
-        return tuple(self._baskets.values())
-
-    def ready(self) -> bool:
-        return all(self._stream_ready(alias) for alias in self.plan.stream_aliases)
-
-    def _stream_ready(self, alias: str) -> bool:
-        window = self.plan.windows[alias]
-        basket = self._baskets[alias]
-        if window.time_based:
-            slicer = self._slicers[alias]
-            slicer.observe(basket)
-            watermark = basket.max_timestamp()
-            if watermark is None or slicer.origin is None:
-                return False
-            if not self._initialized and not window.is_landmark:
-                return watermark >= slicer.origin + window.size
-            boundary = slicer.next_boundary
-            return boundary is not None and watermark >= boundary
-        needed = self._needed_tuples(alias)
-        return len(basket) >= needed
-
-    def _needed_tuples(self, alias: str) -> int:
-        window = self.plan.windows[alias]
-        if window.is_landmark or self._initialized:
-            return window.step
-        return window.size  # first full window
 
     # ------------------------------------------------------------------
     # stepping
@@ -268,28 +260,16 @@ class IncrementalFactory(FactoryBase):
         return batch
 
     # -- fragment sharing ---------------------------------------------------
-    def enable_fragment_sharing(
-        self, cache: FragmentCache, key: ShareKey, base_offset: int = 0
-    ) -> None:
+    def enable_fragment_sharing(self, cache: FragmentCache, key: ShareKey) -> None:
         """Share per-basic-window fragment bundles through ``cache``.
 
-        ``base_offset`` is the stream's global tuple count at the moment
-        this factory's basket was bound, so spans line up with factories
-        registered earlier.  Single-stream plans only.
+        Spans are cursor positions on the stream's one basket, so they
+        name the same tuples for every sharer.  Single-stream plans only.
         """
         if self.plan.is_join:
             raise UnsupportedQueryError("fragment sharing needs a single stream")
-        alias = self.plan.stream_aliases[0]
         self._fragment_cache = cache
         self._share_key = key
-        self._consumed[alias] = base_offset
-
-    def disable_fragment_sharing(self) -> None:
-        """Stop consulting the shared cache (e.g. a receptor now feeds
-        this factory's basket directly, so spans no longer describe the
-        same data across queries)."""
-        self._fragment_cache = None
-        self._share_key = None
 
     @property
     def shares_fragments(self) -> bool:
@@ -358,9 +338,9 @@ class IncrementalFactory(FactoryBase):
     ) -> list[tuple[int, dict[str, BAT]]]:
         """Slice (and consume) ``counts`` tuples at a time off the basket.
 
-        Returns ``(global start offset, columns)`` per slice; the offset
-        addresses the slice on the stream's arrival axis (for the shared
-        fragment cache).
+        Returns ``(start offset, columns)`` per slice; the offset is the
+        basket position the slice starts at, its address on the stream's
+        arrival axis (for the shared fragment cache).
         """
         basket = self._baskets[alias]
         columns = self.plan.scan_columns[alias]
@@ -371,7 +351,7 @@ class IncrementalFactory(FactoryBase):
                 # buffers in place, which would corrupt zero-copy views.
                 slices.append(
                     (
-                        self._consumed[alias],
+                        basket.position,
                         {
                             scan_slot(alias, col): BAT(
                                 np.array(bat.tail, copy=True), bat.atom, bat.hseq
@@ -381,7 +361,7 @@ class IncrementalFactory(FactoryBase):
                     )
                 )
                 basket.delete_head(count)
-                self._consumed[alias] += count
+                self._consumed_total += count
         return slices
 
     def _owed_counts(self, alias: str) -> list[int]:
@@ -705,15 +685,15 @@ class IncrementalFactory(FactoryBase):
         """Serializable execution state (see :mod:`repro.core.durability`).
 
         Everything a freshly-submitted twin of this query needs to
-        continue mid-stream: the window counter, per-alias consumed
-        offsets, time-slicer anchors, and the partial stores.  The cached
-        table bundle is *not* captured — it is recomputed lazily from the
-        restored base tables on the first post-restore join step.
+        continue mid-stream: the window counter, time-slicer anchors, and
+        the partial stores (read positions live in the engine's cursors).
+        The cached table bundle is *not* captured — it is recomputed
+        lazily from the restored base tables on the first post-restore
+        join step.
         """
         state: dict = {
             "window_index": self.window_index,
             "initialized": self._initialized,
-            "consumed": dict(self._consumed),
             "slicers": {
                 alias: [slicer.origin, slicer.consumed_windows]
                 for alias, slicer in self._slicers.items()
@@ -733,9 +713,6 @@ class IncrementalFactory(FactoryBase):
         """Adopt a snapshot's execution state (inverse of the above)."""
         self.window_index = state["window_index"]
         self._initialized = state["initialized"]
-        self._consumed = {
-            alias: int(offset) for alias, offset in state["consumed"].items()
-        }
         for alias, (origin, consumed_windows) in state["slicers"].items():
             slicer = self._slicers[alias]
             slicer.origin = origin

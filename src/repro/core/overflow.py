@@ -24,11 +24,9 @@ append path:
   immediately; the loud default when a capacity is set without a policy.
 
 A policy instance is *per basket* (``Sample`` carries RNG state), so the
-engine stores a template per stream and :meth:`~OverflowPolicy.clone`\\ s
-it for every query basket.  Policies that drop tuples set
-``sheds = True``; the engine disables cross-query fragment sharing for
-factories over such streams, because shedding breaks the global
-arrival-offset alignment the shared cache keys on (DESIGN.md §7).
+engine :meth:`~OverflowPolicy.clone`\\ s the template passed to
+``create_stream`` once for the stream's basket, and that one instance
+decides for every query reading the stream (DESIGN.md §7).
 
 Mechanics live in the basket (it owns the lock, the eviction machinery,
 and the not-full condition); a policy only *decides*: given the free room
@@ -70,8 +68,6 @@ class Admission:
 class OverflowPolicy:
     """Decides how a bounded basket handles a batch that does not fit."""
 
-    #: True when the policy can drop tuples (disables fragment sharing).
-    sheds: bool = False
     #: True when the basket should wait on its not-full condition instead
     #: of asking for an :class:`Admission`.
     blocking: bool = False
@@ -89,8 +85,7 @@ class OverflowPolicy:
         """A fresh instance with the same configuration.
 
         Stateful policies (``Sample``'s RNG) must not share state across
-        baskets; the engine clones the per-stream template for every
-        query basket it creates.
+        baskets; the engine clones the template once per stream.
         """
         return copy.deepcopy(self)
 
@@ -142,8 +137,6 @@ class ShedOldest(OverflowPolicy):
     incremental merge.
     """
 
-    sheds = True
-
     def admit(self, room: int, incoming: int, capacity: int) -> Admission:
         parked = capacity - room
         if incoming >= capacity:
@@ -165,8 +158,6 @@ class ShedOldest(OverflowPolicy):
 class ShedNewest(OverflowPolicy):
     """Admit the prefix that fits; drop the rest of the batch."""
 
-    sheds = True
-
     def admit(self, room: int, incoming: int, capacity: int) -> Admission:
         admitted = max(0, room)
         return Admission(keep=slice(0, admitted), shed=incoming - admitted)
@@ -184,8 +175,6 @@ class Sample(OverflowPolicy):
     Deterministic for a fixed ``seed`` and call sequence (the fault
     harness and tests rely on this).
     """
-
-    sheds = True
 
     def __init__(self, rate: float, seed: int = 0) -> None:
         if not 0.0 <= rate <= 1.0:

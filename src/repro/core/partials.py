@@ -21,11 +21,9 @@ slide merges O(K·log_K n) bundles instead of all ``n``.
 whose per-basic-window fragments are alpha-equivalent over the same stream
 compute each basic window's bundle once and share the result (BATs are
 immutable, so sharing is zero-copy).  Cache entries are addressed by
-global arrival offsets, which is why sharing requires every sharer's
-basket to have seen exactly the same tuples — streams with a shedding
-overflow policy, queries fed through a private receptor, and streams
-whose fan-out diverged on an overflow error are all opted out by the
-engine (DESIGN.md §7).
+offsets into the stream's one basket, which every sharer reads through
+its own cursor, so an address names the same tuples for all of them
+(DESIGN.md §6).
 
 Overload interaction: admission control happens at the basket, strictly
 before a factory slices basic windows, so a shed tuple never reaches a
@@ -302,7 +300,7 @@ class PairStore:
 #: :mod:`repro.core.rewriter.canonical`).
 ShareKey = Hashable
 
-#: One basic window's coordinates on a stream's global arrival axis:
+#: One basic window's coordinates in its stream's basket:
 #: ``(start offset, tuple count)``.  Exact-range keying makes sharing safe
 #: even between queries registered at different times — ranges that do not
 #: line up simply never collide.

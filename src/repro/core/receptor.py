@@ -1,9 +1,13 @@
 """Receptors — the ingress edge of the DataCell architecture (Figure 1).
 
-A receptor feeds one stream's basket.  The synchronous ``push_*`` methods
-are what benchmarks use (bulk columnar appends measured as "loading"
-cost); the threaded mode (:meth:`Receptor.start`) consumes an iterable of
-rows in the background for the example applications.
+A receptor feeds one stream.  Its target is anything with a basket's
+``append_rows``/``append_columns`` pair: a bare basket, or — built by
+:meth:`DataCellEngine.receptor` — the stream's :meth:`~DataCellEngine.feed`
+path, so receptor batches are journaled and read by every query exactly
+like fed ones.  The synchronous ``push_*`` methods are what benchmarks use
+(bulk columnar appends measured as "loading" cost); the threaded mode
+(:meth:`Receptor.start`) consumes an iterable of rows in the background
+for the example applications.
 
 Overload behaviour: when the basket is bounded (see
 :mod:`repro.core.overflow`) an append can raise
@@ -34,7 +38,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.basket import Basket
 from repro.errors import BasketOverflowError, StreamError
 from repro.kernel.execution.profiler import (
     COUNTER_INGEST_DROPPED,
@@ -44,7 +47,7 @@ from repro.kernel.execution.profiler import (
 
 
 class Receptor:
-    """Feeds tuples into a basket, synchronously or from a thread.
+    """Feeds tuples into a basket or stream, synchronously or from a thread.
 
     ``max_retries``/``backoff`` govern the overflow retry loop (see the
     module docstring); the defaults (no retries) make ``push_*`` surface
@@ -55,20 +58,22 @@ class Receptor:
 
     def __init__(
         self,
-        basket: Basket,
+        target,
         batch_size: int = 1024,
         max_retries: int = 0,
         backoff: float = 0.005,
         profiler: Optional[Profiler] = None,
     ) -> None:
-        self.basket = basket
+        #: Where batches go: a Basket, or the engine's feed path for a
+        #: stream (both expose ``name``, ``append_rows``, ``append_columns``).
+        self.target = target
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.backoff = backoff
         self.profiler = profiler if profiler is not None else Profiler()
         self._thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
-        #: Tuples admitted into the basket through this receptor.
+        #: Tuples delivered to the target through this receptor.
         self.delivered = 0
         #: Tuples given up by the *background loop* after retries.
         self.dropped = 0
@@ -77,21 +82,22 @@ class Receptor:
     def push_rows(
         self, rows: Iterable[Sequence], timestamps: Optional[Sequence[int]] = None
     ) -> int:
-        """Append a row batch; returns the number admitted.
+        """Append a row batch; returns what the target reports (a basket:
+        tuples admitted; a stream's feed: the batch size).
 
         Retries overflow failures ``max_retries`` times with exponential
         backoff, then re-raises.
         """
         rows = rows if isinstance(rows, list) else list(rows)
-        return self._push(self.basket.append_rows, rows, timestamps)
+        return self._push(self.target.append_rows, rows, timestamps)
 
     def push_columns(
         self,
         columns: Mapping[str, Sequence | np.ndarray],
         timestamps: Optional[Sequence[int] | np.ndarray] = None,
     ) -> int:
-        """Append a columnar batch; returns the number admitted."""
-        return self._push(self.basket.append_columns, columns, timestamps)
+        """Append a columnar batch (return value as :meth:`push_rows`)."""
+        return self._push(self.target.append_columns, columns, timestamps)
 
     def _push(self, append: Callable, payload, timestamps) -> int:
         attempt = 0
@@ -114,7 +120,7 @@ class Receptor:
         source: Iterator[Sequence],
         on_batch: Optional[Callable[[int], None]] = None,
     ) -> None:
-        """Consume ``source`` rows into the basket from a daemon thread.
+        """Consume ``source`` rows into the target from a daemon thread.
 
         Batches that still overflow after the retry loop are dropped here
         (counted, never re-raised) so a slow consumer cannot wedge the
@@ -147,7 +153,7 @@ class Receptor:
                 deliver(batch)
 
         self._thread = threading.Thread(
-            target=loop, name=f"receptor-{self.basket.name}", daemon=True
+            target=loop, name=f"receptor-{self.target.name}", daemon=True
         )
         self._thread.start()
 

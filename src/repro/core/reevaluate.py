@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.basket import Basket
+from repro.core.basket import Basket, Cursor
 from repro.core.factory import FactoryBase, ResultBatch, _TimeSlicer
 from repro.core.windows import TS_COLUMN, WindowSpec
 from repro.errors import SchedulerError, UnsupportedQueryError
@@ -116,7 +116,7 @@ class ReevalFactory(FactoryBase):
     def __init__(
         self,
         planned: PlannedQuery,
-        baskets: dict[str, Basket],
+        baskets: dict[str, Basket | Cursor],
         tables: Optional[dict[str, Table]] = None,
         name: str = "factory-r",
         backend: str = "interpreted",
@@ -155,36 +155,6 @@ class ReevalFactory(FactoryBase):
             self._buffers[scan.alias] = _WindowBuffer(columns, window)
             if window.time_based:
                 self._slicers[scan.alias] = _TimeSlicer(window.step)
-
-    # -- readiness ------------------------------------------------------
-    def consumed_total(self) -> int:
-        return self._consumed_total
-
-    def baskets(self) -> tuple[Basket, ...]:
-        return tuple(self._baskets.values())
-
-    def ready(self) -> bool:
-        return all(self._stream_ready(alias) for alias in self.windows)
-
-    def _stream_ready(self, alias: str) -> bool:
-        window = self.windows[alias]
-        basket = self._baskets[alias]
-        if window.time_based:
-            slicer = self._slicers[alias]
-            slicer.observe(basket)
-            watermark = basket.max_timestamp()
-            if watermark is None or slicer.origin is None:
-                return False
-            if not self._initialized and not window.is_landmark:
-                return watermark >= slicer.origin + window.size
-            boundary = slicer.next_boundary
-            return boundary is not None and watermark >= boundary
-        needed = (
-            window.step
-            if (window.is_landmark or self._initialized)
-            else window.size
-        )
-        return len(basket) >= needed
 
     # -- durability ----------------------------------------------------
     def snapshot_state(self) -> dict:

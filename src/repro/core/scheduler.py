@@ -1,7 +1,8 @@
 """The DataCell scheduler — a Petri-net execution model (paper §2).
 
 Factories are transitions; baskets are places; a factory *fires* when its
-``ready()`` condition holds (enough tuples in every input basket).  The
+``ready()`` condition holds (enough unread tuples at its cursor on every
+input stream's basket).  The
 scheduler repeatedly scans for enabled factories and steps them, routing
 each produced :class:`ResultBatch` to the query's emitters.
 

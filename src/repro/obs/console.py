@@ -1,7 +1,7 @@
 """Text renderings of the observability state (``repro top`` / ``trace``).
 
 Both renderers read only public engine surfaces (``metrics()``, the span
-ring, per-query baskets), so they work on any engine regardless of how it
+ring, per-query cursors), so they work on any engine regardless of how it
 is driven.  They return strings rather than printing, which keeps them
 testable and lets the CLI choose its own refresh/paging behaviour.
 """

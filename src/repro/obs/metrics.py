@@ -71,7 +71,7 @@ def collect_metrics(engine) -> dict:
     metrics: dict = {
         "engine": {
             "queries": len(engine._queries),
-            "streams": len(engine._stream_baskets),
+            "streams": len(engine._logs),
             "partitions": getattr(engine, "partitions", 1),
             "observability": obs is not None,
         },
@@ -225,10 +225,10 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
         w.sample("repro_factory_firings_total", stats["firings"], factory=factory)
 
     stream_gauges = (
-        ("parked", "repro_basket_parked", "Tuples parked across a stream's baskets."),
-        ("max_parked", "repro_basket_max_parked", "Worst single-basket occupancy."),
+        ("parked", "repro_basket_parked", "Tuples parked in a stream's basket."),
+        ("max_parked", "repro_basket_max_parked", "Deepest query cursor lag."),
         ("capacity", "repro_basket_capacity", "Configured capacity (0 = unbounded)."),
-        ("baskets", "repro_stream_baskets", "Baskets bound to the stream."),
+        ("baskets", "repro_stream_baskets", "Queries reading the stream's basket."),
     )
     for key, name, help_text in stream_gauges:
         w.header(name, "gauge", help_text)

@@ -198,9 +198,8 @@ def instrument(engine: Any, observer: Optional[LockObserver] = None) -> LockObse
     scheduler = engine.scheduler
     wrap(scheduler, "_lock", "Scheduler._lock")
     wrap(scheduler, "_scan_lock", "Scheduler._scan_lock")
-    for baskets in engine._stream_baskets.values():
-        for basket in baskets:
-            wrap(basket, "_lock", "Basket._lock")
+    for basket in engine._logs.values():
+        wrap(basket, "_lock", "Basket._lock")
     wrap(engine.fragment_cache, "_lock", "FragmentCache._lock")
     wrap(scheduler.profiler, "_lock", "Profiler._lock")
     if engine.obs is not None:

@@ -107,7 +107,7 @@ class TestCommands:
 
     def test_quit_stops(self):
         console, __ = run_script(["QUIT", "CREATE STREAM s (x1 int)"])
-        assert not console.engine._stream_baskets  # nothing after QUIT
+        assert not console.engine._logs  # nothing after QUIT
 
     def test_comments_and_blank_lines(self):
         __, out = run_script(["", "-- a comment", "HELP"])

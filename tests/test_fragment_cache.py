@@ -264,12 +264,18 @@ class TestEngineSharing:
         engine.run_until_idle()
         assert engine.fragment_cache.stats()["hits"] == 0
 
-    def test_receptor_disables_sharing(self):
+    def test_receptor_feeds_every_sharer(self):
+        """A receptor feeds the stream, not one query: sharers stay
+        aligned and keep sharing."""
         engine = _engine()
-        query = engine.submit(SQL)
-        assert query.factory.shares_fragments
-        engine.receptor(query, "s")
-        assert not query.factory.shares_fragments
+        queries = [engine.submit(SQL) for __ in range(2)]
+        receptor = engine.receptor("s")
+        receptor.push_rows([(i % 7, i) for i in range(100)])
+        engine.run_until_idle()
+        assert all(q.factory.shares_fragments for q in queries)
+        assert engine.fragment_cache.stats()["hits"] > 0
+        assert queries[0].result_rows() == queries[1].result_rows()
+        assert queries[0].result_rows()
 
     def test_landmark_queries_share(self):
         engine = _engine()

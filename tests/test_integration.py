@@ -121,7 +121,7 @@ class TestThreadedEndToEnd:
         engine = DataCellEngine()
         engine.create_stream("s", [("x1", "int"), ("x2", "int")])
         query = engine.submit("SELECT count(*) FROM s [RANGE 64 SLIDE 32]")
-        receptor = engine.receptor(query, "s")
+        receptor = engine.receptor("s")
         engine.start()
         try:
             receptor.start(iter([(i % 10, i) for i in range(640)]))

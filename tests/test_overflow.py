@@ -2,7 +2,7 @@
 
 Covers the policy decisions (Fail / Block / ShedOldest / ShedNewest /
 Sample), the basket mechanics they drive, the engine-level wiring
-(per-stream knobs, profiler counters, fragment-sharing opt-out), and —
+(per-stream knobs, profiler counters, one admission per stream), and —
 crucially — pins that an unbounded basket behaves exactly as before.
 """
 
@@ -334,9 +334,9 @@ class TestEngineWiring:
         assert stats["capacity"] == 30
         assert stats["max_parked"] <= 30
 
-    def test_shedding_stream_disables_fragment_sharing(self):
+    def test_shedding_stream_keeps_sharing(self):
         engine, query = self._overloaded_engine(ShedOldest())
-        assert not query.factory.shares_fragments
+        assert query.factory.shares_fragments
 
     def test_non_shedding_stream_keeps_sharing(self):
         engine = DataCellEngine()
@@ -349,29 +349,29 @@ class TestEngineWiring:
         )
         assert query.factory.shares_fragments
 
-    def test_partial_fanout_failure_demotes_sharing(self):
-        """A Fail raise partway through feed's fan-out leaves baskets
-        diverged, so the whole stream drops out of fragment sharing —
-        including queries submitted afterwards."""
+    def test_fail_rejects_the_batch_for_every_query(self):
+        """Fail decides once per stream against the slowest query: a
+        batch that does not fit is seen by no query, so sharers stay
+        aligned and keep sharing."""
         engine = DataCellEngine()
         engine.create_stream("s", [("x1", "int"), ("x2", "int")], capacity=30)
-        sql = "SELECT x1, count(*) FROM s [RANGE 20 SLIDE 10] GROUP BY x1"
-        q1 = engine.submit(sql)
-        q2 = engine.submit(sql)
-        assert q1.factory.shares_fragments and q2.factory.shares_fragments
-        # Fill only q2's basket directly so the next fan-out admits into
-        # q1's basket (25 of 30) and then overflows q2's (25 + 25 > 30).
+        fast = "SELECT x1, count(*) FROM s [RANGE 20 SLIDE 10] GROUP BY x1"
+        q1, q2 = engine.submit(fast), engine.submit(fast)
+        slow = engine.submit("SELECT count(*) FROM s [RANGE 40 SLIDE 10]")
         columns = {"x1": np.zeros(25, dtype=np.int64),
                    "x2": np.zeros(25, dtype=np.int64)}
-        next(iter(q2.baskets.values())).append_columns(columns)
+        engine.feed("s", columns=columns)
+        engine.run_until_idle()
+        lags = [len(q.baskets["s"]) for q in (q1, q2, slow)]
+        assert lags == [5, 5, 25]
         with pytest.raises(BasketOverflowError):
-            engine.feed("s", columns=columns)
-        assert not q1.factory.shares_fragments
-        assert not q2.factory.shares_fragments
-        q3 = engine.submit(sql)
-        assert not q3.factory.shares_fragments
+            engine.feed("s", columns=columns)  # 25 + 25 > 30 for `slow`
+        assert [len(q.baskets["s"]) for q in (q1, q2, slow)] == lags
+        assert slow.baskets["s"].basket.appended_total == 25
+        assert q1.factory.shares_fragments and q2.factory.shares_fragments
+        assert engine.fragment_cache.stats()["hits"] == 2
 
-    def test_policy_template_cloned_per_basket(self):
+    def test_policy_template_cloned_once_per_stream(self):
         engine = DataCellEngine()
         template = Sample(0.5, seed=9)
         engine.create_stream(
@@ -380,11 +380,11 @@ class TestEngineWiring:
         q1 = engine.submit("SELECT x1, count(*) FROM s [RANGE 4 SLIDE 2] GROUP BY x1")
         q2 = engine.submit("SELECT x2, count(*) FROM s [RANGE 4 SLIDE 2] GROUP BY x2")
         policies = {
-            id(basket.overflow_policy)
+            id(cursor.basket.overflow_policy)
             for query in (q1, q2)
-            for basket in query.baskets.values()
+            for cursor in query.baskets.values()
         }
-        assert len(policies) == 2
+        assert len(policies) == 1
         assert id(template) not in policies
 
     def test_overflow_without_capacity_rejected(self):

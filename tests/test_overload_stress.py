@@ -58,12 +58,12 @@ class TestShedOldestUnderOverload:
         """
         engine, query = overloaded_engine(ShedOldest())
         rng = np.random.default_rng(17)
-        basket = next(iter(query.baskets.values()))
+        cursor = next(iter(query.baskets.values()))
         max_parked = 0
         for __ in range(30):
             engine.feed("s", columns=chunk(rng, 4 * STEP))
             engine.scheduler.run_once()
-            max_parked = max(max_parked, len(basket))
+            max_parked = max(max_parked, len(cursor))
         engine.run_until_idle()
         shed = engine.profiler.counter(COUNTER_SHED)
         assert max_parked <= CAPACITY  # bounded memory, always
@@ -75,7 +75,7 @@ class TestShedOldestUnderOverload:
         # so the admission count equals the offered count while `shed`
         # tracks the evictions.
         offered = 30 * 4 * STEP
-        assert basket.appended_total == offered
+        assert cursor.basket.appended_total == offered
 
     @pytest.mark.concurrency
     def test_threaded_4x_overload_stays_bounded(self):
@@ -157,7 +157,7 @@ class TestReceptorUnderOverload:
         query = engine.submit(
             "SELECT x1, count(*) FROM s [RANGE 1000 SLIDE 500] GROUP BY x1"
         )
-        receptor = engine.receptor(query, "s")
+        receptor = engine.receptor("s")
         receptor.batch_size = 64
         receptor.max_retries = 1
         receptor.backoff = 0.001
@@ -185,7 +185,7 @@ class TestReceptorUnderOverload:
         query = engine.submit(
             "SELECT x1, count(*) FROM s [RANGE 100 SLIDE 50] GROUP BY x1"
         )
-        receptor = engine.receptor(query, "s")
+        receptor = engine.receptor("s")
         receptor.batch_size = 100  # batches must fit the Block capacity
         rows = [(i % 3, i) for i in range(1000)]
         engine.start(poll_interval=0.0005)

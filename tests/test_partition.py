@@ -609,7 +609,7 @@ class TestLifecycle:
             engine.submit("SELECT k, v FROM s [LANDMARK SLIDE 4]")
             q = engine.submit("SELECT sum(v) AS t FROM s [RANGE 4 SLIDE 4]")
             with pytest.raises(UnsupportedQueryError):
-                engine.receptor(q, "s")
+                engine.receptor("s")
             with pytest.raises(UnsupportedQueryError):
                 engine.start()
         finally:

@@ -55,7 +55,7 @@ class TestStopAfterCrash:
 
     def test_stop_wakes_block_parked_producers(self):
         engine, query = self.build()
-        basket = next(iter(query.baskets.values()))
+        basket = next(iter(query.baskets.values())).basket
         engine.feed("s", rows=[(i,) for i in range(4)])  # basket now full
 
         caught = []
