@@ -105,9 +105,8 @@ class TestFig4b:
         )
         incr_steady = incremental.mean_response(skip_first=1)
         reev_steady = reevaluation.mean_response(skip_first=1)
-        # Directional check: incremental wins in steady state.  The factor is
-        # smaller than the paper's (numpy's fixed per-operator cost weighs on
-        # the 2n-1 per-pair joins) — see EXPERIMENTS.md.
+        # Directional check: incremental wins in steady state (EXPERIMENTS.md
+        # has the measured factor).
         assert incr_steady < reev_steady, (incr_steady, reev_steady)
 
         workload = join_streams(Q2_WINDOW + 200 * Q2_STEP, 1e-4, seed=7)

@@ -36,7 +36,7 @@ from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.diagnostics import Report
 from repro.analysis.typecheck import infer_types
 from repro.core.rewriter.flows import GLOBAL_COMBINE, GROUPED_COMBINE
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
+from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
 from repro.errors import PlanVerificationError
 from repro.kernel.atoms import Atom
 from repro.kernel.execution.program import (
@@ -261,6 +261,8 @@ def verify_plan(
                 name = prep_slot(alias, column)
                 pair_inputs[name] = env.get(slot)
                 expected_pair_inputs.append(name)
+            pair_inputs[seq_slot(alias)] = Atom.INT
+            expected_pair_inputs.append(seq_slot(alias))
 
         if plan.pair_fragment is None:
             report.error("plan", "join plan has no pair fragment")
@@ -288,7 +290,7 @@ def verify_plan(
                 frozenset({TAG_MAIN, TAG_ADMIN}),
             )
             fragment_atoms = _check_flow_outputs(
-                report, plan.pair_fragment, where, flows, env
+                report, plan.pair_fragment, where, flows, env, tags=2
             )
     else:
         if plan.preps or plan.pair_fragment is not None:
@@ -459,18 +461,25 @@ def _check_flow_outputs(
     where: str,
     flows,
     env: Mapping[str, Optional[Atom]],
+    tags: int = 0,
 ) -> dict[str, Optional[Atom]]:
-    """Check fragment outputs ↔ flows and return per-flow output atoms."""
+    """Check fragment outputs ↔ flows and return per-flow output atoms.
+
+    ``tags`` trailing outputs are seq tags (the pair fragment's left and
+    right basic-window seqs), which must be INT."""
     atoms: dict[str, Optional[Atom]] = {}
-    if len(program.outputs) != len(flows):
+    if len(program.outputs) != len(flows) + tags:
         report.error(
             where,
             f"program emits {len(program.outputs)} output(s) but the plan "
-            f"declares {len(flows)} flow(s); the factory zips them "
-            "positionally",
+            f"declares {len(flows)} flow(s) and {tags} seq tag(s); the "
+            "factory zips them positionally",
         )
     for flow, slot in zip(flows, program.outputs):
         atoms[flow.name] = env.get(slot)
+    for slot in program.outputs[len(flows):]:
+        if env.get(slot) not in (Atom.INT, None):
+            report.error(where, f"seq tag output {slot!r} is {env.get(slot)}, not INT")
     return atoms
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.analysis.typecheck import infer_types
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
+from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
 from repro.kernel.atoms import Atom
 from repro.kernel.execution.program import Lit, Program, Ref
 from repro.sql.physical import scan_slot
@@ -103,6 +103,7 @@ def dump_plan(
         env, __ = infer_types(prep.program, scan_atoms(alias))
         for column, slot in zip(prep.columns, prep.program.outputs):
             pair_inputs[prep_slot(alias, column)] = env.get(slot)
+        pair_inputs[seq_slot(alias)] = Atom.INT
         parts.append(
             dump_program(
                 prep.program, f"prep[{alias}] (per basic window)", scan_atoms(alias)
@@ -117,7 +118,7 @@ def dump_plan(
         parts.append(
             dump_program(
                 plan.pair_fragment,
-                "pair fragment (per basic-window pair)",
+                "pair fragment (per seq-tagged join run)",
                 pair_inputs,
             )
         )

@@ -24,8 +24,12 @@ and sharing machinery care about:
   ``capacity-starved`` finding: the query can never fire.  A shedding
   overflow policy whose capacity is exactly one basic window is flagged
   as fragile (``capacity-tight``).
-* **join fan-out** — live basic-window *pairs* re-joined per slide;
-  large products are the ``join-fanout`` hazard.
+* **join pairs** — a join retains one bundle per live basic-window pair
+  (the pair fragment's flows for that pair) and merges all of them every
+  slide; many live pairs are the ``join-fanout`` hazard.  Per slide the
+  factory joins each new basic window against the other side's live
+  window in one tagged run: the *transient* bound is that run's largest
+  intermediate.
 
 Results surface three ways: submit-time diagnostics on
 :class:`~repro.core.engine.DataCellEngine` (errors raise only under
@@ -42,13 +46,13 @@ from typing import Any, Optional, Sequence
 from repro.analysis.diagnostics import Report
 from repro.core.overflow import Block, Fail
 from repro.core.partials import MERGE_FANOUT, merge_levels
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
+from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
 from repro.core.windows import WindowSpec
 from repro.kernel.execution.program import Instr, Lit, Program, Ref
 from repro.sql.physical import scan_slot
 
 #: Live basic-window pair count above which a join is flagged as a
-#: fan-out hazard (every slide re-joins each live pair).
+#: fan-out hazard (every slide merges one retained bundle per live pair).
 JOIN_FANOUT_THRESHOLD = 64
 
 
@@ -239,15 +243,30 @@ def transfer(instr: Instr, env: dict[str, Bound]) -> Bound:
 
 
 def program_bounds(
-    program: Program, inputs: dict[str, Bound]
+    program: Program,
+    inputs: dict[str, Bound],
+    constant: frozenset[str] = frozenset(),
 ) -> dict[str, Bound]:
-    """Abstractly interpret a program; returns bounds for every slot."""
+    """Abstractly interpret a program; returns bounds for every slot.
+
+    ``constant`` names inputs holding one distinct value (a join side's
+    seq tag over one basic window).  Projections keep that property, and
+    grouping by such columns alone yields at most one group — which is
+    what bounds a global aggregate grouped by the tag pair to one row.
+    """
     env: dict[str, Bound] = {name: UNBOUNDED for name in program.inputs}
     env.update(inputs)
+    single = set(constant)
     for instr in program.instructions:
         bound = transfer(instr, env)
         for out in instr.outs:
             env[out] = bound
+        keys = [arg.name for arg in instr.args if isinstance(arg, Ref)]
+        if instr.opcode == "algebra.projection" and keys[-1:] and keys[-1] in single:
+            single.update(instr.outs)
+        elif instr.opcode == "group.group" and keys and set(keys) <= single:
+            for out in instr.outs[1:]:  # extents, ngroups; gids stay rows
+                env[out] = ONE
     return env
 
 
@@ -306,10 +325,13 @@ class ResourceReport:
 
     subject: str
     aliases: list[AliasBounds] = field(default_factory=list)
-    #: live basic-window pairs re-joined per slide (joins only).
+    #: live basic-window pairs, one retained bundle each (joins only).
     join_pairs: Optional[Bound] = None
-    #: tuples produced per live pair by the pair fragment (joins only).
+    #: tuples retained per live pair: the pair fragment's flows (joins only).
     pair_state: Optional[Bound] = None
+    #: largest intermediate of one slide's join run: a new basic window
+    #: against the other side's live window (joins only; not retained).
+    join_transient: Optional[Bound] = None
     #: total tuples retained across firings (all stores summed).
     total_state: Bound = ZERO
     report: Report = field(default_factory=Report)
@@ -336,10 +358,15 @@ class ResourceReport:
                 f"state = {ab.state.render()}, "
                 f"basket need = {ab.basket_need.render()} (capacity {cap})"
             )
-        if self.join_pairs is not None and self.pair_state is not None:
+        if (
+            self.join_pairs is not None
+            and self.pair_state is not None
+            and self.join_transient is not None
+        ):
             lines.append(
                 f"  join: live pairs = {self.join_pairs.render()}, "
-                f"state per pair = {self.pair_state.render()}"
+                f"state per pair = {self.pair_state.render()}, "
+                f"per-slide join run = {self.join_transient.render()} tuples"
             )
         lines.append(f"  total state bound = {self.total_state.render()}")
         return "\n".join(lines)
@@ -352,6 +379,9 @@ class ResourceReport:
             "aliases": [ab.to_json() for ab in self.aliases],
             "join_pairs": self.join_pairs.to_json() if self.join_pairs else None,
             "pair_state": self.pair_state.to_json() if self.pair_state else None,
+            "join_transient": (
+                self.join_transient.to_json() if self.join_transient else None
+            ),
             "report": self.report.to_json(),
         }
 
@@ -415,6 +445,20 @@ def _scan_inputs(plan: IncrementalPlan, alias: str, bound: Bound) -> dict[str, B
         # Base-table side of a stream-table join: unknown but fixed size.
         for column in plan.scan_columns.get(plan.table_alias, []):
             inputs[scan_slot(plan.table_alias, column)] = Bound(1, 1)
+    return inputs
+
+
+def _pair_inputs(plan: IncrementalPlan, alias: str, windows: Bound) -> dict[str, Bound]:
+    """Pair-fragment input bounds for ``windows`` basic windows of one
+    stream side: its prepped columns and its seq tags, which are as long."""
+    prep = plan.preps[alias]
+    w_tuples = window_tuple_bound(plan.windows[alias])
+    outs = output_bounds(prep.program, _scan_inputs(plan, alias, w_tuples))
+    inputs = {
+        prep_slot(alias, column): bound.mul(windows)
+        for column, bound in zip(prep.columns, outs.values())
+    }
+    inputs[seq_slot(alias)] = bound_max(list(inputs.values())) if inputs else ZERO
     return inputs
 
 
@@ -567,27 +611,41 @@ def analyze_resources(
     if plan.is_join and plan.pair_fragment is not None and len(result.aliases) == 2:
         left, right = result.aliases
         pairs = left.live_windows.mul(right.live_windows)
-        pair_inputs: dict[str, Bound] = {}
+        fragment = plan.pair_fragment
+        flow_slots = fragment.outputs[: len(plan.flows)]
+        # Retained: what the pair fragment makes of one basic window per
+        # side — the bundle the factory keeps per pair (tags dropped).
+        one_each = {}
         for alias in plan.stream_aliases:
-            prep = plan.preps.get(alias)
-            if prep is None:  # pragma: no cover - joins always prep
-                continue
-            outs = output_bounds(
-                prep.program, _scan_inputs(plan, alias, window_tuple_bound(plan.windows[alias]))
-            )
-            for column, slot_bound in zip(prep.columns, outs.values()):
-                pair_inputs[prep_slot(alias, column)] = slot_bound
-        pair_outs = output_bounds(plan.pair_fragment, pair_inputs)
-        pair_state = bound_sum(list(pair_outs.values()))
+            one_each.update(_pair_inputs(plan, alias, ONE))
+        tags = frozenset(seq_slot(alias) for alias in plan.stream_aliases)
+        env = program_bounds(fragment, one_each, tags)
+        pair_state = bound_sum([env.get(slot, UNBOUNDED) for slot in flow_slots])
+        # Transient: one run joins a new basic window against the other
+        # side's whole live window (every prep bundle the store holds).
+        transient = ZERO
+        for new in plan.stream_aliases:
+            inputs = {}
+            for alias in plan.stream_aliases:
+                window = plan.windows[alias]
+                held = ONE if alias == new else (
+                    UNBOUNDED if window.is_landmark else Bound(window.basic_windows)
+                )
+                inputs.update(_pair_inputs(plan, alias, held))
+            env = program_bounds(fragment, inputs)
+            transient = transient.max_with(bound_max(list(env.values())))
         result.join_pairs = pairs
         result.pair_state = pair_state
+        result.join_transient = transient
         total = total.add(pairs.mul(pair_state))
         if pairs.constant and pairs.coeff > JOIN_FANOUT_THRESHOLD:
             report.warning(
                 "plan",
-                f"join re-evaluates {int(pairs.coeff)} live basic-window "
-                f"pairs per slide (> {JOIN_FANOUT_THRESHOLD}); consider a "
-                f"larger step or smaller windows",
+                f"join retains {int(pairs.coeff)} live basic-window pair "
+                f"bundles and merges all of them every slide "
+                f"(> {JOIN_FANOUT_THRESHOLD}); each slide's join run reaches "
+                f"{transient.render()} tuples; consider a larger step or "
+                f"smaller windows",
                 code="join-fanout",
             )
 

@@ -8,7 +8,8 @@ results, and runs the merge machinery (paper Algorithm 2, generalized).
 Two implementations share the interface:
 
 * :class:`IncrementalFactory` — the paper's contribution (split /
-  replicate / merge / transition, per-pair join replication, landmark
+  replicate / merge / transition, per-pair join bundles built by batched
+  seq-tagged join runs, landmark
   compaction, optional m-chunk processing);
 * :class:`ReevalFactory` lives in :mod:`repro.core.reevaluate` — the
   DataCellR baseline that recomputes the full window every slide.
@@ -35,12 +36,15 @@ from repro.core.partials import (
     ShareKey,
     merge_levels,
 )
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot
+from repro.core.rewriter.flows import GLOBAL_FRAGMENT
+from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
 from repro.core.windows import WindowSpec
 from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.algebra.setops import concat
+from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
 from repro.kernel.execution.backends import make_backend
+from repro.kernel.execution.interpreter import kernel_registry
 from repro.kernel.execution.profiler import Profiler
 from repro.kernel.execution.program import TAG_MERGE
 from repro.kernel.storage import Table
@@ -207,11 +211,12 @@ class IncrementalFactory(FactoryBase):
             self._prep_stores = {
                 alias: PartialStore(capacities[alias]) for alias in plan.stream_aliases
             }
-            left, right = self._pair_aliases()
+            left, right = plan.pair_aliases
             self._pairs = PairStore(
                 capacities.get(left, 0), capacities.get(right, 0)
             )
             self._table_bundle: Optional[Bundle] = None
+            self._empty_pair: Optional[Bundle] = None
         else:
             self._store = self._new_store()
 
@@ -397,34 +402,27 @@ class IncrementalFactory(FactoryBase):
         }
 
     # -- joins ------------------------------------------------------
-    def _pair_aliases(self) -> tuple[str, str]:
-        """(left, right) aliases of the pair fragment's inputs."""
-        aliases = list(self.plan.stream_aliases)
-        if self.plan.table_alias is not None:
-            aliases.append(self.plan.table_alias)
-        return aliases[0], aliases[1]
-
     def _step_join(self, profiler: Profiler) -> None:
-        left_alias, right_alias = self._pair_aliases()
-        new_bundles: dict[str, list[int]] = {}
+        """Prep the new basic windows, then join them in at most two runs
+        of the tagged pair fragment (the bilinear delta rule: new left ×
+        every live right, then older live left × new right)."""
+        left, right = self.plan.pair_aliases
+        new: dict[str, list[int]] = {}
         for alias in self.plan.stream_aliases:
             store = self._prep_stores[alias]
-            seqs = []
-            for __, cols in self._take_slices(alias, self._owed_counts(alias)):
-                bundle = self._run_prep(alias, cols, profiler)
-                seqs.append(store.add(bundle))
-            new_bundles[alias] = seqs
-
+            new[alias] = [
+                store.add(self._run_prep(alias, cols, profiler))
+                for __, cols in self._take_slices(alias, self._owed_counts(alias))
+            ]
         if self.plan.table_alias is not None and self._table_bundle is None:
             self._table_bundle = self._run_table_prep(profiler)
 
-        pairs = self._new_pairs(left_alias, right_alias, new_bundles)
-        for left_seq, right_seq in pairs:
-            left_bundle = self._side_bundle(left_alias, left_seq)
-            right_bundle = self._side_bundle(right_alias, right_seq)
-            bundle = self._run_pair(left_alias, left_bundle, right_alias, right_bundle, profiler)
-            self._pairs.add(left_seq, right_seq, bundle)
-        self._expire_pairs(left_alias, right_alias)
+        self._join_run(new[left], self._side_seqs(right), profiler)
+        new_right = new.get(right, [])
+        older_left = [seq for seq in self._side_seqs(left) if seq < new[left][0]]
+        if new_right and older_left:
+            self._join_run(older_left, new_right, profiler)
+        self._expire_pairs()
 
     def _side_bundle(self, alias: str, seq: int) -> Bundle:
         if alias == self.plan.table_alias:
@@ -432,37 +430,20 @@ class IncrementalFactory(FactoryBase):
             return self._table_bundle
         return self._prep_stores[alias].bundle(seq)
 
-    def _new_pairs(
-        self,
-        left_alias: str,
-        right_alias: str,
-        new_bundles: dict[str, list[int]],
-    ) -> list[tuple[int, int]]:
-        """Pairs whose result is not cached yet (newest × live, both ways)."""
-        pairs: list[tuple[int, int]] = []
-        new_left = set(new_bundles.get(left_alias, []))
-        new_right = set(new_bundles.get(right_alias, []))
-        left_seqs = self._side_seqs(left_alias)
-        right_seqs = self._side_seqs(right_alias)
-        for lseq in left_seqs:
-            for rseq in right_seqs:
-                if lseq in new_left or rseq in new_right:
-                    pairs.append((lseq, rseq))
-        return pairs
-
     def _side_seqs(self, alias: str) -> list[int]:
         if alias == self.plan.table_alias:
             return [0]
         return self._prep_stores[alias].live_seqs()
 
-    def _expire_pairs(self, left_alias: str, right_alias: str) -> None:
-        def newest(alias: str) -> int:
-            if alias == self.plan.table_alias:
-                return 0
-            seq = self._prep_stores[alias].newest_seq
-            return seq if seq is not None else 0
+    def _newest_seq(self, alias: str) -> int:
+        if alias == self.plan.table_alias:
+            return 0
+        seq = self._prep_stores[alias].newest_seq
+        return seq if seq is not None else 0
 
-        self._pairs.expire(newest(left_alias), newest(right_alias))
+    def _expire_pairs(self) -> None:
+        left, right = self.plan.pair_aliases
+        self._pairs.expire(self._newest_seq(left), self._newest_seq(right))
 
     def _run_prep(
         self, alias: str, cols: dict[str, BAT], profiler: Profiler
@@ -478,36 +459,90 @@ class IncrementalFactory(FactoryBase):
         alias = self.plan.table_alias
         assert alias is not None
         table = self._tables[alias]
-        spec = self.plan.preps[alias]
         cols = {
             scan_slot(alias, col): table.column(col)
             for col in self.plan.scan_columns[alias]
         }
-        outputs = self._interp.run(spec.program, cols, profiler)
+        return self._run_prep(alias, cols, profiler)
+
+    def _join_run(
+        self, left_seqs: list[int], right_seqs: list[int], profiler: Profiler
+    ) -> None:
+        """Join the seq-tagged concatenations of two runs of prep bundles
+        once, and store the result as one bundle per (left, right) pair."""
+        left, right = self.plan.pair_aliases
+        inputs: dict[str, BAT] = {}
+        for alias, seqs in ((left, left_seqs), (right, right_seqs)):
+            bundles = [self._side_bundle(alias, seq) for seq in seqs]
+            for column in self.plan.preps[alias].columns:
+                inputs[prep_slot(alias, column)] = concat(
+                    [bundle[column] for bundle in bundles]
+                )
+            sizes = [len(next(iter(bundle.values()))) for bundle in bundles]
+            inputs[seq_slot(alias)] = BAT(
+                np.repeat(np.asarray(seqs, dtype=np.int64), sizes), Atom.INT
+            )
+        fragment = self.plan.pair_fragment
+        assert fragment is not None
+        outputs = self._interp.run(fragment, inputs, profiler)
+        split = self._split_by_tag(
+            [outputs[slot] for slot in fragment.outputs[: len(self.plan.flows)]],
+            outputs[fragment.outputs[-2]].tail,
+            outputs[fragment.outputs[-1]].tail,
+        )
+        for left_seq in left_seqs:
+            for right_seq in right_seqs:
+                bundle = split.get((left_seq, right_seq))
+                if bundle is None:
+                    bundle = self._empty_pair_bundle(inputs, profiler)
+                self._pairs.add(left_seq, right_seq, bundle)
+
+    def _split_by_tag(
+        self, flows: list[BAT], left_tags: np.ndarray, right_tags: np.ndarray
+    ) -> dict[tuple[int, int], Bundle]:
+        """Cut row-aligned flow outputs into per-(left, right) bundles.
+
+        The stable sort keeps each pair's rows in run order, which is the
+        order a join of that pair alone produces."""
+        if not len(left_tags):
+            return {}
+        order = np.lexsort((right_tags, left_tags))
+        left_tags, right_tags = left_tags[order], right_tags[order]
+        cuts = np.flatnonzero(
+            (left_tags[1:] != left_tags[:-1]) | (right_tags[1:] != right_tags[:-1])
+        ) + 1
+        starts = np.concatenate(([0], cuts))
+        stops = np.concatenate((cuts, [len(order)]))
+        tails = [bat.tail[order] for bat in flows]
+        names = [flow.name for flow in self.plan.flows]
         return {
-            column: outputs[slot]
-            for column, slot in zip(spec.columns, spec.program.outputs)
+            (int(left_tags[lo]), int(right_tags[lo])): {
+                name: BAT(tail[lo:hi].copy(), bat.atom)
+                for name, tail, bat in zip(names, tails, flows)
+            }
+            for lo, hi in zip(starts.tolist(), stops.tolist())
         }
 
-    def _run_pair(
-        self,
-        left_alias: str,
-        left_bundle: Bundle,
-        right_alias: str,
-        right_bundle: Bundle,
-        profiler: Profiler,
-    ) -> Bundle:
-        assert self.plan.pair_fragment is not None
-        inputs: dict[str, BAT] = {}
-        for column, bat in left_bundle.items():
-            inputs[prep_slot(left_alias, column)] = bat
-        for column, bat in right_bundle.items():
-            inputs[prep_slot(right_alias, column)] = bat
-        outputs = self._interp.run(self.plan.pair_fragment, inputs, profiler)
-        return {
-            flow.name: outputs[slot]
-            for flow, slot in zip(self.plan.flows, self.plan.pair_fragment.outputs)
-        }
+    def _empty_pair_bundle(self, inputs: dict[str, BAT], profiler: Profiler) -> Bundle:
+        """The bundle of a pair with no joined rows: the pair fragment on
+        empty prep columns, global flows reduced over no rows (a 0 count,
+        no sum/min/max row) — what a join of that pair alone yields."""
+        if self._empty_pair is None:
+            fragment = self.plan.pair_fragment
+            assert fragment is not None
+            outputs = self._interp.run(
+                fragment, {slot: BAT.empty(bat.atom) for slot, bat in inputs.items()}, profiler
+            )
+            kernel = kernel_registry()
+            self._empty_pair = {
+                flow.name: (
+                    kernel[GLOBAL_FRAGMENT[flow.kind]](outputs[slot])
+                    if flow.kind in GLOBAL_FRAGMENT
+                    else outputs[slot]
+                )
+                for flow, slot in zip(self.plan.flows, fragment.outputs)
+            }
+        return self._empty_pair
 
     # -- merge ------------------------------------------------------
     def _live_bundles(self, profiler: Optional[Profiler] = None) -> list[Bundle]:
@@ -663,18 +698,9 @@ class IncrementalFactory(FactoryBase):
     def _compact_landmark(self, bundle: Bundle) -> None:
         """Replace all cached partials with the cumulative combined bundle."""
         if self.plan.is_join:
-            left_alias, right_alias = self._pair_aliases()
-            newest_left = (
-                0
-                if left_alias == self.plan.table_alias
-                else (self._prep_stores[left_alias].newest_seq or 0)
-            )
-            newest_right = (
-                0
-                if right_alias == self.plan.table_alias
-                else (self._prep_stores[right_alias].newest_seq or 0)
-            )
-            self._pairs.replace_all(dict(bundle), (newest_left, newest_right))
+            left, right = self.plan.pair_aliases
+            key = (self._newest_seq(left), self._newest_seq(right))
+            self._pairs.replace_all(dict(bundle), key)
         else:
             self._store.replace_all(dict(bundle))
 
@@ -751,7 +777,7 @@ class IncrementalFactory(FactoryBase):
             for alias, store in self._prep_stores.items():
                 capacity = self.plan.windows[alias].basic_windows
                 self._prep_stores[alias] = PartialStore(capacity)
-            left, right = self._pair_aliases()
+            left, right = self.plan.pair_aliases
             self._pairs = PairStore(
                 self.plan.windows[left].basic_windows if left in self.plan.windows else 0,
                 self.plan.windows[right].basic_windows if right in self.plan.windows else 0,

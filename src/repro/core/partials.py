@@ -241,39 +241,70 @@ class PairStore:
     its stream's focus window — mirroring the paper's rule that selection
     intermediates "need to be kept and joined with newly arriving data until
     the respective basic windows expire".
+
+    Bundles are keyed by left seq, then by right seq.  The factory adds
+    pairs in ascending (left, right) order, so both levels stay sorted by
+    insertion: expiry pops whole left rows and each row's oldest right
+    seqs off the front, and :meth:`live` walks the rows without sorting.
+    An out-of-order add (only after a landmark compaction) marks the
+    store for one re-sort before it is next read.
     """
 
     left_capacity: int
     right_capacity: int
-    _bundles: dict[tuple[int, int], Bundle] = field(default_factory=dict)
+    _rows: dict[int, dict[int, Bundle]] = field(default_factory=dict)
+    _unsorted: bool = False
 
     def add(self, left_seq: int, right_seq: int, bundle: Bundle) -> None:
-        self._bundles[(left_seq, right_seq)] = bundle
+        row = self._rows.get(left_seq)
+        if row is None:
+            if self._rows and left_seq < next(reversed(self._rows)):
+                self._unsorted = True
+            row = self._rows[left_seq] = {}
+        elif row and right_seq < next(reversed(row)):
+            self._unsorted = True
+        row[right_seq] = bundle
+
+    def _sorted_rows(self) -> dict[int, dict[int, Bundle]]:
+        if self._unsorted:
+            self._rows = {
+                left: dict(sorted(row.items()))
+                for left, row in sorted(self._rows.items())
+            }
+            self._unsorted = False
+        return self._rows
 
     def expire(self, newest_left: int, newest_right: int) -> None:
         """Drop pairs whose left or right basic window has expired."""
-        low_left = newest_left - self.left_capacity if self.left_capacity else None
-        low_right = newest_right - self.right_capacity if self.right_capacity else None
-        dead = [
-            key
-            for key in self._bundles
-            if (low_left is not None and key[0] <= low_left)
-            or (low_right is not None and key[1] <= low_right)
-        ]
-        for key in dead:
-            del self._bundles[key]
+        rows = self._sorted_rows()
+        if self.left_capacity:
+            low = newest_left - self.left_capacity
+            while rows and next(iter(rows)) <= low:
+                del rows[next(iter(rows))]
+        if self.right_capacity:
+            low = newest_right - self.right_capacity
+            for left in list(rows):
+                row = rows[left]
+                while row and next(iter(row)) <= low:
+                    del row[next(iter(row))]
+                if not row:
+                    del rows[left]
 
     def live(self) -> list[tuple[tuple[int, int], Bundle]]:
         """Live pair bundles, ordered by (left seq, right seq)."""
-        return sorted(self._bundles.items())
+        return [
+            ((left, right), bundle)
+            for left, row in self._sorted_rows().items()
+            for right, bundle in row.items()
+        ]
 
     def replace_all(self, bundle: Bundle, key: tuple[int, int]) -> None:
         """Collapse to one cumulative bundle (landmark joins)."""
-        self._bundles.clear()
-        self._bundles[key] = bundle
+        self._rows = {key[0]: {key[1]: bundle}}
+        self._unsorted = False
 
     def __len__(self) -> int:
-        return len(self._bundles)
+        return sum(len(row) for row in self._rows.values())
 
     def snapshot_state(self) -> dict:
         """Serializable image of the live pair bundles."""
@@ -285,10 +316,10 @@ class PairStore:
         }
 
     def restore_state(self, state: dict) -> None:
-        self._bundles = {
-            (int(left), int(right)): bundle
-            for left, right, bundle in state["bundles"]
-        }
+        self._rows = {}
+        self._unsorted = False
+        for left, right, bundle in state["bundles"]:
+            self.add(int(left), int(right), bundle)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,12 @@ Given an optimized plan, :func:`rewrite` produces an :class:`IncrementalPlan`
 holding up to four small programs:
 
 * *fragment* (single-stream) or *preps* + *pair fragment* (join queries) —
-  the replicated part, run once per new basic window / per new basic-window
-  pair, producing a *bundle* of flow columns (``main`` cost tag);
+  the replicated part, producing a *bundle* of flow columns per basic
+  window / per basic-window pair (``main`` cost tag).  The pair fragment
+  is tagged: every prepped row carries the seq of the basic window it came
+  from, and the partial flows keep the (left seq, right seq) tag pair as
+  leading group keys, so one run over many basic windows per side yields
+  the bundles of all their pairs at once;
 * *combine* — merges packed flow partials back into one bundle
   (concatenation + compensation; ``merge`` tag).  Crucially, combine is
   *closed over bundles*: its output is again a valid partial bundle, which
@@ -40,7 +44,7 @@ from repro.kernel.execution.program import Program, Ref, TAG_MERGE
 from repro.sql.ast import ColumnRef, walk
 from repro.sql.logical import LScan
 from repro.sql.optimizer.rules import eliminate_dead_code
-from repro.sql.physical import BaseRows, ColRows, PlanCompiler, Rows
+from repro.sql.physical import BaseRows, ColRows, JoinRows, PlanCompiler, Rows
 from repro.sql.planner import PlannedQuery
 
 
@@ -52,6 +56,12 @@ def packed(flow_name: str) -> str:
 def prep_slot(alias: str, column: str) -> str:
     """Slot name of a prepped (filtered) column in the pair fragment."""
     return f"prep_{alias}__{column}"
+
+
+def seq_slot(alias: str) -> str:
+    """Slot name of a side's seq-tag column in the pair fragment: the
+    basic-window seq each prepped row came from (0 for a base table)."""
+    return f"seq_{alias}"
 
 
 @dataclass
@@ -87,7 +97,8 @@ class IncrementalPlan:
     table_relation: Optional[str] = None
     # single-stream shape
     fragment: Optional[Program] = None
-    # join shape
+    # join shape: the pair fragment's outputs are the flows followed by
+    # the seq tags of ``pair_aliases`` (left, right), row-aligned with them
     preps: dict[str, PrepSpec] = field(default_factory=dict)
     pair_fragment: Optional[Program] = None
     # shared tail
@@ -97,6 +108,15 @@ class IncrementalPlan:
     @property
     def is_join(self) -> bool:
         return self.pair_fragment is not None
+
+    @property
+    def pair_aliases(self) -> tuple[str, str]:
+        """(left, right) sides of a join's pair bundles: the streams in
+        FROM order, a base table always on the right."""
+        sides = list(self.stream_aliases)
+        if self.table_alias is not None:
+            sides.append(self.table_alias)
+        return sides[0], sides[1]
 
     @property
     def compensates(self) -> bool:
@@ -115,7 +135,7 @@ class IncrementalPlan:
             parts.append(f"== prep[{alias}] (per basic window) ==\n" + prep.program.pretty())
         if self.pair_fragment is not None:
             parts.append(
-                "== pair fragment (per basic-window pair) ==\n"
+                "== pair fragment (per seq-tagged join run) ==\n"
                 + self.pair_fragment.pretty()
             )
         parts.append("== combine (per slide) ==\n" + self.combine.pretty())
@@ -143,12 +163,16 @@ def _emit_partial_flows(
     rows: Rows,
     shape: PlanShape,
     entries: list[AggPlanEntry],
-) -> dict[str, str]:
-    """Emit the partial computation for one basic window (or pair).
+    tags: tuple[str, ...] = (),
+) -> tuple[dict[str, str], list[str]]:
+    """Emit the partial computation for one basic window (or pair run).
 
-    Returns flow name → slot.  This is the part of the original plan that
-    replicates (paper: "simple concatenation" operators run here in full;
-    aggregations run in their partial form).
+    Returns (flow name → slot, tag output slots).  This is the part of the
+    original plan that replicates (paper: "simple concatenation" operators
+    run here in full; aggregations run in their partial form).  ``tags``
+    are row-aligned seq-tag slots (join runs): they lead the group keys,
+    so global aggregates become grouped by the tag pair, and select-only
+    rows carry them through unchanged.
     """
     out: dict[str, str] = {}
     aggregate = shape.aggregate
@@ -157,33 +181,38 @@ def _emit_partial_flows(
         crows = compiler.compile_project(shape.project, rows)
         for name, slot in crows.slots.items():
             out[name] = _ensure_owned(compiler, slot)
-        return out
-    if aggregate.keys:
-        key_slots = [
-            compiler.expr_slot(key, rows, atom)
-            for key, atom in zip(aggregate.keys, aggregate.key_atoms)
-        ]
-        gids, extents, ngroups = compiler.emit_multi(
-            "group.group", [Ref(s) for s in key_slots], ["gids", "ext", "ng"]
-        )
-        for index, key_slot in enumerate(key_slots):
-            out[f"key_{index}"] = compiler.emit(
-                "algebra.projection", [Ref(extents), Ref(key_slot)], f"key{index}"
-            )
+        return out, list(tags)
+    if not (aggregate.keys or tags):
         for entry in entries:
             for flow in entry.flows:
-                opcode = GROUPED_FRAGMENT[flow.kind]
-                arg = compiler.agg_arg_slot(entry.spec, rows, gids)
-                out[flow.name] = compiler.emit(
-                    opcode, [Ref(arg), Ref(gids), Ref(ngroups)], flow.name
-                )
-        return out
+                opcode = GLOBAL_FRAGMENT[flow.kind]
+                arg = compiler.agg_arg_slot(entry.spec, rows, None)
+                out[flow.name] = compiler.emit(opcode, [Ref(arg)], flow.name)
+        return out, []
+    key_slots = [
+        compiler.expr_slot(key, rows, atom)
+        for key, atom in zip(aggregate.keys, aggregate.key_atoms)
+    ]
+    gids, extents, ngroups = compiler.emit_multi(
+        "group.group", [Ref(s) for s in list(tags) + key_slots], ["gids", "ext", "ng"]
+    )
+    tag_outs = [
+        compiler.emit("algebra.projection", [Ref(extents), Ref(tag)], "tag")
+        for tag in tags
+    ]
+    for index, key_slot in enumerate(key_slots):
+        out[f"key_{index}"] = compiler.emit(
+            "algebra.projection", [Ref(extents), Ref(key_slot)], f"key{index}"
+        )
     for entry in entries:
         for flow in entry.flows:
-            opcode = GLOBAL_FRAGMENT[flow.kind]
-            arg = compiler.agg_arg_slot(entry.spec, rows, None)
-            out[flow.name] = compiler.emit(opcode, [Ref(arg)], flow.name)
-    return out
+            # A global flow grouped by the tag pair: its grouped twin.
+            kind = flow.kind if flow.kind in GROUPED_FRAGMENT else "g" + flow.kind
+            arg = compiler.agg_arg_slot(entry.spec, rows, gids)
+            out[flow.name] = compiler.emit(
+                GROUPED_FRAGMENT[kind], [Ref(arg), Ref(gids), Ref(ngroups)], flow.name
+            )
+    return out, tag_outs
 
 
 def _referenced_columns(shape: PlanShape, binding) -> dict[str, list[str]]:
@@ -387,7 +416,7 @@ def _build_single_fragment(
     rows = compiler.rows_for_scan(stream.scan)
     if stream.predicate is not None:
         rows = compiler.compile_filter(stream.predicate, rows)
-    flow_slots = _emit_partial_flows(compiler, rows, shape, entries)
+    flow_slots, __ = _emit_partial_flows(compiler, rows, shape, entries)
     compiler.program.outputs = tuple(flow_slots[f.name] for f in plan.flows)
     compiler.program.validate()
     plan.fragment = compiler.program
@@ -432,8 +461,12 @@ def _build_join_fragments(
             slot = prep_slot(alias, column)
             pair.declare_input(slot)
             slots[column] = slot
+        pair.declare_input(seq_slot(alias))
         base_rows[alias] = BaseRows(alias, slots)
 
+    # Keep the plan's join orientation: the kernel join is stable, so the
+    # rows of each tag pair come out in the order a join of that pair
+    # alone would produce them.
     left_alias = _leaf_alias(shape.join.left)
     right_alias = _leaf_alias(shape.join.right)
     rows: Rows = pair.compile_join(
@@ -441,8 +474,17 @@ def _build_join_fragments(
     )
     if shape.residual is not None:
         rows = pair.compile_filter(shape.residual, rows)
-    flow_slots = _emit_partial_flows(pair, rows, shape, entries)
-    pair.program.outputs = tuple(flow_slots[f.name] for f in plan.flows)
+    assert isinstance(rows, JoinRows)
+    tags = tuple(
+        pair.emit(
+            "algebra.projection", [Ref(rows.oid_slots[alias]), Ref(seq_slot(alias))], "seq"
+        )
+        for alias in plan.pair_aliases
+    )
+    flow_slots, tag_outs = _emit_partial_flows(pair, rows, shape, entries, tags)
+    pair.program.outputs = tuple(flow_slots[f.name] for f in plan.flows) + tuple(
+        tag_outs
+    )
     pair.program.validate()
     plan.pair_fragment = pair.program
 

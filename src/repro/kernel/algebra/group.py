@@ -9,6 +9,7 @@ merging and test assertions stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +46,35 @@ def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse.astype(np.int64), first.astype(np.int64)
 
 
+def _int_code(keys: Sequence[BAT]):
+    """One int64 code per row, ascending in the key tuples' lexicographic
+    order, and the codes' span, for two or more integer keys whose value
+    spans multiply within int64 — one factorization instead of one per key
+    plus one for the combined codes."""
+    tails = [key.tail for key in keys]
+    if len(tails) < 2 or not len(tails[0]) or any(t.dtype.kind not in "iu" for t in tails):
+        return None
+    lows = [int(t.min()) for t in tails]
+    spans = [int(t.max()) - low + 1 for t, low in zip(tails, lows)]
+    if math.prod(spans) >= 2**62:
+        return None
+    code = np.zeros(len(tails[0]), dtype=np.int64)
+    for tail, low, span in zip(tails, lows, spans):
+        code = code * span + (tail.astype(np.int64) - low)
+    return code, math.prod(spans)
+
+
+def _factorize_dense(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_factorize` of codes in ``[0, span)`` by counting, not sorting."""
+    present = np.flatnonzero(np.bincount(code, minlength=span))
+    rank = np.empty(span, dtype=np.int64)
+    rank[present] = np.arange(len(present), dtype=np.int64)
+    codes = rank[code]
+    first = np.full(len(present), len(code), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(code), dtype=np.int64))
+    return codes, first
+
+
 def group(keys: Sequence[BAT]) -> Grouping:
     """Group rows by the combined value of one or more key columns."""
     if not keys:
@@ -52,7 +82,13 @@ def group(keys: Sequence[BAT]) -> Grouping:
     base = keys[0]
     for key in keys[1:]:
         require_aligned(base, key)
-    codes, first = _factorize(base.tail)
+    combined = _int_code(keys)
+    if combined is not None:
+        code, span = combined
+        codes, first = _factorize_dense(code, span) if span <= len(code) else _factorize(code)
+        keys = keys[:1]
+    else:
+        codes, first = _factorize(base.tail)
     for key in keys[1:]:
         key_codes, __ = _factorize(key.tail)
         # Re-factorize the (prev, key) pair into fresh dense codes.

@@ -58,6 +58,10 @@ DEEP_WINDOW = "window-deep"
 #: feeds stay a few hundred rows).
 _DEEP_RATE = 0.30
 _DEEP_BASIC_WINDOWS = (32, 161)
+#: Feature tag of a deep join draw: both join sides' windows redrawn to
+#: n ∈ [8, 40] basic windows, so one slide's join runs split into many
+#: seq-tag pairs.  Outside :data:`TAXONOMY` for the same reason.
+JOIN_DEEP = "join-deep"
 
 
 @dataclass(frozen=True)
@@ -565,17 +569,19 @@ class QueryGenerator:
         return WindowGeometry(kind, n * step, step if n > 1 else n * step, time_based)
 
     def deepen(self, query: FuzzQuery) -> Optional[FuzzQuery]:
-        """Maybe redraw a single-stream sliding window with many basic
-        windows (n ∈ [32, 160], small steps) so the hierarchical merge
-        tree is exercised — ``_window`` never exceeds n = 6.
+        """Maybe redraw a query's windows with many basic windows.
 
-        Draws only for eligible queries and must be called *after* every
-        other draw of an iteration: (seed, iteration) pairs that do not
-        deepen then replay exactly as before this draw existed.  Returns
-        None when the query is left as drawn.
+        Single-stream sliding windows get n ∈ [32, 160] (small steps) so
+        the hierarchical merge tree is exercised; the non-landmark stream
+        windows of a join get n ∈ [8, 40] each, so the batched join splits
+        each run into many seq-tag pairs — ``_window`` never exceeds n = 6.
+
+        Must be called *after* every other draw of an iteration: (seed,
+        iteration) pairs that do not deepen then replay exactly as before
+        this draw existed.  Returns None when the query is left as drawn.
         """
         if len(query.aliases) != 1:
-            return None
+            return self._deepen_join(query)
         alias = query.aliases[0]
         geometry = query.windows[alias]
         if geometry.kind == "landmark":
@@ -588,18 +594,42 @@ class QueryGenerator:
             step = _TIME_STEPS_MS[0]
         else:
             step = int(rng.integers(1, 4))
-        deep = replace(
-            query,
-            windows={
-                alias: WindowGeometry("sliding", n * step, step, geometry.time_based)
-            },
-            features=query.features | {DEEP_WINDOW},
+        return self._validated(
+            replace(
+                query,
+                windows={
+                    alias: WindowGeometry("sliding", n * step, step, geometry.time_based)
+                },
+                features=query.features | {DEEP_WINDOW},
+            )
         )
+
+    def _deepen_join(self, query: FuzzQuery) -> Optional[FuzzQuery]:
+        """The join half of :meth:`deepen`: each stream side keeps its
+        step and kind of axis; landmark sides stay landmark."""
+        sides = [a for a, g in query.windows.items() if g.kind != "landmark"]
+        if not sides:
+            return None
+        rng = self.rng
+        if rng.random() >= _DEEP_RATE:
+            return None
+        windows = dict(query.windows)
+        for alias in sides:
+            geometry = windows[alias]
+            n = int(rng.integers(8, 41))
+            windows[alias] = WindowGeometry(
+                "sliding", n * geometry.step, geometry.step, geometry.time_based
+            )
+        return self._validated(
+            replace(query, windows=windows, features=query.features | {JOIN_DEEP})
+        )
+
+    def _validated(self, query: FuzzQuery) -> Optional[FuzzQuery]:
         try:
-            self._validate(deep)
+            self._validate(query)
         except ReproError:
             return None
-        return deep
+        return query
 
     def _pick_column(self, columns: list[tuple[str, str]], atom: str) -> str:
         pool = [name for name, t in columns if t == atom]

@@ -10,7 +10,8 @@ two integers printed in the banner.  Each iteration:
    coverage at modest budgets) plus a matching feed; about three in ten
    single-stream sliding draws are then redrawn with 32–160 basic
    windows (``window-deep``), deep enough for the hierarchical merge
-   tree to seal nodes;
+   tree to seal nodes, and about three in ten joins with 8–40 basic
+   windows per stream side (``join-deep``);
 2. lints the rewritten plan (:mod:`repro.analysis.lint`) — the fuzzer
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
@@ -45,6 +46,7 @@ from repro.analysis.lint import lint_sql
 from repro.errors import ReproError
 from repro.testing.fuzz.generator import (
     DEEP_WINDOW,
+    JOIN_DEEP,
     TAXONOMY,
     QueryGenerator,
     build_engine,
@@ -284,7 +286,8 @@ class FuzzSession:
             count = self.coverage[feature]
             marker = "" if count else "   <-- NOT COVERED"
             self.println(f"  {feature:<16} {count:>5}{marker}")
-        self.println(f"  {DEEP_WINDOW:<16} {self.coverage[DEEP_WINDOW]:>5}")
+        for feature in (DEEP_WINDOW, JOIN_DEEP):
+            self.println(f"  {feature:<16} {self.coverage[feature]:>5}")
         missing = self._missing()
         if missing and self.budget >= 2 * len(TAXONOMY):
             self.println(f"coverage FAILED: {', '.join(missing)} never generated")

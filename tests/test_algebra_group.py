@@ -77,6 +77,43 @@ class TestMultiKeyGroup:
             assert mapping.setdefault(row, gid) == gid
 
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 3) | st.integers(-(2**62), 2**62),
+                st.integers(0, 5),
+                st.integers(-2, 2),
+            ),
+            max_size=60,
+        )
+    )
+    def test_ids_in_key_order_with_first_extents(self, rows):
+        """Group ids ascend in lexicographic key order and each extent is
+        the group's first row — whether the keys fit one int64 code or
+        (huge spans) are factorized one by one."""
+        self._check_first_extents(rows)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(-1, 1)), min_size=6, max_size=60
+        )
+    )
+    def test_dense_codes_counted_not_sorted(self, rows):
+        """Key spans whose product is at most the row count: same ids and
+        extents from the counting path."""
+        self._check_first_extents(rows)
+
+    @staticmethod
+    def _check_first_extents(rows):
+        width = len(rows[0]) if rows else 2
+        keys = [int_bat([row[i] for row in rows]) for i in range(width)]
+        g = group(keys)
+        order = sorted(set(rows))
+        assert g.gids.to_list() == [order.index(row) for row in rows]
+        assert g.extents.to_list() == [rows.index(row) for row in order]
+        assert g.ngroups == len(order)
+
+
 class TestDistinct:
     def test_sorted_unique(self):
         assert distinct(int_bat([3, 1, 3, 2])).to_list() == [1, 2, 3]

@@ -62,6 +62,36 @@ class TestEquiJoin:
         )
         assert got == expected
 
+    @given(
+        st.lists(st.integers(-3, 8) | st.integers(-(2**62), 2**62), max_size=40),
+        st.lists(st.integers(-3, 8) | st.integers(-(2**62), 2**62), max_size=40),
+    )
+    def test_output_in_nested_loop_order(self, left_values, right_values):
+        """Left position major, right position minor: the batched join
+        splits one run by tag and needs each pair's rows in this order."""
+        lo, ro = join(int_bat(left_values), int_bat(right_values))
+        expected = [
+            (i, j)
+            for i, lv in enumerate(left_values)
+            for j, rv in enumerate(right_values)
+            if lv == rv
+        ]
+        assert list(zip(lo.to_list(), ro.to_list())) == expected
+
+    @given(
+        st.lists(st.sampled_from(["a", "b", "c"]), max_size=20),
+        st.lists(st.sampled_from(["a", "b", "d"]), max_size=20),
+    )
+    def test_string_output_in_nested_loop_order(self, left_values, right_values):
+        lo, ro = join(str_bat(left_values), str_bat(right_values))
+        expected = [
+            (i, j)
+            for i, lv in enumerate(left_values)
+            for j, rv in enumerate(right_values)
+            if lv == rv
+        ]
+        assert list(zip(lo.to_list(), ro.to_list())) == expected
+
 
 class TestSemiAntiJoin:
     def test_semijoin(self):

@@ -1,5 +1,9 @@
 """Behavioural tests for two-stream (and hybrid) join factories."""
 
+import json
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -152,3 +156,338 @@ class TestUnsupported:
                 "SELECT count(*) FROM s a [RANGE 10 SLIDE 5], s b [RANGE 10 SLIDE 5] "
                 "WHERE a.x1 = b.x1"
             )
+
+
+# ----------------------------------------------------------------------
+# batched joins: differential suite against the reference oracle and
+# re-evaluation.  Integer, count, min and max results compare exactly;
+# float sums and averages within the float tolerance of DESIGN.md §10
+# (a pair's float sum is one grouped, sequential reduction).
+# ----------------------------------------------------------------------
+FLOAT_TOL = 1e-9
+
+JOIN_STREAMS = {
+    "s": [("k", "int"), ("v", "int"), ("f", "float")],
+    "s2": [("k", "int"), ("v", "int"), ("f", "float")],
+}
+DIM = {"columns": [("k", "int"), ("w", "int")], "rows": [[k, 7 * k + 1] for k in range(0, 30, 3)]}
+
+
+def join_feed(rows=200, seed=11, dry_after=None):
+    """Columns per stream; with ``dry_after`` the two streams' keys move to
+    disjoint ranges after that many rows, so later windows join nothing."""
+    rng = np.random.default_rng(seed)
+    columns = {}
+    for index, name in enumerate(("s", "s2")):
+        keys = rng.integers(0, 30, rows)
+        if dry_after is not None:
+            keys[dry_after[index]:] += 1000 * (index + 1)
+        columns[name] = {
+            "k": keys.tolist(),
+            "v": rng.integers(-50, 50, rows).tolist(),
+            "f": rng.random(rows).tolist(),
+        }
+    return columns
+
+
+def run_join(sql, columns, timestamps=None, punctuate=None, chunk=10,
+             backend="interpreted", table=False):
+    """Feed ``columns`` in rounds to an incremental and a re-evaluation
+    twin of ``sql``; returns (incremental, reeval, oracle) windows and the
+    incremental handle."""
+    from types import SimpleNamespace
+
+    from repro.testing.fuzz.generator import Feed
+    from repro.testing.fuzz.reference import ReferenceOracle
+
+    timestamps = timestamps or {}
+    engine = DataCellEngine(backend=backend)
+    for name, schema in JOIN_STREAMS.items():
+        engine.create_stream(name, schema)
+    tables = {"dim": DIM} if table else {}
+    for name, spec in tables.items():
+        engine.create_table(name, spec["columns"]).append_rows(
+            [tuple(row) for row in spec["rows"]]
+        )
+    inc = engine.submit(sql, name="inc")
+    ree = engine.submit(sql, name="ree", mode="reeval")
+    total = max(len(cols["k"]) for cols in columns.values())
+    for lo in range(0, total, chunk):
+        for name, cols in columns.items():
+            if lo >= len(cols["k"]):
+                continue
+            ts = timestamps.get(name)
+            engine.feed(
+                name,
+                columns={col: values[lo:lo + chunk] for col, values in cols.items()},
+                timestamps=ts[lo:lo + chunk] if ts is not None else None,
+            )
+        engine.run_until_idle()
+    for name, watermark in (punctuate or {}).items():
+        engine.advance_time(name, watermark)
+    engine.run_until_idle()
+    case = SimpleNamespace(sql=sql, streams=JOIN_STREAMS, tables=tables)
+    feed = Feed(
+        columns=columns,
+        timestamps={name: timestamps.get(name) for name in columns},
+        punctuate=dict(punctuate or {}),
+    )
+    oracle = ReferenceOracle(case).windows(feed)
+    return inc.result_rows(), ree.result_rows(), oracle, inc
+
+
+def assert_same_windows(inc, ree, oracle, floats=False, ordered=True):
+    """``ordered``: aggregate windows match re-evaluation row for row;
+    select-only ones concatenate pair bundles, so only as multisets."""
+    from repro.testing.fuzz.reference import rows_equivalent
+
+    assert inc, "no window fired"
+    assert len(inc) == len(ree) == len(oracle)
+    for index, (a, b, c) in enumerate(zip(inc, ree, oracle)):
+        if floats:
+            assert rows_equivalent(a, b, FLOAT_TOL), (index, a, b)
+            assert rows_equivalent(a, c, FLOAT_TOL), (index, a, c)
+        else:
+            assert (a if ordered else sorted(a)) == (b if ordered else sorted(b)), (
+                index, a, b
+            )
+            assert sorted(a) == sorted(c), (index, a, c)
+
+
+def count_pair_runs(handle):
+    """Record, per firing, how often the pair fragment runs."""
+    factory = handle.factory
+    runs = []
+    real = factory._interp.run
+
+    def run(program, inputs, profiler=None):
+        if program is factory.plan.pair_fragment:
+            runs.append(len(inputs[next(iter(inputs))]))
+        return real(program, inputs, profiler)
+
+    factory._interp.run = run
+    return runs
+
+
+def pair_ordered_rows(columns, window, size, step, left_cols, right_cols, cond):
+    """A select-only join window the way per-pair bundles concatenate:
+    (left basic window, right basic window), then left row, right row."""
+    lo = window * step
+    left, right = columns["s"], columns["s2"]
+    rows = []
+    for lb in range(lo, lo + size, step):
+        for rb in range(lo, lo + size, step):
+            for i in range(lb, lb + step):
+                for j in range(rb, rb + step):
+                    if left["k"][i] == right["k"][j] and cond(i, j):
+                        rows.append(
+                            tuple(left[c][i] for c in left_cols)
+                            + tuple(right[c][j] for c in right_cols)
+                        )
+    return rows
+
+
+class TestBatchedJoinDifferential:
+    def test_global_aggregates_with_empty_pairs_and_windows(self):
+        sql = (
+            "SELECT count(*) AS n, max(s1.v) AS m, min(s2.v) AS lo, sum(s1.v) AS t "
+            "FROM s s1 [RANGE 40 SLIDE 10], s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k"
+        )
+        columns = join_feed(dry_after=(100, 60))
+        inc, ree, oracle, handle = run_join(sql, columns)
+        assert_same_windows(inc, ree, oracle)
+        assert any(window == [] for window in inc)  # no match: no row
+        assert any(window != [] for window in inc)
+        # Every live pair holds a bundle, matched or not.
+        assert len(handle.factory._pairs) == 16
+
+    def test_count_alone_reports_zero_for_a_window_without_matches(self):
+        sql = (
+            "SELECT count(*) AS n FROM s s1 [RANGE 40 SLIDE 10], "
+            "s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k"
+        )
+        inc, ree, oracle, __ = run_join(sql, join_feed(dry_after=(100, 60)))
+        assert_same_windows(inc, ree, oracle)
+        assert [(0,)] in inc
+
+    def test_float_sum_and_avg(self):
+        sql = (
+            "SELECT sum(s1.f) AS t, avg(s2.f) AS a, count(*) AS n "
+            "FROM s s1 [RANGE 40 SLIDE 10], s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k"
+        )
+        inc, ree, oracle, __ = run_join(sql, join_feed(seed=3))
+        assert_same_windows(inc, ree, oracle, floats=True)
+
+    def test_grouped(self):
+        sql = (
+            "SELECT s1.v % 3 AS g, count(*) AS n, max(s2.v) AS m, min(s1.v) AS lo "
+            "FROM s s1 [RANGE 30 SLIDE 10], s2 [RANGE 30 SLIDE 10] "
+            "WHERE s1.k = s2.k GROUP BY s1.v % 3"
+        )
+        inc, ree, oracle, __ = run_join(sql, join_feed(seed=4, dry_after=(120, 150)))
+        assert_same_windows(inc, ree, oracle)
+
+    def test_select_only_keeps_pair_order(self):
+        sql = (
+            "SELECT s1.v, s2.v, s2.k FROM s s1 [RANGE 30 SLIDE 10], "
+            "s2 [RANGE 30 SLIDE 10] WHERE s1.k = s2.k"
+        )
+        columns = join_feed(rows=120, seed=5)
+        inc, ree, oracle, __ = run_join(sql, columns)
+        assert len(inc) == len(ree) == len(oracle) == 10
+        for index, window in enumerate(inc):
+            expected = pair_ordered_rows(
+                columns, index, 30, 10, ["v"], ["v", "k"], lambda i, j: True
+            )
+            assert window == expected, index
+            assert sorted(window) == sorted(ree[index]) == sorted(oracle[index])
+
+    def test_residual_predicate(self):
+        sql = (
+            "SELECT s1.v, s2.v FROM s s1 [RANGE 20 SLIDE 10], s2 [RANGE 20 SLIDE 10] "
+            "WHERE s1.k = s2.k AND s1.v > s2.v"
+        )
+        columns = join_feed(rows=100, seed=6)
+        inc, ree, oracle, __ = run_join(sql, columns)
+        left, right = columns["s"], columns["s2"]
+        for index, window in enumerate(inc):
+            expected = pair_ordered_rows(
+                columns, index, 20, 10, ["v"], ["v"],
+                lambda i, j: left["v"][i] > right["v"][j],
+            )
+            assert window == expected, index
+            assert sorted(window) == sorted(ree[index]) == sorted(oracle[index])
+        sql = (
+            "SELECT count(*) AS n, sum(s2.v) AS t FROM s s1 [RANGE 40 SLIDE 10], "
+            "s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k AND s1.v + s2.v > 10"
+        )
+        assert_same_windows(*run_join(sql, join_feed(seed=7))[:3])
+
+    def test_asymmetric_basic_window_counts(self):
+        sql = (
+            "SELECT count(*) AS n, max(s2.v) AS m FROM s s1 [RANGE 60 SLIDE 10], "
+            "s2 [RANGE 20 SLIDE 10] WHERE s1.k = s2.k"
+        )
+        inc, ree, oracle, handle = run_join(sql, join_feed(seed=8))
+        assert_same_windows(inc, ree, oracle)
+        assert len(handle.factory._pairs) == 6 * 2
+
+    def test_stream_table_join(self):
+        for sql in (
+            "SELECT s1.k, count(*) AS n, sum(dim.w) AS w FROM s s1 "
+            "[RANGE 30 SLIDE 10], dim WHERE s1.k = dim.k GROUP BY s1.k",
+            "SELECT count(*) AS n, max(dim.w) AS m FROM dim, s s1 "
+            "[RANGE 30 SLIDE 10] WHERE dim.k = s1.k",
+            "SELECT dim.w, s1.v FROM dim, s s1 [RANGE 30 SLIDE 10] "
+            "WHERE dim.k = s1.k AND s1.v > 0",
+        ):
+            inc, ree, oracle, handle = run_join(sql, join_feed(seed=9), table=True)
+            assert_same_windows(inc, ree, oracle, ordered="count" in sql)
+            assert len(handle.factory._pairs) == 3  # one per live basic window
+
+    def test_landmark_joins(self):
+        for sql in (
+            "SELECT count(*) AS n, max(s1.v) AS m FROM s s1 [LANDMARK SLIDE 10], "
+            "s2 [LANDMARK SLIDE 10] WHERE s1.k = s2.k",
+            "SELECT s1.v, s2.v FROM s s1 [LANDMARK SLIDE 20], "
+            "s2 [LANDMARK SLIDE 20] WHERE s1.k = s2.k AND s1.v > 20",
+            "SELECT count(*) AS n, min(s2.v) AS lo FROM s s1 [LANDMARK SLIDE 10], "
+            "s2 [RANGE 30 SLIDE 10] WHERE s1.k = s2.k",
+            "SELECT s2.k, count(*) AS n FROM s s1 [RANGE 20 SLIDE 10], "
+            "s2 [LANDMARK SLIDE 10] WHERE s1.k = s2.k GROUP BY s2.k",
+        ):
+            inc, ree, oracle, __ = run_join(sql, join_feed(rows=120, seed=10))
+            assert_same_windows(inc, ree, oracle, ordered="count" in sql)
+
+    def test_time_windows_with_empty_basic_windows(self):
+        sql = (
+            "SELECT count(*) AS n, max(s1.v) AS m, avg(s2.f) AS a FROM "
+            "s s1 [RANGE 40 MILLISECONDS SLIDE 10 MILLISECONDS], "
+            "s2 [RANGE 40 MILLISECONDS SLIDE 10 MILLISECONDS] WHERE s1.k = s2.k"
+        )
+        rows = 120
+        columns = join_feed(rows=rows, seed=12)
+        timestamps = {}
+        for index, name in enumerate(("s", "s2")):
+            # 1 ms apart, with a 35 ms gap in each stream: empty basic
+            # windows on each side, at different slides.
+            gap_at = 30 + 40 * index
+            timestamps[name] = [
+                1_000 * (i + (35 if i >= gap_at else 0)) for i in range(rows)
+            ]
+        punctuate = {name: ts[-1] + 50_000 for name, ts in timestamps.items()}
+        inc, ree, oracle, __ = run_join(
+            sql, columns, timestamps=timestamps, punctuate=punctuate
+        )
+        assert_same_windows(inc, ree, oracle, floats=True)
+
+    def test_two_runs_per_slide(self):
+        sql = (
+            "SELECT count(*) AS n FROM s s1 [RANGE 40 SLIDE 10], "
+            "s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k"
+        )
+        engine = DataCellEngine()
+        for name, schema in JOIN_STREAMS.items():
+            engine.create_stream(name, schema)
+        handle = engine.submit(sql)
+        runs = count_pair_runs(handle)
+        columns = join_feed(rows=60, seed=13)
+        for name, cols in columns.items():
+            engine.feed(name, columns={c: v[:40] for c, v in cols.items()})
+        engine.run_until_idle()
+        # First firing: one run over all 4 x 4 pairs (left side = 40 rows),
+        # plus at most one run on empty inputs for the empty-pair bundle.
+        assert [rows for rows in runs if rows] == [40]
+        assert runs.count(0) <= 1
+        for name, cols in columns.items():
+            engine.feed(name, columns={c: v[40:60] for c, v in cols.items()})
+        engine.run_until_idle()
+        # Then per slide: new left x every live right, older left x new right.
+        assert [rows for rows in runs if rows] == [40, 10, 30, 10, 30]
+        assert runs.count(0) <= 1
+
+    def test_compiled_backend_is_byte_equal_without_fallbacks(self):
+        queries = (
+            "SELECT count(*) AS n, max(s1.v) AS m, sum(s2.v) AS t FROM "
+            "s s1 [RANGE 40 SLIDE 10], s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k",
+            "SELECT s1.v % 4 AS g, count(*) AS n FROM s s1 [RANGE 30 SLIDE 10], "
+            "s2 [RANGE 30 SLIDE 10] WHERE s1.k = s2.k GROUP BY s1.v % 4",
+            "SELECT s1.v, s2.v FROM s s1 [RANGE 20 SLIDE 10], "
+            "s2 [RANGE 20 SLIDE 10] WHERE s1.k = s2.k AND s1.v < s2.v",
+        )
+        for sql in queries:
+            columns = join_feed(seed=14, dry_after=(150, 170))
+            inc, ree, oracle, handle = run_join(sql, columns, backend="compiled")
+            assert_same_windows(inc, ree, oracle, ordered="count" in sql)
+            interpreted = run_join(sql, columns)[0]
+            assert inc == interpreted
+            factory = handle.factory
+            plan = factory.plan
+            programs = [plan.pair_fragment, plan.combine, plan.finalize]
+            programs += [prep.program for prep in plan.preps.values()]
+            for program in programs:
+                assert factory._interp.compiled_for(program) is not None
+                assert factory._interp.fallback_error(program) is None
+
+
+LEGACY_JOIN = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_join")
+
+
+def test_legacy_pair_bundles_restore_and_reemit(tmp_path):
+    """A data dir written by the per-pair join engine — checkpoint with
+    basic windows half-consumed, feeds journaled after it — restores and
+    re-emits exactly the windows that engine emitted."""
+    with open(os.path.join(LEGACY_JOIN, "expected.json")) as fh:
+        expected = json.load(fh)
+    data_dir = str(tmp_path / "data")
+    shutil.copytree(os.path.join(LEGACY_JOIN, "data"), data_dir)
+    engine = DataCellEngine.restore(data_dir)
+    try:
+        engine.run_until_idle()
+        for name, windows in expected["windows"].items():
+            query = engine.query(name)
+            assert query.sql == expected["queries"][name]
+            rows = [[tuple(row) for row in window] for window in windows]
+            assert query.result_rows() == rows, name
+    finally:
+        engine.close()

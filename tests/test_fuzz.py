@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.factory import IncrementalFactory
+from repro.errors import ReproError
 from repro.testing.fuzz import (
     RELATIONS,
     TAXONOMY,
@@ -157,7 +158,7 @@ class TestGenerator:
             assert again.sql == query.sql
             assert deepening.feed(again).to_json() == plain.feed(query).to_json()
             deep = deepening.deepen(again)
-            if deep is None:
+            if deep is None or "join-deep" in deep.features:
                 continue
             assert len(query.aliases) == 1 and not query.has_landmark
             geometry = deep.windows[deep.aliases[0]]
@@ -166,6 +167,61 @@ class TestGenerator:
             assert "window-deep" in deep.features
             assert deep.render(windows=query.windows) == query.sql
         assert depths and all(32 <= n <= 160 for n in depths)
+
+    def test_deepen_redraws_join_windows_per_side(self):
+        """About three in ten joins get 8-40 basic windows on every
+        non-landmark stream side, each side keeping its step."""
+        depths, joins, deepened = [], 0, 0
+        for i in range(120):
+            generator = QueryGenerator(np.random.default_rng([SEED, i]))
+            try:
+                query = generator.query(TAXONOMY[i % len(TAXONOMY)])
+            except ReproError:
+                continue
+            if len(query.aliases) == 1:
+                continue
+            joins += 1
+            generator.feed(query)
+            deep = generator.deepen(query)
+            if deep is None:
+                continue
+            deepened += 1
+            assert "join-deep" in deep.features
+            assert "window-deep" not in deep.features
+            for alias, geometry in deep.windows.items():
+                drawn = query.windows[alias]
+                if drawn.kind == "landmark":
+                    assert geometry == drawn
+                    continue
+                assert geometry.kind == "sliding"
+                assert (geometry.step, geometry.time_based) == (drawn.step, drawn.time_based)
+                depths.append(geometry.size // geometry.step)
+        assert 0 < deepened < joins
+        assert depths and all(8 <= n <= 40 for n in depths)
+
+    def test_join_iteration_drawn_before_deep_joins_replays_unchanged(self):
+        """(seed 4, iteration 5) is a join the deep-join draw leaves alone:
+        query, feed and execution axes are exactly those drawn before
+        that draw existed."""
+        import hashlib
+
+        session = FuzzSession(budget=1, seed=4, out_dir="unused", out=io.StringIO())
+        rng = np.random.default_rng([4, 5])
+        generator = QueryGenerator(rng)
+        query = generator.query(TAXONOMY[5 % len(TAXONOMY)])
+        feed = generator.feed(query)
+        config = session._config(rng, query, feed)
+        assert generator.deepen(query) is None
+        assert query.sql == (
+            "SELECT s1.c0 AS g0, count(*) AS a0 FROM s0 [RANGE 3 SLIDE 1], "
+            "s1 [RANGE 30 SLIDE 6] WHERE s0.c1 = s1.c1 AND (s1.c0 <= 0 AND "
+            "s0.c3 = 't1') GROUP BY s1.c0 HAVING count(*) >= 2 ORDER BY g0"
+        )
+        digest = hashlib.sha1(
+            json.dumps(feed.to_json(), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == "22aadc158da4b19f4d19153703140ac450910732"
+        assert config.describe() == "sharing=True dup chunked-feed backend=compiled"
 
     def test_render_with_substituted_window(self):
         query = make_query()
@@ -411,6 +467,7 @@ class TestRunnerCli:
         assert session.run() == 0
         assert session.coverage["window-deep"] > 0
         assert "window-deep" in out.getvalue()
+        assert "join-deep" in out.getvalue()
 
     def test_injected_bug_end_to_end(self, tmp_path):
         """Acceptance: a broken merge is caught, shrunk, and written as a

@@ -125,7 +125,26 @@ def test_join_fanout_warning_and_pair_bounds():
         limits={"s": (None, None), "r": (None, None)},
     )
     assert result.join_pairs == Bound(128 * 128)
-    assert any(d.code == "join-fanout" for d in result.report.warnings())
+    # Retained: one row per pair (a global max grouped by the seq-tag
+    # pair); transient: one new basic window against a live window.
+    assert result.pair_state == Bound(1)
+    assert result.join_transient == Bound(8 * 128 * 8)
+    [warning] = [d for d in result.report.warnings() if d.code == "join-fanout"]
+    assert "retains 16384 live basic-window pair bundles" in warning.message
+    assert "8192 tuples" in warning.message
+    assert "re-evaluates" not in warning.message
+
+
+def test_grouped_join_pair_state_scales_with_the_pair():
+    result = analyze(
+        "SELECT s.b, count(*) AS n FROM s [RANGE 40 SLIDE 8], r [RANGE 40 SLIDE 8] "
+        "WHERE s.a = r.a GROUP BY s.b",
+        limits={"s": (None, None), "r": (None, None)},
+    )
+    assert result.join_pairs == Bound(25)
+    assert result.pair_state == Bound(2 * 8 * 8)  # key + count per joined row
+    assert result.join_transient == Bound(8 * 5 * 8)
+    assert not result.report.warnings()
 
 
 def test_time_based_window_keeps_the_symbol():
