@@ -170,7 +170,6 @@ _SHRINKING = {
     "bat.mirror",
     "bat.materialize",
     "bat.slice",
-    "bat.unique",
     "bat.id",
     "group.distinct",
     "cand.intersect",

@@ -237,7 +237,6 @@ def _build_signatures() -> dict[str, OpSig]:
     # -- merge / materialization
     sig("mat.pack", 1, None, lambda a: (_same(a, "mat.pack"),))
     sig("bat.append", 2, 2, lambda a: (_same(a, "bat.append"),))
-    sig("bat.unique", 1, 1, lambda a: (a[0].atom,))
 
     # -- ordering
     sig("algebra.sort", 2, 2, lambda a: (a[0].atom, Atom.OID))

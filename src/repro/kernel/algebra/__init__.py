@@ -8,7 +8,7 @@ Submodules group the operator families (MonetDB module naming):
 * :mod:`repro.kernel.algebra.group` — grouping and distinct
 * :mod:`repro.kernel.algebra.aggregate` — global and grouped aggregates
 * :mod:`repro.kernel.algebra.sort` — ordering and top-N
-* :mod:`repro.kernel.algebra.setops` — concat/pack, slices, unique
+* :mod:`repro.kernel.algebra.setops` — concat/pack, slices, append
 * :mod:`repro.kernel.algebra.calc` — scalar/vector calculator
 
 The package re-exports every operator *except* the four whose name
@@ -47,7 +47,7 @@ from repro.kernel.algebra.group import Grouping, distinct, group_values
 from repro.kernel.algebra.join import antijoin, semijoin
 from repro.kernel.algebra.project import head_oids, materialize, projection
 from repro.kernel.algebra.select import mask_select, thetaselect
-from repro.kernel.algebra.setops import append, concat, slice_bat, unique
+from repro.kernel.algebra.setops import append, concat, slice_bat
 from repro.kernel.algebra.sort import firstn, sort_refine
 
 __all__ = [
@@ -87,5 +87,4 @@ __all__ = [
     "total_max",
     "total_min",
     "total_sum",
-    "unique",
 ]

@@ -5,11 +5,18 @@ group id, and reports one representative oid per group ("extents" in
 MonetDB terms).  Group ids are dense ``0..ngroups-1`` and deterministic:
 groups are numbered in ascending key order, which makes partial-result
 merging and test assertions stable.
+
+Every key set is reduced to one int64 code per row, ascending in the key
+tuples' lexicographic order (mixed radix over per-key codes), and the code
+is factorized once.  Integer and BIT keys code as ``value - min``; other
+keys (FLT, STR) and integer keys too wide to code are factorized on their
+own first.  When the code's span is at most the row count the codes are
+counted (``bincount``, linear, the MonetDB group-by); sparser codes are
+sorted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +25,10 @@ import numpy as np
 from repro.errors import AlignmentError, KernelError
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT, require_aligned
+
+#: Spans of combined codes stay below this, so ``code * width + key`` never
+#: leaves int64.
+_CODE_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -46,33 +57,73 @@ def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inverse.astype(np.int64), first.astype(np.int64)
 
 
-def _int_code(keys: Sequence[BAT]):
-    """One int64 code per row, ascending in the key tuples' lexicographic
-    order, and the codes' span, for two or more integer keys whose value
-    spans multiply within int64 — one factorization instead of one per key
-    plus one for the combined codes."""
-    tails = [key.tail for key in keys]
-    if len(tails) < 2 or not len(tails[0]) or any(t.dtype.kind not in "iu" for t in tails):
-        return None
-    lows = [int(t.min()) for t in tails]
-    spans = [int(t.max()) - low + 1 for t, low in zip(tails, lows)]
-    if math.prod(spans) >= 2**62:
-        return None
-    code = np.zeros(len(tails[0]), dtype=np.int64)
-    for tail, low, span in zip(tails, lows, spans):
-        code = code * span + (tail.astype(np.int64) - low)
-    return code, math.prod(spans)
-
-
 def _factorize_dense(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_factorize` of codes in ``[0, span)`` by counting, not sorting."""
-    present = np.flatnonzero(np.bincount(code, minlength=span))
-    rank = np.empty(span, dtype=np.int64)
-    rank[present] = np.arange(len(present), dtype=np.int64)
-    codes = rank[code]
-    first = np.full(len(present), len(code), dtype=np.int64)
+    counts = np.bincount(code, minlength=span)
+    if counts.all():
+        codes, ngroups = code, span
+    else:
+        present = np.flatnonzero(counts)
+        rank = np.empty(span, dtype=np.int64)
+        rank[present] = np.arange(len(present), dtype=np.int64)
+        codes, ngroups = rank[code], len(present)
+    # ``minimum.at``, not a repeated-index assignment: the write order of
+    # the latter is undocumented.
+    first = np.full(ngroups, len(code), dtype=np.int64)
     np.minimum.at(first, codes, np.arange(len(code), dtype=np.int64))
     return codes, first
+
+
+def _factorize_code(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factorize codes in ``[0, span)``: counted if the span is at most the
+    row count, sorted otherwise."""
+    return _factorize_dense(code, span) if span <= len(code) else _factorize(code)
+
+
+def _int_span(tail: np.ndarray) -> tuple[int, int] | None:
+    """``(min, span)`` of a non-empty integer or BIT tail whose values fit
+    one code, else None."""
+    if tail.dtype.kind not in "ib":
+        return None
+    low = int(tail.min())
+    span = int(tail.max()) - low + 1
+    return (low, span) if span < _CODE_LIMIT else None
+
+
+def _offset(tail: np.ndarray, low: int) -> np.ndarray:
+    """``tail - low`` as int64, with no extra copy for int64 tails."""
+    return (tail if tail.dtype == np.int64 else tail.astype(np.int64)) - low
+
+
+def _key_code(tail: np.ndarray) -> tuple[np.ndarray, int]:
+    """One key's int64 codes, ascending in value order, and their span."""
+    int_span = _int_span(tail)
+    if int_span is not None:
+        low, span = int_span
+        return _offset(tail, low), span
+    codes, first = _factorize(tail)
+    return codes, len(first)
+
+
+def _compress(code: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Re-code to dense ``0..ngroups-1`` (same order), span ``ngroups``."""
+    codes, first = _factorize_code(code, span)
+    return codes, len(first)
+
+
+def _combined_code(tails: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """One int64 code per row, ascending in the key tuples' lexicographic
+    order, and its span (mixed radix over the per-key codes)."""
+    code, span = _key_code(tails[0])
+    for tail in tails[1:]:
+        key, width = _key_code(tail)
+        if span * width >= _CODE_LIMIT:
+            code, span = _compress(code, span)
+            if span * width >= _CODE_LIMIT:
+                key, width = _compress(key, width)
+        code = code * width + key
+        span *= width
+    return code, span
 
 
 def group(keys: Sequence[BAT]) -> Grouping:
@@ -82,23 +133,13 @@ def group(keys: Sequence[BAT]) -> Grouping:
     base = keys[0]
     for key in keys[1:]:
         require_aligned(base, key)
-    combined = _int_code(keys)
-    if combined is not None:
-        code, span = combined
-        codes, first = _factorize_dense(code, span) if span <= len(code) else _factorize(code)
-        keys = keys[:1]
+    if len(base):
+        codes, first = _factorize_code(*_combined_code([key.tail for key in keys]))
     else:
-        codes, first = _factorize(base.tail)
-    for key in keys[1:]:
-        key_codes, __ = _factorize(key.tail)
-        # Re-factorize the (prev, key) pair into fresh dense codes.
-        width = int(key_codes.max()) + 1 if len(key_codes) else 1
-        combined = codes * width + key_codes
-        codes, first = _factorize(combined)
-    ngroups = int(codes.max()) + 1 if len(codes) else 0
+        codes = first = np.empty(0, dtype=np.int64)
     gids = BAT(codes, Atom.INT, base.hseq)
     extents = BAT(first + base.hseq, Atom.OID)
-    return Grouping(gids, extents, ngroups)
+    return Grouping(gids, extents, len(first))
 
 
 def group_values(grouping: Grouping, key: BAT) -> BAT:
@@ -109,7 +150,13 @@ def group_values(grouping: Grouping, key: BAT) -> BAT:
 
 def distinct(b: BAT) -> BAT:
     """Distinct tail values, ascending (SQL DISTINCT on a single column)."""
-    return BAT(np.unique(b.tail), b.atom)
+    tail = b.tail
+    int_span = _int_span(tail) if len(tail) else None
+    if int_span is not None and int_span[1] <= len(tail):
+        low, span = int_span
+        present = np.flatnonzero(np.bincount(_offset(tail, low), minlength=span))
+        return BAT((present + low).astype(tail.dtype, copy=False), b.atom)
+    return BAT(np.unique(tail), b.atom)
 
 
 def check_aligned_with_gids(grouping: Grouping, values: BAT) -> None:

@@ -1,4 +1,4 @@
-"""Set / materialization operators: concat (mat.pack), slice, unique.
+"""Set / materialization operators: concat (mat.pack), slice, append.
 
 ``concat`` is DataCell's merge workhorse: partial results of basic windows
 are packed into one column before compensation operators run (paper §3,
@@ -43,11 +43,6 @@ def concat(parts: Sequence[BAT]) -> BAT:
 def slice_bat(b: BAT, start: int, stop: int) -> BAT:
     """Positional slice as an operator (window/basic-window views)."""
     return b.slice(start, stop)
-
-
-def unique(b: BAT) -> BAT:
-    """Distinct values, ascending."""
-    return BAT(np.unique(b.tail), b.atom)
 
 
 def append(base: BAT, extra: BAT) -> BAT:

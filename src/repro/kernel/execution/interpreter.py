@@ -120,7 +120,6 @@ def _build_registry() -> dict[str, Callable]:
         # merge / materialization
         "mat.pack": lambda *parts: setops.concat(list(parts)),
         "bat.append": setops.append,
-        "bat.unique": setops.unique,
         # ordering
         "algebra.sort": sort_mod.sort,
         "algebra.sortrefine": sort_mod.sort_refine,

@@ -62,6 +62,16 @@ _DEEP_BASIC_WINDOWS = (32, 161)
 #: n ∈ [8, 40] basic windows, so one slide's join runs split into many
 #: seq-tag pairs.  Outside :data:`TAXONOMY` for the same reason.
 JOIN_DEEP = "join-deep"
+#: Feature tag of a wide-key draw (:meth:`QueryGenerator.widen`): some int
+#: stream columns take signed values far apart, so grouping meets negative
+#: keys, spans past the row count (the sort fallback) and multi-key codes
+#: past 2**62 (compression).  Outside :data:`TAXONOMY` like the others.
+KEYS_WIDE = "keys-wide"
+#: Share of int stream columns redrawn wide, and the bound of their
+#: values: two such keys' spans multiply past 2**62, yet a sum over any
+#: generated window (joins included) stays far inside int64.
+_WIDE_RATE = 0.20
+_WIDE_INT = 2**40
 
 
 @dataclass(frozen=True)
@@ -622,6 +632,34 @@ class QueryGenerator:
             )
         return self._validated(
             replace(query, windows=windows, features=query.features | {JOIN_DEEP})
+        )
+
+    def widen(self, query: FuzzQuery, feed: Feed) -> Optional[tuple[FuzzQuery, Feed]]:
+        """Maybe redraw int stream columns over a wide signed domain.
+
+        Each int column of each stream is redrawn with probability
+        ``_WIDE_RATE`` from one shared pool of 3-8 values in
+        ``[-_WIDE_INT, _WIDE_INT)`` (shared, so wide join keys still
+        match); row counts and every other column stay as drawn.  Must be
+        the last draw of an iteration, after :meth:`deepen`, for the same
+        replay reason.  Returns None when no column is redrawn.
+        """
+        rng = self.rng
+        pool = rng.integers(-_WIDE_INT, _WIDE_INT, size=int(rng.integers(3, 9)))
+        columns = {stream: dict(cols) for stream, cols in feed.columns.items()}
+        widened = False
+        for stream, schema in query.streams.items():
+            for name, atom in schema:
+                if atom != "int" or rng.random() >= _WIDE_RATE:
+                    continue
+                picks = rng.integers(0, len(pool), size=feed.row_count(stream))
+                columns[stream][name] = [int(v) for v in pool[picks]]
+                widened = True
+        if not widened:
+            return None
+        return (
+            replace(query, features=query.features | {KEYS_WIDE}),
+            replace(feed, columns=columns),
         )
 
     def _validated(self, query: FuzzQuery) -> Optional[FuzzQuery]:

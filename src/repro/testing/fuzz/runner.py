@@ -11,7 +11,8 @@ two integers printed in the banner.  Each iteration:
    single-stream sliding draws are then redrawn with 32–160 basic
    windows (``window-deep``), deep enough for the hierarchical merge
    tree to seal nodes, and about three in ten joins with 8–40 basic
-   windows per stream side (``join-deep``);
+   windows per stream side (``join-deep``), and about one int stream
+   column in five is redrawn over a wide signed domain (``keys-wide``);
 2. lints the rewritten plan (:mod:`repro.analysis.lint`) — the fuzzer
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
@@ -47,6 +48,7 @@ from repro.errors import ReproError
 from repro.testing.fuzz.generator import (
     DEEP_WINDOW,
     JOIN_DEEP,
+    KEYS_WIDE,
     TAXONOMY,
     QueryGenerator,
     build_engine,
@@ -132,26 +134,40 @@ class FuzzSession:
         return 0
 
     # ------------------------------------------------------------------
-    def _iteration(self, iteration: int) -> bool:
+    def _draw(self, iteration: int):
+        """Iteration ``iteration``'s (query, feed, config); None when no
+        valid query could be drawn."""
         rng = np.random.default_rng([self.seed, iteration])
         generator = QueryGenerator(rng)
         focus = TAXONOMY[iteration % len(TAXONOMY)]
         try:
             query = generator.query(focus)
         except ReproError:
-            self.rejected += 1
-            return True
+            return None
         feed = generator.feed(query, rows_scale=self.rows_scale)
         config = self._config(rng, query, feed)
-        # Deep-window draw: LAST of the iteration, after the query, feed
-        # and axis draws, so (seed, iteration) pairs it leaves alone —
-        # and every saved .repro.json — replay exactly as before.  A
-        # deepened query needs a feed and axes that fit its new window.
+        # Deep-window draw: after the query, feed and axis draws, so
+        # (seed, iteration) pairs it leaves alone — and every saved
+        # .repro.json — replay exactly as before.  A deepened query needs
+        # a feed and axes that fit its new window.
         deep = generator.deepen(query)
         if deep is not None:
             query = deep
             feed = generator.feed(query, rows_scale=self.rows_scale)
             config = self._config(rng, query, feed)
+        # Wide-key draw: LAST, for the same reason.  It keeps row counts,
+        # so the axes drawn above still fit.
+        wide = generator.widen(query, feed)
+        if wide is not None:
+            query, feed = wide
+        return query, feed, config
+
+    def _iteration(self, iteration: int) -> bool:
+        drawn = self._draw(iteration)
+        if drawn is None:
+            self.rejected += 1
+            return True
+        query, feed, config = drawn
         self.coverage.update(query.features)
 
         if self.lint:
@@ -286,7 +302,7 @@ class FuzzSession:
             count = self.coverage[feature]
             marker = "" if count else "   <-- NOT COVERED"
             self.println(f"  {feature:<16} {count:>5}{marker}")
-        for feature in (DEEP_WINDOW, JOIN_DEEP):
+        for feature in (DEEP_WINDOW, JOIN_DEEP, KEYS_WIDE):
             self.println(f"  {feature:<16} {self.coverage[feature]:>5}")
         missing = self._missing()
         if missing and self.budget >= 2 * len(TAXONOMY):

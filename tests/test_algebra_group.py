@@ -1,5 +1,7 @@
 """Unit and property tests for grouping operators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,37 @@ from repro.kernel.bat import BAT
 from repro.kernel.algebra.group import distinct, group, group_values
 
 from conftest import int_bat, str_bat
+
+#: Per-atom value strategies: a small pool (so rows repeat) or anything.
+_VALUES = {
+    Atom.INT: st.integers(-3, 3)
+    | st.sampled_from([-(2**62), 2**62, -(2**63), 2**63 - 1])
+    | st.integers(-(2**63), 2**63 - 1),
+    Atom.BIT: st.booleans(),
+    Atom.FLT: st.sampled_from([-1.5, -0.0, 0.0, 2.0, math.nan, math.inf]) | st.floats(),
+    Atom.STR: st.sampled_from(["", "a", "b", "ab"]) | st.text(max_size=3),
+}
+
+
+@st.composite
+def _mixed_rows(draw):
+    """(atoms, rows): one to three key columns of INT/BIT/FLT/STR."""
+    atoms = draw(st.lists(st.sampled_from(list(_VALUES)), min_size=1, max_size=3))
+    row = st.tuples(*(_VALUES[atom] for atom in atoms))
+    return atoms, draw(st.lists(row, max_size=40))
+
+
+def _norm(value):
+    """Oracle sort key: NaNs are one value, sorting after every float."""
+    if isinstance(value, float) and math.isnan(value):
+        return (1, 0.0)
+    return (0, value)
+
+
+def _columns(rows, atoms):
+    return [
+        BAT.from_values([row[i] for row in rows], atom) for i, atom in enumerate(atoms)
+    ]
 
 
 class TestSingleKeyGroup:
@@ -103,14 +136,29 @@ class TestMultiKeyGroup:
         extents from the counting path."""
         self._check_first_extents(rows)
 
+    @given(_mixed_rows())
+    def test_mixed_atoms_match_sorted_set(self, drawn):
+        """One to three keys of INT (incl. ±2**62 and the int64 extremes),
+        BIT, FLT (incl. NaN) and STR: ids ascend in lexicographic key
+        order, extents are first rows, and ``distinct`` of each column is
+        its sorted value set."""
+        atoms, rows = drawn
+        self._check_first_extents(rows, atoms)
+        for key, atom in zip(_columns(rows, atoms), atoms):
+            expected = sorted({_norm(v) for v in key.tail.tolist()})
+            got = distinct(key)
+            assert got.atom == atom and got.tail.dtype == key.tail.dtype
+            assert [_norm(v) for v in got.tail.tolist()] == expected
+
     @staticmethod
-    def _check_first_extents(rows):
-        width = len(rows[0]) if rows else 2
-        keys = [int_bat([row[i] for row in rows]) for i in range(width)]
-        g = group(keys)
-        order = sorted(set(rows))
-        assert g.gids.to_list() == [order.index(row) for row in rows]
-        assert g.extents.to_list() == [rows.index(row) for row in order]
+    def _check_first_extents(rows, atoms=None):
+        atoms = atoms or [Atom.INT] * (len(rows[0]) if rows else 2)
+        g = group(_columns(rows, atoms))
+        normed = [tuple(_norm(v) for v in row) for row in rows]
+        order = sorted(set(normed))
+        rank = {row: i for i, row in enumerate(order)}
+        assert g.gids.to_list() == [rank[row] for row in normed]
+        assert g.extents.to_list() == [normed.index(row) for row in order]
         assert g.ngroups == len(order)
 
 
@@ -120,3 +168,83 @@ class TestDistinct:
 
     def test_empty(self):
         assert distinct(BAT.empty(Atom.INT)).to_list() == []
+
+    def test_bits_stay_bits(self):
+        out = distinct(BAT.from_values([True, True, False], Atom.BIT))
+        assert out.tail.dtype == np.bool_ and out.to_list() == [False, True]
+
+
+def _span_rows(n, span, low, rng):
+    """``n`` values in ``[low, low + span)`` that reach both ends."""
+    values = low + rng.integers(0, span, n)
+    values[:2] = low, low + span - 1
+    return values
+
+
+class TestCountingPath:
+    """The counting rule: a code whose span is at most the row count is
+    counted, a sparser one sorted — with the same ids and extents."""
+
+    @pytest.mark.parametrize("low", [-(2**62), -7, 0, 2**62 - 64])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_single_key_around_threshold(self, low, delta):
+        n = 48
+        values = _span_rows(n, n + delta, low, np.random.default_rng(n + delta))
+        TestMultiKeyGroup._check_first_extents([(int(v),) for v in values])
+        assert distinct(int_bat(values)).to_list() == sorted(set(values.tolist()))
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_two_keys_around_threshold(self, delta):
+        # spans 8 x 6 = 48 rows; one key's span moves the product by 8.
+        n = 48 + 8 * delta
+        rng = np.random.default_rng(delta + 5)
+        first = _span_rows(n, 8, -4, rng)
+        second = _span_rows(n, 6 + delta, 2**61, rng)
+        TestMultiKeyGroup._check_first_extents(
+            [(int(a), int(b)) for a, b in zip(first, second)]
+        )
+
+    def test_empty_multi_key(self):
+        g = group([BAT.empty(Atom.INT), BAT.empty(Atom.FLT), BAT.empty(Atom.BIT)])
+        assert g.ngroups == 0 and g.gids.to_list() == [] and g.extents.to_list() == []
+
+    def test_wide_keys_compress_without_overflow(self):
+        """Three keys each spanning 2**63 - 1 (factorized one by one): every
+        partial code is compressed before the next key multiplies in."""
+        big = [-(2**62), 2**62 - 1, 0]
+        rows = [(a, b, c) for a in big for b in big for c in big][::-1] * 2
+        TestMultiKeyGroup._check_first_extents(rows)
+
+    def test_key_just_below_the_code_limit_is_compressed_too(self):
+        """A key spanning 2**62 - 1 still codes by offset, but even a
+        compressed partial code times that span leaves int64, so the key
+        is compressed as well."""
+        rows = [(a, b) for a in (3, 0, 2, 1) for b in (2**62 - 2, 0)] * 2
+        TestMultiKeyGroup._check_first_extents(rows)
+
+    def test_dense_path_never_sorts(self, monkeypatch):
+        """Dense integer ``group`` and ``distinct`` must not sort: with
+        ``np.unique`` (and numpy's sorts) raising they still succeed, and a
+        span one past the row count reaches the sort."""
+        keys = int_bat([5, 3, 5, 4, 3, 6, 6, 4])
+        stamps = BAT.from_values([2, 2, 3, 2, 3, 3, 2, 3], Atom.TIMESTAMP)
+        bits = BAT.from_values([True, False, False, True, True, False, True, True], Atom.BIT)
+        full_span = int_bat([7, 0, 1, 2, 3, 4, 5, 6])  # span == rows
+        key_sets = [[keys], [bits], [full_span], [keys, stamps], [stamps, bits]]
+        expected = [group(key_set) for key_set in key_sets]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted on the counting path")
+
+        for name in ("unique", "sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, refuse)
+        for key_set, before in zip(key_sets, expected):
+            after = group(key_set)
+            assert after.gids.to_list() == before.gids.to_list()
+            assert after.extents.to_list() == before.extents.to_list()
+        assert distinct(keys).to_list() == [3, 4, 5, 6]
+        assert distinct(bits).to_list() == [False, True]
+        with pytest.raises(AssertionError, match="counting path"):
+            group([int_bat([0, 8, 0, 1, 2, 3, 4, 5])])
+        with pytest.raises(AssertionError, match="counting path"):
+            group([keys, bits, stamps])

@@ -17,7 +17,7 @@ from repro.kernel.algebra.calc import (
     logic_or,
     negate,
 )
-from repro.kernel.algebra.setops import append, concat, slice_bat, unique
+from repro.kernel.algebra.setops import append, concat, slice_bat
 from repro.kernel.algebra.sort import firstn, sort, sort_refine
 
 from conftest import flt_bat, int_bat, str_bat
@@ -85,9 +85,6 @@ class TestSetOps:
 
     def test_slice_bat(self):
         assert slice_bat(int_bat([1, 2, 3, 4]), 1, 3).to_list() == [2, 3]
-
-    def test_unique(self):
-        assert unique(int_bat([2, 1, 2])).to_list() == [1, 2]
 
 
 class TestCalc:

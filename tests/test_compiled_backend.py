@@ -158,7 +158,6 @@ OPCODE_CASES = {
     "bat.append": [
         ({"a": int_bat([1, 2]), "b": int_bat([3])}, [Ref("a"), Ref("b")], 1),
     ],
-    "bat.unique": [({"b": int_bat(INTS)}, [Ref("b")], 1)],
     "algebra.sort": [
         ({"b": int_bat(INTS)}, [Ref("b")], 2),
         ({"b": int_bat(INTS)}, [Ref("b"), Lit(True)], 2),

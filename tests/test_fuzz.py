@@ -223,6 +223,59 @@ class TestGenerator:
         assert digest == "22aadc158da4b19f4d19153703140ac450910732"
         assert config.describe() == "sharing=True dup chunked-feed backend=compiled"
 
+    def test_widen_redraws_some_int_columns_over_a_wide_signed_domain(self):
+        """About one int stream column in five is redrawn from a shared
+        pool of wide signed values; row counts and every other column stay
+        as drawn, and the draw comes after everything else."""
+        columns, widened, negative = 0, 0, 0
+        for i in range(60):
+            plain = QueryGenerator(np.random.default_rng([SEED, i]))
+            widening = QueryGenerator(np.random.default_rng([SEED, i]))
+            try:
+                query = plain.query(TAXONOMY[i % len(TAXONOMY)])
+            except ReproError:
+                continue
+            again = widening.query(TAXONOMY[i % len(TAXONOMY)])
+            feed, same = plain.feed(query), widening.feed(again)
+            assert same.to_json() == feed.to_json()
+            wide = widening.widen(again, same)
+            for stream, schema in query.streams.items():
+                for name, atom in schema:
+                    columns += atom == "int"
+                    values = feed.columns[stream][name]
+                    if wide is None or wide[1].columns[stream][name] == values:
+                        continue
+                    assert atom == "int"
+                    drawn = wide[1].columns[stream][name]
+                    assert len(drawn) == len(values)
+                    assert all(abs(v) <= 2**40 for v in drawn)
+                    assert max(drawn) - min(drawn) > len(drawn) or len(set(drawn)) == 1
+                    widened += 1
+                    negative += min(drawn) < 0
+            if wide is not None:
+                assert "keys-wide" in wide[0].features
+                assert wide[0].sql == query.sql
+        assert 0.1 < widened / columns < 0.3 and negative
+
+    def test_iteration_drawn_before_wide_keys_replays_unchanged(self):
+        """(seed 4, iteration 34) is a deep-window two-key group-by the
+        wide-key draw leaves alone: query, feed and execution axes are
+        exactly those drawn before that draw existed."""
+        import hashlib
+
+        session = FuzzSession(budget=1, seed=4, out_dir="unused", out=io.StringIO())
+        query, feed, config = session._draw(34)
+        assert "keys-wide" not in query.features
+        assert query.sql == (
+            "SELECT c0 AS g0, c1 AS g1, sum(c0) AS a0, count(c2) AS a1 FROM s0 "
+            "[RANGE 206 SLIDE 2] WHERE (NOT (c0 != 5 OR c1 <= 1)) GROUP BY c0, c1"
+        )
+        digest = hashlib.sha1(
+            json.dumps(feed.to_json(), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == "5bcd2b5cb8844a913af2abca2112500c63028df9"
+        assert config.describe() == "sharing=True chunked-feed backend=compiled"
+
     def test_render_with_substituted_window(self):
         query = make_query()
         swapped = query.render(windows={"s0": WindowGeometry("sliding", 6, 3)})
@@ -468,6 +521,8 @@ class TestRunnerCli:
         assert session.coverage["window-deep"] > 0
         assert "window-deep" in out.getvalue()
         assert "join-deep" in out.getvalue()
+        assert session.coverage["keys-wide"] > 0
+        assert "keys-wide" in out.getvalue()
 
     def test_injected_bug_end_to_end(self, tmp_path):
         """Acceptance: a broken merge is caught, shrunk, and written as a
