@@ -9,13 +9,20 @@ with the cost breakdown into main-plan work and merge work.
     tree switched off); the engine's hierarchical merge (DESIGN.md §17)
     packs O(log n) pre-merged nodes instead, so its merge column stops
     growing with n.
-(b) Q2, |W| = 12800 fixed, n ∈ {2 .. 64}.  Paper: same falling trend, but
-    the breakdown flips — *merge* cost dominates once the per-pair query
-    processing becomes small (the intermediates are big).
+(b) Q2, |W| = 102400 fixed, n ∈ {2 .. 64}.  Paper: same falling trend,
+    but the breakdown flips — *merge* cost dominates once the per-pair
+    query processing becomes small (the intermediates are big).
 
 The breakdown is measured by the interpreter profiler (``main`` vs
 ``merge`` instruction tags), not modelled.
+
+Runs under pytest like the other figure benchmarks, or standalone as
+``python benchmarks/bench_fig7_basic_windows.py --smoke``: a few ``n``
+per half at a small window, each point's windows compared row for row
+with a re-evaluation (DataCellR) run of the same feed.
 """
+
+import sys
 
 import pytest
 
@@ -36,47 +43,68 @@ Q2_WINDOW = 102_400
 Q2_COUNTS = [2, 4, 8, 16, 32, 64]
 Q2_JOIN_SELECTIVITY = 3e-4
 
+SMOKE_WINDOW = 12_800
+SMOKE_COUNTS = [2, 8, 32]
 
-def _q1_run(basic_windows, flat=False):
-    step = Q1_WINDOW // basic_windows
+
+def _q1_run(basic_windows, flat=False, window=Q1_WINDOW, mode="incremental"):
+    step = window // basic_windows
     workload = selection_stream(
-        Q1_WINDOW + Q1_WINDOWS * step, selectivity=0.2, seed=70, domain=100
+        window + Q1_WINDOWS * step, selectivity=0.2, seed=70, domain=100
     )
     engine = fresh_engine()
-    query = engine.submit(q1_sql(Q1_WINDOW, step, workload.threshold))
+    query = engine.submit(q1_sql(window, step, workload.threshold), mode=mode)
     if flat:
         query.factory._store.levels = 0  # Algorithm 2: pack every partial
-    timings = drive_single(
-        engine, query, "stream", workload.columns(), Q1_WINDOW, step, Q1_WINDOWS
-    )
-    return (
-        timings.mean_response(skip_first=1),
-        timings.tag_mean("main", skip_first=1),
-        timings.tag_mean("merge", skip_first=1),
+    return drive_single(
+        engine, query, "stream", workload.columns(), window, step, Q1_WINDOWS
     )
 
 
-def _q2_run(basic_windows):
-    step = Q2_WINDOW // basic_windows
-    workload = join_streams(Q2_WINDOW + WINDOWS * step, Q2_JOIN_SELECTIVITY, seed=71)
+def _q2_run(basic_windows, window=Q2_WINDOW, mode="incremental"):
+    step = window // basic_windows
+    workload = join_streams(window + WINDOWS * step, Q2_JOIN_SELECTIVITY, seed=71)
     engine = fresh_engine()
-    query = engine.submit(q2_sql(Q2_WINDOW, step))
-    timings = drive_join(
+    query = engine.submit(q2_sql(window, step), mode=mode)
+    return drive_join(
         engine,
         query,
         "stream1",
         workload.left_columns(),
         "stream2",
         workload.right_columns(),
-        Q2_WINDOW,
+        window,
         step,
         WINDOWS,
     )
+
+
+def _breakdown(timings):
+    """Mean (total, main plan, merge) seconds past the first window."""
     return (
         timings.mean_response(skip_first=1),
         timings.tag_mean("main", skip_first=1),
         timings.tag_mean("merge", skip_first=1),
     )
+
+
+def smoke():
+    """Every smoke point's windows equal re-evaluation's, row for row."""
+    for label, run in (("Q1", _q1_run), ("Q2", _q2_run)):
+        for n in SMOKE_COUNTS:
+            timings = run(n, window=SMOKE_WINDOW)
+            reference = run(n, window=SMOKE_WINDOW, mode="reeval")
+            rows = [batch.rows() for batch in timings.batches]
+            if rows != [batch.rows() for batch in reference.batches]:
+                print(f"smoke: {label} n={n}: windows differ from re-evaluation")
+                return False
+            total, main, merge = _breakdown(timings)
+            print(
+                f"smoke: {label} n={n} total={total * 1e3:.3f}ms "
+                f"main={main * 1e3:.3f}ms merge={merge * 1e3:.3f}ms, "
+                f"{len(rows)} windows equal to re-evaluation"
+            )
+    return True
 
 
 class TestFig7a:
@@ -84,8 +112,8 @@ class TestFig7a:
         reev_baseline = None
         rows = []
         for n in Q1_COUNTS:
-            total, main, merge = _q1_run(n)
-            __, __, flat_merge = _q1_run(n, flat=True)
+            total, main, merge = _breakdown(_q1_run(n))
+            __, __, flat_merge = _breakdown(_q1_run(n, flat=True))
             rows.append((n, total, main, merge, flat_merge))
         # one DataCellR point for context (n-independent)
         step = Q1_WINDOW // 512
@@ -122,8 +150,7 @@ class TestFig7b:
     def test_fig7b_join_breakdown(self, benchmark):
         rows = []
         for n in Q2_COUNTS:
-            total, main, merge = _q2_run(n)
-            rows.append((n, total, main, merge))
+            rows.append((n, *_breakdown(_q2_run(n))))
         report(
             "fig7b",
             "Figure 7(b) — Q2 vs #basic windows",
@@ -139,3 +166,9 @@ class TestFig7b:
         share_large = rows[-1][3] / max(rows[-1][1], 1e-12)
         assert share_large > share_small, rows
         benchmark.pedantic(lambda: _q2_run(16), rounds=2, iterations=1)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--smoke"]:
+        raise SystemExit("usage: bench_fig7_basic_windows.py --smoke (or run under pytest)")
+    raise SystemExit(0 if smoke() else 1)

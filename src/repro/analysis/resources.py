@@ -24,9 +24,10 @@ and sharing machinery care about:
   ``capacity-starved`` finding: the query can never fire.  A shedding
   overflow policy whose capacity is exactly one basic window is flagged
   as fragile (``capacity-tight``).
-* **join pairs** — a join retains one bundle per live basic-window pair
-  (the pair fragment's flows for that pair) and merges all of them every
-  slide; many live pairs are the ``join-fanout`` hazard.  Per slide the
+* **join pairs** — a join retains the rows of every live basic-window
+  pair (the pair fragment's flows for that pair, in the pair table) and
+  merges all of them every slide; many live pairs are the
+  ``join-fanout`` hazard.  Per slide the
   factory joins each new basic window against the other side's live
   window in one tagged run: the *transient* bound is that run's largest
   intermediate.
@@ -52,7 +53,7 @@ from repro.kernel.execution.program import Instr, Lit, Program, Ref
 from repro.sql.physical import scan_slot
 
 #: Live basic-window pair count above which a join is flagged as a
-#: fan-out hazard (every slide merges one retained bundle per live pair).
+#: fan-out hazard (every slide merges the retained rows of every live pair).
 JOIN_FANOUT_THRESHOLD = 64
 
 
@@ -324,7 +325,7 @@ class ResourceReport:
 
     subject: str
     aliases: list[AliasBounds] = field(default_factory=list)
-    #: live basic-window pairs, one retained bundle each (joins only).
+    #: live basic-window pairs, each retaining its rows (joins only).
     join_pairs: Optional[Bound] = None
     #: tuples retained per live pair: the pair fragment's flows (joins only).
     pair_state: Optional[Bound] = None
@@ -613,7 +614,8 @@ def analyze_resources(
         fragment = plan.pair_fragment
         flow_slots = fragment.outputs[: len(plan.flows)]
         # Retained: what the pair fragment makes of one basic window per
-        # side — the bundle the factory keeps per pair (tags dropped).
+        # side — the rows the factory keeps per pair (their seq tags are
+        # columns of those rows, not rows of their own).
         one_each = {}
         for alias in plan.stream_aliases:
             one_each.update(_pair_inputs(plan, alias, ONE))
@@ -640,8 +642,8 @@ def analyze_resources(
         if pairs.constant and pairs.coeff > JOIN_FANOUT_THRESHOLD:
             report.warning(
                 "plan",
-                f"join retains {int(pairs.coeff)} live basic-window pair "
-                f"bundles and merges all of them every slide "
+                f"join retains the rows of {int(pairs.coeff)} live "
+                f"basic-window pairs and merges all of them every slide "
                 f"(> {JOIN_FANOUT_THRESHOLD}); each slide's join run reaches "
                 f"{transient.render()} tuples; consider a larger step or "
                 f"smaller windows",

@@ -22,6 +22,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.core.engine import ContinuousQuery, DataCellEngine
+from repro.core.factory import ResultBatch
 from repro.errors import ReproError
 from repro.kernel.execution.profiler import Profiler
 
@@ -32,7 +33,12 @@ class WindowTimings:
 
     response_seconds: list[float] = field(default_factory=list)
     breakdowns: list[dict[str, float]] = field(default_factory=list)
-    result_sizes: list[int] = field(default_factory=list)
+    #: Every window's result, for cross-checking two runs.
+    batches: list[ResultBatch] = field(default_factory=list)
+
+    @property
+    def result_sizes(self) -> list[int]:
+        return [len(batch) for batch in self.batches]
 
     def mean_response(self, skip_first: int = 0) -> float:
         samples = self.response_seconds[skip_first:]
@@ -94,7 +100,7 @@ def drive_single(
             raise ReproError(f"factory not ready at window {index}")
         timings.response_seconds.append(batch.response_seconds)
         timings.breakdowns.append(batch.breakdown)
-        timings.result_sizes.append(len(batch))
+        timings.batches.append(batch)
         if chunker is not None:
             chunker.observe(batch.response_seconds)
     return timings
@@ -121,7 +127,7 @@ def drive_landmark(
             raise ReproError("landmark factory not ready")
         timings.response_seconds.append(batch.response_seconds)
         timings.breakdowns.append(batch.breakdown)
-        timings.result_sizes.append(len(batch))
+        timings.batches.append(batch)
     return timings
 
 
@@ -151,7 +157,7 @@ def drive_join(
             raise ReproError(f"join factory not ready at window {index}")
         timings.response_seconds.append(batch.response_seconds)
         timings.breakdowns.append(batch.breakdown)
-        timings.result_sizes.append(len(batch))
+        timings.batches.append(batch)
     return timings
 
 

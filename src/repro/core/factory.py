@@ -8,8 +8,8 @@ results, and runs the merge machinery (paper Algorithm 2, generalized).
 Two implementations share the interface:
 
 * :class:`IncrementalFactory` — the paper's contribution (split /
-  replicate / merge / transition, per-pair join bundles built by batched
-  seq-tagged join runs, landmark
+  replicate / merge / transition, a seq-tagged join pair table built by
+  batched tagged join runs, landmark
   compaction, optional m-chunk processing);
 * :class:`ReevalFactory` lives in :mod:`repro.core.reevaluate` — the
   DataCellR baseline that recomputes the full window every slide.
@@ -469,7 +469,7 @@ class IncrementalFactory(FactoryBase):
         self, left_seqs: list[int], right_seqs: list[int], profiler: Profiler
     ) -> None:
         """Join the seq-tagged concatenations of two runs of prep bundles
-        once, and store the result as one bundle per (left, right) pair."""
+        once, and merge the tagged result into the pair table."""
         left, right = self.plan.pair_aliases
         inputs: dict[str, BAT] = {}
         for alias, seqs in ((left, left_seqs), (right, right_seqs)):
@@ -485,43 +485,17 @@ class IncrementalFactory(FactoryBase):
         fragment = self.plan.pair_fragment
         assert fragment is not None
         outputs = self._interp.run(fragment, inputs, profiler)
-        split = self._split_by_tag(
-            [outputs[slot] for slot in fragment.outputs[: len(self.plan.flows)]],
+        self._pairs.add(
+            left_seqs,
+            right_seqs,
+            {
+                flow.name: outputs[slot]
+                for flow, slot in zip(self.plan.flows, fragment.outputs)
+            },
             outputs[fragment.outputs[-2]].tail,
             outputs[fragment.outputs[-1]].tail,
+            lambda: self._empty_pair_bundle(inputs, profiler),
         )
-        for left_seq in left_seqs:
-            for right_seq in right_seqs:
-                bundle = split.get((left_seq, right_seq))
-                if bundle is None:
-                    bundle = self._empty_pair_bundle(inputs, profiler)
-                self._pairs.add(left_seq, right_seq, bundle)
-
-    def _split_by_tag(
-        self, flows: list[BAT], left_tags: np.ndarray, right_tags: np.ndarray
-    ) -> dict[tuple[int, int], Bundle]:
-        """Cut row-aligned flow outputs into per-(left, right) bundles.
-
-        The stable sort keeps each pair's rows in run order, which is the
-        order a join of that pair alone produces."""
-        if not len(left_tags):
-            return {}
-        order = np.lexsort((right_tags, left_tags))
-        left_tags, right_tags = left_tags[order], right_tags[order]
-        cuts = np.flatnonzero(
-            (left_tags[1:] != left_tags[:-1]) | (right_tags[1:] != right_tags[:-1])
-        ) + 1
-        starts = np.concatenate(([0], cuts))
-        stops = np.concatenate((cuts, [len(order)]))
-        tails = [bat.tail[order] for bat in flows]
-        names = [flow.name for flow in self.plan.flows]
-        return {
-            (int(left_tags[lo]), int(right_tags[lo])): {
-                name: BAT(tail[lo:hi].copy(), bat.atom)
-                for name, tail, bat in zip(names, tails, flows)
-            }
-            for lo, hi in zip(starts.tolist(), stops.tolist())
-        }
 
     def _empty_pair_bundle(self, inputs: dict[str, BAT], profiler: Profiler) -> Bundle:
         """The bundle of a pair with no joined rows: the pair fragment on
@@ -550,9 +524,10 @@ class IncrementalFactory(FactoryBase):
 
         Single-stream stores answer with their cover — all live singles,
         or fewer pre-merged tree nodes (sealed on demand, charged to
-        ``profiler``) that tile the same basic windows."""
+        ``profiler``) that tile the same basic windows.  A join's pair
+        table already is every live pair's rows in merge order."""
         if self.plan.is_join:
-            return [bundle for __, bundle in self._pairs.live()]
+            return [self._pairs.table()] if len(self._pairs) else []
         if self._spilling:
             return [bundle for __, bundle in self._store.live()]
         return self._store.cover(

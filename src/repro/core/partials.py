@@ -4,8 +4,9 @@ The paper's transition phase (Algorithm 2, lines 20-21: ``res1 = res2, ...``)
 shifts intermediates one position as the window slides.  We realize the same
 bookkeeping with sequence numbers: every basic window gets a monotonically
 increasing ``seq``; a sliding window of ``n`` basic windows keeps exactly
-the bundles with ``seq > newest - n``.  Join queries additionally keep one
-bundle per *pair* of basic windows, expiring a pair when either side does.
+the bundles with ``seq > newest - n``.  Join queries additionally keep the
+partial rows of every *pair* of basic windows, expiring a pair when either
+side does.
 
 A *bundle* is a dict ``flow name → BAT`` — the cached output of one
 per-basic-window (or per-pair) plan fragment.
@@ -43,6 +44,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
+
+import numpy as np
 
 from repro.errors import SchedulerError
 from repro.kernel.bat import BAT
@@ -233,93 +236,238 @@ class PartialStore:
         self.nodes_live = 0
 
 
+_NO_SEQS = np.empty(0, dtype=np.int64)
+
+
+def _spliced(
+    rows: np.ndarray, new: np.ndarray, at: np.ndarray, old: np.ndarray
+) -> np.ndarray:
+    """``rows`` with ``new`` placed at output positions ``at`` (``old``
+    masks the positions the existing rows keep their order in)."""
+    out = np.empty(len(old), dtype=rows.dtype)
+    out[at] = new
+    out[old] = rows
+    return out
+
+
+@dataclass
+class _TagTable:
+    """Rows tagged with the (left seq, right seq) pair they belong to,
+    ordered by that pair; rows of one pair keep the order they were
+    inserted in.  ``values`` is a flow's column (``None`` for the store's
+    pair index, one row per live pair)."""
+
+    left: np.ndarray = field(default_factory=lambda: _NO_SEQS)
+    right: np.ndarray = field(default_factory=lambda: _NO_SEQS)
+    values: Optional[BAT] = None
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def insert(
+        self, left: np.ndarray, right: np.ndarray, values: Optional[np.ndarray] = None
+    ) -> None:
+        """Insert rows, each at the end of its left seq's block.
+
+        That keeps the table ordered as long as every inserted pair is
+        newer on the right than the pairs already in its block — which
+        :meth:`PairStore.add` checks on the pair index.
+        """
+        if not len(left):
+            return
+        order = np.lexsort((right, left))
+        left = left[order]
+        # Output positions of the new rows (ascending, as ``left`` is) and
+        # of the old ones.
+        at = np.searchsorted(self.left, left, side="right")
+        at += np.arange(len(at))
+        old = np.ones(len(self.left) + len(at), dtype=bool)
+        old[at] = False
+        self.left = _spliced(self.left, left, at, old)
+        self.right = _spliced(self.right, right[order], at, old)
+        if self.values is not None:
+            tail = _spliced(self.values.tail, values[order], at, old)
+            self.values = BAT(tail, self.values.atom)
+
+    def clashes(self, left: np.ndarray, right: np.ndarray) -> bool:
+        """True if some pair ``(left, right)`` is not newer on the right
+        than the last pair of its left seq's block."""
+        if not len(self.left) or not len(left):
+            return False
+        prev = np.searchsorted(self.left, left, side="right") - 1
+        last = self.right[prev]
+        return bool(np.any((prev >= 0) & (self.left[prev] == left) & (last >= right)))
+
+    def keep(self, rows: slice | np.ndarray) -> None:
+        self.left, self.right = self.left[rows], self.right[rows]
+        if self.values is not None:
+            self.values = BAT(self.values.tail[rows], self.values.atom)
+
+
+def _pair_codes(
+    left: np.ndarray, right: np.ndarray, lefts: np.ndarray, rights: np.ndarray
+) -> np.ndarray:
+    """Each (left, right) tag pair as a code ascending in (left, right)
+    order, over the sorted distinct seqs ``lefts`` and ``rights``."""
+    return np.searchsorted(lefts, left) * len(rights) + np.searchsorted(rights, right)
+
+
 @dataclass
 class PairStore:
-    """Per-(left seq, right seq) bundles for two-stream join queries.
+    """Join state of a two-stream (or stream ⋈ table) query: the partial
+    rows of every live pair of basic windows, one tagged table per flow.
+
+    The paper keeps one intermediate per pair of basic windows; the store
+    keeps the same rows, laid out as one column per flow whose rows are
+    tagged with their (left seq, right seq) pair and ordered by it — each
+    pair's rows in the order its join produced them.  That is the order
+    in which per-pair bundles concatenate, so :meth:`table` is the merge
+    input without packing.  Tags are per flow: a pair that joined nothing
+    holds the empty-pair rows (a 0 count, no sum/min/max row), so flows
+    differ in row count.
 
     A pair expires as soon as either constituent basic window slides out of
     its stream's focus window — mirroring the paper's rule that selection
     intermediates "need to be kept and joined with newly arriving data until
-    the respective basic windows expire".
-
-    Bundles are keyed by left seq, then by right seq.  The factory adds
-    pairs in ascending (left, right) order, so both levels stay sorted by
-    insertion: expiry pops whole left rows and each row's oldest right
-    seqs off the front, and :meth:`live` walks the rows without sorting.
-    An out-of-order add (only after a landmark compaction) marks the
-    store for one re-sort before it is next read.
+    the respective basic windows expire": left expiry cuts a prefix, right
+    expiry masks.
     """
 
     left_capacity: int
     right_capacity: int
-    _rows: dict[int, dict[int, Bundle]] = field(default_factory=dict)
-    _unsorted: bool = False
+    _index: _TagTable = field(default_factory=_TagTable)
+    _flows: dict[str, _TagTable] = field(default_factory=dict)
 
-    def add(self, left_seq: int, right_seq: int, bundle: Bundle) -> None:
-        row = self._rows.get(left_seq)
-        if row is None:
-            if self._rows and left_seq < next(reversed(self._rows)):
-                self._unsorted = True
-            row = self._rows[left_seq] = {}
-        elif row and right_seq < next(reversed(row)):
-            self._unsorted = True
-        row[right_seq] = bundle
+    def add(
+        self,
+        left_seqs: list[int],
+        right_seqs: list[int],
+        run: Bundle,
+        left_tags: np.ndarray,
+        right_tags: np.ndarray,
+        empty: Callable[[], Bundle],
+    ) -> None:
+        """Add the pairs ``left_seqs × right_seqs`` (both ascending) from
+        one tagged join run.
 
-    def _sorted_rows(self) -> dict[int, dict[int, Bundle]]:
-        if self._unsorted:
-            self._rows = {
-                left: dict(sorted(row.items()))
-                for left, row in sorted(self._rows.items())
-            }
-            self._unsorted = False
-        return self._rows
+        ``run``'s flows are row-aligned with the tags, in any order.  A
+        pair the run has no row for gets ``empty()``'s rows (computed only
+        then).  Every pair must be newer on the right than those its left
+        seq already has — true of the bilinear delta runs, also after a
+        landmark compaction.
+        """
+        lefts = np.asarray(left_seqs, dtype=np.int64)
+        rights = np.asarray(right_seqs, dtype=np.int64)
+        grid_left = np.repeat(lefts, len(rights))
+        grid_right = np.tile(rights, len(lefts))
+        if self._index.clashes(grid_left, grid_right):
+            raise SchedulerError("join pairs added out of (left, right) order")
+        self._index.insert(grid_left, grid_right)
+        present = np.zeros(len(grid_left), dtype=bool)
+        present[_pair_codes(left_tags, right_tags, lefts, rights)] = True
+        absent = np.flatnonzero(~present)
+        filler = empty() if len(absent) else {}
+        for name, bat in run.items():
+            left, right, values = left_tags, right_tags, bat.tail
+            extra = filler.get(name)
+            if extra is not None and len(extra):
+                per_pair = len(extra)
+                left = np.concatenate((left, np.repeat(grid_left[absent], per_pair)))
+                right = np.concatenate((right, np.repeat(grid_right[absent], per_pair)))
+                values = np.concatenate((values, np.tile(extra.tail, len(absent))))
+            self._flow(name, bat).insert(left, right, values)
+
+    def _flow(self, name: str, like: BAT) -> _TagTable:
+        table = self._flows.get(name)
+        if table is None:
+            table = self._flows[name] = _TagTable(values=BAT.empty(like.atom))
+        return table
 
     def expire(self, newest_left: int, newest_right: int) -> None:
         """Drop pairs whose left or right basic window has expired."""
-        rows = self._sorted_rows()
-        if self.left_capacity:
-            low = newest_left - self.left_capacity
-            while rows and next(iter(rows)) <= low:
-                del rows[next(iter(rows))]
-        if self.right_capacity:
-            low = newest_right - self.right_capacity
-            for left in list(rows):
-                row = rows[left]
-                while row and next(iter(row)) <= low:
-                    del row[next(iter(row))]
-                if not row:
-                    del rows[left]
+        for table in (self._index, *self._flows.values()):
+            if self.left_capacity:
+                low = newest_left - self.left_capacity
+                table.keep(slice(np.searchsorted(table.left, low, side="right"), None))
+            if self.right_capacity:
+                table.keep(table.right > newest_right - self.right_capacity)
+
+    def table(self) -> Bundle:
+        """Every flow's rows of all live pairs, in (left, right) order."""
+        return {name: table.values for name, table in self._flows.items()}
 
     def live(self) -> list[tuple[tuple[int, int], Bundle]]:
-        """Live pair bundles, ordered by (left seq, right seq)."""
+        """Live pairs with their rows as one bundle each, ordered by (left
+        seq, right seq) — the per-pair view of the table."""
+        index = self._index
+        lefts, rights = np.unique(index.left), np.unique(index.right)
+        keys = _pair_codes(index.left, index.right, lefts, rights)
+        cuts = {
+            name: np.searchsorted(
+                _pair_codes(table.left, table.right, lefts, rights), keys
+            ).tolist()
+            + [len(table)]
+            for name, table in self._flows.items()
+        }
         return [
-            ((left, right), bundle)
-            for left, row in self._sorted_rows().items()
-            for right, bundle in row.items()
+            (
+                (left, right),
+                {
+                    name: BAT(
+                        table.values.tail[cuts[name][i] : cuts[name][i + 1]].copy(),
+                        table.values.atom,
+                    )
+                    for name, table in self._flows.items()
+                },
+            )
+            for i, (left, right) in enumerate(
+                zip(index.left.tolist(), index.right.tolist())
+            )
         ]
 
     def replace_all(self, bundle: Bundle, key: tuple[int, int]) -> None:
         """Collapse to one cumulative bundle (landmark joins)."""
-        self._rows = {key[0]: {key[1]: bundle}}
-        self._unsorted = False
+        left, right = key
+        self._index = _TagTable(
+            np.array([left], dtype=np.int64), np.array([right], dtype=np.int64)
+        )
+        self._flows = {
+            name: _TagTable(
+                np.full(len(bat), left, dtype=np.int64),
+                np.full(len(bat), right, dtype=np.int64),
+                bat,
+            )
+            for name, bat in bundle.items()
+        }
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        return len(self._index)
 
     def snapshot_state(self) -> dict:
-        """Serializable image of the live pair bundles."""
+        """Serializable image: the live pairs' bundles (:meth:`live`)."""
         return {
             "bundles": [
-                [left, right, dict(bundle)]
-                for (left, right), bundle in self.live()
+                [left, right, bundle] for (left, right), bundle in self.live()
             ]
         }
 
     def restore_state(self, state: dict) -> None:
-        self._rows = {}
-        self._unsorted = False
-        for left, right, bundle in state["bundles"]:
-            self.add(int(left), int(right), bundle)
+        self._index = _TagTable()
+        self._flows = {}
+        entries = state["bundles"]
+        if not entries:
+            return
+        lefts = np.array([int(left) for left, __, __ in entries], dtype=np.int64)
+        rights = np.array([int(right) for __, right, __ in entries], dtype=np.int64)
+        self._index.insert(lefts, rights)
+        for name, like in entries[0][2].items():
+            bats = [bundle[name] for __, __, bundle in entries]
+            sizes = [len(bat) for bat in bats]
+            self._flow(name, like).insert(
+                np.repeat(lefts, sizes),
+                np.repeat(rights, sizes),
+                np.concatenate([bat.tail for bat in bats]),
+            )
 
 
 # ----------------------------------------------------------------------

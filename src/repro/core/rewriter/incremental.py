@@ -111,7 +111,7 @@ class IncrementalPlan:
 
     @property
     def pair_aliases(self) -> tuple[str, str]:
-        """(left, right) sides of a join's pair bundles: the streams in
+        """(left, right) sides of a join's seq-tag pairs: the streams in
         FROM order, a base table always on the right."""
         sides = list(self.stream_aliases)
         if self.table_alias is not None:

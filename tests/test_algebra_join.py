@@ -1,13 +1,23 @@
 """Unit and property tests for join operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import TypeMismatchError
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
-from repro.kernel.algebra.join import antijoin, join, semijoin
+from repro.kernel.algebra.join import (
+    _counting_match,
+    _dense_ints,
+    _match_pairs,
+    _sorted_match,
+    antijoin,
+    join,
+    semijoin,
+)
 
 from conftest import int_bat, str_bat
 
@@ -91,6 +101,96 @@ class TestEquiJoin:
             if lv == rv
         ]
         assert list(zip(lo.to_list(), ro.to_list())) == expected
+
+
+#: Key bases per dtype: negative keys, keys at ±2**62 and uint64 keys
+#: beyond the int64 range.
+DENSE_BASES = {
+    np.int64: [-(2**62), -40, 0, 2**62 - 100],
+    np.uint64: [0, 2**63 + 5, 2**64 - 100],
+}
+
+
+@st.composite
+def dense_sides(draw):
+    """Two same-dtype key columns over narrow value ranges, the right one
+    shifted against the left (by more than the width: disjoint)."""
+    dtype = draw(st.sampled_from(sorted(DENSE_BASES, key=str)))
+    base = draw(st.sampled_from(DENSE_BASES[dtype]))
+    width = draw(st.integers(1, 12))
+    shift = draw(st.integers(0, 2 * width))
+    offsets = st.lists(st.integers(0, width - 1), min_size=1, max_size=60)
+    sides = [
+        np.array([base + offset for offset in draw(offsets)], dtype=dtype),
+        np.array([base + shift + offset for offset in draw(offsets)], dtype=dtype),
+    ]
+    if draw(st.booleans()):
+        sides.reverse()
+    return sides
+
+
+class TestCountingMatch:
+    @given(dense_sides())
+    @example([np.full(30, 7), np.full(40, 7)])  # one key: quadratic output
+    @example([np.array([3]), np.arange(20) % 5])  # a 1-row side
+    @example([np.arange(10), np.arange(10) + 10])  # empty intersection
+    @example([np.array([-5, -3, -3]), np.array([-3, -4, -3, -5])])
+    def test_equals_the_sorted_match_in_order(self, sides):
+        left, right = sides
+        expected = _sorted_match(left, right)
+        for got in (_counting_match(left, right), _match_pairs(left, right)):
+            assert got[0].tolist() == expected[0].tolist()
+            assert got[1].tolist() == expected[1].tolist()
+
+    def test_span_beyond_16_bits(self):
+        left = np.arange(70_000, dtype=np.int64) % 68_000
+        right = np.arange(70_000, dtype=np.int64)[::-1]
+        assert _dense_ints(left, right)
+        got, expected = _counting_match(left, right), _sorted_match(left, right)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("gap", [2**20, 2**62])
+    def test_far_apart_sides_allocate_no_table_over_the_gap(self, gap):
+        left = np.arange(100, dtype=np.int64)
+        right = left[::-1] + gap
+        assert _dense_ints(left, right)
+        tracemalloc.start()
+        try:
+            lo, ro = join(BAT(left, Atom.INT), BAT(right, Atom.INT))
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lo) == len(ro) == 0
+        assert peak < 1 << 20
+
+    def test_dense_keys_are_never_binary_searched(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense keys went through np.searchsorted")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        lo, ro = join(int_bat([3, 1, 2, 3]), int_bat([3, 3, 2, 0]))
+        assert list(zip(lo.to_list(), ro.to_list())) == [
+            (0, 0), (0, 1), (2, 2), (3, 0), (3, 1)
+        ]
+
+    def test_only_right_rows_whose_key_the_left_has_are_sorted(self, monkeypatch):
+        sorted_lengths = []
+        argsort = np.argsort
+
+        def spy(values, *args, **kwargs):
+            sorted_lengths.append(len(values))
+            return argsort(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        right = np.arange(1000, dtype=np.int64) % 500
+        # The left keys span the right's whole range, so only narrowing
+        # by key — not the shared range — leaves 6 of 1 000 right rows.
+        lo, ro = join(int_bat([499, 5, 0]), BAT(right, Atom.INT))
+        assert list(zip(lo.to_list(), ro.to_list())) == [
+            (0, 499), (0, 999), (1, 5), (1, 505), (2, 0), (2, 500)
+        ]
+        assert sorted_lengths == [6]
 
 
 class TestSemiAntiJoin:

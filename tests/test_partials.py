@@ -1,5 +1,6 @@
 """Unit tests for partial-result stores (the transition machinery)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -165,33 +166,193 @@ class TestMergeTree:
             assert twin.cover(span_fold) == store.cover(span_fold)
 
 
+def add_pair(store, left, right, value):
+    """A join run of the single pair (left, right) yielding one row."""
+    store.add(
+        [left], [right], bundle(value), np.array([left]), np.array([right]), dict
+    )
+
+
 class TestPairStore:
     def test_expire_either_side(self):
         store = PairStore(left_capacity=2, right_capacity=2)
         for left in range(3):
             for right in range(3):
-                store.add(left, right, bundle(left * 10 + right))
+                add_pair(store, left, right, left * 10 + right)
         store.expire(newest_left=2, newest_right=2)
         live_keys = [key for key, __ in store.live()]
         assert live_keys == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert store.table()["flow"].to_list() == [11, 12, 21, 22]
 
     def test_unbounded_side_never_expires(self):
         store = PairStore(left_capacity=2, right_capacity=0)
-        store.add(0, 0, bundle(0))
-        store.add(5, 0, bundle(1))
+        add_pair(store, 0, 0, 0)
+        add_pair(store, 5, 0, 1)
         store.expire(newest_left=5, newest_right=0)
         assert [key for key, __ in store.live()] == [(5, 0)]
 
     def test_live_sorted(self):
         store = PairStore(left_capacity=0, right_capacity=0)
-        store.add(1, 0, bundle(0))
-        store.add(0, 1, bundle(1))
+        add_pair(store, 1, 0, 0)
+        add_pair(store, 0, 1, 1)
         assert [key for key, __ in store.live()] == [(0, 1), (1, 0)]
+        assert store.table()["flow"].to_list() == [1, 0]
 
     def test_replace_all(self):
         store = PairStore(left_capacity=0, right_capacity=0)
-        store.add(0, 0, bundle(1))
-        store.add(0, 1, bundle(2))
+        add_pair(store, 0, 0, 1)
+        add_pair(store, 0, 1, 2)
         store.replace_all(bundle(9), key=(0, 1))
         assert len(store) == 1
         assert store.live()[0][0] == (0, 1)
+
+    def test_a_pair_not_newer_on_the_right_is_refused(self):
+        store = PairStore(left_capacity=0, right_capacity=0)
+        add_pair(store, 0, 5, 0)
+        for right in (5, 3):
+            with pytest.raises(SchedulerError):
+                add_pair(store, 0, right, 1)
+        add_pair(store, 1, 3, 1)  # another left seq's block
+
+
+class PairModel:
+    """The per-pair store the tagged table replaced: a dict of dicts of
+    bundles, read in (left, right) order."""
+
+    def __init__(self, left_capacity, right_capacity):
+        self.left_capacity = left_capacity
+        self.right_capacity = right_capacity
+        self.rows = {}
+
+    def add(self, left, right, bundle):
+        self.rows.setdefault(left, {})[right] = bundle
+
+    def expire(self, newest_left, newest_right):
+        self.rows = {
+            left: {
+                right: bundle
+                for right, bundle in row.items()
+                if not self.right_capacity
+                or right > newest_right - self.right_capacity
+            }
+            for left, row in self.rows.items()
+            if not self.left_capacity or left > newest_left - self.left_capacity
+        }
+        self.rows = {left: row for left, row in self.rows.items() if row}
+
+    def live(self):
+        return [
+            ((left, right), self.rows[left][right])
+            for left in sorted(self.rows)
+            for right in sorted(self.rows[left])
+        ]
+
+    def column(self, name):
+        return [value for __, bundle in self.live() for value in bundle[name]]
+
+    def replace_all(self, key):
+        merged = {name: self.column(name) for name in ("v", "n")}
+        self.rows = {key[0]: {key[1]: merged}}
+
+
+def table_bundle(values):
+    return {
+        "v": BAT.from_values(values["v"], Atom.FLT),
+        "n": BAT.from_values(values["n"], Atom.INT),
+    }
+
+
+#: A pair without joined rows: no ``v`` row, a 0 in ``n`` (a count).
+EMPTY_PAIR = {"v": [], "n": [0]}
+
+
+def assert_store_matches(store, model):
+    assert len(store) == sum(len(row) for row in model.rows.values())
+    table = store.table()
+    for name in ("v", "n"):
+        assert table[name].to_list() == model.column(name), name
+    live = [
+        (key, {name: bat.to_list() for name, bat in bundle.items()})
+        for key, bundle in store.live()
+    ]
+    assert live == [(key, dict(bundle)) for key, bundle in model.live()]
+
+
+class TestPairTableProperty:
+    @given(
+        left_capacity=st.integers(0, 3),
+        right_capacity=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_table_is_the_per_pair_model_concatenated(
+        self, left_capacity, right_capacity, data
+    ):
+        """Random slides of bilinear delta runs — new left × live right,
+        older left × new right, with unequal per-pair row counts, empty
+        pairs, expiry on either side, landmark sides and compaction
+        followed by out-of-order adds: each flow's table is the model's
+        row-major concatenation, and ``live``/``len``/snapshot agree."""
+        store = PairStore(left_capacity, right_capacity)
+        model = PairModel(left_capacity, right_capacity)
+        seqs = {"left": [], "right": []}
+        capacity = {"left": left_capacity, "right": right_capacity}
+        value = 0
+
+        def new_seqs(side, count):
+            start = seqs[side][-1] + 1 if seqs[side] else 0
+            fresh = list(range(start, start + count))
+            seqs[side] = seqs[side] + fresh
+            if capacity[side]:
+                seqs[side] = seqs[side][-capacity[side]:]
+            return fresh
+
+        def run(lefts, rights):
+            nonlocal value
+            grid = [(left, right) for left in lefts for right in rights]
+            rows = data.draw(
+                st.lists(st.sampled_from(grid), max_size=3 * len(grid)), "rows"
+            )
+            rows = data.draw(st.permutations(rows), "order")
+            values = {"v": [], "n": []}
+            per_pair = {}
+            for pair in rows:
+                value += 1
+                values["v"].append(float(value))
+                values["n"].append(value)
+                got = per_pair.setdefault(pair, {"v": [], "n": []})
+                got["v"].append(float(value))
+                got["n"].append(value)
+            for pair in grid:
+                model.add(*pair, per_pair.get(pair, EMPTY_PAIR))
+            store.add(
+                lefts,
+                rights,
+                table_bundle(values),
+                np.array([left for left, __ in rows], dtype=np.int64),
+                np.array([right for __, right in rows], dtype=np.int64),
+                lambda: table_bundle(EMPTY_PAIR),
+            )
+
+        for step in range(data.draw(st.integers(1, 8), "slides")):
+            first = step == 0
+            new_left = new_seqs("left", data.draw(st.integers(1, 2), "new left"))
+            new_right = new_seqs(
+                "right", data.draw(st.integers(1 if first else 0, 2), "new right")
+            )
+            run(new_left, seqs["right"])
+            older_left = [seq for seq in seqs["left"] if seq < new_left[0]]
+            if new_right and older_left:
+                run(older_left, new_right)
+            store.expire(seqs["left"][-1], seqs["right"][-1])
+            model.expire(seqs["left"][-1], seqs["right"][-1])
+            assert_store_matches(store, model)
+            twin = PairStore(left_capacity, right_capacity)
+            twin.restore_state(store.snapshot_state())
+            assert_store_matches(twin, model)
+            if not (left_capacity or right_capacity) and data.draw(
+                st.booleans(), "compact"
+            ):
+                key = (seqs["left"][-1], seqs["right"][-1])
+                model.replace_all(key)
+                store.replace_all(table_bundle(model.rows[key[0]][key[1]]), key)
+                assert_store_matches(store, model)

@@ -130,7 +130,7 @@ def test_join_fanout_warning_and_pair_bounds():
     assert result.pair_state == Bound(1)
     assert result.join_transient == Bound(8 * 128 * 8)
     [warning] = [d for d in result.report.warnings() if d.code == "join-fanout"]
-    assert "retains 16384 live basic-window pair bundles" in warning.message
+    assert "retains the rows of 16384 live basic-window pairs" in warning.message
     assert "8192 tuples" in warning.message
     assert "re-evaluates" not in warning.message
 
