@@ -34,7 +34,7 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Report,
 )
-from repro.analysis.guards import LOCK_ORDER, GuardModel, harvest_file
+from repro.analysis.guards import LOCK_ORDER, harvest_file
 from repro.analysis.plan_verifier import check_plan, verify_plan
 from repro.analysis.pretty import dump_plan, dump_program
 from repro.analysis.resources import Bound, ResourceReport, analyze_resources
@@ -49,7 +49,6 @@ __all__ = [
     "Bound",
     "ConcurrencyResult",
     "Diagnostic",
-    "GuardModel",
     "Report",
     "ResourceReport",
     "analyze_dataflow",

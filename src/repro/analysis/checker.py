@@ -2,10 +2,9 @@
 
 Runs :mod:`repro.analysis.concurrency` over the engine sources (or any
 paths given on the command line) and renders the findings — guard
-violations, lock-order/cycle errors, engine invariants — with file:line
+violations, lock-order/cycle errors, sleeps under a lock — with file:line
 anchors, or as one JSON document (``--format json``) for CI artifact
-upload.  Exit code 1 on any error-severity finding; warnings (e.g.
-acquisitions of undeclared locks) do not fail the build.
+upload.  Exit code 1 on any error-severity finding.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Optional
-
-from repro.analysis.concurrency import ConcurrencyResult, check_paths
+from repro.analysis.concurrency import check_paths
 
 
 def default_check_path() -> str:
@@ -23,11 +20,6 @@ def default_check_path() -> str:
     import repro
 
     return str(Path(repro.__file__).resolve().parent)
-
-
-def run_check(paths: Optional[list[str]] = None) -> ConcurrencyResult:
-    """Run the concurrency lint over ``paths`` (default: src/repro)."""
-    return check_paths(paths or [default_check_path()])
 
 
 def run_check_cli(argv: list[str], out=None) -> int:
@@ -61,7 +53,7 @@ def run_check_cli(argv: list[str], out=None) -> int:
         if not Path(raw).exists():
             print(f"repro check: {raw!r} does not exist", file=out)
             return 2
-    result = run_check(list(args.paths) or None)
+    result = check_paths(args.paths or [default_check_path()])
     report = result.report
 
     if args.format == "json":

@@ -332,7 +332,10 @@ class Console:
 
     def _stats(self) -> None:
         """Per-stream overload counters + per-factory profiler snapshots."""
-        overload = self.engine.overload_stats()
+        with self.engine.scheduler.scan_boundary():
+            overload = self.engine.overload_stats()
+            spill = self.engine.landmark_spill_stats()
+            factories = self.engine.scheduler.factory_stats()
         if overload:
             self.println("-- streams")
             for stream, stats in overload.items():
@@ -343,7 +346,6 @@ class Console:
                     f"shed={stats['shed']} block_waits={stats['block_waits']} "
                     f"block_timeouts={stats['block_timeouts']}"
                 )
-        spill = self.engine.landmark_spill_stats()
         if spill:
             self.println("-- landmark spill")
             for name, stats in spill.items():
@@ -353,7 +355,6 @@ class Console:
                     f"runs={stats['runs']} spills={stats['spills']} "
                     f"pageins={stats['pageins']}"
                 )
-        factories = self.engine.scheduler.factory_stats()
         if factories:
             self.println("-- factories")
             for name, snapshot in factories.items():

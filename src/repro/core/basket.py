@@ -24,9 +24,9 @@ backpressure, shed from either end, sample, or fail loudly.  The decision
 is taken once per batch for every reader; a ``ShedOldest`` eviction moves
 each cursor it overtakes up to the new head and counts that cursor's loss.
 Shed and blocked counts are kept on the basket (``shed_total``,
-``block_waits``, ``block_timeouts``) and mirrored into an attached
-:class:`~repro.kernel.execution.profiler.Profiler` so overload shows up in
-the same counter channel as firings and cache hits.  docs/OPERATIONS.md is
+``block_waits``, ``block_timeouts``), under its lock; the engine adds them
+to its profiler counters at read time, so overload shows up in the same
+counter channel as firings and cache hits.  docs/OPERATIONS.md is
 the operator-facing guide; DESIGN.md §7 gives the correctness argument for
 shedding under the incremental merge.
 
@@ -52,12 +52,6 @@ from repro.core.windows import TS_COLUMN
 from repro.errors import BasketError, BasketOverflowError
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT, BATBuilder
-from repro.kernel.execution.profiler import (
-    COUNTER_BLOCK_TIMEOUTS,
-    COUNTER_BLOCK_WAITS,
-    COUNTER_SHED,
-    Profiler,
-)
 from repro.kernel.storage import Schema
 
 
@@ -219,7 +213,6 @@ class Basket(_Reader):
         )
         self._not_full = threading.Condition(self._lock)
         self._abort_reason: Optional[str] = None  # guarded-by: _lock
-        self._profiler: Optional[Profiler] = None  # guarded-by: _lock
         # Ingest→emit latency tracking (observability): per-batch arrival
         # stamps as (absolute end offset, perf_counter).  Bounded so a
         # reader that never takes its marks stays O(1) memory.
@@ -302,13 +295,6 @@ class Basket(_Reader):
     def overflow_policy(self) -> Optional[OverflowPolicy]:
         return self._policy
 
-    def attach_profiler(self, profiler: Profiler) -> None:
-        """Mirror overflow counters (shed, block waits/timeouts) into
-        ``profiler`` — the engine wires the scheduler's global profiler
-        here so overload surfaces next to firings and cache stats."""
-        with self._lock:
-            self._profiler = profiler
-
     # ------------------------------------------------------------------
     # arrival stamping (ingest→emit latency, observability layer)
     # ------------------------------------------------------------------
@@ -352,10 +338,6 @@ class Basket(_Reader):
                 "block_timeouts": self.block_timeouts,
             }
 
-    def _count(self, counter: str, amount: int = 1) -> None:  # guarded-by: self._lock
-        if self._profiler is not None:
-            self._profiler.count(counter, amount)
-
     def _admit(self, incoming: int) -> Keep:  # guarded-by: self._lock
         """Make room for ``incoming`` tuples; returns the admitted subset.
 
@@ -384,9 +366,7 @@ class Basket(_Reader):
             for cursor in self._cursors:
                 shed += max(0, head - cursor.position) + rejected
                 cursor.position = max(cursor.position, head)
-        if shed:
-            self.shed_total += shed
-            self._count(COUNTER_SHED, shed)
+        self.shed_total += shed
         return admission.keep
 
     def _wait_for_room(self, incoming: int, timeout: Optional[float]) -> Keep:  # guarded-by: self._lock
@@ -399,7 +379,6 @@ class Basket(_Reader):
                 room=capacity - len(self),
             )
         self.block_waits += 1
-        self._count(COUNTER_BLOCK_WAITS)
         deadline = None if timeout is None else time.monotonic() + timeout
         while capacity - len(self) < incoming:
             if self._abort_reason is not None:
@@ -411,7 +390,6 @@ class Basket(_Reader):
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 self.block_timeouts += 1
-                self._count(COUNTER_BLOCK_TIMEOUTS)
                 raise BasketOverflowError(
                     f"basket {self.name!r}: timed out after {timeout:g}s "
                     f"waiting for room ({incoming} tuples, "

@@ -69,7 +69,6 @@ from repro.kernel.execution.profiler import (
     COUNTER_CHECKPOINTS,
     COUNTER_JOURNAL_BYTES,
     COUNTER_JOURNAL_RECORDS,
-    Profiler,
 )
 
 
@@ -431,14 +430,13 @@ class DurabilityManager:
     state-changing engine calls hold it around journal-append plus the
     in-memory mutation, and :meth:`write_checkpoint` holds it across
     snapshot + manifest commit, which is what makes the pair
-    ``(horizon, snapshot)`` consistent.
+    ``(horizon, snapshot)`` consistent.  The journal and checkpoint
+    counters live here too, written under the lock; :meth:`counters`
+    copies them without it (a dict copy is atomic under the GIL), so a
+    metrics reader never waits for a checkpoint.
     """
 
-    def __init__(
-        self,
-        data_dir: str,
-        profiler: Optional[Profiler] = None,
-    ) -> None:
+    def __init__(self, data_dir: str) -> None:
         self.data_dir = data_dir
         os.makedirs(os.path.join(data_dir, SEGMENT_DIR), exist_ok=True)
         os.makedirs(os.path.join(data_dir, SNAPSHOT_DIR), exist_ok=True)
@@ -447,7 +445,12 @@ class DurabilityManager:
         #: Test seam: called at every HOOK_* point (may raise to simulate
         #: a crash at exactly that durability state).
         self.fault_hook: Optional[FaultHook] = None
-        self._profiler = profiler
+        # Written under lock, read lock-free by counters().
+        self._counters = dict.fromkeys(
+            (COUNTER_JOURNAL_RECORDS, COUNTER_JOURNAL_BYTES,
+             COUNTER_CHECKPOINTS, COUNTER_CHECKPOINT_BYTES),
+            0,
+        )
         self._seq = 0  # guarded-by: lock — last assigned record seq
         self._segment_index = 0  # guarded-by: lock
         self._snapshot_id = 0  # guarded-by: lock
@@ -475,11 +478,6 @@ class DurabilityManager:
                     except OSError:  # pragma: no cover - defensive
                         pass
 
-    def attach_profiler(self, profiler: Profiler) -> None:
-        """Late profiler binding (the restore path constructs the engine
-        after the manager)."""
-        self._profiler = profiler
-
     @property
     def seq(self) -> int:
         with self.lock:
@@ -504,9 +502,12 @@ class DurabilityManager:
         if hook is not None:
             hook(point)
 
-    def _count(self, name: str, value: int = 1) -> None:
-        if self._profiler is not None:
-            self._profiler.count(name, value)
+    def _count(self, name: str, value: int = 1) -> None:  # guarded-by: lock
+        self._counters[name] += value
+
+    def counters(self) -> dict[str, int]:
+        """Journal records/bytes and checkpoints/bytes written so far."""
+        return dict(self._counters)
 
     # -- journaling -----------------------------------------------------
     @contextmanager

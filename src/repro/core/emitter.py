@@ -22,6 +22,10 @@ implementations cover the delivery spectrum:
 A sink is just a callable ``(factory_name, batch) -> None``; the scheduler
 treats a raised exception as a firing failure, which is exactly why
 external deliveries should go through :class:`RetryingEmitter`.
+
+Sinks run on the firing thread, one batch at a time, so an emitter's own
+state needs no lock; only :class:`CollectingEmitter` keeps one, because
+``results()`` readers on other threads take its batches.
 """
 
 from __future__ import annotations
@@ -129,32 +133,30 @@ class CsvEmitter:
     The symmetric counterpart of the CSV ingestion path: result windows
     stream out to a file a downstream client can tail.  Each row is
     prefixed with the window index so clients can segment windows.
-    Thread-safe; remember to :meth:`close` (or use as a context manager).
+    Remember to :meth:`close` (or use as a context manager) once the
+    engine has stopped firing.
     """
 
     def __init__(self, path, write_header: bool = True) -> None:
-        self._lock = threading.Lock()
         self._file = open(path, "w")
         self._write_header = write_header
-        self._header_written = False  # guarded-by: _lock
-        self.rows_written = 0  # guarded-by: _lock
+        self._header_written = False
+        self.rows_written = 0
 
     def __call__(self, factory_name: str, batch: ResultBatch) -> None:
-        with self._lock:
-            if self._write_header and not self._header_written:
-                self._file.write(",".join(["window"] + batch.names) + "\n")
-                self._header_written = True
-            for row in batch.rows():
-                self._file.write(
-                    ",".join([str(batch.window_index)] + [str(v) for v in row])
-                )
-                self._file.write("\n")
-                self.rows_written += 1
-            self._file.flush()
+        if self._write_header and not self._header_written:
+            self._file.write(",".join(["window"] + batch.names) + "\n")
+            self._header_written = True
+        for row in batch.rows():
+            self._file.write(
+                ",".join([str(batch.window_index)] + [str(v) for v in row])
+            )
+            self._file.write("\n")
+            self.rows_written += 1
+        self._file.flush()
 
     def close(self) -> None:
-        with self._lock:
-            self._file.close()
+        self._file.close()
 
     def __enter__(self) -> "CsvEmitter":
         return self
@@ -194,10 +196,9 @@ class RetryingEmitter:
             dead_letter if dead_letter is not None else CollectingEmitter()
         )
         self._profiler = profiler
-        self._lock = threading.Lock()
-        self.retries = 0  # guarded-by: _lock
-        self.dead_lettered = 0  # guarded-by: _lock
-        self.last_error: Optional[BaseException] = None  # guarded-by: _lock
+        self.retries = 0
+        self.dead_lettered = 0
+        self.last_error: Optional[BaseException] = None
 
     def __call__(self, factory_name: str, batch: ResultBatch) -> None:
         delay = self.backoff
@@ -209,15 +210,13 @@ class RetryingEmitter:
             except Exception as exc:
                 error = exc
                 if attempt < self.max_retries:
-                    with self._lock:
-                        self.retries += 1
+                    self.retries += 1
                     if self._profiler is not None:
                         self._profiler.count(COUNTER_EMIT_RETRIES)
                     time.sleep(delay)
                     delay *= 2
-        with self._lock:
-            self.dead_lettered += 1
-            self.last_error = error
+        self.dead_lettered += 1
+        self.last_error = error
         if self._profiler is not None:
             self._profiler.count(COUNTER_DEAD_LETTERS)
         self._dead_letter(factory_name, batch)

@@ -29,6 +29,7 @@ import os
 import shutil
 import tempfile
 import threading
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -74,8 +75,12 @@ from repro.kernel.bat import BAT
 from repro.kernel.execution.backends import BACKENDS
 from repro.kernel.execution.interpreter import Interpreter
 from repro.kernel.execution.profiler import (
+    COUNTER_BLOCK_TIMEOUTS,
+    COUNTER_BLOCK_WAITS,
     COUNTER_RECOVERY_SUPPRESSED,
     COUNTER_REPLAYED_RECORDS,
+    COUNTER_SHED,
+    Profiler,
 )
 from repro.kernel.storage import Catalog, Schema, Table
 from repro.obs import Observability, collect_metrics, render_json, render_prometheus
@@ -294,6 +299,9 @@ class DataCellEngine:
             str, tuple[Optional[int], Optional[OverflowPolicy]]
         ] = {}
         self._query_counter = 0
+        # Receptors built by receptor(): each counts its own ingest
+        # retries/drops, summed into `profiler` at read time.
+        self._receptors: list[Receptor] = []
         self._interp = Interpreter()
         #: Sharded execution (DESIGN.md §14): ``partitions > 1`` spawns
         #: one worker process per partition *eagerly* (before any scheduler
@@ -332,20 +340,46 @@ class DataCellEngine:
                     f"data dir {data_dir!r} already holds a journal or "
                     "snapshot; recover it with DataCellEngine.restore()"
                 )
-            self._dur = DurabilityManager(data_dir, profiler=self.profiler)
+            self._dur = DurabilityManager(data_dir)
             # The journal's first record carries the engine shape, so a
             # never-checkpointed dir can still be restored from seq 0.
             self._dur.journal("meta", self._meta())
 
     @property
-    def profiler(self):
-        """The engine-wide profiler (timings + overload counters).
+    def profiler(self) -> Profiler:
+        """A copy of the engine-wide profile (timings + counters).
 
-        Basket shed/blocked counts, receptor retries/drops, and factory
-        firings all land here; ``engine.profiler.counter("overflow_shed")``
-        is the number the acceptance tests and docs/OPERATIONS.md quote.
+        The firing thread's profiler (firings, cache hits/misses, plan
+        timings), copied at a scan boundary, plus the counters producers
+        keep where their writes are already serialized: each stream's
+        basket (``overflow_*``), each receptor (``ingest_*``) and the
+        durability manager (``journal_*``, ``checkpoint*``).
+        ``engine.profiler.counter("overflow_shed")`` is the number the
+        acceptance tests and docs/OPERATIONS.md quote.  Read-only: count
+        into ``scheduler.profiler`` on the firing thread instead.
         """
-        return self.scheduler.profiler
+        with self.scheduler.scan_boundary():
+            profile = Profiler()
+            profile.merge_from(self.scheduler.profiler)
+        for name, value in self._producer_counters().items():
+            if value:
+                profile.count(name, value)
+        return profile
+
+    def _producer_counters(self) -> Counter:
+        """Counters written outside the firing thread, summed now."""
+        totals: Counter = Counter()
+        for log in self._logs.values():
+            stats = log.overflow_stats()
+            totals[COUNTER_SHED] += stats["shed"]
+            totals[COUNTER_BLOCK_WAITS] += stats["block_waits"]
+            totals[COUNTER_BLOCK_TIMEOUTS] += stats["block_timeouts"]
+        for receptor in self._receptors:
+            # dict(): one atomic copy of a dict the receptor thread writes.
+            totals.update(dict(receptor.profiler.counters))
+        if self._dur is not None:
+            totals.update(self._dur.counters())
+        return totals
 
     def _meta(self) -> dict:
         """The constructor shape a restore must reproduce."""
@@ -434,7 +468,6 @@ class DataCellEngine:
             overflow=overflow.clone() if overflow is not None else None,
         )
         self.catalog.create_stream(name, schema)
-        log.attach_profiler(self.scheduler.profiler)
         if self.obs is not None:
             log.enable_arrival_tracking()
         self._logs[name] = log
@@ -602,7 +635,7 @@ class DataCellEngine:
                         self._spill_dir_for(query_name),
                         int(self.landmark_spill_mb * 1024 * 1024),
                         fault_hook=self._fault_hook,
-                        profiler=self.profiler,
+                        profiler=self.scheduler.profiler,
                     )
                 if self.fragment_sharing and plan.fragment is not None:
                     self._enable_sharing(factory, plan)
@@ -892,8 +925,8 @@ class DataCellEngine:
         whole stream (a ``Fail`` policy raises
         :class:`~repro.errors.BasketOverflowError` before any query sees
         a tuple, ``Block`` waits for the slowest query).  Shedding is
-        accounted on the basket and the engine profiler, not in the
-        return value.  This is the one write-ahead point for stream
+        counted on the basket (and read through the engine profiler), not
+        in the return value.  This is the one write-ahead point for stream
         input: receptors feed through it too.
         """
         if stream not in self._logs:
@@ -1088,11 +1121,9 @@ class DataCellEngine:
                 "receptors are not supported on partitioned streams; "
                 "feed() the coordinator instead"
             )
-        return Receptor(
-            _StreamFeed(self, stream),
-            max_retries=3,
-            profiler=self.scheduler.profiler,
-        )
+        receptor = Receptor(_StreamFeed(self, stream), max_retries=3)
+        self._receptors.append(receptor)
+        return receptor
 
     def run_until_idle(self) -> int:
         """Fire all ready factories until quiescence; returns firings.
@@ -1107,13 +1138,17 @@ class DataCellEngine:
         if self._shards is not None:
             with self._shard_pump_lock:
                 fired += self._shards.run()
-                for p, batches in enumerate(self._shards.collect()):
-                    for qname, window_index, resp, cols in batches:
-                        handle = self._pqueries.get(qname)
-                        if handle is not None:
-                            handle.offer(p, window_index, resp, cols)
-                for handle in self._pqueries.values():
-                    handle.drain(self._interp, self.profiler)
+                collected = self._shards.collect()
+                # The merge writes the scheduler's profiler: run it between
+                # scans, so one thread at a time writes it.
+                with self.scheduler.quiesced():
+                    for p, batches in enumerate(collected):
+                        for qname, window_index, resp, cols in batches:
+                            handle = self._pqueries.get(qname)
+                            if handle is not None:
+                                handle.offer(p, window_index, resp, cols)
+                    for handle in self._pqueries.values():
+                        handle.drain(self._interp, self.scheduler.profiler)
         return fired
 
     def overload_stats(self) -> dict[str, dict[str, int]]:
@@ -1259,7 +1294,7 @@ class DataCellEngine:
                 last_seq = max(last_seq, seq)
                 replayed += 1
             if replayed:
-                engine.profiler.count(COUNTER_REPLAYED_RECORDS, replayed)
+                engine.scheduler.profiler.count(COUNTER_REPLAYED_RECORDS, replayed)
         engine._prune_spill_dirs()
         dur.resume(last_seq)
         return engine
@@ -1267,7 +1302,6 @@ class DataCellEngine:
     def _adopt_durability(self, dur: DurabilityManager) -> None:
         """Bind a loaded manager to this engine (restore path)."""
         self._dur = dur
-        dur.attach_profiler(self.profiler)
 
     def abandon(self) -> None:
         """Die without cleanup — the crash-test path.
@@ -1519,7 +1553,7 @@ class DataCellEngine:
         def wrap(sink):
             def dedup(name: str, batch: ResultBatch) -> None:
                 if batch.window_index <= watermark:
-                    self.profiler.count(COUNTER_RECOVERY_SUPPRESSED)
+                    self.scheduler.profiler.count(COUNTER_RECOVERY_SUPPRESSED)
                     return
                 sink(name, batch)
 

@@ -33,14 +33,12 @@ and expiry needs no special casing under load shedding.
 
 Thread-safety: ``PartialStore`` is confined to its owning factory (the
 scheduler's scan lock serializes steps); ``FragmentCache`` is shared
-engine-wide but only ever computed into by the one firing thread — its
-single lock guards the index and counters against ``stats()`` readers
-(lock order in DESIGN.md §6).
+engine-wide but only ever computed into by the one firing thread, so
+neither takes a lock (single-writer table in DESIGN.md §6).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Optional
@@ -498,9 +496,9 @@ class FragmentCache:
     """Cross-query cache of per-basic-window fragment bundles.
 
     Lives in the engine.  Only the firing thread looks bundles up and
-    computes them (the scheduler fires one factory at a time), so a miss
-    needs no compute lock; ``_lock`` keeps the index and counters coherent
-    for ``stats()`` / checkpoint readers on other threads.  Expiry mirrors
+    computes them (the scheduler fires one factory at a time), so it needs
+    no lock: ``register`` runs at submit, checkpoints between firings, and
+    ``stats()`` readers copy.  Expiry mirrors
     :class:`PartialStore`'s seq discipline: spans are produced in
     nondecreasing start order, so each group keeps its most recent
     ``capacity`` entries by insertion order (``capacity`` is the largest
@@ -509,21 +507,19 @@ class FragmentCache:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._groups: dict[ShareKey, _FragmentGroup] = {}  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
+        self._groups: dict[ShareKey, _FragmentGroup] = {}
+        self.hits = 0
+        self.misses = 0
 
     def register(self, key: ShareKey, capacity: int) -> None:
         """Declare interest in a share key, widening its ring if needed."""
         if capacity < 1:
             raise SchedulerError(f"fragment cache capacity must be >= 1, got {capacity}")
-        with self._lock:
-            group = self._groups.get(key)
-            if group is None:
-                self._groups[key] = _FragmentGroup(capacity)
-            else:
-                group.capacity = max(group.capacity, capacity)
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = _FragmentGroup(capacity)
+        else:
+            group.capacity = max(group.capacity, capacity)
 
     def get_or_compute(
         self,
@@ -537,51 +533,44 @@ class FragmentCache:
         Bundles are immutable by convention (dict of immutable BATs), so
         the returned object is shared between all callers.
         """
-        with self._lock:
-            try:
-                group = self._groups[key]
-            except KeyError:
-                raise SchedulerError(f"share key {key!r} was never registered") from None
-            bundle = group.bundles.get(span)
-            if bundle is not None:
-                return self._hit(span, bundle, profiler)
-        # Outside the lock: compute() runs kernel programs and may raise,
-        # in which case nothing was recorded and a retry is a plain miss.
+        try:
+            group = self._groups[key]
+        except KeyError:
+            raise SchedulerError(f"share key {key!r} was never registered") from None
+        bundle = group.bundles.get(span)
+        if bundle is not None:
+            self.hits += 1
+            if profiler is not None:
+                profiler.count(COUNTER_CACHE_HITS)
+            return bundle
+        # A compute() that raises records nothing: a retry is a plain miss.
         bundle = compute()
-        with self._lock:
-            group.bundles[span] = bundle
-            while len(group.bundles) > group.capacity:
-                group.bundles.popitem(last=False)
-            self.misses += 1
+        group.bundles[span] = bundle
+        while len(group.bundles) > group.capacity:
+            group.bundles.popitem(last=False)
+        self.misses += 1
         if profiler is not None:
             profiler.count(COUNTER_CACHE_MISSES)
         return bundle
 
-    def _hit(self, span: Span, bundle: Bundle, profiler: Optional[Profiler]) -> Bundle:  # guarded-by: self._lock
-        self.hits += 1
-        if profiler is not None:
-            profiler.count(COUNTER_CACHE_HITS)
-        return bundle
-
     def stats(self) -> dict[str, float]:
         """Totals for benchmark reporting."""
-        with self._lock:
-            entries = sum(len(g.bundles) for g in self._groups.values())
-            lookups = self.hits + self.misses
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hits / lookups if lookups else 0.0,
-                "entries": entries,
-                "groups": len(self._groups),
-            }
+        hits, misses = self.hits, self.misses
+        groups = list(self._groups.values())
+        lookups = hits + misses
+        return {
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / lookups if lookups else 0.0,
+            "entries": sum(len(g.bundles) for g in groups),
+            "groups": len(groups),
+        }
 
     def clear(self) -> None:
-        with self._lock:
-            for group in self._groups.values():
-                group.bundles.clear()
-            self.hits = 0
-            self.misses = 0
+        for group in self._groups.values():
+            group.bundles.clear()
+        self.hits = 0
+        self.misses = 0
 
     def snapshot_state(self) -> dict:
         """Serializable image of every group's entries and the counters.
@@ -590,29 +579,25 @@ class FragmentCache:
         tuples of JSON scalars, so they round-trip as lists; spans
         likewise.
         """
-        with self._lock:
-            groups = []
-            for key, group in self._groups.items():
-                groups.append(
-                    {
-                        "key": list(key),
-                        "capacity": group.capacity,
-                        "bundles": [
-                            [list(span), dict(bundle)]
-                            for span, bundle in group.bundles.items()
-                        ],
-                    }
-                )
-            return {"groups": groups, "hits": self.hits, "misses": self.misses}
+        groups = [
+            {
+                "key": list(key),
+                "capacity": group.capacity,
+                "bundles": [
+                    [list(span), dict(bundle)] for span, bundle in group.bundles.items()
+                ],
+            }
+            for key, group in self._groups.items()
+        ]
+        return {"groups": groups, "hits": self.hits, "misses": self.misses}
 
     def restore_state(self, state: dict) -> None:
         """Adopt a snapshot's entries (replacing any current contents)."""
-        with self._lock:
-            self._groups.clear()
-            for entry in state["groups"]:
-                group = _FragmentGroup(entry["capacity"])
-                for span, bundle in entry["bundles"]:
-                    group.bundles[tuple(span)] = bundle
-                self._groups[tuple(entry["key"])] = group
-            self.hits = state["hits"]
-            self.misses = state["misses"]
+        self._groups.clear()
+        for entry in state["groups"]:
+            group = _FragmentGroup(entry["capacity"])
+            for span, bundle in entry["bundles"]:
+                group.bundles[tuple(span)] = bundle
+            self._groups[tuple(entry["key"])] = group
+        self.hits = state["hits"]
+        self.misses = state["misses"]

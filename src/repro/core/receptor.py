@@ -23,11 +23,13 @@ starting at ``backoff`` seconds):
   the ``ingest_dropped`` profiler counter) and keeps consuming — a stalled
   engine degrades into load shedding instead of an unbounded thread queue.
 
-Every retry, drop, and delivery is surfaced through the receptor's
-thread-safe :class:`~repro.kernel.execution.profiler.Profiler` (shared
-with the engine's global profiler when built via
-:meth:`DataCellEngine.receptor`), alongside the basket's own shed/blocked
-counters.  docs/OPERATIONS.md shows how to read them together.
+Every retry and drop is counted on the receptor itself (``delivered``,
+``dropped`` and its own :class:`~repro.kernel.execution.profiler.Profiler`'s
+``ingest_retries`` / ``ingest_dropped``), written only by the thread that
+pushes through it; an engine that built the receptor
+(:meth:`DataCellEngine.receptor`) adds those counters to its own at read
+time, beside the basket's shed/blocked counters.  docs/OPERATIONS.md shows
+how to read them together.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ class Receptor:
         batch_size: int = 1024,
         max_retries: int = 0,
         backoff: float = 0.005,
-        profiler: Optional[Profiler] = None,
     ) -> None:
         #: Where batches go: a Basket, or the engine's feed path for a
         #: stream (both expose ``name``, ``append_rows``, ``append_columns``).
@@ -70,7 +71,8 @@ class Receptor:
         self.batch_size = batch_size
         self.max_retries = max_retries
         self.backoff = backoff
-        self.profiler = profiler if profiler is not None else Profiler()
+        #: ``ingest_retries`` / ``ingest_dropped`` of this receptor.
+        self.profiler = Profiler()
         self._thread: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
         #: Tuples delivered to the target through this receptor.

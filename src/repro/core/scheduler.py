@@ -19,8 +19,11 @@ dispatch, so a user thread calling :meth:`run_once` while the background
 loop is scanning waits for that scan instead of firing beside it.  Firing
 order is registration order, always.
 
-Lock order (see DESIGN.md §6): scan lock → basket lock → fragment-cache
-lock.
+The scan lock is also the scheduler's only lock: registrations, the loop
+handle and a captured loop error are edited under it, and everything the
+firing thread writes (profilers, spans, histograms, the fragment cache) is
+single-writer — readers copy it at a *scan boundary*
+(:meth:`Scheduler.scan_boundary`).  Lock order: DESIGN.md §6.
 """
 
 from __future__ import annotations
@@ -68,19 +71,19 @@ class Scheduler:
         max_steps_per_scan: int = 1_000_000,
         obs: Optional[Observability] = None,
     ) -> None:
-        self._registrations: dict[str, _Registration] = {}  # guarded-by: _lock
-        self._lock = threading.RLock()
         # Held around a whole scan (every ready()+step()+dispatch of one
-        # run_once) and by quiesced(): whoever holds it is the only thread
-        # firing.  Re-entrant only so that a pump from a sink on the firing
-        # thread reaches the ``_scanning`` test instead of deadlocking.
+        # run_once), by quiesced() and by readers' scan_boundary(): whoever
+        # holds it is the only thread firing.  Re-entrant so that a pump
+        # from a sink on the firing thread reaches the ``_scanning`` test
+        # instead of deadlocking, and so that sink can still read metrics.
         self._scan_lock = threading.RLock()
+        self._registrations: dict[str, _Registration] = {}  # guarded-by: _scan_lock
         self._scanning = False  # guarded-by: _scan_lock
-        self._thread: Optional[threading.Thread] = None  # guarded-by: _lock
+        self._thread: Optional[threading.Thread] = None  # guarded-by: _scan_lock
         self._stop_event = threading.Event()
         self._max_steps_per_scan = max_steps_per_scan
-        self._worker_error: Optional[BaseException] = None  # guarded-by: _lock
-        self._ever_started = False  # guarded-by: _lock
+        self._worker_error: Optional[BaseException] = None  # guarded-by: _scan_lock
+        self._ever_started = False  # guarded-by: _scan_lock
         self.profiler = Profiler()
         #: Tracing sinks (spans, latency histograms); None = tracing off,
         #: in which case the firing path pays a single ``is None`` test.
@@ -88,21 +91,21 @@ class Scheduler:
 
     # -- registration ------------------------------------------------------
     def register(self, factory: FactoryBase, *sinks: ResultSink) -> None:
-        with self._lock:
+        with self._scan_lock:
             if factory.name in self._registrations:
                 raise SchedulerError(f"factory {factory.name!r} already registered")
             self._registrations[factory.name] = _Registration(factory, list(sinks))
 
     def unregister(self, name: str) -> None:
-        with self._lock:
+        with self._scan_lock:
             self._registrations.pop(name, None)
 
     def add_sink(self, name: str, sink: ResultSink) -> None:
-        with self._lock:
+        with self._scan_lock:
             self._registrations[name].sinks.append(sink)
 
     def factories(self) -> list[str]:
-        with self._lock:
+        with self._scan_lock:
             return list(self._registrations)
 
     def factory_stats(self) -> dict[str, dict[str, dict]]:
@@ -112,14 +115,26 @@ class Scheduler:
         "opcodes", "calls", "counters"}``.  Counters include ``firings``
         and, when fragment sharing is active, ``fragment_cache_hits`` /
         ``fragment_cache_misses``; with observability on they also carry
-        ``tuples_consumed`` / ``rows_emitted``.
+        ``tuples_consumed`` / ``rows_emitted``.  One copy, taken at a scan
+        boundary.
         """
-        with self._lock:
-            registrations = dict(self._registrations)
-        return {
-            name: registration.profiler.snapshot()
-            for name, registration in registrations.items()
-        }
+        with self._scan_lock:
+            return {
+                name: registration.profiler.snapshot()
+                for name, registration in self._registrations.items()
+            }
+
+    @contextmanager
+    def scan_boundary(self):
+        """Hold the scan lock while copying what the firing thread writes.
+
+        Nothing fires while the caller holds it, so profilers, spans,
+        histograms and the fragment cache read mutually consistent.  Take
+        it only for the copy.  From a sink on the firing thread it
+        re-enters (the copy then sees the firing in progress).
+        """
+        with self._scan_lock:
+            yield
 
     # -- synchronous driving ------------------------------------------------
     def run_once(self) -> int:
@@ -132,9 +147,8 @@ class Scheduler:
         :class:`SchedulerError`.  A failed firing aborts the scan, counts
         once in the ``worker_errors`` profiler counter and re-raises.
         """
-        with self._lock:
-            registrations = list(self._registrations.values())
         with self._scan_lock:
+            registrations = list(self._registrations.values())
             if self._scanning:
                 raise SchedulerError(
                     "run_once() called from inside a firing (a sink or "
@@ -254,20 +268,19 @@ class Scheduler:
                 try:
                     fired = self.run_once()
                 except Exception as exc:
-                    with self._lock:
+                    with self._scan_lock:
                         self._worker_error = exc
                     return
                 if fired == 0:
                     time.sleep(poll_interval)
 
         thread = threading.Thread(target=loop, name="datacell-scheduler", daemon=True)
-        with self._lock:
+        with self._scan_lock:
             if self._thread is not None:
                 raise SchedulerError("scheduler already running")
             self._ever_started = True
             self._stop_event.clear()
             self._thread = thread
-        # Outside the lock: the loop's first scan takes _lock itself.
         thread.start()
 
     def stop(self, drain: bool = True) -> None:
@@ -294,11 +307,11 @@ class Scheduler:
         of sleeping forever on a scheduler that will never free room.
         """
         self._stop_event.set()
-        with self._lock:
+        with self._scan_lock:
             thread, self._thread = self._thread, None
             ever_started = self._ever_started
-        # Join outside the lock: the loop's scans take _lock themselves,
-        # so joining under it would deadlock.
+        # Join outside the lock: the loop's scans take it themselves, so
+        # joining under it would deadlock.
         joined = False
         if thread is not None:
             thread.join()
@@ -313,7 +326,7 @@ class Scheduler:
 
     def _abort_parked(self, reason: str) -> None:
         """Wake every producer parked on a registered factory's baskets."""
-        with self._lock:
+        with self._scan_lock:
             registrations = list(self._registrations.values())
         for registration in registrations:
             for basket in registration.factory.baskets():
@@ -331,14 +344,14 @@ class Scheduler:
     # -- durability --------------------------------------------------------
     @contextmanager
     def quiesced(self):
-        """Hold the scan lock for a consistent checkpoint snapshot.
+        """Hold the scan lock with no firing in progress.
 
         Blocks until the scan in progress finishes, then keeps every
-        factory parked while the caller gathers state.  ``_lock`` is taken
-        first (declared order: Scheduler._lock → scan lock), which also
-        freezes the registration table for the duration.
+        factory parked while the caller gathers a consistent checkpoint
+        snapshot (or writes firing-thread state, like the shard merge);
+        the registration table is frozen for the duration too.
         """
-        with self._lock, self._scan_lock:
+        with self._scan_lock:
             if self._scanning:
                 raise SchedulerError("quiesced() called from inside a firing")
             yield
@@ -346,7 +359,7 @@ class Scheduler:
     def steps_snapshot(self) -> dict[str, int]:
         """Per-factory firing counts; call inside :meth:`quiesced` (which
         holds the scan lock, the only writer of ``steps``)."""
-        with self._lock:
+        with self._scan_lock:
             return {
                 name: registration.steps
                 for name, registration in self._registrations.items()
@@ -354,10 +367,8 @@ class Scheduler:
 
     def restore_steps(self, name: str, steps: int) -> None:
         """Adopt a snapshot's firing count for one factory (restore path)."""
-        with self._lock:
-            registration = self._registrations[name]
         with self._scan_lock:
-            registration.steps = steps
+            self._registrations[name].steps = steps
 
     def wrap_sinks(self, name: str, wrapper: Callable[[ResultSink], ResultSink]) -> None:
         """Replace each of a factory's sinks with ``wrapper(sink)``.
@@ -365,12 +376,12 @@ class Scheduler:
         The restore path uses this to interpose the duplicate-emission
         filter in front of every emitter after a recovery.
         """
-        with self._lock:
+        with self._scan_lock:
             registration = self._registrations[name]
             registration.sinks = [wrapper(sink) for sink in registration.sinks]
 
     def _raise_worker_error(self) -> None:
-        with self._lock:
+        with self._scan_lock:
             error, self._worker_error = self._worker_error, None
         if error is not None:
             raise error

@@ -20,7 +20,6 @@ alone would.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from typing import Mapping, Optional
 
@@ -99,21 +98,18 @@ class CompiledBackend(ExecutionBackend):
         self._compiler = ProgramCompiler()
         self._interp = interpreter if interpreter is not None else Interpreter()
         self._profile = profile
-        self._lock = threading.Lock()
-        # id(program) -> (program, compiled-or-None, compile-error-or-None)
+        # id(program) -> (program, compiled-or-None, compile-error-or-None);
+        # a factory's backend runs on the firing thread only, so no lock.
         self._cache: dict[
             int, tuple[Program, Optional[CompiledProgram], Optional[Exception]]
-        ] = {}  # guarded-by: _lock
+        ] = {}
 
     def compiled_for(self, program: Program) -> Optional[CompiledProgram]:
         """The memoized compilation of ``program`` (None = fallback)."""
         key = id(program)
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                return entry[1]
-        # Compile outside the lock: compilation execs source and may run
-        # constant folding; concurrent duplicate compiles are benign.
+        entry = self._cache.get(key)
+        if entry is not None:
+            return entry[1]
         error: Optional[Exception] = None
         compiled: Optional[CompiledProgram]
         try:
@@ -135,18 +131,16 @@ class CompiledBackend(ExecutionBackend):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        with self._lock:
-            if len(self._cache) >= _CACHE_CAP:
-                self._cache.clear()
-            self._cache[key] = (program, compiled, error)
+        if len(self._cache) >= _CACHE_CAP:
+            self._cache.clear()
+        self._cache[key] = (program, compiled, error)
         return compiled
 
     def fallback_error(self, program: Program) -> Optional[Exception]:
         """Why ``program`` fell back to the interpreter (None = compiled,
         or never seen)."""
-        with self._lock:
-            entry = self._cache.get(id(program))
-            return entry[2] if entry is not None else None
+        entry = self._cache.get(id(program))
+        return entry[2] if entry is not None else None
 
     def run(
         self,

@@ -10,15 +10,15 @@ Besides timings the profiler carries integer *counters* (factory firings,
 fragment-cache hits/misses, ...) so the scheduler and the shared
 fragment cache can report their behaviour through the same channel.
 
-Thread-safety: the firing thread merges per-firing profilers into shared
-per-factory and global profilers while receptors count retries and metrics
-readers snapshot them, so every mutating or snapshotting method takes the
-instance lock.
+Single writer, no lock: each profiler is written by one thread — the
+firing thread for per-firing, per-factory and scheduler-wide profilers, a
+receptor's pushing thread for its own.  Readers on other threads copy:
+each sub-dict copy is atomic under the GIL, and a copy taken at a scan
+boundary (``Scheduler.scan_boundary``) sees no firing half-merged.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -60,18 +60,15 @@ COUNTER_LANDMARK_PAGEIN_BYTES = "landmark_spill_pagein_bytes"
 class Profiler:
     """Accumulates instruction timings by cost tag and opcode."""
 
-    by_tag: dict[str, float] = field(default_factory=lambda: defaultdict(float))  # guarded-by: _lock
-    by_opcode: dict[str, float] = field(default_factory=lambda: defaultdict(float))  # guarded-by: _lock
-    calls: dict[str, int] = field(default_factory=lambda: defaultdict(int))  # guarded-by: _lock
-    counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))  # guarded-by: _lock
+    by_tag: dict[str, float] = field(default_factory=lambda: defaultdict(float))
+    by_opcode: dict[str, float] = field(default_factory=lambda: defaultdict(float))
+    calls: dict[str, int] = field(default_factory=lambda: defaultdict(int))
+    counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def __post_init__(self) -> None:
-        # RLock: merge_from(other) locks both sides and snapshot() is
-        # callable while the same thread holds the lock.
-        self._lock = threading.RLock()
         # Optional per-observation hook (opcode, seconds): the scheduler
         # attaches the observability layer's per-opcode histograms here.
-        self._observer = None  # guarded-by: _lock
+        self._observer = None
 
     def set_observer(self, observer) -> None:
         """Attach a ``(opcode, seconds)`` callback invoked on every record.
@@ -79,57 +76,43 @@ class Profiler:
         Used by the observability layer to feed per-opcode duration
         histograms; ``None`` (the default) keeps record() allocation-free.
         """
-        with self._lock:
-            self._observer = observer
+        self._observer = observer
 
     def record(self, tag: str, opcode: str, seconds: float) -> None:
-        with self._lock:
-            self.by_tag[tag] += seconds
-            self.by_opcode[opcode] += seconds
-            self.calls[opcode] += 1
-            observer = self._observer
-        if observer is not None:
-            observer(opcode, seconds)
+        self.by_tag[tag] += seconds
+        self.by_opcode[opcode] += seconds
+        self.calls[opcode] += 1
+        if self._observer is not None:
+            self._observer(opcode, seconds)
 
     def count(self, counter: str, amount: int = 1) -> None:
         """Bump an integer counter (firings, cache hits, ...)."""
-        with self._lock:
-            self.counters[counter] += amount
+        self.counters[counter] += amount
 
     @property
     def total(self) -> float:
-        with self._lock:
-            return sum(self.by_tag.values())
+        return sum(self.by_tag.values())
 
     def tag_seconds(self, tag: str) -> float:
-        with self._lock:
-            return self.by_tag.get(tag, 0.0)
+        return self.by_tag.get(tag, 0.0)
 
     def counter(self, counter: str) -> int:
-        with self._lock:
-            return self.counters.get(counter, 0)
+        return self.counters.get(counter, 0)
 
     def merge_from(self, other: "Profiler") -> None:
         """Fold another profiler's timings and counters into this one."""
-        with other._lock:
-            tags = dict(other.by_tag)
-            opcodes = dict(other.by_opcode)
-            calls = dict(other.calls)
-            counters = dict(other.counters)
-        with self._lock:
-            for tag, seconds in tags.items():
-                self.by_tag[tag] += seconds
-            for opcode, seconds in opcodes.items():
-                self.by_opcode[opcode] += seconds
-            for opcode, count in calls.items():
-                self.calls[opcode] += count
-            for counter, count in counters.items():
-                self.counters[counter] += count
+        for tag, seconds in other.by_tag.items():
+            self.by_tag[tag] += seconds
+        for opcode, seconds in other.by_opcode.items():
+            self.by_opcode[opcode] += seconds
+        for opcode, count in other.calls.items():
+            self.calls[opcode] += count
+        for counter, count in other.counters.items():
+            self.counters[counter] += count
 
     def tags(self) -> dict[str, float]:
         """Plain-dict copy of the per-tag wall-time totals."""
-        with self._lock:
-            return dict(self.by_tag)
+        return dict(self.by_tag)
 
     def snapshot(self) -> dict[str, dict]:
         """Structured copy: ``{"tags", "opcodes", "calls", "counters"}``.
@@ -138,13 +121,12 @@ class Profiler:
         sub-dicts, so a counter whose name happens to match a cost tag can
         never type-pun an int into the float timing view.
         """
-        with self._lock:
-            return {
-                "tags": dict(self.by_tag),
-                "opcodes": dict(self.by_opcode),
-                "calls": dict(self.calls),
-                "counters": dict(self.counters),
-            }
+        return {
+            "tags": dict(self.by_tag),
+            "opcodes": dict(self.by_opcode),
+            "calls": dict(self.calls),
+            "counters": dict(self.counters),
+        }
 
     def restore(self, snap: dict[str, dict]) -> None:
         """Replace all timings/counters with a prior :meth:`snapshot`.
@@ -156,19 +138,14 @@ class Profiler:
         caller must own the profiler for the snapshot-restore span (true
         for per-firing profilers; merging happens after the firing).
         """
-        with self._lock:
-            self.by_tag.clear()
-            self.by_tag.update(snap["tags"])
-            self.by_opcode.clear()
-            self.by_opcode.update(snap["opcodes"])
-            self.calls.clear()
-            self.calls.update(snap["calls"])
-            self.counters.clear()
-            self.counters.update(snap["counters"])
+        self.reset()
+        self.by_tag.update(snap["tags"])
+        self.by_opcode.update(snap["opcodes"])
+        self.calls.update(snap["calls"])
+        self.counters.update(snap["counters"])
 
     def reset(self) -> None:
-        with self._lock:
-            self.by_tag.clear()
-            self.by_opcode.clear()
-            self.calls.clear()
-            self.counters.clear()
+        self.by_tag.clear()
+        self.by_opcode.clear()
+        self.calls.clear()
+        self.counters.clear()

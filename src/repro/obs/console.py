@@ -2,13 +2,17 @@
 
 Both renderers read only public engine surfaces (``metrics()``, the span
 ring, per-query cursors), so they work on any engine regardless of how it
-is driven.  They return strings rather than printing, which keeps them
-testable and lets the CLI choose its own refresh/paging behaviour.
+is driven; each copies what it shows at one scan boundary, so a frame
+never mixes two states of a running engine.  They return strings rather
+than printing, which keeps them testable and lets the CLI choose its own
+refresh/paging behaviour.
 """
 
 from __future__ import annotations
 
 import time
+
+from repro.obs.metrics import firing_metrics
 
 
 def _rate(spans) -> float:
@@ -33,7 +37,16 @@ def _ms(seconds: float) -> str:
 
 def render_top(engine) -> str:
     """One ``repro top`` frame: engine summary + per-factory table."""
-    metrics = engine.metrics()
+    obs = engine.obs
+    with engine.scheduler.scan_boundary():
+        metrics = firing_metrics(engine)
+        spans = obs.spans.last() if obs is not None else []
+        depths = {}
+        for name in metrics["factories"]:
+            try:
+                depths[name] = sum(len(b) for b in engine.query(name).baskets.values())
+            except KeyError:  # factory registered outside submit()
+                depths[name] = 0
     counters = metrics["counters"]
     lines = []
     cache = metrics["fragment_cache"]
@@ -46,7 +59,7 @@ def render_top(engine) -> str:
         f"worker_errors={counters['worker_errors']}"
     )
     lines.append(summary)
-    partition = metrics.get("partition")
+    partition = engine.partition_stats()
     if partition:
         for stream, stats in sorted(partition["streams"].items()):
             routed = "/".join(str(n) for n in stats["routed"])
@@ -73,11 +86,9 @@ def render_top(engine) -> str:
         f"{'OUT':>10} {'DEPTH':>7} {'CACHE%':>7} {'LAG ms':>8}"
     )
     lines.append(header)
-    obs = engine.obs
     by_factory: dict[str, list] = {}
-    if obs is not None:
-        for span in obs.spans.last():
-            by_factory.setdefault(span.factory, []).append(span)
+    for span in spans:
+        by_factory.setdefault(span.factory, []).append(span)
     for name, stats in sorted(metrics["factories"].items()):
         fc = stats["counters"]
         spans = by_factory.get(name, [])
@@ -85,14 +96,10 @@ def render_top(engine) -> str:
         lag = _ms(sum(waits) / len(waits)) if waits else "-"
         hits = fc.get("fragment_cache_hits", 0)
         misses = fc.get("fragment_cache_misses", 0)
-        try:
-            depth = sum(len(b) for b in engine.query(name).baskets.values())
-        except KeyError:  # factory registered outside submit()
-            depth = 0
         lines.append(
             f"{name:<12} {fc.get('firings', 0):>8} {_rate(spans):>8.2f} "
             f"{fc.get('tuples_consumed', 0):>10} {fc.get('rows_emitted', 0):>10} "
-            f"{depth:>7} {_pct(hits, hits + misses):>7} {lag:>8}"
+            f"{depths[name]:>7} {_pct(hits, hits + misses):>7} {lag:>8}"
         )
     if not metrics["factories"]:
         lines.append("(no factories registered)")
@@ -104,7 +111,9 @@ def render_trace(engine, last: int = 10) -> str:
     obs = engine.obs
     if obs is None:
         return "observability is disabled (engine was built with observability=False)"
-    spans = obs.spans.last(last)
+    with engine.scheduler.scan_boundary():
+        spans = obs.spans.last(last)
+        stats = obs.spans.stats()
     if not spans:
         return "(no spans recorded yet)"
     lines = []
@@ -121,7 +130,6 @@ def render_trace(engine, last: int = 10) -> str:
             + (f" [{tags}]" if tags else "")
         )
     shown = len(spans)
-    stats = obs.spans.stats()
     lines.append(
         f"({shown} span(s) shown, {stats['total']} recorded, "
         f"{stats['dropped']} evicted)"

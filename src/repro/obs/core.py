@@ -6,6 +6,9 @@ duration histogram, and the per-opcode duration histograms.  The engine
 hands it to the scheduler (spans, latency) and the scheduler attaches its
 opcode observer to each per-firing profiler (per-opcode histograms).
 
+Everything here is written by the firing thread alone, without locks;
+readers copy (see :mod:`repro.obs.hist` and :mod:`repro.obs.spans`).
+
 Disabled observability is represented by *absence* — the engine passes
 ``None`` down the stack — so the disabled cost on the firing path is a
 single ``is None`` test, not a flag check inside a constructed object.
@@ -13,7 +16,6 @@ single ``is None`` test, not a flag check inside a constructed object.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 from repro.obs.hist import LogHistogram
@@ -30,20 +32,19 @@ class Observability:
         self.latency = LogHistogram()
         #: Wall time of whole firings (ready-check to dispatch).
         self.firing_duration = LogHistogram()
-        self._lock = threading.Lock()
-        self._opcodes: dict[str, LogHistogram] = {}  # guarded-by: _lock
+        self._opcodes: dict[str, LogHistogram] = {}
 
     # -- per-opcode histograms ------------------------------------------
     def observe_opcode(self, opcode: str, seconds: float) -> None:
         """Record one instruction execution (the profiler's observer hook)."""
-        with self._lock:
-            hist = self._opcodes.setdefault(opcode, LogHistogram())
-        hist.observe(seconds)  # after release: LogHistogram locks itself
+        hist = self._opcodes.get(opcode)
+        if hist is None:
+            hist = self._opcodes[opcode] = LogHistogram()
+        hist.observe(seconds)
 
     def opcode_histograms(self) -> dict[str, LogHistogram]:
         """Point-in-time view of the per-opcode histograms."""
-        with self._lock:
-            return dict(self._opcodes)
+        return dict(self._opcodes)
 
     def iter_opcode_snapshots(self) -> Iterator[tuple[str, dict[str, float]]]:
         for opcode, hist in sorted(self.opcode_histograms().items()):
@@ -53,5 +54,4 @@ class Observability:
         self.spans.clear()
         self.latency.reset()
         self.firing_duration.reset()
-        with self._lock:
-            self._opcodes.clear()
+        self._opcodes.clear()

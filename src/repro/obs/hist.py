@@ -5,20 +5,24 @@ microseconds, a blocked ingest can be seconds), so the buckets are fixed
 powers of two: bucket ``i`` holds observations in ``(2^(MIN_EXP+i-1),
 2^(MIN_EXP+i)]`` seconds, covering ~1 µs to ~64 s with 27 buckets plus an
 overflow bucket.  Fixed buckets mean an observation is a ``math.frexp``
-(one float decomposition, no search), a short lock, and two integer
-increments — cheap enough to sit on the firing hot path — and make
-histograms mergeable and directly exportable as a Prometheus cumulative
-``le`` series.
+(one float decomposition, no search) and one increment — cheap enough to
+sit on the firing hot path — and make histograms mergeable and directly
+exportable as a Prometheus cumulative ``le`` series.
 
 Quantiles are estimated by linear interpolation inside the owning bucket;
 the exact ``min``/``max``/``sum`` are tracked on the side so the tails
 reported by ``repro top`` never exceed an actually observed value.
+
+Single writer, no lock: one thread observes (the firing thread, for the
+engine's histograms).  ``observe`` updates min, max and sum *before* the
+bucket, and every reader derives count, buckets and quantiles from one
+copy of the bucket list, reading min/max/sum after it — so any observation
+a reader counts is already inside its min/max and sum.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 #: Exponent of the smallest bucket upper bound: 2**-20 s ≈ 0.95 µs.
 MIN_EXP = -20
@@ -49,40 +53,52 @@ def bucket_upper(index: int) -> float:
     return math.ldexp(1.0, MIN_EXP + index)
 
 
+def _quantile(counts: list[int], count: int, lo: float, hi: float, q: float) -> float:
+    """The ``q``-quantile of one bucket copy holding ``count``
+    observations in ``[lo, hi]`` (0.0 when empty)."""
+    if count == 0:
+        return 0.0
+    rank = q * count
+    seen = 0.0
+    for index, bucket_count in enumerate(counts):
+        if bucket_count == 0:
+            continue
+        if seen + bucket_count >= rank:
+            upper = bucket_upper(index)
+            if math.isinf(upper):
+                return hi
+            lower = 0.0 if index == 0 else bucket_upper(index - 1)
+            value = lower + (rank - seen) / bucket_count * (upper - lower)
+            return min(max(value, lo), hi)
+        seen += bucket_count
+    return hi  # pragma: no cover - rank <= count always hits
+
+
 class LogHistogram:
     """Fixed-bucket log-scale histogram of durations in seconds."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = [0] * (BUCKETS + 1)  # guarded-by: _lock
-        self.count = 0  # guarded-by: _lock
-        self.sum = 0.0  # guarded-by: _lock
-        self.min = math.inf  # guarded-by: _lock
-        self.max = 0.0  # guarded-by: _lock
+        self.reset()
+
+    @property
+    def count(self) -> int:
+        return sum(self._counts)
 
     def observe(self, seconds: float) -> None:
-        index = bucket_index(seconds)
-        with self._lock:
-            self._counts[index] += 1
-            self.count += 1
-            self.sum += seconds
-            if seconds < self.min:
-                self.min = seconds
-            if seconds > self.max:
-                self.max = seconds
+        if seconds < self.min:
+            self.min = seconds
+        if seconds > self.max:
+            self.max = seconds
+        self.sum += seconds
+        self._counts[bucket_index(seconds)] += 1
 
     def merge_from(self, other: "LogHistogram") -> None:
-        with other._lock:
-            counts = list(other._counts)
-            count, total = other.count, other.sum
-            lo, hi = other.min, other.max
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self.count += count
-            self.sum += total
-            self.min = min(self.min, lo)
-            self.max = max(self.max, hi)
+        counts = list(other._counts)
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.sum += other.sum
+        for i, c in enumerate(counts):
+            self._counts[i] += c
 
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile in seconds (0.0 on an empty histogram).
@@ -93,66 +109,46 @@ class LogHistogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            rank = q * self.count
-            seen = 0.0
-            for index, bucket_count in enumerate(self._counts):
-                if bucket_count == 0:
-                    continue
-                if seen + bucket_count >= rank:
-                    upper = bucket_upper(index)
-                    lower = 0.0 if index == 0 else bucket_upper(index - 1)
-                    if math.isinf(upper):
-                        return self.max
-                    fraction = (rank - seen) / bucket_count
-                    value = lower + fraction * (upper - lower)
-                    return min(max(value, self.min), self.max)
-                seen += bucket_count
-            return self.max  # pragma: no cover - rank <= count always hits
+        counts = list(self._counts)
+        return _quantile(counts, sum(counts), self.min, self.max, q)
 
     def buckets(self) -> list[tuple[float, int]]:
         """Cumulative ``(upper_bound, count)`` pairs (Prometheus ``le``)."""
         return self.export()[0]
 
     def export(self) -> tuple[list[tuple[float, int]], float, int]:
-        """Atomic ``(cumulative buckets, sum, count)`` for exporters.
-
-        A Prometheus histogram must satisfy ``le="+Inf" == count``;
-        reading :meth:`buckets` and ``sum``/``count`` under separate lock
-        acquisitions can tear against a concurrent :meth:`observe`, so
-        exporters take all three from one locked read.
-        """
-        with self._lock:
-            cumulative = 0
-            out = []
-            for index, bucket_count in enumerate(self._counts):
-                cumulative += bucket_count
-                out.append((bucket_upper(index), cumulative))
-            return out, self.sum, self.count
+        """``(cumulative buckets, sum, count)`` for exporters, from one
+        bucket copy: ``le="+Inf" == count`` always holds."""
+        counts = list(self._counts)
+        total = self.sum
+        cumulative = 0
+        out = []
+        for index, bucket_count in enumerate(counts):
+            cumulative += bucket_count
+            out.append((bucket_upper(index), cumulative))
+        return out, total, cumulative
 
     def snapshot(self) -> dict[str, float]:
-        """Summary stats: count, sum, min/max, mean, p50/p95/p99."""
-        with self._lock:
-            count, total = self.count, self.sum
-            lo = 0.0 if count == 0 else self.min
-            hi = self.max
+        """Summary stats: count, sum, min/max, mean, p50/p95/p99 — all
+        from one bucket copy, so ``min <= p50 <= p95 <= p99 <= max``."""
+        counts = list(self._counts)
+        total, lo, hi = self.sum, self.min, self.max
+        count = sum(counts)
+        if count == 0:
+            total = lo = hi = 0.0
         return {
             "count": count,
             "sum": total,
             "min": lo,
             "max": hi,
             "mean": total / count if count else 0.0,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
+            "p50": _quantile(counts, count, lo, hi, 0.50),
+            "p95": _quantile(counts, count, lo, hi, 0.95),
+            "p99": _quantile(counts, count, lo, hi, 0.99),
         }
 
     def reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (BUCKETS + 1)
-            self.count = 0
-            self.sum = 0.0
-            self.min = math.inf
-            self.max = 0.0
+        self._counts = [0] * (BUCKETS + 1)
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = 0.0

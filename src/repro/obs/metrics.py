@@ -53,62 +53,58 @@ def collect_metrics(engine) -> dict:
     """One structured snapshot of everything the engine can report.
 
     ``engine`` is a :class:`~repro.core.engine.DataCellEngine` (duck-typed
-    to avoid an import cycle: the engine imports this module).
+    to avoid an import cycle: the engine imports this module).  What the
+    firing thread writes is copied at one scan boundary
+    (:func:`firing_metrics`); partition and durability gauges are read
+    after it — the durability lock ranks above the scan lock.
     """
-    profile = engine.profiler.snapshot()
-    counters = {name: 0 for name in BASE_COUNTERS}
-    counters.update(profile["counters"])
+    with engine.scheduler.scan_boundary():
+        metrics = firing_metrics(engine)
+    metrics["partition"] = engine.partition_stats()
+    metrics["durability"] = engine.durability_stats()
+    for optional in ("partition", "durability", "landmark_spill", "merge"):
+        if not metrics[optional]:
+            del metrics[optional]
+    return metrics
 
-    factories = {}
-    for name, stats in engine.scheduler.factory_stats().items():
-        factories[name] = {
-            "firings": stats["counters"].get("firings", 0),
-            "counters": stats["counters"],
-            "tags": stats["tags"],
-        }
 
+def firing_metrics(engine) -> dict:
+    """Everything :func:`collect_metrics` reports but the partition and
+    durability gauges; call it at a scan boundary.
+
+    Profilers, the fragment cache, merge-tree and spill gauges,
+    histograms and the span ring are written by the firing thread alone,
+    so a copy taken while no firing runs keeps firing counts equal across
+    ``counters``, ``factories`` and ``spans``.
+    """
     obs = engine.obs
+    profile = engine.profiler.snapshot()
     metrics: dict = {
         "engine": {
             "queries": len(engine._queries),
             "streams": len(engine._logs),
-            "partitions": getattr(engine, "partitions", 1),
+            "partitions": engine.partitions,
             "observability": obs is not None,
         },
-        "counters": counters,
+        "counters": {name: 0 for name in BASE_COUNTERS} | profile["counters"],
         "tags": profile["tags"],
-        "factories": factories,
+        "factories": {
+            name: {
+                "firings": stats["counters"].get("firings", 0),
+                "counters": stats["counters"],
+                "tags": stats["tags"],
+            }
+            for name, stats in engine.scheduler.factory_stats().items()
+        },
         "streams": engine.overload_stats(),
         "fragment_cache": engine.fragment_cache.stats(),
+        "landmark_spill": engine.landmark_spill_stats(),
+        "merge": engine.merge_stats(),
     }
-    partition = getattr(engine, "partition_stats", None)
-    if partition is not None:
-        stats = partition()
-        if stats:
-            metrics["partition"] = stats
-    durability = getattr(engine, "durability_stats", None)
-    if durability is not None:
-        stats = durability()
-        if stats:
-            metrics["durability"] = stats
-    spill = getattr(engine, "landmark_spill_stats", None)
-    if spill is not None:
-        stats = spill()
-        if stats:
-            metrics["landmark_spill"] = stats
-    merge = getattr(engine, "merge_stats", None)
-    if merge is not None:
-        stats = merge()
-        if stats:
-            metrics["merge"] = stats
     if obs is not None:
         metrics["latency"] = obs.latency.snapshot()
         metrics["firing_duration"] = obs.firing_duration.snapshot()
-        metrics["opcodes"] = {
-            opcode: snap for opcode, snap in obs.iter_opcode_snapshots()
-        }
-        # One locked read: the separate len()/total/dropped properties
-        # can tear against a concurrent record() mid-snapshot.
+        metrics["opcodes"] = dict(obs.iter_opcode_snapshots())
         metrics["spans"] = obs.spans.stats()
     return metrics
 

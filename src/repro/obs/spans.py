@@ -11,7 +11,6 @@ memory, and ``repro trace`` reads the most recent window of activity.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 
@@ -40,67 +39,58 @@ class FiringSpan:
 
 
 class SpanRecorder:
-    """Bounded, thread-safe ring buffer of :class:`FiringSpan` records.
+    """Bounded ring buffer of :class:`FiringSpan` records.
 
     ``capacity`` bounds memory; once full, each new span overwrites the
     oldest.  ``dropped`` counts the overwritten spans so dashboards can
     tell a quiet engine from an under-provisioned ring.
+
+    Single writer (the firing thread), no lock: every count derives from
+    one read of ``_next``, and each slot holds ``(index, span)`` so a
+    reader racing :meth:`record` skips a slot the writer has reused
+    instead of returning the wrong span.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError(f"span capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
-        self._ring: list[FiringSpan | None] = [None] * capacity  # guarded-by: _lock
-        self._next = 0  # total spans ever recorded; guarded-by: _lock
-        self.dropped = 0  # guarded-by: _lock
+        self.clear()
 
     def record(self, span: FiringSpan) -> None:
-        with self._lock:
-            if self._next >= self.capacity:
-                self.dropped += 1
-            self._ring[self._next % self.capacity] = span
-            self._next += 1
+        index = self._next
+        self._ring[index % self.capacity] = (index, span)
+        self._next = index + 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return min(self._next, self.capacity)
+        return min(self._next, self.capacity)
 
     @property
     def total(self) -> int:
         """Spans ever recorded (including those the ring overwrote)."""
-        with self._lock:
-            return self._next
+        return self._next
+
+    @property
+    def dropped(self) -> int:
+        return max(0, self._next - self.capacity)
 
     def stats(self) -> dict[str, int]:
-        """Atomic snapshot of the ring counters.
-
-        One lock acquisition, so ``recorded``/``total``/``dropped`` are
-        mutually consistent — reading them as separate properties can
-        tear against a concurrent :meth:`record`.
-        """
-        with self._lock:
-            return {
-                "recorded": min(self._next, self.capacity),
-                "total": self._next,
-                "capacity": self.capacity,
-                "dropped": self.dropped,
-            }
+        """The ring counters, mutually consistent (one read of the total)."""
+        total = self._next
+        return {
+            "recorded": min(total, self.capacity),
+            "total": total,
+            "capacity": self.capacity,
+            "dropped": max(0, total - self.capacity),
+        }
 
     def last(self, n: int | None = None) -> list[FiringSpan]:
         """The most recent ``n`` spans, oldest first (all retained if None)."""
-        with self._lock:
-            held = min(self._next, self.capacity)
-            take = held if n is None else max(0, min(n, held))
-            start = self._next - take
-            return [
-                self._ring[i % self.capacity]  # type: ignore[misc]
-                for i in range(start, self._next)
-            ]
+        end = self._next
+        held = dict(slot for slot in list(self._ring) if slot is not None)
+        take = min(end, self.capacity) if n is None else max(0, min(n, end, self.capacity))
+        return [held[i] for i in range(end - take, end) if i in held]
 
     def clear(self) -> None:
-        with self._lock:
-            self._ring = [None] * self.capacity
-            self._next = 0
-            self.dropped = 0
+        self._ring: list[tuple[int, FiringSpan] | None] = [None] * self.capacity
+        self._next = 0

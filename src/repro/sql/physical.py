@@ -150,7 +150,7 @@ class PlanCompiler:
         if rows._oids is None:
             any_slot = next(iter(rows.col_slots.values()))
             # Single-threaded compile-time memo on a compiler-owned helper.
-            rows._oids = self.emit("bat.mirror", [Ref(any_slot)], "oids")  # repro-check: allow(foreign-private-write)
+            rows._oids = self.emit("bat.mirror", [Ref(any_slot)], "oids")
         return rows._oids
 
     def column(self, rows: Rows, ref: ColumnRef) -> str:

@@ -22,15 +22,12 @@ window is compared across them:
   mid-run (DESIGN.md §15); recovery must reproduce the uninterrupted
   emission list exactly once.
 
-Configurable axes (fragment sharing, feed chunking, lockcheck, execution
-backend) shake the locking, caching, and compilation layers with the
-*same* query; results must be invariant.  The
-``backend`` axis runs the whole engine on the compiled backend
-(DESIGN.md §13), making every leg a differential test of compiled vs
-reference execution.  The ``lockcheck`` axis additionally runs the engine
-under :mod:`repro.testing.lockcheck` wrappers and reports a
-``lockorder`` divergence when the observed acquisition order escapes
-the static lock-order graph.  Window rows are compared as multisets with float tolerance;
+Configurable axes (fragment sharing, feed chunking, execution backend)
+shake the caching and compilation layers with the *same* query; results
+must be invariant.  The ``backend`` axis runs the whole engine on the
+compiled backend (DESIGN.md §13), making every leg a differential test
+of compiled vs reference execution.  Window rows are compared as
+multisets with float tolerance;
 when the query has ORDER BY, each engine's emission order is additionally
 checked for sortedness (ties stay unconstrained — LIMIT is never
 generated).
@@ -67,7 +64,6 @@ class OracleConfig:
     chunk_plan: Optional[dict[str, list[int]]] = None  # feed batch sizes
     step_chunk: Optional[int] = None  # m for step_chunked (chunk_ok only)
     float_tol: float = 1e-6
-    lockcheck: bool = False  # run under ObservedLock, assert lock order
     backend: str = "interpreted"  # engine execution backend for all legs
     partitions: int = 1  # extra sharded leg when > 1 (partition_ok only)
     crash: bool = False  # extra durable leg: checkpoint+kill+restore mid-run
@@ -79,7 +75,6 @@ class OracleConfig:
             "chunk_plan": self.chunk_plan,
             "step_chunk": self.step_chunk,
             "float_tol": self.float_tol,
-            "lockcheck": self.lockcheck,
             "backend": self.backend,
             "partitions": self.partitions,
             "crash": self.crash,
@@ -87,15 +82,14 @@ class OracleConfig:
 
     @staticmethod
     def from_json(data: dict) -> "OracleConfig":
-        # A "workers" entry (reproducers saved before the thread-pool
-        # scheduler mode was removed) is ignored.
+        # A "workers" or "lockcheck" entry (reproducers saved before the
+        # thread-pool mode, or the lock-order axis, was removed) is ignored.
         return OracleConfig(
             fragment_sharing=data.get("fragment_sharing", True),
             duplicate=data.get("duplicate", False),
             chunk_plan=data.get("chunk_plan"),
             step_chunk=data.get("step_chunk"),
             float_tol=data.get("float_tol", 1e-6),
-            lockcheck=data.get("lockcheck", False),
             # Pre-backend reproducers carry no "backend" key and replay
             # on the interpreter, exactly as they originally ran; the
             # same convention keeps pre-partition reproducers at P=1 and
@@ -113,8 +107,6 @@ class OracleConfig:
             parts.append(f"m={self.step_chunk}")
         if self.chunk_plan:
             parts.append("chunked-feed")
-        if self.lockcheck:
-            parts.append("lockcheck")
         if self.backend != "interpreted":
             parts.append(f"backend={self.backend}")
         if self.partitions > 1:
@@ -128,7 +120,7 @@ class OracleConfig:
 class Divergence:
     """One observed disagreement between two oracle legs."""
 
-    kind: str  # "window-count" | "rows" | "order" | "error" | "lint" | "lockorder"
+    kind: str  # "window-count" | "rows" | "order" | "error" | "lint"
     left: str
     right: str
     window: Optional[int]
@@ -257,8 +249,8 @@ def run_partitioned(
 ) -> Optional[list[list[tuple]]]:
     """The sharded leg: the same query on a P-partition engine.
 
-    Runs in its own engine (the step-chunk and lockcheck instruments
-    only see in-process state).
+    Runs in its own engine (the step-chunk instrument only sees
+    in-process state).
     Returns None when the partition planner rejects the query shape, so
     the caller simply skips the leg.
     """
@@ -396,15 +388,6 @@ def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResu
         if config.step_chunk and query.chunk_ok:
             chunked = engine.submit(query.sql, name="qc")
 
-        lock_observer = None
-        if config.lockcheck:
-            # After every submit, before any feeding: swap the engine's
-            # locks for recording wrappers (the dynamic oracle for the
-            # static lock-order graph).
-            from repro.testing.lockcheck import instrument
-
-            lock_observer = instrument(engine)
-
         def fire() -> None:
             if chunked is not None:
                 while True:
@@ -440,20 +423,6 @@ def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResu
 
     if config.crash:
         windows["incremental-crash"] = run_crash_leg(query, feed, config)
-
-    if lock_observer is not None:
-        divergences = lock_observer.violations()
-        if divergences:
-            return OracleResult(
-                Divergence(
-                    "lockorder",
-                    "dynamic",
-                    "static",
-                    None,
-                    "; ".join(divergences),
-                ),
-                windows,
-            )
 
     return OracleResult(compare_windows(windows, reference, config), windows)
 

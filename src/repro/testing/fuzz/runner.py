@@ -17,8 +17,6 @@ two integers printed in the banner.  Each iteration:
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
    (fragment sharing, feed chunking, ``step_chunked``, a
-   ``lockcheck`` axis that replays observed lock acquisitions against
-   the static lock order — always on under ``--lockcheck`` — and a
    ``backend`` axis that runs the engine on the compiled execution
    backend — forceable via ``--backend compiled`` — and a
    ``partitions`` axis that adds a key-partitioned multi-process leg
@@ -79,7 +77,6 @@ class FuzzSession:
         metamorphic: bool = True,
         lint: bool = True,
         vary_axes: bool = True,
-        lockcheck: bool = False,
         backend: Optional[str] = None,
         partitions: Optional[int] = None,
         crash: bool = False,
@@ -94,7 +91,6 @@ class FuzzSession:
         self.metamorphic = metamorphic
         self.lint = lint
         self.vary_axes = vary_axes
-        self.lockcheck = lockcheck
         #: Forced execution backend; None leaves it to the random axis.
         self.backend = backend
         #: Forced partition count for the sharded leg; None leaves it to
@@ -201,15 +197,15 @@ class FuzzSession:
     def _config(self, rng, query, feed) -> OracleConfig:
         if not self.vary_axes:
             return OracleConfig(
-                lockcheck=self.lockcheck,
                 backend=self.backend or "interpreted",
                 partitions=self.partitions or 1,
                 crash=self.crash,
             )
         # New axes draw *after* the existing ones so historical
         # (seed, iteration) pairs keep reproducing the same config.
-        # The first draw used to pick the removed `workers` axis; it stays
-        # consumed so the remaining axes keep their historical values.
+        # Removed axes keep their draws consumed — the first picked
+        # `workers`, the one after `step_chunk` picked `lockcheck` — so the
+        # remaining axes keep their historical values.
         rng.random()
         config = OracleConfig(
             fragment_sharing=bool(rng.random() < 0.75),
@@ -224,8 +220,8 @@ class FuzzSession:
                 if query.chunk_ok and rng.random() < 0.35
                 else None
             ),
-            lockcheck=self.lockcheck or bool(rng.random() < 0.25),
         )
+        rng.random()
         # Backend axis: drawn after the core axes (see comment above).
         # A --backend override skips the draw entirely, keeping older
         # draws aligned.
@@ -386,10 +382,6 @@ def run_fuzz_cli(argv: list[str], out: Optional[TextIO] = None) -> int:
     parser.add_argument("--fixed-axes", action="store_true",
                         help="run every query under the default axes "
                         "(sharing on, unchunked)")
-    parser.add_argument("--lockcheck", action="store_true",
-                        help="run every oracle execution under ObservedLock "
-                        "wrappers and fail on static/dynamic lock-order "
-                        "divergence (otherwise drawn as a random axis)")
     parser.add_argument("--backend", choices=("interpreted", "compiled"),
                         default=None,
                         help="force the engine execution backend for every "
@@ -430,7 +422,6 @@ def run_fuzz_cli(argv: list[str], out: Optional[TextIO] = None) -> int:
         metamorphic=not args.no_metamorphic,
         lint=not args.no_lint,
         vary_axes=not args.fixed_axes,
-        lockcheck=args.lockcheck,
         backend=args.backend,
         partitions=args.partitions,
         crash=args.crash,

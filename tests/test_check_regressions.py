@@ -1,21 +1,22 @@
 """Regression tests for the real findings ``repro check`` surfaced.
 
-Running the new concurrency lint over the pre-PR tree flagged unguarded
+Running the concurrency lint over an earlier tree flagged unguarded
 reads of guarded counters on the observability seams and two scheduler
 lifecycle races.  Each test here targets one finding; before the fixes
-(``SpanRecorder.stats``, ``LogHistogram.export``, locking
-``Observability.observe_opcode``'s registry access, guarding
+(``SpanRecorder.stats``, ``LogHistogram.export``, guarding
 ``Scheduler._thread``/``_ever_started``) the corresponding test failed
 — either deterministically (torn snapshots: ``dropped`` read before
 ``_next`` settled) or as a race caught within a few hundred iterations.
+The observability structures are single-writer now, without locks; the
+torn-read tests hold them to the same invariants with a lock-free reader.
 """
 
+import sys
 import threading
 
 from repro.core.engine import DataCellEngine
 from repro.core.scheduler import Scheduler, SchedulerError
 from repro.errors import ReproError
-from repro.obs.core import Observability
 from repro.obs.hist import LogHistogram
 from repro.obs.spans import FiringSpan, SpanRecorder
 
@@ -81,22 +82,60 @@ def test_histogram_export_is_atomic():
         assert count == 0 or total > 0
 
 
-def test_observe_opcode_concurrent_registration_loses_no_samples():
-    """observe_opcode used to setdefault into _opcodes outside the lock;
-    two threads racing the first sample of an opcode could each create a
-    histogram and drop the loser's samples."""
-    for _ in range(50):
-        obs = Observability()
-        barrier = threading.Barrier(4)
+def test_histogram_snapshot_quantiles_stay_inside_min_max():
+    """snapshot() used to read count/sum/min/max under one lock and each
+    quantile under another; a writer observing ever larger values in
+    between pushed p99 past the max it had already returned."""
+    hist = LogHistogram()
+    stop = threading.Event()
+    torn = []
 
-        def sampler():
-            barrier.wait()
-            for _ in range(25):
-                obs.observe_opcode("algebra.select", 0.001)
+    def writer():
+        value = 1e-6
+        while not stop.is_set():
+            hist.observe(value)
+            value += 1e-6
 
-        hammer([threading.Thread(target=sampler) for _ in range(4)])
-        [hist] = obs.opcode_histograms().values()
-        assert hist.count == 4 * 25
+    def reader():
+        for _ in range(20000):
+            snap = hist.snapshot()
+            if snap["count"] and not (
+                snap["min"] <= snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
+            ):
+                torn.append(snap)
+        stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        hammer([threading.Thread(target=writer), threading.Thread(target=reader)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert not torn, torn[:3]
+
+
+def test_opcode_histograms_count_every_profiled_call():
+    """Per-opcode histograms are fed on the one firing thread, without a
+    lock: after a background run with four producers, each histogram
+    counts exactly the calls the engine profiler recorded for its opcode."""
+    engine = DataCellEngine()
+    engine.create_stream("s", [("a", "int")])
+    engine.submit("SELECT sum(a) AS x FROM s [RANGE 8 SLIDE 4]")
+    engine.submit("SELECT a FROM s [RANGE 8 SLIDE 4] WHERE a > 3")
+
+    def producer(base):
+        for i in range(100):
+            engine.feed("s", [(base + i,)])
+
+    engine.start(poll_interval=0.0005)
+    try:
+        hammer([threading.Thread(target=producer, args=(1000 * k,)) for k in range(4)])
+    finally:
+        engine.stop(drain=True)
+    calls = engine.profiler.snapshot()["calls"]
+    counts = {op: hist.count for op, hist in engine.obs.opcode_histograms().items()}
+    assert sum(calls.values()) > 0
+    assert counts == calls
 
 
 def test_prometheus_histogram_inf_bucket_matches_count_under_load():

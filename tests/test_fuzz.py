@@ -494,9 +494,10 @@ class TestRunnerCli:
             assert session.coverage[feature] > 0
 
     def test_axis_draws_are_pinned_across_the_removed_workers_axis(self, tmp_path):
-        """The `workers` axis is gone but its draw is still consumed, so a
-        historical (seed, iteration) pair draws the axes it always drew
-        (values recorded at the last commit that had the axis)."""
+        """The `workers` and `lockcheck` axes are gone but their draws are
+        still consumed, so a historical (seed, iteration) pair draws the
+        axes it always drew (values recorded at the last commit that had
+        each axis, less the removed ones)."""
         generator = QueryGenerator(np.random.default_rng([11, 3]))
         query = generator.query("sum")
         feed = generator.feed(query, rows_scale=0.5)
@@ -508,8 +509,30 @@ class TestRunnerCli:
         assert drawn == [
             "sharing=False dup backend=compiled",
             "sharing=True chunked-feed backend=compiled partitions=3",
-            "sharing=True lockcheck backend=compiled crash",
+            "sharing=True backend=compiled crash",
         ]
+
+    def test_iteration_drawn_with_lockcheck_replays_without_it(self, tmp_path):
+        """(seed 4, iteration 24) drew the removed `lockcheck` axis; its
+        query, feed and remaining axes are the ones drawn before the axis
+        went (values recorded at that commit)."""
+        import hashlib
+
+        session = FuzzSession(budget=1, seed=4, out_dir=str(tmp_path), out=io.StringIO())
+        query, feed, config = session._draw(24)
+        blob = json.dumps(
+            {"columns": feed.columns, "timestamps": feed.timestamps,
+             "punctuate": feed.punctuate},
+            sort_keys=True, default=str,
+        )
+        assert query.sql == (
+            "SELECT DISTINCT s0.c0 + 3 AS o0 FROM s0 [RANGE 36 SLIDE 6], "
+            "s1 [RANGE 20 SLIDE 4] WHERE s0.c0 = s1.c1 AND (s1.c1 > 3) "
+            "ORDER BY o0 DESC"
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "331b0bcf80e5c0b2"
+        assert config.chunk_plan == {"s0": [42], "s1": [32]}
+        assert config.describe() == "sharing=True chunked-feed backend=compiled crash"
 
     def test_session_fuzzes_deep_windows(self, tmp_path):
         out = io.StringIO()

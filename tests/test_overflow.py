@@ -24,7 +24,7 @@ from repro.core.overflow import (
 )
 from repro.errors import BasketError, BasketOverflowError, ReproError
 from repro.kernel.atoms import Atom
-from repro.kernel.execution.profiler import COUNTER_SHED, Profiler
+from repro.kernel.execution.profiler import COUNTER_SHED
 from repro.kernel.storage import Schema
 from repro.testing import wait_until
 
@@ -250,12 +250,15 @@ class TestBlock:
 
 class TestProfilerSurface:
     def test_shed_counts_mirrored(self):
-        basket = make_basket(capacity=2, overflow=ShedNewest())
-        profiler = Profiler()
-        basket.attach_profiler(profiler)
-        basket.append_rows(rows(1, 2, 3, 4))
-        assert profiler.counter(COUNTER_SHED) == 2
-        assert basket.overflow_stats()["shed"] == 2
+        """Shed counts live on the basket; the engine profiler adds them
+        up when read, so every copy it hands out carries them."""
+        engine = DataCellEngine()
+        engine.create_stream("s", [("x", "int")], capacity=2, overflow=ShedNewest())
+        engine.submit("SELECT count(*) AS n FROM s [RANGE 4 SLIDE 4]")
+        engine.feed("s", rows(1, 2, 3, 4))
+        assert engine.overload_stats()["s"]["shed"] == 2
+        assert engine.profiler.counter(COUNTER_SHED) == 2
+        assert engine.metrics()["counters"][COUNTER_SHED] == 2
 
 
 class TestUnboundedPinned:
