@@ -15,14 +15,9 @@ rewriter's :class:`~repro.core.rewriter.incremental.IncrementalPlan`:
 * :mod:`repro.analysis.lint` — the ``repro lint`` driver that verifies
   real queries from ``examples/`` and ``benchmarks/``;
 * :mod:`repro.analysis.resources` — abstract interpretation computing
-  worst-case per-factory state bounds (``repro lint --resources``);
-* :mod:`repro.analysis.guards` / :mod:`repro.analysis.concurrency` —
-  the source-level concurrency lint: ``guarded-by`` annotations, the
-  engine lock order, and the static lock-acquisition graph;
-* :mod:`repro.analysis.checker` — the ``repro check`` CLI driver.
+  worst-case per-factory state bounds (``repro lint --resources``).
 """
 
-from repro.analysis.concurrency import ConcurrencyResult, check_paths, check_sources
 from repro.analysis.dataflow import (
     analyze_dataflow,
     dead_instructions,
@@ -34,7 +29,6 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Report,
 )
-from repro.analysis.guards import LOCK_ORDER, harvest_file
 from repro.analysis.plan_verifier import check_plan, verify_plan
 from repro.analysis.pretty import dump_plan, dump_program
 from repro.analysis.resources import Bound, ResourceReport, analyze_resources
@@ -42,25 +36,20 @@ from repro.analysis.signatures import SIGNATURES, signature_for
 from repro.analysis.typecheck import infer_types, output_atoms
 
 __all__ = [
-    "LOCK_ORDER",
     "SEV_ERROR",
     "SEV_WARNING",
     "SIGNATURES",
     "Bound",
-    "ConcurrencyResult",
     "Diagnostic",
     "Report",
     "ResourceReport",
     "analyze_dataflow",
     "analyze_resources",
-    "check_paths",
     "check_plan",
-    "check_sources",
     "dead_instructions",
     "dump_plan",
     "dump_program",
     "eliminate_dead_instructions",
-    "harvest_file",
     "infer_types",
     "output_atoms",
     "signature_for",

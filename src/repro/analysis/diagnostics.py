@@ -4,14 +4,8 @@ Every pass reports its findings as :class:`Diagnostic` records collected in
 a :class:`Report`.  A diagnostic pinpoints the *program* (fragment, prep,
 combine, ...), the instruction index inside it, and an actionable message;
 severity separates hard contract violations (``error``) from hygiene
-findings like dead slots (``warning``).
-
-Source-level passes (the ``repro check`` concurrency lint) additionally
-anchor findings to a ``file:line`` so editors and CI annotations can jump
-straight to the offending statement, and carry a short ``code`` (e.g.
-``unguarded-read``, ``lock-cycle``) that groups findings of one kind.
-``Report.to_json`` serializes everything for ``--format json`` CI artifact
-upload.
+findings like dead slots (``warning``).  A short ``code`` (e.g.
+``unbounded-landmark``, ``capacity-starved``) groups findings of one kind.
 """
 
 from __future__ import annotations
@@ -32,20 +26,13 @@ class Diagnostic:
     where: str  # program name ("fragment", "combine", ...) or "plan"
     message: str
     instr: Optional[int] = None  # instruction index inside the program
-    #: Source anchor (``repro check`` findings): path and 1-based line.
-    file: Optional[str] = None
-    line: Optional[int] = None
-    #: Stable finding-kind slug (``unguarded-read``, ``lock-cycle``, ...).
+    #: Stable finding-kind slug (``unbounded-landmark``, ``join-fanout``, ...).
     code: Optional[str] = None
 
     def render(self) -> str:
         location = self.where if self.instr is None else f"{self.where}[{self.instr}]"
-        anchor = ""
-        if self.file is not None:
-            anchor = self.file if self.line is None else f"{self.file}:{self.line}"
-            anchor += ": "
         tag = f" [{self.code}]" if self.code else ""
-        return f"{anchor}{self.severity}: {location}: {self.message}{tag}"
+        return f"{self.severity}: {location}: {self.message}{tag}"
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -53,8 +40,6 @@ class Diagnostic:
             "where": self.where,
             "message": self.message,
             "instr": self.instr,
-            "file": self.file,
-            "line": self.line,
             "code": self.code,
         }
 
@@ -71,12 +56,10 @@ class Report:
         where: str,
         message: str,
         instr: Optional[int] = None,
-        file: Optional[str] = None,
-        line: Optional[int] = None,
         code: Optional[str] = None,
     ) -> None:
         self.diagnostics.append(
-            Diagnostic(SEV_ERROR, where, message, instr, file, line, code)
+            Diagnostic(SEV_ERROR, where, message, instr, code)
         )
 
     def warning(
@@ -84,12 +67,10 @@ class Report:
         where: str,
         message: str,
         instr: Optional[int] = None,
-        file: Optional[str] = None,
-        line: Optional[int] = None,
         code: Optional[str] = None,
     ) -> None:
         self.diagnostics.append(
-            Diagnostic(SEV_WARNING, where, message, instr, file, line, code)
+            Diagnostic(SEV_WARNING, where, message, instr, code)
         )
 
     def info(
@@ -97,14 +78,12 @@ class Report:
         where: str,
         message: str,
         instr: Optional[int] = None,
-        file: Optional[str] = None,
-        line: Optional[int] = None,
         code: Optional[str] = None,
     ) -> None:
         """A neutral note: behaviour worth knowing, nothing to fix
         (e.g. ``spilled-landmark`` — state is bounded, but on disk)."""
         self.diagnostics.append(
-            Diagnostic(SEV_INFO, where, message, instr, file, line, code)
+            Diagnostic(SEV_INFO, where, message, instr, code)
         )
 
     def extend(self, other: "Report") -> None:

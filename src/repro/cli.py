@@ -591,18 +591,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Entry point: interactive REPL, or replay script files given as args.
 
     ``python -m repro lint ...`` dispatches to the static plan verifier
-    (see :mod:`repro.analysis.lint`) and ``python -m repro check ...`` to
-    the whole-engine concurrency lint (:mod:`repro.analysis.checker`).
+    (see :mod:`repro.analysis.lint`).
     """
     argv = argv if argv is not None else sys.argv[1:]
     if argv and argv[0] == "lint":
         from repro.analysis.lint import run_lint_cli
 
         return run_lint_cli(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.analysis.checker import run_check_cli
-
-        return run_check_cli(argv[1:])
     if argv and argv[0] == "fuzz":
         from repro.testing.fuzz.runner import run_fuzz_cli
 

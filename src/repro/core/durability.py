@@ -426,7 +426,7 @@ def has_data(data_dir: str) -> bool:
 class DurabilityManager:
     """Owns a data directory: journal sequencing, checkpoints, recovery.
 
-    The manager's lock is the engine's *outermost* lock (DESIGN.md §12):
+    The manager's lock is the engine's *outermost* lock (DESIGN.md §6):
     state-changing engine calls hold it around journal-append plus the
     in-memory mutation, and :meth:`write_checkpoint` holds it across
     snapshot + manifest commit, which is what makes the pair

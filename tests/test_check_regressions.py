@@ -1,14 +1,12 @@
-"""Regression tests for the real findings ``repro check`` surfaced.
+"""Torn reads and scheduler lifecycle races, each pinned by a regression test.
 
-Running the concurrency lint over an earlier tree flagged unguarded
-reads of guarded counters on the observability seams and two scheduler
-lifecycle races.  Each test here targets one finding; before the fixes
-(``SpanRecorder.stats``, ``LogHistogram.export``, guarding
-``Scheduler._thread``/``_ever_started``) the corresponding test failed
-— either deterministically (torn snapshots: ``dropped`` read before
-``_next`` settled) or as a race caught within a few hundred iterations.
-The observability structures are single-writer now, without locks; the
-torn-read tests hold them to the same invariants with a lock-free reader.
+The observability exporters once read multi-field state in several loads
+(``SpanRecorder.stats``, ``LogHistogram.export``/``snapshot``), and
+``Scheduler.start``/``stop`` tested and set the loop handle without the
+lock.  Each test here targets one of those seams: a torn snapshot fails
+deterministically, a race within a few hundred iterations.  The
+observability structures are single-writer, without locks; the torn-read
+tests hold them to their invariants with a lock-free reader.
 """
 
 import sys

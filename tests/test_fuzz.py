@@ -361,6 +361,14 @@ class TestOracle:
         # Reproducers saved before the thread-pool mode was removed.
         assert OracleConfig.from_json({**config.to_json(), "workers": 3}) == config
 
+    def test_oracle_config_lockcheck_roundtrip(self):
+        """The `lockcheck` axis is gone; reproducers saved with it replay
+        with the remaining axes."""
+        config = OracleConfig.from_json({**OracleConfig().to_json(), "lockcheck": True})
+        assert config == OracleConfig()
+        assert "lockcheck" not in config.to_json()
+        assert "lockcheck" not in config.describe()
+
 
 # ----------------------------------------------------------------------
 # metamorphic relations

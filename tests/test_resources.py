@@ -19,7 +19,7 @@ from repro.errors import ReproError
 from repro.sql.optimizer import optimize
 from repro.sql.planner import plan_query
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures" / "check"
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "resources"
 
 
 def plan_for(sql, limits=None, streams=None):

@@ -8,7 +8,7 @@ loop, two ``metrics()`` readers and a checkpointer — under ``-X dev``
 with a short switch interval, and asserts that no snapshot tears: the
 firing count agrees across ``counters``, ``factories`` and ``spans``,
 histogram exports keep ``+Inf == count``, and every lock edge observed
-follows ``LOCK_ORDER``.
+goes down ``LOCK_ORDER`` (tests/test_lock_order.py).
 
 The hammer runs in a child interpreter (``python -X dev <this file>``)
 so development mode covers the whole engine lifetime.
@@ -50,9 +50,8 @@ def _check(metrics, engine, torn):
 
 def hammer() -> None:
     from repro import DataCellEngine
-    from repro.analysis.guards import LOCK_ORDER
     from repro.core.overflow import Block
-    from repro.testing.lockcheck import instrument
+    from test_lock_order import LOCK_ORDER, instrument
 
     tmp = tempfile.mkdtemp(prefix="repro-hammer-")
     interval = sys.getswitchinterval()
@@ -67,7 +66,7 @@ def hammer() -> None:
         engine.submit("SELECT k, sum(v) FROM a [RANGE 128 SLIDE 16] GROUP BY k")
         engine.submit("SELECT count(*) AS n FROM b [RANGE 32 SLIDE 8]")
         engine.submit("SELECT k, max(v) FROM b [RANGE 64 SLIDE 16] GROUP BY k")
-        observer = instrument(engine)
+        edges = instrument(engine)
         torn: list[str] = []
         errors: list[BaseException] = []
         done = threading.Event()
@@ -120,12 +119,10 @@ def hammer() -> None:
         assert not torn, torn[:5]
         assert final["counters"]["firings"] > 0
         assert final["counters"]["checkpoints"] > 0
-        observer.assert_conforms()
-        nodes = {n for e in observer.edges() for n in (e.src, e.dst)}
-        assert nodes <= set(LOCK_ORDER), nodes - set(LOCK_ORDER)
-        assert ("DurabilityManager.lock", "Basket._lock") in {
-            (e.src, e.dst) for e in observer.edges()
-        }
+        rank = {node: i for i, node in enumerate(LOCK_ORDER)}
+        assert {node for edge in edges for node in edge} <= set(rank), edges
+        assert all(rank[held] < rank[taken] for held, taken in edges), sorted(edges)
+        assert ("DurabilityManager.lock", "Basket._lock") in edges
     finally:
         sys.setswitchinterval(interval)
         engine.close()
