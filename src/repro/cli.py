@@ -44,11 +44,6 @@ to roughly M megabytes: cold history is folded and spilled to CRC-framed
 run files, paged back transparently for re-aggregation (DESIGN.md §16).
 ``STATS`` then reports per-query hot/disk bytes and spill counters.
 
-``--backend compiled`` switches the console's engine to the compiled
-execution backend (verified programs specialized into fused callables,
-DESIGN.md §13); the default ``interpreted`` is the op-at-a-time
-interpreter.  Results are identical either way.
-
 ``python -m repro lint [...]`` is a separate subcommand that statically
 verifies rewritten plans (see :mod:`repro.analysis.lint`), and
 ``python -m repro fuzz [...]`` runs the differential fuzzing harness
@@ -119,13 +114,11 @@ class Console:
         out: Optional[TextIO] = None,
         capacity: Optional[int] = None,
         overflow: Optional[OverflowPolicy] = None,
-        backend: str = "interpreted",
         partitions: int = 1,
         engine: Optional[DataCellEngine] = None,
         landmark_spill_mb: Optional[float] = None,
     ) -> None:
         self.engine = engine if engine is not None else DataCellEngine(
-            backend=backend,
             partitions=partitions,
             landmark_spill_mb=landmark_spill_mb,
         )
@@ -473,7 +466,6 @@ def _run_serve_cli(argv: list[str]) -> int:
     interval = 30.0
     checkpoint_bytes: Optional[int] = None
     partitions = 1
-    backend = "interpreted"
     capacity: Optional[int] = None
     overflow: Optional[OverflowPolicy] = None
     landmark_spill_mb: Optional[float] = None
@@ -485,7 +477,7 @@ def _run_serve_cli(argv: list[str]) -> int:
             name, __, inline = arg.partition("=")
             if name in (
                 "--data-dir", "--checkpoint-interval", "--checkpoint-bytes",
-                "--partitions", "--backend", "--capacity", "--overflow",
+                "--partitions", "--capacity", "--overflow",
                 "--landmark-spill-mb",
             ):
                 if inline:
@@ -509,14 +501,6 @@ def _run_serve_cli(argv: list[str]) -> int:
                     partitions = int(value)
                     if partitions < 1:
                         raise ValueError("--partitions must be >= 1")
-                elif name == "--backend":
-                    from repro.kernel.execution.backends import BACKENDS
-
-                    if value not in BACKENDS:
-                        raise ValueError(
-                            f"--backend must be one of {', '.join(BACKENDS)}"
-                        )
-                    backend = value
                 elif name == "--capacity":
                     capacity = int(value)
                     if capacity < 1:
@@ -543,7 +527,6 @@ def _run_serve_cli(argv: list[str]) -> int:
         print(f"recovered engine from {data_dir}", file=sys.stderr)
     else:
         engine = DataCellEngine(
-            backend=backend,
             partitions=partitions,
             data_dir=data_dir,
             landmark_spill_mb=landmark_spill_mb,
@@ -608,11 +591,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run_serve_cli(argv[1:])
     capacity: Optional[int] = None
     overflow = None
-    backend = "interpreted"
     partitions = 1
     landmark_spill_mb: Optional[float] = None
     known = (
-        "--capacity", "--overflow", "--backend", "--partitions",
+        "--capacity", "--overflow", "--partitions",
         "--landmark-spill-mb",
     )
     while argv and argv[0].startswith("--"):
@@ -641,17 +623,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 landmark_spill_mb = float(value)
                 if landmark_spill_mb <= 0:
                     raise ValueError
-            elif name == "--backend":
-                from repro.kernel.execution.backends import BACKENDS
-
-                if value not in BACKENDS:
-                    print(
-                        f"error: --backend must be one of {', '.join(BACKENDS)},"
-                        f" got {value!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                backend = value
             else:
                 overflow = parse_overflow_spec(value)
         except ValueError:
@@ -667,7 +638,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     console = Console(
         capacity=capacity,
         overflow=overflow,
-        backend=backend,
         partitions=partitions,
         landmark_spill_mb=landmark_spill_mb,
     )

@@ -258,7 +258,8 @@ def iter_frames(path: str) -> Iterator[tuple[dict, list[bytes]]]:
     recovery resumes from the last valid record.
     """
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         return
     offset = 0

@@ -72,7 +72,6 @@ from repro.errors import (
 )
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
-from repro.kernel.execution.backends import BACKENDS
 from repro.kernel.execution.interpreter import Interpreter
 from repro.kernel.execution.profiler import (
     COUNTER_BLOCK_TIMEOUTS,
@@ -222,13 +221,6 @@ class DataCellEngine:
     computation per basic window through an engine-wide
     :class:`FragmentCache`; it never changes results, only work.
 
-    ``backend`` picks how factories execute their programs:
-    ``"interpreted"`` (op-at-a-time, the default) or ``"compiled"``
-    (each verified program specialized once into a fused callable, with
-    automatic per-program interpreter fallback — DESIGN.md §13).  The
-    choice never affects results, and ``backend="compiled"`` implies the
-    static plan verifier runs on every submitted incremental plan.
-
     Overload control is configured per stream: ``create_stream(...,
     capacity=, overflow=)`` bounds that stream's basket and picks the
     policy applied when producers outrun factories (see
@@ -242,7 +234,6 @@ class DataCellEngine:
         workers: int = 1,
         fragment_sharing: bool = True,
         observability: bool = True,
-        backend: str = "interpreted",
         partitions: int = 1,
         data_dir: Optional[str] = None,
         landmark_spill_mb: Optional[float] = None,
@@ -272,14 +263,6 @@ class DataCellEngine:
             flag = os.environ.get("REPRO_VERIFY_PLANS", "")
             verify_plans = flag.strip().lower() in ("1", "true", "yes", "on")
         self.verify_plans = verify_plans
-        if backend not in BACKENDS:
-            raise ReproError(
-                f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
-            )
-        #: Program-execution backend every factory of this engine uses:
-        #: ``"interpreted"`` (default) or ``"compiled"`` (fused callables,
-        #: see DESIGN.md §13).  Results are identical either way.
-        self.backend = backend
         self.fragment_sharing = fragment_sharing
         #: Tracing sinks (firing spans, latency histograms, per-opcode
         #: durations); ``observability=False`` drops them entirely — the
@@ -324,7 +307,6 @@ class DataCellEngine:
 
             self._shards = ShardSet(
                 partitions,
-                backend=backend,
                 verify_plans=False,  # the coordinator verifies once
                 fragment_sharing=fragment_sharing,
                 landmark_spill_mb=landmark_spill_mb,
@@ -384,7 +366,6 @@ class DataCellEngine:
     def _meta(self) -> dict:
         """The constructor shape a restore must reproduce."""
         return {
-            "backend": self.backend,
             "partitions": self.partitions,
             "fragment_sharing": self.fragment_sharing,
             "observability": self.obs is not None,
@@ -605,10 +586,8 @@ class DataCellEngine:
                         "plan resource analysis failed:\n"
                         + resources.report.render(include_warnings=False)
                     )
-                if self.verify_plans or self.backend == "compiled":
+                if self.verify_plans:
                     # Imported lazily: repro.analysis depends on this module.
-                    # The compiled backend always verifies first — the
-                    # compiler must only ever see typed, validated programs.
                     from repro.analysis.plan_verifier import check_plan
 
                     schemas = {
@@ -622,9 +601,7 @@ class DataCellEngine:
                         for scan in find_scans(planned.plan)
                     }
                     check_plan(plan, schemas)
-                factory = IncrementalFactory(
-                    plan, baskets, tables, name=query_name, backend=self.backend
-                )
+                factory = IncrementalFactory(plan, baskets, tables, name=query_name)
                 if (
                     self.landmark_spill_mb is not None
                     and not plan.is_join
@@ -640,9 +617,7 @@ class DataCellEngine:
                 if self.fragment_sharing and plan.fragment is not None:
                     self._enable_sharing(factory, plan)
             else:
-                factory = ReevalFactory(
-                    planned, baskets, tables, name=query_name, backend=self.backend
-                )
+                factory = ReevalFactory(planned, baskets, tables, name=query_name)
             emitter = CollectingEmitter()
             self.scheduler.register(factory, emitter)
         except BaseException:
@@ -724,7 +699,7 @@ class DataCellEngine:
     def _verify_partition_query(self, plan, schema: Schema, mode: str) -> None:
         """Static checks the coordinator runs so workers never see a plan
         the P=1 engine would have rejected (workers run verify off)."""
-        if not (self.verify_plans or self.backend == "compiled"):
+        if not self.verify_plans:
             return
         catalog = scratch_catalog(schema, "__scratch")
         planned = optimize(plan_query(plan.partition_sql("__scratch"), catalog))
@@ -1272,13 +1247,13 @@ class DataCellEngine:
                     f"journal does not start with a meta record (got {kind!r})"
                 )
             meta = payload
-        # A "workers" key (data dirs written before the thread-pool mode
-        # was removed) is ignored: one thread fires in the same order.
+        # Knobs of removed engine modes are ignored — "workers" (thread
+        # pool) and "backend" (compiled execution): one interpreter on
+        # one firing thread produces the same windows in the same order.
         engine = cls(
             verify_plans=meta["verify_plans"],
             fragment_sharing=meta["fragment_sharing"],
             observability=meta["observability"],
-            backend=meta["backend"],
             partitions=meta["partitions"],
             # .get(): journals written before spilling existed lack the key.
             landmark_spill_mb=meta.get("landmark_spill_mb"),

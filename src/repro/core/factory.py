@@ -43,8 +43,7 @@ from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.algebra.setops import concat
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
-from repro.kernel.execution.backends import make_backend
-from repro.kernel.execution.interpreter import kernel_registry
+from repro.kernel.execution import InterpreterBackend, kernel_registry
 from repro.kernel.execution.profiler import Profiler
 from repro.kernel.execution.program import TAG_MERGE
 from repro.kernel.storage import Table
@@ -181,14 +180,13 @@ class IncrementalFactory(FactoryBase):
         baskets: dict[str, Basket | Cursor],
         tables: Optional[dict[str, Table]] = None,
         name: str = "factory",
-        backend: str = "interpreted",
     ) -> None:
         self.name = name
         self.plan = plan
         self.windows = plan.windows
         self._baskets = baskets
         self._tables = tables or {}
-        self._interp = make_backend(backend)
+        self._interp = InterpreterBackend()
         self._initialized = False
         self.window_index = 0
         # Cross-query fragment sharing (single-stream queries only): the

@@ -23,7 +23,7 @@ from repro.core.windows import TS_COLUMN, WindowSpec
 from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT, BATBuilder
-from repro.kernel.execution.backends import make_backend
+from repro.kernel.execution import InterpreterBackend
 from repro.kernel.execution.profiler import Profiler
 from repro.kernel.storage import Table
 from repro.sql.logical import find_scans
@@ -119,14 +119,13 @@ class ReevalFactory(FactoryBase):
         baskets: dict[str, Basket | Cursor],
         tables: Optional[dict[str, Table]] = None,
         name: str = "factory-r",
-        backend: str = "interpreted",
     ) -> None:
         self.name = name
         self.planned = planned
         self.compiled: CompiledQuery = compile_full(planned)
         self._baskets = baskets
         self._tables = tables or {}
-        self._interp = make_backend(backend)
+        self._interp = InterpreterBackend()
         self._initialized = False
         self.window_index = 0
         self.windows: dict[str, WindowSpec] = {}

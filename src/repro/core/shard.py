@@ -65,7 +65,6 @@ def _worker_main(conn, init: dict) -> None:
         verify_plans=init["verify_plans"],
         fragment_sharing=init["fragment_sharing"],
         observability=False,
-        backend=init["backend"],
         landmark_spill_mb=init.get("landmark_spill_mb"),
     )
     streams: dict[str, dict] = {}  # stream -> decl
@@ -367,7 +366,6 @@ class ShardSet:
     def __init__(
         self,
         partitions: int,
-        backend: str,
         verify_plans: bool,
         fragment_sharing: bool,
         landmark_spill_mb=None,
@@ -380,7 +378,6 @@ class ShardSet:
         ctx = mp.get_context(method)
         self.partitions = partitions
         init = {
-            "backend": backend,
             "verify_plans": verify_plans,
             "fragment_sharing": fragment_sharing,
             # Workers spill landmark cold history too: each worker engine

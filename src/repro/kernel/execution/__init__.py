@@ -1,17 +1,6 @@
-"""Program execution: interpreter, compiled backend, profiler."""
+"""Program execution: interpreter, profiler."""
 
-from repro.kernel.execution.backends import (
-    BACKENDS,
-    CompiledBackend,
-    ExecutionBackend,
-    InterpreterBackend,
-    make_backend,
-)
-from repro.kernel.execution.compiled import (
-    CompiledProgram,
-    ProgramCompiler,
-    compile_program,
-)
+from repro.kernel.execution.backends import InterpreterBackend
 from repro.kernel.execution.interpreter import (
     Interpreter,
     kernel_registry,
@@ -30,24 +19,17 @@ from repro.kernel.execution.program import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "CompiledBackend",
-    "CompiledProgram",
-    "ExecutionBackend",
     "Instr",
     "Interpreter",
     "InterpreterBackend",
     "Lit",
     "Profiler",
     "Program",
-    "ProgramCompiler",
     "Ref",
     "SlotNames",
     "TAG_ADMIN",
     "TAG_MAIN",
     "TAG_MERGE",
-    "compile_program",
     "kernel_registry",
     "known_opcodes",
-    "make_backend",
 ]

@@ -149,13 +149,8 @@ def known_opcodes() -> frozenset[str]:
 
 
 def kernel_registry() -> Mapping[str, Callable]:
-    """The built-in opcode → kernel-function table (read-only view).
-
-    The compiled backend (:mod:`repro.kernel.execution.compiled`)
-    specializes exactly this surface; sharing the table is what makes the
-    ``known_opcodes()`` parity between the two backends structural rather
-    than maintained by hand.
-    """
+    """The built-in opcode → kernel-function table (read-only view), for
+    callers that apply one kernel outside a program."""
     return _REGISTRY
 
 
@@ -165,9 +160,6 @@ class Interpreter:
     A single interpreter instance is stateless between runs and safe to
     share; profiling is per-call via an explicit :class:`Profiler`.
     """
-
-    def __init__(self, registry: Mapping[str, Callable] | None = None) -> None:
-        self._registry = dict(registry) if registry is not None else _REGISTRY
 
     def run(
         self,
@@ -194,7 +186,7 @@ class Interpreter:
         return {name: env[name] for name in program.outputs}
 
     def _step(self, instr: Instr, env: dict, profiler: Profiler | None) -> None:
-        fn = self._registry.get(instr.opcode)
+        fn = _REGISTRY.get(instr.opcode)
         if fn is None:
             raise UnknownInstructionError(f"unknown opcode {instr.opcode!r}")
         args = []

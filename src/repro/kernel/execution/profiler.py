@@ -38,9 +38,6 @@ COUNTER_DEAD_LETTERS = "dead_letter_batches"
 COUNTER_WORKER_ERRORS = "worker_errors"
 COUNTER_TUPLES_CONSUMED = "tuples_consumed"
 COUNTER_ROWS_EMITTED = "rows_emitted"
-#: Programs the compiled backend handed to the interpreter instead
-#: (unsupported opcode — see kernel.execution.backends).
-COUNTER_COMPILED_FALLBACKS = "compiled_fallbacks"
 #: Durability counters (checkpoint/restore; see docs/OPERATIONS.md §7).
 COUNTER_CHECKPOINTS = "checkpoints"
 COUNTER_CHECKPOINT_BYTES = "checkpoint_bytes"
@@ -127,22 +124,6 @@ class Profiler:
             "calls": dict(self.calls),
             "counters": dict(self.counters),
         }
-
-    def restore(self, snap: dict[str, dict]) -> None:
-        """Replace all timings/counters with a prior :meth:`snapshot`.
-
-        Error-path rollback: the compiled backend snapshots before running
-        a traced program and restores on failure, so the segments recorded
-        by the partially-executed fused body are not double-counted when
-        the interpreter re-run records the whole program again.  The
-        caller must own the profiler for the snapshot-restore span (true
-        for per-firing profilers; merging happens after the firing).
-        """
-        self.reset()
-        self.by_tag.update(snap["tags"])
-        self.by_opcode.update(snap["opcodes"])
-        self.calls.update(snap["calls"])
-        self.counters.update(snap["counters"])
 
     def reset(self) -> None:
         self.by_tag.clear()

@@ -189,7 +189,6 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
         "worker_errors": "Factory firing failures seen by the scheduler.",
         "tuples_consumed": "Tuples consumed by firings.",
         "rows_emitted": "Result rows emitted by firings.",
-        "compiled_fallbacks": "Programs the compiled backend handed back.",
         "checkpoints": "Consistent checkpoints committed.",
         "checkpoint_bytes": "Snapshot bytes written by checkpoints.",
         "journal_records": "Records appended to the input journal.",

@@ -755,7 +755,6 @@ def build_engine(
     query: FuzzQuery,
     fragment_sharing: bool = True,
     verify_plans: bool = False,
-    backend: str = "interpreted",
     partitions: int = 1,
     data_dir: Optional[str] = None,
     landmark_spill_mb: Optional[float] = None,
@@ -772,7 +771,6 @@ def build_engine(
     engine = DataCellEngine(
         verify_plans=verify_plans,
         fragment_sharing=fragment_sharing,
-        backend=backend,
         partitions=partitions,
         data_dir=data_dir,
         landmark_spill_mb=landmark_spill_mb,

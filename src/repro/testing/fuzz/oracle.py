@@ -22,12 +22,9 @@ window is compared across them:
   mid-run (DESIGN.md §15); recovery must reproduce the uninterrupted
   emission list exactly once.
 
-Configurable axes (fragment sharing, feed chunking, execution backend)
-shake the caching and compilation layers with the *same* query; results
-must be invariant.  The ``backend`` axis runs the whole engine on the
-compiled backend (DESIGN.md §13), making every leg a differential test
-of compiled vs reference execution.  Window rows are compared as
-multisets with float tolerance;
+Configurable axes (fragment sharing, feed chunking) shake the caching
+layers with the *same* query; results must be invariant.  Window rows
+are compared as multisets with float tolerance;
 when the query has ORDER BY, each engine's emission order is additionally
 checked for sortedness (ties stay unconstrained — LIMIT is never
 generated).
@@ -64,7 +61,6 @@ class OracleConfig:
     chunk_plan: Optional[dict[str, list[int]]] = None  # feed batch sizes
     step_chunk: Optional[int] = None  # m for step_chunked (chunk_ok only)
     float_tol: float = 1e-6
-    backend: str = "interpreted"  # engine execution backend for all legs
     partitions: int = 1  # extra sharded leg when > 1 (partition_ok only)
     crash: bool = False  # extra durable leg: checkpoint+kill+restore mid-run
 
@@ -75,26 +71,21 @@ class OracleConfig:
             "chunk_plan": self.chunk_plan,
             "step_chunk": self.step_chunk,
             "float_tol": self.float_tol,
-            "backend": self.backend,
             "partitions": self.partitions,
             "crash": self.crash,
         }
 
     @staticmethod
     def from_json(data: dict) -> "OracleConfig":
-        # A "workers" or "lockcheck" entry (reproducers saved before the
-        # thread-pool mode, or the lock-order axis, was removed) is ignored.
+        # Entries of removed axes — "workers", "lockcheck", "backend" — are
+        # ignored, so older reproducers replay on the remaining axes.  Keys
+        # an older reproducer lacks take the value it originally ran with.
         return OracleConfig(
             fragment_sharing=data.get("fragment_sharing", True),
             duplicate=data.get("duplicate", False),
             chunk_plan=data.get("chunk_plan"),
             step_chunk=data.get("step_chunk"),
             float_tol=data.get("float_tol", 1e-6),
-            # Pre-backend reproducers carry no "backend" key and replay
-            # on the interpreter, exactly as they originally ran; the
-            # same convention keeps pre-partition reproducers at P=1 and
-            # pre-durability reproducers crash-free.
-            backend=data.get("backend", "interpreted"),
             partitions=data.get("partitions", 1),
             crash=data.get("crash", False),
         )
@@ -107,8 +98,6 @@ class OracleConfig:
             parts.append(f"m={self.step_chunk}")
         if self.chunk_plan:
             parts.append("chunked-feed")
-        if self.backend != "interpreted":
-            parts.append(f"backend={self.backend}")
         if self.partitions > 1:
             parts.append(f"partitions={self.partitions}")
         if self.crash:
@@ -258,7 +247,6 @@ def run_partitioned(
 
     engine = build_engine(
         query,
-        backend=config.backend,
         partitions=config.partitions,
         # A deliberately tiny budget: landmark queries must produce
         # identical windows whether their cold history is hot or spilled,
@@ -299,7 +287,6 @@ def run_crash_leg(
     data_dir = os.path.join(tmp, "data")
     engine = build_engine(
         query,
-        backend=config.backend,
         data_dir=data_dir,
         # Landmark queries spill under <data_dir>/spill here, so both
         # kill/restore cycles below also recover spilled cold history
@@ -372,11 +359,7 @@ def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResu
             systemx.create_stream(name, _as_schema(cols))
         sysx_query = systemx.submit(query.sql)
 
-    engine = build_engine(
-        query,
-        fragment_sharing=config.fragment_sharing,
-        backend=config.backend,
-    )
+    engine = build_engine(query, fragment_sharing=config.fragment_sharing)
     chunk_batches: list = []
     try:
         incremental: ContinuousQuery = engine.submit(query.sql, name="qi")

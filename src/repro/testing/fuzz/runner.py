@@ -17,8 +17,6 @@ two integers printed in the banner.  Each iteration:
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
    (fragment sharing, feed chunking, ``step_chunked``, a
-   ``backend`` axis that runs the engine on the compiled execution
-   backend — forceable via ``--backend compiled`` — and a
    ``partitions`` axis that adds a key-partitioned multi-process leg
    for supported query shapes — forceable via ``--partitions N`` — and
    a ``crash`` axis that adds a durable leg interrupted by
@@ -77,7 +75,6 @@ class FuzzSession:
         metamorphic: bool = True,
         lint: bool = True,
         vary_axes: bool = True,
-        backend: Optional[str] = None,
         partitions: Optional[int] = None,
         crash: bool = False,
         max_failures: int = 5,
@@ -91,8 +88,6 @@ class FuzzSession:
         self.metamorphic = metamorphic
         self.lint = lint
         self.vary_axes = vary_axes
-        #: Forced execution backend; None leaves it to the random axis.
-        self.backend = backend
         #: Forced partition count for the sharded leg; None leaves it to
         #: the random axis (P drawn from {2, 3} on ~1 in 4 iterations).
         self.partitions = partitions
@@ -196,16 +191,13 @@ class FuzzSession:
 
     def _config(self, rng, query, feed) -> OracleConfig:
         if not self.vary_axes:
-            return OracleConfig(
-                backend=self.backend or "interpreted",
-                partitions=self.partitions or 1,
-                crash=self.crash,
-            )
+            return OracleConfig(partitions=self.partitions or 1, crash=self.crash)
         # New axes draw *after* the existing ones so historical
         # (seed, iteration) pairs keep reproducing the same config.
         # Removed axes keep their draws consumed — the first picked
-        # `workers`, the one after `step_chunk` picked `lockcheck` — so the
-        # remaining axes keep their historical values.
+        # `workers`, the two after `step_chunk` picked `lockcheck` and
+        # the execution path — so the remaining axes keep their
+        # historical values.
         rng.random()
         config = OracleConfig(
             fragment_sharing=bool(rng.random() < 0.75),
@@ -222,12 +214,7 @@ class FuzzSession:
             ),
         )
         rng.random()
-        # Backend axis: drawn after the core axes (see comment above).
-        # A --backend override skips the draw entirely, keeping older
-        # draws aligned.
-        config.backend = self.backend or (
-            "compiled" if rng.random() < 0.45 else "interpreted"
-        )
+        rng.random()
         # Partitions axis: drawn last.  The partitioned leg only runs for
         # shapes the sharded engine supports (query.partition_ok); other
         # shapes keep P=1 so the draw stays cheap and deterministic.
@@ -382,10 +369,6 @@ def run_fuzz_cli(argv: list[str], out: Optional[TextIO] = None) -> int:
     parser.add_argument("--fixed-axes", action="store_true",
                         help="run every query under the default axes "
                         "(sharing on, unchunked)")
-    parser.add_argument("--backend", choices=("interpreted", "compiled"),
-                        default=None,
-                        help="force the engine execution backend for every "
-                        "oracle run (otherwise drawn as a random axis)")
     parser.add_argument("--partitions", type=int, default=None,
                         help="force the key-partitioned leg to run with this "
                         "many shard workers on every supported query "
@@ -422,7 +405,6 @@ def run_fuzz_cli(argv: list[str], out: Optional[TextIO] = None) -> int:
         metamorphic=not args.no_metamorphic,
         lint=not args.no_lint,
         vary_axes=not args.fixed_axes,
-        backend=args.backend,
         partitions=args.partitions,
         crash=args.crash,
         max_failures=args.max_failures,

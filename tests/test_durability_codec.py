@@ -268,3 +268,29 @@ def test_journal_replay_resumes_from_last_valid_record(count, data):
     assert all(kind == "feed" for __, kind, __ in replayed)
     payloads = [payload for __, __, payload in replayed]
     assert payloads[-1]["rows"] == list(range(count - 1))
+
+
+def test_reading_a_checkpointed_dir_closes_every_file(tmp_path):
+    """Restore reads the snapshot and the journal segments after it, and
+    closes each file it opens: no ResourceWarning."""
+    import gc
+    import warnings
+
+    from repro import DataCellEngine
+
+    data_dir = str(tmp_path / "data")
+    engine = DataCellEngine(data_dir=data_dir)
+    engine.create_stream("s", [("x", "int")])
+    engine.submit("SELECT sum(x) AS t FROM s [RANGE 4 SLIDE 2]", name="q")
+    engine.feed("s", [(i,) for i in range(6)])
+    engine.run_until_idle()
+    engine.checkpoint()
+    engine.feed("s", [(i,) for i in range(4)])
+    engine.run_until_idle()
+    engine.close()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        restored = DataCellEngine.restore(data_dir)
+        restored.close()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

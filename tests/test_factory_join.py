@@ -190,8 +190,7 @@ def join_feed(rows=200, seed=11, dry_after=None):
     return columns
 
 
-def run_join(sql, columns, timestamps=None, punctuate=None, chunk=10,
-             backend="interpreted", table=False):
+def run_join(sql, columns, timestamps=None, punctuate=None, chunk=10, table=False):
     """Feed ``columns`` in rounds to an incremental and a re-evaluation
     twin of ``sql``; returns (incremental, reeval, oracle) windows and the
     incremental handle."""
@@ -201,7 +200,7 @@ def run_join(sql, columns, timestamps=None, punctuate=None, chunk=10,
     from repro.testing.fuzz.reference import ReferenceOracle
 
     timestamps = timestamps or {}
-    engine = DataCellEngine(backend=backend)
+    engine = DataCellEngine()
     for name, schema in JOIN_STREAMS.items():
         engine.create_stream(name, schema)
     tables = {"dim": DIM} if table else {}
@@ -445,29 +444,6 @@ class TestBatchedJoinDifferential:
         # Then per slide: new left x every live right, older left x new right.
         assert [rows for rows in runs if rows] == [40, 10, 30, 10, 30]
         assert runs.count(0) <= 1
-
-    def test_compiled_backend_is_byte_equal_without_fallbacks(self):
-        queries = (
-            "SELECT count(*) AS n, max(s1.v) AS m, sum(s2.v) AS t FROM "
-            "s s1 [RANGE 40 SLIDE 10], s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k",
-            "SELECT s1.v % 4 AS g, count(*) AS n FROM s s1 [RANGE 30 SLIDE 10], "
-            "s2 [RANGE 30 SLIDE 10] WHERE s1.k = s2.k GROUP BY s1.v % 4",
-            "SELECT s1.v, s2.v FROM s s1 [RANGE 20 SLIDE 10], "
-            "s2 [RANGE 20 SLIDE 10] WHERE s1.k = s2.k AND s1.v < s2.v",
-        )
-        for sql in queries:
-            columns = join_feed(seed=14, dry_after=(150, 170))
-            inc, ree, oracle, handle = run_join(sql, columns, backend="compiled")
-            assert_same_windows(inc, ree, oracle, ordered="count" in sql)
-            interpreted = run_join(sql, columns)[0]
-            assert inc == interpreted
-            factory = handle.factory
-            plan = factory.plan
-            programs = [plan.pair_fragment, plan.combine, plan.finalize]
-            programs += [prep.program for prep in plan.preps.values()]
-            for program in programs:
-                assert factory._interp.compiled_for(program) is not None
-                assert factory._interp.fallback_error(program) is None
 
 
 LEGACY_JOIN = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_join")

@@ -221,7 +221,7 @@ class TestGenerator:
             json.dumps(feed.to_json(), sort_keys=True).encode()
         ).hexdigest()
         assert digest == "22aadc158da4b19f4d19153703140ac450910732"
-        assert config.describe() == "sharing=True dup chunked-feed backend=compiled"
+        assert config.describe() == "sharing=True dup chunked-feed"
 
     def test_widen_redraws_some_int_columns_over_a_wide_signed_domain(self):
         """About one int stream column in five is redrawn from a shared
@@ -274,7 +274,7 @@ class TestGenerator:
             json.dumps(feed.to_json(), sort_keys=True).encode()
         ).hexdigest()
         assert digest == "5bcd2b5cb8844a913af2abca2112500c63028df9"
-        assert config.describe() == "sharing=True chunked-feed backend=compiled"
+        assert config.describe() == "sharing=True chunked-feed"
 
     def test_render_with_substituted_window(self):
         query = make_query()
@@ -358,8 +358,10 @@ class TestOracle:
         config = OracleConfig(chunk_plan={"s0": [2, 2]}, step_chunk=3)
         clone = OracleConfig.from_json(json.loads(json.dumps(config.to_json())))
         assert clone == config
-        # Reproducers saved before the thread-pool mode was removed.
-        assert OracleConfig.from_json({**config.to_json(), "workers": 3}) == config
+        # Reproducers saved before the thread-pool mode, or the compiled
+        # execution path, was removed.
+        legacy = {**config.to_json(), "workers": 3, "backend": "compiled"}
+        assert OracleConfig.from_json(legacy) == config
 
     def test_oracle_config_lockcheck_roundtrip(self):
         """The `lockcheck` axis is gone; reproducers saved with it replay
@@ -515,9 +517,9 @@ class TestRunnerCli:
             for seed in (1, 2, 3)
         ]
         assert drawn == [
-            "sharing=False dup backend=compiled",
-            "sharing=True chunked-feed backend=compiled partitions=3",
-            "sharing=True backend=compiled crash",
+            "sharing=False dup",
+            "sharing=True chunked-feed partitions=3",
+            "sharing=True crash",
         ]
 
     def test_iteration_drawn_with_lockcheck_replays_without_it(self, tmp_path):
@@ -540,7 +542,26 @@ class TestRunnerCli:
         )
         assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "331b0bcf80e5c0b2"
         assert config.chunk_plan == {"s0": [42], "s1": [32]}
-        assert config.describe() == "sharing=True chunked-feed backend=compiled crash"
+        assert config.describe() == "sharing=True chunked-feed crash"
+
+    def test_iteration_drawn_with_compiled_execution_replays_without_it(self, tmp_path):
+        """(seed 4, iteration 0) drew the removed compiled-execution axis;
+        its query, feed and remaining axes — including the partition count
+        drawn after that axis — are the ones drawn before it went (values
+        recorded at that commit)."""
+        import hashlib
+
+        session = FuzzSession(budget=1, seed=4, out_dir=str(tmp_path), out=io.StringIO())
+        query, feed, config = session._draw(0)
+        assert query.sql == (
+            "SELECT c0 AS o0, c1 AS o1 FROM s0 [RANGE 6 SLIDE 2] WHERE (c0 = 6 OR c1 = 6)"
+        )
+        digest = hashlib.sha1(
+            json.dumps(feed.to_json(), sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == "aa3b6e397eb09abc3fac8b263514eacd71786aa3"
+        assert config == OracleConfig(step_chunk=3, partitions=2)
+        assert config.describe() == "sharing=True m=3 partitions=2"
 
     def test_session_fuzzes_deep_windows(self, tmp_path):
         out = io.StringIO()

@@ -239,6 +239,23 @@ class TestEngineSpill:
         slack = 8 * 32  # at most one freshly-added bundle over budget
         assert max(spill_hot) <= budget + slack, spill_hot
 
+    def test_static_bound_turns_finite_with_a_spill_note(self):
+        """The resource analyzer agrees: the same query is unbounded
+        without a spill budget, and bounded in memory with a
+        `spilled-landmark` note under one."""
+        seen = {}
+        for label, spill in (("base", None), ("spill", 0.0001)):
+            engine = self._engine(landmark_spill_mb=spill)
+            try:
+                resources = engine.submit(SELECT_ONLY, name="q").resources
+                codes = {d.code for d in resources.report.diagnostics}
+                seen[label] = (resources.bounded, codes)
+            finally:
+                engine.close()
+        assert seen["base"][0] is False and "unbounded-landmark" in seen["base"][1]
+        assert seen["spill"][0] is True and "spilled-landmark" in seen["spill"][1]
+        assert "unbounded-landmark" not in seen["spill"][1]
+
     def test_compacting_aggregate_unaffected_by_spill(self):
         sql = "SELECT max(x1), count(*) FROM s [LANDMARK SLIDE 8]"
         results = {}

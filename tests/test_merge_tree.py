@@ -44,8 +44,8 @@ def make_data(count, seed=7):
     }
 
 
-def build(sql, flat, backend="interpreted", **engine_kwargs):
-    engine = DataCellEngine(backend=backend, **engine_kwargs)
+def build(sql, flat, **engine_kwargs):
+    engine = DataCellEngine(**engine_kwargs)
     engine.create_stream("s", [("x1", "int"), ("x2", "int"), ("x3", "float")])
     handle = engine.submit(sql, name="q")
     if flat:
@@ -143,22 +143,6 @@ class TestTreeEqualsFlat:
                 rows.append(out)
             assert len(rows[0]) == 41
             assert rows[0] == rows[1]
-            assert tree.factory._store.nodes_sealed > 0
-        finally:
-            tree_engine.close()
-            flat_engine.close()
-
-    @pytest.mark.parametrize("shape", ["grouped-sum", "count-avg", "order-limit"])
-    def test_compiled_backend(self, shape):
-        n = 100
-        sql = QUERIES[shape].format(w=f"[RANGE {n * STEP} SLIDE {STEP}]")
-        data = make_data(n * STEP + SLIDES * STEP)
-        tree_engine, tree = build(sql, flat=False, backend="compiled")
-        flat_engine, flat = build(sql, flat=True)
-        try:
-            feed_slides(tree_engine, data, n * STEP, SLIDES)
-            feed_slides(flat_engine, data, n * STEP, SLIDES)
-            assert window_bytes(tree) == window_bytes(flat)
             assert tree.factory._store.nodes_sealed > 0
         finally:
             tree_engine.close()

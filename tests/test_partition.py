@@ -252,7 +252,6 @@ def run_differential(
     rows,
     partitions=2,
     mode="incremental",
-    backend="interpreted",
     timestamps=None,
     chunks=None,
     ordered=False,
@@ -263,7 +262,7 @@ def run_differential(
     """Feed the same rows through P=1 and P=N; compare result windows."""
 
     def run(partitions):
-        engine = DataCellEngine(partitions=partitions, backend=backend)
+        engine = DataCellEngine(partitions=partitions)
         try:
             engine.create_stream(
                 "s", list(schema),
@@ -378,13 +377,6 @@ class TestDifferentialCountWindows:
             "SELECT tag, count(*) AS n FROM s [RANGE 8 SLIDE 8] GROUP BY tag",
             make_rows(32, seed=7),
             key="tag",
-        )
-
-    def test_compiled_backend_workers(self):
-        run_differential(
-            "SELECT k, sum(v) AS total FROM s [RANGE 8 SLIDE 8] GROUP BY k",
-            make_rows(32, seed=8),
-            backend="compiled",
         )
 
     def test_late_submit_uses_virtual_anchor(self):
