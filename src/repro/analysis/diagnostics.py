@@ -15,14 +15,13 @@ from typing import Any, Iterable, Optional
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
-SEV_INFO = "info"
 
 
 @dataclass(frozen=True)
 class Diagnostic:
     """One finding of a static-analysis pass."""
 
-    severity: str  # SEV_ERROR | SEV_WARNING | SEV_INFO
+    severity: str  # SEV_ERROR | SEV_WARNING
     where: str  # program name ("fragment", "combine", ...) or "plan"
     message: str
     instr: Optional[int] = None  # instruction index inside the program
@@ -73,19 +72,6 @@ class Report:
             Diagnostic(SEV_WARNING, where, message, instr, code)
         )
 
-    def info(
-        self,
-        where: str,
-        message: str,
-        instr: Optional[int] = None,
-        code: Optional[str] = None,
-    ) -> None:
-        """A neutral note: behaviour worth knowing, nothing to fix
-        (e.g. ``spilled-landmark`` — state is bounded, but on disk)."""
-        self.diagnostics.append(
-            Diagnostic(SEV_INFO, where, message, instr, code)
-        )
-
     def extend(self, other: "Report") -> None:
         self.diagnostics.extend(other.diagnostics)
 
@@ -94,9 +80,6 @@ class Report:
 
     def warnings(self) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == SEV_WARNING]
-
-    def infos(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == SEV_INFO]
 
     @property
     def ok(self) -> bool:

@@ -97,7 +97,6 @@ def resource_report_for(engine: DataCellEngine, sql: str, subject: str = "query"
         plan,
         engine._stream_limits,
         subject=subject,
-        landmark_spill_mb=getattr(engine, "landmark_spill_mb", None),
     )
 
 
@@ -113,10 +112,6 @@ class HarvestedQueries:
     tables: list[tuple[str, list[tuple[str, str]]]] = field(default_factory=list)
     queries: list[str] = field(default_factory=list)
     skipped: int = 0  # submit() calls whose SQL could not be resolved
-    #: Statically-resolved ``DataCellEngine(landmark_spill_mb=...)`` knob,
-    #: so the resource analyzer judges the file's landmark queries under
-    #: the memory regime the file actually runs them with.
-    landmark_spill_mb: Optional[float] = None
 
 
 class _Unresolved(Exception):
@@ -191,17 +186,6 @@ class _Harvester(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if callee == "DataCellEngine":
-            for keyword in node.keywords:
-                if keyword.arg != "landmark_spill_mb":
-                    continue
-                try:
-                    value = self._eval(keyword.value)
-                except _Unresolved:
-                    continue
-                if isinstance(value, (int, float)) and value > 0:
-                    self.result.landmark_spill_mb = float(value)
         if isinstance(func, ast.Attribute) and node.args:
             if func.attr in ("create_stream", "create_table") and len(node.args) >= 2:
                 try:
@@ -239,7 +223,7 @@ def harvest_python_file(path: Path) -> HarvestedQueries:
 
 
 def _engine_for(harvest: HarvestedQueries) -> DataCellEngine:
-    engine = DataCellEngine(landmark_spill_mb=harvest.landmark_spill_mb)
+    engine = DataCellEngine()
     for name, columns in harvest.streams:
         try:
             engine.create_stream(name, columns)

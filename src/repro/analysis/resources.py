@@ -466,32 +466,16 @@ def analyze_resources(
     plan: IncrementalPlan,
     limits: Optional[dict[str, tuple[Optional[int], Any]]] = None,
     subject: str = "plan",
-    landmark_spill_mb: Optional[float] = None,
 ) -> ResourceReport:
     """Compute worst-case state bounds for one rewritten plan.
 
     ``limits`` maps stream *relation* → ``(capacity, overflow-template)``
     as kept by the engine; pass None when capacities are unknown (lint).
-
-    ``landmark_spill_mb`` is the engine's bounded-memory landmark knob
-    (``DataCellEngine(landmark_spill_mb=...)``): when set, a landmark
-    query whose combine does not compact is no longer *unbounded* — cold
-    history spills to disk and the in-memory hot suffix stays within the
-    budget — so the ``unbounded-landmark`` warning downgrades to an
-    info-level ``spilled-landmark`` note.  Ephemeral engines (knob unset,
-    the lint default) keep the warning.
     """
     limits = limits or {}
     result = ResourceReport(subject=subject, report=Report(subject=subject))
     report = result.report
     compacts = combine_compacts(plan)
-    # Spilling applies exactly where the engine enables it: single-stream
-    # plans whose every window is landmark (joins keep per-pair partials).
-    spilling = (
-        landmark_spill_mb is not None
-        and not plan.is_join
-        and all(w.is_landmark for w in plan.windows.values())
-    )
     total = ZERO
 
     for alias in plan.stream_aliases:
@@ -503,28 +487,15 @@ def analyze_resources(
         if window.is_landmark:
             if compacts:
                 live = Bound(1)
-            elif spilling:
-                # Hot suffix in memory (folded prefix + newest partial,
-                # capped by the byte budget); cold history on disk.
-                live = Bound(2)
-                report.info(
-                    "plan",
-                    f"landmark window on {alias!r} with a non-compacting "
-                    f"combine spills cold history to disk "
-                    f"(landmark_spill_mb={landmark_spill_mb:g}): in-memory "
-                    f"state is bounded by the spill budget; disk usage "
-                    f"grows with stream {relation!r}",
-                    code="spilled-landmark",
-                )
             else:
                 live = UNBOUNDED
                 report.warning(
                     "plan",
                     f"landmark window on {alias!r} with a non-compacting "
                     f"combine retains every basic window: state grows "
-                    f"without bound; add an aggregate, enable "
-                    f"landmark_spill_mb, or put a capacity/shedding "
-                    f"policy on stream {relation!r}",
+                    f"without bound; add an aggregate, call "
+                    f"reset_landmark periodically, or put a capacity/"
+                    f"shedding policy on stream {relation!r}",
                     code="unbounded-landmark",
                 )
         else:

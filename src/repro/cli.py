@@ -39,11 +39,6 @@ worker processes and merges each query's per-partition windows back
 exactly (DESIGN.md §14).  With the default ``--partitions 1`` the
 ``PARTITION BY`` clause is accepted but execution stays in-process.
 
-``--landmark-spill-mb M`` bounds every landmark query's in-memory state
-to roughly M megabytes: cold history is folded and spilled to CRC-framed
-run files, paged back transparently for re-aggregation (DESIGN.md §16).
-``STATS`` then reports per-query hot/disk bytes and spill counters.
-
 ``python -m repro lint [...]`` is a separate subcommand that statically
 verifies rewritten plans (see :mod:`repro.analysis.lint`), and
 ``python -m repro fuzz [...]`` runs the differential fuzzing harness
@@ -116,11 +111,9 @@ class Console:
         overflow: Optional[OverflowPolicy] = None,
         partitions: int = 1,
         engine: Optional[DataCellEngine] = None,
-        landmark_spill_mb: Optional[float] = None,
     ) -> None:
         self.engine = engine if engine is not None else DataCellEngine(
-            partitions=partitions,
-            landmark_spill_mb=landmark_spill_mb,
+            partitions=partitions
         )
         self.capacity = capacity
         self.overflow = overflow
@@ -327,7 +320,6 @@ class Console:
         """Per-stream overload counters + per-factory profiler snapshots."""
         with self.engine.scheduler.scan_boundary():
             overload = self.engine.overload_stats()
-            spill = self.engine.landmark_spill_stats()
             factories = self.engine.scheduler.factory_stats()
         if overload:
             self.println("-- streams")
@@ -338,15 +330,6 @@ class Console:
                     f"parked={stats['parked']} "
                     f"shed={stats['shed']} block_waits={stats['block_waits']} "
                     f"block_timeouts={stats['block_timeouts']}"
-                )
-        if spill:
-            self.println("-- landmark spill")
-            for name, stats in spill.items():
-                self.println(
-                    f"{name}: hot={stats['hot_bytes']}B/"
-                    f"{stats['budget_bytes']}B disk={stats['disk_bytes']}B "
-                    f"runs={stats['runs']} spills={stats['spills']} "
-                    f"pageins={stats['pageins']}"
                 )
         if factories:
             self.println("-- factories")
@@ -468,7 +451,6 @@ def _run_serve_cli(argv: list[str]) -> int:
     partitions = 1
     capacity: Optional[int] = None
     overflow: Optional[OverflowPolicy] = None
-    landmark_spill_mb: Optional[float] = None
     scripts: list[str] = []
     try:
         index = 0
@@ -478,7 +460,6 @@ def _run_serve_cli(argv: list[str]) -> int:
             if name in (
                 "--data-dir", "--checkpoint-interval", "--checkpoint-bytes",
                 "--partitions", "--capacity", "--overflow",
-                "--landmark-spill-mb",
             ):
                 if inline:
                     value = inline
@@ -505,10 +486,6 @@ def _run_serve_cli(argv: list[str]) -> int:
                     capacity = int(value)
                     if capacity < 1:
                         raise ValueError("--capacity must be >= 1")
-                elif name == "--landmark-spill-mb":
-                    landmark_spill_mb = float(value)
-                    if landmark_spill_mb <= 0:
-                        raise ValueError("--landmark-spill-mb must be > 0")
                 else:
                     overflow = parse_overflow_spec(value)
             elif name.startswith("--"):
@@ -526,11 +503,7 @@ def _run_serve_cli(argv: list[str]) -> int:
         engine.run_until_idle()
         print(f"recovered engine from {data_dir}", file=sys.stderr)
     else:
-        engine = DataCellEngine(
-            partitions=partitions,
-            data_dir=data_dir,
-            landmark_spill_mb=landmark_spill_mb,
-        )
+        engine = DataCellEngine(partitions=partitions, data_dir=data_dir)
         print(f"created durable engine at {data_dir}", file=sys.stderr)
     console = Console(engine=engine, capacity=capacity, overflow=overflow)
     stop = threading.Event()
@@ -592,11 +565,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     capacity: Optional[int] = None
     overflow = None
     partitions = 1
-    landmark_spill_mb: Optional[float] = None
-    known = (
-        "--capacity", "--overflow", "--partitions",
-        "--landmark-spill-mb",
-    )
+    known = ("--capacity", "--overflow", "--partitions")
     while argv and argv[0].startswith("--"):
         flag = argv.pop(0)
         name, __, inline = flag.partition("=")
@@ -619,10 +588,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 capacity = int(value)
                 if capacity < 1:
                     raise ValueError
-            elif name == "--landmark-spill-mb":
-                landmark_spill_mb = float(value)
-                if landmark_spill_mb <= 0:
-                    raise ValueError
             else:
                 overflow = parse_overflow_spec(value)
         except ValueError:
@@ -635,12 +600,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if overflow is not None and capacity is None:
         print("error: --overflow needs --capacity", file=sys.stderr)
         return 2
-    console = Console(
-        capacity=capacity,
-        overflow=overflow,
-        partitions=partitions,
-        landmark_spill_mb=landmark_spill_mb,
-    )
+    console = Console(capacity=capacity, overflow=overflow, partitions=partitions)
     try:
         if argv:
             for path in argv:
@@ -657,8 +617,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             console.println()
         return 0
     finally:
-        # Ephemeral engines hold a repro-spill-* tempdir once a spilling
-        # landmark ran; close() is what removes it.
+        # close() stops shard workers and unlinks their shm segments.
         console.engine.close()
 
 

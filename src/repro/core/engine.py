@@ -26,8 +26,6 @@ drops a tuple when the slowest cursor has passed it (DESIGN.md §6).
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
 from collections import Counter
 from contextlib import nullcontext
@@ -65,6 +63,7 @@ from repro.core.rewriter import rewrite
 from repro.core.rewriter.canonical import fragment_fingerprint
 from repro.core.scheduler import Scheduler
 from repro.errors import (
+    BasketError,
     BasketOverflowError,
     CatalogError,
     ReproError,
@@ -236,7 +235,6 @@ class DataCellEngine:
         observability: bool = True,
         partitions: int = 1,
         data_dir: Optional[str] = None,
-        landmark_spill_mb: Optional[float] = None,
     ) -> None:
         if workers != 1:
             raise ReproError(
@@ -246,19 +244,6 @@ class DataCellEngine:
             )
         if partitions < 1:
             raise ReproError("partitions must be >= 1")
-        if landmark_spill_mb is not None and landmark_spill_mb <= 0:
-            raise ReproError("landmark_spill_mb must be > 0")
-        #: Bounded-memory landmark state (DESIGN.md §16): when set, every
-        #: single-stream landmark query keeps a hot in-memory suffix of
-        #: partials within this byte budget and spills folded cold history
-        #: to CRC-framed run files, paged back only for re-aggregation.
-        self.landmark_spill_mb = landmark_spill_mb
-        # Lazily-created tempdir root for ephemeral (no data_dir) engines'
-        # spill runs; durable engines spill under <data_dir>/spill/.
-        self._spill_root: Optional[str] = None
-        # Fault-injection hook forwarded to spilling stores (and the
-        # durability manager) — see install_fault_hook.
-        self._fault_hook = None
         if verify_plans is None:
             flag = os.environ.get("REPRO_VERIFY_PLANS", "")
             verify_plans = flag.strip().lower() in ("1", "true", "yes", "on")
@@ -309,7 +294,6 @@ class DataCellEngine:
                 partitions,
                 verify_plans=False,  # the coordinator verifies once
                 fragment_sharing=fragment_sharing,
-                landmark_spill_mb=landmark_spill_mb,
             )
         #: Durability (DESIGN.md §15): a data_dir arms the write-ahead
         #: journal; every state-changing call below appends a record
@@ -370,7 +354,6 @@ class DataCellEngine:
             "fragment_sharing": self.fragment_sharing,
             "observability": self.obs is not None,
             "verify_plans": self.verify_plans,
-            "landmark_spill_mb": self.landmark_spill_mb,
         }
 
     def _dur_guard(self):
@@ -530,10 +513,24 @@ class DataCellEngine:
             return handle
 
     def _submit_impl(self, sql: str, mode: str, name: Optional[str]):
+        """Register one query.  Only a submit that registers counts
+        towards auto-names: journal replay sees only those, so a restored
+        engine hands out the same next name as the live one did."""
         if mode not in ("incremental", "reeval"):
             raise ReproError(f"unknown mode {mode!r}")
+        handle = self._register(sql, mode, name or self._auto_name())
         self._query_counter += 1
-        query_name = name or f"q{self._query_counter}"
+        return handle
+
+    def _auto_name(self) -> str:
+        """``q<n>``: the first n past the registered-submit count that no
+        live query (named explicitly, perhaps) already uses."""
+        n = self._query_counter + 1
+        while f"q{n}" in self._queries or f"q{n}" in self._pqueries:
+            n += 1
+        return f"q{n}"
+
+    def _register(self, sql: str, mode: str, query_name: str):
         if self._shards is not None and self._partitioned:
             from repro.sql.parser import parse
 
@@ -579,7 +576,6 @@ class DataCellEngine:
                     plan,
                     self._stream_limits,
                     subject=query_name,
-                    landmark_spill_mb=self.landmark_spill_mb,
                 )
                 if self.verify_plans and not resources.ok:
                     raise ReproError(
@@ -602,18 +598,6 @@ class DataCellEngine:
                     }
                     check_plan(plan, schemas)
                 factory = IncrementalFactory(plan, baskets, tables, name=query_name)
-                if (
-                    self.landmark_spill_mb is not None
-                    and not plan.is_join
-                    and plan.windows
-                    and all(w.is_landmark for w in plan.windows.values())
-                ):
-                    factory.enable_landmark_spill(
-                        self._spill_dir_for(query_name),
-                        int(self.landmark_spill_mb * 1024 * 1024),
-                        fault_hook=self._fault_hook,
-                        profiler=self.scheduler.profiler,
-                    )
                 if self.fragment_sharing and plan.fragment is not None:
                     self._enable_sharing(factory, plan)
             else:
@@ -734,65 +718,6 @@ class DataCellEngine:
         self.fragment_cache.register(key, capacity)
         factory.enable_fragment_sharing(self.fragment_cache, key)
 
-    # -- landmark spill plumbing (DESIGN.md §16) -----------------------
-    def _spill_dir_for(self, query_name: str) -> str:
-        """This query's private spill directory.
-
-        Durable engines spill under ``<data_dir>/spill/<query>`` so runs
-        survive a crash alongside the journal; ephemeral engines use a
-        lazily-created tempdir removed on :meth:`close`/:meth:`abandon`.
-        """
-        if self._dur is not None:
-            return os.path.join(self._dur.data_dir, "spill", query_name)
-        if self._spill_root is None:
-            self._spill_root = tempfile.mkdtemp(prefix="repro-spill-")
-        return os.path.join(self._spill_root, query_name)
-
-    def _drop_spill_dir(self, name: str) -> None:
-        """Remove a query's spill directory (query removal)."""
-        if self._dur is not None:
-            shutil.rmtree(
-                os.path.join(self._dur.data_dir, "spill", name),
-                ignore_errors=True,
-            )
-        if self._spill_root is not None:
-            shutil.rmtree(
-                os.path.join(self._spill_root, name), ignore_errors=True
-            )
-
-    def _prune_spill_dirs(self) -> None:
-        """Post-restore sweep: drop spill files nothing references.
-
-        A crash can leave behind run files written after the snapshot
-        (replay regenerates them deterministically under the same names,
-        so whatever is still unreferenced now is garbage), ``.tmp``
-        leftovers from torn renames, and whole directories of queries
-        removed later in the journal.
-        """
-        for handle in self._queries.values():
-            factory = handle.factory
-            if isinstance(factory, IncrementalFactory):
-                factory.prune_spill()
-        if self._dur is not None:
-            root = os.path.join(self._dur.data_dir, "spill")
-            try:
-                names = os.listdir(root)
-            except FileNotFoundError:
-                return
-            for entry in names:
-                if entry not in self._queries:
-                    shutil.rmtree(os.path.join(root, entry), ignore_errors=True)
-
-    def landmark_spill_stats(self) -> dict[str, dict]:
-        """Per-query landmark spill gauges; ``{}`` when nothing spills.
-
-        Each entry reports the byte budget, hot in-memory bytes/bundles,
-        on-disk run count and bytes, and lifetime spill/page-in counters
-        (surfaced in :meth:`metrics` under ``"landmark_spill"`` and as
-        ``repro_landmark_spill_*`` Prometheus families, docs/METRICS.md).
-        """
-        return self._incremental_stats(IncrementalFactory.landmark_spill_stats)
-
     def merge_stats(self) -> dict[str, dict]:
         """Per-query merge-tree gauges of single-stream incremental queries.
 
@@ -803,14 +728,10 @@ class DataCellEngine:
         currently held (DESIGN.md §17; surfaced in :meth:`metrics` under
         ``"merge"`` and as ``repro_merge_*`` Prometheus families).
         """
-        return self._incremental_stats(IncrementalFactory.merge_stats)
-
-    def _incremental_stats(self, stat) -> dict[str, dict]:
-        """``stat(factory)`` per incremental query, Nones left out."""
         stats: dict[str, dict] = {}
         for name, handle in self._queries.items():
             if isinstance(handle.factory, IncrementalFactory):
-                per = stat(handle.factory)
+                per = handle.factory.merge_stats()
                 if per is not None:
                     stats[name] = per
         return stats
@@ -818,11 +739,11 @@ class DataCellEngine:
     def reset_landmark(self, name: str) -> None:
         """Restart a landmark query's window from *now* (journaled).
 
-        Discards the query's accumulated landmark state — spilled runs
-        included — and re-anchors the window at the next unconsumed
-        tuple.  The reset is written to the journal **before** this
-        returns, so a crash after a reset can never resurrect the
-        pre-reset partials and re-emit stale windows on recovery.
+        Discards the query's accumulated landmark state and re-anchors
+        the window at the next unconsumed tuple.  The reset is written to
+        the journal **before** this returns, so a crash after a reset can
+        never resurrect the pre-reset partials and re-emit stale windows
+        on recovery.
 
         The engine first drives to quiescence: a reset's effect depends
         on how much input was *consumed* before it, and journal replay
@@ -876,7 +797,6 @@ class DataCellEngine:
             self.scheduler.unregister(name)
             for cursor in handle.baskets.values():
                 cursor.close()
-        self._drop_spill_dir(name)
 
     def query(self, name: str):
         if name in self._pqueries:
@@ -921,6 +841,45 @@ class DataCellEngine:
             )
             return self._feed_impl(stream, rows, columns, timestamps)
 
+    def _feed_columns(
+        self,
+        stream: str,
+        rows: Optional[list],
+        columns: Optional[Mapping[str, Sequence | np.ndarray]],
+        timestamps: Optional[Sequence[int] | np.ndarray],
+    ) -> tuple[Mapping[str, Sequence | np.ndarray], int]:
+        """One feed batch as ``({column: values}, tuple count)``, checked
+        against ``stream``'s schema: row arity, exactly the schema's
+        columns, equal column lengths and one timestamp per tuple.
+
+        Runs before a batch is journaled or routed, so a batch the basket
+        would reject never reaches the journal (where replay would raise
+        it again and the data dir could not be restored).
+        """
+        names = self.catalog.schema_of(stream).names
+        if rows is not None:
+            for row in rows:
+                if len(row) != len(names):
+                    raise BasketError(
+                        f"row arity {len(row)} != schema arity {len(names)}"
+                    )
+            cols: Mapping[str, Sequence | np.ndarray] = {
+                name: [row[i] for row in rows] for i, name in enumerate(names)
+            }
+            count = len(rows)
+        else:
+            assert columns is not None
+            if set(columns) != set(names):
+                raise BasketError(f"feed needs exactly columns {sorted(names)}")
+            lengths = {len(values) for values in columns.values()}
+            if len(lengths) > 1:
+                raise BasketError(f"ragged column feed on {stream!r}")
+            cols = columns
+            count = lengths.pop() if lengths else 0
+        if timestamps is not None and len(timestamps) != count:
+            raise BasketError("timestamp column length mismatch")
+        return cols, count
+
     def _feed_record(
         self,
         stream: str,
@@ -928,22 +887,9 @@ class DataCellEngine:
         columns: Optional[Mapping[str, Sequence | np.ndarray]],
         timestamps: Optional[Sequence[int] | np.ndarray],
     ) -> dict:
-        """Typed, replayable image of one feed batch (validates arity
-        before anything reaches the journal)."""
+        """Typed, replayable image of one (checked) feed batch."""
         schema = self.catalog.schema_of(stream)
-        names = schema.names
-        if rows is not None:
-            for row in rows:
-                if len(row) != len(names):
-                    raise ReproError(
-                        f"row arity {len(row)} != schema arity {len(names)}"
-                    )
-            cols: Mapping[str, Sequence | np.ndarray] = {
-                name: [row[i] for row in rows] for i, name in enumerate(names)
-            }
-        else:
-            assert columns is not None
-            cols = columns
+        cols, __ = self._feed_columns(stream, rows, columns, timestamps)
         record: dict = {
             "stream": stream,
             "columns": {
@@ -1002,37 +948,15 @@ class DataCellEngine:
         state = self._partitioned[stream]
         schema = self.catalog.schema_of(stream)
         names = schema.names
-        if rows is not None:
-            rows = list(rows)
-            for row in rows:
-                if len(row) != len(names):
-                    raise ReproError(
-                        f"row arity {len(row)} != schema arity {len(names)}"
-                    )
-            cols: Mapping[str, Sequence | np.ndarray] = {
-                name: [row[i] for row in rows]
-                for i, name in enumerate(names)
-            }
-        else:
-            assert columns is not None
-            if set(columns) != set(names):
-                raise ReproError(
-                    f"feed needs exactly columns {sorted(names)}"
-                )
-            cols = columns
+        rows = list(rows) if rows is not None else None
+        cols, count = self._feed_columns(stream, rows, columns, timestamps)
         typed = as_typed_columns(
             cols, {name: schema.atom_of(name) for name in names}
         )
-        lengths = {len(values) for values in typed.values()}
-        if len(lengths) > 1:
-            raise ReproError(f"ragged column feed on {stream!r}")
-        count = lengths.pop() if lengths else 0
         base = self._stream_fed[stream]
         seq = np.arange(base, base + count, dtype=np.int64)
         if timestamps is not None:
             ts = np.asarray(timestamps, dtype=np.int64)
-            if len(ts) != count:
-                raise ReproError("timestamp column length mismatch")
         else:
             ts = seq
         if count and state.pending_anchor:
@@ -1188,14 +1112,6 @@ class DataCellEngine:
             self._shards.close()
         if self._dur is not None:
             self._dur.close()
-        self._drop_spill_root()
-
-    def _drop_spill_root(self) -> None:
-        """Remove the ephemeral spill tempdir (non-durable engines only —
-        durable engines keep ``<data_dir>/spill/`` for restore)."""
-        if self._spill_root is not None:
-            shutil.rmtree(self._spill_root, ignore_errors=True)
-            self._spill_root = None
 
     # ------------------------------------------------------------------
     # durability: checkpoint / restore (DESIGN.md §15)
@@ -1248,15 +1164,22 @@ class DataCellEngine:
                 )
             meta = payload
         # Knobs of removed engine modes are ignored — "workers" (thread
-        # pool) and "backend" (compiled execution): one interpreter on
-        # one firing thread produces the same windows in the same order.
+        # pool), "backend" (compiled execution) and an unset
+        # "landmark_spill_mb": one interpreter on one firing thread
+        # produces the same windows in the same order.  A set spill
+        # budget is refused: that dir's snapshot may reference landmark
+        # runs on disk that nothing reads any more.
+        if meta.get("landmark_spill_mb") is not None:
+            raise DurabilityError(
+                f"data dir {data_dir!r} was written with landmark_spill_mb="
+                f"{meta['landmark_spill_mb']!r}; landmark spilling was "
+                "removed and its spilled state cannot be restored"
+            )
         engine = cls(
             verify_plans=meta["verify_plans"],
             fragment_sharing=meta["fragment_sharing"],
             observability=meta["observability"],
             partitions=meta["partitions"],
-            # .get(): journals written before spilling existed lack the key.
-            landmark_spill_mb=meta.get("landmark_spill_mb"),
         )
         engine._adopt_durability(dur)
         last_seq = horizon
@@ -1270,7 +1193,6 @@ class DataCellEngine:
                 replayed += 1
             if replayed:
                 engine.scheduler.profiler.count(COUNTER_REPLAYED_RECORDS, replayed)
-        engine._prune_spill_dirs()
         dur.resume(last_seq)
         return engine
 
@@ -1294,8 +1216,6 @@ class DataCellEngine:
             self._shards.abandon()
         if self._dur is not None:
             self._dur.close()
-        # Ephemeral spill state is unrecoverable anyway; don't leak tmpdirs.
-        self._drop_spill_root()
 
     def durability_stats(self) -> dict:
         """Journal/checkpoint gauges; ``{}`` when durability is off."""
@@ -1304,27 +1224,16 @@ class DataCellEngine:
         return self._dur.stats()
 
     def install_fault_hook(self, hook) -> None:
-        """Test seam: called at every durability and spill HOOK_* point.
+        """Test seam: called at every durability HOOK_* point.
 
         The crash-recovery tests install a
         :class:`~repro.testing.faults.CrashPoint` here to simulate the
         process dying mid-append or mid-checkpoint (the hook raises;
-        the test abandons the engine and restores the data dir).  The
-        same hook is forwarded to every spilling landmark store, so one
-        ordinal sweep covers journal, checkpoint, and spill effects in a
-        single deterministic sequence.
+        the test abandons the engine and restores the data dir).
         """
-        if self._dur is None and self.landmark_spill_mb is None:
-            raise ReproError(
-                "install_fault_hook needs a durable or spilling engine"
-            )
-        if self._dur is not None:
-            self._dur.fault_hook = hook
-        self._fault_hook = hook
-        for handle in self._queries.values():
-            factory = handle.factory
-            if isinstance(factory, IncrementalFactory):
-                factory.set_fault_hook(hook)
+        if self._dur is None:
+            raise ReproError("install_fault_hook needs a durable engine")
+        self._dur.fault_hook = hook
 
     def _gather_state(self) -> dict:
         """The full engine image one snapshot frame carries.

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.basket import Basket, Cursor
-from repro.core.landmark import SpillingStore
 from repro.core.partials import (
     Bundle,
     FragmentCache,
@@ -526,8 +525,6 @@ class IncrementalFactory(FactoryBase):
         table already is every live pair's rows in merge order."""
         if self.plan.is_join:
             return [self._pairs.table()] if len(self._pairs) else []
-        if self._spilling:
-            return [bundle for __, bundle in self._store.live()]
         return self._store.cover(
             lambda bundles: self._fold_bundles(bundles, profiler)
         )
@@ -548,10 +545,7 @@ class IncrementalFactory(FactoryBase):
         if not bundles:
             raise SchedulerError("no live partials to merge")
         bundle = self._fold_bundles(bundles, profiler)
-        if self._compactable and not self._spilling:
-            # A spilling store manages its own folding (hot-suffix
-            # compaction + cold runs); collapsing to the combined bundle
-            # here would pull every spilled byte back into memory.
+        if self._compactable:
             self._compact_landmark(bundle)
         outputs = self._interp.run(self.plan.finalize, bundle, profiler)
         columns = {
@@ -569,40 +563,6 @@ class IncrementalFactory(FactoryBase):
     def _is_landmark(self) -> bool:
         return any(w.is_landmark for w in self.plan.windows.values())
 
-    @property
-    def _spilling(self) -> bool:
-        return not self.plan.is_join and isinstance(self._store, SpillingStore)
-
-    # -- bounded-memory landmark state (cold-history spill) -------------
-    def enable_landmark_spill(
-        self,
-        spill_dir: str,
-        budget_bytes: int,
-        fault_hook=None,
-        profiler: Optional[Profiler] = None,
-    ) -> None:
-        """Swap the unbounded landmark store for a bounded spilling one.
-
-        Single-stream all-landmark plans only: joins keep per-pair
-        partials whose expiry the spill store does not model.  Must be
-        enabled before the factory consumes any input.
-        """
-        if self.plan.is_join or not self._compactable:
-            raise UnsupportedQueryError(
-                "landmark spilling needs a single-stream landmark window"
-            )
-        if len(self._store):
-            raise SchedulerError(
-                "cannot enable landmark spilling on a non-empty store"
-            )
-        self._store = SpillingStore(
-            spill_dir,
-            budget_bytes,
-            fold=self._fold_bundles,
-            fault_hook=fault_hook,
-            profiler=profiler,
-        )
-
     def _fold_bundles(
         self, bundles: list[Bundle], profiler: Optional[Profiler] = None
     ) -> Bundle:
@@ -612,12 +572,12 @@ class IncrementalFactory(FactoryBase):
         order-preserving n-ary merge by construction — it runs over a
         varying number of live bundles every firing, and landmark
         compaction already feeds its output back as a later input.
-        Pre-merging (cold landmark history, merge-tree nodes, m-chunk
-        partials) therefore reproduces the flat merge bit-for-bit for
-        integer sums, counts, min/max and group keys; float sums are
-        equal only up to reassociation (last-ulp), which is why tree
-        nodes sit on aligned seq ranges — the association order is then
-        a function of the window alone, not of when a node was folded.
+        Pre-merging (merge-tree nodes, m-chunk partials) therefore
+        reproduces the flat merge bit-for-bit for integer sums, counts,
+        min/max and group keys; float sums are equal only up to
+        reassociation (last-ulp), which is why tree nodes sit on aligned
+        seq ranges — the association order is then a function of the
+        window alone, not of when a node was folded.
         """
         if profiler is None:
             profiler = Profiler()
@@ -625,14 +585,9 @@ class IncrementalFactory(FactoryBase):
         combined = self._interp.run(self.plan.combine, packed_cols, profiler)
         return {flow.name: combined[flow.name] for flow in self.plan.flows}
 
-    def set_fault_hook(self, hook) -> None:
-        """Install (or clear) the fault-injection hook on the spill store."""
-        if self._spilling:
-            self._store.fault_hook = hook
-
     def merge_stats(self) -> Optional[dict]:
         """Merge-tree gauges of a single-stream ring store (METRICS.md)."""
-        if self.plan.is_join or self._spilling:
+        if self.plan.is_join:
             return None
         store = self._store
         return {
@@ -640,23 +595,6 @@ class IncrementalFactory(FactoryBase):
             "merge_nodes_sealed": store.nodes_sealed,
             "merge_nodes_live": store.nodes_live,
         }
-
-    def landmark_spill_stats(self) -> Optional[dict]:
-        """Spill gauges when this factory runs a spilling landmark store."""
-        if self._spilling:
-            return self._store.stats()
-        return None
-
-    def prune_spill(self) -> None:
-        """Drop spill files not referenced by the current run list.
-
-        Called once after a restore: a crash may leave behind run files
-        written after the snapshot (they are regenerated deterministically
-        under the same names during journal-driven replay, so anything
-        unreferenced by then is garbage) and ``.tmp`` leftovers.
-        """
-        if self._spilling:
-            self._store._prune_unreferenced()
 
     @property
     def _compactable(self) -> bool:
@@ -755,8 +693,6 @@ class IncrementalFactory(FactoryBase):
                 self.plan.windows[left].basic_windows if left in self.plan.windows else 0,
                 self.plan.windows[right].basic_windows if right in self.plan.windows else 0,
             )
-        elif self._spilling:
-            self._store.reset()  # drops hot state and spilled runs alike
         else:
             self._store = self._new_store()
         for alias, slicer in self._slicers.items():

@@ -65,7 +65,6 @@ def _worker_main(conn, init: dict) -> None:
         verify_plans=init["verify_plans"],
         fragment_sharing=init["fragment_sharing"],
         observability=False,
-        landmark_spill_mb=init.get("landmark_spill_mb"),
     )
     streams: dict[str, dict] = {}  # stream -> decl
     queries: dict[str, dict] = {}  # qname -> state
@@ -368,7 +367,6 @@ class ShardSet:
         partitions: int,
         verify_plans: bool,
         fragment_sharing: bool,
-        landmark_spill_mb=None,
     ) -> None:
         import multiprocessing as mp
 
@@ -380,10 +378,6 @@ class ShardSet:
         init = {
             "verify_plans": verify_plans,
             "fragment_sharing": fragment_sharing,
-            # Workers spill landmark cold history too: each worker engine
-            # is ephemeral, so its runs land in a private tempdir removed
-            # by the worker's close path.
-            "landmark_spill_mb": landmark_spill_mb,
         }
         self.workers = [
             ShardWorkerProxy(ctx, p, init) for p in range(partitions)

@@ -45,12 +45,6 @@ COUNTER_JOURNAL_RECORDS = "journal_records"
 COUNTER_JOURNAL_BYTES = "journal_bytes"
 COUNTER_REPLAYED_RECORDS = "replayed_records"
 COUNTER_RECOVERY_SUPPRESSED = "recovery_suppressed"
-#: Landmark spill counters (bounded-memory landmark store; see
-#: docs/OPERATIONS.md §8 and docs/METRICS.md).
-COUNTER_LANDMARK_SPILL_RUNS = "landmark_spill_runs"
-COUNTER_LANDMARK_SPILL_BYTES = "landmark_spill_bytes"
-COUNTER_LANDMARK_PAGEINS = "landmark_spill_pageins"
-COUNTER_LANDMARK_PAGEIN_BYTES = "landmark_spill_pagein_bytes"
 
 
 @dataclass

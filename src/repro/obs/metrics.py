@@ -42,10 +42,6 @@ BASE_COUNTERS = (
     "journal_bytes",
     "replayed_records",
     "recovery_suppressed",
-    "landmark_spill_runs",
-    "landmark_spill_bytes",
-    "landmark_spill_pageins",
-    "landmark_spill_pagein_bytes",
 )
 
 
@@ -62,7 +58,7 @@ def collect_metrics(engine) -> dict:
         metrics = firing_metrics(engine)
     metrics["partition"] = engine.partition_stats()
     metrics["durability"] = engine.durability_stats()
-    for optional in ("partition", "durability", "landmark_spill", "merge"):
+    for optional in ("partition", "durability", "merge"):
         if not metrics[optional]:
             del metrics[optional]
     return metrics
@@ -72,7 +68,7 @@ def firing_metrics(engine) -> dict:
     """Everything :func:`collect_metrics` reports but the partition and
     durability gauges; call it at a scan boundary.
 
-    Profilers, the fragment cache, merge-tree and spill gauges,
+    Profilers, the fragment cache, merge-tree gauges,
     histograms and the span ring are written by the firing thread alone,
     so a copy taken while no firing runs keeps firing counts equal across
     ``counters``, ``factories`` and ``spans``.
@@ -98,7 +94,6 @@ def firing_metrics(engine) -> dict:
         },
         "streams": engine.overload_stats(),
         "fragment_cache": engine.fragment_cache.stats(),
-        "landmark_spill": engine.landmark_spill_stats(),
         "merge": engine.merge_stats(),
     }
     if obs is not None:
@@ -195,10 +190,6 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
         "journal_bytes": "Bytes appended to the input journal.",
         "replayed_records": "Journal records replayed during recovery.",
         "recovery_suppressed": "Duplicate emissions dropped after restore.",
-        "landmark_spill_runs": "Cold landmark runs spilled to disk.",
-        "landmark_spill_bytes": "Bytes written to landmark spill runs.",
-        "landmark_spill_pageins": "Spilled landmark runs paged back in.",
-        "landmark_spill_pagein_bytes": "Bytes read back from spill runs.",
     }
     for counter, help_text in counter_help.items():
         name = f"repro_{counter}_total"
@@ -315,23 +306,6 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
             "Wall-clock duration of the most recent checkpoint.",
         )
         w.sample("repro_last_checkpoint_seconds", last.get("seconds", 0.0))
-
-    spill = metrics.get("landmark_spill")
-    if spill:
-        spill_gauges = (
-            ("hot_bytes", "repro_landmark_spill_hot_bytes",
-             "In-memory landmark partial bytes (hot suffix)."),
-            ("budget_bytes", "repro_landmark_spill_budget_bytes",
-             "Configured per-query hot-state byte budget."),
-            ("disk_bytes", "repro_landmark_spill_disk_bytes",
-             "Bytes held in a query's on-disk spill runs."),
-            ("runs", "repro_landmark_spill_run_files",
-             "Spill run files currently on disk for a query."),
-        )
-        for key, name, help_text in spill_gauges:
-            w.header(name, "gauge", help_text)
-            for qname, stats in sorted(spill.items()):
-                w.sample(name, stats.get(key, 0), query=qname)
 
     merge = metrics.get("merge")
     if merge:

@@ -757,23 +757,19 @@ def build_engine(
     verify_plans: bool = False,
     partitions: int = 1,
     data_dir: Optional[str] = None,
-    landmark_spill_mb: Optional[float] = None,
 ) -> DataCellEngine:
     """A fresh engine holding the query's streams and (loaded) tables.
 
     ``partitions > 1`` builds a sharded engine and declares every stream
     partitioned by its :attr:`FuzzQuery.partition_key` (the caller is
     responsible for only asking when :attr:`FuzzQuery.partition_ok`).
-    ``data_dir`` makes the engine durable (the ``--crash`` axis);
-    ``landmark_spill_mb`` arms bounded-memory landmark state so the
-    crash/partition legs also exercise the spill paths.
+    ``data_dir`` makes the engine durable (the ``--crash`` axis).
     """
     engine = DataCellEngine(
         verify_plans=verify_plans,
         fragment_sharing=fragment_sharing,
         partitions=partitions,
         data_dir=data_dir,
-        landmark_spill_mb=landmark_spill_mb,
     )
     for name, cols in query.streams.items():
         key = query.partition_key if partitions > 1 else None

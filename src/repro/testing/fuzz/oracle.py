@@ -245,16 +245,7 @@ def run_partitioned(
     """
     from repro.errors import UnsupportedQueryError
 
-    engine = build_engine(
-        query,
-        partitions=config.partitions,
-        # A deliberately tiny budget: landmark queries must produce
-        # identical windows whether their cold history is hot or spilled,
-        # so the sharded leg doubles as a spill-correctness leg.  Gated on
-        # the query shape (no rng draw) — historical reproducers replay
-        # unchanged.
-        landmark_spill_mb=0.01 if query.has_landmark else None,
-    )
+    engine = build_engine(query, partitions=config.partitions)
     try:
         try:
             handle = engine.submit(query.sql, name="qp")
@@ -285,14 +276,7 @@ def run_crash_leg(
     """
     tmp = tempfile.mkdtemp(prefix="repro-fuzz-crash-")
     data_dir = os.path.join(tmp, "data")
-    engine = build_engine(
-        query,
-        data_dir=data_dir,
-        # Landmark queries spill under <data_dir>/spill here, so both
-        # kill/restore cycles below also recover spilled cold history
-        # (shape-gated, no rng — historical reproducers replay unchanged).
-        landmark_spill_mb=0.01 if query.has_landmark else None,
-    )
+    engine = build_engine(query, data_dir=data_dir)
     try:
         handle = engine.submit(query.sql, name="qx")
         plans = {

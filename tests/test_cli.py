@@ -227,33 +227,3 @@ class TestMainFlagParsing:
         )
         assert code == 0
         assert "overflow sample:0.5" in capsys.readouterr().out
-
-    def test_spill_tempdir_removed_on_exit(self, tmp_path, monkeypatch):
-        """A spilling landmark session must not leak its repro-spill-*
-        tempdir: main() closes the engine even on the script path."""
-        import os
-        import tempfile
-
-        created = []
-        real_mkdtemp = tempfile.mkdtemp
-
-        def tracking_mkdtemp(**kwargs):
-            path = real_mkdtemp(dir=str(tmp_path), **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(tempfile, "mkdtemp", tracking_mkdtemp)
-        data = tmp_path / "v.csv"
-        write_csv(data, {"v": np.arange(64)}, order=["v"])
-        script = "\n".join(
-            [
-                "CREATE STREAM s (v int)",
-                "SUBMIT SELECT v FROM s [LANDMARK SLIDE 8]",
-                f"FEED s FROM {data} CHUNK 16",
-                "QUIT",
-            ]
-        )
-        code = self.run_main(["--landmark-spill-mb", "0.0001"], tmp_path, script)
-        assert code == 0
-        assert created, "spilling session never allocated its tempdir"
-        assert not any(os.path.isdir(path) for path in created)

@@ -32,6 +32,22 @@ class TestLandmarkReset:
         # only post-reset tuples count
         assert query.results()[-1].rows() == [(70, 10)]
 
+    def test_reset_restarts_a_selection_landmark(self, engine):
+        """A non-compacting landmark keeps every selected tuple; the
+        engine-level reset drops them all, so the next window holds only
+        tuples fed after it."""
+        query = engine.submit("SELECT x1 FROM s [LANDMARK SLIDE 8] WHERE x1 > 10")
+        rng = np.random.default_rng(5)
+        pre = rng.integers(0, 100, 64).astype(np.int64)
+        engine.feed("s", columns={"x1": pre, "x2": pre})
+        engine.run_until_idle()
+        assert query.results()[-1].rows() == [(int(v),) for v in pre if v > 10]
+        engine.reset_landmark(query.name)
+        post = rng.integers(0, 100, 16).astype(np.int64)
+        engine.feed("s", columns={"x1": post, "x2": post})
+        engine.run_until_idle()
+        assert query.results()[-1].rows() == [(int(v),) for v in post if v > 10]
+
     def test_reset_join_landmark(self, engine):
         query = engine.submit(
             "SELECT count(*) FROM s a [LANDMARK SLIDE 10], s2 b [LANDMARK SLIDE 10] "

@@ -131,8 +131,8 @@ class TestShardPlan:
             )
 
     def test_landmark_routes(self):
-        # Landmark partitions since the spill/partition rework: cumulative
-        # per-partition slices merge window-for-window like sliding ones.
+        # Cumulative per-partition landmark slices merge window-for-window
+        # like sliding ones.
         plan = plan_partition_query(
             "SELECT k, v FROM s [LANDMARK SLIDE 4]", SCHEMA, SPEC
         )

@@ -28,7 +28,7 @@ import pytest
 
 from repro.core.durability import DurabilityError
 from repro.core.engine import DataCellEngine
-from repro.errors import ReproError
+from repro.errors import BasketError, ReproError
 from repro.testing.faults import CrashPoint, InjectedCrash
 from repro.testing.fuzz.generator import QueryGenerator, build_engine
 from repro.testing.fuzz.reference import ReferenceOracle, rows_equivalent
@@ -435,13 +435,11 @@ def test_no_leaked_segments_or_temp_files(tmp_path):
     """After checkpoints + GC the data dir holds only live artifacts."""
     query, feed = _workload(0, "sum")
     data_dir = tmp_path / "dd"
-    engine = build_engine(
-        query, data_dir=str(data_dir), landmark_spill_mb=0.0001
-    )
+    engine = build_engine(query, data_dir=str(data_dir))
     try:
         engine.submit(query.sql, name="q")
-        # A landmark query alongside the workload, so the walk below
-        # also covers the spill directory's run/manifest hygiene.
+        # A landmark query alongside the workload: its state lives in
+        # the snapshot, never in files of its own.
         stream = next(iter(query.streams))
         col = next(iter(feed.columns[stream]))
         engine.submit(
@@ -449,7 +447,6 @@ def test_no_leaked_segments_or_temp_files(tmp_path):
         )
         _drive(engine, query, feed)  # takes two checkpoints
         engine.checkpoint()
-        assert engine.landmark_spill_stats()["lm"]["runs"] > 0
     finally:
         engine.close()
     found = sorted(
@@ -460,15 +457,11 @@ def test_no_leaked_segments_or_temp_files(tmp_path):
     assert not [f for f in found if f.endswith(".tmp")], found
     snapshots = [f for f in found if f.startswith("snapshots/")]
     assert len(snapshots) == 1, found  # GC keeps only the live snapshot
-    spill = [f for f in found if f.startswith("spill/")]
-    assert spill, found  # the landmark query actually spilled
     for name in found:
         assert (
             name == "MANIFEST.json"
             or name.startswith("segments/segment-")
             or name.startswith("snapshots/snapshot-")
-            or name.startswith("spill/lm/run-")
-            or name == "spill/lm/SPILL.json"
         ), found
 
 
@@ -517,3 +510,187 @@ def test_restore_ignores_legacy_workers_meta(tmp_path, monkeypatch, checkpointed
         assert "workers" not in engine._meta()
     finally:
         engine.close()
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+@pytest.mark.parametrize("spill_mb", [None, 0.25])
+def test_restore_of_dirs_naming_the_removed_spill_knob(
+    tmp_path, monkeypatch, spill_mb, checkpointed
+):
+    """Data dirs written while landmark spilling existed carry
+    ``"landmark_spill_mb"`` in their meta.  Unset, it is ignored and the
+    dir restores; set, the dir's snapshot may reference spilled runs
+    nothing can read, so restore refuses it and names the key."""
+    current_meta = DataCellEngine._meta
+    monkeypatch.setattr(
+        DataCellEngine,
+        "_meta",
+        lambda self: {**current_meta(self), "landmark_spill_mb": spill_mb},
+    )
+    data_dir = tmp_path / "dd"
+    engine = DataCellEngine(data_dir=str(data_dir))
+    engine.create_stream("s", [("v", "int")])
+    handle = engine.submit("SELECT v FROM s [LANDMARK SLIDE 4]", name="q")
+    engine.feed("s", columns={"v": np.arange(8, dtype=np.int64)})
+    engine.run_until_idle()
+    if checkpointed:
+        engine.checkpoint()
+    engine.feed("s", columns={"v": np.arange(8, 12, dtype=np.int64)})
+    engine.run_until_idle()
+    expected = [batch.rows() for batch in handle.results()]
+    assert len(expected) == 3
+    engine.abandon()
+    monkeypatch.undo()
+
+    if spill_mb is not None:
+        with pytest.raises(DurabilityError, match="landmark_spill_mb"):
+            DataCellEngine.restore(str(data_dir))
+        return
+    engine = DataCellEngine.restore(str(data_dir))
+    try:
+        engine.run_until_idle()
+        got = [batch.rows() for batch in engine.query("q").results()]
+        assert got == expected
+        assert "landmark_spill_mb" not in engine._meta()
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"columns": {"v": [1, 2]}},
+        {"columns": {"v": [1, 2, 3], "w": [1, 2]}},
+        {"columns": {"v": [1, 2], "w": [3, 4]}, "timestamps": [5]},
+    ],
+    ids=["missing-column", "ragged", "timestamps-length"],
+)
+def test_rejected_feed_leaves_the_data_dir_restorable(tmp_path, bad):
+    """Regression: a batch the basket rejects used to be journaled
+    first, so every restore replayed it, raised again, and the data dir
+    could no longer be recovered."""
+    data_dir = tmp_path / "dd"
+    engine = DataCellEngine(data_dir=str(data_dir))
+    try:
+        engine.create_stream("s", [("v", "int"), ("w", "int")])
+        handle = engine.submit(
+            "SELECT sum(v) AS t, count(*) AS n FROM s [RANGE 4 SLIDE 2]", name="q"
+        )
+        with pytest.raises(BasketError):
+            engine.feed("s", **bad)
+        values = np.arange(8, dtype=np.int64)
+        engine.feed("s", columns={"v": values, "w": values})
+        engine.run_until_idle()
+        expected = [batch.rows() for batch in handle.results()]
+        assert len(expected) == 3
+        engine.abandon()
+
+        engine = DataCellEngine.restore(str(data_dir))
+        engine.run_until_idle()
+        got = [batch.rows() for batch in engine.query("q").results()]
+        assert got == expected
+    finally:
+        engine.close()
+
+
+def test_auto_names_never_collide(tmp_path):
+    """Regression: a failed submit used up an auto-name number that
+    journal replay never saw, so a restored engine handed out a name
+    the live one already had (``factory 'q2' already registered``); an
+    explicit ``name="q<n>"`` collided with the next auto-name the same
+    way on a live engine."""
+    sql = "SELECT sum(v) AS t FROM s [RANGE 4 SLIDE 2]"
+    data_dir = tmp_path / "dd"
+    engine = DataCellEngine(data_dir=str(data_dir))
+    try:
+        engine.create_stream("s", [("v", "int")])
+        with pytest.raises(ReproError):
+            engine.submit("SELECT missing FROM s [RANGE 4 SLIDE 2]")
+        assert engine.submit(sql).name == "q1"
+        engine.abandon()
+
+        engine = DataCellEngine.restore(str(data_dir))
+        assert engine.submit(sql).name == "q2"
+        engine.submit(sql, name="q3")
+        named = [engine.submit(sql).name for __ in range(2)]
+        assert len({"q1", "q2", "q3", *named}) == 5
+        live_next = engine._auto_name()
+        engine.abandon()
+
+        engine = DataCellEngine.restore(str(data_dir))
+        assert engine.submit(sql).name == live_next
+    finally:
+        engine.close()
+
+
+def test_removed_landmark_query_stays_removed(tmp_path):
+    """``remove`` on a landmark query is journaled: a restore neither
+    resurrects it nor disturbs the query still running beside it."""
+    data_dir = tmp_path / "dd"
+    engine = DataCellEngine(data_dir=str(data_dir))
+    try:
+        engine.create_stream("s", [("v", "int")])
+        engine.submit("SELECT v FROM s [LANDMARK SLIDE 4] WHERE v > 2", name="lm")
+        handle = engine.submit("SELECT sum(v) AS t FROM s [LANDMARK SLIDE 4]", name="q")
+        engine.feed("s", columns={"v": np.arange(8, dtype=np.int64)})
+        engine.run_until_idle()
+        engine.checkpoint()
+        engine.remove("lm")
+        engine.feed("s", columns={"v": np.arange(8, 16, dtype=np.int64)})
+        engine.run_until_idle()
+        expected = [batch.rows() for batch in handle.results()]
+        assert expected[-1] == [(120,)]
+        engine.abandon()
+
+        engine = DataCellEngine.restore(str(data_dir))
+        engine.run_until_idle()
+        with pytest.raises(KeyError):
+            engine.query("lm")
+        assert [batch.rows() for batch in engine.query("q").results()] == expected
+    finally:
+        engine.close()
+
+
+def test_kill_anywhere_landmark_selection(tmp_path):
+    """Crash at every durability hook ordinal while a non-compacting
+    landmark query accumulates; each restore must converge on the
+    unkilled run's windows, exactly once."""
+    sql = "SELECT v FROM s [LANDMARK SLIDE 4] WHERE v >= 0"
+    values = np.arange(36, dtype=np.int64)
+
+    def drive(engine) -> None:
+        round_no = 0
+        while (lo := engine._stream_fed.get("s", 0)) < len(values):
+            engine.feed("s", columns={"v": values[lo : lo + 9]})
+            engine.run_until_idle()
+            if round_no == 1:
+                engine.checkpoint()
+            round_no += 1
+        engine.run_until_idle()
+
+    expected = [[(v,) for v in range(4 * (k + 1))] for k in range(9)]
+    fired_points = 0
+    for at in itertools.count():
+        data_dir = tmp_path / f"dd-{at}"
+        engine = DataCellEngine(data_dir=str(data_dir))
+        engine.create_stream("s", [("v", "int")])
+        handle = engine.submit(sql, name="q")
+        crash = CrashPoint(at)
+        engine.install_fault_hook(crash)
+        try:
+            try:
+                drive(engine)
+            except InjectedCrash:
+                engine.abandon()  # die without flushing, like SIGKILL
+                engine = DataCellEngine.restore(str(data_dir))
+                engine.run_until_idle()
+                handle = engine.query("q")
+                drive(engine)
+            got = [batch.rows() for batch in handle.results()]
+        finally:
+            engine.close()
+        assert got == expected, f"ordinal {at}"
+        if not crash.fired:
+            break
+        fired_points += 1
+    assert fired_points >= 5, fired_points

@@ -95,6 +95,7 @@ def test_landmark_select_is_flagged_unbounded():
     [warning] = result.report.warnings()
     assert warning.code == "unbounded-landmark"
     assert "landmark" in warning.message
+    assert "reset_landmark" in warning.message  # the hint names the remedy
     assert result.ok  # a warning, not an error: the engine accepts it
 
 
