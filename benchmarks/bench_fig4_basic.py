@@ -7,7 +7,15 @@ Paper parameters (Q1 scaled ÷50, Q2 at paper scale; ratios preserved):
 
 Expected shape (paper): window 1 roughly equal (both process |W|);
 windows 2+ DataCell flat and much lower than DataCellR.
+
+Runs under pytest like the other figure benchmarks, or standalone as
+``python benchmarks/bench_fig4_basic.py --smoke``: Q1 and Q2 at a reduced
+|W| that keeps many basic windows (so the first window is filled by
+tagged fragment runs), every window compared row for row with a
+re-evaluation (DataCellR) run of the same feed.
 """
+
+import sys
 
 import pytest
 
@@ -24,24 +32,29 @@ Q1_STEP = Q1_WINDOW // Q1_BW
 Q2_WINDOW, Q2_BW = 102_400, 64
 Q2_STEP = Q2_WINDOW // Q2_BW
 
+#: --smoke: (|W|, basic windows) per query, and windows per run
+SMOKE_Q1 = (20_480, 512)
+SMOKE_Q2 = (10_240, 64)
+SMOKE_WINDOWS = 4
 
-def _q1_timings(mode):
+
+def _q1_timings(mode, window=Q1_WINDOW, basic_windows=Q1_BW, windows=WINDOWS):
+    step = window // basic_windows
     workload = selection_stream(
-        Q1_WINDOW + WINDOWS * Q1_STEP, selectivity=0.2, seed=4, domain=100
+        window + windows * step, selectivity=0.2, seed=4, domain=100
     )
     engine = fresh_engine()
-    query = engine.submit(q1_sql(Q1_WINDOW, Q1_STEP, workload.threshold), mode=mode)
+    query = engine.submit(q1_sql(window, step, workload.threshold), mode=mode)
     return drive_single(
-        engine, query, "stream", workload.columns(), Q1_WINDOW, Q1_STEP, WINDOWS
+        engine, query, "stream", workload.columns(), window, step, windows
     )
 
 
-def _q2_timings(mode):
-    workload = join_streams(
-        Q2_WINDOW + WINDOWS * Q2_STEP, join_selectivity=1e-4, seed=5
-    )
+def _q2_timings(mode, window=Q2_WINDOW, basic_windows=Q2_BW, windows=WINDOWS):
+    step = window // basic_windows
+    workload = join_streams(window + windows * step, join_selectivity=1e-4, seed=5)
     engine = fresh_engine()
-    query = engine.submit(q2_sql(Q2_WINDOW, Q2_STEP), mode=mode)
+    query = engine.submit(q2_sql(window, step), mode=mode)
     return drive_join(
         engine,
         query,
@@ -49,10 +62,31 @@ def _q2_timings(mode):
         workload.left_columns(),
         "stream2",
         workload.right_columns(),
-        Q2_WINDOW,
-        Q2_STEP,
-        WINDOWS,
+        window,
+        step,
+        windows,
     )
+
+
+def smoke():
+    """Every window of both smoke runs equals re-evaluation's, row for row."""
+    for label, run, (window, n) in (
+        ("Q1", _q1_timings, SMOKE_Q1),
+        ("Q2", _q2_timings, SMOKE_Q2),
+    ):
+        timings = run("incremental", window, n, SMOKE_WINDOWS)
+        reference = run("reeval", window, n, SMOKE_WINDOWS)
+        rows = [batch.rows() for batch in timings.batches]
+        if rows != [batch.rows() for batch in reference.batches]:
+            print(f"smoke: {label} |W|={window} n={n}: windows differ from re-evaluation")
+            return False
+        print(
+            f"smoke: {label} |W|={window} n={n} window 1: "
+            f"DataCell={timings.response_seconds[0] * 1e3:.2f}ms "
+            f"DataCellR={reference.response_seconds[0] * 1e3:.2f}ms, "
+            f"{len(rows)} windows equal to re-evaluation"
+        )
+    return True
 
 
 class TestFig4a:
@@ -69,7 +103,15 @@ class TestFig4a:
             ["window", "DataCellR", "DataCell"],
             rows,
         )
-        # paper shape: steady-state incremental beats re-evaluation clearly
+        # paper shape: window 1 costs both about the same (both process
+        # |W|; DataCell fills its 512 basic windows with four tagged runs),
+        # and steady-state incremental beats re-evaluation clearly.  The
+        # recorded run reads 1.9x (EXPERIMENTS.md); with another process
+        # on a 2-vCPU host it read up to 3.0x, hence the 4x bound.  The
+        # rest of the gap is the first merge, which folds the 72 nodes of
+        # the merge tree, and cutting 512 bundles out of the runs.
+        first = (incremental.response_seconds[0], reevaluation.response_seconds[0])
+        assert first[0] < 4 * first[1], first
         incr_steady = incremental.mean_response(skip_first=1)
         reev_steady = reevaluation.mean_response(skip_first=1)
         assert incr_steady < reev_steady / 2, (incr_steady, reev_steady)
@@ -120,3 +162,9 @@ class TestFig4b:
             query.factory.step()
 
         benchmark.pedantic(one_slide, rounds=10, iterations=1)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--smoke"]:
+        raise SystemExit("usage: bench_fig4_basic.py --smoke (or run under pytest)")
+    raise SystemExit(0 if smoke() else 1)

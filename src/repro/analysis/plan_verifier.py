@@ -4,8 +4,13 @@ Checks the invariants of the paper's Figure-3 operator taxonomy that the
 rewriter (:mod:`repro.core.rewriter.incremental`) is supposed to uphold and
 that the factory silently relies on:
 
-* every program (fragment, preps, pair fragment, combine, finalize) passes
-  the dataflow and type-inference passes;
+* every program (fragment, preps, pair fragment, combine, finalize, and
+  the tagged twins of the fragment and the stream preps) passes the
+  dataflow and type-inference passes;
+* **tagged twins** — a tagged fragment (prep) reads the INT basic-window
+  tag and (some of) the plain one's inputs, and emits the plain one's
+  outputs, atom for atom, followed by the tag: the bundles it is split
+  into stand in for plain ones;
 * **flow wiring** — fragment outputs map 1:1 onto the declared flows, the
   combine program consumes exactly the ``packed_<flow>`` columns and
   produces exactly the flow columns, and finalize consumes the flows;
@@ -224,7 +229,7 @@ def verify_plan(
 
     fragment_atoms: dict[str, Optional[Atom]] = {}
     if plan.is_join:
-        if plan.fragment is not None:
+        if plan.fragment is not None or plan.tagged_fragment is not None:
             report.error(
                 "plan", "join plan must not carry a single-stream fragment"
             )
@@ -243,11 +248,12 @@ def verify_plan(
         expected_pair_inputs: list[str] = []
         for alias, prep in plan.preps.items():
             where = f"prep[{alias}]"
+            scan_atoms = _scan_atoms(plan, alias, schemas)
             env = _run_program_passes(
                 report,
                 prep.program,
                 where,
-                _scan_atoms(plan, alias, schemas),
+                scan_atoms,
                 frozenset({TAG_MAIN, TAG_ADMIN}),
             )
             if len(prep.program.outputs) != len(prep.columns):
@@ -256,6 +262,22 @@ def verify_plan(
                     f"prep declares {len(prep.columns)} column(s) "
                     f"{prep.columns} but its program emits "
                     f"{len(prep.program.outputs)} output(s)",
+                )
+            plain_atoms = [env.get(slot) for slot in prep.program.outputs]
+            if alias == plan.table_alias:
+                if prep.tagged is not None:
+                    report.error(where, "a base table's prep runs once, untagged")
+            elif prep.tagged is None:
+                report.error(where, "stream prep has no tagged twin")
+            else:
+                _check_tagged_twin(
+                    report,
+                    prep.tagged,
+                    prep.program,
+                    f"tagged prep[{alias}]",
+                    alias,
+                    scan_atoms,
+                    plain_atoms,
                 )
             for column, slot in zip(prep.columns, prep.program.outputs):
                 name = prep_slot(alias, column)
@@ -307,16 +329,29 @@ def verify_plan(
         else:
             where = "fragment"
             alias = plan.stream_aliases[0] if plan.stream_aliases else ""
+            scan_atoms = _scan_atoms(plan, alias, schemas)
             env = _run_program_passes(
                 report,
                 plan.fragment,
                 where,
-                _scan_atoms(plan, alias, schemas),
+                scan_atoms,
                 frozenset({TAG_MAIN, TAG_ADMIN}),
             )
             fragment_atoms = _check_flow_outputs(
                 report, plan.fragment, where, flows, env
             )
+            if plan.tagged_fragment is None:
+                report.error("plan", "single-stream plan has no tagged fragment")
+            else:
+                _check_tagged_twin(
+                    report,
+                    plan.tagged_fragment,
+                    plan.fragment,
+                    "tagged_fragment",
+                    alias,
+                    scan_atoms,
+                    [fragment_atoms.get(f.name) for f in flows],
+                )
 
     # ------------------------------------------------------------------
     # combine: packed partials in, one merged bundle out (closed!)
@@ -481,6 +516,51 @@ def _check_flow_outputs(
         if env.get(slot) not in (Atom.INT, None):
             report.error(where, f"seq tag output {slot!r} is {env.get(slot)}, not INT")
     return atoms
+
+
+def _check_tagged_twin(
+    report: Report,
+    tagged: Program,
+    plain: Program,
+    where: str,
+    alias: str,
+    scan_atoms: Mapping[str, Optional[Atom]],
+    plain_atoms: list[Optional[Atom]],
+) -> None:
+    """A tagged run's outputs, cut by its trailing tag, must be bundles of
+    the plain program: the tag and plain inputs in, the same atoms out."""
+    tag_input = seq_slot(alias)
+    env = _run_program_passes(
+        report,
+        tagged,
+        where,
+        {**scan_atoms, tag_input: Atom.INT},
+        frozenset({TAG_MAIN, TAG_ADMIN}),
+    )
+    if tag_input not in tagged.inputs or not set(tagged.inputs) <= {*plain.inputs, tag_input}:
+        report.error(
+            where,
+            f"reads {sorted(tagged.inputs)}, not the tag {tag_input!r} and "
+            "some of the plain program's inputs",
+        )
+    if len(tagged.outputs) != len(plain.outputs) + 1:
+        report.error(
+            where,
+            f"emits {len(tagged.outputs)} output(s); the plain program's "
+            f"{len(plain.outputs)} and one tag expected",
+        )
+        return
+    for index, (slot, want) in enumerate(zip(tagged.outputs, plain_atoms)):
+        got = env.get(slot)
+        if got is not None and want is not None and got != want:
+            report.error(
+                where,
+                f"output {index} ({slot!r}) is {got}, the plain program's is "
+                f"{want}: its bundles could not stand in for plain ones",
+            )
+    tag = tagged.outputs[-1]
+    if env.get(tag) not in (Atom.INT, None):
+        report.error(where, f"tag output {tag!r} is {env.get(tag)}, not INT")
 
 
 def check_plan(plan: IncrementalPlan, schemas: Optional[SchemaMap] = None) -> Report:

@@ -11,7 +11,14 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.analysis.typecheck import infer_types
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
+from repro.core.rewriter.incremental import (
+    TAGGED_FRAGMENT_TITLE,
+    TAGGED_RUN,
+    IncrementalPlan,
+    packed,
+    prep_slot,
+    seq_slot,
+)
 from repro.kernel.atoms import Atom
 from repro.kernel.execution.program import Lit, Program, Ref
 from repro.sql.physical import scan_slot
@@ -85,6 +92,9 @@ def dump_plan(
             for column in plan.scan_columns.get(alias, [])
         }
 
+    def tagged_atoms(alias: str) -> dict[str, Optional[Atom]]:
+        return {**scan_atoms(alias), seq_slot(alias): Atom.INT}
+
     fragment_atoms: dict[str, Optional[Atom]] = {}
     if plan.fragment is not None:
         alias = plan.stream_aliases[0]
@@ -98,6 +108,12 @@ def dump_plan(
                 plan.fragment, "fragment (per basic window)", scan_atoms(alias)
             )
         )
+        if plan.tagged_fragment is not None:
+            parts.append(
+                dump_program(
+                    plan.tagged_fragment, TAGGED_FRAGMENT_TITLE, tagged_atoms(alias)
+                )
+            )
     pair_inputs: dict[str, Optional[Atom]] = {}
     for alias, prep in plan.preps.items():
         env, __ = infer_types(prep.program, scan_atoms(alias))
@@ -109,6 +125,12 @@ def dump_plan(
                 prep.program, f"prep[{alias}] (per basic window)", scan_atoms(alias)
             )
         )
+        if prep.tagged is not None:
+            parts.append(
+                dump_program(
+                    prep.tagged, f"prep[{alias}] ({TAGGED_RUN})", tagged_atoms(alias)
+                )
+            )
     if plan.pair_fragment is not None:
         env, __ = infer_types(plan.pair_fragment, pair_inputs)
         fragment_atoms = {

@@ -8,9 +8,9 @@ results, and runs the merge machinery (paper Algorithm 2, generalized).
 Two implementations share the interface:
 
 * :class:`IncrementalFactory` — the paper's contribution (split /
-  replicate / merge / transition, a seq-tagged join pair table built by
-  batched tagged join runs, landmark
-  compaction, optional m-chunk processing);
+  replicate / merge / transition, first windows filled by tagged fragment
+  runs, a seq-tagged join pair table built by batched tagged join runs,
+  landmark compaction, optional m-chunk processing);
 * :class:`ReevalFactory` lives in :mod:`repro.core.reevaluate` — the
   DataCellR baseline that recomputes the full window every slide.
 
@@ -20,9 +20,10 @@ Factories are driven synchronously by the scheduler (or benchmarks):
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,9 +45,22 @@ from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
 from repro.kernel.execution import InterpreterBackend, kernel_registry
 from repro.kernel.execution.profiler import Profiler
-from repro.kernel.execution.program import TAG_MERGE
+from repro.kernel.execution.program import TAG_MERGE, Program
 from repro.kernel.storage import Table
 from repro.sql.physical import scan_slot
+
+#: Most tuples one tagged fragment (or prep) run covers.  A first window
+#: is filled by runs of whole basic windows up to this size: larger runs
+#: buy little time and hold a larger run's intermediates at once (the
+#: sweep in DESIGN.md §5).  A basic window bigger than this runs alone,
+#: through the plain fragment.
+TAGGED_RUN_TUPLES = 1 << 16
+
+#: Fewest basic windows a tagged run covers; a shorter run's basic
+#: windows run the plain fragment one by one.  Below four, the tagged
+#: run's fixed cost (the tag column, the grouped twin of a global flow,
+#: the cut) eats what it saves (the measurement in DESIGN.md §5).
+TAGGED_RUN_MIN_WINDOWS = 4
 
 
 @dataclass
@@ -96,6 +110,53 @@ class _TimeSlicer:
         if self.origin is None:
             return None
         return self.boundary(self.consumed_windows)
+
+
+@dataclass
+class _Slices:
+    """Consecutive basic windows taken off the head of a basket.
+
+    ``columns`` are one copy of all of them, owned by the factory; slice
+    ``i`` is ``counts[i]`` rows from ``bounds[i]`` on.
+    """
+
+    start: int  # basket position of the first tuple
+    columns: dict[str, BAT]
+    counts: list[int]
+    bounds: list[int]  # running sums of ``counts``, from 0
+    tag_slot: str  # input slot of a tagged run's basic-window tag
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def spans(self) -> list[tuple[int, int]]:
+        """Each slice as ``(basket position, tuple count)``: its address
+        in the shared fragment cache."""
+        start = self.start
+        return [(start + low, count) for low, count in zip(self.bounds, self.counts)]
+
+    def cut(self, first: int, stop: int) -> dict[str, BAT]:
+        """The columns of slices ``first .. stop - 1`` (views)."""
+        if first == 0 and stop == len(self.counts):
+            return dict(self.columns)
+        low, high = self.bounds[first], self.bounds[stop]
+        return {slot: bat.slice(low, high) for slot, bat in self.columns.items()}
+
+    def runs(self, indices: list[int]) -> list[list[int]]:
+        """``indices`` (ascending) in runs of adjacent slices holding at
+        most :data:`TAGGED_RUN_TUPLES` tuples, or one slice each."""
+        runs: list[list[int]] = []
+        size = 0
+        for index in indices:
+            count = self.counts[index]
+            run = runs[-1] if runs else None
+            if run and run[-1] + 1 == index and size + count <= TAGGED_RUN_TUPLES:
+                run.append(index)
+                size += count
+            else:
+                runs.append([index])
+                size = count
+        return runs
 
 
 class FactoryBase:
@@ -164,6 +225,22 @@ class FactoryBase:
         for slicer in self._slicers.values():
             if slicer.origin is None:
                 slicer.origin = origin
+
+
+def _split_by_tag(
+    names: list[str], outputs: list[BAT], tag: BAT, count: int
+) -> list[Optional[Bundle]]:
+    """Cut a tagged run's row-aligned outputs, named ``names``, into its
+    ``count`` slices' bundles by the ascending ``tag``; ``None`` for a
+    slice with no row."""
+    cuts = np.searchsorted(tag.tail, np.arange(count + 1)).tolist()
+    columns = [(name, bat.tail, bat.atom) for name, bat in zip(names, outputs)]
+    return [
+        {name: BAT(tail[low:high], atom) for name, tail, atom in columns}
+        if high > low
+        else None
+        for low, high in zip(cuts, cuts[1:])
+    ]
 
 
 class IncrementalFactory(FactoryBase):
@@ -280,8 +357,8 @@ class IncrementalFactory(FactoryBase):
     # -- single stream ------------------------------------------------------
     def _step_single(self, profiler: Profiler) -> None:
         alias = self.plan.stream_aliases[0]
-        for start, cols in self._take_slices(alias, self._owed_counts(alias)):
-            bundle = self._fragment_bundle(alias, start, cols, profiler)
+        slices = self._take_slices(alias, self._owed_counts(alias))
+        for bundle in self._fill_bundles(slices, profiler):
             self._store.add(bundle)
 
     def _check_chunks(self, m: int) -> int:
@@ -311,60 +388,99 @@ class IncrementalFactory(FactoryBase):
         sizes = [step_size // m] * m
         sizes[-1] += step_size - sum(sizes)
         early = Profiler()
+        slices = self._take_slices(alias, sizes)
         bundles = [
-            self._run_fragment(alias, cols, early)
-            for __, cols in self._take_slices(alias, sizes[:-1])
+            self._run_fragment(slices.cut(index, index + 1), early)
+            for index in range(m - 1)
         ]
         start = time.perf_counter()
-        [(__, cols)] = self._take_slices(alias, sizes[-1:])
-        bundles.append(self._run_fragment(alias, cols, profiler))
+        bundles.append(self._run_fragment(slices.cut(m - 1, m), profiler))
         self._store.add(self._fold_bundles(bundles, profiler))
         return start
 
-    def _fragment_bundle(
-        self, alias: str, start: int, cols: dict[str, BAT], profiler: Profiler
-    ) -> Bundle:
-        """One basic window's bundle, shared across queries when enabled."""
+    def _fill_bundles(self, slices: _Slices, profiler: Profiler) -> list[Bundle]:
+        """The bundles of the basic windows in ``slices``: cached ones
+        looked up first (when shared), the rest computed by
+        :meth:`_run_slices`."""
+        def compute(indices: list[int]) -> list[Bundle]:
+            fragment = self.plan.tagged_fragment
+            assert fragment is not None
+            names = [flow.name for flow in self.plan.flows]
+            return self._run_slices(
+                slices, indices, fragment, names, self._run_fragment, profiler
+            )
+
         if self._fragment_cache is None:
-            return self._run_fragment(alias, cols, profiler)
-        count = len(next(iter(cols.values()))) if cols else 0
-        return self._fragment_cache.get_or_compute(
-            self._share_key,
-            (start, count),
-            lambda: self._run_fragment(alias, cols, profiler),
-            profiler,
+            return compute(list(range(len(slices))))
+        return self._fragment_cache.get_or_compute_run(
+            self._share_key, slices.spans(), compute, profiler
         )
 
-    def _take_slices(
-        self, alias: str, counts: list[int]
-    ) -> list[tuple[int, dict[str, BAT]]]:
-        """Slice (and consume) ``counts`` tuples at a time off the basket.
+    def _run_slices(
+        self,
+        slices: _Slices,
+        indices: list[int],
+        tagged: Program,
+        names: list[str],
+        plain: Callable[[dict[str, BAT], Profiler], Bundle],
+        profiler: Profiler,
+    ) -> list[Bundle]:
+        """The bundles of slices ``indices``, in order: one run of the
+        ``tagged`` program per run of adjacent slices, cut by its tag, and
+        the ``plain`` program per slice of a shorter run than
+        :data:`TAGGED_RUN_MIN_WINDOWS`.  A slice the tagged run
+        yields no row for gets the plain program's result on empty
+        columns (a 0 count, no sum/min/max row)."""
+        bundles: list[Bundle] = []
+        empty: Optional[Bundle] = None
+        for run in slices.runs(indices):
+            if len(run) < TAGGED_RUN_MIN_WINDOWS:
+                bundles += [plain(slices.cut(index, index + 1), profiler) for index in run]
+                continue
+            cols = slices.cut(run[0], run[-1] + 1)
+            sizes = slices.counts[run[0] : run[-1] + 1]
+            cols[slices.tag_slot] = BAT(
+                np.repeat(np.arange(len(run), dtype=np.int64), sizes),
+                Atom.INT,
+                next(iter(cols.values())).hseq,
+            )
+            outputs = self._interp.run(tagged, cols, profiler)
+            outs = [outputs[slot] for slot in tagged.outputs]
+            for bundle in _split_by_tag(names, outs[:-1], outs[-1], len(run)):
+                if bundle is None:
+                    if empty is None:
+                        empty = plain(
+                            {slot: BAT.empty(bat.atom) for slot, bat in slices.columns.items()},
+                            profiler,
+                        )
+                    bundle = empty
+                bundles.append(bundle)
+        return bundles
 
-        Returns ``(start offset, columns)`` per slice; the offset is the
-        basket position the slice starts at, its address on the stream's
-        arrival axis (for the shared fragment cache).
+    def _take_slices(self, alias: str, counts: list[int]) -> _Slices:
+        """Consume ``counts`` tuples at a time off the head of the basket.
+
+        Under the basket lock, the whole range is copied once and deleted
+        with one ``delete_head``: deleting slice by slice would compact
+        the basket once per slice, quadratic in a first window.  The
+        slices are views of that copy, so fragments run after the lock
+        is released.  A slice's start is the basket position it starts
+        at, its address on the stream's arrival axis (for the shared
+        fragment cache).
         """
         basket = self._baskets[alias]
-        columns = self.plan.scan_columns[alias]
-        slices: list[tuple[int, dict[str, BAT]]] = []
+        bounds = [0, *itertools.accumulate(counts)]
         with basket.locked():
-            for count in counts:
-                # Materialize each slice: delete_head compacts the basket's
-                # buffers in place, which would corrupt zero-copy views.
-                slices.append(
-                    (
-                        basket.position,
-                        {
-                            scan_slot(alias, col): BAT(
-                                np.array(bat.tail, copy=True), bat.atom, bat.hseq
-                            )
-                            for col, bat in basket.head_slice(count, columns).items()
-                        },
-                    )
-                )
-                basket.delete_head(count)
-                self._consumed_total += count
-        return slices
+            start = basket.position
+            columns = {
+                scan_slot(alias, col): BAT(np.array(bat.tail, copy=True), bat.atom, bat.hseq)
+                for col, bat in basket.head_slice(
+                    bounds[-1], self.plan.scan_columns[alias]
+                ).items()
+            }
+            basket.delete_head(bounds[-1])
+        self._consumed_total += bounds[-1]
+        return _Slices(start, columns, counts, bounds, seq_slot(alias))
 
     def _owed_counts(self, alias: str) -> list[int]:
         """Tuple counts of the basic windows to consume this step."""
@@ -388,9 +504,7 @@ class IncrementalFactory(FactoryBase):
             return [window.step]
         return [window.step] * window.basic_windows
 
-    def _run_fragment(
-        self, alias: str, cols: dict[str, BAT], profiler: Profiler
-    ) -> Bundle:
+    def _run_fragment(self, cols: dict[str, BAT], profiler: Profiler) -> Bundle:
         assert self.plan.fragment is not None
         outputs = self._interp.run(self.plan.fragment, cols, profiler)
         return {
@@ -406,10 +520,10 @@ class IncrementalFactory(FactoryBase):
         left, right = self.plan.pair_aliases
         new: dict[str, list[int]] = {}
         for alias in self.plan.stream_aliases:
-            store = self._prep_stores[alias]
+            slices = self._take_slices(alias, self._owed_counts(alias))
             new[alias] = [
-                store.add(self._run_prep(alias, cols, profiler))
-                for __, cols in self._take_slices(alias, self._owed_counts(alias))
+                self._prep_stores[alias].add(bundle)
+                for bundle in self._prep_bundles(alias, slices, profiler)
             ]
         if self.plan.table_alias is not None and self._table_bundle is None:
             self._table_bundle = self._run_table_prep(profiler)
@@ -451,6 +565,21 @@ class IncrementalFactory(FactoryBase):
             column: outputs[slot]
             for column, slot in zip(spec.columns, spec.program.outputs)
         }
+
+    def _prep_bundles(
+        self, alias: str, slices: _Slices, profiler: Profiler
+    ) -> list[Bundle]:
+        """The prep bundles of every slice, from tagged prep runs."""
+        spec = self.plan.preps[alias]
+        assert spec.tagged is not None
+        return self._run_slices(
+            slices,
+            list(range(len(slices))),
+            spec.tagged,
+            spec.columns,
+            lambda cols, profiler: self._run_prep(alias, cols, profiler),
+            profiler,
+        )
 
     def _run_table_prep(self, profiler: Profiler) -> Bundle:
         alias = self.plan.table_alias

@@ -533,25 +533,71 @@ class FragmentCache:
         Bundles are immutable by convention (dict of immutable BATs), so
         the returned object is shared between all callers.
         """
+        return self.get_or_compute_run(key, [span], lambda __: [compute()], profiler)[0]
+
+    def get_or_compute_run(
+        self,
+        key: ShareKey,
+        spans: list[Span],
+        compute: Callable[[list[int]], list[Bundle]],
+        profiler: Optional[Profiler] = None,
+    ) -> list[Bundle]:
+        """The bundles for consecutive ``spans``, every miss computed by
+        one ``compute(missed indices)`` call.
+
+        Hits, misses and the entries kept afterwards are those of looking
+        the spans up one by one: each lookup sees the evictions that the
+        inserts of the misses before it would have caused.
+        """
         try:
             group = self._groups[key]
         except KeyError:
             raise SchedulerError(f"share key {key!r} was never registered") from None
-        bundle = group.bundles.get(span)
-        if bundle is not None:
-            self.hits += 1
-            if profiler is not None:
-                profiler.count(COUNTER_CACHE_HITS)
-            return bundle
-        # A compute() that raises records nothing: a retry is a plain miss.
-        bundle = compute()
-        group.bundles[span] = bundle
-        while len(group.bundles) > group.capacity:
-            group.bundles.popitem(last=False)
-        self.misses += 1
+        bundles, capacity = group.bundles, group.capacity
+        held = len(bundles)
+        # Insertion rank of each held entry, built only once inserts evict.
+        ranks: Optional[dict[Span, int]] = None
+        fresh: dict[Span, tuple[int, int]] = {}  # rank and index of a miss here
+        repeats: list[tuple[int, int]] = []  # a span hitting a miss made here
+        out: list[Optional[Bundle]] = []
+        missed: list[int] = []
+        for index, span in enumerate(spans):
+            evicted = held + len(missed) - capacity  # ranks below are gone
+            bundle = None
+            if span in fresh:
+                rank, first = fresh[span]
+                if rank >= evicted:
+                    repeats.append((index, first))
+                    out.append(None)
+                    continue
+            else:
+                bundle = bundles.get(span)
+                if bundle is not None and evicted > 0:
+                    if ranks is None:
+                        ranks = {held_span: rank for rank, held_span in enumerate(bundles)}
+                    if ranks[span] < evicted:
+                        bundle = None
+            out.append(bundle)
+            if bundle is None:
+                fresh[span] = (held + len(missed), index)
+                missed.append(index)
+        if missed:
+            # A compute() that raises records nothing: a retry is a plain miss.
+            for index, bundle in zip(missed, compute(missed)):
+                out[index] = bundles[spans[index]] = bundle
+                while len(bundles) > capacity:
+                    bundles.popitem(last=False)
+            for index, first in repeats:
+                out[index] = out[first]
+        hits = len(spans) - len(missed)
+        self.hits += hits
+        self.misses += len(missed)
         if profiler is not None:
-            profiler.count(COUNTER_CACHE_MISSES)
-        return bundle
+            if hits:
+                profiler.count(COUNTER_CACHE_HITS, hits)
+            if missed:
+                profiler.count(COUNTER_CACHE_MISSES, len(missed))
+        return out  # type: ignore[return-value]  # every None was filled in
 
     def stats(self) -> dict[str, float]:
         """Totals for benchmark reporting."""

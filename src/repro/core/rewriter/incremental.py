@@ -1,7 +1,7 @@
 """Construction of incremental plans (the paper's plan rewriter, §3).
 
 Given an optimized plan, :func:`rewrite` produces an :class:`IncrementalPlan`
-holding up to four small programs:
+holding a few small programs:
 
 * *fragment* (single-stream) or *preps* + *pair fragment* (join queries) —
   the replicated part, producing a *bundle* of flow columns per basic
@@ -9,7 +9,9 @@ holding up to four small programs:
   is tagged: every prepped row carries the seq of the basic window it came
   from, and the partial flows keep the (left seq, right seq) tag pair as
   leading group keys, so one run over many basic windows per side yields
-  the bundles of all their pairs at once;
+  the bundles of all their pairs at once.  The fragment and each prep
+  have a *tagged* twin built the same way over one basic-window tag, so
+  a first window's many basic windows are processed in a few runs;
 * *combine* — merges packed flow partials back into one bundle
   (concatenation + compensation; ``merge`` tag).  Crucially, combine is
   *closed over bundles*: its output is again a valid partial bundle, which
@@ -60,8 +62,15 @@ def prep_slot(alias: str, column: str) -> str:
 
 def seq_slot(alias: str) -> str:
     """Slot name of a side's seq-tag column in the pair fragment: the
-    basic-window seq each prepped row came from (0 for a base table)."""
+    basic-window seq each prepped row came from (0 for a base table).
+    Tagged fragments and preps read the same slot: the index of the
+    basic window each row came from within the run."""
     return f"seq_{alias}"
+
+
+#: How the plan dumps label the tagged twins.
+TAGGED_RUN = "per tagged run of basic windows"
+TAGGED_FRAGMENT_TITLE = f"tagged fragment ({TAGGED_RUN})"
 
 
 @dataclass
@@ -71,12 +80,15 @@ class PrepSpec:
     The prep runs once per new basic window; its outputs are cached until
     the basic window expires (the paper: selection results "need to be kept
     and joined with newly arriving data until the respective basic windows
-    expire").
+    expire").  ``tagged`` is the same prep over several basic windows at
+    once: it reads the basic-window tag ``seq_slot(alias)`` as one more
+    input and emits it, filtered like the rows, after the columns.
     """
 
     alias: str
     program: Program
     columns: list[str]  # column names, in program-output order
+    tagged: Optional[Program] = None
 
 
 @dataclass
@@ -95,8 +107,11 @@ class IncrementalPlan:
     scan_columns: dict[str, list[str]]  # alias -> basket columns the plan reads
     table_alias: Optional[str] = None
     table_relation: Optional[str] = None
-    # single-stream shape
+    # single-stream shape; the tagged fragment's outputs are the flows
+    # followed by the basic-window tag ``seq_slot(alias)``, row-aligned
+    # with them and ascending
     fragment: Optional[Program] = None
+    tagged_fragment: Optional[Program] = None
     # join shape: the pair fragment's outputs are the flows followed by
     # the seq tags of ``pair_aliases`` (left, right), row-aligned with them
     preps: dict[str, PrepSpec] = field(default_factory=dict)
@@ -131,8 +146,16 @@ class IncrementalPlan:
         parts = []
         if self.fragment is not None:
             parts.append("== fragment (per basic window) ==\n" + self.fragment.pretty())
+        if self.tagged_fragment is not None:
+            parts.append(
+                f"== {TAGGED_FRAGMENT_TITLE} ==\n" + self.tagged_fragment.pretty()
+            )
         for alias, prep in self.preps.items():
             parts.append(f"== prep[{alias}] (per basic window) ==\n" + prep.program.pretty())
+            if prep.tagged is not None:
+                parts.append(
+                    f"== prep[{alias}] ({TAGGED_RUN}) ==\n" + prep.tagged.pretty()
+                )
         if self.pair_fragment is not None:
             parts.append(
                 "== pair fragment (per seq-tagged join run) ==\n"
@@ -170,9 +193,10 @@ def _emit_partial_flows(
     Returns (flow name → slot, tag output slots).  This is the part of the
     original plan that replicates (paper: "simple concatenation" operators
     run here in full; aggregations run in their partial form).  ``tags``
-    are row-aligned seq-tag slots (join runs): they lead the group keys,
-    so global aggregates become grouped by the tag pair, and select-only
-    rows carry them through unchanged.
+    are row-aligned seq-tag slots (join runs, tagged runs): they lead the
+    group keys, so global aggregates become grouped by the tags, and
+    select-only rows carry them through unchanged.  Either way the tag
+    outputs come out ascending.
     """
     out: dict[str, str] = {}
     aggregate = shape.aggregate
@@ -213,6 +237,16 @@ def _emit_partial_flows(
                 GROUPED_FRAGMENT[kind], [Ref(arg), Ref(gids), Ref(ngroups)], flow.name
             )
     return out, tag_outs
+
+
+def _row_tag(compiler: PlanCompiler, rows: Rows, alias: str) -> str:
+    """Declare a tagged run's basic-window tag input and return its slot
+    aligned with ``rows`` (a scan, possibly filtered)."""
+    assert isinstance(rows, BaseRows)
+    tag = compiler.declare_input(seq_slot(alias))
+    if rows.cand is None:
+        return tag
+    return compiler.emit("algebra.projection", [Ref(rows.cand), Ref(tag)], "seq")
 
 
 def _referenced_columns(shape: PlanShape, binding) -> dict[str, list[str]]:
@@ -390,12 +424,31 @@ def rewrite(planned: PlannedQuery) -> IncrementalPlan:
     # Cleanup pass: the per-column compilers can leave slots no flow reads
     # (pruned expressions, unused join sides); the factory addresses every
     # surviving slot through program outputs, so liveness roots are exact.
-    programs = [plan.fragment, plan.pair_fragment, plan.combine, plan.finalize]
+    programs = [plan.fragment, plan.tagged_fragment, plan.pair_fragment]
+    programs += [plan.combine, plan.finalize]
     programs += [prep.program for prep in plan.preps.values()]
+    programs += [prep.tagged for prep in plan.preps.values()]
     for program in programs:
         if program is not None:
             eliminate_dead_code(program)
+    for program in [plan.tagged_fragment] + [p.tagged for p in plan.preps.values()]:
+        if program is not None:
+            _drop_unread_inputs(program)
     return plan
+
+
+def _drop_unread_inputs(program: Program) -> None:
+    """Undeclare inputs no instruction reads.  A tagged run sizes
+    ``count(*)`` by its tag, where the plain fragment reads a scan column;
+    the factory still passes every scan column, and the rest are ignored."""
+    read = {
+        arg.name
+        for instr in program.instructions
+        for arg in instr.args
+        if isinstance(arg, Ref)
+    }
+    read |= set(program.outputs)
+    program.inputs = tuple(name for name in program.inputs if name in read)
 
 
 def _scan_columns(scan: LScan) -> list[str]:
@@ -412,14 +465,19 @@ def _build_single_fragment(
     entries: list[AggPlanEntry],
 ) -> None:
     stream = shape.streams[0]
-    compiler = PlanCompiler(planned.binding, prefix="f")
-    rows = compiler.rows_for_scan(stream.scan)
-    if stream.predicate is not None:
-        rows = compiler.compile_filter(stream.predicate, rows)
-    flow_slots, __ = _emit_partial_flows(compiler, rows, shape, entries)
-    compiler.program.outputs = tuple(flow_slots[f.name] for f in plan.flows)
-    compiler.program.validate()
-    plan.fragment = compiler.program
+    programs = []
+    for tagged in (False, True):
+        compiler = PlanCompiler(planned.binding, prefix="f")
+        rows = compiler.rows_for_scan(stream.scan)
+        if stream.predicate is not None:
+            rows = compiler.compile_filter(stream.predicate, rows)
+        tags = (_row_tag(compiler, rows, stream.alias),) if tagged else ()
+        flow_slots, tag_outs = _emit_partial_flows(compiler, rows, shape, entries, tags)
+        compiler.program.outputs = tuple(flow_slots[f.name] for f in plan.flows)
+        compiler.program.outputs += tuple(tag_outs)
+        compiler.program.validate()
+        programs.append(compiler.program)
+    plan.fragment, plan.tagged_fragment = programs
     plan.scan_columns[stream.alias] = _scan_columns(stream.scan)
 
 
@@ -440,17 +498,24 @@ def _build_join_fragments(
         columns = needed.get(alias, [])
         if not columns:  # always carry something to size the join input
             columns = [_scan_columns(side.scan)[0]]
-        compiler = PlanCompiler(binding, prefix=f"p_{alias}")
-        rows = compiler.rows_for_scan(side.scan)
-        if side.predicate is not None:
-            rows = compiler.compile_filter(side.predicate, rows)
-        out_slots = []
-        for column in columns:
-            slot = compiler.column(rows, ColumnRef(alias, column))
-            out_slots.append(_ensure_owned(compiler, slot))
-        compiler.program.outputs = tuple(out_slots)
-        compiler.program.validate()
-        plan.preps[alias] = PrepSpec(alias, compiler.program, list(columns))
+        programs = []
+        for tagged in (False, True):
+            compiler = PlanCompiler(binding, prefix=f"p_{alias}")
+            rows = compiler.rows_for_scan(side.scan)
+            if side.predicate is not None:
+                rows = compiler.compile_filter(side.predicate, rows)
+            out_slots = []
+            for column in columns:
+                slot = compiler.column(rows, ColumnRef(alias, column))
+                out_slots.append(_ensure_owned(compiler, slot))
+            if tagged:
+                out_slots.append(_row_tag(compiler, rows, alias))
+            compiler.program.outputs = tuple(out_slots)
+            compiler.program.validate()
+            programs.append(compiler.program)
+        # A base table is prepped once, never in tagged runs.
+        tagged_prep = programs[1] if alias != plan.table_alias else None
+        plan.preps[alias] = PrepSpec(alias, programs[0], list(columns), tagged_prep)
         plan.scan_columns[alias] = _scan_columns(side.scan)
 
     pair = PlanCompiler(binding, prefix="j")

@@ -247,3 +247,49 @@ def test_deepcopy_isolation_of_fixtures():
     clone = copy.deepcopy(plan)
     clone.flows = []
     assert plan.flows
+
+
+# ----------------------------------------------------------------------
+# tagged twins: the fill's fragment and preps
+# ----------------------------------------------------------------------
+def test_tagged_twins_verify_and_dump():
+    from repro.analysis.pretty import dump_plan
+    from repro.core.rewriter.incremental import TAGGED_FRAGMENT_TITLE
+
+    plan, schemas = assert_clean("SELECT count(*) FROM s [RANGE 16 SLIDE 4]")
+    assert plan.tagged_fragment.inputs == ("seq_s",)  # count(*) sized by the tag
+    assert TAGGED_FRAGMENT_TITLE in dump_plan(plan, schemas)
+    assert TAGGED_FRAGMENT_TITLE in plan.describe()
+    join, __ = assert_clean(
+        "SELECT sum(s.x1) FROM s [RANGE 16 SLIDE 8], t WHERE s.x1 = t.k"
+    )
+    assert join.preps["s"].tagged is not None and join.preps["t"].tagged is None
+    assert "prep[s] (per tagged run of basic windows)" in join.describe()
+
+
+def test_rejects_missing_tagged_fragment():
+    plan, schemas = build("SELECT sum(x1) FROM s [RANGE 10 SLIDE 5]")
+    plan.tagged_fragment = None
+    assert "single-stream plan has no tagged fragment" in errors_of(plan, schemas)
+
+
+def test_rejects_tagged_fragment_that_drops_the_tag():
+    plan, schemas = build("SELECT x1, sum(x2) FROM s [RANGE 10 SLIDE 5] GROUP BY x1")
+    plan.tagged_fragment.outputs = plan.tagged_fragment.outputs[:-1]
+    assert any("one tag expected" in m for m in errors_of(plan, schemas))
+
+
+def test_rejects_tagged_twin_with_other_atoms():
+    plan, schemas = build("SELECT x1, sum(x2) FROM s [RANGE 10 SLIDE 5] GROUP BY x1")
+    outputs = plan.tagged_fragment.outputs
+    plan.tagged_fragment.outputs = (outputs[1], outputs[0], outputs[2])
+    assert any("could not stand in for plain ones" in m for m in errors_of(plan, schemas))
+
+
+def test_rejects_stream_prep_without_tagged_twin():
+    plan, schemas = build(
+        "SELECT max(a.x1) FROM s a [RANGE 32 SLIDE 4], s2 b [RANGE 32 SLIDE 4] "
+        "WHERE a.x1 = b.y1"
+    )
+    plan.preps["b"].tagged = None
+    assert "stream prep has no tagged twin" in errors_of(plan, schemas)

@@ -4,10 +4,14 @@ import json
 import os
 import shutil
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from repro import DataCellEngine
+from repro.core import factory as factory_module
+from repro.core.basket import Basket
 
 from conftest import assert_rows_equal, ref_q2
 
@@ -467,3 +471,47 @@ def test_legacy_pair_bundles_restore_and_reemit(tmp_path):
             assert query.result_rows() == rows, name
     finally:
         engine.close()
+
+
+class TestTaggedPreps:
+    def test_first_firing_deletes_once_per_stream(self, engine, monkeypatch):
+        calls = []
+        original = Basket.delete_head
+        monkeypatch.setattr(
+            Basket, "delete_head", lambda b, n: calls.append(b.name) or original(b, n)
+        )
+        query = engine.submit(Q2)
+        feed_both(engine, 40, seed=2)
+        engine.run_until_idle()
+        assert len(query.results()) == 1
+        assert sorted(calls) == ["s", "s2"]
+
+    @pytest.mark.parametrize("cap", [0, 7, 25])
+    def test_tagged_preps_equal_plain_preps(self, engine, cap):
+        """The prep bundles of a first window from tagged prep runs (split
+        by tag, any cap) equal one plain prep run per basic window, and
+        so do the windows."""
+        query = engine.submit(Q2)
+        feed_both(engine, 40, seed=3)
+        with patch.object(factory_module, "TAGGED_RUN_TUPLES", cap):
+            engine.run_until_idle()
+        plain = DataCellEngine()
+        plain.create_stream("s", [("x1", "int"), ("x2", "int")])
+        plain.create_stream("s2", [("x1", "int"), ("x2", "int")])
+        reference = plain.submit(Q2)
+        feed_both(plain, 40, seed=3)
+        with patch.object(factory_module, "TAGGED_RUN_TUPLES", 0):
+            plain.run_until_idle()
+        for alias in ("s1", "s2"):
+            got = query.factory._prep_stores[alias].live()
+            want = reference.factory._prep_stores[alias].live()
+            assert [seq for seq, __ in got] == [seq for seq, __ in want]
+            for (__, a), (__, b) in zip(got, want):
+                assert a.keys() == b.keys()
+                for column in a:
+                    assert a[column].atom == b[column].atom
+                    assert np.array_equal(a[column].tail, b[column].tail)
+            assert len(got) == 4
+        assert [b.rows() for b in query.results()] == [
+            b.rows() for b in reference.results()
+        ]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import DataCellEngine
+from repro.core.basket import Basket
 from repro.kernel.execution import Profiler
 
 from conftest import assert_rows_equal, ref_q1
@@ -177,3 +178,38 @@ class TestProfiling:
         assert "main" in batch.breakdown
         assert "merge" in batch.breakdown
         assert batch.response_seconds > 0
+
+
+@pytest.fixture
+def deletes(monkeypatch):
+    """Counts ``Basket.delete_head`` calls: each one compacts the basket."""
+    calls = []
+    original = Basket.delete_head
+
+    def counting(basket, count):
+        calls.append(basket.name)
+        original(basket, count)
+
+    monkeypatch.setattr(Basket, "delete_head", counting)
+    return calls
+
+
+class TestCompaction:
+    """A firing deletes what it consumed from each basket once, however
+    many basic windows (or chunks) it slices: a delete per slice
+    compacted the basket once per slice, quadratic in the window."""
+
+    def test_first_firing_of_512_basic_windows(self, engine, deletes):
+        query = engine.submit("SELECT x1, sum(x2) FROM s [RANGE 5120 SLIDE 10] GROUP BY x1")
+        feed_random(engine, 5120 + 30)
+        assert query.factory.step() is not None
+        assert len(query.factory._store) == 512
+        assert deletes == ["s"]
+
+    def test_m_chunk_firing(self, engine, deletes):
+        query = engine.submit(Q1)
+        feed_random(engine, 120)
+        query.factory.step()
+        deletes.clear()
+        assert query.factory.step_chunked(5) is not None
+        assert deletes == ["s"]

@@ -10,6 +10,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import DataCellEngine
 from repro.core.partials import FragmentCache
@@ -137,6 +138,53 @@ class TestFragmentCache:
         assert profiler.counter("fragment_cache_misses") == 1
         assert profiler.counter("fragment_cache_hits") == 1
         assert profiler.snapshot()["counters"]["fragment_cache_hits"] == 1
+
+    @given(
+        capacity=st.integers(1, 6),
+        held=st.lists(st.integers(0, 9), max_size=8),
+        spans=st.lists(st.integers(0, 9), min_size=1, max_size=12),
+    )
+    def test_run_lookup_replays_one_by_one_lookups(self, capacity, held, spans):
+        """A run of lookups with one batched compute (none if all hit)
+        counts, returns and keeps what the same lookups made one by one
+        do — also when a span repeats, or when the run's own misses evict
+        a span it needs."""
+        caches, profilers = [FragmentCache(), FragmentCache()], [Profiler(), Profiler()]
+        for cache in caches:
+            cache.register("k", capacity)
+            for start in held:
+                cache.get_or_compute("k", (start, 1), lambda s=start: {"v": ("old", s)})
+        run = [(start, 1) for start in spans]
+        before = caches[0].stats()["misses"]
+        one_by_one = [
+            caches[0].get_or_compute("k", span, lambda s=span: {"v": ("new", s)}, profilers[0])
+            for span in run
+        ]
+        computed = []
+
+        def compute(indices):
+            computed.append(indices)
+            return [{"v": ("new", run[i])} for i in indices]
+
+        batched = caches[1].get_or_compute_run("k", run, compute, profilers[1])
+        assert len(computed) == (1 if caches[0].stats()["misses"] > before else 0)
+        assert [b["v"] for b in batched] == [b["v"] for b in one_by_one]
+        assert caches[1].stats() == caches[0].stats()
+        assert caches[1].snapshot_state() == caches[0].snapshot_state()
+        assert profilers[1].counters == profilers[0].counters
+
+    def test_run_lookup_records_nothing_when_compute_raises(self):
+        cache = FragmentCache()
+        cache.register("k", capacity=4)
+        cache.get_or_compute("k", (0, 1), lambda: {"v": 0})
+
+        def boom(indices):
+            raise RuntimeError("fragment failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute_run("k", [(0, 1), (1, 1)], boom)
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+        assert cache.stats()["entries"] == 1
 
     @pytest.mark.concurrency
     def test_concurrent_lookups_compute_once(self):

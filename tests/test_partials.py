@@ -1,10 +1,15 @@
 """Unit tests for partial-result stores (the transition machinery)."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import DataCellEngine
 from repro.errors import SchedulerError
+from repro.core import factory as factory_module
+from repro.core.factory import TAGGED_RUN_TUPLES
 from repro.core.partials import (
     MERGE_FANOUT,
     PairStore,
@@ -15,6 +20,9 @@ from repro.core.partials import (
 from conftest import cover_bound
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT
+from repro.kernel.execution.profiler import Profiler
+from repro.testing.fuzz.oracle import OracleConfig
+from repro.testing.fuzz.reference import _values_close as values_close, rows_equivalent
 
 
 def bundle(value):
@@ -356,3 +364,175 @@ class TestPairTableProperty:
                 model.replace_all(key)
                 store.replace_all(table_bundle(model.rows[key[0]][key[1]]), key)
                 assert_store_matches(store, model)
+
+
+# ----------------------------------------------------------------------
+# tagged fragment runs (the first window's fill)
+# ----------------------------------------------------------------------
+#: The Figure-3 taxonomy over one stream: select-only (with and without a
+#: filter), grouped and global sum/count/min/max, AVG, and DISTINCT /
+#: ORDER BY (finalize-only, so the fragment matches the plain shapes).
+TAGGED_SHAPES = [
+    "SELECT x1, x2 FROM s [RANGE 8 SLIDE 2] WHERE x1 > 0",
+    "SELECT x1 + 1 AS y, x2 FROM s [RANGE 8 SLIDE 2]",
+    "SELECT x1, sum(x2), count(*), min(x2), max(x2) FROM s [RANGE 8 SLIDE 2] "
+    "WHERE x1 > 0 GROUP BY x1",
+    "SELECT sum(x2), count(*), min(x1), max(x2) FROM s [RANGE 8 SLIDE 2] WHERE x1 > 0",
+    "SELECT sum(x1), count(*) FROM s [RANGE 8 SLIDE 2]",
+    "SELECT count(*) FROM s [RANGE 8 SLIDE 2] WHERE x1 > 0",
+    "SELECT x1, avg(x2) FROM s [RANGE 8 SLIDE 2] GROUP BY x1",
+    "SELECT avg(x1) FROM s [RANGE 8 SLIDE 2] WHERE x2 > 0.5",
+    "SELECT DISTINCT x1 FROM s [RANGE 8 SLIDE 2] WHERE x1 > 0",
+    "SELECT x1, x2 FROM s [RANGE 8 SLIDE 2] WHERE x1 > 0 ORDER BY x2 DESC",
+]
+
+#: The tolerance the fuzz oracle compares FLT results with.
+FLOAT_TOL = OracleConfig().float_tol
+
+
+def assert_same_bundle(tagged, plain):
+    """INT/STR flows bit-equal, FLT flows within the fuzz oracle's rule."""
+    assert tagged.keys() == plain.keys()
+    for name, want in plain.items():
+        got = tagged[name]
+        assert got.atom == want.atom and got.tail.dtype == want.tail.dtype, name
+        if want.atom == Atom.FLT:
+            assert len(got) == len(want), name
+            assert all(
+                values_close(a, b, FLOAT_TOL)
+                for a, b in zip(got.to_list(), want.to_list())
+            ), name
+        else:
+            assert np.array_equal(got.tail, want.tail), name
+
+
+def fed_factory(sql, x1, x2, **engine_kwargs):
+    engine = DataCellEngine(**engine_kwargs)
+    engine.create_stream("s", [("x1", "int"), ("x2", "float")])
+    handle = engine.submit(sql)
+    engine.feed(
+        "s", columns={"x1": np.asarray(x1, dtype=np.int64), "x2": np.asarray(x2)}
+    )
+    return engine, handle.factory
+
+
+class TestTaggedRuns:
+    @given(
+        sql=st.sampled_from(TAGGED_SHAPES),
+        counts=st.lists(st.integers(0, 12), min_size=2, max_size=10),
+        cap=st.integers(0, 48),
+        fewest=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_one_tagged_run_equals_plain_runs(self, sql, counts, cap, fewest, data):
+        """Bundle for bundle, the tagged runs of k basic windows equal k
+        plain fragment runs — also for empty basic windows, fully
+        filtered ones, and a cap that splits the slices into several
+        runs (and runs shorter than ``fewest``, which run plain)."""
+        total = sum(counts)
+        x1 = data.draw(st.lists(st.integers(-3, 3), min_size=total, max_size=total))
+        x2 = data.draw(
+            st.lists(
+                st.floats(-1e3, 1e3, allow_nan=False, width=32),
+                min_size=total,
+                max_size=total,
+            )
+        )
+        __, factory = fed_factory(sql, x1, x2, fragment_sharing=False)
+        with (
+            patch.object(factory_module, "TAGGED_RUN_TUPLES", cap),
+            patch.object(factory_module, "TAGGED_RUN_MIN_WINDOWS", fewest),
+        ):
+            slices = factory._take_slices("s", counts)
+            tagged = factory._fill_bundles(slices, Profiler())
+        plain = [
+            factory._run_fragment(slices.cut(i, i + 1), Profiler())
+            for i in range(len(counts))
+        ]
+        assert len(tagged) == len(plain) == len(counts)
+        for got, want in zip(tagged, plain):
+            assert_same_bundle(got, want)
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("sql", TAGGED_SHAPES)
+    def test_time_windows_with_empty_and_filtered_basic_windows(self, sql, filtered):
+        """A first time window whose basic windows are empty or fully
+        filtered out (``filtered``: all of them): the tagged fill and the
+        plain fill (cap 0) give the same windows, and both match
+        re-evaluation."""
+        sql = sql.replace("[RANGE 8 SLIDE 2]", "[RANGE 8 SECONDS SLIDE 1 SECONDS]")
+        # seconds 1, 3 and 4 are empty; second 5 holds only x1 <= 0
+        seconds = [0, 0, 2, 2, 2, 5, 5, 6, 7, 7, 9, 10, 12]
+        x1 = [1, 2, 3, -1, 2, -2, 0, 3, 1, 1, 2, -3, 1]
+        if filtered:  # nothing passes x1 > 0 before second 10
+            x1 = [-abs(v) if t < 10 else v for v, t in zip(x1, seconds)]
+        x2 = [0.25 * i for i in range(len(seconds))]
+        runs = {}
+        for mode, cap in (("incremental", TAGGED_RUN_TUPLES), ("plain", 0), ("reeval", 0)):
+            engine = DataCellEngine()
+            engine.create_stream("s", [("x1", "int"), ("x2", "float")])
+            handle = engine.submit(sql, mode="reeval" if mode == "reeval" else "incremental")
+            with patch.object(factory_module, "TAGGED_RUN_TUPLES", cap):
+                engine.feed(
+                    "s",
+                    columns={"x1": np.asarray(x1), "x2": np.asarray(x2)},
+                    timestamps=np.asarray(seconds, dtype=np.int64) * 1_000_000,
+                )
+                engine.run_until_idle()
+            runs[mode] = [batch.rows() for batch in handle.results()]
+        assert len(runs["incremental"]) == 5
+        for got, plain, reeval in zip(*runs.values()):
+            assert rows_equivalent(got, plain, FLOAT_TOL)
+            assert rows_equivalent(got, reeval, FLOAT_TOL)
+
+    def test_cache_counts_match_the_plain_fill(self):
+        """Two sharing queries of different |W|: the tagged fill looks up
+        and stores one cache entry per basic window, with the hits and
+        misses of the plain fill, and the same windows."""
+        sqls = [
+            "SELECT x1, sum(x2) FROM s [RANGE 24 SLIDE 3] WHERE x1 > 0 GROUP BY x1",
+            "SELECT x1, sum(x2) AS t FROM s [RANGE 12 SLIDE 3] WHERE x1 > 0 GROUP BY x1",
+        ]
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.integers(-3, 4, 90), rng.random(90)
+        outcomes = []
+        for cap in (TAGGED_RUN_TUPLES, 0):
+            engine = DataCellEngine()
+            engine.create_stream("s", [("x1", "int"), ("x2", "float")])
+            handles = [engine.submit(sql) for sql in sqls]
+            with patch.object(factory_module, "TAGGED_RUN_TUPLES", cap):
+                for start in range(0, 90, 15):  # the short window fills first
+                    engine.feed(
+                        "s", columns={"x1": x1[start : start + 15], "x2": x2[start : start + 15]}
+                    )
+                    engine.run_until_idle()
+            stats = engine.fragment_cache.stats()
+            windows = [[b.rows() for b in h.results()] for h in handles]
+            outcomes.append((stats["hits"], stats["misses"], stats["entries"], windows))
+        assert outcomes[0][:3] == outcomes[1][:3]
+        assert outcomes[0][0] > 0  # the long window's fill hit the short one's
+        for got, want in zip(outcomes[0][3], outcomes[1][3]):
+            assert len(got) == len(want) > 0
+            for a, b in zip(got, want):
+                assert rows_equivalent(a, b, FLOAT_TOL)
+
+    @pytest.mark.parametrize("sql", TAGGED_SHAPES[1:3])
+    def test_retained_bundles_do_not_alias_the_basket(self, sql):
+        """The bundles the fill keeps must not alias the basket's
+        buffers.  The fill's delete compacts the basket, moving the unread
+        rows over the sliced ones, and later feeds write over them again:
+        every window still equals re-evaluation."""
+        rng = np.random.default_rng(3)
+        x1, x2 = rng.integers(-3, 4, 14), rng.random(14)
+        windows = {}
+        for mode in ("incremental", "reeval"):
+            engine = DataCellEngine()
+            engine.create_stream("s", [("x1", "int"), ("x2", "float")])
+            handle = engine.submit(sql, mode=mode)
+            for rows in (slice(0, 11), slice(11, 14)):
+                engine.feed("s", columns={"x1": x1[rows], "x2": x2[rows]})
+                engine.run_until_idle()
+            windows[mode] = [batch.rows() for batch in handle.results()]
+        assert len(windows["incremental"]) == len(windows["reeval"]) == 4
+        for got, want in zip(windows["incremental"], windows["reeval"]):
+            assert rows_equivalent(got, want, FLOAT_TOL)
