@@ -498,8 +498,12 @@ def _run_serve_cli(argv: list[str]) -> int:
     except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if has_data(data_dir):
-        engine = DataCellEngine.restore(data_dir)
+    try:
+        engine = DataCellEngine.restore(data_dir) if has_data(data_dir) else None
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if engine is not None:
         engine.run_until_idle()
         print(f"recovered engine from {data_dir}", file=sys.stderr)
     else:

@@ -32,6 +32,10 @@ engines (PAPERS.md):
   the emitter's point of view; a dedup sink drops any window at or below
   the snapshot watermark as defense in depth.
 
+* **Format** — one number, :data:`DATA_FORMAT`, in the engine meta.
+  Restore checks it before applying anything and refuses a dir written
+  in any other format.
+
 Frame format (shared by segments and snapshots)::
 
     MAGIC "RDC1" | u64 payload length | u32 crc32(payload) | payload
@@ -77,6 +81,14 @@ class DurabilityError(ReproError):
 
 
 MAGIC = b"RDC1"
+
+#: The data-dir format the engine writes and restores: the ``"format"``
+#: of its meta, which is the journal's first record and every snapshot's
+#: ``meta``.  ``DataCellEngine.restore`` refuses a dir with any other (or
+#: none).  The frame ``MAGIC`` stays: a frame it does not match reads as
+#: a torn journal tail, not as a foreign format.
+DATA_FORMAT = 2
+
 _FIXED = struct.Struct("<4sQI")  # magic, payload length, crc32
 _U32 = struct.Struct("<I")
 _NULL_STR = 0xFFFFFFFF

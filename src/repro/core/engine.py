@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.basket import Basket, Cursor
 from repro.core.durability import (
+    DATA_FORMAT,
     DurabilityError,
     DurabilityManager,
     has_data,
@@ -350,6 +351,7 @@ class DataCellEngine:
     def _meta(self) -> dict:
         """The constructor shape a restore must reproduce."""
         return {
+            "format": DATA_FORMAT,
             "partitions": self.partitions,
             "fragment_sharing": self.fragment_sharing,
             "observability": self.obs is not None,
@@ -1144,7 +1146,9 @@ class DataCellEngine:
         produced exactly once from the emitters' point of view: factory
         ``window_index`` counters are part of the snapshot, and a dedup
         sink drops anything at or below the snapshot watermark as
-        defense in depth (``recovery_suppressed`` counter).
+        defense in depth (``recovery_suppressed`` counter).  A dir whose
+        meta is not in :data:`~repro.core.durability.DATA_FORMAT` is
+        refused with :class:`DurabilityError` before anything is applied.
         """
         dur = DurabilityManager(data_dir)
         snapshot, horizon = dur.load()
@@ -1163,17 +1167,13 @@ class DataCellEngine:
                     f"journal does not start with a meta record (got {kind!r})"
                 )
             meta = payload
-        # Knobs of removed engine modes are ignored — "workers" (thread
-        # pool), "backend" (compiled execution) and an unset
-        # "landmark_spill_mb": one interpreter on one firing thread
-        # produces the same windows in the same order.  A set spill
-        # budget is refused: that dir's snapshot may reference landmark
-        # runs on disk that nothing reads any more.
-        if meta.get("landmark_spill_mb") is not None:
+        found = meta.get("format")
+        if found != DATA_FORMAT:
+            written = "no format number" if found is None else f"format {found!r}"
             raise DurabilityError(
-                f"data dir {data_dir!r} was written with landmark_spill_mb="
-                f"{meta['landmark_spill_mb']!r}; landmark spilling was "
-                "removed and its spilled state cannot be restored"
+                f"data dir {data_dir!r} has {written}; this engine restores "
+                f"format {DATA_FORMAT} only (start a fresh data dir and feed "
+                "the inputs again)"
             )
         engine = cls(
             verify_plans=meta["verify_plans"],
@@ -1346,9 +1346,7 @@ class DataCellEngine:
                 broadcast=False,
             )
         self._stream_fed.update(state["stream_fed"])
-        # A "diverged" key (per-query baskets a failed fan-out left
-        # unequal) is ignored: one basket per stream cannot diverge.
-        for name, lstate in state.get("logs", {}).items():
+        for name, lstate in state["logs"].items():
             self._logs[name].restore_state(lstate)
         for tdecl in state["tables"]:
             table = self.catalog.create_table(
@@ -1373,12 +1371,10 @@ class DataCellEngine:
             else:
                 self._submit_impl(entry["sql"], entry["mode"], entry["name"])
         self._query_counter = state["query_counter"]
-        if "logs" not in state:
-            self._adopt_query_baskets(state)
         for qname, qstate in state["query_states"].items():
             handle = self._queries[qname]
             handle.factory.restore_state(qstate["factory"])
-            for alias, position in qstate.get("cursors", {}).items():
+            for alias, position in qstate["cursors"].items():
                 handle.baskets[alias].position = position
             handle.emitter.restore_state(qstate["emitter"])
             self.scheduler.restore_steps(qname, state["steps"].get(qname, 0))
@@ -1485,85 +1481,12 @@ class DataCellEngine:
                 self.advance_time(payload["stream"], payload["ts"])
             elif kind == "reset_landmark":
                 self.reset_landmark(payload["name"])
-            elif kind == "basket":
-                # Legacy receptor record, "<query>:<stream>": the batch now
-                # goes to the stream, as a receptor's feed would.
-                self._feed_impl(
-                    payload["basket"].rsplit(":", 1)[1],
-                    None,
-                    payload["columns"],
-                    payload.get("timestamps"),
-                )
             else:
                 raise DurabilityError(f"unknown journal record kind {kind!r}")
         except BasketOverflowError:
             # The live run continued past this overflow too (it admitted
             # nothing, or what the policy kept before raising).
             pass
-
-    def _adopt_query_baskets(self, state: dict) -> None:
-        """Rebuild each stream's basket from a snapshot that still holds
-        one basket image per query (data dirs from before per-stream
-        baskets).
-
-        The longest image becomes the basket, ending at the stream's fed
-        count; every query's cursor starts ``len(image)`` before that
-        tail, which holds when each shorter image is a suffix of the
-        longest — otherwise the queries saw different tuples and there is
-        no one basket to rebuild.
-        """
-        images: dict[str, list] = {}
-        for qname, qstate in state["query_states"].items():
-            handle = self._queries[qname]
-            for alias, image in qstate["baskets"].items():
-                cursor = handle.baskets[alias]
-                time_based = alias in handle.factory._slicers
-                images.setdefault(cursor.basket.name, []).append(
-                    (cursor, image, time_based)
-                )
-        for stream, log in self._logs.items():
-            entries = images.get(stream, [])
-            first = log.schema.names[0]
-
-            def held(image: dict) -> int:
-                return len(image["columns"][first])
-
-            longest = max(
-                (image for __, image, __ in entries),
-                key=held,
-                default=log.snapshot_state(),
-            )
-            tail = state["stream_fed"][stream]
-            for cursor, image, time_based in entries:
-                count = held(image)
-                for name in log.schema.names:
-                    mine = image["columns"][name].tail
-                    theirs = longest["columns"][name].tail[held(longest) - count :]
-                    if not np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f"):
-                        raise DurabilityError(
-                            f"stream {stream!r}: the snapshot's per-query baskets "
-                            "hold different tuples; cannot rebuild its basket"
-                        )
-                if time_based and image["clock"] != longest["clock"]:
-                    raise DurabilityError(
-                        f"stream {stream!r}: a time-based query's basket kept "
-                        "its own logical clock; cannot rebuild its basket"
-                    )
-                cursor.position = tail - count
-            watermarks = [i["watermark"] for __, i, __ in entries if i["watermark"] is not None]
-            counters = ("shed_total", "block_waits", "block_timeouts")
-            log.restore_state(
-                {
-                    **longest,
-                    **{key: sum(i[key] for __, i, __ in entries) for key in counters},
-                    "columns": {
-                        name: BAT(bat.tail, bat.atom, tail - held(longest))
-                        for name, bat in longest["columns"].items()
-                    },
-                    "appended_total": tail,
-                    "watermark": max(watermarks, default=None),
-                }
-            )
 
     def partition_stats(self) -> dict:
         """Partition-execution gauges; ``{}`` unless sharding is active.

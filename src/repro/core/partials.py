@@ -394,35 +394,6 @@ class PairStore:
         """Every flow's rows of all live pairs, in (left, right) order."""
         return {name: table.values for name, table in self._flows.items()}
 
-    def live(self) -> list[tuple[tuple[int, int], Bundle]]:
-        """Live pairs with their rows as one bundle each, ordered by (left
-        seq, right seq) — the per-pair view of the table."""
-        index = self._index
-        lefts, rights = np.unique(index.left), np.unique(index.right)
-        keys = _pair_codes(index.left, index.right, lefts, rights)
-        cuts = {
-            name: np.searchsorted(
-                _pair_codes(table.left, table.right, lefts, rights), keys
-            ).tolist()
-            + [len(table)]
-            for name, table in self._flows.items()
-        }
-        return [
-            (
-                (left, right),
-                {
-                    name: BAT(
-                        table.values.tail[cuts[name][i] : cuts[name][i + 1]].copy(),
-                        table.values.atom,
-                    )
-                    for name, table in self._flows.items()
-                },
-            )
-            for i, (left, right) in enumerate(
-                zip(index.left.tolist(), index.right.tolist())
-            )
-        ]
-
     def replace_all(self, bundle: Bundle, key: tuple[int, int]) -> None:
         """Collapse to one cumulative bundle (landmark joins)."""
         left, right = key
@@ -442,30 +413,22 @@ class PairStore:
         return len(self._index)
 
     def snapshot_state(self) -> dict:
-        """Serializable image: the live pairs' bundles (:meth:`live`)."""
+        """Serializable image: the tagged tables as kept — the pair index
+        and, per flow, its left tags, right tags and values."""
         return {
-            "bundles": [
-                [left, right, bundle] for (left, right), bundle in self.live()
-            ]
+            "index": [self._index.left, self._index.right],
+            "flows": {
+                name: [table.left, table.right, table.values]
+                for name, table in self._flows.items()
+            },
         }
 
     def restore_state(self, state: dict) -> None:
-        self._index = _TagTable()
-        self._flows = {}
-        entries = state["bundles"]
-        if not entries:
-            return
-        lefts = np.array([int(left) for left, __, __ in entries], dtype=np.int64)
-        rights = np.array([int(right) for __, right, __ in entries], dtype=np.int64)
-        self._index.insert(lefts, rights)
-        for name, like in entries[0][2].items():
-            bats = [bundle[name] for __, __, bundle in entries]
-            sizes = [len(bat) for bat in bats]
-            self._flow(name, like).insert(
-                np.repeat(lefts, sizes),
-                np.repeat(rights, sizes),
-                np.concatenate([bat.tail for bat in bats]),
-            )
+        self._index = _TagTable(*state["index"])
+        self._flows = {
+            name: _TagTable(left, right, values)
+            for name, (left, right, values) in state["flows"].items()
+        }
 
 
 # ----------------------------------------------------------------------

@@ -114,7 +114,6 @@ def _worker_main(conn, init: dict) -> None:
             "handle": handle,
             "qstream": qstream,
             "flavor": flavor,
-            "collected": 0,
         }
         by_stream.setdefault(stream, []).append(qname)
         return ("ok", _output_schema(handle))
@@ -156,7 +155,6 @@ def _worker_main(conn, init: dict) -> None:
                     {
                         "qstream": state["qstream"],
                         "flavor": state["flavor"],
-                        "collected": state["collected"],
                     },
                 ]
                 for qname, state in queries.items()
@@ -184,7 +182,6 @@ def _worker_main(conn, init: dict) -> None:
                 "handle": engine.query(qname),
                 "qstream": state["qstream"],
                 "flavor": state["flavor"],
-                "collected": state["collected"],
             }
         for stream, names in snapshot["by_stream"].items():
             by_stream[stream] = list(names)
@@ -194,16 +191,10 @@ def _worker_main(conn, init: dict) -> None:
 
         The coordinator owns the results from here on; a worker that kept
         them would carry the whole emission history into every snapshot.
-        ``collected`` counts batches shipped over the query's lifetime
-        (against the emitter's ``total_batches``), so a restored emitter
-        that still holds already-shipped batches — snapshots written
-        before workers trimmed — resends none of them.
         """
         out = []
         for qname, state in queries.items():
-            total, batches = state["handle"].emitter.drain()
-            fresh = total - state["collected"]
-            for batch in batches[-fresh:] if fresh else ():
+            for batch in state["handle"].emitter.drain():
                 out.append(
                     (
                         qname,
@@ -215,7 +206,6 @@ def _worker_main(conn, init: dict) -> None:
                         },
                     )
                 )
-            state["collected"] = total
         return out
 
     while True:

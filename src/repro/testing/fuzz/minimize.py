@@ -27,7 +27,10 @@ from repro.testing.fuzz.metamorphic import check_relation
 from repro.testing.fuzz.oracle import Divergence, OracleConfig, run_oracle
 from repro.testing.fuzz.reference import ReferenceOracle
 
-FORMAT = "repro-fuzz/1"
+#: Reproducer format.  In version 2 the config holds exactly the current
+#: axes, and a (seed, iteration) draws them without the draws of the
+#: removed ``workers``, ``lockcheck`` and execution-path axes.
+FORMAT = "repro-fuzz/2"
 
 
 @dataclass

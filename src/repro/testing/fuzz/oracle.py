@@ -77,18 +77,13 @@ class OracleConfig:
 
     @staticmethod
     def from_json(data: dict) -> "OracleConfig":
-        # Entries of removed axes — "workers", "lockcheck", "backend" — are
-        # ignored, so older reproducers replay on the remaining axes.  Keys
-        # an older reproducer lacks take the value it originally ran with.
-        return OracleConfig(
-            fragment_sharing=data.get("fragment_sharing", True),
-            duplicate=data.get("duplicate", False),
-            chunk_plan=data.get("chunk_plan"),
-            step_chunk=data.get("step_chunk"),
-            float_tol=data.get("float_tol", 1e-6),
-            partitions=data.get("partitions", 1),
-            crash=data.get("crash", False),
-        )
+        """Inverse of :meth:`to_json`; the keys must be exactly its keys."""
+        keys = set(OracleConfig().to_json())
+        if set(data) != keys:
+            raise ReproError(
+                f"oracle config keys {sorted(data)} are not {sorted(keys)}"
+            )
+        return OracleConfig(**data)
 
     def describe(self) -> str:
         parts = [f"sharing={self.fragment_sharing}"]

@@ -194,11 +194,6 @@ class FuzzSession:
             return OracleConfig(partitions=self.partitions or 1, crash=self.crash)
         # New axes draw *after* the existing ones so historical
         # (seed, iteration) pairs keep reproducing the same config.
-        # Removed axes keep their draws consumed — the first picked
-        # `workers`, the two after `step_chunk` picked `lockcheck` and
-        # the execution path — so the remaining axes keep their
-        # historical values.
-        rng.random()
         config = OracleConfig(
             fragment_sharing=bool(rng.random() < 0.75),
             duplicate=bool(rng.random() < 0.35),
@@ -213,8 +208,6 @@ class FuzzSession:
                 else None
             ),
         )
-        rng.random()
-        rng.random()
         # Partitions axis: drawn last.  The partitioned leg only runs for
         # shapes the sharded engine supports (query.partition_ok); other
         # shapes keep P=1 so the draw stays cheap and deterministic.

@@ -227,3 +227,51 @@ class TestMainFlagParsing:
         )
         assert code == 0
         assert "overflow sample:0.5" in capsys.readouterr().out
+
+
+class TestServe:
+    """`python -m repro serve --data-dir DIR` on an existing dir."""
+
+    @staticmethod
+    def write_dir(data_dir):
+        from repro import DataCellEngine
+
+        engine = DataCellEngine(data_dir=str(data_dir))
+        engine.create_stream("s", [("x1", "int")])
+        engine.checkpoint()
+        engine.close()
+
+    def serve(self, data_dir, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("QUIT\n"))
+        return main(["serve", "--data-dir", str(data_dir)])
+
+    @pytest.mark.parametrize("refusal", ["manifest-version", "format"])
+    def test_refused_data_dir_exits_2_without_a_traceback(
+        self, refusal, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        from repro import DataCellEngine
+
+        data_dir = tmp_path / "dd"
+        if refusal == "format":
+            monkeypatch.setattr(DataCellEngine, "_meta", lambda self: {"format": 1})
+            self.write_dir(data_dir)
+            monkeypatch.undo()
+        else:
+            self.write_dir(data_dir)
+            manifest = data_dir / "MANIFEST.json"
+            manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "version": 9}))
+        capsys.readouterr()
+        assert self.serve(data_dir, monkeypatch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("format 1" if refusal == "format" else "version 9") in err
+        assert "Traceback" not in err
+
+    def test_current_data_dir_recovers(self, tmp_path, monkeypatch, capsys):
+        self.write_dir(tmp_path / "dd")
+        assert self.serve(tmp_path / "dd", monkeypatch) == 0
+        assert "recovered engine from" in capsys.readouterr().err

@@ -40,6 +40,30 @@ def test_checker_flags_broken_links(tmp_path):
     assert not checker.check_links(tmp_path, ["B.md"])
 
 
+def test_checker_flags_missing_backticked_repo_paths(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_here.py").write_text("")
+    (tmp_path / "src" / "repro" / "core").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "core" / "engine.py").write_text("")
+    text = (
+        "# Title\n"
+        "`tests/test_here.py::test_one` `tests/test_*.py` `core/engine.py:restore`\n"
+        "`tests/fixtures/gone/` `core/gone.py` `tests/nothing_*.py`\n"
+        "`a/b` `sum/count` `/dev/shm` `perf/`\n"
+        "```\n`tests/in_a_code_block.py`\n```\n"
+    )
+    (tmp_path / "A.md").write_text(text)
+    (tmp_path / "ROADMAP.md").write_text(text)
+    errors = checker.check_links(tmp_path, ["A.md", "ROADMAP.md"])
+    assert [e.split(": ", 1)[1] for e in errors] == [
+        "missing repo path 'tests/fixtures/gone/'",
+        "missing repo path 'core/gone.py'",
+        "missing repo path 'tests/nothing_*.py'",
+    ]
+    assert all(e.startswith("A.md:3:") for e in errors)
+
+
 def test_discovery_covers_every_docs_file():
     checker = _load_checker()
     discovered = set(checker.discover_docs())

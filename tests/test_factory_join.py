@@ -1,9 +1,5 @@
 """Behavioural tests for two-stream (and hybrid) join factories."""
 
-import json
-import os
-import shutil
-
 from unittest.mock import patch
 
 import numpy as np
@@ -448,29 +444,6 @@ class TestBatchedJoinDifferential:
         # Then per slide: new left x every live right, older left x new right.
         assert [rows for rows in runs if rows] == [40, 10, 30, 10, 30]
         assert runs.count(0) <= 1
-
-
-LEGACY_JOIN = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_join")
-
-
-def test_legacy_pair_bundles_restore_and_reemit(tmp_path):
-    """A data dir written by the per-pair join engine — checkpoint with
-    basic windows half-consumed, feeds journaled after it — restores and
-    re-emits exactly the windows that engine emitted."""
-    with open(os.path.join(LEGACY_JOIN, "expected.json")) as fh:
-        expected = json.load(fh)
-    data_dir = str(tmp_path / "data")
-    shutil.copytree(os.path.join(LEGACY_JOIN, "data"), data_dir)
-    engine = DataCellEngine.restore(data_dir)
-    try:
-        engine.run_until_idle()
-        for name, windows in expected["windows"].items():
-            query = engine.query(name)
-            assert query.sql == expected["queries"][name]
-            rows = [[tuple(row) for row in window] for window in windows]
-            assert query.result_rows() == rows, name
-    finally:
-        engine.close()
 
 
 class TestTaggedPreps:

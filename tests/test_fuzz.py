@@ -11,6 +11,7 @@ replayable reproducer.
 
 import io
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -201,8 +202,9 @@ class TestGenerator:
 
     def test_join_iteration_drawn_before_deep_joins_replays_unchanged(self):
         """(seed 4, iteration 5) is a join the deep-join draw leaves alone:
-        query, feed and execution axes are exactly those drawn before
-        that draw existed."""
+        query and feed are exactly those drawn before that draw existed,
+        and the execution axes those drawn since the removed axes' draws
+        went."""
         import hashlib
 
         session = FuzzSession(budget=1, seed=4, out_dir="unused", out=io.StringIO())
@@ -221,7 +223,7 @@ class TestGenerator:
             json.dumps(feed.to_json(), sort_keys=True).encode()
         ).hexdigest()
         assert digest == "22aadc158da4b19f4d19153703140ac450910732"
-        assert config.describe() == "sharing=True dup chunked-feed"
+        assert config.describe() == "sharing=True chunked-feed"
 
     def test_widen_redraws_some_int_columns_over_a_wide_signed_domain(self):
         """About one int stream column in five is redrawn from a shared
@@ -258,23 +260,28 @@ class TestGenerator:
         assert 0.1 < widened / columns < 0.3 and negative
 
     def test_iteration_drawn_before_wide_keys_replays_unchanged(self):
-        """(seed 4, iteration 34) is a deep-window two-key group-by the
+        """(seed 4, iteration 2) is a deep-window two-key group-by the
         wide-key draw leaves alone: query, feed and execution axes are
-        exactly those drawn before that draw existed."""
+        exactly those drawn without that draw (values recorded when the
+        removed axes' draws went)."""
         import hashlib
 
         session = FuzzSession(budget=1, seed=4, out_dir="unused", out=io.StringIO())
-        query, feed, config = session._draw(34)
+        query, feed, config = session._draw(2)
         assert "keys-wide" not in query.features
+        assert "window-deep" in query.features
+        with patch.object(QueryGenerator, "widen", lambda self, query, feed: None):
+            assert session._draw(2) == (query, feed, config)
         assert query.sql == (
-            "SELECT c0 AS g0, c1 AS g1, sum(c0) AS a0, count(c2) AS a1 FROM s0 "
-            "[RANGE 206 SLIDE 2] WHERE (NOT (c0 != 5 OR c1 <= 1)) GROUP BY c0, c1"
+            "SELECT c1 AS g0, c0 AS g1, min(c1) AS a0, sum(c1) AS a1 FROM s0 "
+            "[RANGE 129 SLIDE 1] WHERE (c1 <= 1 AND c1 > 2) GROUP BY c1, c0 "
+            "HAVING min(c0) > 3"
         )
         digest = hashlib.sha1(
             json.dumps(feed.to_json(), sort_keys=True).encode()
         ).hexdigest()
-        assert digest == "5bcd2b5cb8844a913af2abca2112500c63028df9"
-        assert config.describe() == "sharing=True chunked-feed"
+        assert digest == "041d78ab1e1beea6e6a0f32ccaa5db6b749e9dc8"
+        assert config.describe() == "sharing=False dup m=2"
 
     def test_render_with_substituted_window(self):
         query = make_query()
@@ -358,18 +365,16 @@ class TestOracle:
         config = OracleConfig(chunk_plan={"s0": [2, 2]}, step_chunk=3)
         clone = OracleConfig.from_json(json.loads(json.dumps(config.to_json())))
         assert clone == config
-        # Reproducers saved before the thread-pool mode, or the compiled
-        # execution path, was removed.
-        legacy = {**config.to_json(), "workers": 3, "backend": "compiled"}
-        assert OracleConfig.from_json(legacy) == config
 
-    def test_oracle_config_lockcheck_roundtrip(self):
-        """The `lockcheck` axis is gone; reproducers saved with it replay
-        with the remaining axes."""
-        config = OracleConfig.from_json({**OracleConfig().to_json(), "lockcheck": True})
-        assert config == OracleConfig()
-        assert "lockcheck" not in config.to_json()
-        assert "lockcheck" not in config.describe()
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_config_json_needs_exactly_the_current_keys(self, change):
+        data = OracleConfig().to_json()
+        if change == "extra":
+            data["workers"] = 3
+        else:
+            del data["crash"]
+        with pytest.raises(ReproError, match="oracle config keys"):
+            OracleConfig.from_json(data)
 
 
 # ----------------------------------------------------------------------
@@ -503,11 +508,9 @@ class TestRunnerCli:
         for feature in ("project", "single-stream"):
             assert session.coverage[feature] > 0
 
-    def test_axis_draws_are_pinned_across_the_removed_workers_axis(self, tmp_path):
-        """The `workers` and `lockcheck` axes are gone but their draws are
-        still consumed, so a historical (seed, iteration) pair draws the
-        axes it always drew (values recorded at the last commit that had
-        each axis, less the removed ones)."""
+    def test_axis_draws_are_pinned_per_rng_state(self, tmp_path):
+        """The same rng state draws the same axes (values recorded when the
+        removed axes' draws went)."""
         generator = QueryGenerator(np.random.default_rng([11, 3]))
         query = generator.query("sum")
         feed = generator.feed(query, rows_scale=0.5)
@@ -517,51 +520,10 @@ class TestRunnerCli:
             for seed in (1, 2, 3)
         ]
         assert drawn == [
-            "sharing=False dup",
-            "sharing=True chunked-feed partitions=3",
-            "sharing=True crash",
+            "sharing=True chunked-feed",
+            "sharing=True dup partitions=2",
+            "sharing=True dup crash",
         ]
-
-    def test_iteration_drawn_with_lockcheck_replays_without_it(self, tmp_path):
-        """(seed 4, iteration 24) drew the removed `lockcheck` axis; its
-        query, feed and remaining axes are the ones drawn before the axis
-        went (values recorded at that commit)."""
-        import hashlib
-
-        session = FuzzSession(budget=1, seed=4, out_dir=str(tmp_path), out=io.StringIO())
-        query, feed, config = session._draw(24)
-        blob = json.dumps(
-            {"columns": feed.columns, "timestamps": feed.timestamps,
-             "punctuate": feed.punctuate},
-            sort_keys=True, default=str,
-        )
-        assert query.sql == (
-            "SELECT DISTINCT s0.c0 + 3 AS o0 FROM s0 [RANGE 36 SLIDE 6], "
-            "s1 [RANGE 20 SLIDE 4] WHERE s0.c0 = s1.c1 AND (s1.c1 > 3) "
-            "ORDER BY o0 DESC"
-        )
-        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "331b0bcf80e5c0b2"
-        assert config.chunk_plan == {"s0": [42], "s1": [32]}
-        assert config.describe() == "sharing=True chunked-feed crash"
-
-    def test_iteration_drawn_with_compiled_execution_replays_without_it(self, tmp_path):
-        """(seed 4, iteration 0) drew the removed compiled-execution axis;
-        its query, feed and remaining axes — including the partition count
-        drawn after that axis — are the ones drawn before it went (values
-        recorded at that commit)."""
-        import hashlib
-
-        session = FuzzSession(budget=1, seed=4, out_dir=str(tmp_path), out=io.StringIO())
-        query, feed, config = session._draw(0)
-        assert query.sql == (
-            "SELECT c0 AS o0, c1 AS o1 FROM s0 [RANGE 6 SLIDE 2] WHERE (c0 = 6 OR c1 = 6)"
-        )
-        digest = hashlib.sha1(
-            json.dumps(feed.to_json(), sort_keys=True).encode()
-        ).hexdigest()
-        assert digest == "aa3b6e397eb09abc3fac8b263514eacd71786aa3"
-        assert config == OracleConfig(step_chunk=3, partitions=2)
-        assert config.describe() == "sharing=True m=3 partitions=2"
 
     def test_session_fuzzes_deep_windows(self, tmp_path):
         out = io.StringIO()

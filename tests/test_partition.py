@@ -549,7 +549,6 @@ class TestLifecycle:
                 emitter = worker["engine"]["query_states"]["q"]["emitter"]
                 assert emitter["batches"] == []
                 assert emitter["total_batches"] == 1999
-                assert dict(worker["queries"])["q"]["collected"] == 1999
             assert sizes[40] <= 1.1 * sizes[10], sizes
         finally:
             engine.close()

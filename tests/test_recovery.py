@@ -14,8 +14,8 @@ window counts is the exactly-once assertion: a duplicated or lost
 window shifts the count.
 
 Workloads are drawn from the fuzz generator at pinned seeds so they
-cover aggregation, grouping, time windows with punctuation, and (for
-the partitioned sweep) a shard-mergeable shape.
+cover aggregation, grouping, time windows with punctuation, a sliding
+two-stream join, and (for the partitioned sweep) a shard-mergeable shape.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.durability import DurabilityError
+from repro.core.durability import DurabilityError, read_manifest, read_snapshot
 from repro.core.engine import DataCellEngine
+from repro.core.partials import PairStore
 from repro.errors import BasketError, ReproError
 from repro.testing.faults import CrashPoint, InjectedCrash
 from repro.testing.fuzz.generator import QueryGenerator, build_engine
@@ -44,11 +45,11 @@ CHUNK = 7
 CHECKPOINT_ROUNDS = (1, 3)
 
 
-def _workload(seed: int, focus: str):
+def _workload(seed: int, focus: str, rows_scale: float = 1.0):
     rng = np.random.default_rng([seed, 0])
     generator = QueryGenerator(rng)
     query = generator.query(focus)
-    return query, generator.feed(query)
+    return query, generator.feed(query, rows_scale=rows_scale)
 
 
 def _drive(engine, query, feed) -> None:
@@ -146,6 +147,34 @@ def test_kill_anywhere_single_partition(tmp_path):
 def test_kill_anywhere_time_windows_with_punctuation(tmp_path):
     query, feed = _workload(3, "window-time")
     assert feed.punctuate  # the workload must cover advance_time records
+    _sweep(tmp_path, query, feed)
+
+
+def test_kill_anywhere_join(tmp_path):
+    """A sliding two-stream equi-join, checkpointed with live basic-window
+    pairs and a half-consumed basic window, and windows left to fire after
+    that checkpoint (twice the default feed): restores read the join's
+    tagged pair tables back from the snapshot and merge them again."""
+    query, feed = _workload(18, "join", rows_scale=2)
+    assert len(query.streams) == 2 and not query.tables
+    assert all(w.kind == "sliding" for w in query.windows.values())
+    data_dir = tmp_path / "clean"
+    engine = build_engine(query, data_dir=str(data_dir))
+    try:
+        handle = engine.submit(query.sql, name="q")
+        assert isinstance(handle.factory._pairs, PairStore)
+        _drive(engine, query, feed)
+    finally:
+        engine.close()
+    manifest = read_manifest(str(data_dir))
+    state = read_snapshot(os.path.join(data_dir, "snapshots", manifest["snapshot"]))
+    qstate = state["query_states"]["q"]
+    assert len(qstate["factory"]["pairs"]["index"][0]) > 0
+    assert qstate["watermark"] + 1 < len(ReferenceOracle(query).windows(feed))
+    assert any(
+        (state["stream_fed"][alias] - position) % query.windows[alias].step
+        for alias, position in qstate["cursors"].items()
+    )
     _sweep(tmp_path, query, feed)
 
 
@@ -477,83 +506,54 @@ def test_fresh_engine_refuses_existing_data_dir(tmp_path):
     restored.close()
 
 
-@pytest.mark.parametrize("checkpointed", [False, True])
-def test_restore_ignores_legacy_workers_meta(tmp_path, monkeypatch, checkpointed):
-    """Data dirs written before the thread-pool scheduler mode was removed
-    carry ``"workers": N`` in the journaled meta record and in every
-    snapshot's meta; restore must load them and re-emit the same windows
-    (one firing thread fires in the order ``workers=N`` results equalled)."""
-    current_meta = DataCellEngine._meta
-    monkeypatch.setattr(
-        DataCellEngine, "_meta", lambda self: {**current_meta(self), "workers": 2}
-    )
-    data_dir = tmp_path / "dd"
-    engine = DataCellEngine(data_dir=str(data_dir))
-    try:
-        engine.create_stream("s", [("v", "int")])
-        handle = engine.submit("SELECT sum(v) AS t FROM s [RANGE 8 SLIDE 4]", name="q")
-        engine.feed("s", columns={"v": np.arange(20, dtype=np.int64)})
-        engine.run_until_idle()
-        if checkpointed:
-            engine.checkpoint()
-        engine.feed("s", columns={"v": np.arange(20, 32, dtype=np.int64)})
-        engine.run_until_idle()
-        expected = [batch.rows() for batch in handle.results()]
-        assert len(expected) == 7
-        engine.abandon()
-        monkeypatch.undo()
-
-        engine = DataCellEngine.restore(str(data_dir))
-        engine.run_until_idle()
-        got = [batch.rows() for batch in engine.query("q").results()]
-        assert got == expected
-        assert "workers" not in engine._meta()
-    finally:
-        engine.close()
+def _dir_listing(data_dir) -> list:
+    """(path, size) of every file under ``data_dir``."""
+    paths = [
+        os.path.join(root, name)
+        for root, __, names in os.walk(data_dir)
+        for name in names
+    ]
+    return sorted((os.path.relpath(p, data_dir), os.path.getsize(p)) for p in paths)
 
 
-@pytest.mark.parametrize("checkpointed", [False, True])
-@pytest.mark.parametrize("spill_mb", [None, 0.25])
-def test_restore_of_dirs_naming_the_removed_spill_knob(
-    tmp_path, monkeypatch, spill_mb, checkpointed
+@pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
+@pytest.mark.parametrize(
+    "format_, named",
+    [(None, "no format number"), (1, "format 1")],
+    ids=["missing", "format-1"],
+)
+def test_restore_refuses_a_dir_in_another_format(
+    tmp_path, monkeypatch, format_, named, checkpointed
 ):
-    """Data dirs written while landmark spilling existed carry
-    ``"landmark_spill_mb"`` in their meta.  Unset, it is ignored and the
-    dir restores; set, the dir's snapshot may reference spilled runs
-    nothing can read, so restore refuses it and names the key."""
+    """The engine meta — the journal's first record and every snapshot's
+    ``meta`` — carries the data-dir format.  A dir whose meta has no
+    format, or another number, is refused with an error naming what it
+    found, before anything is applied: the dir is left as it was."""
     current_meta = DataCellEngine._meta
-    monkeypatch.setattr(
-        DataCellEngine,
-        "_meta",
-        lambda self: {**current_meta(self), "landmark_spill_mb": spill_mb},
-    )
+
+    def meta(self):
+        out = {key: value for key, value in current_meta(self).items() if key != "format"}
+        if format_ is not None:
+            out["format"] = format_
+        return out
+
+    monkeypatch.setattr(DataCellEngine, "_meta", meta)
     data_dir = tmp_path / "dd"
     engine = DataCellEngine(data_dir=str(data_dir))
     engine.create_stream("s", [("v", "int")])
-    handle = engine.submit("SELECT v FROM s [LANDMARK SLIDE 4]", name="q")
-    engine.feed("s", columns={"v": np.arange(8, dtype=np.int64)})
+    engine.submit("SELECT sum(v) AS t FROM s [RANGE 8 SLIDE 4]", name="q")
+    engine.feed("s", columns={"v": np.arange(20, dtype=np.int64)})
     engine.run_until_idle()
     if checkpointed:
         engine.checkpoint()
-    engine.feed("s", columns={"v": np.arange(8, 12, dtype=np.int64)})
-    engine.run_until_idle()
-    expected = [batch.rows() for batch in handle.results()]
-    assert len(expected) == 3
+    engine.feed("s", columns={"v": np.arange(20, 32, dtype=np.int64)})
     engine.abandon()
     monkeypatch.undo()
 
-    if spill_mb is not None:
-        with pytest.raises(DurabilityError, match="landmark_spill_mb"):
-            DataCellEngine.restore(str(data_dir))
-        return
-    engine = DataCellEngine.restore(str(data_dir))
-    try:
-        engine.run_until_idle()
-        got = [batch.rows() for batch in engine.query("q").results()]
-        assert got == expected
-        assert "landmark_spill_mb" not in engine._meta()
-    finally:
-        engine.close()
+    before = _dir_listing(data_dir)
+    with pytest.raises(DurabilityError, match=named):
+        DataCellEngine.restore(str(data_dir))
+    assert _dir_listing(data_dir) == before
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,10 @@
 Pins the cursor mechanics on a bare basket, the basket/cursor invariants
 the engine keeps under random interleavings of submit, remove, feed, pump
 and ``advance_time`` (Hypothesis), fragment sharing on shedding streams
-against ``fragment_sharing=False``, and the restore of a data dir written
-when every query still had a basket of its own.
+against ``fragment_sharing=False``.
 """
 
 import gc
-import json
-import os
-import shutil
 import sys
 import threading
 import weakref
@@ -22,22 +18,12 @@ from hypothesis import strategies as st
 
 from repro import DataCellEngine
 from repro.core.basket import Basket
-from repro.core.durability import (
-    DurabilityError,
-    atomic_write,
-    encode_frame,
-    pack_state,
-    read_manifest,
-    read_snapshot,
-)
 from repro.core.overflow import Block, Fail, Sample, ShedNewest, ShedOldest
 from repro.errors import BasketOverflowError, ReproError
 from repro.kernel.atoms import Atom
-from repro.kernel.bat import BAT
 from repro.kernel.storage import Schema
 
 SCHEMA = Schema.of(("x", Atom.INT))
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "legacy_baskets")
 
 
 def rows(*values):
@@ -172,8 +158,8 @@ def _stream_engine(**limits) -> DataCellEngine:
     return engine
 
 
-def _check_basket(engine: DataCellEngine, capacity, stream: str = "s") -> None:
-    log = engine._logs[stream]
+def _check_basket(engine: DataCellEngine, capacity) -> None:
+    log = engine._logs["s"]
     cursors = [
         c for h in engine._queries.values() for c in h.baskets.values() if c.basket is log
     ]
@@ -399,57 +385,3 @@ def test_sharing_on_shedding_streams_is_byte_identical(make_policy):
     assert hits > 0 and none == 0
     assert profiler.counter("overflow_shed") > 0
     assert all(windows for windows in shared)
-
-
-# ----------------------------------------------------------------------
-# data dirs written with one basket per query
-# ----------------------------------------------------------------------
-def _legacy_copy(tmp_path) -> str:
-    data_dir = str(tmp_path / "data")
-    shutil.copytree(os.path.join(FIXTURE, "data"), data_dir)
-    return data_dir
-
-
-def test_legacy_query_baskets_restore_and_reemit(tmp_path):
-    """Two queries on one stream (one fed a receptor batch the other
-    never saw), a checkpoint, feeds after it, and a legacy ``basket``
-    journal record on a second stream: the restore re-emits exactly the
-    windows the engine that wrote the dir emitted."""
-    with open(os.path.join(FIXTURE, "expected.json")) as fh:
-        expected = json.load(fh)
-    engine = DataCellEngine.restore(_legacy_copy(tmp_path))
-    try:
-        engine.run_until_idle()
-        for name, windows in expected["windows"].items():
-            query = engine.query(name)
-            assert query.sql == expected["queries"][name]
-            rows = [[tuple(row) for row in window] for window in windows]
-            assert query.result_rows() == rows, name
-        log = engine._logs["s"]
-        assert log.appended_total == engine._stream_fed["s"] == 25
-        _check_basket(engine, None)
-        _check_basket(engine, None, stream="t")
-    finally:
-        engine.close()
-
-
-def test_legacy_images_that_disagree_name_the_stream(tmp_path):
-    data_dir = _legacy_copy(tmp_path)
-    manifest = read_manifest(data_dir)
-    path = os.path.join(data_dir, "snapshots", manifest["snapshot"])
-    state = read_snapshot(path)
-    image = state["query_states"]["qa"]["baskets"]["s"]
-    image["columns"] = {
-        name: BAT(np.array([7], dtype=bat.tail.dtype), bat.atom, bat.hseq)
-        for name, bat in image["columns"].items()
-    }
-    skeleton, blobs = pack_state(state)
-    header = {
-        "kind": "snapshot",
-        "snapshot_id": manifest["snapshot_id"],
-        "horizon": manifest["horizon"],
-        "state": skeleton,
-    }
-    atomic_write(path, encode_frame(header, blobs))
-    with pytest.raises(DurabilityError, match="'s'"):
-        DataCellEngine.restore(data_dir)

@@ -9,9 +9,16 @@ document (GitHub slug rules: lowercase, punctuation stripped, spaces to
 dashes).  External ``http(s)`` links are ignored — CI must not depend
 on the network.
 
+It also checks backticked repository paths — `` `tests/…` ``,
+`` `src/…` ``, `` `benchmarks/…` ``, `` `tools/…` ``, `` `examples/…` ``,
+`` `docs/…` ``, and module paths such as `` `core/engine.py` `` that
+name a package under ``src/repro`` — in every checked document but
+ROADMAP.md, which names files that do not exist yet.  A ``::test`` or
+``:name`` suffix is dropped, and a glob must match at least one file.
+
 Run directly (``python tools/check_docs_links.py``) or through the
 ``tests/test_docs_links.py`` wrapper; exits non-zero listing every broken
-link.
+link and missing path.
 """
 
 from __future__ import annotations
@@ -44,6 +51,37 @@ DOCS = discover_docs()
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+_CODE_SPAN = re.compile(r"`([^`\s]+)`")
+
+#: Top-level directories a backticked path may start with.
+REPO_DIRS = ("tests", "src", "benchmarks", "tools", "examples", "docs")
+
+#: Documents whose backticked paths are not checked: the roadmap names
+#: files that do not exist yet.
+PATHS_UNCHECKED = {"ROADMAP.md"}
+
+
+def repo_path(span: str, root: Path = ROOT) -> Path | None:
+    """The repository path a backticked span names, or None if it names
+    none: a path under one of :data:`REPO_DIRS`, or a module path under
+    ``src/repro`` (``core/engine.py``)."""
+    path = span.split(":", 1)[0]
+    head = path.split("/", 1)[0]
+    if "/" not in path or not head:
+        return None
+    if head in REPO_DIRS:
+        return root / path
+    if (root / "src" / "repro" / head).is_dir():
+        return root / "src" / "repro" / path
+    return None
+
+
+def path_exists(path: Path, root: Path = ROOT) -> bool:
+    """True if ``path`` exists, or if it is a glob, matches something."""
+    relative = path.relative_to(root).as_posix()
+    if "*" in relative:
+        return any(root.glob(relative))
+    return path.exists()
 
 
 def heading_slugs(path: Path) -> set[str]:
@@ -65,7 +103,8 @@ def heading_slugs(path: Path) -> set[str]:
 
 
 def check_links(root: Path = ROOT, docs: list[str] | None = None) -> list[str]:
-    """Returns one error string per broken link (empty = all good)."""
+    """Returns one error string per broken link or missing backticked
+    repo path (empty = all good)."""
     errors: list[str] = []
     for doc in docs if docs is not None else discover_docs(root):
         path = root / doc
@@ -79,6 +118,11 @@ def check_links(root: Path = ROOT, docs: list[str] | None = None) -> list[str]:
                 continue
             if in_code:
                 continue
+            if doc not in PATHS_UNCHECKED:
+                for span in _CODE_SPAN.findall(line):
+                    named = repo_path(span, root)
+                    if named is not None and not path_exists(named, root):
+                        errors.append(f"{doc}:{lineno}: missing repo path {span!r}")
             for target in _LINK.findall(line):
                 if target.startswith(("http://", "https://", "mailto:")):
                     continue
@@ -101,7 +145,7 @@ def main() -> int:
         print(error, file=sys.stderr)
     checked = ", ".join(discover_docs())
     if errors:
-        print(f"docs link check: {len(errors)} broken link(s)", file=sys.stderr)
+        print(f"docs link check: {len(errors)} broken link(s) or path(s)", file=sys.stderr)
         return 1
     print(f"docs link check: OK ({checked})")
     return 0
