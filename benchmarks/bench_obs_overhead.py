@@ -1,8 +1,8 @@
 """Observability overhead — tracing must cost < 5 % on the fig4 workload.
 
 Drives the Figure 4(a) Q1 micro-workload through the *scheduler* path
-(``feed`` + ``run_until_idle``, where spans, histograms and the profiler
-observer actually sit) twice per round — once with ``observability=False``
+(``feed`` + ``run_until_idle``, where spans, histograms and the
+per-firing opcode fold actually sit) twice per round — once with ``observability=False``
 and once with the default-on tracing — in alternating order, and compares
 the medians.  The acceptance bound is 5 %: tracing is default-on, so its
 cost has to be invisible next to the per-firing kernel work.

@@ -187,8 +187,10 @@ class Console:
         if upper == "TRACE" or upper.startswith("TRACE "):
             from repro.obs.console import render_trace
 
-            rest = line[len("TRACE"):].strip()
-            last = int(rest) if rest else 10
+            rest = line[len("TRACE"):].strip() or "10"
+            if not rest.isdigit() or int(rest) < 1:
+                raise ReproError("usage: TRACE [n] with n >= 1")
+            last = int(rest)
             self.println(render_trace(self.engine, last=last))
             return
         if upper == "METRICS" or upper.startswith("METRICS "):

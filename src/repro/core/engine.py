@@ -252,7 +252,7 @@ class DataCellEngine:
         self.fragment_sharing = fragment_sharing
         #: Tracing sinks (firing spans, latency histograms, per-opcode
         #: durations); ``observability=False`` drops them entirely — the
-        #: hot paths then pay a single ``is None`` test (DESIGN.md §11).
+        #: hot paths then pay a few ``is None`` tests (DESIGN.md §11).
         self.obs: Optional[Observability] = Observability() if observability else None
         self.catalog = Catalog()
         self.scheduler = Scheduler(obs=self.obs)

@@ -86,7 +86,7 @@ class Scheduler:
         self._ever_started = False  # guarded-by: _scan_lock
         self.profiler = Profiler()
         #: Tracing sinks (spans, latency histograms); None = tracing off,
-        #: in which case the firing path pays a single ``is None`` test.
+        #: in which case the firing path pays a few ``is None`` tests.
         self.obs = obs
 
     # -- registration ------------------------------------------------------
@@ -166,72 +166,58 @@ class Scheduler:
     def _fire(self, registration: _Registration) -> int:  # guarded-by: self._scan_lock
         """Fire one factory once if it is ready; returns 0 or 1.
 
-        With observability enabled the firing is wrapped in a
-        :class:`~repro.obs.spans.FiringSpan`: factory name, firing seq,
-        tuples consumed/emitted, ready-wait time, and the per-tag cost
-        breakdown, recorded into the span ring.  The ingest→emit latency
-        loop is closed here too: each basket's newest fully-consumed
-        arrival stamp is subtracted from the dispatch time.
+        One path, traced or not: ready check, step, profiler merges and
+        dispatch.  With observability enabled the firing is also observed,
+        once: tuples consumed (differenced from ``consumed_total()`` around
+        the step) and rows emitted, the firing's per-opcode totals folded
+        into the opcode histograms, the ingest→emit latency of each
+        basket's newest fully-consumed arrival, and a
+        :class:`~repro.obs.spans.FiringSpan` with the ready-wait and the
+        per-tag cost split.  Tracing off, each of those is one ``is None``
+        test.
         """
         factory = registration.factory
+        if not factory.ready():
+            registration.ready_since = None
+            return 0
         obs = self.obs
         if obs is not None:
-            return self._fire_traced(registration, obs)
-        if not factory.ready():
-            return 0
+            wall, start = time.time(), time.perf_counter()
+            consumed_before = factory.consumed_total()
         profiler = Profiler()
-        batch = factory.step(profiler)
-        if batch is None:
-            return 0
-        profiler.count(COUNTER_FIRINGS)
-        registration.steps += 1
-        registration.profiler.merge_from(profiler)
-        self.profiler.merge_from(profiler)
-        self._dispatch(factory.name, registration, batch)
-        return 1
-
-    def _fire_traced(self, registration: _Registration, obs: Observability) -> int:  # guarded-by: self._scan_lock
-        """The observability-enabled twin of the plain firing path."""
-        factory = registration.factory
-        if not factory.ready():
-            registration.ready_since = None
-            return 0
-        start = time.perf_counter()
-        ready_wait = (
-            start - registration.ready_since
-            if registration.ready_since is not None
-            else 0.0
-        )
-        profiler = Profiler()
-        profiler.set_observer(obs.observe_opcode)
-        consumed_before = factory.consumed_total()
         batch = factory.step(profiler)
         if batch is None:
             registration.ready_since = None
             return 0
-        consumed = factory.consumed_total() - consumed_before
         profiler.count(COUNTER_FIRINGS)
-        profiler.count(COUNTER_TUPLES_CONSUMED, consumed)
-        profiler.count(COUNTER_ROWS_EMITTED, len(batch))
+        if obs is not None:
+            consumed = factory.consumed_total() - consumed_before
+            profiler.count(COUNTER_TUPLES_CONSUMED, consumed)
+            profiler.count(COUNTER_ROWS_EMITTED, len(batch))
+            obs.observe_opcodes(profiler)
         registration.steps += 1
         registration.profiler.merge_from(profiler)
         self.profiler.merge_from(profiler)
-        self._dispatch(factory.name, registration, batch)
+        for sink in registration.sinks:
+            sink(factory.name, batch)
+        if obs is None:
+            return 1
         end = time.perf_counter()
         for basket in factory.baskets():
             arrival = basket.take_consumed_arrival()
             if arrival is not None:
                 obs.latency.observe(end - arrival)
         obs.firing_duration.observe(end - start)
+        ready_since = registration.ready_since
         obs.spans.record(
             FiringSpan(
                 factory=factory.name,
                 seq=registration.steps,
-                wall=time.time(),
+                wall=wall,
                 duration=end - start,
                 consumed=consumed,
                 emitted=len(batch),
-                ready_wait=ready_wait,
+                ready_wait=start - ready_since if ready_since is not None else 0.0,
                 tags=profiler.tags(),
             )
         )
@@ -254,10 +240,6 @@ class Scheduler:
                 return total
             total += fired
         raise SchedulerError("run_until_idle exceeded the step budget")
-
-    def _dispatch(self, name: str, registration: _Registration, batch: ResultBatch) -> None:
-        for sink in registration.sinks:
-            sink(name, batch)
 
     # -- background driving ------------------------------------------------
     def start(self, poll_interval: float = 0.001) -> None:

@@ -56,25 +56,10 @@ class Profiler:
     calls: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    def __post_init__(self) -> None:
-        # Optional per-observation hook (opcode, seconds): the scheduler
-        # attaches the observability layer's per-opcode histograms here.
-        self._observer = None
-
-    def set_observer(self, observer) -> None:
-        """Attach a ``(opcode, seconds)`` callback invoked on every record.
-
-        Used by the observability layer to feed per-opcode duration
-        histograms; ``None`` (the default) keeps record() allocation-free.
-        """
-        self._observer = observer
-
     def record(self, tag: str, opcode: str, seconds: float) -> None:
         self.by_tag[tag] += seconds
         self.by_opcode[opcode] += seconds
         self.calls[opcode] += 1
-        if self._observer is not None:
-            self._observer(opcode, seconds)
 
     def count(self, counter: str, amount: int = 1) -> None:
         """Bump an integer counter (firings, cache hits, ...)."""

@@ -11,7 +11,7 @@ afterthought:
   the per-tag (``main``/``merge``/``admin``) cost breakdown the
   interpreter already produces.  Spans land in a bounded ring buffer
   (:class:`SpanRecorder`); when observability is disabled the scheduler
-  never constructs one, so the cost is a single ``is None`` check;
+  never constructs one, so the cost is a few ``is None`` checks;
 * **latency histograms** (:mod:`repro.obs.hist`) — baskets stamp batch
   arrival, the scheduler closes the loop when the consuming firing
   emits, giving an ingest→emit latency distribution (p50/p95/p99) plus

@@ -84,13 +84,14 @@ class LogHistogram:
     def count(self) -> int:
         return sum(self._counts)
 
-    def observe(self, seconds: float) -> None:
+    def observe(self, seconds: float, weight: int = 1) -> None:
+        """Record ``weight`` observations of ``seconds`` each."""
         if seconds < self.min:
             self.min = seconds
         if seconds > self.max:
             self.max = seconds
-        self.sum += seconds
-        self._counts[bucket_index(seconds)] += 1
+        self.sum += seconds * weight
+        self._counts[bucket_index(seconds)] += weight
 
     def merge_from(self, other: "LogHistogram") -> None:
         counts = list(other._counts)

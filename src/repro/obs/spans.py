@@ -24,7 +24,8 @@ class FiringSpan:
     seq: int
     #: Wall-clock time of the firing start (``time.time()``), for display.
     wall: float
-    #: Firing duration in seconds (ready-check to dispatch completion).
+    #: Firing duration in seconds (from just after the ready check to
+    #: dispatch completion).
     duration: float
     #: Tuples consumed from the factory's baskets by this firing.
     consumed: int

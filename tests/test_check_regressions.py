@@ -9,14 +9,20 @@ observability structures are single-writer, without locks; the torn-read
 tests hold them to their invariants with a lock-free reader.
 """
 
+import math
 import sys
 import threading
+
+import pytest
 
 from repro.core.engine import DataCellEngine
 from repro.core.scheduler import Scheduler, SchedulerError
 from repro.errors import ReproError
 from repro.obs.hist import LogHistogram
 from repro.obs.spans import FiringSpan, SpanRecorder
+
+# Every test here runs threads against the firing thread's structures.
+pytestmark = pytest.mark.concurrency
 
 
 def span(seq):
@@ -115,7 +121,9 @@ def test_histogram_snapshot_quantiles_stay_inside_min_max():
 def test_opcode_histograms_count_every_profiled_call():
     """Per-opcode histograms are fed on the one firing thread, without a
     lock: after a background run with four producers, each histogram
-    counts exactly the calls the engine profiler recorded for its opcode."""
+    counts exactly the calls the engine profiler recorded for its opcode
+    and sums exactly its seconds (each firing folds in its mean
+    instruction time, weighted by its calls)."""
     engine = DataCellEngine()
     engine.create_stream("s", [("a", "int")])
     engine.submit("SELECT sum(a) AS x FROM s [RANGE 8 SLIDE 4]")
@@ -130,10 +138,14 @@ def test_opcode_histograms_count_every_profiled_call():
         hammer([threading.Thread(target=producer, args=(1000 * k,)) for k in range(4)])
     finally:
         engine.stop(drain=True)
-    calls = engine.profiler.snapshot()["calls"]
-    counts = {op: hist.count for op, hist in engine.obs.opcode_histograms().items()}
+    profiled = engine.profiler.snapshot()
+    calls = profiled["calls"]
+    hists = engine.obs.opcode_histograms()
+    counts = {op: hist.count for op, hist in hists.items()}
     assert sum(calls.values()) > 0
     assert counts == calls
+    for op, hist in hists.items():
+        assert math.isclose(hist.sum, profiled["opcodes"][op], rel_tol=1e-9), op
 
 
 def test_prometheus_histogram_inf_bucket_matches_count_under_load():

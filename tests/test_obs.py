@@ -10,14 +10,16 @@ console/CLI surfaces.
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from repro.cli import Console
 from repro.core.engine import DataCellEngine
+from repro.core.scheduler import Scheduler
 from repro.errors import ReproError
-from repro.obs import FiringSpan, LogHistogram, SpanRecorder
+from repro.obs import FiringSpan, LogHistogram, Observability, SpanRecorder
 from repro.obs.console import render_top, render_trace
 from repro.obs.hist import BUCKETS, bucket_index, bucket_upper
 
@@ -189,6 +191,33 @@ class TestEngineMetrics:
         assert metrics["counters"]["firings"] == 4
         assert metrics["counters"]["tuples_consumed"] == 0  # not tracked
 
+    def test_span_wall_is_the_firing_start(self):
+        class Sleepy:
+            name = "sleepy"
+            fired = False
+
+            def ready(self):
+                return not self.fired
+
+            def step(self, profiler):
+                time.sleep(0.2)
+                self.fired = True
+                return [(1,)]
+
+            def consumed_total(self):
+                return 0
+
+            def baskets(self):
+                return []
+
+        scheduler = Scheduler(obs=Observability())
+        scheduler.register(Sleepy())
+        before = time.time()
+        assert scheduler.run_until_idle() == 1
+        [fired] = scheduler.obs.spans.last()
+        assert fired.wall - before <= 0.05
+        assert fired.duration >= 0.2
+
     def test_json_format_round_trips(self):
         engine = fed_engine()
         decoded = json.loads(engine.metrics(format="json"))
@@ -197,6 +226,59 @@ class TestEngineMetrics:
     def test_unknown_format_rejected(self):
         with pytest.raises(ReproError):
             fed_engine().metrics(format="xml")
+
+
+GROUPED_SUM = "SELECT x1, sum(x2) FROM s [RANGE 40 SLIDE 10] GROUP BY x1 ORDER BY x1"
+FIRING_CASES = {
+    "grouped_sum_and_twin": [(GROUPED_SUM, "incremental"), (GROUPED_SUM, "incremental")],
+    "two_stream_join": [
+        (
+            "SELECT max(s1.x1), avg(s2.x1) FROM s s1 [RANGE 40 SLIDE 10], "
+            "s2 [RANGE 40 SLIDE 10] WHERE s1.x2 = s2.x2 AND s1.x1 > 2",
+            "incremental",
+        ),
+    ],
+    "reeval": [(GROUPED_SUM, "reeval")],
+}
+
+
+def fire_case(queries, observability):
+    """Windows, counters and per-factory firings of one engine run."""
+    engine = DataCellEngine(observability=observability)
+    for stream in ("s", "s2"):
+        engine.create_stream(stream, [("x1", "int"), ("x2", "int")])
+    handles = [engine.submit(sql, mode=mode) for sql, mode in queries]
+    rng = np.random.default_rng(11)
+    for chunk in (50, 7, 33, 60):
+        for stream in ("s", "s2"):
+            engine.feed(
+                stream,
+                columns={
+                    "x1": rng.integers(0, 10, chunk),
+                    "x2": rng.integers(0, 12, chunk),
+                },
+            )
+        engine.run_until_idle()
+    counters = engine.profiler.snapshot()["counters"]
+    return (
+        [[batch.rows() for batch in handle.results()] for handle in handles],
+        {
+            name: counters.get(name, 0)
+            for name in ("firings", "fragment_cache_hits", "fragment_cache_misses")
+        },
+        engine.scheduler.steps_snapshot(),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(FIRING_CASES))
+def test_observability_on_and_off_fire_identically(case):
+    """Tracing only observes: the same feeds give the same windows,
+    counters and per-factory firings with observability on and off."""
+    windows, counters, steps = fire_case(FIRING_CASES[case], observability=True)
+    assert all(windows) and counters["firings"] > 0
+    assert fire_case(FIRING_CASES[case], observability=False) == (windows, counters, steps)
+    if case == "grouped_sum_and_twin":
+        assert counters["fragment_cache_hits"] > 0
 
 
 def parse_prometheus(text):
@@ -308,6 +390,16 @@ class TestConsoleCommands:
         console.execute("TRACE 2")
         out = console.out.getvalue()
         assert "2 span(s) shown, 3 recorded" in out
+
+    @pytest.mark.parametrize("count", ["0", "-1", "x"])
+    def test_trace_command_rejects_bad_count(self, count):
+        console, __ = run_console(self.SETUP)
+        console.engine.feed("s", rows=[(i,) for i in range(4)])
+        console.execute("RUN")
+        console.execute(f"TRACE {count}")
+        out = console.out.getvalue()
+        assert "error: usage: TRACE [n] with n >= 1" in out
+        assert "no spans" not in out
 
     def test_metrics_command_prom_and_json(self):
         console, __ = run_console(self.SETUP)
