@@ -26,7 +26,6 @@ from repro.core import (
     Fail,
     IncrementalFactory,
     OverflowPolicy,
-    ReevalFactory,
     ResultBatch,
     RetryingEmitter,
     Sample,
@@ -48,7 +47,6 @@ __all__ = [
     "Fail",
     "IncrementalFactory",
     "OverflowPolicy",
-    "ReevalFactory",
     "ReproError",
     "ResultBatch",
     "RetryingEmitter",

@@ -412,7 +412,7 @@ def tree_node_bounds(
 ) -> tuple[Bound, Bound]:
     """``(node count, node tuples)`` the merge tree adds to a store.
 
-    Mirrors ``IncrementalFactory._new_store``: single-stream plans whose
+    Mirrors ``IncrementalFactory._new_stores``: single-stream plans whose
     combine compensates seal ``merge_levels(n)`` levels.  At most
     ``n // K^l`` aligned level-``l`` nodes fit in a window of ``n`` basic
     windows, and one holds what combine makes of ``K^l`` packed partials

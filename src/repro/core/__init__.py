@@ -21,7 +21,6 @@ from repro.core.overflow import (
     parse_overflow_spec,
 )
 from repro.core.receptor import Receptor
-from repro.core.reevaluate import ReevalFactory
 from repro.core.rewriter import IncrementalPlan, rewrite
 from repro.core.scheduler import Scheduler
 from repro.core.windows import TS_COLUMN, WindowSpec
@@ -40,7 +39,6 @@ __all__ = [
     "IncrementalPlan",
     "OverflowPolicy",
     "Receptor",
-    "ReevalFactory",
     "ResultBatch",
     "RetryingEmitter",
     "Sample",

@@ -87,7 +87,7 @@ MAGIC = b"RDC1"
 #: ``meta``.  ``DataCellEngine.restore`` refuses a dir with any other (or
 #: none).  The frame ``MAGIC`` stays: a frame it does not match reads as
 #: a torn journal tail, not as a foreign format.
-DATA_FORMAT = 2
+DATA_FORMAT = 3
 
 _FIXED = struct.Struct("<4sQI")  # magic, payload length, crc32
 _U32 = struct.Struct("<I")

@@ -43,7 +43,7 @@ from repro.core.durability import (
     typed_values,
 )
 from repro.core.emitter import CollectingEmitter
-from repro.core.factory import FactoryBase, IncrementalFactory, ResultBatch
+from repro.core.factory import IncrementalFactory, ResultBatch
 from repro.core.overflow import OverflowPolicy, parse_overflow_spec, policy_spec
 from repro.core.partials import FragmentCache
 from repro.core.partition import (
@@ -59,8 +59,7 @@ from repro.core.partition import (
 )
 from repro.core.windows import TS_COLUMN
 from repro.core.receptor import Receptor
-from repro.core.reevaluate import ReevalFactory
-from repro.core.rewriter import rewrite
+from repro.core.rewriter import reevaluation_plan, rewrite
 from repro.core.rewriter.canonical import fragment_fingerprint
 from repro.core.scheduler import Scheduler
 from repro.errors import (
@@ -164,7 +163,7 @@ class ContinuousQuery:
     name: str
     sql: str
     mode: str  # "incremental" | "reeval"
-    factory: FactoryBase
+    factory: IncrementalFactory
     emitter: CollectingEmitter
     #: alias -> this query's cursor on the stream's basket
     baskets: dict[str, Cursor] = field(default_factory=dict)
@@ -563,9 +562,10 @@ class DataCellEngine:
             for alias, relation in streams.items()
         }
         try:
-            factory: FactoryBase
             resources = None
-            if mode == "incremental":
+            if mode == "reeval":
+                plan = reevaluation_plan(planned)
+            else:
                 plan = rewrite(planned)
                 # Static resource bounds (repro.analysis.resources): always
                 # computed — it is one abstract-interpretation pass — and
@@ -599,11 +599,9 @@ class DataCellEngine:
                         for scan in find_scans(planned.plan)
                     }
                     check_plan(plan, schemas)
-                factory = IncrementalFactory(plan, baskets, tables, name=query_name)
-                if self.fragment_sharing and plan.fragment is not None:
-                    self._enable_sharing(factory, plan)
-            else:
-                factory = ReevalFactory(planned, baskets, tables, name=query_name)
+            factory = IncrementalFactory(plan, baskets, tables, name=query_name)
+            if self.fragment_sharing and plan.fragment is not None:
+                self._enable_sharing(factory, plan)
             emitter = CollectingEmitter()
             self.scheduler.register(factory, emitter)
         except BaseException:
@@ -732,10 +730,9 @@ class DataCellEngine:
         """
         stats: dict[str, dict] = {}
         for name, handle in self._queries.items():
-            if isinstance(handle.factory, IncrementalFactory):
-                per = handle.factory.merge_stats()
-                if per is not None:
-                    stats[name] = per
+            per = handle.factory.merge_stats()
+            if per is not None:
+                stats[name] = per
         return stats
 
     def reset_landmark(self, name: str) -> None:
@@ -769,10 +766,6 @@ class DataCellEngine:
         handle = self._queries.get(name)
         if handle is None:
             raise CatalogError(f"unknown query {name!r}")
-        if not isinstance(handle.factory, IncrementalFactory):
-            raise UnsupportedQueryError(
-                "reset_landmark needs an incremental query"
-            )
         handle.factory.reset_landmark()
 
     def remove(self, name: str) -> None:

@@ -1,18 +1,16 @@
 """Factories — resumable continuous-query executors.
 
-A factory encloses a rewritten (or re-evaluation) query plan and produces
-one result batch per window slide, exactly like the paper's co-routines:
-it consumes basic windows from its input baskets, caches/reuses partial
-results, and runs the merge machinery (paper Algorithm 2, generalized).
+A factory encloses an incremental query plan and produces one result
+batch per window slide, exactly like the paper's co-routines: it consumes
+basic windows from its input baskets, caches/reuses partial results, and
+runs the merge machinery (paper Algorithm 2, generalized).
 
-Two implementations share the interface:
-
-* :class:`IncrementalFactory` — the paper's contribution (split /
-  replicate / merge / transition, first windows filled by tagged fragment
-  runs, a seq-tagged join pair table built by batched tagged join runs,
-  landmark compaction, optional m-chunk processing);
-* :class:`ReevalFactory` lives in :mod:`repro.core.reevaluate` — the
-  DataCellR baseline that recomputes the full window every slide.
+:class:`IncrementalFactory` is the one implementation.  The programs its
+plan has pick a firing's steps: a *fragment* (a single stream's ring of
+per-basic-window partials), *preps* and a *pair fragment* (a join's
+seq-tagged pair table), or *preps* alone (re-evaluation, the DataCellR
+baseline: a prep bundle is a basic window's tuples, and finalize runs
+the full plan over the window).
 
 Factories are driven synchronously by the scheduler (or benchmarks):
 ``ready()`` is the Petri-net firing condition, ``step()`` one transition.
@@ -34,11 +32,11 @@ from repro.core.partials import (
     PairStore,
     PartialStore,
     ShareKey,
+    WindowStore,
     merge_levels,
 )
 from repro.core.rewriter.flows import GLOBAL_FRAGMENT
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
-from repro.core.windows import WindowSpec
 from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.algebra.setops import concat
 from repro.kernel.atoms import Atom
@@ -160,41 +158,15 @@ class _Slices:
 
 
 class FactoryBase:
-    """Common interface of continuous-query executors.
-
-    Both implementations fill in ``windows`` and ``_baskets`` (the window
-    spec and the basket — or cursor on it — per stream alias) and the
-    time-based ``_slicers``, so the firing condition lives here.
-    """
+    """What the scheduler drives: the firing condition, one transition,
+    and the counters and baskets it observes around a firing.  Wrappers
+    (:class:`~repro.testing.faults.SlowFactory`) and test doubles subclass
+    it too; its defaults describe a factory that reads no basket."""
 
     name: str
-    windows: dict[str, WindowSpec] = {}
-    _baskets: dict[str, Basket | Cursor] = {}
-    _slicers: dict[str, _TimeSlicer] = {}
-    _initialized = False
-    _consumed_total = 0
 
     def ready(self) -> bool:
-        """The Petri-net firing condition: every input stream is ready."""
-        return all(self._stream_ready(alias) for alias in self.windows)
-
-    def _stream_ready(self, alias: str) -> bool:
-        """A first full window unread, then one more basic window (time
-        windows: the watermark past the next basic-window boundary)."""
-        window = self.windows[alias]
-        basket = self._baskets[alias]
-        if window.time_based:
-            slicer = self._slicers[alias]
-            slicer.observe(basket)
-            watermark = basket.max_timestamp()
-            if watermark is None or slicer.origin is None:
-                return False
-            if not self._initialized and not window.is_landmark:
-                return watermark >= slicer.origin + window.size
-            boundary = slicer.next_boundary
-            return boundary is not None and watermark >= boundary
-        first = not (self._initialized or window.is_landmark)
-        return len(basket) >= (window.size if first else window.step)
+        raise NotImplementedError  # pragma: no cover - interface
 
     def step(self, profiler: Optional[Profiler] = None) -> Optional[ResultBatch]:
         raise NotImplementedError  # pragma: no cover - interface
@@ -205,26 +177,11 @@ class FactoryBase:
         The scheduler differences it around a firing to report tuples
         consumed per span; the base offset is irrelevant, only deltas.
         """
-        return self._consumed_total
+        return 0
 
     def baskets(self) -> tuple[Basket | Cursor, ...]:
         """The baskets (or cursors on them) feeding this factory."""
-        return tuple(self._baskets.values())
-
-    def anchor_time(self, origin: int) -> None:
-        """Pin every time-based slicer's window origin.
-
-        Normally a slicer anchors itself at the first tuple that lands in
-        its basket.  Under partitioned execution each partition sees only
-        a subset of the stream, so per-basket anchoring would misalign
-        window boundaries across partitions; the coordinator broadcasts
-        one shared origin (0 for the virtual count axis, the stream's
-        first arrival timestamp otherwise) before any data arrives.
-        Idempotent: an already-anchored slicer keeps its origin.
-        """
-        for slicer in self._slicers.values():
-            if slicer.origin is None:
-                slicer.origin = origin
+        return ()
 
 
 def _split_by_tag(
@@ -277,32 +234,77 @@ class IncrementalFactory(FactoryBase):
                 raise SchedulerError(f"no basket bound for stream {alias!r}")
             if window.time_based:
                 self._slicers[alias] = _TimeSlicer(window.step)
-        if plan.is_join:
-            capacities = {
-                alias: plan.windows[alias].basic_windows
-                for alias in plan.stream_aliases
-            }
-            self._prep_stores = {
-                alias: PartialStore(capacities[alias]) for alias in plan.stream_aliases
-            }
-            left, right = plan.pair_aliases
-            self._pairs = PairStore(
-                capacities.get(left, 0), capacities.get(right, 0)
-            )
-            self._table_bundle: Optional[Bundle] = None
-            self._empty_pair: Optional[Bundle] = None
-        else:
-            self._store = self._new_store()
+        for alias in plan.scan_columns:
+            if alias not in plan.windows and alias not in self._tables:
+                raise SchedulerError(f"no table bound for {alias!r}")
+        self._table_bundle: Optional[Bundle] = None
+        self._empty_pair: Optional[Bundle] = None
+        self._new_stores()
 
-    def _new_store(self) -> PartialStore:
-        """The single-stream partial ring, with the merge tree armed
-        where a pre-merged node is smaller than its children: combines
-        that compensate.  A concatenating combine would only copy the
-        window, so those flows stay flat; so does every window too
-        shallow to seal a level (``merge_levels``, landmark included)."""
-        n = self.plan.windows[self.plan.stream_aliases[0]].basic_windows
-        levels = merge_levels(n) if self.plan.compensates else 0
-        return PartialStore(n, levels=levels)
+    def _new_stores(self) -> None:
+        """Empty window state: the single-stream partial ring, or one prep
+        store per stream plus, for a join, the pair table.
+
+        The ring arms the merge tree where a pre-merged node is smaller
+        than its children: combines that compensate.  A concatenating
+        combine would only copy the window, so those flows stay flat; so
+        does every window too shallow to seal a level (``merge_levels``,
+        landmark included)."""
+        plan = self.plan
+        capacity = {alias: w.basic_windows for alias, w in plan.windows.items()}
+        if plan.fragment is not None:
+            n = capacity[plan.stream_aliases[0]]
+            self._store = PartialStore(n, levels=merge_levels(n) if plan.compensates else 0)
+            return
+        # A prep-only plan (re-evaluation) reads each stream's window whole.
+        store = PartialStore if plan.pair_fragment is not None else WindowStore
+        self._prep_stores = {alias: store(capacity[alias]) for alias in plan.stream_aliases}
+        if plan.pair_fragment is not None:
+            left, right = plan.pair_aliases
+            self._pairs = PairStore(capacity.get(left, 0), capacity.get(right, 0))
+
+    def ready(self) -> bool:
+        """The Petri-net firing condition: every input stream is ready."""
+        return all(self._stream_ready(alias) for alias in self.windows)
+
+    def _stream_ready(self, alias: str) -> bool:
+        """A first full window unread, then one more basic window (time
+        windows: the watermark past the next basic-window boundary)."""
+        window = self.windows[alias]
+        basket = self._baskets[alias]
+        if window.time_based:
+            slicer = self._slicers[alias]
+            slicer.observe(basket)
+            watermark = basket.max_timestamp()
+            if watermark is None or slicer.origin is None:
+                return False
+            if not self._initialized and not window.is_landmark:
+                return watermark >= slicer.origin + window.size
+            boundary = slicer.next_boundary
+            return boundary is not None and watermark >= boundary
+        first = not (self._initialized or window.is_landmark)
+        return len(basket) >= (window.size if first else window.step)
+
+    def consumed_total(self) -> int:
+        return self._consumed_total
+
+    def baskets(self) -> tuple[Basket | Cursor, ...]:
+        return tuple(self._baskets.values())
+
+    def anchor_time(self, origin: int) -> None:
+        """Pin every time-based slicer's window origin.
+
+        Normally a slicer anchors itself at the first tuple that lands in
+        its basket.  Under partitioned execution each partition sees only
+        a subset of the stream, so per-basket anchoring would misalign
+        window boundaries across partitions; the coordinator broadcasts
+        one shared origin (0 for the virtual count axis, the stream's
+        first arrival timestamp otherwise) before any data arrives.
+        Idempotent: an already-anchored slicer keeps its origin.
+        """
+        for slicer in self._slicers.values():
+            if slicer.origin is None:
+                slicer.origin = origin
 
     # ------------------------------------------------------------------
     # stepping
@@ -324,8 +326,8 @@ class IncrementalFactory(FactoryBase):
             return None
         profiler = profiler if profiler is not None else Profiler()
         start = time.perf_counter()
-        if self.plan.is_join:
-            self._step_join(profiler)
+        if self.plan.fragment is None:
+            self._step_preps(profiler)
         elif chunks == 1 or not self._initialized:
             self._step_single(profiler)  # incl. the preface: plain first window
         else:
@@ -343,10 +345,10 @@ class IncrementalFactory(FactoryBase):
         """Share per-basic-window fragment bundles through ``cache``.
 
         Spans are cursor positions on the stream's one basket, so they
-        name the same tuples for every sharer.  Single-stream plans only.
+        name the same tuples for every sharer.  Plans with a fragment only.
         """
-        if self.plan.is_join:
-            raise UnsupportedQueryError("fragment sharing needs a single stream")
+        if self.plan.fragment is None:
+            raise UnsupportedQueryError("fragment sharing needs a fragment")
         self._fragment_cache = cache
         self._share_key = key
 
@@ -363,8 +365,8 @@ class IncrementalFactory(FactoryBase):
 
     def _check_chunks(self, m: int) -> int:
         """Validate an m-chunk request; returns ``m`` capped at the step."""
-        if self.plan.is_join:
-            raise UnsupportedQueryError("m-chunk processing needs a single stream")
+        if self.plan.fragment is None:
+            raise UnsupportedQueryError("m-chunk processing needs a fragment")
         window = self.plan.windows[self.plan.stream_aliases[0]]
         if window.time_based or window.is_landmark:
             raise UnsupportedQueryError(
@@ -512,12 +514,12 @@ class IncrementalFactory(FactoryBase):
             for flow, slot in zip(self.plan.flows, self.plan.fragment.outputs)
         }
 
-    # -- joins ------------------------------------------------------
-    def _step_join(self, profiler: Profiler) -> None:
-        """Prep the new basic windows, then join them in at most two runs
-        of the tagged pair fragment (the bilinear delta rule: new left ×
-        every live right, then older live left × new right)."""
-        left, right = self.plan.pair_aliases
+    # -- preps and joins --------------------------------------------------
+    def _step_preps(self, profiler: Profiler) -> None:
+        """Prep every stream's new basic windows into its prep store; a
+        join then joins them in at most two runs of the tagged pair
+        fragment (the bilinear delta rule: new left × every live right,
+        then older live left × new right)."""
         new: dict[str, list[int]] = {}
         for alias in self.plan.stream_aliases:
             slices = self._take_slices(alias, self._owed_counts(alias))
@@ -525,9 +527,11 @@ class IncrementalFactory(FactoryBase):
                 self._prep_stores[alias].add(bundle)
                 for bundle in self._prep_bundles(alias, slices, profiler)
             ]
+        if self.plan.pair_fragment is None:
+            return
         if self.plan.table_alias is not None and self._table_bundle is None:
             self._table_bundle = self._run_table_prep(profiler)
-
+        left, right = self.plan.pair_aliases
         self._join_run(new[left], self._side_seqs(right), profiler)
         new_right = new.get(right, [])
         older_left = [seq for seq in self._side_seqs(left) if seq < new[left][0]]
@@ -652,7 +656,7 @@ class IncrementalFactory(FactoryBase):
         or fewer pre-merged tree nodes (sealed on demand, charged to
         ``profiler``) that tile the same basic windows.  A join's pair
         table already is every live pair's rows in merge order."""
-        if self.plan.is_join:
+        if self.plan.pair_fragment is not None:
             return [self._pairs.table()] if len(self._pairs) else []
         return self._store.cover(
             lambda bundles: self._fold_bundles(bundles, profiler)
@@ -670,13 +674,16 @@ class IncrementalFactory(FactoryBase):
         return packed_cols
 
     def _merge_and_finalize(self, profiler: Profiler) -> ResultBatch:
-        bundles = self._live_bundles(profiler)
-        if not bundles:
-            raise SchedulerError("no live partials to merge")
-        bundle = self._fold_bundles(bundles, profiler)
-        if self._compactable:
-            self._compact_landmark(bundle)
-        outputs = self._interp.run(self.plan.finalize, bundle, profiler)
+        if self.plan.fragment is None and self.plan.pair_fragment is None:
+            inputs = self._window_inputs()
+        else:
+            bundles = self._live_bundles(profiler)
+            if not bundles:
+                raise SchedulerError("no live partials to merge")
+            inputs = self._fold_bundles(bundles, profiler)
+            if self._compactable:
+                self._compact_landmark(inputs)
+        outputs = self._interp.run(self.plan.finalize, inputs, profiler)
         columns = {
             name: outputs[slot]
             for name, slot in zip(self.plan.output_names, self.plan.finalize.outputs)
@@ -687,6 +694,22 @@ class IncrementalFactory(FactoryBase):
             window_index=self.window_index,
             response_seconds=0.0,
         )
+
+    def _window_inputs(self) -> dict[str, BAT]:
+        """A prep-only plan's finalize inputs: each stream's window (its
+        live prep bundles' concatenation) and the base tables' columns, by
+        scan slot.  A landmark stream's store collapses to its window."""
+        inputs: dict[str, BAT] = {}
+        for alias, store in self._prep_stores.items():
+            assert isinstance(store, WindowStore)
+            window = store.window()
+            if self.plan.windows[alias].is_landmark:
+                store.replace_all(window)
+            inputs.update({scan_slot(alias, c): bat for c, bat in window.items()})
+        for alias, table in self._tables.items():
+            for column in self.plan.scan_columns[alias]:
+                inputs[scan_slot(alias, column)] = table.column(column)
+        return inputs
 
     @property
     def _is_landmark(self) -> bool:
@@ -715,8 +738,9 @@ class IncrementalFactory(FactoryBase):
         return {flow.name: combined[flow.name] for flow in self.plan.flows}
 
     def merge_stats(self) -> Optional[dict]:
-        """Merge-tree gauges of a single-stream ring store (METRICS.md)."""
-        if self.plan.is_join:
+        """Merge-tree gauges of a single-stream ring store (METRICS.md);
+        ``None`` for a plan without a fragment."""
+        if self.plan.fragment is None:
             return None
         store = self._store
         return {
@@ -737,7 +761,7 @@ class IncrementalFactory(FactoryBase):
 
     def _compact_landmark(self, bundle: Bundle) -> None:
         """Replace all cached partials with the cumulative combined bundle."""
-        if self.plan.is_join:
+        if self.plan.pair_fragment is not None:
             left, right = self.plan.pair_aliases
             key = (self._newest_seq(left), self._newest_seq(right))
             self._pairs.replace_all(dict(bundle), key)
@@ -752,10 +776,10 @@ class IncrementalFactory(FactoryBase):
 
         Everything a freshly-submitted twin of this query needs to
         continue mid-stream: the window counter, time-slicer anchors, and
-        the partial stores (read positions live in the engine's cursors).
-        The cached table bundle is *not* captured — it is recomputed
-        lazily from the restored base tables on the first post-restore
-        join step.
+        the partial stores — the ring, or the prep stores plus a join's
+        pair table (read positions live in the engine's cursors).  The
+        cached table bundle is *not* captured — it is recomputed lazily
+        from the restored base tables on the first post-restore join step.
         """
         state: dict = {
             "window_index": self.window_index,
@@ -765,14 +789,14 @@ class IncrementalFactory(FactoryBase):
                 for alias, slicer in self._slicers.items()
             },
         }
-        if self.plan.is_join:
-            state["prep_stores"] = {
-                alias: store.snapshot_state()
-                for alias, store in self._prep_stores.items()
-            }
-            state["pairs"] = self._pairs.snapshot_state()
-        else:
+        if self.plan.fragment is not None:
             state["store"] = self._store.snapshot_state()
+            return state
+        state["prep_stores"] = {
+            alias: store.snapshot_state() for alias, store in self._prep_stores.items()
+        }
+        if self.plan.pair_fragment is not None:
+            state["pairs"] = self._pairs.snapshot_state()
         return state
 
     def restore_state(self, state: dict) -> None:
@@ -783,13 +807,14 @@ class IncrementalFactory(FactoryBase):
             slicer = self._slicers[alias]
             slicer.origin = origin
             slicer.consumed_windows = consumed_windows
-        if self.plan.is_join:
-            for alias, store in self._prep_stores.items():
-                store.restore_state(state["prep_stores"][alias])
+        if self.plan.fragment is not None:
+            self._store.restore_state(state["store"])
+            return
+        for alias, store in self._prep_stores.items():
+            store.restore_state(state["prep_stores"][alias])
+        if self.plan.pair_fragment is not None:
             self._pairs.restore_state(state["pairs"])
             self._table_bundle = None
-        else:
-            self._store.restore_state(state["store"])
 
     # ------------------------------------------------------------------
     # landmark reset (paper §3 "Landmark Window Queries": tuples expire
@@ -813,17 +838,7 @@ class IncrementalFactory(FactoryBase):
                 "reset_landmark on a landmark/sliding join would discard the "
                 "sliding side's live partials; resubmit the query instead"
             )
-        if self.plan.is_join:
-            for alias, store in self._prep_stores.items():
-                capacity = self.plan.windows[alias].basic_windows
-                self._prep_stores[alias] = PartialStore(capacity)
-            left, right = self.plan.pair_aliases
-            self._pairs = PairStore(
-                self.plan.windows[left].basic_windows if left in self.plan.windows else 0,
-                self.plan.windows[right].basic_windows if right in self.plan.windows else 0,
-            )
-        else:
-            self._store = self._new_store()
+        self._new_stores()
         for alias, slicer in self._slicers.items():
             # Re-anchor time slicing at the next arrival after the reset.
             remaining = self._baskets[alias]

@@ -18,6 +18,9 @@ the plan's own combine program.  :meth:`PartialStore.cover` then tiles the
 live range with the few largest nodes that fit plus edge singles, so a
 slide merges O(K·log_K n) bundles instead of all ``n``.
 
+A :class:`WindowStore` keeps a re-evaluation query's window: its
+bundles are the basic windows' tuples, laid out in one array per column.
+
 :class:`FragmentCache` extends the same idea *across* queries: factories
 whose per-basic-window fragments are alpha-equivalent over the same stream
 compute each basic window's bundle once and share the result (BATs are
@@ -232,6 +235,65 @@ class PartialStore:
         )
         self._nodes = {}
         self.nodes_live = 0
+
+
+@dataclass
+class WindowStore(PartialStore):
+    """A prep store whose live bundles are views into one array per
+    column, oldest first, each with its first row there as ``hseq``; the
+    window — their concatenation — is then a view too (:meth:`window`),
+    not a copy per slide.  Rows are written once, past the newest; a full
+    array is replaced by one twice the size of what it must hold, the live
+    bundles re-pointed at it, so a window handed out stays valid.
+    Snapshots are a :class:`PartialStore`'s."""
+
+    _arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    _fill: int = 0
+
+    def add(self, bundle: Bundle) -> int:
+        rows = _rows(bundle)
+        if not self._arrays or self._fill + rows > len(next(iter(self._arrays.values()))):
+            self._rebase(bundle, rows)
+        return super().add(self._put(bundle, rows))
+
+    def window(self) -> Bundle:
+        """The live bundles' concatenation, per column."""
+        oldest = next(iter(self._bundles.values()))
+        return {
+            name: BAT(self._arrays[name][bat.hseq : self._fill], bat.atom, bat.hseq)
+            for name, bat in oldest.items()
+        }
+
+    def restore_state(self, state: dict) -> None:
+        super().restore_state(state)
+        self._arrays = {}
+        if self._bundles:
+            self._rebase(next(iter(self._bundles.values())), 0)
+
+    def _put(self, bundle: Bundle, rows: int) -> Bundle:
+        """Copy ``bundle`` past the newest row; its view there."""
+        start, self._fill = self._fill, self._fill + rows
+        out: Bundle = {}
+        for name, bat in bundle.items():
+            tail = self._arrays[name][start : self._fill]
+            tail[:] = bat.tail
+            out[name] = BAT(tail, bat.atom, start)
+        return out
+
+    def _rebase(self, like: Bundle, extra: int) -> None:
+        """Fresh arrays with room, twice over, for the live bundles and
+        ``extra`` more rows (or a window of bundles that size); the live
+        bundles move to the front."""
+        sizes = [_rows(bundle) for bundle in self._bundles.values()]
+        size = 2 * max(sum(sizes) + extra, self.capacity * extra)
+        self._arrays = {name: np.empty(size, bat.tail.dtype) for name, bat in like.items()}
+        self._fill = 0
+        for (seq, bundle), rows in zip(list(self._bundles.items()), sizes):
+            self._bundles[seq] = self._put(bundle, rows)
+
+
+def _rows(bundle: Bundle) -> int:
+    return len(next(iter(bundle.values())))
 
 
 _NO_SEQS = np.empty(0, dtype=np.int64)

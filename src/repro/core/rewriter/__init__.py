@@ -7,6 +7,7 @@ from repro.core.rewriter.incremental import (
     PrepSpec,
     packed,
     prep_slot,
+    reevaluation_plan,
     rewrite,
 )
 
@@ -20,5 +21,6 @@ __all__ = [
     "packed",
     "plan_aggregate_flows",
     "prep_slot",
+    "reevaluation_plan",
     "rewrite",
 ]

@@ -19,6 +19,9 @@ holding a few small programs:
 * *finalize* — turns a combined bundle into the window result (AVG division,
   HAVING, projection, DISTINCT/ORDER BY/LIMIT; ``merge`` tag).
 
+:func:`reevaluation_plan` builds DataCellR the same way: Figure 3's trivial
+plan, with identity preps and the unmodified full plan as finalize.
+
 The factory (:mod:`repro.core.factory`) owns the runtime side: slicing
 basic windows out of baskets, caching bundles in partial stores, packing
 live partials and running combine+finalize each slide.
@@ -44,9 +47,17 @@ from repro.errors import UnsupportedQueryError
 from repro.kernel.atoms import Atom
 from repro.kernel.execution.program import Program, Ref, TAG_MERGE
 from repro.sql.ast import ColumnRef, walk
-from repro.sql.logical import LScan
+from repro.sql.logical import LScan, find_scans
 from repro.sql.optimizer.rules import eliminate_dead_code
-from repro.sql.physical import BaseRows, ColRows, JoinRows, PlanCompiler, Rows
+from repro.sql.physical import (
+    BaseRows,
+    ColRows,
+    JoinRows,
+    PlanCompiler,
+    Rows,
+    compile_full,
+    scan_slot,
+)
 from repro.sql.planner import PlannedQuery
 
 
@@ -75,7 +86,8 @@ TAGGED_FRAGMENT_TITLE = f"tagged fragment ({TAGGED_RUN})"
 
 @dataclass
 class PrepSpec:
-    """Per-stream preprocessing of a join query: filter + column narrowing.
+    """Per-stream preprocessing: a join's filter + column narrowing, or
+    the identity (a re-evaluation plan's, see :func:`reevaluation_plan`).
 
     The prep runs once per new basic window; its outputs are cached until
     the basic window expires (the paper: selection results "need to be kept
@@ -96,15 +108,16 @@ class IncrementalPlan:
     """A rewritten continuous query plan, ready to be run by a factory."""
 
     # metadata
-    output_names: list[str]
-    output_atoms: list[Atom]
-    flows: list[Flow]
-    grouped: bool
+    output_names: list[str] = field(default_factory=list)
+    output_atoms: list[Atom] = field(default_factory=list)
+    flows: list[Flow] = field(default_factory=list)
+    grouped: bool = False
     # stream geometry
-    stream_aliases: list[str]
-    stream_relations: dict[str, str]
-    windows: dict[str, WindowSpec]
-    scan_columns: dict[str, list[str]]  # alias -> basket columns the plan reads
+    stream_aliases: list[str] = field(default_factory=list)
+    stream_relations: dict[str, str] = field(default_factory=dict)
+    windows: dict[str, WindowSpec] = field(default_factory=dict)
+    # alias -> columns the plan reads (basket columns; a table's too)
+    scan_columns: dict[str, list[str]] = field(default_factory=dict)
     table_alias: Optional[str] = None
     table_relation: Optional[str] = None
     # single-stream shape; the tagged fragment's outputs are the flows
@@ -399,14 +412,11 @@ def rewrite(planned: PlannedQuery) -> IncrementalPlan:
         flows = [Flow(name, "pack") for __, name in shape.project.items]
 
     plan = IncrementalPlan(
-        output_names=[],
-        output_atoms=[],
         flows=flows,
         grouped=grouped,
         stream_aliases=[s.alias for s in shape.streams],
         stream_relations={s.alias: s.scan.relation for s in shape.streams},
         windows={s.alias: s.window for s in shape.streams},
-        scan_columns={},
     )
     if shape.table is not None:
         plan.table_alias = shape.table.alias
@@ -434,6 +444,39 @@ def rewrite(planned: PlannedQuery) -> IncrementalPlan:
     for program in [plan.tagged_fragment] + [p.tagged for p in plan.preps.values()]:
         if program is not None:
             _drop_unread_inputs(program)
+    return plan
+
+
+def reevaluation_plan(planned: PlannedQuery) -> IncrementalPlan:
+    """The DataCellR baseline (paper §3) as an incremental plan.
+
+    Re-evaluation is the degenerate "simple concatenation" plan of
+    Figure 3: each stream's prep is the identity over the columns the
+    query reads, so a basic window's bundle is its tuples; there is no
+    fragment and nothing to combine; finalize is the unmodified full plan
+    (:func:`compile_full`) over each stream's concatenated window and the
+    base tables, read through their scan slots.  It does not depend on
+    :func:`analyze`, so every query the engine can plan is accepted.
+    """
+    compiled = compile_full(planned)
+    plan = IncrementalPlan(
+        list(compiled.output_names), list(compiled.output_atoms), finalize=compiled.program
+    )
+    for scan in find_scans(planned.plan):
+        columns = list(compiled.scan_inputs[scan.alias])
+        plan.scan_columns[scan.alias] = columns
+        if not scan.is_stream:
+            continue
+        if scan.window is None:
+            raise UnsupportedQueryError(f"stream {scan.relation!r} needs a window clause")
+        plan.stream_aliases.append(scan.alias)
+        plan.stream_relations[scan.alias] = scan.relation
+        plan.windows[scan.alias] = WindowSpec.from_clause(scan.window)
+        slots = tuple(scan_slot(scan.alias, column) for column in columns)
+        tagged = slots + (seq_slot(scan.alias),)
+        plan.preps[scan.alias] = PrepSpec(
+            scan.alias, Program(slots, slots), columns, Program(tagged, tagged)
+        )
     return plan
 
 

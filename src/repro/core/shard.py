@@ -119,14 +119,8 @@ def _worker_main(conn, init: dict) -> None:
         return ("ok", _output_schema(handle))
 
     def _output_schema(handle) -> tuple[list[str], list[str]]:
-        factory = handle.factory
-        if hasattr(factory, "plan"):  # IncrementalFactory
-            names = list(factory.plan.output_names)
-            atoms = [a.value for a in factory.plan.output_atoms]
-        else:  # ReevalFactory
-            names = list(factory.compiled.output_names)
-            atoms = [a.value for a in factory.compiled.output_atoms]
-        return names, atoms
+        plan = handle.factory.plan
+        return list(plan.output_names), [a.value for a in plan.output_atoms]
 
     def _snapshot_state() -> dict:
         """This worker's contribution to a coordinator checkpoint.

@@ -217,8 +217,9 @@ class SlowFactory(FactoryBase):
 
     Slows the *service rate* deterministically so a synthetic stream at a
     known arrival rate overloads the engine by a chosen factor.  Delegates
-    ``ready``/``step`` (and attribute access, e.g. ``window_index``) to
-    the wrapped factory.
+    the scheduler's interface (``ready``/``step``/``consumed_total``/
+    ``baskets``) and any other attribute (e.g. ``window_index``) to the
+    wrapped factory.
     """
 
     def __init__(self, inner: FactoryBase, delay: float, every: int = 1) -> None:
@@ -240,6 +241,12 @@ class SlowFactory(FactoryBase):
             self.slow_steps += 1
             time.sleep(self.delay)
         return self.inner.step(profiler)
+
+    def consumed_total(self) -> int:
+        return self.inner.consumed_total()
+
+    def baskets(self) -> tuple:
+        return self.inner.baskets()
 
     def __getattr__(self, name: str):
         return getattr(self.inner, name)

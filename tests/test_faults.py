@@ -117,6 +117,20 @@ class TestSlowFactory:
         assert slow.slow_steps == 1
         assert slow.window_index == 1  # attribute delegation
 
+    def test_delegates_the_scheduler_interface(self):
+        """The scheduler reads consumed tuples and the baskets through the
+        wrapper; both must be the wrapped factory's, not empty defaults."""
+        engine = DataCellEngine()
+        engine.create_stream("s", [("x1", "int"), ("x2", "int")])
+        query = engine.submit("SELECT sum(x1) FROM s [RANGE 4 SLIDE 2]")
+        engine.feed("s", columns={"x1": np.arange(8), "x2": np.arange(8)})
+        engine.run_until_idle()
+        slow = SlowFactory(query.factory, delay=0.0)
+        assert query.factory.consumed_total() == 8
+        assert slow.consumed_total() == 8
+        assert len(query.factory.baskets()) == 1
+        assert slow.baskets() == query.factory.baskets()
+
 
 class TestRetryingEmitter:
     def test_transient_failure_recovers(self):

@@ -15,6 +15,7 @@ from repro.core.partials import (
     MERGE_FANOUT,
     PairStore,
     PartialStore,
+    WindowStore,
     _pair_codes,
     merge_levels,
 )
@@ -174,6 +175,45 @@ class TestMergeTree:
             store.add(span_bundle(i))
             twin.add(span_bundle(i))
             assert twin.cover(span_fold) == store.cover(span_fold)
+
+
+class TestWindowStore:
+    """A re-evaluation prep store: the window is one view of the live
+    bundles, and no view it handed out ever changes."""
+
+    @given(
+        capacity=st.integers(0, 6),
+        sizes=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+        restore_at=st.integers(0, 40),
+    )
+    def test_window_is_the_live_concatenation(self, capacity, sizes, restore_at):
+        store = WindowStore(capacity)
+        handed: list[tuple[np.ndarray, list]] = []
+        next_value = 0
+        for index, size in enumerate(sizes):
+            values = np.arange(next_value, next_value + size, dtype=np.int64)
+            next_value += size
+            store.add({"a": BAT(values, Atom.INT), "b": BAT(-values, Atom.INT)})
+            if index == restore_at:
+                twin = WindowStore(capacity)
+                twin.restore_state(unpack_state(*pack_state(store.snapshot_state())))
+                store = twin
+            live = [bundle for __, bundle in store.live()]
+            window = store.window()
+            assert window["a"].to_list() == [v for b in live for v in b["a"].to_list()]
+            assert window["b"].to_list() == [-v for v in window["a"].to_list()]
+            handed.append((window["a"].tail, window["a"].to_list()))
+        for tail, values in handed:
+            assert tail.tolist() == values
+
+    def test_landmark_collapses_to_its_window(self):
+        store = WindowStore(0)
+        for start in range(0, 12, 3):
+            store.add({"a": BAT(np.arange(start, start + 3, dtype=np.int64), Atom.INT)})
+            store.replace_all(store.window())
+            assert len(store) == 1
+        store.add({"a": BAT(np.arange(12, 14, dtype=np.int64), Atom.INT)})
+        assert store.window()["a"].to_list() == list(range(14))
 
 
 def pair_view(store):

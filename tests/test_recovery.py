@@ -28,7 +28,6 @@ import pytest
 
 from repro.core.durability import DurabilityError, read_manifest, read_snapshot
 from repro.core.engine import DataCellEngine
-from repro.core.partials import PairStore
 from repro.errors import BasketError, ReproError
 from repro.testing.faults import CrashPoint, InjectedCrash
 from repro.testing.fuzz.generator import QueryGenerator, build_engine
@@ -91,10 +90,12 @@ def _drive(engine, query, feed) -> None:
     engine.run_until_idle()
 
 
-def _run_with_crash(data_dir, query, feed, at: int, partitions: int = 1):
+def _run_with_crash(
+    data_dir, query, feed, at: int, partitions: int = 1, mode: str = "incremental"
+):
     """One sweep iteration: run, crash at hook ordinal ``at``, recover."""
     engine = build_engine(query, partitions=partitions, data_dir=str(data_dir))
-    handle = engine.submit(query.sql, name="q")
+    handle = engine.submit(query.sql, mode=mode, name="q")
     crash = CrashPoint(at)
     engine.install_fault_hook(crash)
     try:
@@ -107,7 +108,7 @@ def _run_with_crash(data_dir, query, feed, at: int, partitions: int = 1):
             try:
                 handle = engine.query("q")
             except ReproError:
-                handle = engine.submit(query.sql, name="q")
+                handle = engine.submit(query.sql, mode=mode, name="q")
             _drive(engine, query, feed)
         return [batch.rows() for batch in handle.results()], crash.fired
     finally:
@@ -123,12 +124,19 @@ def _assert_exactly_once(got, expected, float_tol: float = 1e-6) -> None:
         assert rows_equivalent(left, right, float_tol), (index, left, right)
 
 
-def _sweep(tmp_path, query, feed, partitions: int = 1, min_points: int = 5):
+def _sweep(
+    tmp_path,
+    query,
+    feed,
+    partitions: int = 1,
+    min_points: int = 5,
+    mode: str = "incremental",
+):
     expected = ReferenceOracle(query).windows(feed)
     fired_points = 0
     for at in itertools.count():
         result, fired = _run_with_crash(
-            tmp_path / f"dd-{at}", query, feed, at, partitions=partitions
+            tmp_path / f"dd-{at}", query, feed, at, partitions=partitions, mode=mode
         )
         _assert_exactly_once(result, expected)
         if not fired:
@@ -144,10 +152,46 @@ def test_kill_anywhere_single_partition(tmp_path):
     _sweep(tmp_path, query, feed)
 
 
+def test_kill_anywhere_single_partition_reeval(tmp_path):
+    """The same sweep in ``mode="reeval"``: restores read the window's
+    prep bundles back from the snapshot."""
+    query, feed = _workload(0, "sum")
+    _sweep(tmp_path, query, feed, mode="reeval")
+
+
 def test_kill_anywhere_time_windows_with_punctuation(tmp_path):
     query, feed = _workload(3, "window-time")
     assert feed.punctuate  # the workload must cover advance_time records
     _sweep(tmp_path, query, feed)
+
+
+def _join_checkpoint(tmp_path, query, feed, mode: str) -> dict:
+    """Drive ``query`` clean and return its state in the last snapshot,
+    after checking that snapshot holds a half-consumed basic window and
+    leaves windows to fire."""
+    data_dir = tmp_path / "clean"
+    engine = build_engine(query, data_dir=str(data_dir))
+    try:
+        engine.submit(query.sql, mode=mode, name="q")
+        _drive(engine, query, feed)
+    finally:
+        engine.close()
+    manifest = read_manifest(str(data_dir))
+    state = read_snapshot(os.path.join(data_dir, "snapshots", manifest["snapshot"]))
+    qstate = state["query_states"]["q"]
+    assert qstate["watermark"] + 1 < len(ReferenceOracle(query).windows(feed))
+    assert any(
+        (state["stream_fed"][alias] - position) % query.windows[alias].step
+        for alias, position in qstate["cursors"].items()
+    )
+    return qstate["factory"]
+
+
+def _join_workload():
+    query, feed = _workload(18, "join", rows_scale=2)
+    assert len(query.streams) == 2 and not query.tables
+    assert all(w.kind == "sliding" for w in query.windows.values())
+    return query, feed
 
 
 def test_kill_anywhere_join(tmp_path):
@@ -155,27 +199,22 @@ def test_kill_anywhere_join(tmp_path):
     pairs and a half-consumed basic window, and windows left to fire after
     that checkpoint (twice the default feed): restores read the join's
     tagged pair tables back from the snapshot and merge them again."""
-    query, feed = _workload(18, "join", rows_scale=2)
-    assert len(query.streams) == 2 and not query.tables
-    assert all(w.kind == "sliding" for w in query.windows.values())
-    data_dir = tmp_path / "clean"
-    engine = build_engine(query, data_dir=str(data_dir))
-    try:
-        handle = engine.submit(query.sql, name="q")
-        assert isinstance(handle.factory._pairs, PairStore)
-        _drive(engine, query, feed)
-    finally:
-        engine.close()
-    manifest = read_manifest(str(data_dir))
-    state = read_snapshot(os.path.join(data_dir, "snapshots", manifest["snapshot"]))
-    qstate = state["query_states"]["q"]
-    assert len(qstate["factory"]["pairs"]["index"][0]) > 0
-    assert qstate["watermark"] + 1 < len(ReferenceOracle(query).windows(feed))
-    assert any(
-        (state["stream_fed"][alias] - position) % query.windows[alias].step
-        for alias, position in qstate["cursors"].items()
-    )
+    query, feed = _join_workload()
+    factory = _join_checkpoint(tmp_path, query, feed, "incremental")
+    assert len(factory["pairs"]["index"][0]) > 0
     _sweep(tmp_path, query, feed)
+
+
+def test_kill_anywhere_join_reeval(tmp_path):
+    """The same join in ``mode="reeval"``: the snapshot holds each
+    stream's live prep bundles (its window's tuples) and no pair table;
+    restores concatenate them again."""
+    query, feed = _join_workload()
+    factory = _join_checkpoint(tmp_path, query, feed, "reeval")
+    assert "pairs" not in factory
+    assert set(factory["prep_stores"]) == set(query.streams)
+    assert all(store["bundles"] for store in factory["prep_stores"].values())
+    _sweep(tmp_path, query, feed, mode="reeval")
 
 
 @pytest.mark.partition
@@ -346,6 +385,16 @@ def test_reset_landmark_crash_sweep(tmp_path):
     the reset at the same consumption point and converge on the same
     emission list as an unkilled run.
     """
+    _reset_landmark_sweep(tmp_path, "incremental")
+
+
+def test_reset_landmark_crash_sweep_reeval(tmp_path):
+    """The same sweep in ``mode="reeval"``, against the unkilled
+    incremental run: the reset empties the landmark's prep store."""
+    _reset_landmark_sweep(tmp_path, "reeval")
+
+
+def _reset_landmark_sweep(tmp_path, mode: str) -> None:
     sql = "SELECT sum(v) AS t FROM s [LANDMARK SLIDE 4]"
     values = np.arange(28, dtype=np.int64)
 
@@ -369,7 +418,7 @@ def test_reset_landmark_crash_sweep(tmp_path):
             engine.run_until_idle()
         engine.run_until_idle()
 
-    # Reference emissions from an unkilled run.
+    # Reference emissions from an unkilled incremental run.
     ref_dir = tmp_path / "ref"
     engine = DataCellEngine(data_dir=str(ref_dir))
     try:
@@ -386,7 +435,7 @@ def test_reset_landmark_crash_sweep(tmp_path):
         data_dir = tmp_path / f"dd-{at}"
         engine = DataCellEngine(data_dir=str(data_dir))
         engine.create_stream("s", [("v", "int")])
-        handle = engine.submit(sql, name="q")
+        handle = engine.submit(sql, mode=mode, name="q")
         crash = CrashPoint(at)
         engine.install_fault_hook(crash)
         try:
@@ -519,8 +568,8 @@ def _dir_listing(data_dir) -> list:
 @pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
 @pytest.mark.parametrize(
     "format_, named",
-    [(None, "no format number"), (1, "format 1")],
-    ids=["missing", "format-1"],
+    [(None, "no format number"), (1, "format 1"), (2, "format 2")],
+    ids=["missing", "format-1", "format-2"],
 )
 def test_restore_refuses_a_dir_in_another_format(
     tmp_path, monkeypatch, format_, named, checkpointed

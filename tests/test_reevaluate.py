@@ -1,15 +1,22 @@
-"""Unit tests for the DataCellR re-evaluation baseline internals."""
+"""Tests for the DataCellR re-evaluation baseline (``mode="reeval"``).
+
+Re-evaluation runs as a prep-only incremental plan
+(:func:`~repro.core.rewriter.reevaluation_plan`): each stream's prep
+bundles are its window's tuples, and finalize is the full plan over their
+concatenation.  The tests drive it through the engine and read the
+retained window from the factory's snapshot image.
+"""
 
 import numpy as np
 import pytest
 
-from repro import DataCellEngine
-from repro.core.reevaluate import ReevalFactory, _WindowBuffer
-from repro.core.windows import WindowSpec
+from repro import Basket, DataCellEngine, IncrementalFactory
+from repro.core.rewriter import reevaluation_plan
 from repro.errors import SchedulerError, UnsupportedQueryError
-from repro.kernel.atoms import Atom
 from repro.sql.optimizer import optimize
 from repro.sql.planner import plan_query
+
+US = 1_000_000
 
 
 @pytest.fixture
@@ -19,55 +26,74 @@ def engine():
     return e
 
 
+def retained(query, alias="s") -> dict[str, list]:
+    """The tuples a reeval query holds for ``alias``, per column, oldest
+    first, read from its snapshot image."""
+    bundles = query.factory.snapshot_state()["prep_stores"][alias]["bundles"]
+    columns = query.factory.plan.preps[alias].columns
+    return {
+        column: [value for __, bundle in bundles for value in bundle[column].to_list()]
+        for column in columns
+    }
+
+
 class TestWindowBuffer:
-    def test_count_based_trim_keeps_last_window(self):
-        buffer = _WindowBuffer([("a", Atom.INT)], WindowSpec.sliding(5, 1))
-        buffer.append({"a": np.arange(8, dtype=np.int64)}, None)
-        buffer.trim()
-        assert len(buffer) == 5
-        assert buffer.snapshot()["a"].to_list() == [3, 4, 5, 6, 7]
+    """The retained window: one window's tuples, trimmed per slide."""
 
-    def test_landmark_never_trims(self):
-        buffer = _WindowBuffer([("a", Atom.INT)], WindowSpec.landmark(2))
-        buffer.append({"a": np.arange(100, dtype=np.int64)}, None)
-        buffer.trim()
-        assert len(buffer) == 100
+    def test_count_based_trim_keeps_last_window(self, engine):
+        query = engine.submit("SELECT x1 FROM s [RANGE 5 SLIDE 1]", mode="reeval")
+        engine.feed("s", columns={"x1": np.arange(8), "x2": np.zeros(8, dtype=np.int64)})
+        engine.run_until_idle()
+        assert retained(query) == {"x1": [3, 4, 5, 6, 7]}
+        assert query.results()[-1].rows() == [(v,) for v in range(3, 8)]
 
-    def test_time_based_trim_by_boundary(self):
-        buffer = _WindowBuffer(
-            [("a", Atom.INT)], WindowSpec.time_sliding(40, 10)
+    def test_landmark_never_trims(self, engine):
+        query = engine.submit(
+            "SELECT count(*) AS n FROM s [LANDMARK SLIDE 2]", mode="reeval"
         )
-        ts = np.array([0, 15, 25, 45], dtype=np.int64)
-        buffer.append({"a": np.arange(4, dtype=np.int64)}, ts)
-        buffer.trim(boundary=50)  # window is [10, 50)
-        assert buffer.snapshot()["a"].to_list() == [1, 2, 3]
+        engine.feed("s", columns={"x1": np.arange(100), "x2": np.arange(100)})
+        engine.run_until_idle()
+        assert retained(query) == {"x1": list(range(100))}
+        assert query.results()[-1].rows() == [(100,)]
+
+    def test_time_based_trim_by_boundary(self, engine):
+        query = engine.submit(
+            "SELECT x1 FROM s [RANGE 40 SECONDS SLIDE 10 SECONDS]", mode="reeval"
+        )
+        engine.feed(
+            "s",
+            columns={"x1": np.arange(5), "x2": np.zeros(5, dtype=np.int64)},
+            timestamps=np.array([0, 15, 25, 45, 55], dtype=np.int64) * US,
+        )
+        engine.run_until_idle()
+        # windows [0, 40s) then [10s, 50s)
+        assert query.result_rows() == [[(0,), (1,), (2,)], [(1,), (2,), (3,)]]
+        assert retained(query) == {"x1": [1, 2, 3]}
 
 
-class TestReevalFactory:
+class TestReevalMode:
     def test_missing_window_clause(self, engine):
         planned = optimize(plan_query("SELECT x1 FROM s", engine.catalog))
-        with pytest.raises(UnsupportedQueryError):
-            ReevalFactory(planned, baskets={})
+        with pytest.raises(UnsupportedQueryError, match="window clause"):
+            reevaluation_plan(planned)
+        with pytest.raises(UnsupportedQueryError, match="window clause"):
+            engine.submit("SELECT x1 FROM s", mode="reeval")
 
     def test_missing_table_binding(self, engine):
         engine.create_table("dim", [("x2", "int")])
-        planned = optimize(
-            plan_query(
-                "SELECT count(*) FROM s [RANGE 4 SLIDE 2], dim "
-                "WHERE s.x2 = dim.x2",
-                engine.catalog,
-            )
-        )
-        with pytest.raises(SchedulerError):
-            ReevalFactory(planned, baskets={}, tables={})
+        sql = "SELECT count(*) FROM s [RANGE 4 SLIDE 2], dim WHERE s.x2 = dim.x2"
+        plan = reevaluation_plan(optimize(plan_query(sql, engine.catalog)))
+        basket = Basket("s", engine.catalog.schema_of("s"))
+        with pytest.raises(SchedulerError, match="no table bound for 'dim'"):
+            IncrementalFactory(plan, baskets={"s": basket}, tables={})
 
     def test_only_referenced_columns_buffered(self, engine):
         query = engine.submit(
             "SELECT count(*) FROM s [RANGE 4 SLIDE 2] WHERE x1 > 0", mode="reeval"
         )
-        factory = query.factory
-        buffer = factory._buffers["s"]
-        assert set(buffer._builders) == {"x1"}
+        engine.feed("s", columns={"x1": np.arange(6), "x2": np.arange(6)})
+        engine.run_until_idle()
+        assert retained(query) == {"x1": [2, 3, 4, 5]}
 
     def test_window_buffer_bounded_over_long_run(self, engine):
         query = engine.submit("SELECT count(*) FROM s [RANGE 10 SLIDE 5]", mode="reeval")
@@ -75,7 +101,7 @@ class TestReevalFactory:
         for __ in range(50):
             engine.feed("s", columns={"x1": rng.integers(0, 5, 5), "x2": rng.integers(0, 5, 5)})
             engine.run_until_idle()
-        assert len(query.factory._buffers["s"]) == 10  # exactly one window retained
+        assert len(retained(query)["x1"]) == 10  # exactly one window retained
         assert len(query.results()) == 49
 
     def test_not_ready_returns_none(self, engine):
@@ -89,6 +115,33 @@ class TestReevalFactory:
         engine.run_until_idle()
         rows = [batch.rows()[0][0] for batch in query.results()]
         assert rows == [sum(range(10)), sum(range(10, 20)), sum(range(20, 30))]
+
+    def test_step_chunked_is_refused(self, engine):
+        query = engine.submit("SELECT sum(x1) FROM s [RANGE 8 SLIDE 4]", mode="reeval")
+        engine.feed("s", columns={"x1": np.arange(12), "x2": np.arange(12)})
+        with pytest.raises(UnsupportedQueryError, match="m-chunk"):
+            query.factory.step_chunked(2)
+
+    def test_reset_landmark_matches_a_fresh_incremental_twin(self, engine):
+        sql = "SELECT x1, sum(x2) AS t FROM s [LANDMARK SLIDE 4] GROUP BY x1 ORDER BY x1"
+        rng = np.random.default_rng(3)
+
+        def feed(n):
+            engine.feed(
+                "s", columns={"x1": rng.integers(0, 3, n), "x2": rng.integers(0, 9, n)}
+            )
+            engine.run_until_idle()
+
+        query = engine.submit(sql, mode="reeval")
+        feed(12)
+        assert len(query.results()) == 3
+        engine.reset_landmark(query.name)
+        twin = engine.submit(sql)  # reads from the same point on
+        feed(2)
+        feed(17)
+        after = query.result_rows()[3:]
+        assert len(after) == 4
+        assert after == twin.result_rows()
 
 
 class TestEmittedBatchStability:
