@@ -55,7 +55,7 @@ def _q1_run(basic_windows, flat=False, window=Q1_WINDOW, mode="incremental"):
     engine = fresh_engine()
     query = engine.submit(q1_sql(window, step, workload.threshold), mode=mode)
     if flat:
-        query.factory._store.levels = 0  # Algorithm 2: pack every partial
+        query.factory._stores["stream"].levels = 0  # Algorithm 2: pack every partial
     return drive_single(
         engine, query, "stream", workload.columns(), window, step, Q1_WINDOWS
     )

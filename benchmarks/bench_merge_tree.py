@@ -65,7 +65,7 @@ def _run(n, slides, data, fanout=None, divisor=None):
         engine.create_stream("s", [("x1", "int"), ("x2", "int")])
         query = engine.submit(_sql(n))
         if fanout is None:
-            query.factory._store.levels = 0
+            query.factory._stores["s"].levels = 0
         fill = n * STEP
         engine.feed("s", columns={k: v[:fill] for k, v in data.items()})
         engine.run_until_idle()

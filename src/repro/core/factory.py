@@ -5,12 +5,15 @@ batch per window slide, exactly like the paper's co-routines: it consumes
 basic windows from its input baskets, caches/reuses partial results, and
 runs the merge machinery (paper Algorithm 2, generalized).
 
-:class:`IncrementalFactory` is the one implementation.  The programs its
-plan has pick a firing's steps: a *fragment* (a single stream's ring of
-per-basic-window partials), *preps* and a *pair fragment* (a join's
-seq-tagged pair table), or *preps* alone (re-evaluation, the DataCellR
-baseline: a prep bundle is a basic window's tuples, and finalize runs
-the full plan over the window).
+:class:`IncrementalFactory` is the one implementation, with one firing
+step for every plan shape: each stream's new basic windows run through
+its per-basic-window program and land in that stream's store.  A
+*fragment* plan's stream keeps a ring of partials; a *prep*'s stream keeps
+a window store, whose contiguous seq ranges read as views.  A join's
+*pair fragment* then reads its sides as such views and merges its runs
+into a seq-tagged pair table; a plan of preps alone is re-evaluation (the
+DataCellR baseline: a prep bundle is a basic window's tuples, and
+finalize runs the full plan over the window).
 
 Factories are driven synchronously by the scheduler (or benchmarks):
 ``ready()`` is the Petri-net firing condition, ``step()`` one transition.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional, cast
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from repro.core.partials import (
     PartialStore,
     ShareKey,
     WindowStore,
+    bundle_rows,
     merge_levels,
 )
 from repro.core.rewriter.flows import GLOBAL_FRAGMENT
@@ -242,8 +246,10 @@ class IncrementalFactory(FactoryBase):
         self._new_stores()
 
     def _new_stores(self) -> None:
-        """Empty window state: the single-stream partial ring, or one prep
-        store per stream plus, for a join, the pair table.
+        """Empty window state: one store per stream plus, for a join, the
+        pair table.  A prep's stream keeps a :class:`WindowStore`, which
+        join runs and finalize read as views; a fragment's stream keeps
+        the ring of partials.
 
         The ring arms the merge tree where a pre-merged node is smaller
         than its children: combines that compensate.  A concatenating
@@ -252,13 +258,14 @@ class IncrementalFactory(FactoryBase):
         landmark included)."""
         plan = self.plan
         capacity = {alias: w.basic_windows for alias, w in plan.windows.items()}
-        if plan.fragment is not None:
-            n = capacity[plan.stream_aliases[0]]
-            self._store = PartialStore(n, levels=merge_levels(n) if plan.compensates else 0)
-            return
-        # A prep-only plan (re-evaluation) reads each stream's window whole.
-        store = PartialStore if plan.pair_fragment is not None else WindowStore
-        self._prep_stores = {alias: store(capacity[alias]) for alias in plan.stream_aliases}
+        self._stores: dict[str, PartialStore] = {}
+        for alias in plan.stream_aliases:
+            n = capacity[alias]
+            self._stores[alias] = (
+                WindowStore(n)
+                if alias in plan.preps
+                else PartialStore(n, levels=merge_levels(n) if plan.compensates else 0)
+            )
         if plan.pair_fragment is not None:
             left, right = plan.pair_aliases
             self._pairs = PairStore(capacity.get(left, 0), capacity.get(right, 0))
@@ -326,10 +333,8 @@ class IncrementalFactory(FactoryBase):
             return None
         profiler = profiler if profiler is not None else Profiler()
         start = time.perf_counter()
-        if self.plan.fragment is None:
-            self._step_preps(profiler)
-        elif chunks == 1 or not self._initialized:
-            self._step_single(profiler)  # incl. the preface: plain first window
+        if chunks == 1 or not self._initialized:
+            self._step_streams(profiler)  # incl. the preface: plain first window
         else:
             start = self._step_single_chunked(chunks, profiler)
         batch = self._merge_and_finalize(profiler)
@@ -356,12 +361,29 @@ class IncrementalFactory(FactoryBase):
     def shares_fragments(self) -> bool:
         return self._fragment_cache is not None
 
-    # -- single stream ------------------------------------------------------
-    def _step_single(self, profiler: Profiler) -> None:
-        alias = self.plan.stream_aliases[0]
-        slices = self._take_slices(alias, self._owed_counts(alias))
-        for bundle in self._fill_bundles(slices, profiler):
-            self._store.add(bundle)
+    # -- one step ---------------------------------------------------------
+    def _step_streams(self, profiler: Profiler) -> None:
+        """Add every stream's owed basic windows to its store, each bundle
+        made by the stream's per-basic-window program.  A join then joins
+        them in at most two runs of the tagged pair fragment (the bilinear
+        delta rule: new left × every live right, then older live left ×
+        new right)."""
+        new: dict[str, list[int]] = {}
+        for alias, store in self._stores.items():
+            slices = self._take_slices(alias, self._owed_counts(alias))
+            new[alias] = [store.add(bundle) for bundle in self._bundles(alias, slices, profiler)]
+        if self.plan.pair_fragment is None:
+            return
+        table = self.plan.table_alias
+        if table is not None and self._table_bundle is None:
+            self._table_bundle = self._run(table, self._scan(table), profiler)
+        left, right = self.plan.pair_aliases
+        self._join_run(new[left], self._side_seqs(right), profiler)
+        new_right = new.get(right, [])
+        older_left = [seq for seq in self._side_seqs(left) if seq < new[left][0]]
+        if new_right and older_left:
+            self._join_run(older_left, new_right, profiler)
+        self._pairs.expire(self._newest_seq(left), self._newest_seq(right))
 
     def _check_chunks(self, m: int) -> int:
         """Validate an m-chunk request; returns ``m`` capped at the step."""
@@ -392,25 +414,36 @@ class IncrementalFactory(FactoryBase):
         early = Profiler()
         slices = self._take_slices(alias, sizes)
         bundles = [
-            self._run_fragment(slices.cut(index, index + 1), early)
+            self._run(alias, slices.cut(index, index + 1), early)
             for index in range(m - 1)
         ]
         start = time.perf_counter()
-        bundles.append(self._run_fragment(slices.cut(m - 1, m), profiler))
-        self._store.add(self._fold_bundles(bundles, profiler))
+        bundles.append(self._run(alias, slices.cut(m - 1, m), profiler))
+        self._stores[alias].add(self._fold_bundles(bundles, profiler))
         return start
 
-    def _fill_bundles(self, slices: _Slices, profiler: Profiler) -> list[Bundle]:
+    def _programs(self, alias: str) -> tuple[Program, Optional[Program], list[str]]:
+        """Stream (or table) ``alias``'s per-basic-window program — its
+        prep, or the fragment — with its tagged twin and output names."""
+        spec = self.plan.preps.get(alias)
+        if spec is not None:
+            return spec.program, spec.tagged, spec.columns
+        assert self.plan.fragment is not None
+        names = [flow.name for flow in self.plan.flows]
+        return self.plan.fragment, self.plan.tagged_fragment, names
+
+    def _run(self, alias: str, cols: dict[str, BAT], profiler: Profiler) -> Bundle:
+        """One run of ``alias``'s per-basic-window program over ``cols``."""
+        program, __, names = self._programs(alias)
+        outputs = self._interp.run(program, cols, profiler)
+        return {name: outputs[slot] for name, slot in zip(names, program.outputs)}
+
+    def _bundles(self, alias: str, slices: _Slices, profiler: Profiler) -> list[Bundle]:
         """The bundles of the basic windows in ``slices``: cached ones
         looked up first (when shared), the rest computed by
         :meth:`_run_slices`."""
         def compute(indices: list[int]) -> list[Bundle]:
-            fragment = self.plan.tagged_fragment
-            assert fragment is not None
-            names = [flow.name for flow in self.plan.flows]
-            return self._run_slices(
-                slices, indices, fragment, names, self._run_fragment, profiler
-            )
+            return self._run_slices(alias, slices, indices, profiler)
 
         if self._fragment_cache is None:
             return compute(list(range(len(slices))))
@@ -419,26 +452,22 @@ class IncrementalFactory(FactoryBase):
         )
 
     def _run_slices(
-        self,
-        slices: _Slices,
-        indices: list[int],
-        tagged: Program,
-        names: list[str],
-        plain: Callable[[dict[str, BAT], Profiler], Bundle],
-        profiler: Profiler,
+        self, alias: str, slices: _Slices, indices: list[int], profiler: Profiler
     ) -> list[Bundle]:
         """The bundles of slices ``indices``, in order: one run of the
-        ``tagged`` program per run of adjacent slices, cut by its tag, and
-        the ``plain`` program per slice of a shorter run than
+        tagged program per run of adjacent slices, cut by its tag, and
+        the plain program per slice of a shorter run than
         :data:`TAGGED_RUN_MIN_WINDOWS`.  A slice the tagged run
         yields no row for gets the plain program's result on empty
         columns (a 0 count, no sum/min/max row)."""
+        __, tagged, names = self._programs(alias)
         bundles: list[Bundle] = []
         empty: Optional[Bundle] = None
         for run in slices.runs(indices):
             if len(run) < TAGGED_RUN_MIN_WINDOWS:
-                bundles += [plain(slices.cut(index, index + 1), profiler) for index in run]
+                bundles += [self._run(alias, slices.cut(i, i + 1), profiler) for i in run]
                 continue
+            assert tagged is not None
             cols = slices.cut(run[0], run[-1] + 1)
             sizes = slices.counts[run[0] : run[-1] + 1]
             cols[slices.tag_slot] = BAT(
@@ -451,7 +480,8 @@ class IncrementalFactory(FactoryBase):
             for bundle in _split_by_tag(names, outs[:-1], outs[-1], len(run)):
                 if bundle is None:
                     if empty is None:
-                        empty = plain(
+                        empty = self._run(
+                            alias,
                             {slot: BAT.empty(bat.atom) for slot, bat in slices.columns.items()},
                             profiler,
                         )
@@ -506,111 +536,45 @@ class IncrementalFactory(FactoryBase):
             return [window.step]
         return [window.step] * window.basic_windows
 
-    def _run_fragment(self, cols: dict[str, BAT], profiler: Profiler) -> Bundle:
-        assert self.plan.fragment is not None
-        outputs = self._interp.run(self.plan.fragment, cols, profiler)
-        return {
-            flow.name: outputs[slot]
-            for flow, slot in zip(self.plan.flows, self.plan.fragment.outputs)
-        }
-
-    # -- preps and joins --------------------------------------------------
-    def _step_preps(self, profiler: Profiler) -> None:
-        """Prep every stream's new basic windows into its prep store; a
-        join then joins them in at most two runs of the tagged pair
-        fragment (the bilinear delta rule: new left × every live right,
-        then older live left × new right)."""
-        new: dict[str, list[int]] = {}
-        for alias in self.plan.stream_aliases:
-            slices = self._take_slices(alias, self._owed_counts(alias))
-            new[alias] = [
-                self._prep_stores[alias].add(bundle)
-                for bundle in self._prep_bundles(alias, slices, profiler)
-            ]
-        if self.plan.pair_fragment is None:
-            return
-        if self.plan.table_alias is not None and self._table_bundle is None:
-            self._table_bundle = self._run_table_prep(profiler)
-        left, right = self.plan.pair_aliases
-        self._join_run(new[left], self._side_seqs(right), profiler)
-        new_right = new.get(right, [])
-        older_left = [seq for seq in self._side_seqs(left) if seq < new[left][0]]
-        if new_right and older_left:
-            self._join_run(older_left, new_right, profiler)
-        self._expire_pairs()
-
-    def _side_bundle(self, alias: str, seq: int) -> Bundle:
+    # -- prep stores and joins --------------------------------------------
+    def _side(self, alias: str, seqs: list[int]) -> tuple[Bundle, list[int]]:
+        """Join side ``alias`` over its basic windows ``seqs`` (a
+        contiguous live run): one view of their prep rows, and each one's
+        row count.  A base table is one basic window, seq 0."""
         if alias == self.plan.table_alias:
             assert self._table_bundle is not None
-            return self._table_bundle
-        return self._prep_stores[alias].bundle(seq)
+            return self._table_bundle, [bundle_rows(self._table_bundle)]
+        store = cast(WindowStore, self._stores[alias])
+        return store.view(seqs[0], seqs[-1]), [bundle_rows(store.bundle(s)) for s in seqs]
 
     def _side_seqs(self, alias: str) -> list[int]:
-        if alias == self.plan.table_alias:
-            return [0]
-        return self._prep_stores[alias].live_seqs()
+        return [0] if alias == self.plan.table_alias else self._stores[alias].live_seqs()
 
     def _newest_seq(self, alias: str) -> int:
-        if alias == self.plan.table_alias:
-            return 0
-        seq = self._prep_stores[alias].newest_seq
-        return seq if seq is not None else 0
+        seq = None if alias == self.plan.table_alias else self._stores[alias].newest_seq
+        return seq or 0
 
-    def _expire_pairs(self) -> None:
-        left, right = self.plan.pair_aliases
-        self._pairs.expire(self._newest_seq(left), self._newest_seq(right))
-
-    def _run_prep(
-        self, alias: str, cols: dict[str, BAT], profiler: Profiler
-    ) -> Bundle:
-        spec = self.plan.preps[alias]
-        outputs = self._interp.run(spec.program, cols, profiler)
-        return {
-            column: outputs[slot]
-            for column, slot in zip(spec.columns, spec.program.outputs)
-        }
-
-    def _prep_bundles(
-        self, alias: str, slices: _Slices, profiler: Profiler
-    ) -> list[Bundle]:
-        """The prep bundles of every slice, from tagged prep runs."""
-        spec = self.plan.preps[alias]
-        assert spec.tagged is not None
-        return self._run_slices(
-            slices,
-            list(range(len(slices))),
-            spec.tagged,
-            spec.columns,
-            lambda cols, profiler: self._run_prep(alias, cols, profiler),
-            profiler,
-        )
-
-    def _run_table_prep(self, profiler: Profiler) -> Bundle:
-        alias = self.plan.table_alias
-        assert alias is not None
+    def _scan(self, alias: str) -> dict[str, BAT]:
+        """Base table ``alias``'s columns the plan reads, by scan slot."""
         table = self._tables[alias]
-        cols = {
-            scan_slot(alias, col): table.column(col)
-            for col in self.plan.scan_columns[alias]
-        }
-        return self._run_prep(alias, cols, profiler)
+        return {scan_slot(alias, c): table.column(c) for c in self.plan.scan_columns[alias]}
 
     def _join_run(
         self, left_seqs: list[int], right_seqs: list[int], profiler: Profiler
     ) -> None:
-        """Join the seq-tagged concatenations of two runs of prep bundles
-        once, and merge the tagged result into the pair table."""
+        """Join two runs of basic windows, each side read as one view of
+        its prep rows and tagged with their seqs, once, and merge the
+        tagged result into the pair table."""
         left, right = self.plan.pair_aliases
         inputs: dict[str, BAT] = {}
         for alias, seqs in ((left, left_seqs), (right, right_seqs)):
-            bundles = [self._side_bundle(alias, seq) for seq in seqs]
+            side, sizes = self._side(alias, seqs)
             for column in self.plan.preps[alias].columns:
-                inputs[prep_slot(alias, column)] = concat(
-                    [bundle[column] for bundle in bundles]
-                )
-            sizes = [len(next(iter(bundle.values()))) for bundle in bundles]
+                inputs[prep_slot(alias, column)] = side[column]
             inputs[seq_slot(alias)] = BAT(
-                np.repeat(np.asarray(seqs, dtype=np.int64), sizes), Atom.INT
+                np.repeat(np.asarray(seqs, dtype=np.int64), sizes),
+                Atom.INT,
+                next(iter(side.values())).hseq,
             )
         fragment = self.plan.pair_fragment
         assert fragment is not None
@@ -658,7 +622,7 @@ class IncrementalFactory(FactoryBase):
         table already is every live pair's rows in merge order."""
         if self.plan.pair_fragment is not None:
             return [self._pairs.table()] if len(self._pairs) else []
-        return self._store.cover(
+        return self._stores[self.plan.stream_aliases[0]].cover(
             lambda bundles: self._fold_bundles(bundles, profiler)
         )
 
@@ -696,19 +660,17 @@ class IncrementalFactory(FactoryBase):
         )
 
     def _window_inputs(self) -> dict[str, BAT]:
-        """A prep-only plan's finalize inputs: each stream's window (its
-        live prep bundles' concatenation) and the base tables' columns, by
+        """A prep-only plan's finalize inputs: each stream's window (a
+        view of its live prep bundles) and the base tables' columns, by
         scan slot.  A landmark stream's store collapses to its window."""
         inputs: dict[str, BAT] = {}
-        for alias, store in self._prep_stores.items():
-            assert isinstance(store, WindowStore)
-            window = store.window()
+        for alias, store in self._stores.items():
+            window = cast(WindowStore, store).window()
             if self.plan.windows[alias].is_landmark:
                 store.replace_all(window)
             inputs.update({scan_slot(alias, c): bat for c, bat in window.items()})
-        for alias, table in self._tables.items():
-            for column in self.plan.scan_columns[alias]:
-                inputs[scan_slot(alias, column)] = table.column(column)
+        for alias in self._tables:
+            inputs.update(self._scan(alias))
         return inputs
 
     @property
@@ -742,7 +704,7 @@ class IncrementalFactory(FactoryBase):
         ``None`` for a plan without a fragment."""
         if self.plan.fragment is None:
             return None
-        store = self._store
+        store = self._stores[self.plan.stream_aliases[0]]
         return {
             "merge_cover_len": store.cover_len,
             "merge_nodes_sealed": store.nodes_sealed,
@@ -766,7 +728,7 @@ class IncrementalFactory(FactoryBase):
             key = (self._newest_seq(left), self._newest_seq(right))
             self._pairs.replace_all(dict(bundle), key)
         else:
-            self._store.replace_all(dict(bundle))
+            self._stores[self.plan.stream_aliases[0]].replace_all(dict(bundle))
 
     # ------------------------------------------------------------------
     # durability (checkpoint/restore)
@@ -776,8 +738,8 @@ class IncrementalFactory(FactoryBase):
 
         Everything a freshly-submitted twin of this query needs to
         continue mid-stream: the window counter, time-slicer anchors, and
-        the partial stores — the ring, or the prep stores plus a join's
-        pair table (read positions live in the engine's cursors).  The
+        each stream's store and a join's pair table (read positions live
+        in the engine's cursors).  The
         cached table bundle is *not* captured — it is recomputed lazily
         from the restored base tables on the first post-restore join step.
         """
@@ -789,11 +751,8 @@ class IncrementalFactory(FactoryBase):
                 for alias, slicer in self._slicers.items()
             },
         }
-        if self.plan.fragment is not None:
-            state["store"] = self._store.snapshot_state()
-            return state
-        state["prep_stores"] = {
-            alias: store.snapshot_state() for alias, store in self._prep_stores.items()
+        state["stores"] = {
+            alias: store.snapshot_state() for alias, store in self._stores.items()
         }
         if self.plan.pair_fragment is not None:
             state["pairs"] = self._pairs.snapshot_state()
@@ -807,11 +766,8 @@ class IncrementalFactory(FactoryBase):
             slicer = self._slicers[alias]
             slicer.origin = origin
             slicer.consumed_windows = consumed_windows
-        if self.plan.fragment is not None:
-            self._store.restore_state(state["store"])
-            return
-        for alias, store in self._prep_stores.items():
-            store.restore_state(state["prep_stores"][alias])
+        for alias, store in self._stores.items():
+            store.restore_state(state["stores"][alias])
         if self.plan.pair_fragment is not None:
             self._pairs.restore_state(state["pairs"])
             self._table_bundle = None

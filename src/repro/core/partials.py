@@ -18,8 +18,10 @@ the plan's own combine program.  :meth:`PartialStore.cover` then tiles the
 live range with the few largest nodes that fit plus edge singles, so a
 slide merges O(K·log_K n) bundles instead of all ``n``.
 
-A :class:`WindowStore` keeps a re-evaluation query's window: its
-bundles are the basic windows' tuples, laid out in one array per column.
+A :class:`WindowStore` keeps a prep's stream: a join side's prep rows
+or, under re-evaluation, the window's tuples, laid out in one array per
+column, so any contiguous seq range of its bundles — the whole window
+included — is one view, not a concatenation.
 
 :class:`FragmentCache` extends the same idea *across* queries: factories
 whose per-basic-window fragments are alpha-equivalent over the same stream
@@ -240,29 +242,38 @@ class PartialStore:
 @dataclass
 class WindowStore(PartialStore):
     """A prep store whose live bundles are views into one array per
-    column, oldest first, each with its first row there as ``hseq``; the
-    window — their concatenation — is then a view too (:meth:`window`),
-    not a copy per slide.  Rows are written once, past the newest; a full
-    array is replaced by one twice the size of what it must hold, the live
-    bundles re-pointed at it, so a window handed out stays valid.
-    Snapshots are a :class:`PartialStore`'s."""
+    column, oldest first, each with its first row there as ``hseq``; a
+    contiguous run of them — their concatenation — is then a view too
+    (:meth:`view`, :meth:`window`), not a copy per slide or join run.
+    Rows are written once, past the newest; a full array is replaced by
+    one twice the size of what it must hold, the live bundles re-pointed
+    at it, so a view handed out stays valid.  Snapshots are a
+    :class:`PartialStore`'s."""
 
     _arrays: dict[str, np.ndarray] = field(default_factory=dict)
     _fill: int = 0
 
     def add(self, bundle: Bundle) -> int:
-        rows = _rows(bundle)
+        rows = bundle_rows(bundle)
         if not self._arrays or self._fill + rows > len(next(iter(self._arrays.values()))):
             self._rebase(bundle, rows)
         return super().add(self._put(bundle, rows))
 
+    def view(self, first: int, last: int) -> Bundle:
+        """Live bundles ``first .. last`` (seqs) concatenated, per column."""
+        end = self.bundle(last)
+        return {
+            name: BAT(
+                self._arrays[name][bat.hseq : end[name].hseq + len(end[name])],
+                bat.atom,
+                bat.hseq,
+            )
+            for name, bat in self.bundle(first).items()
+        }
+
     def window(self) -> Bundle:
         """The live bundles' concatenation, per column."""
-        oldest = next(iter(self._bundles.values()))
-        return {
-            name: BAT(self._arrays[name][bat.hseq : self._fill], bat.atom, bat.hseq)
-            for name, bat in oldest.items()
-        }
+        return self.view(next(iter(self._bundles)), next(reversed(self._bundles)))
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
@@ -284,7 +295,7 @@ class WindowStore(PartialStore):
         """Fresh arrays with room, twice over, for the live bundles and
         ``extra`` more rows (or a window of bundles that size); the live
         bundles move to the front."""
-        sizes = [_rows(bundle) for bundle in self._bundles.values()]
+        sizes = [bundle_rows(bundle) for bundle in self._bundles.values()]
         size = 2 * max(sum(sizes) + extra, self.capacity * extra)
         self._arrays = {name: np.empty(size, bat.tail.dtype) for name, bat in like.items()}
         self._fill = 0
@@ -292,7 +303,8 @@ class WindowStore(PartialStore):
             self._bundles[seq] = self._put(bundle, rows)
 
 
-def _rows(bundle: Bundle) -> int:
+def bundle_rows(bundle: Bundle) -> int:
+    """The row count of ``bundle``'s columns."""
     return len(next(iter(bundle.values())))
 
 

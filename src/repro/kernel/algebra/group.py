@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import AlignmentError, KernelError
+from repro.errors import KernelError
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT, require_aligned
 
@@ -158,8 +158,3 @@ def distinct(b: BAT) -> BAT:
         return BAT((present + low).astype(tail.dtype, copy=False), b.atom)
     return BAT(np.unique(tail), b.atom)
 
-
-def check_aligned_with_gids(grouping: Grouping, values: BAT) -> None:
-    """Assert a value column is aligned with the grouping's input rows."""
-    if grouping.gids.hseq != values.hseq or len(grouping.gids) != len(values):
-        raise AlignmentError("value column not aligned with grouping input")

@@ -131,10 +131,6 @@ class BAT:
             stop = start
         return BAT(self.tail[start:stop], self.atom, self.hseq + start)
 
-    def take_positions(self, positions: np.ndarray, hseq: int = 0) -> "BAT":
-        """Gather tail values at ``positions`` into a fresh BAT."""
-        return BAT(self.tail[positions], self.atom, hseq)
-
     def rebase(self, hseq: int) -> "BAT":
         """Same tail, new head sequence base."""
         return BAT(self.tail, self.atom, hseq)

@@ -110,11 +110,6 @@ def contains_aggregate(expr: Expr) -> bool:
     return any(isinstance(e, FuncCall) and e.is_aggregate for e in walk(expr))
 
 
-def column_refs(expr: Expr) -> list[ColumnRef]:
-    """All column references inside ``expr``, in syntax order."""
-    return [e for e in walk(expr) if isinstance(e, ColumnRef)]
-
-
 # ----------------------------------------------------------------------
 # windows
 # ----------------------------------------------------------------------
@@ -182,9 +177,3 @@ class Query:
     order_by: list[OrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     distinct: bool = False
-
-    def table_by_alias(self, alias: str) -> Optional[TableRef]:
-        for table in self.tables:
-            if table.alias == alias:
-                return table
-        return None

@@ -65,9 +65,6 @@ class Binding:
     def aliases(self) -> list[str]:
         return list(self._aliases)
 
-    def relation_of(self, alias: str) -> str:
-        return self._aliases[alias]
-
     def is_stream(self, alias: str) -> bool:
         return self._is_stream[alias]
 

@@ -476,8 +476,8 @@ class TestTaggedPreps:
         with patch.object(factory_module, "TAGGED_RUN_TUPLES", 0):
             plain.run_until_idle()
         for alias in ("s1", "s2"):
-            got = query.factory._prep_stores[alias].live()
-            want = reference.factory._prep_stores[alias].live()
+            got = query.factory._stores[alias].live()
+            want = reference.factory._stores[alias].live()
             assert [seq for seq, __ in got] == [seq for seq, __ in want]
             for (__, a), (__, b) in zip(got, want):
                 assert a.keys() == b.keys()

@@ -49,7 +49,7 @@ class TestLandmarkSingle:
         query = engine.submit(self.Q3)
         feed(engine, "s", 250, seed=13)
         engine.run_until_idle()
-        assert len(query.factory._store) == 1
+        assert len(query.factory._stores["s"]) == 1
 
     def test_grouped_landmark(self, engine):
         sql = "SELECT x1, count(*) FROM s [LANDMARK SLIDE 20] GROUP BY x1 ORDER BY x1"

@@ -203,7 +203,7 @@ class TestCompaction:
         query = engine.submit("SELECT x1, sum(x2) FROM s [RANGE 5120 SLIDE 10] GROUP BY x1")
         feed_random(engine, 5120 + 30)
         assert query.factory.step() is not None
-        assert len(query.factory._store) == 512
+        assert len(query.factory._stores["s"]) == 512
         assert deletes == ["s"]
 
     def test_m_chunk_firing(self, engine, deletes):

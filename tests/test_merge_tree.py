@@ -49,7 +49,7 @@ def build(sql, flat, **engine_kwargs):
     engine.create_stream("s", [("x1", "int"), ("x2", "int"), ("x3", "float")])
     handle = engine.submit(sql, name="q")
     if flat:
-        handle.factory._store.levels = 0
+        handle.factory._stores["s"].levels = 0
     return engine, handle
 
 
@@ -87,14 +87,14 @@ class TestTreeEqualsFlat:
             assert len(tree.results()) == SLIDES + 1
             assert tree.result_rows() == flat.result_rows()
             assert window_bytes(tree) == window_bytes(flat)
-            store = tree.factory._store
+            store = tree.factory._stores["s"]
             if n < 4 * MERGE_FANOUT:
                 assert store.nodes_sealed == 0 and store.cover_len == n
             else:
                 assert store.nodes_sealed > 0
                 assert store.cover_len <= cover_bound(n) < n
-            assert flat.factory._store.nodes_sealed == 0
-            assert flat.factory._store.cover_len == n
+            assert flat.factory._stores["s"].nodes_sealed == 0
+            assert flat.factory._stores["s"].cover_len == n
         finally:
             tree_engine.close()
             flat_engine.close()
@@ -122,7 +122,7 @@ class TestTreeEqualsFlat:
                     engine.run_until_idle()
             assert len(tree.results()) > 3 * n
             assert window_bytes(tree) == window_bytes(flat)
-            assert tree.factory._store.nodes_sealed > 0
+            assert tree.factory._stores["s"].nodes_sealed > 0
         finally:
             tree_engine.close()
             flat_engine.close()
@@ -143,7 +143,7 @@ class TestTreeEqualsFlat:
                 rows.append(out)
             assert len(rows[0]) == 41
             assert rows[0] == rows[1]
-            assert tree.factory._store.nodes_sealed > 0
+            assert tree.factory._stores["s"].nodes_sealed > 0
         finally:
             tree_engine.close()
             flat_engine.close()
@@ -161,7 +161,7 @@ class TestWhereNodesAreSealed:
             engine, handle = build(sql, flat=False)
             try:
                 feed_slides(engine, make_data(n * STEP + 40), n * STEP, 20)
-                store = handle.factory._store
+                store = handle.factory._stores["s"]
                 assert store.levels == 0
                 assert store.nodes_sealed == 0 and store.cover_len == n
             finally:
@@ -173,13 +173,13 @@ class TestWhereNodesAreSealed:
         engine.create_stream("r", [("x1", "int"), ("x2", "int")])
         try:
             landmark = engine.submit("SELECT sum(x2) FROM s [LANDMARK SLIDE 2]")
-            assert landmark.factory._store.levels == 0
+            assert landmark.factory._stores["s"].levels == 0
             join = engine.submit(
                 "SELECT max(a.x2) FROM s a [RANGE 128 SLIDE 2], "
                 "r b [RANGE 128 SLIDE 2] WHERE a.x1 = b.x1"
             )
             assert all(
-                store.levels == 0 for store in join.factory._prep_stores.values()
+                store.levels == 0 for store in join.factory._stores.values()
             )
             assert join.factory.merge_stats() is None
         finally:
@@ -198,7 +198,8 @@ class TestWhereNodesAreSealed:
                 )
             for query in fleet.queries:
                 handle = engine.submit(query.sql, name=query.name)
-                assert handle.factory._store.levels == 0, query.sql
+                stores = handle.factory._stores.values()
+                assert all(store.levels == 0 for store in stores), query.sql
         finally:
             engine.close()
 
@@ -227,7 +228,7 @@ class TestRestoreMidTree:
 
         engine, handle = build(sql, flat=False, data_dir=str(tmp_path))
         feed_slides(engine, data, fill, 20)
-        assert handle.factory._store.nodes_live > 0
+        assert handle.factory._stores["s"].nodes_live > 0
         engine.checkpoint()
         tail = {k: v[fill + 20 * STEP :] for k, v in data.items()}
         feed_slides(engine, tail, 0, 15)  # journaled past the snapshot
@@ -237,7 +238,7 @@ class TestRestoreMidTree:
         try:
             restored.run_until_idle()
             handle = restored.query("q")
-            assert handle.factory._store.nodes_sealed > 0  # rebuilt lazily
+            assert handle.factory._stores["s"].nodes_sealed > 0  # rebuilt lazily
             tail = {k: v[fill + 35 * STEP :] for k, v in data.items()}
             feed_slides(restored, tail, 0, 25)
             assert window_bytes(handle) == expected
@@ -253,7 +254,7 @@ class TestMergeMetrics:
         try:
             feed_slides(engine, make_data(n * STEP + 40), n * STEP, 20)
             stats = engine.metrics()["merge"]["q"]
-            assert stats["merge_cover_len"] == handle.factory._store.cover_len < n
+            assert stats["merge_cover_len"] == handle.factory._stores["s"].cover_len < n
             assert stats["merge_nodes_sealed"] >= stats["merge_nodes_live"] > 0
             assert stats["merge_nodes_live"] <= n // (MERGE_FANOUT - 1)
             text = engine.metrics(format="prometheus")
@@ -279,6 +280,6 @@ class TestMergeMetrics:
             assert alias.state.coeff == flows * (n + nodes)
             assert handle.resources.bounded
             feed_slides(engine, make_data(n * STEP + 200), n * STEP, 100)
-            assert handle.factory._store.nodes_live <= nodes
+            assert handle.factory._stores["s"].nodes_live <= nodes
         finally:
             engine.close()

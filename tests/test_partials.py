@@ -178,8 +178,9 @@ class TestMergeTree:
 
 
 class TestWindowStore:
-    """A re-evaluation prep store: the window is one view of the live
-    bundles, and no view it handed out ever changes."""
+    """A prep store (a join side, a re-evaluation window): the window and
+    every contiguous run of live bundles are one view each, and no view
+    it handed out ever changes."""
 
     @given(
         capacity=st.integers(0, 6),
@@ -203,6 +204,17 @@ class TestWindowStore:
             assert window["a"].to_list() == [v for b in live for v in b["a"].to_list()]
             assert window["b"].to_list() == [-v for v in window["a"].to_list()]
             handed.append((window["a"].tail, window["a"].to_list()))
+            # Every contiguous live seq range reads as one view: a join
+            # run's side.
+            seqs = store.live_seqs()
+            for i, first in enumerate(seqs):
+                for j in range(i, len(seqs)):
+                    view = store.view(first, seqs[j])
+                    run = live[i : j + 1]
+                    assert view["a"].to_list() == [v for b in run for v in b["a"].to_list()]
+                    assert view["b"].to_list() == [-v for v in view["a"].to_list()]
+                    assert view["a"].hseq == run[0]["a"].hseq
+                    handed.append((view["a"].tail, view["a"].to_list()))
         for tail, values in handed:
             assert tail.tolist() == values
 
@@ -518,9 +530,9 @@ class TestTaggedRuns:
             patch.object(factory_module, "TAGGED_RUN_MIN_WINDOWS", fewest),
         ):
             slices = factory._take_slices("s", counts)
-            tagged = factory._fill_bundles(slices, Profiler())
+            tagged = factory._bundles("s", slices, Profiler())
         plain = [
-            factory._run_fragment(slices.cut(i, i + 1), Profiler())
+            factory._run("s", slices.cut(i, i + 1), Profiler())
             for i in range(len(counts))
         ]
         assert len(tagged) == len(plain) == len(counts)

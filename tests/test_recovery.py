@@ -212,8 +212,8 @@ def test_kill_anywhere_join_reeval(tmp_path):
     query, feed = _join_workload()
     factory = _join_checkpoint(tmp_path, query, feed, "reeval")
     assert "pairs" not in factory
-    assert set(factory["prep_stores"]) == set(query.streams)
-    assert all(store["bundles"] for store in factory["prep_stores"].values())
+    assert set(factory["stores"]) == set(query.streams)
+    assert all(store["bundles"] for store in factory["stores"].values())
     _sweep(tmp_path, query, feed, mode="reeval")
 
 
@@ -568,8 +568,8 @@ def _dir_listing(data_dir) -> list:
 @pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
 @pytest.mark.parametrize(
     "format_, named",
-    [(None, "no format number"), (1, "format 1"), (2, "format 2")],
-    ids=["missing", "format-1", "format-2"],
+    [(None, "no format number"), (1, "format 1"), (2, "format 2"), (3, "format 3")],
+    ids=["missing", "format-1", "format-2", "format-3"],
 )
 def test_restore_refuses_a_dir_in_another_format(
     tmp_path, monkeypatch, format_, named, checkpointed

@@ -29,7 +29,7 @@ def engine():
 def retained(query, alias="s") -> dict[str, list]:
     """The tuples a reeval query holds for ``alias``, per column, oldest
     first, read from its snapshot image."""
-    bundles = query.factory.snapshot_state()["prep_stores"][alias]["bundles"]
+    bundles = query.factory.snapshot_state()["stores"][alias]["bundles"]
     columns = query.factory.plan.preps[alias].columns
     return {
         column: [value for __, bundle in bundles for value in bundle[column].to_list()]
@@ -144,6 +144,17 @@ class TestReevalMode:
         assert after == twin.result_rows()
 
 
+JOINS = {
+    "stream-stream": (
+        "SELECT a.x1, a.x2, b.x2 AS y FROM s a [RANGE 8 SLIDE 2], "
+        "r b [RANGE 8 SLIDE 2] WHERE a.x1 = b.x1"
+    ),
+    "stream-table": (
+        "SELECT a.x1, a.x2, d.w FROM s a [RANGE 8 SLIDE 2], dim d WHERE a.x2 = d.x2"
+    ),
+}
+
+
 class TestEmittedBatchStability:
     """Emitted batches must stay valid after later windows are consumed.
 
@@ -186,3 +197,37 @@ class TestEmittedBatchStability:
                 for a, b in zip(x1[lo : lo + 8], x2[lo : lo + 8])
             ]
             assert batch.rows() == expected
+
+    @pytest.mark.parametrize("mode", ["incremental", "reeval"])
+    @pytest.mark.parametrize("shape", list(JOINS))
+    def test_select_only_join_batches_survive_later_slides(self, mode, shape):
+        """A select-only join's emitted batches stay as emitted while the
+        window slides on: join runs read their sides as views into arrays
+        that later slides append to and replace."""
+        engine = DataCellEngine()
+        engine.create_stream("s", [("x1", "int"), ("x2", "int")])
+        engine.create_stream("r", [("x1", "int"), ("x2", "int")])
+        engine.create_table("dim", [("x2", "int"), ("w", "int")]).append_rows(
+            [(k, 10 * k) for k in range(0, 6, 2)]
+        )
+        query = engine.submit(JOINS[shape], mode=mode)
+        rng = np.random.default_rng(11)
+        s = rng.integers(0, 4, (40, 2))
+        r = rng.integers(0, 4, (40, 2))
+        emitted: list[list[tuple]] = []
+        for lo in range(0, 40, 2):
+            engine.feed("s", columns={"x1": s[lo : lo + 2, 0], "x2": s[lo : lo + 2, 1]})
+            engine.feed("r", columns={"x1": r[lo : lo + 2, 0], "x2": r[lo : lo + 2, 1]})
+            engine.run_until_idle()
+            emitted += [batch.rows() for batch in query.results()[len(emitted) :]]
+        batches = query.results()
+        assert len(batches) == len(emitted) == 17  # 16 more windows after the first
+        for k, (batch, rows) in enumerate(zip(batches, emitted)):
+            assert batch.rows() == rows
+            left = s[2 * k : 2 * k + 8].tolist()
+            if shape == "stream-stream":
+                right = r[2 * k : 2 * k + 8].tolist()
+                want = [(a1, a2, b2) for a1, a2 in left for b1, b2 in right if a1 == b1]
+            else:
+                want = [(a1, a2, 10 * a2) for a1, a2 in left if a2 % 2 == 0 and a2 < 6]
+            assert sorted(rows) == sorted(want)
