@@ -11,8 +11,11 @@ Three query sources feed the verifier:
   ``fresh_engine`` / ``q*_sql`` builders are invoked with representative
   parameters, so the exact SQL the figure benchmarks submit is linted.
 
-Each query is planned, optimized, rewritten and statically verified
-(:mod:`repro.analysis.plan_verifier`); CI fails on any error diagnostic.
+Each query is compiled once by the engine's own pipeline
+(:func:`repro.core.engine.compile_query`: planned, optimized, rewritten,
+statically verified by :mod:`repro.analysis.plan_verifier` and, with
+``--resources``, bounded by :mod:`repro.analysis.resources`); CI fails
+on any error diagnostic.
 """
 
 from __future__ import annotations
@@ -27,14 +30,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.analysis.diagnostics import Report
-from repro.analysis.plan_verifier import SchemaMap, verify_plan
 from repro.analysis.pretty import dump_plan
-from repro.core.engine import DataCellEngine
-from repro.core.rewriter import rewrite
+from repro.core.engine import CompiledQuery, DataCellEngine, compile_query
 from repro.errors import CatalogError, ReproError, UnsupportedQueryError
-from repro.sql.logical import find_scans
-from repro.sql.optimizer import optimize
-from repro.sql.planner import plan_query
 
 #: representative parameters for benchmark query builders (``q1_sql(window,
 #: step, threshold)`` & co.); ratios match the scaled-down figure runs.
@@ -42,62 +40,41 @@ _BENCH_PARAM_DEFAULTS = {"window": 1024, "step": 128, "threshold": 50}
 _BENCH_PARAM_FALLBACK = 64
 
 
-def schemas_for(engine: DataCellEngine, planned) -> SchemaMap:
-    """Alias → column → atom map for every scan of a planned query."""
-    schemas: dict[str, dict[str, object]] = {}
-    for scan in find_scans(planned.plan):
-        if scan.is_stream:
-            schema = engine.catalog.stream(scan.relation).schema
-        else:
-            schema = engine.catalog.table(scan.relation).schema
-        schemas[scan.alias] = {name: atom for name, atom in schema.columns}
-    return schemas  # type: ignore[return-value]
-
-
 def lint_sql(
-    engine: DataCellEngine, sql: str, subject: str = "query"
-) -> tuple[Report, Optional[str]]:
-    """Rewrite + verify one query; returns ``(report, dump-or-None)``.
+    engine: DataCellEngine, sql: str, subject: str = "query", resources: bool = False
+) -> tuple[Report, Optional[CompiledQuery]]:
+    """Compile + verify one query; returns ``(report, compiled-or-None)``.
 
+    One :func:`~repro.core.engine.compile_query` run serves the verifier
+    diagnostics and, with ``resources``, the static state bounds
+    (``compiled.resources``, whose diagnostics join the report).
     Non-rewritable queries (re-evaluation fallback) produce a warning, not
     an error — the engine would accept them in ``reeval`` mode.
     """
     report = Report(subject=subject)
     try:
-        planned = optimize(plan_query(sql, engine.catalog))
-    except ReproError as exc:
-        report.error("plan", f"query does not plan: {exc}")
-        return report, None
-    schemas = schemas_for(engine, planned)
-    try:
-        plan = rewrite(planned)
+        compiled = compile_query(
+            sql,
+            engine.catalog,
+            limits=engine._stream_limits if resources else None,
+            verify=True,
+            strict=False,
+            subject=subject,
+        )
     except UnsupportedQueryError as exc:
+        # Only the rewriter raises it: the query planned.
         report.warning(
             "plan", f"not rewritable (re-evaluation fallback): {exc}"
         )
         return report, None
-    report.extend(verify_plan(plan, schemas))
-    return report, dump_plan(plan, schemas)
-
-
-def resource_report_for(engine: DataCellEngine, sql: str, subject: str = "query"):
-    """Rewrite one query and compute its static state bounds.
-
-    Returns a :class:`repro.analysis.resources.ResourceReport`, or None
-    for queries that do not plan or are not rewritable (those already
-    produce their own lint diagnostics).
-    """
-    from repro.analysis.resources import analyze_resources
-
-    try:
-        plan = rewrite(optimize(plan_query(sql, engine.catalog)))
-    except ReproError:
-        return None
-    return analyze_resources(
-        plan,
-        engine._stream_limits,
-        subject=subject,
-    )
+    except ReproError as exc:
+        report.error("plan", f"query does not plan: {exc}")
+        return report, None
+    assert compiled.verified is not None
+    report.extend(compiled.verified)
+    if compiled.resources is not None:
+        report.extend(compiled.resources.report)
+    return report, compiled
 
 
 # ----------------------------------------------------------------------
@@ -407,12 +384,10 @@ def run_lint_cli(argv: list[str], out=None) -> int:
 
     failures = 0
     for engine, subject, sql in units:
-        report, dump = lint_sql(engine, sql, subject=subject)
-        resources = None
-        if args.resources:
-            resources = resource_report_for(engine, sql, subject=subject)
-            if resources is not None:
-                report.extend(resources.report)
+        report, compiled = lint_sql(
+            engine, sql, subject=subject, resources=args.resources
+        )
+        resources = compiled.resources if compiled is not None else None
         label = " ".join(sql.split())
         if len(label) > 88:
             label = label[:85] + "..."
@@ -429,8 +404,8 @@ def run_lint_cli(argv: list[str], out=None) -> int:
             print(f"    state bound: {resources.total_state.render()}", file=out)
             if args.dump:
                 print(resources.render_table(), file=out)
-        if args.dump and dump is not None:
-            print(dump, file=out)
+        if args.dump and compiled is not None:
+            print(dump_plan(compiled.plan, compiled.schemas), file=out)
             print(file=out)
     total = len(units)
     print(

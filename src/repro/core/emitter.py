@@ -5,8 +5,8 @@ An emitter is a result sink: the scheduler hands it every
 implementations cover the delivery spectrum:
 
 * :class:`CollectingEmitter` — thread-safe in-memory retention (what
-  :meth:`ContinuousQuery.results` reads); optionally ring-bounded via
-  ``keep_last``;
+  a query handle's :meth:`~EmittedResults.results` reads); optionally
+  ring-bounded via ``keep_last``;
 * :class:`CallbackEmitter` — forwards each batch to client code (the
   example applications' "clients");
 * :class:`CsvEmitter` — appends result rows to a CSV file, the egress
@@ -110,6 +110,32 @@ class CollectingEmitter:
                 )
                 for entry in state["batches"]
             ]
+
+
+class EmittedResults:
+    """The results API of a query handle, read from its ``emitter``.
+
+    Shared by :class:`~repro.core.engine.ContinuousQuery` (the scheduler
+    emits into it) and :class:`~repro.core.shard.PartitionedQuery` (the
+    coordinator's merge does).
+    """
+
+    emitter: CollectingEmitter
+
+    def results(self) -> list[ResultBatch]:
+        """All result batches produced so far."""
+        return self.emitter.batches()
+
+    def last(self) -> Optional[ResultBatch]:
+        return self.emitter.last()
+
+    def result_rows(self) -> list[list[tuple]]:
+        """Convenience: per-window result rows."""
+        return [batch.rows() for batch in self.results()]
+
+    def response_times(self) -> list[float]:
+        """Per-window response times in seconds."""
+        return [batch.response_seconds for batch in self.results()]
 
 
 class CallbackEmitter:

@@ -34,6 +34,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.diagnostics import Report
+from repro.analysis.plan_verifier import SchemaMap, check_plan, verify_plan
+from repro.analysis.resources import ResourceReport, analyze_resources
 from repro.core.basket import Basket, Cursor
 from repro.core.durability import (
     DATA_FORMAT,
@@ -42,7 +45,7 @@ from repro.core.durability import (
     has_data,
     typed_values,
 )
-from repro.core.emitter import CollectingEmitter
+from repro.core.emitter import CollectingEmitter, EmittedResults
 from repro.core.factory import IncrementalFactory, ResultBatch
 from repro.core.overflow import OverflowPolicy, parse_overflow_spec, policy_spec
 from repro.core.partials import FragmentCache
@@ -59,9 +62,10 @@ from repro.core.partition import (
 )
 from repro.core.windows import TS_COLUMN
 from repro.core.receptor import Receptor
-from repro.core.rewriter import reevaluation_plan, rewrite
+from repro.core.rewriter import IncrementalPlan, reevaluation_plan, rewrite
 from repro.core.rewriter.canonical import fragment_fingerprint
 from repro.core.scheduler import Scheduler
+from repro.core.shard import PartitionedQuery, ShardSet, split_fixed_columns
 from repro.errors import (
     BasketError,
     BasketOverflowError,
@@ -84,8 +88,9 @@ from repro.kernel.storage import Catalog, Schema, Table
 from repro.obs import Observability, collect_metrics, render_json, render_prometheus
 from repro.sql.logical import find_scans, pretty_plan
 from repro.sql.optimizer import optimize
+from repro.sql.parser import parse
 from repro.sql.physical import compile_full, scan_slot
-from repro.sql.planner import plan_query
+from repro.sql.planner import PlannedQuery, plan_query
 
 _ATOM_NAMES = {
     "int": Atom.INT,
@@ -116,31 +121,74 @@ def _as_schema(columns: Sequence[tuple[str, object]]) -> Schema:
     return Schema(tuple((name, _as_atom(atom)) for name, atom in columns))
 
 
-def _pack_batches(batches: Sequence[ResultBatch]) -> list[dict]:
-    """Serializable image of emitted result batches (checkpointing)."""
-    return [
-        {
-            "names": list(batch.names),
-            "columns": dict(batch.columns),
-            "window_index": batch.window_index,
-            "response_seconds": batch.response_seconds,
-            "breakdown": dict(batch.breakdown),
-        }
-        for batch in batches
-    ]
+def plan_sql(sql: str, catalog: Catalog) -> PlannedQuery:
+    """The planning stage: SQL compiler, then optimizer."""
+    return optimize(plan_query(sql, catalog))
 
 
-def _unpack_batches(entries: Sequence[dict]) -> list[ResultBatch]:
-    return [
-        ResultBatch(
-            names=list(entry["names"]),
-            columns=entry["columns"],
-            window_index=entry["window_index"],
-            response_seconds=entry["response_seconds"],
-            breakdown=entry["breakdown"],
-        )
-        for entry in entries
-    ]
+@dataclass(frozen=True)
+class CompiledQuery:
+    """One continuous query as :func:`compile_query` accepted it."""
+
+    #: The optimizer's output.
+    planned: PlannedQuery
+    #: What a factory runs: the DataCell rewrite, or the re-evaluation
+    #: plan for ``mode="reeval"``.
+    plan: IncrementalPlan
+    #: alias -> column -> atom, for every scan of the query.
+    schemas: SchemaMap
+    #: Static state bounds (incremental plans, when limits were given).
+    resources: Optional[ResourceReport] = None
+    #: The plan verifier's report (incremental plans, ``verify`` only).
+    verified: Optional[Report] = None
+
+
+def compile_query(
+    sql: str,
+    catalog: Catalog,
+    mode: str = "incremental",
+    limits: Optional[dict[str, tuple[Optional[int], Optional[OverflowPolicy]]]] = None,
+    verify: bool = False,
+    strict: bool = True,
+    subject: str = "query",
+) -> CompiledQuery:
+    """Compile one continuous query: the paper's chain (§3), in one place.
+
+    :func:`plan_sql`, then the DataCell rewriter (:func:`rewrite`) or, for
+    ``mode="reeval"``, :func:`reevaluation_plan`.  An incremental plan
+    goes on to the resource analyzer when ``limits`` (stream -> (capacity,
+    overflow policy)) are given, and to the plan verifier under
+    ``verify``.  ``verify`` is also the submit-time gate: a hard resource
+    finding raises :class:`ReproError` and a verifier error
+    :class:`~repro.errors.PlanVerificationError` — unless ``strict`` is
+    off (``repro lint``), which keeps both findings in the record.
+    Submit, ``EXPLAIN CONTINUOUS``, the partitioned-submit check and
+    ``repro lint`` all compile through here.
+    """
+    planned = plan_sql(sql, catalog)
+    schemas = {
+        scan.alias: dict(catalog.schema_of(scan.relation).columns)
+        for scan in find_scans(planned.plan)
+    }
+    if mode == "reeval":
+        return CompiledQuery(planned, reevaluation_plan(planned), schemas)
+    plan = rewrite(planned)
+    resources: Optional[ResourceReport] = None
+    verified: Optional[Report] = None
+    if limits is not None:
+        # Always computed when limits are known (one abstract-interpretation
+        # pass); a hard finding (a capacity that can never admit a full
+        # basic window) raises only under verify, so production submits
+        # keep their warn-at-runtime behaviour.
+        resources = analyze_resources(plan, limits, subject=subject)
+        if verify and strict and not resources.ok:
+            raise ReproError(
+                "plan resource analysis failed:\n"
+                + resources.report.render(include_warnings=False)
+            )
+    if verify:
+        verified = (check_plan if strict else verify_plan)(plan, schemas)
+    return CompiledQuery(planned, plan, schemas, resources, verified)
 
 
 @dataclass
@@ -157,7 +205,7 @@ class _PartitionedStream:
 
 
 @dataclass
-class ContinuousQuery:
+class ContinuousQuery(EmittedResults):
     """Handle to a registered continuous query."""
 
     name: str
@@ -167,25 +215,9 @@ class ContinuousQuery:
     emitter: CollectingEmitter
     #: alias -> this query's cursor on the stream's basket
     baskets: dict[str, Cursor] = field(default_factory=dict)
-    #: Static worst-case state bounds (incremental mode only): a
-    #: :class:`repro.analysis.resources.ResourceReport` computed at
-    #: submit time, or None for reeval queries.
-    resources: Optional[object] = None
-
-    def results(self) -> list[ResultBatch]:
-        """All result batches produced so far."""
-        return self.emitter.batches()
-
-    def last(self) -> Optional[ResultBatch]:
-        return self.emitter.last()
-
-    def result_rows(self) -> list[list[tuple]]:
-        """Convenience: per-window result rows."""
-        return [batch.rows() for batch in self.results()]
-
-    def response_times(self) -> list[float]:
-        """Per-window response times in seconds."""
-        return [batch.response_seconds for batch in self.results()]
+    #: Static worst-case state bounds computed at submit time
+    #: (incremental mode only; None for reeval queries).
+    resources: Optional[ResourceReport] = None
 
 
 class _StreamFeed:
@@ -288,8 +320,6 @@ class DataCellEngine:
         # same pipes, and interleaved request/reply pairs would cross.
         self._shard_pump_lock = threading.Lock()
         if partitions > 1:
-            from repro.core.shard import ShardSet
-
             self._shards = ShardSet(
                 partitions,
                 verify_plans=False,  # the coordinator verifies once
@@ -532,20 +562,21 @@ class DataCellEngine:
         return f"q{n}"
 
     def _register(self, sql: str, mode: str, query_name: str):
-        if self._shards is not None and self._partitioned:
-            from repro.sql.parser import parse
-
-            try:
-                scanned = [t.name for t in parse(sql).tables]
-            except ReproError:
-                scanned = []  # let the ordinary path raise the parse error
-            if any(t in self._partitioned for t in scanned):
-                return self._submit_partitioned(sql, mode, query_name)
-        planned = optimize(plan_query(sql, self.catalog))
-
+        stream = self._partitioned_stream(sql)
+        if stream is not None:
+            return self._partitioned_query(sql, mode, query_name, stream, submit=True)
+        compiled = compile_query(
+            sql,
+            self.catalog,
+            mode,
+            self._stream_limits,
+            verify=self.verify_plans,
+            subject=query_name,
+        )
+        plan = compiled.plan
         streams: dict[str, str] = {}  # alias -> relation
         tables: dict[str, Table] = {}
-        for scan in find_scans(planned.plan):
+        for scan in find_scans(compiled.planned.plan):
             if not scan.is_stream:
                 tables[scan.alias] = self.catalog.table(scan.relation)
             elif scan.relation in streams.values():
@@ -562,43 +593,6 @@ class DataCellEngine:
             for alias, relation in streams.items()
         }
         try:
-            resources = None
-            if mode == "reeval":
-                plan = reevaluation_plan(planned)
-            else:
-                plan = rewrite(planned)
-                # Static resource bounds (repro.analysis.resources): always
-                # computed — it is one abstract-interpretation pass — and
-                # attached to the handle; hard findings (a capacity that can
-                # never admit a full basic window) raise only in verify mode
-                # so production submits keep their warn-at-runtime behaviour.
-                from repro.analysis.resources import analyze_resources
-
-                resources = analyze_resources(
-                    plan,
-                    self._stream_limits,
-                    subject=query_name,
-                )
-                if self.verify_plans and not resources.ok:
-                    raise ReproError(
-                        "plan resource analysis failed:\n"
-                        + resources.report.render(include_warnings=False)
-                    )
-                if self.verify_plans:
-                    # Imported lazily: repro.analysis depends on this module.
-                    from repro.analysis.plan_verifier import check_plan
-
-                    schemas = {
-                        scan.alias: dict(
-                            (
-                                self.catalog.stream(scan.relation)
-                                if scan.is_stream
-                                else self.catalog.table(scan.relation)
-                            ).schema.columns
-                        )
-                        for scan in find_scans(planned.plan)
-                    }
-                    check_plan(plan, schemas)
             factory = IncrementalFactory(plan, baskets, tables, name=query_name)
             if self.fragment_sharing and plan.fragment is not None:
                 self._enable_sharing(factory, plan)
@@ -609,89 +603,89 @@ class DataCellEngine:
                 cursor.close()
             raise
         handle = ContinuousQuery(
-            query_name, sql, mode, factory, emitter, baskets, resources
+            query_name, sql, mode, factory, emitter, baskets, compiled.resources
         )
         self._queries[query_name] = handle
         self._submit_order.append(query_name)
         return handle
 
-    def _submit_partitioned(self, sql: str, mode: str, query_name: str):
-        """Replicate one query across the shard workers (DESIGN.md §14).
+    def _partitioned_stream(self, sql: str) -> Optional[str]:
+        """The ``PARTITION BY`` stream ``sql`` reads, when sharding is on."""
+        if self._shards is None or not self._partitioned:
+            return None
+        try:
+            tables = parse(sql).tables
+        except ReproError:
+            return None  # let the ordinary path raise the parse error
+        return next((t.name for t in tables if t.name in self._partitioned), None)
+
+    def _partitioned_query(
+        self, sql: str, mode: str, name: str, stream: str, submit: bool
+    ) -> PartitionedQuery:
+        """Register the coordinator-side handle of one query over a
+        partitioned stream (DESIGN.md §14).
 
         The coordinator classifies the query (concat / merge-sort /
-        re-aggregate), renders per-partition SQL against each worker's
-        private stream, statically verifies both the partition plan and
-        the synthesized merge program, and returns a
-        :class:`~repro.core.shard.PartitionedQuery` handle.
+        re-aggregate) and renders per-partition SQL against each worker's
+        private stream.  On ``submit`` it statically verifies the partition
+        plan (workers run verify off, so they never see a plan the P=1
+        engine would have rejected), replicates the query to the workers
+        and verifies the synthesized merge program; on restore the workers
+        already hold the query and only report its per-partition schema.
+        The output and partial schemas are derived here both times.
         """
-        from repro.core.shard import PartitionedQuery
-
-        from repro.sql.parser import parse
-
-        stream = next(
-            t.name for t in parse(sql).tables if t.name in self._partitioned
-        )
         state = self._partitioned[stream]
         schema = self.catalog.schema_of(stream)
         plan = plan_partition_query(sql, schema, state.spec)
-        self._verify_partition_query(plan, schema, mode)
-        anchor = None
-        if plan.flavor == "virtual":
-            # Late submits: the virtual clock already advanced to the
-            # stream's fed count; anchoring at it (not 0) keeps the first
-            # window from closing on historical watermarks.
-            anchor = self._stream_fed[stream] * VIRTUAL_TICK_US
-        part_sql = plan.partition_sql(f"__shard_{query_name}")
-        replies = self._shards.request_all(
-            ("submit", query_name, stream, part_sql, mode, plan.flavor, anchor)
-        )
-        out_names, atom_values = replies[0][1]
+        if submit:
+            if self.verify_plans:
+                compile_query(
+                    plan.partition_sql("__scratch"),
+                    scratch_catalog(schema, "__scratch"),
+                    mode,
+                    verify=True,
+                )
+            anchor = None
+            if plan.flavor == "virtual":
+                # Late submits: the virtual clock already advanced to the
+                # stream's fed count; anchoring at it (not 0) keeps the
+                # first window from closing on historical watermarks.
+                anchor = self._stream_fed[stream] * VIRTUAL_TICK_US
+            part_sql = plan.partition_sql(f"__shard_{name}")
+            reply = self._shards.request_all(
+                ("submit", name, stream, part_sql, mode, plan.flavor, anchor)
+            )[0]
+        else:
+            reply = self._shards.workers[0].request(("schema", name))
+        out_names, atom_values = reply[1]
         partials = [(n, Atom(a)) for n, a in zip(out_names, atom_values)]
-        finish_merge(plan, partials, verify=True)
-        partial_names: list[str] = []
-        partial_atoms: list[Atom] = []
+        finish_merge(plan, partials, verify=submit)
         if plan.merge is None:
             # Hidden concat-sort helpers ship with every emission but are
             # dropped after the coordinator's ordering pass.
             hidden = set(plan.concat_hidden)
-            partial_names = [n for n, __ in partials]
-            partial_atoms = [a for __, a in partials]
-            visible_names = [n for n in partial_names if n not in hidden]
-            visible_atoms = [a for n, a in partials if n not in hidden]
+            visible = [(n, a) for n, a in partials if n not in hidden]
         else:
             compiled = plan.merge.compiled
             atom_of = dict(zip(compiled.output_names, compiled.output_atoms))
-            visible_names = list(plan.merge.visible)
-            visible_atoms = [atom_of[n] for n in visible_names]
+            visible = [(n, atom_of[n]) for n in plan.merge.visible]
+            partials = []
         handle = PartitionedQuery(
-            name=query_name,
+            name=name,
             sql=sql,
             mode=mode,
             plan=plan,
-            output_names=visible_names,
-            output_atoms=visible_atoms,
+            output_names=[n for n, __ in visible],
+            output_atoms=[a for __, a in visible],
             partitions=self.partitions,
-            partial_names=partial_names,
-            partial_atoms=partial_atoms,
+            partial_names=[n for n, __ in partials],
+            partial_atoms=[a for __, a in partials],
         )
         if plan.flavor == "time":
-            state.pending_anchor.add(query_name)
-        self._pqueries[query_name] = handle
-        self._submit_order.append(query_name)
+            state.pending_anchor.add(name)
+        self._pqueries[name] = handle
+        self._submit_order.append(name)
         return handle
-
-    def _verify_partition_query(self, plan, schema: Schema, mode: str) -> None:
-        """Static checks the coordinator runs so workers never see a plan
-        the P=1 engine would have rejected (workers run verify off)."""
-        if not self.verify_plans:
-            return
-        catalog = scratch_catalog(schema, "__scratch")
-        planned = optimize(plan_query(plan.partition_sql("__scratch"), catalog))
-        if mode == "incremental":
-            from repro.analysis.plan_verifier import check_plan
-
-            rewritten = rewrite(planned)
-            check_plan(rewritten, {plan.alias: dict(worker_schema(schema))})
 
     def _enable_sharing(self, factory: IncrementalFactory, plan) -> None:
         """Register a single-stream factory with the shared fragment cache.
@@ -823,36 +817,44 @@ class DataCellEngine:
             raise CatalogError(f"unknown stream {stream!r}")
         if (rows is None) == (columns is None):
             raise ReproError("feed needs exactly one of rows= or columns=")
-        if self._dur is None:
-            return self._feed_impl(stream, rows, columns, timestamps)
-        if rows is not None:
-            rows = list(rows)
+        if self._dur is None and stream not in self._partitioned:
+            return self._append(stream, rows, columns, timestamps)
+        typed, count = self._typed_batch(stream, rows, columns, timestamps)
+        ts = None if timestamps is None else np.asarray(timestamps, dtype=np.int64)
         # Write-ahead: the record lands before the basket admits a tuple,
         # so replay re-offers the batch through the restored overflow
-        # policy (RNG state included) and reproduces its decision.
-        with self._dur.lock:
-            self._dur.journal(
-                "feed", self._feed_record(stream, rows, columns, timestamps)
-            )
-            return self._feed_impl(stream, rows, columns, timestamps)
+        # policy (RNG state included) and reproduces its decision.  What
+        # is journaled is exactly what is admitted or routed.
+        with self._dur_guard():
+            if self._dur is not None:
+                record: dict = {"stream": stream, "columns": typed}
+                if ts is not None:
+                    record["timestamps"] = ts
+                self._dur.journal("feed", record)
+            if stream in self._partitioned:
+                return self._feed_partitioned(stream, typed, count, ts)
+            return self._append(stream, None, typed, ts)
 
-    def _feed_columns(
+    def _typed_batch(
         self,
         stream: str,
-        rows: Optional[list],
+        rows: Optional[Iterable[Sequence]],
         columns: Optional[Mapping[str, Sequence | np.ndarray]],
         timestamps: Optional[Sequence[int] | np.ndarray],
-    ) -> tuple[Mapping[str, Sequence | np.ndarray], int]:
-        """One feed batch as ``({column: values}, tuple count)``, checked
-        against ``stream``'s schema: row arity, exactly the schema's
-        columns, equal column lengths and one timestamp per tuple.
+    ) -> tuple[dict[str, np.ndarray], int]:
+        """One feed batch as ``({column: typed array}, tuple count)``,
+        checked against ``stream``'s schema — row arity, exactly the
+        schema's columns, equal column lengths and one timestamp per
+        tuple — and typed by :func:`typed_values`.
 
         Runs before a batch is journaled or routed, so a batch the basket
         would reject never reaches the journal (where replay would raise
         it again and the data dir could not be restored).
         """
-        names = self.catalog.schema_of(stream).names
+        schema = self.catalog.schema_of(stream)
+        names = schema.names
         if rows is not None:
+            rows = list(rows)
             for row in rows:
                 if len(row) != len(names):
                     raise BasketError(
@@ -873,38 +875,17 @@ class DataCellEngine:
             count = lengths.pop() if lengths else 0
         if timestamps is not None and len(timestamps) != count:
             raise BasketError("timestamp column length mismatch")
-        return cols, count
+        typed = {name: typed_values(cols[name], atom) for name, atom in schema.columns}
+        return typed, count
 
-    def _feed_record(
-        self,
-        stream: str,
-        rows: Optional[list],
-        columns: Optional[Mapping[str, Sequence | np.ndarray]],
-        timestamps: Optional[Sequence[int] | np.ndarray],
-    ) -> dict:
-        """Typed, replayable image of one (checked) feed batch."""
-        schema = self.catalog.schema_of(stream)
-        cols, __ = self._feed_columns(stream, rows, columns, timestamps)
-        record: dict = {
-            "stream": stream,
-            "columns": {
-                name: typed_values(values, schema.atom_of(name))
-                for name, values in cols.items()
-            },
-        }
-        if timestamps is not None:
-            record["timestamps"] = np.asarray(timestamps, dtype=np.int64)
-        return record
-
-    def _feed_impl(
+    def _append(
         self,
         stream: str,
         rows: Optional[Iterable[Sequence]],
         columns: Optional[Mapping[str, Sequence | np.ndarray]],
         timestamps: Optional[Sequence[int] | np.ndarray],
     ) -> int:
-        if stream in self._partitioned:
-            return self._feed_partitioned(stream, rows, columns, timestamps)
+        """Admit one batch into an in-process stream's basket."""
         log = self._logs[stream]
         if rows is not None:
             rows = list(rows)
@@ -924,11 +905,11 @@ class DataCellEngine:
     def _feed_partitioned(
         self,
         stream: str,
-        rows: Optional[Iterable[Sequence]],
-        columns: Optional[Mapping[str, Sequence | np.ndarray]],
-        timestamps: Optional[Sequence[int] | np.ndarray],
+        typed: dict[str, np.ndarray],
+        count: int,
+        timestamps: Optional[np.ndarray],
     ) -> int:
-        """Hash-route one batch to the shard workers.
+        """Hash-route one typed batch to the shard workers.
 
         Each tuple additionally carries its global arrival offset
         (``__seq``) — the workers' virtual clock and the merge layer's
@@ -938,22 +919,10 @@ class DataCellEngine:
         a ``Fail`` policy therefore surfaces at the next
         :meth:`run_until_idle`, not at ``feed`` itself.
         """
-        from repro.core.shard import as_typed_columns, split_fixed_columns
-
         state = self._partitioned[stream]
-        schema = self.catalog.schema_of(stream)
-        names = schema.names
-        rows = list(rows) if rows is not None else None
-        cols, count = self._feed_columns(stream, rows, columns, timestamps)
-        typed = as_typed_columns(
-            cols, {name: schema.atom_of(name) for name in names}
-        )
         base = self._stream_fed[stream]
         seq = np.arange(base, base + count, dtype=np.int64)
-        if timestamps is not None:
-            ts = np.asarray(timestamps, dtype=np.int64)
-        else:
-            ts = seq
+        ts = timestamps if timestamps is not None else seq
         if count and state.pending_anchor:
             # First arrival after a real-time query's submit anchors its
             # window origin in every partition (pipe FIFO: the anchor
@@ -973,7 +942,7 @@ class DataCellEngine:
         # the P=1 watermark (newest arrival timestamp, ``tail[-1]``).
         ts_watermark = int(ts[-1]) if count else None
         for p, idx in enumerate(routes):
-            part = {name: typed[name][idx] for name in names}
+            part = {name: values[idx] for name, values in typed.items()}
             part[SEQ_COLUMN] = seq[idx]
             part[TS_COLUMN] = ts[idx]
             fixed, pickled = split_fixed_columns(part)
@@ -1298,10 +1267,6 @@ class DataCellEngine:
             },
             "pqueries": {
                 name: {
-                    "output_names": list(h.output_names),
-                    "output_atoms": [a.value for a in h.output_atoms],
-                    "partial_names": list(h.partial_names),
-                    "partial_atoms": [a.value for a in h.partial_atoms],
                     "next_window": h.next_window,
                     "progress": list(h.progress),
                     "pending": [
@@ -1314,7 +1279,7 @@ class DataCellEngine:
                         ]
                         for window, parts in sorted(h.pending.items())
                     ],
-                    "batches": _pack_batches(h.batches),
+                    "emitter": h.emitter.snapshot_state(),
                 }
                 for name, h in self._pqueries.items()
             },
@@ -1382,31 +1347,12 @@ class DataCellEngine:
 
     def _restore_partitioned_query(self, entry: dict, pstate: dict) -> None:
         """Rebuild one partitioned handle without re-submitting to the
-        (already restored) shard workers."""
-        from repro.core.shard import PartitionedQuery
-        from repro.sql.parser import parse
-
-        name, sql = entry["name"], entry["sql"]
-        stream = next(
-            t.name for t in parse(sql).tables if t.name in self._partitioned
-        )
-        ps = self._partitioned[stream]
-        schema = self.catalog.schema_of(stream)
-        plan = plan_partition_query(sql, schema, ps.spec)
-        reply = self._shards.workers[0].request(("schema", name))
-        out_names, atom_values = reply[1]
-        partials = [(n, Atom(a)) for n, a in zip(out_names, atom_values)]
-        finish_merge(plan, partials, verify=False)
-        handle = PartitionedQuery(
-            name=name,
-            sql=sql,
-            mode=entry["mode"],
-            plan=plan,
-            output_names=list(pstate["output_names"]),
-            output_atoms=[Atom(a) for a in pstate["output_atoms"]],
-            partitions=self.partitions,
-            partial_names=list(pstate["partial_names"]),
-            partial_atoms=[Atom(a) for a in pstate["partial_atoms"]],
+        (already restored) shard workers, then adopt its merge state."""
+        sql = entry["sql"]
+        stream = self._partitioned_stream(sql)
+        assert stream is not None
+        handle = self._partitioned_query(
+            sql, entry["mode"], entry["name"], stream, submit=False
         )
         handle.next_window = pstate["next_window"]
         handle.progress = [int(x) for x in pstate["progress"]]
@@ -1416,9 +1362,7 @@ class DataCellEngine:
             }
             for window, parts in pstate["pending"]
         }
-        handle.batches = _unpack_batches(pstate["batches"])
-        self._pqueries[name] = handle
-        self._submit_order.append(name)
+        handle.emitter.restore_state(pstate["emitter"])
 
     def _dedup_wrapper(self, watermark: int):
         """Sink filter dropping windows the snapshot already emitted."""
@@ -1507,7 +1451,7 @@ class DataCellEngine:
             name: {
                 "route": handle.plan.route,
                 "flavor": handle.plan.flavor,
-                "windows": len(handle.batches),
+                "windows": handle.emitter.total_batches,
                 "lag": handle.lag(),
             }
             for name, handle in self._pqueries.items()
@@ -1524,7 +1468,7 @@ class DataCellEngine:
     # ------------------------------------------------------------------
     def query_once(self, sql: str) -> dict[str, list]:
         """Run a one-time query over base tables, returning named columns."""
-        planned = optimize(plan_query(sql, self.catalog))
+        planned = plan_sql(sql, self.catalog)
         for scan in find_scans(planned.plan):
             if scan.is_stream:
                 raise UnsupportedQueryError(
@@ -1548,10 +1492,8 @@ class DataCellEngine:
 
     def explain(self, sql: str) -> str:
         """The optimized logical plan, as text."""
-        planned = optimize(plan_query(sql, self.catalog))
-        return pretty_plan(planned.plan)
+        return pretty_plan(plan_sql(sql, self.catalog).plan)
 
     def explain_continuous(self, sql: str) -> str:
         """The rewritten incremental programs, as text."""
-        planned = optimize(plan_query(sql, self.catalog))
-        return rewrite(planned).describe()
+        return compile_query(sql, self.catalog).plan.describe()

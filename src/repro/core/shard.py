@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.emitter import CollectingEmitter, EmittedResults
 from repro.core.factory import ResultBatch
 from repro.core.partition import (
     SEQ_COLUMN,
@@ -45,7 +46,7 @@ from repro.core.partition import (
 from repro.core.overflow import parse_overflow_spec, policy_spec
 from repro.core.windows import TS_COLUMN
 from repro.errors import ReproError
-from repro.kernel.atoms import Atom, numpy_dtype
+from repro.kernel.atoms import Atom
 from repro.kernel.storage import SegmentMeta, read_segment, write_segment
 
 #: Batches with at least this many rows ship fixed-width columns through
@@ -484,13 +485,13 @@ class ShardSet:
 # the sharded query handle (coordinator side)
 # ----------------------------------------------------------------------
 @dataclass
-class PartitionedQuery:
+class PartitionedQuery(EmittedResults):
     """Handle to a continuous query replicated across shard workers.
 
     API-compatible with :class:`repro.core.engine.ContinuousQuery` for
-    results access (``results``/``last``/``result_rows``/
-    ``response_times``); there is no single ``factory`` — each partition
-    runs its own, and the merge happens here as emissions arrive.
+    results access (:class:`~repro.core.emitter.EmittedResults`); there
+    is no single ``factory`` — each partition runs its own, and the merge
+    happens here as emissions arrive and emits into ``emitter``.
     """
 
     name: str
@@ -511,26 +512,13 @@ class PartitionedQuery:
         default_factory=dict
     )
     next_window: int = 1
-    batches: list[ResultBatch] = field(default_factory=list)
+    emitter: CollectingEmitter = field(default_factory=CollectingEmitter)
     #: Highest window_index received per partition (lag gauge source).
     progress: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.progress:
             self.progress = [0] * self.partitions
-
-    # -- ContinuousQuery-compatible results API -------------------------
-    def results(self) -> list[ResultBatch]:
-        return list(self.batches)
-
-    def last(self) -> Optional[ResultBatch]:
-        return self.batches[-1] if self.batches else None
-
-    def result_rows(self) -> list[list[tuple]]:
-        return [batch.rows() for batch in self.batches]
-
-    def response_times(self) -> list[float]:
-        return [batch.response_seconds for batch in self.batches]
 
     # -- collection ------------------------------------------------------
     def offer(
@@ -587,7 +575,8 @@ class PartitionedQuery:
                     self.plan, interp, part_columns, profiler
                 )
             merge_seconds = _time.perf_counter() - start
-            self.batches.append(
+            self.emitter(
+                self.name,
                 ResultBatch(
                     names=list(names),
                     columns=columns,
@@ -597,7 +586,7 @@ class PartitionedQuery:
                         "partition_max": worst,
                         "shard_merge": merge_seconds,
                     },
-                )
+                ),
             )
             self.next_window += 1
             merged += 1
@@ -621,19 +610,3 @@ def split_fixed_columns(
         (pickled if arr.dtype.hasobject else fixed)[name] = arr
     return fixed, pickled
 
-
-def as_typed_columns(
-    columns: dict[str, object], schema_atoms: dict[str, Atom]
-) -> dict[str, np.ndarray]:
-    """Coerce user feed columns to their schema dtypes (routing needs
-    real arrays; object columns become object arrays)."""
-    out: dict[str, np.ndarray] = {}
-    for name, values in columns.items():
-        atom = schema_atoms[name]
-        if atom == Atom.STR:
-            arr = np.empty(len(values), dtype=object)  # type: ignore[arg-type]
-            arr[:] = list(values)  # type: ignore[arg-type]
-        else:
-            arr = np.asarray(values, dtype=numpy_dtype(atom))
-        out[name] = arr
-    return out

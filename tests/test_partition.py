@@ -539,8 +539,8 @@ class TestLifecycle:
                     },
                 )
                 engine.run_until_idle()
-                windows += len(q.batches)
-                q.batches.clear()  # a subscriber that takes what it reads
+                # A subscriber that takes what it reads.
+                windows += len(q.emitter.drain())
                 if round_no in (10, 40):
                     sizes[round_no] = engine.checkpoint()["bytes"]
             assert windows == 1999
@@ -552,6 +552,42 @@ class TestLifecycle:
             assert sizes[40] <= 1.1 * sizes[10], sizes
         finally:
             engine.close()
+
+    def test_merged_windows_counter_never_decreases(self, tmp_path):
+        """Regression: ``repro_partition_merged_windows_total`` read the
+        handle's retained batches, so a subscriber that took them reset
+        the counter to 0.  It counts merged windows: across a take and
+        across a checkpoint/restore it only grows."""
+        data_dir = str(tmp_path / "dd")
+        engine = DataCellEngine(partitions=2, data_dir=data_dir)
+        sql = "SELECT k, sum(v) AS t FROM s [RANGE 4 SLIDE 2] GROUP BY k"
+        readings = []
+
+        def feed_and_read(engine, start):
+            values = np.arange(start, start + 8, dtype=np.int64)
+            engine.feed("s", columns={"k": values % 3, "v": values})
+            engine.run_until_idle()
+            readings.append(engine.partition_stats()["queries"]["q"]["windows"])
+
+        try:
+            engine.create_stream(
+                "s", [("k", "int"), ("v", "int")], partition_by="k"
+            )
+            q = engine.submit(sql, name="q")
+            feed_and_read(engine, 0)
+            q.emitter.drain()
+            readings.append(engine.partition_stats()["queries"]["q"]["windows"])
+            feed_and_read(engine, 8)
+            engine.checkpoint()
+        finally:
+            engine.abandon()
+        engine = DataCellEngine.restore(data_dir)
+        try:
+            readings.append(engine.partition_stats()["queries"]["q"]["windows"])
+            feed_and_read(engine, 16)
+        finally:
+            engine.close()
+        assert readings == [3, 3, 7, 7, 11]
 
     def test_partition_stats_shape(self):
         engine = DataCellEngine(partitions=2)

@@ -568,8 +568,14 @@ def _dir_listing(data_dir) -> list:
 @pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
 @pytest.mark.parametrize(
     "format_, named",
-    [(None, "no format number"), (1, "format 1"), (2, "format 2"), (3, "format 3")],
-    ids=["missing", "format-1", "format-2", "format-3"],
+    [
+        (None, "no format number"),
+        (1, "format 1"),
+        (2, "format 2"),
+        (3, "format 3"),
+        (4, "format 4"),
+    ],
+    ids=["missing", "format-1", "format-2", "format-3", "format-4"],
 )
 def test_restore_refuses_a_dir_in_another_format(
     tmp_path, monkeypatch, format_, named, checkpointed
@@ -638,6 +644,32 @@ def test_rejected_feed_leaves_the_data_dir_restorable(tmp_path, bad):
         engine.run_until_idle()
         got = [batch.rows() for batch in engine.query("q").results()]
         assert got == expected
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("partitions", [1, 2])
+def test_str_column_fed_other_values_restores_as_it_ran(tmp_path, partitions):
+    """Regression: a durable feed journaled the batch typed (an int fed
+    to a ``str`` column became ``'1'``) but admitted the raw columns, so
+    the live query emitted ``(1, 4)`` and the restored one ``('1', 4)``.
+    The journaled image is now what is admitted or routed."""
+    data_dir = str(tmp_path / "dd")
+    engine = DataCellEngine(partitions=partitions, data_dir=data_dir)
+    try:
+        engine.create_stream("s", [("k", "str"), ("v", "int")], partition_by="k")
+        engine.submit("SELECT k, v FROM s [RANGE 2 SLIDE 2]", name="q")
+        engine.feed("s", rows=[(1, 4), (2, 5), (3, 6), (1, 7)])
+        engine.run_until_idle()
+        live = [sorted(rows) for rows in engine.query("q").result_rows()]
+        assert live == [[("1", 4), ("2", 5)], [("1", 7), ("3", 6)]]
+    finally:
+        engine.abandon()
+    engine = DataCellEngine.restore(data_dir)
+    try:
+        engine.run_until_idle()
+        restored = [sorted(rows) for rows in engine.query("q").result_rows()]
+        assert restored == live
     finally:
         engine.close()
 
