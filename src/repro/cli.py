@@ -34,10 +34,10 @@ docs/OPERATIONS.md).  The ``STATS`` command prints per-stream overload
 counters and per-factory profiler snapshots.
 
 ``--partitions P`` enables key-partitioned streams: ``CREATE STREAM ...
-PARTITION BY col`` then hash-routes arriving tuples across P shard
-worker processes and merges each query's per-partition windows back
-exactly (DESIGN.md §14).  With the default ``--partitions 1`` the
-``PARTITION BY`` clause is accepted but execution stays in-process.
+PARTITION BY col`` then hash-routes arriving tuples across P partition
+engines and merges each query's per-partition windows back exactly
+(DESIGN.md §14).  With the default ``--partitions 1`` the ``PARTITION BY``
+clause is accepted and the stream runs as an ordinary one.
 
 ``python -m repro lint [...]`` is a separate subcommand that statically
 verifies rewritten plans (see :mod:`repro.analysis.lint`), and
@@ -623,7 +623,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             console.println()
         return 0
     finally:
-        # close() stops shard workers and unlinks their shm segments.
         console.engine.close()
 
 

@@ -65,7 +65,7 @@ from repro.core.receptor import Receptor
 from repro.core.rewriter import IncrementalPlan, reevaluation_plan, rewrite
 from repro.core.rewriter.canonical import fragment_fingerprint
 from repro.core.scheduler import Scheduler
-from repro.core.shard import PartitionedQuery, ShardSet, split_fixed_columns
+from repro.core.shard import PartitionedQuery, ShardSet
 from repro.errors import (
     BasketError,
     BasketOverflowError,
@@ -303,28 +303,24 @@ class DataCellEngine:
         # retries/drops, summed into `profiler` at read time.
         self._receptors: list[Receptor] = []
         self._interp = Interpreter()
-        #: Sharded execution (DESIGN.md §14): ``partitions > 1`` spawns
-        #: one worker process per partition *eagerly* (before any scheduler
-        #: threads exist, so fork stays safe) and enables ``PARTITION BY``
-        #: streams.  With ``partitions=1`` such streams degrade to the
-        #: ordinary in-process path — same results, no worker processes.
+        #: Partitioned execution (DESIGN.md §14): ``partitions > 1`` builds
+        #: one private engine per partition (:class:`ShardSet`) and enables
+        #: ``PARTITION BY`` streams.  With ``partitions=1`` such streams
+        #: take the ordinary path — same results, no partition engines.
         self.partitions = partitions
-        self._shards = None
+        self._shards: Optional[ShardSet] = None
         self._partitioned: dict[str, _PartitionedStream] = {}
         self._pqueries: dict[str, "PartitionedQuery"] = {}
         #: Query names in submission order (both kinds) — the resubmission
         #: order a snapshot restore follows.
         self._submit_order: list[str] = []
-        # Serializes the shard pump (run_until_idle's worker section)
-        # against checkpoint's worker-snapshot request: both talk on the
-        # same pipes, and interleaved request/reply pairs would cross.
+        # Serializes the partition pump (run_until_idle's partition
+        # section) against checkpoint's snapshot of the partition engines:
+        # that snapshot does not quiesce a partition's scheduler, so it
+        # must not run while the pump fires the partitions.
         self._shard_pump_lock = threading.Lock()
         if partitions > 1:
-            self._shards = ShardSet(
-                partitions,
-                verify_plans=False,  # the coordinator verifies once
-                fragment_sharing=fragment_sharing,
-            )
+            self._shards = ShardSet(partitions, fragment_sharing)
         #: Durability (DESIGN.md §15): a data_dir arms the write-ahead
         #: journal; every state-changing call below appends a record
         #: before returning.  ``DataCellEngine.restore(data_dir)``
@@ -407,10 +403,10 @@ class DataCellEngine:
 
         ``partition_by`` names a key column: arriving tuples are
         hash-routed into ``engine.partitions`` disjoint sub-streams and
-        every query over the stream runs replicated across the shard
-        worker processes (DESIGN.md §14).  With ``partitions=1`` the
-        declaration is accepted but execution stays in-process — the
-        fallback is exact, results never differ.  Float keys are
+        every query over the stream runs replicated across the partition
+        engines (DESIGN.md §14).  With ``partitions=1`` the declaration is
+        accepted and the stream is an ordinary one — the fallback is
+        exact, results never differ.  Float keys are
         rejected (no deterministic hash); ``capacity``/``overflow`` are
         applied per partition, so a bounded partitioned stream parks at
         most ``capacity × partitions × queries`` tuples and shedding
@@ -426,7 +422,7 @@ class DataCellEngine:
         """
         with self._dur_guard():
             schema = self._create_stream_impl(
-                name, columns, capacity, overflow, partition_by, broadcast=True
+                name, columns, capacity, overflow, partition_by, restoring=False
             )
             if self._dur is not None:
                 self._dur.journal(
@@ -447,10 +443,10 @@ class DataCellEngine:
         capacity: Optional[int],
         overflow: Optional[OverflowPolicy],
         partition_by: Optional[str],
-        broadcast: bool,
+        restoring: bool,
     ) -> Schema:
         """Shared by :meth:`create_stream` and the snapshot-restore path
-        (which skips the worker broadcast — workers restore themselves)."""
+        (which leaves the partitions alone — they restore themselves)."""
         if overflow is not None and capacity is None:
             raise ReproError("an overflow policy needs a capacity")
         schema = _as_schema(columns)
@@ -473,16 +469,11 @@ class DataCellEngine:
             self._partitioned[name] = _PartitionedStream(
                 spec, key_atom, routed=[0] * self.partitions
             )
-            if broadcast:
-                self._shards.broadcast(
-                    (
-                        "create_stream",
-                        name,
-                        [(c, a.value) for c, a in worker_schema(schema)],
-                        capacity,
-                        overflow,
+            if not restoring:
+                for part in self._shards.parts:
+                    part.create_stream(
+                        name, worker_schema(schema), capacity, overflow
                     )
-                )
         return schema
 
     def create_table(self, name: str, columns: Sequence[tuple[str, object]]) -> Table:
@@ -626,13 +617,14 @@ class DataCellEngine:
         partitioned stream (DESIGN.md §14).
 
         The coordinator classifies the query (concat / merge-sort /
-        re-aggregate) and renders per-partition SQL against each worker's
-        private stream.  On ``submit`` it statically verifies the partition
-        plan (workers run verify off, so they never see a plan the P=1
-        engine would have rejected), replicates the query to the workers
-        and verifies the synthesized merge program; on restore the workers
-        already hold the query and only report its per-partition schema.
-        The output and partial schemas are derived here both times.
+        re-aggregate) and renders per-partition SQL against each
+        partition's private stream.  On ``submit`` it statically verifies
+        the partition plan (partition engines run verify off, so they never
+        see a plan the P=1 engine would have rejected), replicates the
+        query to the partitions and verifies the synthesized merge program;
+        on restore the partitions already hold the query and only report
+        its per-partition schema.  The output and partial schemas are
+        derived here both times.
         """
         state = self._partitioned[stream]
         schema = self.catalog.schema_of(stream)
@@ -652,13 +644,14 @@ class DataCellEngine:
                 # first window from closing on historical watermarks.
                 anchor = self._stream_fed[stream] * VIRTUAL_TICK_US
             part_sql = plan.partition_sql(f"__shard_{name}")
-            reply = self._shards.request_all(
-                ("submit", name, stream, part_sql, mode, plan.flavor, anchor)
-            )[0]
+            schemas = [
+                part.submit(name, stream, part_sql, mode, plan.flavor, anchor)
+                for part in self._shards.parts
+            ]
+            out_names, out_atoms = schemas[0]
         else:
-            reply = self._shards.workers[0].request(("schema", name))
-        out_names, atom_values = reply[1]
-        partials = [(n, Atom(a)) for n, a in zip(out_names, atom_values)]
+            out_names, out_atoms = self._shards.parts[0].output_schema(name)
+        partials = list(zip(out_names, out_atoms))
         finish_merge(plan, partials, verify=submit)
         if plan.merge is None:
             # Hidden concat-sort helpers ship with every emission but are
@@ -774,7 +767,8 @@ class DataCellEngine:
             self._submit_order.remove(name)
         if name in self._pqueries:
             del self._pqueries[name]
-            self._shards.broadcast(("remove", name))
+            for part in self._shards.parts:
+                part.remove(name)
             for state in self._partitioned.values():
                 state.pending_anchor.discard(name)
             return
@@ -817,8 +811,6 @@ class DataCellEngine:
             raise CatalogError(f"unknown stream {stream!r}")
         if (rows is None) == (columns is None):
             raise ReproError("feed needs exactly one of rows= or columns=")
-        if self._dur is None and stream not in self._partitioned:
-            return self._append(stream, rows, columns, timestamps)
         typed, count = self._typed_batch(stream, rows, columns, timestamps)
         ts = None if timestamps is None else np.asarray(timestamps, dtype=np.int64)
         # Write-ahead: the record lands before the basket admits a tuple,
@@ -833,7 +825,7 @@ class DataCellEngine:
                 self._dur.journal("feed", record)
             if stream in self._partitioned:
                 return self._feed_partitioned(stream, typed, count, ts)
-            return self._append(stream, None, typed, ts)
+            return self._append(stream, typed, count, ts)
 
     def _typed_batch(
         self,
@@ -847,9 +839,11 @@ class DataCellEngine:
         schema's columns, equal column lengths and one timestamp per
         tuple — and typed by :func:`typed_values`.
 
-        Runs before a batch is journaled or routed, so a batch the basket
-        would reject never reaches the journal (where replay would raise
-        it again and the data dir could not be restored).
+        Every feed takes this path, so a stream admits the same typed
+        values whether it is plain, partitioned or durable.  It runs before
+        a batch is journaled or routed, so a batch the basket would reject
+        never reaches the journal (where replay would raise it again and
+        the data dir could not be restored).
         """
         schema = self.catalog.schema_of(stream)
         names = schema.names
@@ -881,20 +875,13 @@ class DataCellEngine:
     def _append(
         self,
         stream: str,
-        rows: Optional[Iterable[Sequence]],
-        columns: Optional[Mapping[str, Sequence | np.ndarray]],
-        timestamps: Optional[Sequence[int] | np.ndarray],
+        typed: dict[str, np.ndarray],
+        count: int,
+        timestamps: Optional[np.ndarray],
     ) -> int:
-        """Admit one batch into an in-process stream's basket."""
+        """Admit one typed batch into an unpartitioned stream's basket."""
         log = self._logs[stream]
-        if rows is not None:
-            rows = list(rows)
-            count = len(rows)
-            log.append_rows(rows, timestamps)
-        else:
-            assert columns is not None
-            log.append_columns(columns, timestamps)
-            count = len(next(iter(columns.values())))
+        log.append_columns(typed, timestamps)
         if not log.readers:
             # Nobody reads the stream: keep nothing, but the arrival
             # offset still moves, so later cursors start on the same axis.
@@ -909,15 +896,18 @@ class DataCellEngine:
         count: int,
         timestamps: Optional[np.ndarray],
     ) -> int:
-        """Hash-route one typed batch to the shard workers.
+        """Hash-route one typed batch to the partitions.
 
         Each tuple additionally carries its global arrival offset
-        (``__seq``) — the workers' virtual clock and the merge layer's
+        (``__seq``) — the partitions' virtual clock and the merge layer's
         tie-breaker.  Missing timestamps default to the arrival offset,
         exactly the per-basket logical clock the P=1 path would assign.
-        Overflow on bounded partitioned streams is enforced worker-side;
-        a ``Fail`` policy therefore surfaces at the next
-        :meth:`run_until_idle`, not at ``feed`` itself.
+        Overflow on bounded partitioned streams is enforced per partition.
+        A partition that rejects its share (a ``Fail`` policy's
+        :class:`~repro.errors.BasketOverflowError`) does not stop the
+        others: every partition is offered its share, the routed counts
+        and the stream's arrival offset advance by the whole batch, and
+        only then is the first partition's error raised.
         """
         state = self._partitioned[stream]
         base = self._stream_fed[stream]
@@ -925,11 +915,11 @@ class DataCellEngine:
         ts = timestamps if timestamps is not None else seq
         if count and state.pending_anchor:
             # First arrival after a real-time query's submit anchors its
-            # window origin in every partition (pipe FIFO: the anchor
-            # lands before this batch's feed message).
+            # window origin in every partition, before this batch lands.
             origin = int(ts[0])
             for qname in sorted(state.pending_anchor):
-                self._shards.broadcast(("anchor", qname, origin))
+                for part in self._shards.parts:
+                    part.anchor(qname, origin)
             state.pending_anchor.clear()
         routes = route_columns(
             typed, state.spec.key, state.key_atom, self.partitions
@@ -941,16 +931,21 @@ class DataCellEngine:
         # didn't route to would hold its window open forever.  Mirrors
         # the P=1 watermark (newest arrival timestamp, ``tail[-1]``).
         ts_watermark = int(ts[-1]) if count else None
+        error: Optional[ReproError] = None
         for p, idx in enumerate(routes):
-            part = {name: values[idx] for name, values in typed.items()}
-            part[SEQ_COLUMN] = seq[idx]
-            part[TS_COLUMN] = ts[idx]
-            fixed, pickled = split_fixed_columns(part)
-            self._shards.feed_partition(
-                p, stream, fixed, pickled, watermark, ts_watermark
-            )
+            share = {name: values[idx] for name, values in typed.items()}
+            share[SEQ_COLUMN] = seq[idx]
+            share[TS_COLUMN] = ts[idx]
+            try:
+                self._shards.feed_partition(
+                    p, stream, share, watermark, ts_watermark
+                )
+            except ReproError as exc:  # raised once every partition is fed
+                error = error or exc
             state.routed[p] += len(idx)
         self._stream_fed[stream] += count
+        if error is not None:
+            raise error
         return count
 
     def advance_time(self, stream: str, ts: int) -> None:
@@ -965,7 +960,8 @@ class DataCellEngine:
             if stream in self._partitioned:
                 # Real-time queries only; the virtual (count) axis advances
                 # with the fed count and ignores user punctuations.
-                self._shards.broadcast(("advance", stream, int(ts)))
+                for part in self._shards.parts:
+                    part.advance(stream, int(ts))
             else:
                 self._logs[stream].advance_watermark(ts)
             if self._dur is not None:
@@ -991,11 +987,10 @@ class DataCellEngine:
     def run_until_idle(self) -> int:
         """Fire all ready factories until quiescence; returns firings.
 
-        With shard workers attached this also pumps them: every worker
-        runs its own scheduler to quiescence (concurrently — the request
-        fans out before any reply is awaited), emitted windows are
-        collected, and every window all partitions have reported is
-        merged here, in window order.
+        With partitions this also pumps them: each partition engine runs
+        its own scheduler to quiescence, in partition order, emitted
+        windows are collected, and every window all partitions have
+        reported is merged here, in window order.
         """
         fired = self.scheduler.run_until_idle()
         if self._shards is not None:
@@ -1056,7 +1051,7 @@ class DataCellEngine:
         """Run the scheduler in the background (used with receptors)."""
         if self._pqueries:
             raise UnsupportedQueryError(
-                "background mode does not pump shard workers; drive "
+                "background mode does not pump partitions; drive "
                 "partitioned queries with run_until_idle()"
             )
         self.scheduler.start(poll_interval=poll_interval)
@@ -1065,15 +1060,8 @@ class DataCellEngine:
         self.scheduler.stop(drain=drain)
 
     def close(self) -> None:
-        """Stop background work and release everything the engine holds.
-
-        Shard workers are shut down gracefully and every outstanding
-        shared-memory segment is unlinked — ``/dev/shm`` holds nothing of
-        this engine's after close (the CI partition job asserts this).
-        """
+        """Stop background work and release everything the engine holds."""
         self.scheduler.stop(drain=False)
-        if self._shards is not None:
-            self._shards.close()
         if self._dur is not None:
             self._dur.close()
 
@@ -1086,7 +1074,7 @@ class DataCellEngine:
         Holds the journal lock (no new commands commit) and quiesces the
         scheduler (no factory is mid-firing), gathers the full engine
         state — baskets, factory partials, emitters, scheduler step
-        counters, fragment cache, shard workers — and commits it through
+        counters, fragment cache, partitions — and commits it through
         :meth:`DurabilityManager.write_checkpoint`.  Returns the stats
         dict (``snapshot_id``/``horizon``/``bytes``/``seconds``).
         """
@@ -1165,17 +1153,15 @@ class DataCellEngine:
     def abandon(self) -> None:
         """Die without cleanup — the crash-test path.
 
-        No drain, no checkpoint, no graceful worker shutdown: shard
-        processes are terminated, the journal fd is closed (every append
-        already fsynced itself), and whatever was in memory is lost —
-        exactly what :meth:`restore` must recover from.
+        No drain, no checkpoint: the journal fd is closed (every append
+        already fsynced itself), and whatever was in memory — the
+        partitions' state too — is lost, exactly what :meth:`restore`
+        must recover from.
         """
         try:
             self.scheduler.stop(drain=False)
         except Exception:  # noqa: BLE001 - crash path: state is forfeit
             pass
-        if self._shards is not None:
-            self._shards.abandon()
         if self._dur is not None:
             self._dur.close()
 
@@ -1285,9 +1271,7 @@ class DataCellEngine:
             },
         }
         if self._shards is not None:
-            state["shards"] = [
-                reply[1] for reply in self._shards.request_all(("snapshot",))
-            ]
+            state["shards"] = [part.snapshot_state() for part in self._shards.parts]
         return state
 
     def _apply_state(self, state: dict) -> None:
@@ -1301,7 +1285,7 @@ class DataCellEngine:
                 if decl["overflow"]
                 else None,
                 decl["partition_by"],
-                broadcast=False,
+                restoring=True,
             )
         self._stream_fed.update(state["stream_fed"])
         for name, lstate in state["logs"].items():
@@ -1315,12 +1299,12 @@ class DataCellEngine:
                 table.append_columns(
                     {name: bat.tail for name, bat in tdecl["data"].items()}
                 )
-        # Workers restore before queries: the coordinator-side rebuild of
-        # partitioned handles asks them for the worker output schema, and
-        # replayed journal feeds must land on restored worker state.
+        # Partitions restore before queries: the coordinator-side rebuild
+        # of partitioned handles asks them for the per-partition output
+        # schema, and replayed journal feeds must land on restored state.
         if self._shards is not None and "shards" in state:
-            for worker, wstate in zip(self._shards.workers, state["shards"]):
-                worker.request(("restore", wstate))
+            for part, pstate in zip(self._shards.parts, state["shards"]):
+                part.restore_state(pstate)
         for entry in state["queries"]:
             if entry["partitioned"]:
                 self._restore_partitioned_query(
@@ -1347,7 +1331,7 @@ class DataCellEngine:
 
     def _restore_partitioned_query(self, entry: dict, pstate: dict) -> None:
         """Rebuild one partitioned handle without re-submitting to the
-        (already restored) shard workers, then adopt its merge state."""
+        (already restored) partitions, then adopt its merge state."""
         sql = entry["sql"]
         stream = self._partitioned_stream(sql)
         assert stream is not None
@@ -1432,8 +1416,8 @@ class DataCellEngine:
         ``skew`` ``(max - min) / max``.  Per query: the merge ``route``,
         timestamp ``flavor``, merged ``windows``, and ``lag`` — the
         window-progress spread across partitions (0 = lockstep).
-        ``workers`` holds each worker engine's profiler counters plus its
-        ``parked`` basket occupancy.  Surfaces in :meth:`metrics` under
+        ``workers`` holds each partition engine's profiler counters plus
+        its ``parked`` basket occupancy.  Surfaces in :meth:`metrics` under
         ``"partition"`` and as ``repro_partition_*`` Prometheus gauges
         (docs/METRICS.md).
         """
@@ -1460,7 +1444,7 @@ class DataCellEngine:
             "partitions": self.partitions,
             "streams": streams,
             "queries": queries,
-            "workers": self._shards.stats(),
+            "workers": [part.stats() for part in self._shards.parts],
         }
 
     # ------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Key-partitioned stream planning: routing, replication, merge synthesis.
 
 A stream declared with ``partition_by=key`` is hash-partitioned into ``P``
-disjoint sub-streams, each owned by one shard worker process
+disjoint sub-streams, each owned by one partition engine
 (:mod:`repro.core.shard`).  Every query submitted over the stream is
-*replicated*: each worker runs its own factory over its partition, and the
-coordinating engine combines the per-partition emissions.  This module is
-the pure planning half — no processes, no shared memory — so the whole
-taxonomy is unit-testable in isolation (DESIGN.md §14):
+*replicated*: each partition runs its own factory over its sub-stream, and
+the coordinating engine combines the per-partition emissions.  This module
+is the pure planning half — no engines — so the whole taxonomy is
+unit-testable in isolation (DESIGN.md §14):
 
 * **routing** — a deterministic splitmix/FNV hash of the key column maps
   every arriving tuple to its partition;
@@ -212,7 +212,7 @@ class ShardPlan:
     #: by the global fed count); "time" — real user timestamps.
     flavor: str
     #: Per-partition query; FROM still names the parent stream (the
-    #: engine substitutes each worker's private stream name at render).
+    #: engine substitutes each partition's private stream name at render).
     partition_query: Query
     merge: Optional[MergeSpec]
     #: Taxonomy label for explain/metrics: "concat" | "merge-sort" |
@@ -231,7 +231,7 @@ class ShardPlan:
     concat_hidden: tuple[str, ...] = ()
 
     def partition_sql(self, relation: str) -> str:
-        """Render the per-partition SQL with the worker's stream name."""
+        """Render the per-partition SQL with the partition's stream name."""
         query = self.partition_query
         table = query.tables[0]
         renamed = Query(
@@ -299,7 +299,7 @@ def plan_partition_query(sql: str, schema: Schema, spec: PartitionSpec) -> Shard
 def _aligned_window(clause: WindowClause) -> tuple[WindowClause, str]:
     """The cross-partition-aligned window and its timestamp flavor.
 
-    Landmark windows partition like any other: each worker accumulates
+    Landmark windows partition like any other: each partition accumulates
     its routed subset's cumulative partials, and because every
     partition's window boundaries sit on the same (virtual or real)
     time axis, the coordinator's per-window concat / re-aggregate merge

@@ -10,10 +10,7 @@ single query plan can mix both (paper Figure 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from multiprocessing.shared_memory import SharedMemory
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -172,89 +169,3 @@ class Catalog:
             return False
         raise CatalogError(f"unknown relation {name!r}")
 
-
-# ----------------------------------------------------------------------
-# shared-memory column segments (partitioned execution, DESIGN.md §14)
-# ----------------------------------------------------------------------
-#
-# Fixed-width (numeric/bool) columns of one routed batch are packed
-# back-to-back into a single ``multiprocessing.shared_memory`` block so a
-# shard worker in another process can map them without a pickle round
-# trip; only variable-width (str) columns fall back to pickling.  The
-# ownership rule is creator-unlinks: the coordinating engine creates and
-# unlinks every segment (after the consuming worker acknowledges the
-# copy), so Python's resource tracker never sees a cross-process leak
-# and ``/dev/shm`` is provably clean after ``engine.close()``.
-
-@dataclass(frozen=True)
-class SegmentMeta:
-    """Recipe to reassemble one shared-memory column segment."""
-
-    name: str  # shared_memory block name
-    columns: tuple[tuple[str, str, int, int], ...]  # (col, dtype, offset, rows)
-
-
-def write_segment(
-    name: str, columns: Mapping[str, np.ndarray]
-) -> tuple[SegmentMeta, "SharedMemory"]:
-    """Pack fixed-width arrays into one named shared-memory block.
-
-    Returns the reassembly metadata and the (still-open) block; the
-    caller closes its mapping once the message is sent and unlinks after
-    the consumer's acknowledgement.  Callers must only pass fixed-width
-    dtypes (object columns cannot live in shared memory).
-    """
-    from multiprocessing import shared_memory
-
-    total = 0
-    layout: list[tuple[str, str, int, int]] = []
-    arrays: dict[str, np.ndarray] = {}
-    for col, values in columns.items():
-        arr = np.ascontiguousarray(values)
-        if arr.dtype.hasobject:
-            raise KernelError(
-                f"column {col!r} has an object dtype; object columns "
-                "travel pickled, not through shared memory"
-            )
-        layout.append((col, arr.dtype.str, total, len(arr)))
-        arrays[col] = arr
-        total += arr.nbytes
-    shm = shared_memory.SharedMemory(name=name, create=True, size=max(total, 1))
-    for (col, dtype, offset, rows), arr in zip(layout, arrays.values()):
-        dest = np.ndarray((rows,), dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
-        dest[:] = arr
-    return SegmentMeta(name, tuple(layout)), shm
-
-
-def read_segment(meta: SegmentMeta) -> dict[str, np.ndarray]:
-    """Copy a segment's columns out of shared memory and close the mapping.
-
-    The returned arrays are private copies (basket builders keep them far
-    beyond the segment's lifetime); the mapping is closed before
-    returning, never unlinked — unlinking is the creator's job.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    # Attaching registers the block with the resource tracker as if this
-    # process owned it; it does not — the creator unlinks.  Worse, a
-    # fork-inherited tracker is *shared* with the creator, so a late
-    # unregister would strip the creator's own registration and its
-    # unlink would then crash the tracker.  Suppress the registration at
-    # the source instead.  Python 3.13's track=False does this properly;
-    # until then this is the documented idiom.
-    real_register = resource_tracker.register
-    resource_tracker.register = lambda name, rtype: None
-    try:
-        shm = shared_memory.SharedMemory(name=meta.name)
-    finally:
-        resource_tracker.register = real_register
-    try:
-        out: dict[str, np.ndarray] = {}
-        for col, dtype, offset, rows in meta.columns:
-            view = np.ndarray(
-                (rows,), dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-            )
-            out[col] = np.array(view, copy=True)
-        return out
-    finally:
-        shm.close()

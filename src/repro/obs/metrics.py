@@ -264,7 +264,7 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
         w.header(
             "repro_partition_worker_parked",
             "gauge",
-            "Tuples parked in one shard worker's baskets.",
+            "Tuples parked in one partition engine's baskets.",
         )
         for p, counters in enumerate(partition["workers"]):
             w.sample(

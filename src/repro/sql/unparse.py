@@ -3,8 +3,8 @@
 The partitioned-execution layer (:mod:`repro.core.partition`) rewrites a
 submitted query's AST — substituting window clauses, splitting aggregates
 into partials, synthesizing merge queries — and then needs SQL *text*
-again, because shard workers parse and plan locally instead of unpickling
-plan objects.  This module renders any :class:`repro.sql.ast.Query` (or
+again, because each partition engine parses and plans its own copy of
+the query.  This module renders any :class:`repro.sql.ast.Query` (or
 bare expression) back to SQL the lexer/parser accept verbatim.
 
 Rendering is deliberately conservative: every binary/unary expression is

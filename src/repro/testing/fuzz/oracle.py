@@ -14,7 +14,7 @@ window is compared across them:
 * ``incremental-chunked`` — the same plan driven through
   ``step_chunked(m)`` (single-stream count-based sliding only);
 * ``incremental-partitioned`` — the same query on a separate
-  ``partitions=P`` engine (hash-routed shard worker processes plus the
+  ``partitions=P`` engine (hash-routed partition engines plus the
   coordinator's merge, DESIGN.md §14; single-stream non-landmark shapes
   with a hashable key only);
 * ``incremental-crash`` — the same query on a separate *durable* engine

@@ -17,7 +17,7 @@ two integers printed in the banner.  Each iteration:
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
    (fragment sharing, feed chunking, ``step_chunked``, a
-   ``partitions`` axis that adds a key-partitioned multi-process leg
+   ``partitions`` axis that adds a key-partitioned leg
    for supported query shapes — forceable via ``--partitions N`` — and
    a ``crash`` axis that adds a durable leg interrupted by
    checkpoint/kill/restore cycles mid-run — forceable via ``--crash``);
@@ -364,7 +364,7 @@ def run_fuzz_cli(argv: list[str], out: Optional[TextIO] = None) -> int:
                         "(sharing on, unchunked)")
     parser.add_argument("--partitions", type=int, default=None,
                         help="force the key-partitioned leg to run with this "
-                        "many shard workers on every supported query "
+                        "many partitions on every supported query "
                         "(otherwise drawn as a random axis: P in {2, 3} on "
                         "~25%% of iterations)")
     parser.add_argument("--crash", action="store_true",

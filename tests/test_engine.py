@@ -119,3 +119,25 @@ class TestIntrospection:
         assert "fragment" in text
         assert "combine" in text
         assert "aggr.subsum" in text
+
+
+@pytest.mark.parametrize("shape", ["plain", "partitions=2", "data_dir"])
+def test_feed_admits_typed_values_on_every_engine(shape, tmp_path):
+    """Regression: an ephemeral unpartitioned feed admitted the raw
+    values, so ints fed to a ``str`` column emitted ``(1, 4)`` on a plain
+    engine and ``('1', 4)`` on a partitioned or durable one.  Every feed
+    now admits the typed batch."""
+    kwargs = {
+        "plain": {},
+        "partitions=2": {"partitions": 2},
+        "data_dir": {"data_dir": str(tmp_path / "dd")},
+    }[shape]
+    engine = DataCellEngine(**kwargs)
+    try:
+        engine.create_stream("s", [("k", "str"), ("v", "int")], partition_by="k")
+        query = engine.submit("SELECT k, v FROM s [RANGE 2 SLIDE 2]")
+        engine.feed("s", rows=[(1, 4), (2, 5)])
+        engine.run_until_idle()
+        assert query.result_rows() == [[("1", 4), ("2", 5)]]
+    finally:
+        engine.close()

@@ -1,22 +1,22 @@
-"""Key-partitioned multi-process execution (DESIGN.md §14).
+"""Key-partitioned execution (DESIGN.md §14).
 
 Three layers of coverage:
 
 * pure-function unit tests for the routing/planning layer
-  (:mod:`repro.core.partition`) — no processes involved;
+  (:mod:`repro.core.partition`);
 * a collector unit test exercising out-of-order partition completion
   on :class:`repro.core.shard.PartitionedQuery` directly;
 * differential property tests that run the same query and feed through
-  a plain ``P=1`` engine and a partitioned engine with real shard
-  worker processes, asserting window-for-window equal results.
+  a plain ``P=1`` engine and a partitioned engine (P private partition
+  engines), asserting window-for-window equal results.
 
-The multi-process tests carry the ``partition`` marker so CI can run
-them in a dedicated job (``pytest -m partition``) that also asserts
-``/dev/shm`` holds no leaked segments afterwards.
+All of them carry the ``partition`` marker so CI can run them in a
+dedicated job (``pytest -m partition``).
 """
 
 import glob
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -31,8 +31,9 @@ from repro.core.partition import (
     route_columns,
     validate_partition_key,
 )
+from repro.core.overflow import Fail
 from repro.core.shard import PartitionedQuery
-from repro.errors import ReproError, UnsupportedQueryError
+from repro.errors import BasketOverflowError, ReproError, UnsupportedQueryError
 from repro.kernel.atoms import Atom
 from repro.kernel.storage import Schema
 
@@ -491,13 +492,13 @@ class TestLandmarkPartitioned:
 
 
 # ----------------------------------------------------------------------
-# lifecycle: shared memory, stats, unsupported surfaces
+# lifecycle: processes, errors, stats, unsupported surfaces
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_no_shm_segments_leak_after_close(self, monkeypatch):
-        import repro.core.shard as shard
-
-        monkeypatch.setattr(shard, "SHM_MIN_ROWS", 1)  # force the shm path
+    def test_partitions_start_no_process_and_no_segment(self):
+        """Partitions run in the coordinator's process: a fed and pumped
+        ``partitions=2`` engine has started no child process and created
+        no shared-memory segment."""
         pattern = f"/dev/shm/repro-{os.getpid()}-*"
         engine = DataCellEngine(partitions=2)
         try:
@@ -506,12 +507,41 @@ class TestLifecycle:
             )
             q = engine.submit("SELECT k, sum(v) AS t FROM s [RANGE 16 SLIDE 16] GROUP BY k")
             for __ in range(4):
-                engine.feed("s", rows=[(i % 5, i) for i in range(32)])
+                engine.feed("s", rows=[(i % 5, i) for i in range(512)])
                 engine.run_until_idle()
-            assert len(q.result_rows()) == 8
+            assert len(q.result_rows()) == 128
+            assert multiprocessing.active_children() == []
+            assert glob.glob(pattern) == []
         finally:
             engine.close()
-        assert glob.glob(pattern) == [], "shared-memory segments leaked"
+
+    def test_partition_overflow_raises_after_every_partition_is_fed(self):
+        """A ``Fail``-bounded partition that rejects its share raises from
+        ``feed`` — but only once every partition has been offered its
+        share and the routed counts and arrival offset have advanced by
+        the whole batch."""
+        keys = np.arange(40, dtype=np.int64)
+        first, second = route_columns({"k": keys}, "k", Atom.INT, 2)
+        # Partition 0 gets 6 rows (over capacity 4), partition 1 gets 2.
+        batch = np.concatenate([keys[first[:6]], keys[second[:2]]])
+        engine = DataCellEngine(partitions=2)
+        try:
+            engine.create_stream(
+                "s",
+                [("k", "int"), ("v", "int")],
+                capacity=4,
+                overflow=Fail(),
+                partition_by="k",
+            )
+            engine.submit("SELECT k, v FROM s [RANGE 8 SLIDE 8]", name="q")
+            with pytest.raises(BasketOverflowError):
+                engine.feed("s", columns={"k": batch, "v": batch})
+            assert engine.partition_stats()["streams"]["s"]["routed"] == [6, 2]
+            assert engine._stream_fed["s"] == 8
+            parked = [part["parked"] for part in engine.partition_stats()["workers"]]
+            assert parked == [0, 2]
+        finally:
+            engine.close()
 
     def test_workers_forget_shipped_batches(self, tmp_path):
         """Regression: shard workers kept every batch they ever emitted,
@@ -544,9 +574,9 @@ class TestLifecycle:
                 if round_no in (10, 40):
                     sizes[round_no] = engine.checkpoint()["bytes"]
             assert windows == 1999
-            states = [r[1] for r in engine._shards.request_all(("snapshot",))]
-            for worker in states:
-                emitter = worker["engine"]["query_states"]["q"]["emitter"]
+            states = [part.snapshot_state() for part in engine._shards.parts]
+            for part in states:
+                emitter = part["engine"]["query_states"]["q"]["emitter"]
                 assert emitter["batches"] == []
                 assert emitter["total_batches"] == 1999
             assert sizes[40] <= 1.1 * sizes[10], sizes

@@ -231,3 +231,46 @@ class TestEmittedBatchStability:
             else:
                 want = [(a1, a2, 10 * a2) for a1, a2 in left if a2 % 2 == 0 and a2 < 6]
             assert sorted(rows) == sorted(want)
+
+
+#: Concat-route queries over a partitioned stream: columns passed through
+#: unchanged, with and without a selection.
+PARTITIONED_SHAPES = {
+    "pass-through": ("SELECT k, v FROM s [RANGE 8 SLIDE 2]", lambda k, v: True),
+    "select-only": ("SELECT k, v FROM s [RANGE 8 SLIDE 2] WHERE v > 2", lambda k, v: v > 2),
+}
+
+
+@pytest.mark.partition
+class TestPartitionedEmittedBatchStability:
+    """The partitioned twin of :class:`TestEmittedBatchStability`.
+
+    A partitioned query's merged window is built from the arrays its
+    partition engines emitted, with nothing copying them in between; a
+    window emitted on the concat route must stay as emitted while the
+    partitions slide on.
+    """
+
+    @pytest.mark.parametrize("mode", ["incremental", "reeval"])
+    @pytest.mark.parametrize("shape", list(PARTITIONED_SHAPES))
+    def test_concat_windows_survive_later_slides(self, mode, shape):
+        sql, keep = PARTITIONED_SHAPES[shape]
+        engine = DataCellEngine(partitions=2)
+        try:
+            engine.create_stream("s", [("k", "int"), ("v", "int")], partition_by="k")
+            query = engine.submit(sql, mode=mode)
+            assert query.plan.route == "concat"
+            rows = np.random.default_rng(13).integers(0, 6, (40, 2))
+            emitted: list[list[tuple]] = []
+            for lo in range(0, 40, 2):
+                engine.feed("s", columns={"k": rows[lo : lo + 2, 0], "v": rows[lo : lo + 2, 1]})
+                engine.run_until_idle()
+                emitted += [batch.rows() for batch in query.results()[len(emitted) :]]
+            batches = query.results()
+            assert len(batches) == len(emitted) == 17  # 16 more windows after the first
+            for k, (batch, got) in enumerate(zip(batches, emitted)):
+                assert batch.rows() == got
+                window = [tuple(row) for row in rows[2 * k : 2 * k + 8].tolist()]
+                assert got == [row for row in window if keep(*row)]
+        finally:
+            engine.close()
