@@ -1,10 +1,14 @@
 """Hierarchical merge tree — the n × K crossover sweep behind the two
 module constants of ``repro.core.partials`` (DESIGN.md §17).
 
-Q1 (grouped sum, selectivity 0.8) over a count-based sliding window with
-a fixed 400-tuple step, so the per-slide fragment work is constant and
-only the merge side varies with ``n = |W|/|w|``.  For every ``n`` the
-same slides run through
+Q1's shape (grouped sum, selectivity 0.8) over a count-based sliding
+window with a fixed 400-tuple step, so the per-slide fragment work is
+constant and only the merge side varies with ``n = |W|/|w|``.  The sum
+is over a FLT column: an INT sum is invertible and slides a running
+table instead of sealing nodes (DESIGN.md §17), so the tree is measured
+on the twin it still serves.  The values are whole numbers, so every
+association of the sum gives the same bits.  For every ``n`` the same
+slides run through
 
 * a store forced flat (the paper's Algorithm 2: pack all ``n`` partials
   every slide), and
@@ -15,7 +19,8 @@ steady state — a mean, not a median, so the amortized cost of sealing
 nodes is in it.  A second table fixes ``K`` and varies the sealing rule
 ("seal a level only while one node spans at most ``1/d`` of the
 window").  Every configuration's emitted windows are compared with the
-flat run's, row for row.
+flat run's, row for row, and every tree run whose window is deep
+enough to seal a level must have sealed nodes.
 
 Runs standalone (``python benchmarks/bench_merge_tree.py [--smoke]``) or
 under pytest like the other figure benchmarks; the committed full-scale
@@ -54,7 +59,8 @@ def _run(n, slides, data, fanout=None, divisor=None):
     """Mean seconds per steady-state slide, plus the emitted rows.
 
     ``fanout=None`` forces the store flat; otherwise the module
-    constants are swapped for the duration of the run.
+    constants are swapped for the duration of the run, and the run must
+    seal nodes exactly when ``n`` is deep enough for a level.
     """
     saved = partials.MERGE_FANOUT, partials.MERGE_SPAN_DIVISOR
     if fanout is not None:
@@ -62,10 +68,12 @@ def _run(n, slides, data, fanout=None, divisor=None):
         partials.MERGE_SPAN_DIVISOR = divisor
     engine = DataCellEngine(observability=False)
     try:
-        engine.create_stream("s", [("x1", "int"), ("x2", "int")])
+        engine.create_stream("s", [("x1", "int"), ("x2", "float")])
         query = engine.submit(_sql(n))
+        store = query.factory._stores["s"]
+        assert not query.factory.plan.invertible
         if fanout is None:
-            query.factory._stores["s"].levels = 0
+            store.levels = 0
         fill = n * STEP
         engine.feed("s", columns={k: v[:fill] for k, v in data.items()})
         engine.run_until_idle()
@@ -75,6 +83,11 @@ def _run(n, slides, data, fanout=None, divisor=None):
             engine.feed("s", columns={k: v[lo : lo + STEP] for k, v in data.items()})
             engine.run_until_idle()
         elapsed = time.perf_counter() - start
+        if fanout is not None:
+            deep = partials.merge_levels(n) > 0
+            assert (store.nodes_sealed > 0) == deep, (
+                f"n={n} K={fanout} d={divisor}: {store.nodes_sealed} nodes sealed"
+            )
         return elapsed / slides, query.result_rows()
     finally:
         engine.close()
@@ -101,7 +114,7 @@ def run(smoke=False):
     total = (max(counts + DIVISOR_COUNTS) + slides) * STEP
     data = {
         "x1": rng.integers(0, 100, total, dtype=np.int64),
-        "x2": rng.integers(0, 1000, total, dtype=np.int64),
+        "x2": rng.integers(0, 1000, total).astype(np.float64),
     }
 
     fanout_rows = []
@@ -127,11 +140,14 @@ def run(smoke=False):
             print("smoke: n=%d flat=%.3fms " % row[:2] + " ".join(
                 f"K{k}={ms:.3f}ms" for k, ms in zip(FANOUTS, row[2:])
             ))
-        print("smoke: every configuration emitted the flat run's rows")
+        print(
+            "smoke: every configuration emitted the flat run's rows, and "
+            "every tree run deep enough for a level sealed nodes"
+        )
         return True
     report(
         "merge_tree_sweep",
-        f"Merge tree — ms per slide, Q1 step {STEP}, {slides} slides, "
+        f"Merge tree — ms per slide, Q1's FLT-sum twin, step {STEP}, {slides} slides, "
         f"best of {repeats} (sealing rule K^l <= n/4)",
         ["n", "flat"] + [f"K={k}" for k in FANOUTS],
         fanout_rows,

@@ -12,7 +12,8 @@ and sharing machinery care about:
 * **window state** — tuples retained across firings: live basic-window
   bundles in the partial store(s) — plus, for deep sliding windows whose
   combine compensates, the merge tree's pre-merged nodes (at most
-  ``n/(K−1)`` bundles on top of the ``n`` singles, DESIGN.md §17) —
+  ``n/(K−1)`` bundles on top of the ``n`` singles, DESIGN.md §17) or an
+  invertible plan's running table (the combined window, one weight a row) —
   prep caches and pair results for joins.  Landmark windows retain
   *every* basic window, so their state is finite only when the combine
   program compacts (all outputs stay
@@ -418,22 +419,35 @@ def tree_node_bounds(
     windows, and one holds what combine makes of ``K^l`` packed partials
     (``flow_bounds``: one basic window's rows per flow, in flow order) —
     one row for a global aggregate, up to ``K^l`` partials' worth of
-    groups for a grouped one.
+    groups for a grouped one.  An invertible plan seals no node: it keeps
+    a running table instead, what combine makes of the whole window's
+    partials plus one weight per row (per group, or per global flow).
     """
     count = tuples = ZERO
     if plan.is_join or not plan.compensates:
         return count, tuples
+    if plan.invertible:
+        table = _combined_bounds(plan, live_windows, flow_bounds)
+        weights = bound_max(table) if plan.grouped else Bound(len(plan.flows))
+        return count, bound_sum(table).add(weights)
     for level in range(1, merge_levels(live_windows) + 1):
         span = MERGE_FANOUT**level
         nodes = Bound(live_windows // span)
-        packed_inputs = {
-            packed(flow.name): bound.scaled(span)
-            for flow, bound in zip(plan.flows, flow_bounds)
-        }
-        node = bound_sum(list(output_bounds(plan.combine, packed_inputs).values()))
+        node = bound_sum(_combined_bounds(plan, span, flow_bounds))
         count = count.add(nodes)
         tuples = tuples.add(nodes.mul(node))
     return count, tuples
+
+
+def _combined_bounds(
+    plan: IncrementalPlan, partials: int, flow_bounds: Sequence[Bound]
+) -> list[Bound]:
+    """Per flow, the rows combine makes of ``partials`` packed partials."""
+    packed_inputs = {
+        packed(flow.name): bound.scaled(partials)
+        for flow, bound in zip(plan.flows, flow_bounds)
+    }
+    return list(output_bounds(plan.combine, packed_inputs).values())
 
 
 def _scan_inputs(plan: IncrementalPlan, alias: str, bound: Bound) -> dict[str, Bound]:

@@ -201,6 +201,8 @@ class Basket(_Reader):
         self._appended_total = 0  # the tail's arrival offset; guarded-by: _lock
         self._clock = 0  # fallback logical timestamps; guarded-by: _lock
         self._watermark: int | None = None  # explicit time progress; guarded-by: _lock
+        # newest explicit timestamp fed (admit_times); guarded-by: _lock
+        self._newest_ts: int | None = None
         if capacity is not None and capacity < 1:
             raise BasketError(f"capacity must be >= 1, got {capacity}")
         if capacity is None and overflow is not None:
@@ -502,6 +504,34 @@ class Basket(_Reader):
                 raise BasketError(f"basket {self.name!r} has no column {name!r}")
             return self._builders[name].snapshot()
 
+    def admit_times(self, ts: np.ndarray) -> None:
+        """Check a batch's explicit arrival timestamps against the stream
+        and move its time frontier to the newest of them.
+
+        Timestamps may not decrease by arrival (:meth:`Cursor.count_before`
+        binary-searches them): not within the batch, and not below the
+        newest timestamp fed before it or the watermark.  A batch out of
+        order raises :class:`BasketError` and changes nothing.
+        """
+        if not len(ts):
+            return
+        back = np.flatnonzero(ts[1:] < ts[:-1])
+        if len(back):
+            at = int(back[0]) + 1
+            raise BasketError(
+                f"timestamps on stream {self.name!r} must not decrease: tuple {at} "
+                f"of the batch has {int(ts[at])} after {int(ts[at - 1])}"
+            )
+        with self._lock:
+            known = [t for t in (self._newest_ts, self._watermark) if t is not None]
+            if known and ts[0] < max(known):
+                raise BasketError(
+                    f"timestamps on stream {self.name!r} must not decrease: the "
+                    f"batch starts at {int(ts[0])}, before {max(known)} "
+                    "(the newest timestamp fed or the watermark)"
+                )
+            self._newest_ts = int(ts[-1])
+
     def advance_watermark(self, ts: int) -> None:
         """Declare that no tuple with arrival timestamp < ``ts`` will arrive.
 
@@ -560,6 +590,7 @@ class Basket(_Reader):
                 "appended_total": self._appended_total,
                 "clock": self._clock,
                 "watermark": self._watermark,
+                "newest_ts": self._newest_ts,
                 "shed_total": self.shed_total,
                 "block_waits": self.block_waits,
                 "block_timeouts": self.block_timeouts,
@@ -579,6 +610,7 @@ class Basket(_Reader):
             self._appended_total = state["appended_total"]
             self._clock = state["clock"]
             self._watermark = state["watermark"]
+            self._newest_ts = state.get("newest_ts")
             self.shed_total = state["shed_total"]
             self.block_waits = state["block_waits"]
             self.block_timeouts = state["block_timeouts"]

@@ -811,13 +811,14 @@ class DataCellEngine:
             raise CatalogError(f"unknown stream {stream!r}")
         if (rows is None) == (columns is None):
             raise ReproError("feed needs exactly one of rows= or columns=")
-        typed, count = self._typed_batch(stream, rows, columns, timestamps)
-        ts = None if timestamps is None else np.asarray(timestamps, dtype=np.int64)
         # Write-ahead: the record lands before the basket admits a tuple,
         # so replay re-offers the batch through the restored overflow
         # policy (RNG state included) and reproduces its decision.  What
-        # is journaled is exactly what is admitted or routed.
+        # is journaled is exactly what is admitted or routed.  The batch
+        # is checked under the journal lock, so batches are journaled in
+        # the order their timestamps were checked in.
         with self._dur_guard():
+            typed, count, ts = self._typed_batch(stream, rows, columns, timestamps)
             if self._dur is not None:
                 record: dict = {"stream": stream, "columns": typed}
                 if ts is not None:
@@ -833,11 +834,14 @@ class DataCellEngine:
         rows: Optional[Iterable[Sequence]],
         columns: Optional[Mapping[str, Sequence | np.ndarray]],
         timestamps: Optional[Sequence[int] | np.ndarray],
-    ) -> tuple[dict[str, np.ndarray], int]:
-        """One feed batch as ``({column: typed array}, tuple count)``,
-        checked against ``stream``'s schema — row arity, exactly the
-        schema's columns, equal column lengths and one timestamp per
-        tuple — and typed by :func:`typed_values`.
+    ) -> tuple[dict[str, np.ndarray], int, Optional[np.ndarray]]:
+        """One feed batch as ``({column: typed array}, tuple count,
+        timestamps)``, checked against ``stream``'s schema — row arity,
+        exactly the schema's columns, equal column lengths and one
+        timestamp per tuple — and typed by :func:`typed_values`.
+        Explicit timestamps must not decrease, within the batch or
+        against the stream (:meth:`Basket.admit_times`); a batch that
+        passes moves the stream's time frontier.
 
         Every feed takes this path, so a stream admits the same typed
         values whether it is plain, partitioned or durable.  It runs before
@@ -870,7 +874,11 @@ class DataCellEngine:
         if timestamps is not None and len(timestamps) != count:
             raise BasketError("timestamp column length mismatch")
         typed = {name: typed_values(cols[name], atom) for name, atom in schema.columns}
-        return typed, count
+        ts = None
+        if timestamps is not None:
+            ts = np.asarray(timestamps, dtype=np.int64)
+            self._logs[stream].admit_times(ts)
+        return typed, count, ts
 
     def _append(
         self,
@@ -957,13 +965,14 @@ class DataCellEngine:
         if stream not in self._logs:
             raise CatalogError(f"unknown stream {stream!r}")
         with self._dur_guard():
+            # A partitioned stream's own basket holds no tuple; its
+            # watermark is the bound later batches are checked against.
+            self._logs[stream].advance_watermark(ts)
             if stream in self._partitioned:
                 # Real-time queries only; the virtual (count) axis advances
                 # with the fed count and ignores user punctuations.
                 for part in self._shards.parts:
                     part.advance(stream, int(ts))
-            else:
-                self._logs[stream].advance_watermark(ts)
             if self._dur is not None:
                 self._dur.journal("advance", {"stream": stream, "ts": int(ts)})
 

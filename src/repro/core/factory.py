@@ -8,8 +8,9 @@ runs the merge machinery (paper Algorithm 2, generalized).
 :class:`IncrementalFactory` is the one implementation, with one firing
 step for every plan shape: each stream's new basic windows run through
 its per-basic-window program and land in that stream's store.  A
-*fragment* plan's stream keeps a ring of partials; a *prep*'s stream keeps
-a window store, whose contiguous seq ranges read as views.  A join's
+*fragment* plan's stream keeps a ring of partials (and, for an invertible
+plan, a running table of the combined window); a *prep*'s stream keeps a
+window store, whose contiguous seq ranges read as views.  A join's
 *pair fragment* then reads its sides as such views and merges its runs
 into a seq-tagged pair table; a plan of preps alone is re-evaluation (the
 DataCellR baseline: a prep bundle is a basic window's tuples, and
@@ -34,6 +35,7 @@ from repro.core.partials import (
     FragmentCache,
     PairStore,
     PartialStore,
+    RunningTable,
     ShareKey,
     WindowStore,
     bundle_rows,
@@ -243,6 +245,10 @@ class IncrementalFactory(FactoryBase):
                 raise SchedulerError(f"no table bound for {alias!r}")
         self._table_bundle: Optional[Bundle] = None
         self._empty_pair: Optional[Bundle] = None
+        # An invertible plan's window is its running table, built by the
+        # first merge; Fig. 7a clears the flag to measure the paper's flat
+        # merge (Algorithm 2) on the same plan.
+        self._invertible = plan.invertible
         self._new_stores()
 
     def _new_stores(self) -> None:
@@ -252,20 +258,23 @@ class IncrementalFactory(FactoryBase):
         the ring of partials.
 
         The ring arms the merge tree where a pre-merged node is smaller
-        than its children: combines that compensate.  A concatenating
-        combine would only copy the window, so those flows stay flat; so
-        does every window too shallow to seal a level (``merge_levels``,
-        landmark included)."""
+        than its children: combines that compensate and cannot subtract.
+        A concatenating combine would only copy the window, and an
+        invertible plan keeps a running table instead, so those stores
+        stay flat; so does every window too shallow to seal a level
+        (``merge_levels``, landmark included)."""
         plan = self.plan
         capacity = {alias: w.basic_windows for alias, w in plan.windows.items()}
+        tree = plan.compensates and not plan.invertible
         self._stores: dict[str, PartialStore] = {}
         for alias in plan.stream_aliases:
             n = capacity[alias]
             self._stores[alias] = (
                 WindowStore(n)
                 if alias in plan.preps
-                else PartialStore(n, levels=merge_levels(n) if plan.compensates else 0)
+                else PartialStore(n, levels=merge_levels(n) if tree else 0)
             )
+        self._running: Optional[RunningTable] = None
         if plan.pair_fragment is not None:
             left, right = plan.pair_aliases
             self._pairs = PairStore(capacity.get(left, 0), capacity.get(right, 0))
@@ -369,9 +378,12 @@ class IncrementalFactory(FactoryBase):
         delta rule: new left × every live right, then older live left ×
         new right)."""
         new: dict[str, list[int]] = {}
-        for alias, store in self._stores.items():
+        for alias in self._stores:
             slices = self._take_slices(alias, self._owed_counts(alias))
-            new[alias] = [store.add(bundle) for bundle in self._bundles(alias, slices, profiler)]
+            new[alias] = [
+                self._add(alias, bundle, profiler)
+                for bundle in self._bundles(alias, slices, profiler)
+            ]
         if self.plan.pair_fragment is None:
             return
         table = self.plan.table_alias
@@ -419,8 +431,20 @@ class IncrementalFactory(FactoryBase):
         ]
         start = time.perf_counter()
         bundles.append(self._run(alias, slices.cut(m - 1, m), profiler))
-        self._stores[alias].add(self._fold_bundles(bundles, profiler))
+        self._add(alias, self._fold_bundles(bundles, profiler), profiler)
         return start
+
+    def _add(self, alias: str, bundle: Bundle, profiler: Profiler) -> int:
+        """Add ``bundle`` to ``alias``'s store, and to the running table
+        with what the store expired; returns its seq.  The update is
+        merge work: its time, a fold through combine included, is charged
+        to the ``merge`` tag once."""
+        seq, expired = self._stores[alias].slide(bundle)
+        if self._running is not None:
+            start = time.perf_counter()
+            self._running.update(bundle, expired, self._fold_bundles)
+            profiler.record(TAG_MERGE, "running.update", time.perf_counter() - start)
+        return seq
 
     def _programs(self, alias: str) -> tuple[Program, Optional[Program], list[str]]:
         """Stream (or table) ``alias``'s per-basic-window program — its
@@ -640,6 +664,8 @@ class IncrementalFactory(FactoryBase):
     def _merge_and_finalize(self, profiler: Profiler) -> ResultBatch:
         if self.plan.fragment is None and self.plan.pair_fragment is None:
             inputs = self._window_inputs()
+        elif self._invertible:
+            inputs = self._running_bundle(profiler)
         else:
             bundles = self._live_bundles(profiler)
             if not bundles:
@@ -658,6 +684,21 @@ class IncrementalFactory(FactoryBase):
             window_index=self.window_index,
             response_seconds=0.0,
         )
+
+    def _running_bundle(self, profiler: Profiler) -> Bundle:
+        """An invertible plan's combined window: the running table, built
+        by one flat fold of the live partials when there is none yet (a
+        first window, the first slide after a restore)."""
+        if self._running is None:
+            store = self._stores[self.plan.stream_aliases[0]]
+            if not len(store):
+                raise SchedulerError("no live partials to merge")
+            start = time.perf_counter()
+            self._running = RunningTable.fold(
+                self.plan.flows, [bundle for __, bundle in store.live()], self._fold_bundles
+            )
+            profiler.record(TAG_MERGE, "running.fold", time.perf_counter() - start)
+        return self._running.bundle
 
     def _window_inputs(self) -> dict[str, BAT]:
         """A prep-only plan's finalize inputs: each stream's window (a
@@ -701,9 +742,14 @@ class IncrementalFactory(FactoryBase):
 
     def merge_stats(self) -> Optional[dict]:
         """Merge-tree gauges of a single-stream ring store (METRICS.md);
-        ``None`` for a plan without a fragment."""
+        ``None`` for a plan without a fragment.  A running table seals no
+        node; its cover is the partials its last update folded (the new
+        and the expired ones), or the window on a fold."""
         if self.plan.fragment is None:
             return None
+        if self._invertible:
+            folded = self._running.folded if self._running is not None else 0
+            return {"merge_cover_len": folded, "merge_nodes_sealed": 0, "merge_nodes_live": 0}
         store = self._stores[self.plan.stream_aliases[0]]
         return {
             "merge_cover_len": store.cover_len,
@@ -768,6 +814,7 @@ class IncrementalFactory(FactoryBase):
             slicer.consumed_windows = consumed_windows
         for alias, store in self._stores.items():
             store.restore_state(state["stores"][alias])
+        self._running = None
         if self.plan.pair_fragment is not None:
             self._pairs.restore_state(state["pairs"])
             self._table_bundle = None

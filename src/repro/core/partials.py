@@ -16,7 +16,10 @@ On top of the ring a :class:`PartialStore` can keep a *merge tree*
 ``[i·K^l, (i+1)·K^l)``, each folded once from its ``K`` children through
 the plan's own combine program.  :meth:`PartialStore.cover` then tiles the
 live range with the few largest nodes that fit plus edge singles, so a
-slide merges O(K·log_K n) bundles instead of all ``n``.
+slide merges O(K·log_K n) bundles instead of all ``n``.  An invertible
+plan's ring seals no node: its factory keeps a :class:`RunningTable`, the
+combined window, which adds each new bundle and subtracts each expired
+one (:meth:`PartialStore.slide` hands them back).
 
 A :class:`WindowStore` keeps a prep's stream: a join side's prep rows
 or, under re-evaluation, the window's tuples, laid out in one array per
@@ -50,7 +53,10 @@ from typing import Callable, Hashable, Optional
 
 import numpy as np
 
+from repro.core.rewriter.flows import Flow
 from repro.errors import SchedulerError
+from repro.kernel.algebra.group import group
+from repro.kernel.algebra.setops import concat
 from repro.kernel.bat import BAT
 from repro.kernel.execution.profiler import (
     COUNTER_CACHE_HITS,
@@ -125,19 +131,26 @@ class PartialStore:
 
     def add(self, bundle: Bundle) -> int:
         """Store the newest bundle; returns its sequence number."""
+        return self.slide(bundle)[0]
+
+    def slide(self, bundle: Bundle) -> tuple[int, list[Bundle]]:
+        """Store the newest bundle; returns its sequence number and the
+        bundles it expired, oldest first (what a running table subtracts)."""
         seq = self._next_seq
         self._next_seq += 1
         self._bundles[seq] = bundle
+        gone: list[Bundle] = []
         if self.capacity:
             low = seq - self.capacity
             while self._bundles and next(iter(self._bundles)) <= low:
-                expired, __ = self._bundles.popitem(last=False)
+                expired, old = self._bundles.popitem(last=False)
+                gone.append(old)
                 # A node is usable only while every seq it covers is
                 # live; its first seq is the first to go.
                 for nodes in self._nodes.values():
                     if nodes.pop(expired, None) is not None:
                         self.nodes_live -= 1
-        return seq
+        return seq, gone
 
     def live(self) -> list[tuple[int, Bundle]]:
         """Live bundles, oldest first."""
@@ -253,11 +266,11 @@ class WindowStore(PartialStore):
     _arrays: dict[str, np.ndarray] = field(default_factory=dict)
     _fill: int = 0
 
-    def add(self, bundle: Bundle) -> int:
+    def slide(self, bundle: Bundle) -> tuple[int, list[Bundle]]:
         rows = bundle_rows(bundle)
         if not self._arrays or self._fill + rows > len(next(iter(self._arrays.values()))):
             self._rebase(bundle, rows)
-        return super().add(self._put(bundle, rows))
+        return super().slide(self._put(bundle, rows))
 
     def view(self, first: int, last: int) -> Bundle:
         """Live bundles ``first .. last`` (seqs) concatenated, per column."""
@@ -306,6 +319,152 @@ class WindowStore(PartialStore):
 def bundle_rows(bundle: Bundle) -> int:
     """The row count of ``bundle``'s columns."""
     return len(next(iter(bundle.values())))
+
+
+@dataclass
+class RunningTable:
+    """An invertible plan's window as one combined bundle (DESIGN.md §17).
+
+    Each slide adds the new partial and subtracts the expired ones,
+    ``W_t = W_{t-1} + P_new - P_expired`` per group, where the merge tree
+    would fold its cover again.  ``flows`` are group keys and exact
+    (int64) sums and counts, whose combine is a sum.  ``weights[i]``
+    counts the live partials that hold row ``i``: a group of a grouped
+    plan, or flow ``i``'s one row of a global plan.  A row goes when its
+    weight reaches 0; a group whose sum is 0 stays.  Integer sums wrap
+    like the fold's, and groups keep ascending key order (the order
+    ``group.group`` numbers them in), so :attr:`bundle` is, byte for
+    byte, what the combine program makes of the live partials.
+
+    Derived state: :meth:`fold` builds it from the live partials (on a
+    first window, and on the first slide after a restore); snapshots hold
+    only the partials.  An update builds new arrays and never writes to
+    the ones :attr:`bundle` has handed out.  ``fold`` arguments are the
+    plan's combine program over a list of bundles, passed per call as to
+    :meth:`PartialStore.cover`.
+    """
+
+    flows: list[Flow]
+    bundle: Bundle
+    weights: np.ndarray
+    #: Bundles the last fold or update merged (``merge_cover_len``).
+    folded: int
+    #: One integer group key: a slide whose groups all have rows already
+    #: updates them in place (:meth:`_update_in_place`).
+    positional: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        keys = [self.bundle[flow.name] for flow in self.flows if flow.kind == "gkey"]
+        self.positional = len(keys) == 1 and keys[0].tail.dtype.kind in "iub"
+
+    @classmethod
+    def fold(cls, flows: list[Flow], bundles: list[Bundle], fold: Fold) -> "RunningTable":
+        """The flat fold of the in-order ``bundles``, weighted."""
+        if flows[0].kind == "gkey":
+            bundle, weights = _weighted_fold(flows, bundles, fold)
+        else:
+            bundle = fold(bundles)
+            weights = np.array(
+                [sum(len(b[flow.name]) for b in bundles) for flow in flows], np.int64
+            )
+        return cls(flows, bundle, weights, len(bundles))
+
+    def update(self, added: Bundle, expired: list[Bundle], fold: Fold) -> None:
+        """Add ``added`` and subtract ``expired`` (one slide)."""
+        signed = [(added, 1)] + [(bundle, -1) for bundle in expired]
+        self.folded = len(signed)
+        if self.flows[0].kind != "gkey":
+            self._update_global(signed)
+        elif not self._update_in_place(signed):
+            self._update_regrouped(signed, fold)
+
+    def _update_global(self, signed: list[tuple[Bundle, int]]) -> None:
+        bundle: Bundle = {}
+        weights = self.weights.copy()
+        for index, flow in enumerate(self.flows):
+            bat = self.bundle[flow.name]
+            value = bat.tail if len(bat) else np.zeros(1, bat.tail.dtype)
+            for part, sign in signed:
+                tail = part[flow.name].tail
+                if len(tail):
+                    value = value + tail if sign > 0 else value - tail
+                    weights[index] += sign
+            bundle[flow.name] = BAT(value, bat.atom) if weights[index] else BAT.empty(bat.atom)
+        self.bundle, self.weights = bundle, weights
+
+    def _update_in_place(self, signed: list[tuple[Bundle, int]]) -> bool:
+        """The positional update: every key of the slide's partials is
+        already a row (one integer key), so each adds or subtracts at its
+        row of a copy.  False, changing nothing, when that does not hold."""
+        key = self.flows[0].name
+        keys = self.bundle[key].tail
+        if not (self.positional and len(keys)):
+            return False
+        probes = [part[key].tail for part, __ in signed]
+        probe = np.concatenate(probes)
+        rows = keys.searchsorted(probe)
+        if not (keys.take(rows, mode="clip") == probe).all():
+            return False
+        spans, low = [], 0
+        for (part, sign), part_probe in zip(signed, probes):
+            spans.append((part, sign, rows[low : low + len(part_probe)]))
+            low += len(part_probe)
+        bundle = {key: self.bundle[key]}
+        for flow in self.flows[1:]:
+            bat = self.bundle[flow.name]
+            values = bat.tail.copy()
+            for part, sign, at in spans:
+                (np.add if sign > 0 else np.subtract).at(values, at, part[flow.name].tail)
+            bundle[flow.name] = BAT(values, bat.atom)
+        weights = self.weights.copy()
+        for __, sign, at in spans:
+            np.add.at(weights, at, sign)
+        self.bundle, self.weights = _kept(bundle, weights)
+        return True
+
+    def _update_regrouped(self, signed: list[tuple[Bundle, int]], fold: Fold) -> None:
+        """Fold the table with the slide's partials, the expired ones
+        negated: the general update (new groups, several keys)."""
+        parts, weights = [self.bundle], [self.weights]
+        for part, sign in signed:
+            if sign < 0:
+                part = {
+                    flow.name: part[flow.name]
+                    if flow.kind == "gkey"
+                    else BAT(-part[flow.name].tail, part[flow.name].atom)
+                    for flow in self.flows
+                }
+            parts.append(part)
+            weights.append(np.full(bundle_rows(part), sign, np.int64))
+        self.bundle, self.weights = _kept(
+            *_weighted_fold(self.flows, parts, fold, np.concatenate(weights))
+        )
+
+
+def _weighted_fold(
+    flows: list[Flow], bundles: list[Bundle], fold: Fold, weights: Optional[np.ndarray] = None
+) -> tuple[Bundle, np.ndarray]:
+    """``fold`` of grouped ``bundles``, and each result row's total weight:
+    the sum of ``weights`` (one per packed row; ``None``: 1 each) over the
+    rows it merged.  The combine program numbers groups as
+    ``group.group`` does over the packed keys, so grouping them again
+    gives each packed row its result row."""
+    bundle = fold(bundles)
+    keys = [concat([b[flow.name] for b in bundles]) for flow in flows if flow.kind == "gkey"]
+    rows = group(keys).gids.tail
+    if weights is None:
+        return bundle, np.bincount(rows, minlength=bundle_rows(bundle)).astype(np.int64)
+    totals = np.zeros(bundle_rows(bundle), np.int64)
+    np.add.at(totals, rows, weights)
+    return bundle, totals
+
+
+def _kept(bundle: Bundle, weights: np.ndarray) -> tuple[Bundle, np.ndarray]:
+    """``bundle``'s rows of nonzero weight, and their weights."""
+    live = weights != 0
+    if live.all():
+        return bundle, weights
+    return {name: BAT(bat.tail[live], bat.atom) for name, bat in bundle.items()}, weights[live]
 
 
 _NO_SEQS = np.empty(0, dtype=np.int64)

@@ -132,6 +132,11 @@ class IncrementalPlan:
     # shared tail
     combine: Program = field(default_factory=Program)
     finalize: Program = field(default_factory=Program)
+    #: A single-stream sliding aggregate whose flows are group keys and
+    #: exact sums and counts: its window slides by adding the new partial
+    #: and subtracting the expired one (DESIGN.md §17), see
+    #: :func:`_invertible`.
+    invertible: bool = False
 
     @property
     def is_join(self) -> bool:
@@ -431,6 +436,7 @@ def rewrite(planned: PlannedQuery) -> IncrementalPlan:
     plan.finalize, plan.output_names, plan.output_atoms = _build_finalize(
         shape, planned, flows, entries
     )
+    plan.invertible = _invertible(shape, planned)
     # Cleanup pass: the per-column compilers can leave slots no flow reads
     # (pruned expressions, unused join sides); the factory addresses every
     # surviving slot through program outputs, so liveness roots are exact.
@@ -445,6 +451,38 @@ def rewrite(planned: PlannedQuery) -> IncrementalPlan:
         if program is not None:
             _drop_unread_inputs(program)
     return plan
+
+
+#: Atoms whose sums are exact in int64 (wrapping on overflow the same way
+#: whatever the order of the additions), so subtracting an expired
+#: partial undoes adding it.
+EXACT_ATOMS = frozenset({Atom.INT, Atom.OID, Atom.BIT})
+
+
+def _invertible(shape: PlanShape, planned: PlannedQuery) -> bool:
+    """Whether a window's combined flows can slide by subtraction.
+
+    Single-stream sliding aggregates only (not a join, not landmark,
+    whose one cumulative partial never expires), grouped by keys that are
+    not FLT (0.0 and -0.0 are one group, shown as the oldest live
+    partial's key), with every aggregate a count or an exact-atom sum or
+    AVG (its sum and count flows).  FLT sums reassociate; min and max
+    have no inverse.
+    """
+    aggregate = shape.aggregate
+    if shape.is_join or aggregate is None or shape.streams[0].window.is_landmark:
+        return False
+    if Atom.FLT in aggregate.key_atoms:
+        return False
+    return all(
+        spec.func == "count"
+        or (
+            spec.func in ("sum", "avg")
+            and spec.arg is not None
+            and planned.binding.atom_of(spec.arg) in EXACT_ATOMS
+        )
+        for spec in aggregate.aggs
+    )
 
 
 def reevaluation_plan(planned: PlannedQuery) -> IncrementalPlan:

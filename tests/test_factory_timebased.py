@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import DataCellEngine
+from repro.errors import BasketError
 
 from conftest import assert_rows_equal, ref_q1
 
@@ -108,3 +109,111 @@ class TestTimeWindows:
         assert len(qi.results()) == 4
         assert qi.result_rows() == qr.result_rows()
         assert qi.results()[0].rows() == [(5,)]  # tuples in [0, 10s)
+
+
+#: The out-of-order repro: v = 1..4 at 1, 7, 3, 12 s, then v = 5 at 26 s.
+#: Fed in timestamp order, the [6 s, 16 s) window holds v = 2 and 4.
+ORDER_SQL = "SELECT count(v), sum(v) FROM s [RANGE 10 SECONDS SLIDE 5 SECONDS]"
+IN_ORDER_WINDOWS = [[(2, 3)], [(2, 6)], [(1, 4)], []]
+
+
+def order_engine(**kwargs):
+    engine = DataCellEngine(**kwargs)
+    engine.create_stream("s", [("v", "int")])
+    engine.submit(ORDER_SQL, name="q")
+    return engine
+
+
+def state_of(engine):
+    """What a refused batch must leave as it was."""
+    log = engine._logs["s"]
+    return (
+        len(log),
+        log.appended_total,
+        log.max_timestamp(),
+        dict(engine._stream_fed),
+        engine._dur.seq if engine._dur is not None else None,
+    )
+
+
+class TestOutOfOrderTimestamps:
+    """Timestamps may not decrease by arrival: a batch that breaks that
+    is refused before it is journaled or changes any state."""
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_the_repro_is_refused_not_mis_windowed(self, tmp_path, durable):
+        engine = order_engine(data_dir=str(tmp_path) if durable else None)
+        try:
+            engine.feed("s", rows=[(1,), (2,)], timestamps=[1 * US, 7 * US])
+            before = state_of(engine)
+            with pytest.raises(BasketError, match="must not decrease"):
+                engine.feed("s", rows=[(3,)], timestamps=[3 * US])
+            with pytest.raises(BasketError, match="tuple 1 of the batch"):
+                engine.feed("s", rows=[(3,), (4,)], timestamps=[13 * US, 12 * US])
+            assert state_of(engine) == before
+            engine.feed("s", rows=[(4,)], timestamps=[12 * US])  # in order
+            engine.feed("s", rows=[(5,)], timestamps=[26 * US])
+            engine.run_until_idle()
+            windows = [batch.rows() for batch in engine.query("q").results()]
+            assert windows == IN_ORDER_WINDOWS
+        finally:
+            engine.close()
+
+    def test_equal_timestamps_and_the_watermark(self):
+        engine = order_engine()
+        try:
+            engine.feed("s", rows=[(1,), (2,)], timestamps=[2 * US, 2 * US])
+            engine.feed("s", rows=[(3,)], timestamps=[2 * US])  # equal is in order
+            engine.advance_time("s", 9 * US)
+            with pytest.raises(BasketError, match="watermark"):
+                engine.feed("s", rows=[(4,)], timestamps=[8 * US])
+            engine.feed("s", rows=[(4,)], timestamps=[9 * US])
+        finally:
+            engine.close()
+
+    def test_a_partitioned_stream_refuses_before_routing(self):
+        engine = DataCellEngine(partitions=2)
+        try:
+            engine.create_stream("s", [("k", "int"), ("v", "int")], partition_by="k")
+            engine.submit(
+                "SELECT k, count(v) FROM s [RANGE 10 SECONDS SLIDE 5 SECONDS] GROUP BY k",
+                name="q",
+            )
+            engine.feed("s", rows=[(1, 1), (2, 2)], timestamps=[1 * US, 7 * US])
+            routed = list(engine._partitioned["s"].routed)
+            with pytest.raises(BasketError, match="must not decrease"):
+                engine.feed("s", rows=[(1, 3)], timestamps=[3 * US])
+            assert engine._partitioned["s"].routed == routed
+            engine.advance_time("s", 20 * US)
+            with pytest.raises(BasketError, match="watermark"):
+                engine.feed("s", rows=[(2, 4)], timestamps=[12 * US])
+        finally:
+            engine.close()
+
+    @pytest.mark.recovery
+    def test_the_order_survives_a_restore(self, tmp_path):
+        """The newest timestamp is part of the stream's snapshot, and
+        journaled batches replay through the same check."""
+        engine = order_engine(data_dir=str(tmp_path))
+        engine.feed("s", rows=[(1,)], timestamps=[1 * US])
+        engine.checkpoint()
+        engine.feed("s", rows=[(2,)], timestamps=[7 * US])  # journaled only
+        engine.abandon()
+        restored = DataCellEngine.restore(str(tmp_path))
+        try:
+            with pytest.raises(BasketError, match="must not decrease"):
+                restored.feed("s", rows=[(3,)], timestamps=[3 * US])
+            restored.checkpoint()
+            restored.feed("s", rows=[(4,)], timestamps=[12 * US])
+            restored.feed("s", rows=[(5,)], timestamps=[26 * US])
+            restored.run_until_idle()
+            windows = [batch.rows() for batch in restored.query("q").results()]
+            assert windows == IN_ORDER_WINDOWS
+        finally:
+            restored.close()
+        again = DataCellEngine.restore(str(tmp_path))
+        try:
+            with pytest.raises(BasketError, match="must not decrease"):
+                again.feed("s", rows=[(6,)], timestamps=[25 * US])
+        finally:
+            again.close()

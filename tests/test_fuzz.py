@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.factory import IncrementalFactory
+from repro.core.partials import RunningTable
 from repro.errors import ReproError
 from repro.testing.fuzz import (
     RELATIONS,
@@ -80,20 +81,37 @@ def make_feed(c0, c1=None):
 class BrokenMerge:
     """Context manager injecting the compensation bug: the incremental
     merge silently drops the newest live partial bundle, so any window
-    assembled from more than one basic window loses tuples."""
+    assembled from more than one basic window loses tuples.  Both merges
+    break: the fold of the live bundles, and an invertible plan's running
+    table (rebuilt every slide from all but the newest partial)."""
 
     def __enter__(self):
-        self._original = IncrementalFactory._live_bundles
+        self._originals = (
+            IncrementalFactory._live_bundles,
+            IncrementalFactory._running_bundle,
+        )
+        live_bundles = self._originals[0]
 
         def broken(factory, profiler=None):
-            bundles = self._original(factory, profiler)
+            bundles = live_bundles(factory, profiler)
             return bundles[:-1] if len(bundles) > 1 else bundles
 
+        def broken_running(factory, profiler):
+            store = factory._stores[factory.plan.stream_aliases[0]]
+            bundles = [bundle for __, bundle in store.live()]
+            bundles = bundles[:-1] if len(bundles) > 1 else bundles
+            return RunningTable.fold(
+                factory.plan.flows, bundles, factory._fold_bundles
+            ).bundle
+
         IncrementalFactory._live_bundles = broken
+        IncrementalFactory._running_bundle = broken_running
         return self
 
     def __exit__(self, *exc):
-        IncrementalFactory._live_bundles = self._original
+        IncrementalFactory._live_bundles, IncrementalFactory._running_bundle = (
+            self._originals
+        )
         return False
 
 

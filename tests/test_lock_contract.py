@@ -125,6 +125,7 @@ ROWS = {
     "Basket.append_columns": (basket, "append_columns", ({"a": [5]},)),
     "Basket.column": (basket, "column", ("a",)),
     "Basket.advance_watermark": (basket, "advance_watermark", (9,)),
+    "Basket.admit_times": (basket, "admit_times", (np.array([9], dtype=np.int64),)),
     "Basket.snapshot_state": (basket, "snapshot_state", ()),
     "Basket.restore_state": (basket, "restore_state", snapshot),
     "CollectingEmitter.__call__": (emitter, "__call__", lambda sink: ("q", result())),

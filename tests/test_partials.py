@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import DataCellEngine
 from repro.errors import SchedulerError
@@ -15,10 +15,15 @@ from repro.core.partials import (
     MERGE_FANOUT,
     PairStore,
     PartialStore,
+    RunningTable,
     WindowStore,
     _pair_codes,
     merge_levels,
 )
+from repro.core.rewriter.flows import Flow
+from repro.core.rewriter.incremental import _build_combine, packed
+from repro.kernel.algebra.setops import concat
+from repro.kernel.execution import InterpreterBackend
 
 from conftest import cover_bound
 from repro.kernel.atoms import Atom
@@ -175,6 +180,137 @@ class TestMergeTree:
             store.add(span_bundle(i))
             twin.add(span_bundle(i))
             assert twin.cover(span_fold) == store.cover(span_fold)
+
+
+# ----------------------------------------------------------------------
+# running tables (invertible plans, DESIGN.md §17)
+# ----------------------------------------------------------------------
+GROUPED_FLOWS = [Flow("key_0", "gkey"), Flow("s", "gsum"), Flow("c", "gcount")]
+GLOBAL_FLOWS = [Flow("s", "sum"), Flow("c", "count")]
+#: Partial values: small ones of both signs (and sums that cancel to 0),
+#: and ones big enough that a few of them wrap int64.
+SMALL = np.arange(-3, 4, dtype=np.int64)
+HUGE = np.array([2**62, 2**63 - 1, -(2**63), -(2**62) - 7], dtype=np.int64)
+
+
+def random_partial(rng, grouped, domain):
+    """One basic window's partial: ascending distinct keys, some windows
+    empty; a global sum has no row for an empty basic window."""
+    values = SMALL if rng.random() < 0.7 else HUGE
+    if grouped:
+        rows = rng.integers(0, min(domain, 6) + 1)
+        keys = np.sort(rng.choice(domain, rows, replace=False)).astype(np.int64) - 2
+        return {
+            "key_0": BAT(keys, Atom.INT),
+            "s": BAT(rng.choice(values, rows), Atom.INT),
+            "c": BAT(rng.integers(1, 5, rows).astype(np.int64), Atom.INT),
+        }
+    empty = rng.random() < 0.3
+    return {
+        "s": BAT(rng.choice(values, 0 if empty else 1), Atom.INT),
+        "c": BAT(np.array([0 if empty else rng.integers(1, 9)], np.int64), Atom.INT),
+    }
+
+
+def flat_fold(flows, bundles):
+    """The plan's own combine program over the packed partials: what the
+    paper's flat merge makes of the window."""
+    program = _build_combine(flows, flows[0].kind == "gkey")
+    packed_cols = {
+        packed(flow.name): concat([b[flow.name] for b in bundles]) for flow in flows
+    }
+    out = InterpreterBackend().run(program, packed_cols, Profiler())
+    return {flow.name: out[flow.name] for flow in flows}
+
+
+def model_weights(flows, bundles):
+    """How many partials hold each row of the fold."""
+    if flows[0].kind != "gkey":
+        return [sum(len(b[flow.name]) for b in bundles) for flow in flows]
+    held: dict[int, int] = {}
+    for b in bundles:
+        for key in b["key_0"].to_list():
+            held[key] = held.get(key, 0) + 1
+    return [held[key] for key in sorted(held)]
+
+
+class TestRunningTable:
+    """The tiling property's twin: after every add (and the expiry it
+    brings) or restore, the running table is, byte for byte, the flat
+    fold of the live partials, and each row's weight is the number of
+    live partials holding it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 4, 31, 32, 512]),
+        grouped=st.booleans(),
+        domain=st.integers(1, 40),
+        extra=st.integers(0, 40),
+        restore_at=st.integers(-1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_is_the_fold_of_the_live_partials(
+        self, n, grouped, domain, extra, restore_at, seed
+    ):
+        rng = np.random.default_rng(seed)
+        flows = GROUPED_FLOWS if grouped else GLOBAL_FLOWS
+        store = PartialStore(capacity=n)
+        table = None
+        handed = []
+
+        def fold(bundles):
+            return flat_fold(flows, bundles)
+
+        for step in range(n + extra):
+            bundle = random_partial(rng, grouped, domain)
+            __, expired = store.slide(bundle)
+            live = [b for __, b in store.live()]
+            if step == restore_at:
+                twin = PartialStore(capacity=n)
+                twin.restore_state(unpack_state(*pack_state(store.snapshot_state())))
+                store, table = twin, None
+            if table is None:
+                table = RunningTable.fold(flows, live, fold)
+                assert table.folded == len(live)
+            else:
+                table.update(bundle, expired, fold)
+                assert table.folded == 1 + len(expired)
+            expected = flat_fold(flows, live)
+            assert list(table.bundle) == list(expected)
+            for name, bat in expected.items():
+                assert table.bundle[name].atom == bat.atom
+                assert table.bundle[name].tail.tobytes() == bat.tail.tobytes()
+            assert table.weights.tolist() == model_weights(flows, live)
+            handed += [(bat.tail, bat.tail.copy()) for bat in table.bundle.values()]
+        # No update wrote to an array the table had handed out.
+        for tail, copy in handed:
+            assert tail.tobytes() == copy.tobytes()
+
+    def test_a_group_summing_to_zero_stays_and_a_vanished_one_goes(self):
+        flows = GROUPED_FLOWS
+        store = PartialStore(capacity=2)
+
+        def partial(keys, sums):
+            return {
+                "key_0": BAT(np.array(keys, np.int64), Atom.INT),
+                "s": BAT(np.array(sums, np.int64), Atom.INT),
+                "c": BAT(np.ones(len(keys), np.int64), Atom.INT),
+            }
+
+        store.add(partial([1, 2], [5, 7]))
+        store.add(partial([2], [-7]))
+        def fold(bundles):
+            return flat_fold(flows, bundles)
+
+        table = RunningTable.fold(flows, [b for __, b in store.live()], fold)
+        assert table.bundle["key_0"].to_list() == [1, 2]
+        assert table.bundle["s"].to_list() == [5, 0]
+        assert table.weights.tolist() == [1, 2]
+        new = partial([3], [4])
+        table.update(new, store.slide(new)[1], fold)  # expires keys 1 and 2
+        assert table.bundle["key_0"].to_list() == [2, 3]  # 2 sums to -7
+        assert table.bundle["s"].to_list() == [-7, 4]
+        assert table.weights.tolist() == [1, 1]
 
 
 class TestWindowStore:

@@ -198,6 +198,58 @@ class TestEmittedBatchStability:
             ]
             assert batch.rows() == expected
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT x1, sum(x2) FROM s [RANGE 64 SLIDE 2] GROUP BY x1",
+            "SELECT count(x2), avg(x2) FROM s [RANGE 64 SLIDE 2]",
+            "SELECT x1, count(*) FROM s "
+            "[RANGE 40 MILLISECONDS SLIDE 10 MILLISECONDS] GROUP BY x1",
+        ],
+    )
+    def test_running_table_batches_survive_later_slides(self, engine, sql):
+        """An invertible plan's finalize reads the running table, whose
+        arrays are the emitted batch for these identity finalizes: later
+        slides must build new arrays, not update the handed-out ones."""
+        query = engine.submit(sql)
+        assert query.factory.plan.invertible
+        rng = np.random.default_rng(5)
+        x1 = rng.integers(0, 6, 400)
+        x2 = rng.integers(-50, 50, 400)
+        ts = np.cumsum(rng.integers(0, 6_000, 400)).astype(np.int64)
+        emitted: list[list[bytes]] = []
+        for lo in range(0, 400, 2):
+            engine.feed(
+                "s",
+                columns={"x1": x1[lo : lo + 2], "x2": x2[lo : lo + 2]},
+                timestamps=ts[lo : lo + 2],
+            )
+            engine.run_until_idle()
+            emitted += [
+                [batch.columns[name].tail.tobytes() for name in batch.names]
+                for batch in query.results()[len(emitted) :]
+            ]
+        assert len(emitted) > 100
+        assert [
+            [batch.columns[name].tail.tobytes() for name in batch.names]
+            for batch in query.results()
+        ] == emitted
+
+    def test_m_chunk_running_table_batches_survive_later_slides(self, engine):
+        query = engine.submit("SELECT x1, sum(x2) FROM s [RANGE 48 SLIDE 6] GROUP BY x1")
+        rng = np.random.default_rng(6)
+        engine.feed(
+            "s",
+            columns={"x1": rng.integers(0, 3, 300), "x2": rng.integers(-9, 9, 300)},
+        )
+        batches, emitted = [], []
+        while query.factory.ready():
+            batch = query.factory.step_chunked(3)
+            batches.append(batch)
+            emitted.append(batch.rows())
+        assert len(batches) == 43
+        assert [batch.rows() for batch in batches] == emitted
+
     @pytest.mark.parametrize("mode", ["incremental", "reeval"])
     @pytest.mark.parametrize("shape", list(JOINS))
     def test_select_only_join_batches_survive_later_slides(self, mode, shape):

@@ -71,7 +71,9 @@ def test_sliding_aggregate_state_is_one_partial_per_window():
     [alias] = result.aliases
     assert alias.window_tuples == Bound(10)
     assert alias.live_windows == Bound(10)
-    assert alias.state == Bound(10)  # one scalar partial per basic window
+    # one scalar partial per basic window, plus the running table of this
+    # invertible plan: the window's sum and its weight
+    assert alias.state == Bound(10 + 2)
 
 
 def test_select_only_state_scales_with_window():
@@ -160,7 +162,7 @@ def test_report_json_roundtrip():
     result = analyze("SELECT sum(a) AS x FROM s [RANGE 100 SLIDE 10]")
     data = result.to_json()
     assert data["bounded"] is True
-    assert data["total_state"]["text"] == "10"
+    assert data["total_state"]["text"] == "12"  # 10 partials, the sum, its weight
     assert data["aliases"][0]["window"]["kind"] == "sliding"
 
 
@@ -232,4 +234,4 @@ def test_lint_sql_resources_with_declared_schema():
         ]
     )
     assert code == 0, output
-    assert "state bound: 8" in output
+    assert "state bound: 10" in output  # 8 partials + the running sum and its weight
