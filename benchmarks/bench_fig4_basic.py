@@ -108,8 +108,9 @@ class TestFig4a:
         # and steady-state incremental beats re-evaluation clearly.  The
         # recorded run reads 1.9x (EXPERIMENTS.md); with another process
         # on a 2-vCPU host it read up to 3.0x, hence the 4x bound.  The
-        # rest of the gap is the first merge, which folds the 72 nodes of
-        # the merge tree, and cutting 512 bundles out of the runs.
+        # rest of the gap is the first merge, which folds the running
+        # table from all 512 partials, and cutting 512 bundles out of the
+        # runs.
         first = (incremental.response_seconds[0], reevaluation.response_seconds[0])
         assert first[0] < 4 * first[1], first
         incr_steady = incremental.mean_response(skip_first=1)

@@ -6,7 +6,7 @@ with the cost breakdown into main-plan work and merge work.
     (per-call administration); the breakdown is dominated by the *main
     plan* cost, merging is negligible.  The paper's merge re-packs all n
     partials per slide ("flat merge" column: Algorithm 2, measured with
-    the factory's running table and merge tree switched off).  Q1's
+    the factory's running table switched off).  Q1's
     grouped INT sum is invertible (DESIGN.md §17): the engine adds the
     new partial and subtracts the expired one, so its merge column does
     not grow with n.
@@ -33,8 +33,7 @@ from repro.workloads import join_streams, selection_stream
 from conftest import fresh_engine, q1_sql, q2_sql
 
 WINDOWS = 5
-#: Q1 slides per run: 16 measured ones, so the merge column carries the
-#: amortized cost of sealing tree nodes (one level-1 node every 8 slides).
+#: Q1 slides per run: the first window and 16 measured slides.
 Q1_WINDOWS = 17
 
 Q1_WINDOW = 102_400
@@ -55,9 +54,8 @@ def _q1_run(basic_windows, flat=False, window=Q1_WINDOW, mode="incremental"):
     )
     engine = fresh_engine()
     query = engine.submit(q1_sql(window, step, workload.threshold), mode=mode)
-    if flat:  # Algorithm 2: pack every partial, no running table or tree node
+    if flat:  # Algorithm 2: pack every partial, no running table
         query.factory._invertible = False
-        query.factory._stores["stream"].levels = 0
     return drive_single(
         engine, query, "stream", workload.columns(), window, step, Q1_WINDOWS
     )

@@ -10,11 +10,9 @@ From per-slot bounds the analyzer derives the quantities the overload
 and sharing machinery care about:
 
 * **window state** — tuples retained across firings: live basic-window
-  bundles in the partial store(s) — plus, for deep sliding windows whose
-  combine compensates, the merge tree's pre-merged nodes (at most
-  ``n/(K−1)`` bundles on top of the ``n`` singles, DESIGN.md §17) or an
-  invertible plan's running table (the combined window, one weight a row) —
-  prep caches and pair results for joins.  Landmark windows retain
+  bundles in the partial store(s) — plus an invertible plan's running
+  table (the combined window, one weight a row; DESIGN.md §17) — prep
+  caches and pair results for joins.  Landmark windows retain
   *every* basic window, so their state is finite only when the combine
   program compacts (all outputs stay
   bounded when the packed inputs are unbounded — true for aggregates,
@@ -47,7 +45,6 @@ from typing import Any, Optional, Sequence
 
 from repro.analysis.diagnostics import Report
 from repro.core.overflow import Block, Fail
-from repro.core.partials import MERGE_FANOUT, merge_levels
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
 from repro.core.windows import WindowSpec
 from repro.kernel.execution.program import Instr, Lit, Program, Ref
@@ -293,13 +290,11 @@ class AliasBounds:
     #: live basic windows retained (inf for landmark without compaction).
     live_windows: Bound
     #: tuples retained across firings for this input (partials/preps,
-    #: merge-tree nodes included).
+    #: a running table included).
     state: Bound
     #: minimum basket occupancy needed for the factory to fire once.
     basket_need: Bound
     capacity: Optional[int] = None
-    #: pre-merged merge-tree bundles kept beside the live singles.
-    tree_nodes: Bound = Bound(0)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -313,7 +308,6 @@ class AliasBounds:
             },
             "window_tuples": self.window_tuples.to_json(),
             "live_windows": self.live_windows.to_json(),
-            "tree_nodes": self.tree_nodes.to_json(),
             "state": self.state.to_json(),
             "basket_need": self.basket_need.to_json(),
             "capacity": self.capacity,
@@ -349,13 +343,10 @@ class ResourceReport:
         lines = [f"-- resources: {self.subject}"]
         for ab in self.aliases:
             cap = "unbounded" if not ab.capacity else str(ab.capacity)
-            nodes = (
-                f"tree nodes = {ab.tree_nodes.render()}, " if ab.tree_nodes.coeff else ""
-            )
             lines.append(
                 f"  {ab.alias} ({ab.relation}, {ab.window.kind}): "
                 f"basic window = {ab.window_tuples.render()} tuples, "
-                f"live windows = {ab.live_windows.render()}, {nodes}"
+                f"live windows = {ab.live_windows.render()}, "
                 f"state = {ab.state.render()}, "
                 f"basket need = {ab.basket_need.render()} (capacity {cap})"
             )
@@ -408,46 +399,26 @@ def combine_compacts(plan: IncrementalPlan) -> bool:
     return all(bound.finite for bound in outs.values())
 
 
-def tree_node_bounds(
+def running_table_bound(
     plan: IncrementalPlan, live_windows: int, flow_bounds: Sequence[Bound]
-) -> tuple[Bound, Bound]:
-    """``(node count, node tuples)`` the merge tree adds to a store.
+) -> Bound:
+    """Tuples an invertible plan's running table adds to its store.
 
-    Mirrors ``IncrementalFactory._new_stores``: single-stream plans whose
-    combine compensates seal ``merge_levels(n)`` levels.  At most
-    ``n // K^l`` aligned level-``l`` nodes fit in a window of ``n`` basic
-    windows, and one holds what combine makes of ``K^l`` packed partials
-    (``flow_bounds``: one basic window's rows per flow, in flow order) —
-    one row for a global aggregate, up to ``K^l`` partials' worth of
-    groups for a grouped one.  An invertible plan seals no node: it keeps
-    a running table instead, what combine makes of the whole window's
-    partials plus one weight per row (per group, or per global flow).
+    Mirrors ``IncrementalFactory._running_bundle``: the table is what
+    combine makes of the window's ``live_windows`` partials
+    (``flow_bounds``: one basic window's rows per flow, in flow order)
+    plus one weight per row (per group, or per global flow).  Other
+    plans keep no state beside their partials.
     """
-    count = tuples = ZERO
-    if plan.is_join or not plan.compensates:
-        return count, tuples
-    if plan.invertible:
-        table = _combined_bounds(plan, live_windows, flow_bounds)
-        weights = bound_max(table) if plan.grouped else Bound(len(plan.flows))
-        return count, bound_sum(table).add(weights)
-    for level in range(1, merge_levels(live_windows) + 1):
-        span = MERGE_FANOUT**level
-        nodes = Bound(live_windows // span)
-        node = bound_sum(_combined_bounds(plan, span, flow_bounds))
-        count = count.add(nodes)
-        tuples = tuples.add(nodes.mul(node))
-    return count, tuples
-
-
-def _combined_bounds(
-    plan: IncrementalPlan, partials: int, flow_bounds: Sequence[Bound]
-) -> list[Bound]:
-    """Per flow, the rows combine makes of ``partials`` packed partials."""
+    if not plan.invertible:
+        return ZERO
     packed_inputs = {
-        packed(flow.name): bound.scaled(partials)
+        packed(flow.name): bound.scaled(live_windows)
         for flow, bound in zip(plan.flows, flow_bounds)
     }
-    return list(output_bounds(plan.combine, packed_inputs).values())
+    table = list(output_bounds(plan.combine, packed_inputs).values())
+    weights = bound_max(table) if plan.grouped else Bound(len(plan.flows))
+    return bound_sum(table).add(weights)
 
 
 def _scan_inputs(plan: IncrementalPlan, alias: str, bound: Bound) -> dict[str, Bound]:
@@ -545,10 +516,7 @@ def analyze_resources(
             )
         else:
             state = live.mul(per_window)
-        tree_nodes, node_state = tree_node_bounds(
-            plan, window.basic_windows, flow_bounds
-        )
-        state = state.add(node_state)
+        state = state.add(running_table_bound(plan, window.basic_windows, flow_bounds))
         total = total.add(state)
 
         basket_need = w_tuples  # the factory fires per basic window
@@ -589,7 +557,6 @@ def analyze_resources(
                 state=state,
                 basket_need=basket_need,
                 capacity=capacity,
-                tree_nodes=tree_nodes,
             )
         )
 

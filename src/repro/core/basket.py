@@ -201,7 +201,8 @@ class Basket(_Reader):
         self._appended_total = 0  # the tail's arrival offset; guarded-by: _lock
         self._clock = 0  # fallback logical timestamps; guarded-by: _lock
         self._watermark: int | None = None  # explicit time progress; guarded-by: _lock
-        # newest explicit timestamp fed (admit_times); guarded-by: _lock
+        # newest explicit timestamp admitted (append_columns,
+        # note_times); guarded-by: _lock
         self._newest_ts: int | None = None
         if capacity is not None and capacity < 1:
             raise BasketError(f"capacity must be >= 1, got {capacity}")
@@ -467,10 +468,17 @@ class Basket(_Reader):
             if len(lengths) != 1:
                 raise BasketError("ragged column append")
             count = lengths.pop()
-            if timestamps is not None and len(timestamps) != count:
-                raise BasketError("timestamp column length mismatch")
+            if timestamps is not None:
+                if len(timestamps) != count:
+                    raise BasketError("timestamp column length mismatch")
+                timestamps = np.asarray(timestamps, dtype=np.int64)
+                self._check_times(timestamps)
             if self._capacity is not None:
                 keep = self._admit(count)
+                if timestamps is not None:
+                    # A Block policy's wait releases the lock: another
+                    # batch may have moved the frontier meanwhile.
+                    self._check_times(timestamps)
                 if not (isinstance(keep, slice) and keep == slice(None)):
                     columns = {
                         name: _select_values(values, keep)
@@ -481,6 +489,8 @@ class Basket(_Reader):
                     count = len(next(iter(columns.values()))) if columns else 0
             for name, values in columns.items():
                 self._builders[name].extend(values)
+            if timestamps is not None and count:
+                self._newest_ts = int(timestamps[-1])
             if self._with_ts:
                 if timestamps is not None:
                     self._builders[TS_COLUMN].extend(timestamps)
@@ -505,14 +515,28 @@ class Basket(_Reader):
             return self._builders[name].snapshot()
 
     def admit_times(self, ts: np.ndarray) -> None:
-        """Check a batch's explicit arrival timestamps against the stream
-        and move its time frontier to the newest of them.
+        """Refuse a batch whose explicit arrival timestamps are out of
+        order with :class:`BasketError`; changes nothing.
 
         Timestamps may not decrease by arrival (:meth:`Cursor.count_before`
         binary-searches them): not within the batch, and not below the
-        newest timestamp fed before it or the watermark.  A batch out of
-        order raises :class:`BasketError` and changes nothing.
+        newest timestamp admitted before it or the watermark.  The engine
+        asks before it journals a batch; :meth:`append_columns` asks
+        again in the critical section that admits the batch, and only an
+        admitted batch moves the stream's time frontier.
         """
+        with self._lock:
+            self._check_times(ts)
+
+    def note_times(self, ts: np.ndarray) -> None:
+        """Move the time frontier past a batch admitted elsewhere: a
+        partitioned stream's batch, whose tuples land in the partitions'
+        baskets."""
+        with self._lock:
+            if len(ts):
+                self._newest_ts = int(ts[-1])
+
+    def _check_times(self, ts: np.ndarray) -> None:  # guarded-by: self._lock
         if not len(ts):
             return
         back = np.flatnonzero(ts[1:] < ts[:-1])
@@ -522,15 +546,13 @@ class Basket(_Reader):
                 f"timestamps on stream {self.name!r} must not decrease: tuple {at} "
                 f"of the batch has {int(ts[at])} after {int(ts[at - 1])}"
             )
-        with self._lock:
-            known = [t for t in (self._newest_ts, self._watermark) if t is not None]
-            if known and ts[0] < max(known):
-                raise BasketError(
-                    f"timestamps on stream {self.name!r} must not decrease: the "
-                    f"batch starts at {int(ts[0])}, before {max(known)} "
-                    "(the newest timestamp fed or the watermark)"
-                )
-            self._newest_ts = int(ts[-1])
+        known = [t for t in (self._newest_ts, self._watermark) if t is not None]
+        if known and ts[0] < max(known):
+            raise BasketError(
+                f"timestamps on stream {self.name!r} must not decrease: the "
+                f"batch starts at {int(ts[0])}, before {max(known)} "
+                "(the newest timestamp fed or the watermark)"
+            )
 
     def advance_watermark(self, ts: int) -> None:
         """Declare that no tuple with arrival timestamp < ``ts`` will arrive.

@@ -476,6 +476,13 @@ class DataCellEngine:
                     )
         return schema
 
+    def _drop_stream(self, name: str) -> None:
+        """Forget a stream no query reads any more (a partition's private
+        stream, once its query is removed).  Not journaled: partition
+        engines keep no journal."""
+        self.catalog.drop_stream(name)
+        del self._logs[name], self._stream_fed[name], self._stream_limits[name]
+
     def create_table(self, name: str, columns: Sequence[tuple[str, object]]) -> Table:
         """Create a persistent base table."""
         with self._dur_guard():
@@ -706,14 +713,13 @@ class DataCellEngine:
         factory.enable_fragment_sharing(self.fragment_cache, key)
 
     def merge_stats(self) -> dict[str, dict]:
-        """Per-query merge-tree gauges of single-stream incremental queries.
+        """Per-query merge gauge of single-stream incremental queries.
 
-        ``merge_cover_len`` is the number of bundles the last firing
-        merged (the window's basic-window count for a flat store, far
-        fewer once tree nodes cover it), ``merge_nodes_sealed`` the
-        pre-merged nodes folded so far and ``merge_nodes_live`` those
-        currently held (DESIGN.md §17; surfaced in :meth:`metrics` under
-        ``"merge"`` and as ``repro_merge_*`` Prometheus families).
+        ``merge_cover_len`` is the number of partials the last firing
+        merged: the window's basic-window count ``n`` for a flat merge,
+        and for a running table the ones its last update folded
+        (DESIGN.md §17; surfaced in :meth:`metrics` under ``"merge"`` and
+        as the ``repro_merge_cover_len`` Prometheus family).
         """
         stats: dict[str, dict] = {}
         for name, handle in self._queries.items():
@@ -840,8 +846,10 @@ class DataCellEngine:
         exactly the schema's columns, equal column lengths and one
         timestamp per tuple — and typed by :func:`typed_values`.
         Explicit timestamps must not decrease, within the batch or
-        against the stream (:meth:`Basket.admit_times`); a batch that
-        passes moves the stream's time frontier.
+        against the stream (:meth:`Basket.admit_times`).  The check
+        changes nothing: the append checks again as it admits the batch,
+        and only an admitted batch moves the stream's time frontier, so a
+        batch the overflow policy rejects can be retried.
 
         Every feed takes this path, so a stream admits the same typed
         values whether it is plain, partitioned or durable.  It runs before
@@ -954,6 +962,8 @@ class DataCellEngine:
         self._stream_fed[stream] += count
         if error is not None:
             raise error
+        if timestamps is not None:
+            self._logs[stream].note_times(timestamps)
         return count
 
     def advance_time(self, stream: str, ts: int) -> None:

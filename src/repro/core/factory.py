@@ -39,7 +39,6 @@ from repro.core.partials import (
     ShareKey,
     WindowStore,
     bundle_rows,
-    merge_levels,
 )
 from repro.core.rewriter.flows import GLOBAL_FRAGMENT
 from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
@@ -255,25 +254,13 @@ class IncrementalFactory(FactoryBase):
         """Empty window state: one store per stream plus, for a join, the
         pair table.  A prep's stream keeps a :class:`WindowStore`, which
         join runs and finalize read as views; a fragment's stream keeps
-        the ring of partials.
-
-        The ring arms the merge tree where a pre-merged node is smaller
-        than its children: combines that compensate and cannot subtract.
-        A concatenating combine would only copy the window, and an
-        invertible plan keeps a running table instead, so those stores
-        stay flat; so does every window too shallow to seal a level
-        (``merge_levels``, landmark included)."""
+        the ring of partials."""
         plan = self.plan
         capacity = {alias: w.basic_windows for alias, w in plan.windows.items()}
-        tree = plan.compensates and not plan.invertible
-        self._stores: dict[str, PartialStore] = {}
-        for alias in plan.stream_aliases:
-            n = capacity[alias]
-            self._stores[alias] = (
-                WindowStore(n)
-                if alias in plan.preps
-                else PartialStore(n, levels=merge_levels(n) if tree else 0)
-            )
+        self._stores: dict[str, PartialStore] = {
+            alias: (WindowStore if alias in plan.preps else PartialStore)(capacity[alias])
+            for alias in plan.stream_aliases
+        }
         self._running: Optional[RunningTable] = None
         if plan.pair_fragment is not None:
             left, right = plan.pair_aliases
@@ -637,18 +624,14 @@ class IncrementalFactory(FactoryBase):
         return self._empty_pair
 
     # -- merge ------------------------------------------------------
-    def _live_bundles(self, profiler: Optional[Profiler] = None) -> list[Bundle]:
-        """The in-order bundles whose merge is the current window.
-
-        Single-stream stores answer with their cover — all live singles,
-        or fewer pre-merged tree nodes (sealed on demand, charged to
-        ``profiler``) that tile the same basic windows.  A join's pair
-        table already is every live pair's rows in merge order."""
+    def _live_bundles(self) -> list[Bundle]:
+        """The in-order bundles whose merge is the current window: a
+        single-stream store's live partials (Algorithm 2's flat merge),
+        or a join's pair table, which already is every live pair's rows
+        in merge order."""
         if self.plan.pair_fragment is not None:
             return [self._pairs.table()] if len(self._pairs) else []
-        return self._stores[self.plan.stream_aliases[0]].cover(
-            lambda bundles: self._fold_bundles(bundles, profiler)
-        )
+        return self._stores[self.plan.stream_aliases[0]].cover()
 
     def _pack_flows(self, bundles: list[Bundle], profiler: Profiler) -> dict[str, BAT]:
         """Concatenate each flow's partials across live bundles."""
@@ -667,7 +650,7 @@ class IncrementalFactory(FactoryBase):
         elif self._invertible:
             inputs = self._running_bundle(profiler)
         else:
-            bundles = self._live_bundles(profiler)
+            bundles = self._live_bundles()
             if not bundles:
                 raise SchedulerError("no live partials to merge")
             inputs = self._fold_bundles(bundles, profiler)
@@ -727,12 +710,9 @@ class IncrementalFactory(FactoryBase):
         order-preserving n-ary merge by construction — it runs over a
         varying number of live bundles every firing, and landmark
         compaction already feeds its output back as a later input.
-        Pre-merging (merge-tree nodes, m-chunk partials) therefore
-        reproduces the flat merge bit-for-bit for integer sums, counts,
-        min/max and group keys; float sums are equal only up to
-        reassociation (last-ulp), which is why tree nodes sit on aligned
-        seq ranges — the association order is then a function of the
-        window alone, not of when a node was folded.
+        Pre-merging (m-chunk partials) therefore reproduces the flat
+        merge bit-for-bit for integer sums, counts, min/max and group
+        keys; float sums are equal only up to reassociation (last-ulp).
         """
         if profiler is None:
             profiler = Profiler()
@@ -741,21 +721,16 @@ class IncrementalFactory(FactoryBase):
         return {flow.name: combined[flow.name] for flow in self.plan.flows}
 
     def merge_stats(self) -> Optional[dict]:
-        """Merge-tree gauges of a single-stream ring store (METRICS.md);
-        ``None`` for a plan without a fragment.  A running table seals no
-        node; its cover is the partials its last update folded (the new
-        and the expired ones), or the window on a fold."""
+        """The merge gauge of a single-stream ring store (METRICS.md);
+        ``None`` for a plan without a fragment.  ``merge_cover_len`` is
+        the partials the last firing merged: the window's ``n`` for a
+        flat merge, and for a running table the ones its last update
+        folded (the new and the expired ones), or ``n`` on a fold."""
         if self.plan.fragment is None:
             return None
         if self._invertible:
-            folded = self._running.folded if self._running is not None else 0
-            return {"merge_cover_len": folded, "merge_nodes_sealed": 0, "merge_nodes_live": 0}
-        store = self._stores[self.plan.stream_aliases[0]]
-        return {
-            "merge_cover_len": store.cover_len,
-            "merge_nodes_sealed": store.nodes_sealed,
-            "merge_nodes_live": store.nodes_live,
-        }
+            return {"merge_cover_len": self._running.folded if self._running is not None else 0}
+        return {"merge_cover_len": self._stores[self.plan.stream_aliases[0]].cover_len}
 
     @property
     def _compactable(self) -> bool:

@@ -94,7 +94,13 @@ class Partition:
             capacity=decl["capacity"],
             overflow=decl["overflow"],
         )
-        handle = self.engine.submit(sql, mode=mode, name=qname)
+        try:
+            handle = self.engine.submit(sql, mode=mode, name=qname)
+        except BaseException:
+            # Every partition rejects a query alike, the first one first:
+            # none keeps a private stream for it.
+            self.engine._drop_stream(qstream)
+            raise
         if anchor is not None:
             handle.factory.anchor_time(anchor)
         self.queries[qname] = {
@@ -148,8 +154,11 @@ class Partition:
                 self.engine.advance_time(state["qstream"], ts)
 
     def remove(self, qname: str) -> None:
+        """Drop the query and its private stream."""
         self.engine.remove(qname)
-        self.queries.pop(qname, None)
+        state = self.queries.pop(qname, None)
+        if state is not None:
+            self.engine._drop_stream(state["qstream"])
         for names in self.by_stream.values():
             if qname in names:
                 names.remove(qname)

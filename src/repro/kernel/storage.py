@@ -145,6 +145,10 @@ class Catalog:
         self._streams[name] = decl
         return decl
 
+    def drop_stream(self, name: str) -> None:
+        if self._streams.pop(name, None) is None:
+            raise CatalogError(f"unknown stream {name!r}")
+
     def stream(self, name: str) -> StreamDecl:
         try:
             return self._streams[name]

@@ -309,18 +309,13 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
 
     merge = metrics.get("merge")
     if merge:
-        merge_families = (
-            ("merge_cover_len", "repro_merge_cover_len", "gauge",
-             "Bundles merged by a query's last firing (tree cover length)."),
-            ("merge_nodes_sealed", "repro_merge_nodes_sealed_total", "counter",
-             "Pre-merged merge-tree nodes a query has folded."),
-            ("merge_nodes_live", "repro_merge_nodes_live", "gauge",
-             "Pre-merged merge-tree nodes a query currently holds."),
+        w.header(
+            "repro_merge_cover_len",
+            "gauge",
+            "Partials merged by a query's last firing (n, or a running table's update).",
         )
-        for key, name, kind, help_text in merge_families:
-            w.header(name, kind, help_text)
-            for qname, stats in sorted(merge.items()):
-                w.sample(name, stats.get(key, 0), query=qname)
+        for qname, stats in sorted(merge.items()):
+            w.sample("repro_merge_cover_len", stats["merge_cover_len"], query=qname)
 
     cache = metrics["fragment_cache"]
     w.header(

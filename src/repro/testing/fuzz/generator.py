@@ -53,9 +53,7 @@ _TIME_STEPS_MS = (10, 20, 50)
 #: focus.
 DEEP_WINDOW = "window-deep"
 #: Share of eligible (single-stream, sliding) queries redrawn deep, and
-#: the basic-window range — straddling the merge tree's first sealed
-#: level (n = 32) and its second (n = 256 is out of reach by design:
-#: feeds stay a few hundred rows).
+#: the basic-window range (feeds stay a few hundred rows).
 _DEEP_RATE = 0.30
 _DEEP_BASIC_WINDOWS = (32, 161)
 #: Feature tag of a deep join draw: both join sides' windows redrawn to
@@ -72,6 +70,18 @@ KEYS_WIDE = "keys-wide"
 #: generated window (joins included) stays far inside int64.
 _WIDE_RATE = 0.20
 _WIDE_INT = 2**40
+#: Feature tag of a long invertible draw (:meth:`QueryGenerator.lengthen`):
+#: a single-stream count window over int ``sum``/``count``/``avg`` and at
+#: most two int keys, which slides a running table (DESIGN.md §17), fed
+#: many slides past its first window over a few keys, so slides revisit
+#: groups the table holds.  Outside :data:`TAXONOMY` like the others.
+RUNNING_LONG = "running-long"
+#: Foci whose features every long draw carries (the coverage check must
+#: still see each iteration's focus), the share of such single-stream
+#: iterations redrawn, and the slides fed past the first window.
+_LONG_FOCI = ("project", "sum", "count", "avg", "group-by", "single-stream", "window-count")
+_LONG_RATE = 0.30
+_LONG_SLIDES = (24, 65)
 
 
 @dataclass(frozen=True)
@@ -581,8 +591,8 @@ class QueryGenerator:
     def deepen(self, query: FuzzQuery) -> Optional[FuzzQuery]:
         """Maybe redraw a query's windows with many basic windows.
 
-        Single-stream sliding windows get n ∈ [32, 160] (small steps) so
-        the hierarchical merge tree is exercised; the non-landmark stream
+        Single-stream sliding windows get n ∈ [32, 160] (small steps), so
+        running tables and flat merges run at depth; the non-landmark stream
         windows of a join get n ∈ [8, 40] each, so the batched join splits
         each run into many seq-tag pairs — ``_window`` never exceeds n = 6.
 
@@ -661,6 +671,63 @@ class QueryGenerator:
             replace(query, features=query.features | {KEYS_WIDE}),
             replace(feed, columns=columns),
         )
+
+    def lengthen(self, query: FuzzQuery, focus: str) -> Optional[tuple[FuzzQuery, Feed]]:
+        """Maybe redraw a single-stream query as an invertible one — int
+        ``sum``/``count``/``avg`` over at most two int keys of 2-8 values,
+        on a count window of 2-6 tuple steps — fed 24-64 slides past its
+        first window, so most slides find every key of the new and the
+        expired partial in the running table (its positional update).
+
+        Keeps the stream's schema and carries ``focus``; a query an
+        earlier draw redrew (deep windows, wide keys) keeps that draw.
+        Must be the last draw of an iteration, for the same replay reason
+        as :meth:`widen`.  Returns None when the query is left as drawn.
+        """
+        if (
+            focus not in _LONG_FOCI
+            or len(query.aliases) != 1
+            or query.tables
+            or query.features & {DEEP_WINDOW, KEYS_WIDE}
+        ):
+            return None
+        rng = self.rng
+        if rng.random() >= _LONG_RATE:
+            return None
+        stream = query.aliases[0]  # its first two columns are int
+        keys = ["c0", "c1"][: 1 if focus == "group-by" else int(rng.choice([0, 1, 1, 1, 2]))]
+        value = "c1" if keys == ["c0"] else "c0"
+        funcs = ["sum", "count", "avg"]
+        rng.shuffle(funcs)
+        funcs = funcs[: int(rng.integers(1, 4))]
+        if focus in ("sum", "count", "avg") and focus not in funcs:
+            funcs[0] = focus
+        where = f"{value} > {int(rng.integers(-20, 5))}" if rng.random() < 0.3 else None
+        n, step = int(rng.integers(2, 13)), int(rng.integers(2, 7))
+        features = {"single-stream", "window-count", "project", RUNNING_LONG, *funcs}
+        features |= {"group-by"} if keys else set()
+        features |= {"select"} if where else set()
+        long = self._validated(
+            replace(
+                query,
+                select_items=[f"{key} AS g{i}" for i, key in enumerate(keys)]
+                + [f"{func}({value}) AS a{i}" for i, func in enumerate(funcs)],
+                distinct=False,
+                windows={stream: WindowGeometry("sliding", n * step, step, False)},
+                where=where,
+                group_by=keys,
+                having=None,
+                order_by=[],
+                features=frozenset(features),
+            )
+        )
+        if long is None:
+            return None
+        rows = (n + int(rng.integers(*_LONG_SLIDES))) * step
+        columns = self._values(query.streams[stream], rows, int(rng.integers(2, 9)))
+        if value not in keys:  # signed values: sums cancel and go negative
+            columns[value] = [int(v) for v in rng.integers(-20, 21, size=rows)]
+        return long, Feed(columns={stream: columns}, timestamps={stream: None})
 
     def _validated(self, query: FuzzQuery) -> Optional[FuzzQuery]:
         try:

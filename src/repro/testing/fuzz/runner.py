@@ -9,10 +9,13 @@ two integers printed in the banner.  Each iteration:
    :data:`~repro.testing.fuzz.generator.TAXONOMY` (guaranteed operator
    coverage at modest budgets) plus a matching feed; about three in ten
    single-stream sliding draws are then redrawn with 32–160 basic
-   windows (``window-deep``), deep enough for the hierarchical merge
-   tree to seal nodes, and about three in ten joins with 8–40 basic
-   windows per stream side (``join-deep``), and about one int stream
-   column in five is redrawn over a wide signed domain (``keys-wide``);
+   windows (``window-deep``), running tables and flat merges at depth,
+   and about three in ten joins with 8–40 basic windows per stream side
+   (``join-deep``), and about one int stream column in five is redrawn
+   over a wide signed domain (``keys-wide``); last, about three in ten
+   single-stream iterations whose focus an invertible query can carry
+   are redrawn as one, fed 24–64 slides over a few keys
+   (``running-long``);
 2. lints the rewritten plan (:mod:`repro.analysis.lint`) — the fuzzer
    doubles as a free corpus for the static verifier;
 3. runs the four-way oracle under randomly drawn execution axes
@@ -45,6 +48,7 @@ from repro.testing.fuzz.generator import (
     DEEP_WINDOW,
     JOIN_DEEP,
     KEYS_WIDE,
+    RUNNING_LONG,
     TAXONOMY,
     QueryGenerator,
     build_engine,
@@ -151,6 +155,12 @@ class FuzzSession:
         wide = generator.widen(query, feed)
         if wide is not None:
             query, feed = wide
+        # Long invertible draw: after the wide-key one, for the same
+        # reason.  It brings its own feed, so the axes are drawn again.
+        long = generator.lengthen(query, focus)
+        if long is not None:
+            query, feed = long
+            config = self._config(rng, query, feed)
         return query, feed, config
 
     def _iteration(self, iteration: int) -> bool:
@@ -278,7 +288,7 @@ class FuzzSession:
             count = self.coverage[feature]
             marker = "" if count else "   <-- NOT COVERED"
             self.println(f"  {feature:<16} {count:>5}{marker}")
-        for feature in (DEEP_WINDOW, JOIN_DEEP, KEYS_WIDE):
+        for feature in (DEEP_WINDOW, JOIN_DEEP, KEYS_WIDE, RUNNING_LONG):
             self.println(f"  {feature:<16} {self.coverage[feature]:>5}")
         missing = self._missing()
         if missing and self.budget >= 2 * len(TAXONOMY):

@@ -5,11 +5,16 @@ control exactly which tuples fall into which time slice — including empty
 basic windows, which the paper says are "recognized and simply skipped".
 """
 
+import threading
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
 from repro import DataCellEngine
-from repro.errors import BasketError
+from repro.core.basket import Basket
+from repro.core.overflow import Fail
+from repro.errors import BasketError, BasketOverflowError
 
 from conftest import assert_rows_equal, ref_q1
 
@@ -217,3 +222,94 @@ class TestOutOfOrderTimestamps:
                 again.feed("s", rows=[(6,)], timestamps=[25 * US])
         finally:
             again.close()
+
+    @pytest.mark.parametrize("kind", ["plain", "durable", "partitioned"])
+    def test_a_rejected_batch_does_not_move_the_frontier(self, tmp_path, kind):
+        """A batch the ``Fail`` policy rejects leaves the stream's time
+        frontier where it was: its retry is admitted, and the windows are
+        those of a run that never offered it."""
+        batches = [
+            ([1, 2, 3], [1, 2, 3]),
+            ([4, 5], [4, 5]),  # does not fit: 3 parked + 2 > capacity 4
+            ([4], [4]),
+            ([6, 7], [9, 11]),
+            ([8], [13]),
+        ]
+
+        def run(feeds, data_dir):
+            engine = DataCellEngine(
+                data_dir=data_dir, partitions=2 if kind == "partitioned" else 1
+            )
+            try:
+                engine.create_stream(
+                    "s", [("k", "int"), ("v", "int")],
+                    capacity=4, overflow=Fail(), partition_by="k",
+                )
+                handle = engine.submit(
+                    "SELECT k, count(v), sum(v) FROM s "
+                    "[RANGE 4 SECONDS SLIDE 2 SECONDS] GROUP BY k",
+                    name="q",
+                )
+                rejected = 0
+                for values, seconds in feeds:
+                    try:
+                        engine.feed(
+                            "s",
+                            rows=[(1, v) for v in values],  # one key: one partition
+                            timestamps=[t * US for t in seconds],
+                        )
+                    except BasketOverflowError:
+                        rejected += 1
+                        continue
+                    # Close what the batch completed, so its basic
+                    # windows leave the basket.
+                    engine.advance_time("s", (seconds[-1] + 1) * US)
+                    engine.run_until_idle()
+                return rejected, [batch.rows() for batch in handle.results()]
+            finally:
+                engine.close()
+
+        durable = kind == "durable"
+        retried = run(batches, str(tmp_path / "retried") if durable else None)
+        in_order = run(
+            batches[:1] + batches[2:], str(tmp_path / "in-order") if durable else None
+        )
+        assert retried[0] == 1 and in_order[0] == 0
+        assert retried[1] == in_order[1]
+        assert len(in_order[1]) >= 3
+
+    def test_racing_producers_never_decrease_the_basket(self):
+        """A producer that checked its batch and then lost the race to the
+        append must not land it behind a newer one: the check and the
+        frontier move with the append, under one lock."""
+        engine = order_engine()
+        append = Basket.append_columns
+        parked, release = threading.Event(), threading.Event()
+
+        def late_append(basket, columns, timestamps=None):
+            if threading.current_thread().name == "early":
+                parked.set()
+                release.wait(5)
+            return append(basket, columns, timestamps)
+
+        errors = []
+
+        def early():
+            try:
+                engine.feed("s", rows=[(1,)], timestamps=[1 * US])
+            except BasketError as exc:
+                errors.append(exc)
+
+        try:
+            with patch.object(Basket, "append_columns", late_append):
+                producer = threading.Thread(target=early, name="early")
+                producer.start()
+                assert parked.wait(5)
+                engine.feed("s", rows=[(2,)], timestamps=[7 * US])
+                release.set()
+                producer.join(5)
+            ts = engine.query("q").baskets["s"].timestamps().tail
+            assert list(ts) == sorted(ts)
+            assert len(errors) == 1 and "must not decrease" in str(errors[0])
+        finally:
+            engine.close()

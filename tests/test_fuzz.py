@@ -92,8 +92,8 @@ class BrokenMerge:
         )
         live_bundles = self._originals[0]
 
-        def broken(factory, profiler=None):
-            bundles = live_bundles(factory, profiler)
+        def broken(factory):
+            bundles = live_bundles(factory)
             return bundles[:-1] if len(bundles) > 1 else bundles
 
         def broken_running(factory, profiler):
@@ -163,7 +163,7 @@ class TestGenerator:
         assert clone.sql == query.sql
         assert clone.features == query.features
 
-    def test_deepen_draws_merge_tree_depths_after_everything_else(self):
+    def test_deepen_draws_deep_windows_after_everything_else(self):
         """The deep-window draw reaches n >= 32 (``_window`` stops at 6),
         only for single-stream sliding queries, and consumes RNG state
         only after the query and feed draws — so the draws before it
@@ -186,6 +186,37 @@ class TestGenerator:
             assert "window-deep" in deep.features
             assert deep.render(windows=query.windows) == query.sql
         assert depths and all(32 <= n <= 160 for n in depths)
+
+    def test_lengthen_redraws_invertible_queries_with_many_slides(self):
+        """The long draw comes after every other draw of an iteration (a
+        session that never lengthens draws the same), keeps each focus,
+        and gives single-stream count windows whose plan slides a running
+        table, fed 24-64 slides past the first window over a few keys."""
+        session = FuzzSession(budget=1, seed=4, out_dir="unused", out=io.StringIO())
+        lengthened = 0
+        for i in range(100):
+            drawn = session._draw(i)
+            with patch.object(QueryGenerator, "lengthen", lambda self, query, focus: None):
+                before = session._draw(i)
+            if drawn is None or "running-long" not in drawn[0].features:
+                assert drawn == before
+                continue
+            lengthened += 1
+            query, feed, __ = drawn
+            assert TAXONOMY[i % len(TAXONOMY)] in query.features
+            assert not query.features & {"window-deep", "keys-wide"}
+            geometry = query.windows["s0"]
+            assert geometry.kind == "sliding" and not geometry.time_based
+            slides = feed.row_count("s0") // geometry.step - geometry.size // geometry.step
+            assert 24 <= slides <= 64
+            for key in query.group_by:
+                assert len(set(feed.columns["s0"][key])) <= 8
+            engine = build_engine(query)
+            try:
+                assert engine.submit(query.sql).factory.plan.invertible
+            finally:
+                engine.close()
+        assert 3 <= lengthened <= 30
 
     def test_deepen_redraws_join_windows_per_side(self):
         """About three in ten joins get 8-40 basic windows on every

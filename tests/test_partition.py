@@ -717,6 +717,35 @@ class TestLifecycle:
         finally:
             engine.close()
 
+    def test_a_rejected_submit_leaves_no_private_stream(self):
+        engine = DataCellEngine(partitions=2)
+        try:
+            engine.create_stream("s", [("k", "int"), ("v", "int")], partition_by="k")
+            with pytest.raises(ReproError, match="nosuch"):
+                engine.submit("SELECT k, nosuch FROM s [RANGE 4 SLIDE 2]")
+            for part in engine._shards.parts:
+                assert not part.engine.catalog.has_stream("__shard_q1")
+            q = engine.submit("SELECT k, sum(v) FROM s [RANGE 4 SLIDE 2] GROUP BY k")
+            assert q.name == "q1"
+        finally:
+            engine.close()
+
+    def test_remove_drops_the_private_stream(self):
+        engine = DataCellEngine(partitions=2)
+        sql = "SELECT k, sum(v) AS t FROM s [RANGE 4 SLIDE 4] GROUP BY k"
+        try:
+            engine.create_stream("s", [("k", "int"), ("v", "int")], partition_by="k")
+            engine.submit(sql, name="mine")
+            engine.remove("mine")
+            for part in engine._shards.parts:
+                assert "__shard_mine" not in part.engine._logs
+            q = engine.submit(sql, name="mine")
+            engine.feed("s", rows=[(i % 2, i) for i in range(8)])
+            engine.run_until_idle()
+            assert sorted(q.result_rows()[0]) == [(0, 2), (1, 4)]
+        finally:
+            engine.close()
+
 
 # ----------------------------------------------------------------------
 # row order: partitioned output must match P=1 exactly, not just as sets
