@@ -201,8 +201,8 @@ class Basket(_Reader):
         self._appended_total = 0  # the tail's arrival offset; guarded-by: _lock
         self._clock = 0  # fallback logical timestamps; guarded-by: _lock
         self._watermark: int | None = None  # explicit time progress; guarded-by: _lock
-        # newest explicit timestamp admitted (append_columns,
-        # note_times); guarded-by: _lock
+        # newest explicit timestamp admitted (the appends, note_times);
+        # guarded-by: _lock
         self._newest_ts: int | None = None
         if capacity is not None and capacity < 1:
             raise BasketError(f"capacity must be >= 1, got {capacity}")
@@ -406,6 +406,23 @@ class Basket(_Reader):
     # ------------------------------------------------------------------
     # appends (receptor side)
     # ------------------------------------------------------------------
+    def _admit_batch(self, count: int, timestamps: np.ndarray | None) -> Keep:  # guarded-by: self._lock
+        """Check a batch's explicit timestamps against the time frontier,
+        then admit it (:meth:`_admit` on a bounded basket); returns the
+        admitted subset.  The caller commits the frontier once the batch
+        lands, in the same critical section."""
+        if timestamps is not None:
+            self._check_times(timestamps)
+        if self._capacity is None:
+            return slice(None)
+        waits = self.block_waits
+        keep = self._admit(count)
+        if timestamps is not None and self.block_waits != waits:
+            # A Block wait released the lock: another batch may have
+            # moved the frontier meanwhile.
+            self._check_times(timestamps)
+        return keep
+
     def append_rows(
         self, rows: Iterable[Sequence], timestamps: Sequence[int] | None = None
     ) -> int:
@@ -415,14 +432,22 @@ class Basket(_Reader):
         return value is then smaller than the input), block, or raise
         :class:`~repro.errors.BasketOverflowError`.
         """
-        if self._capacity is None:
+        if self._capacity is None and timestamps is None:
             with self._lock:
-                return self._append_rows_locked(rows, timestamps)
+                return self._append_rows_locked(rows, None)
         rows = rows if isinstance(rows, list) else list(rows)
+        if timestamps is not None and len(timestamps) != len(rows):
+            raise BasketError("timestamp column length mismatch")
         with self._lock:
-            keep = self._admit(len(rows))
+            keep = self._admit_batch(
+                len(rows),
+                None if timestamps is None else np.asarray(timestamps, dtype=np.int64),
+            )
             kept_rows, kept_ts = _select_rows(rows, timestamps, keep)
-            return self._append_rows_locked(kept_rows, kept_ts)
+            added = self._append_rows_locked(kept_rows, kept_ts)
+            if kept_ts is not None and added:
+                self._newest_ts = int(kept_ts[added - 1])
+            return added
 
     def _append_rows_locked(
         self, rows: Iterable[Sequence], timestamps: Sequence[int] | None
@@ -472,21 +497,15 @@ class Basket(_Reader):
                 if len(timestamps) != count:
                     raise BasketError("timestamp column length mismatch")
                 timestamps = np.asarray(timestamps, dtype=np.int64)
-                self._check_times(timestamps)
-            if self._capacity is not None:
-                keep = self._admit(count)
+            keep = self._admit_batch(count, timestamps)
+            if not (isinstance(keep, slice) and keep == slice(None)):
+                columns = {
+                    name: _select_values(values, keep)
+                    for name, values in columns.items()
+                }
                 if timestamps is not None:
-                    # A Block policy's wait releases the lock: another
-                    # batch may have moved the frontier meanwhile.
-                    self._check_times(timestamps)
-                if not (isinstance(keep, slice) and keep == slice(None)):
-                    columns = {
-                        name: _select_values(values, keep)
-                        for name, values in columns.items()
-                    }
-                    if timestamps is not None:
-                        timestamps = _select_values(timestamps, keep)
-                    count = len(next(iter(columns.values()))) if columns else 0
+                    timestamps = _select_values(timestamps, keep)
+                count = len(next(iter(columns.values()))) if columns else 0
             for name, values in columns.items():
                 self._builders[name].extend(values)
             if timestamps is not None and count:
@@ -521,9 +540,9 @@ class Basket(_Reader):
         Timestamps may not decrease by arrival (:meth:`Cursor.count_before`
         binary-searches them): not within the batch, and not below the
         newest timestamp admitted before it or the watermark.  The engine
-        asks before it journals a batch; :meth:`append_columns` asks
-        again in the critical section that admits the batch, and only an
-        admitted batch moves the stream's time frontier.
+        asks before it journals a batch; the appends ask again in the
+        critical section that admits the batch, and only an admitted
+        batch moves the stream's time frontier.
         """
         with self._lock:
             self._check_times(ts)

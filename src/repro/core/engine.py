@@ -479,9 +479,10 @@ class DataCellEngine:
     def _drop_stream(self, name: str) -> None:
         """Forget a stream no query reads any more (a partition's private
         stream, once its query is removed).  Not journaled: partition
-        engines keep no journal."""
+        engines keep no journal.  Its shared fragments go with it."""
         self.catalog.drop_stream(name)
         del self._logs[name], self._stream_fed[name], self._stream_limits[name]
+        self.fragment_cache.forget(name)
 
     def create_table(self, name: str, columns: Sequence[tuple[str, object]]) -> Table:
         """Create a persistent base table."""

@@ -712,6 +712,13 @@ class FragmentCache:
             "groups": len(groups),
         }
 
+    def forget(self, relation: str) -> None:
+        """Drop every group over ``relation``, a stream being dropped: its
+        spans are offsets on that stream's basket, and a stream created
+        again under the same name counts its offsets from 0 anew."""
+        for key in [key for key in self._groups if key[0] == relation]:
+            del self._groups[key]
+
     def clear(self) -> None:
         for group in self._groups.values():
             group.bundles.clear()

@@ -68,7 +68,7 @@ def firing_metrics(engine) -> dict:
     """Everything :func:`collect_metrics` reports but the partition and
     durability gauges; call it at a scan boundary.
 
-    Profilers, the fragment cache, merge-tree gauges,
+    Profilers, the fragment cache, the merge cover gauge,
     histograms and the span ring are written by the firing thread alone,
     so a copy taken while no firing runs keeps firing counts equal across
     ``counters``, ``factories`` and ``spans``.

@@ -70,6 +70,17 @@ class TestTimestamps:
         assert basket.count_before(5) == 0
         assert basket.count_before(31) == 3
 
+    def test_rows_and_columns_share_one_time_frontier(self, basket):
+        basket.append_rows([(1, 0.0), (2, 0.0)], timestamps=[10, 20])
+        with pytest.raises(BasketError, match="before 20"):
+            basket.append_columns({"x1": [3], "x2": [0.0]}, timestamps=[15])
+        with pytest.raises(BasketError, match="must not decrease"):
+            basket.append_rows([(3, 0.0), (4, 0.0)], timestamps=[30, 25])
+        basket.append_columns({"x1": [3], "x2": [0.0]}, timestamps=[30])
+        with pytest.raises(BasketError, match="before 30"):
+            basket.append_rows([(4, 0.0)], timestamps=[25])
+        assert basket.timestamps().to_list() == [10, 20, 30]
+
     def test_no_timestamp_basket(self):
         bare = Basket("raw", Schema.of(("x", Atom.INT)), with_timestamps=False)
         bare.append_rows([(1,)])

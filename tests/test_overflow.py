@@ -72,6 +72,21 @@ class TestFail:
         assert info.value.room == 1
         assert basket.column("x").to_list() == [1, 2]
 
+    @pytest.mark.parametrize("path", ["rows", "columns"])
+    def test_a_rejected_batch_leaves_the_time_frontier(self, path):
+        basket = make_basket(capacity=4, overflow=Fail())
+
+        def append(values, timestamps):
+            if path == "rows":
+                return basket.append_rows(rows(*values), timestamps=timestamps)
+            return basket.append_columns({"x": values}, timestamps=timestamps)
+
+        append([1, 2, 3], [1, 2, 3])
+        with pytest.raises(BasketOverflowError):
+            append([4, 5], [4, 5])
+        assert append([4], [4]) == 1
+        assert basket.timestamps().to_list() == [1, 2, 3, 4]
+
     def test_room_frees_after_delete_head(self):
         basket = make_basket(capacity=3)
         basket.append_rows(rows(1, 2, 3))

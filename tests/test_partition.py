@@ -732,19 +732,33 @@ class TestLifecycle:
 
     def test_remove_drops_the_private_stream(self):
         engine = DataCellEngine(partitions=2)
-        sql = "SELECT k, sum(v) AS t FROM s [RANGE 4 SLIDE 4] GROUP BY k"
+        sql = "SELECT k, max(v) AS t FROM s [RANGE 8 SLIDE 2] GROUP BY k"
+        later = [(i % 4, 100 - i) for i in range(32)]
         try:
             engine.create_stream("s", [("k", "int"), ("v", "int")], partition_by="k")
             engine.submit(sql, name="mine")
+            engine.feed("s", rows=[(i % 4, i) for i in range(8)])
+            engine.run_until_idle()
             engine.remove("mine")
             for part in engine._shards.parts:
                 assert "__shard_mine" not in part.engine._logs
+            # The new private stream counts its offsets from 0 again: none
+            # of its spans may hit the removed query's shared fragments.
             q = engine.submit(sql, name="mine")
-            engine.feed("s", rows=[(i % 2, i) for i in range(8)])
+            engine.feed("s", rows=later)
             engine.run_until_idle()
-            assert sorted(q.result_rows()[0]) == [(0, 2), (1, 4)]
+            got = q.result_rows()
         finally:
             engine.close()
+        fresh = DataCellEngine(partitions=2)
+        try:
+            fresh.create_stream("s", [("k", "int"), ("v", "int")], partition_by="k")
+            want = fresh.submit(sql, name="mine")
+            fresh.feed("s", rows=later)
+            fresh.run_until_idle()
+            assert got == want.result_rows() != []
+        finally:
+            fresh.close()
 
 
 # ----------------------------------------------------------------------
