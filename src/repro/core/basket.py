@@ -7,9 +7,10 @@ snapshot column views, consume basic windows, and drop expired tuples from
 the head (paper §2: "once a tuple has been seen by all relevant queries it
 is dropped from its basket").
 
-The engine keeps **one basket per stream** and hands every query a
-:class:`Cursor` into it: a cursor's ``position`` is the absolute arrival
-offset of the next tuple its query reads, and the basket trims its head to
+The engine keeps **one basket per stream** and hands every factory a
+:class:`Cursor` into it (queries that share a factory share its cursor):
+a cursor's ``position`` is the absolute arrival offset of the next tuple
+its factory reads, and the basket trims its head to
 the slowest cursor — so ``len(basket)`` is the deepest cursor lag, and a
 basket nobody reads holds nothing.  A basket used without cursors is a
 plain single-consumer buffer whose head is the read position (direct-driven
@@ -201,8 +202,8 @@ class Basket(_Reader):
         self._appended_total = 0  # the tail's arrival offset; guarded-by: _lock
         self._clock = 0  # fallback logical timestamps; guarded-by: _lock
         self._watermark: int | None = None  # explicit time progress; guarded-by: _lock
-        # newest explicit timestamp admitted (the appends, note_times);
-        # guarded-by: _lock
+        # newest timestamp admitted, explicit or the counter's (the
+        # appends, note_times); guarded-by: _lock
         self._newest_ts: int | None = None
         if capacity is not None and capacity < 1:
             raise BasketError(f"capacity must be >= 1, got {capacity}")
@@ -262,12 +263,16 @@ class Basket(_Reader):
             return self._appended_total
 
     # ------------------------------------------------------------------
-    # readers (one cursor per query on a shared basket)
+    # readers (one cursor per factory on a shared basket)
     # ------------------------------------------------------------------
-    def cursor(self) -> "Cursor":
-        """A new reader at the tail: it sees what arrives from now on."""
+    def cursor(self, at: Optional[int] = None) -> "Cursor":
+        """A new reader at the tail: it sees what arrives from now on.
+        ``at`` starts it at an earlier offset instead, one another open
+        cursor still holds (a query splitting off a shared factory)."""
         with self._lock:
-            cursor = Cursor(self, self._appended_total)
+            if at is not None and at < self._head():
+                raise BasketError(f"basket {self.name!r} no longer holds offset {at}")
+            cursor = Cursor(self, self._appended_total if at is None else at)
             self._cursors.add(cursor)
             return cursor
 
@@ -407,20 +412,20 @@ class Basket(_Reader):
     # appends (receptor side)
     # ------------------------------------------------------------------
     def _admit_batch(self, count: int, timestamps: np.ndarray | None) -> Keep:  # guarded-by: self._lock
-        """Check a batch's explicit timestamps against the time frontier,
-        then admit it (:meth:`_admit` on a bounded basket); returns the
-        admitted subset.  The caller commits the frontier once the batch
-        lands, in the same critical section."""
-        if timestamps is not None:
-            self._check_times(timestamps)
+        """Check a batch's timestamps — explicit ones, or the counter's
+        when it has none — against the time frontier, then admit it
+        (:meth:`_admit` on a bounded basket); returns the admitted
+        subset.  The append commits the frontier once the batch lands,
+        in the same critical section."""
+        self._check_times(timestamps, count)
         if self._capacity is None:
             return slice(None)
         waits = self.block_waits
         keep = self._admit(count)
-        if timestamps is not None and self.block_waits != waits:
+        if self.block_waits != waits:
             # A Block wait released the lock: another batch may have
             # moved the frontier meanwhile.
-            self._check_times(timestamps)
+            self._check_times(timestamps, count)
         return keep
 
     def append_rows(
@@ -432,9 +437,6 @@ class Basket(_Reader):
         return value is then smaller than the input), block, or raise
         :class:`~repro.errors.BasketOverflowError`.
         """
-        if self._capacity is None and timestamps is None:
-            with self._lock:
-                return self._append_rows_locked(rows, None)
         rows = rows if isinstance(rows, list) else list(rows)
         if timestamps is not None and len(timestamps) != len(rows):
             raise BasketError("timestamp column length mismatch")
@@ -444,16 +446,14 @@ class Basket(_Reader):
                 None if timestamps is None else np.asarray(timestamps, dtype=np.int64),
             )
             kept_rows, kept_ts = _select_rows(rows, timestamps, keep)
-            added = self._append_rows_locked(kept_rows, kept_ts)
-            if kept_ts is not None and added:
-                self._newest_ts = int(kept_ts[added - 1])
-            return added
+            return self._append_rows_locked(kept_rows, kept_ts)
 
     def _append_rows_locked(
         self, rows: Iterable[Sequence], timestamps: Sequence[int] | None
     ) -> int:  # guarded-by: self._lock
         names = self.schema.names
         added = 0
+        stamp = None
         for row in rows:
             if len(row) != len(names):
                 raise BasketError(
@@ -461,14 +461,17 @@ class Basket(_Reader):
                 )
             for name, value in zip(names, row):
                 self._builders[name].append(value)
+            if timestamps is not None:
+                stamp = timestamps[added]
+            elif self._with_ts:
+                stamp = self._clock
+                self._clock += 1
             if self._with_ts:
-                if timestamps is not None:
-                    self._builders[TS_COLUMN].append(timestamps[added])
-                else:
-                    self._builders[TS_COLUMN].append(self._clock)
-                    self._clock += 1
+                self._builders[TS_COLUMN].append(stamp)
             added += 1
         self._appended_total += added
+        if stamp is not None:
+            self._newest_ts = int(stamp)
         if added:
             self._stamp_arrival()
         return added
@@ -508,16 +511,13 @@ class Basket(_Reader):
                 count = len(next(iter(columns.values()))) if columns else 0
             for name, values in columns.items():
                 self._builders[name].extend(values)
+            if self._with_ts:
+                if timestamps is None:
+                    timestamps = np.arange(self._clock, self._clock + count, dtype=np.int64)
+                    self._clock += count
+                self._builders[TS_COLUMN].extend(timestamps)
             if timestamps is not None and count:
                 self._newest_ts = int(timestamps[-1])
-            if self._with_ts:
-                if timestamps is not None:
-                    self._builders[TS_COLUMN].extend(timestamps)
-                else:
-                    self._builders[TS_COLUMN].extend(
-                        np.arange(self._clock, self._clock + count, dtype=np.int64)
-                    )
-                    self._clock += count
             self._appended_total += count
             if count:
                 self._stamp_arrival()
@@ -533,43 +533,60 @@ class Basket(_Reader):
                 raise BasketError(f"basket {self.name!r} has no column {name!r}")
             return self._builders[name].snapshot()
 
-    def admit_times(self, ts: np.ndarray) -> None:
-        """Refuse a batch whose explicit arrival timestamps are out of
-        order with :class:`BasketError`; changes nothing.
+    def admit_times(self, ts: np.ndarray | None, count: int) -> None:
+        """Refuse a batch of ``count`` tuples whose arrival timestamps
+        would be out of order with :class:`BasketError`; changes nothing.
 
         Timestamps may not decrease by arrival (:meth:`Cursor.count_before`
         binary-searches them): not within the batch, and not below the
-        newest timestamp admitted before it or the watermark.  The engine
-        asks before it journals a batch; the appends ask again in the
-        critical section that admits the batch, and only an admitted
-        batch moves the stream's time frontier.
+        newest timestamp admitted before it or the watermark.  A batch
+        without timestamps (``ts`` is ``None``) is stamped from the
+        stream's counter, so its first stamp is checked the same way.
+        The engine asks before it journals a batch; the appends ask again
+        in the critical section that admits the batch, and only an
+        admitted batch moves the stream's time frontier.
         """
         with self._lock:
-            self._check_times(ts)
+            self._check_times(ts, count)
 
-    def note_times(self, ts: np.ndarray) -> None:
-        """Move the time frontier past a batch admitted elsewhere: a
-        partitioned stream's batch, whose tuples land in the partitions'
-        baskets."""
+    def note_times(self, ts: np.ndarray | None, count: int) -> None:
+        """Move the time frontier past a batch of ``count`` tuples
+        admitted elsewhere — a partitioned stream's batch, whose tuples
+        land in the partitions' baskets — as an append here would."""
         with self._lock:
-            if len(ts):
+            if ts is None:
+                if not (count and self._with_ts):
+                    return
+                self._clock += count
+                self._newest_ts = self._clock - 1
+            elif len(ts):
                 self._newest_ts = int(ts[-1])
 
-    def _check_times(self, ts: np.ndarray) -> None:  # guarded-by: self._lock
-        if not len(ts):
+    def _check_times(self, ts: np.ndarray | None, count: int) -> None:  # guarded-by: self._lock
+        if not count:
             return
-        back = np.flatnonzero(ts[1:] < ts[:-1])
-        if len(back):
-            at = int(back[0]) + 1
-            raise BasketError(
-                f"timestamps on stream {self.name!r} must not decrease: tuple {at} "
-                f"of the batch has {int(ts[at])} after {int(ts[at - 1])}"
-            )
+        if ts is None:
+            # Counter stamps ascend from the clock: the first decides.
+            if not self._with_ts:
+                return
+            first = self._clock
+        else:
+            back = np.flatnonzero(ts[1:] < ts[:-1])
+            if len(back):
+                at = int(back[0]) + 1
+                raise BasketError(
+                    f"timestamps on stream {self.name!r} must not decrease: tuple {at} "
+                    f"of the batch has {int(ts[at])} after {int(ts[at - 1])}"
+                )
+            first = int(ts[0])
         known = [t for t in (self._newest_ts, self._watermark) if t is not None]
-        if known and ts[0] < max(known):
+        if known and first < max(known):
+            stamped = (
+                "starts at" if ts is not None else "has no timestamps; the counter stamps it from"
+            )
             raise BasketError(
                 f"timestamps on stream {self.name!r} must not decrease: the "
-                f"batch starts at {int(ts[0])}, before {max(known)} "
+                f"batch {stamped} {first}, before {max(known)} "
                 "(the newest timestamp fed or the watermark)"
             )
 
@@ -661,7 +678,7 @@ class Basket(_Reader):
 
 
 class Cursor(_Reader):
-    """One query's read position on a shared :class:`Basket`.
+    """One factory's read position on a shared :class:`Basket`.
 
     Reads the basket from ``position`` on through the same reader
     interface as a basket (``len``, ``head_slice``, ``count_before``,
@@ -676,6 +693,8 @@ class Cursor(_Reader):
         self.basket = basket
         #: Arrival offset of the next tuple this cursor's query reads.
         self.position = position
+        #: The offset it opened at.
+        self.opened_at = position
         self._marked = position
         self.closed = False
 

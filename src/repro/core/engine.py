@@ -63,7 +63,7 @@ from repro.core.partition import (
 from repro.core.windows import TS_COLUMN
 from repro.core.receptor import Receptor
 from repro.core.rewriter import IncrementalPlan, reevaluation_plan, rewrite
-from repro.core.rewriter.canonical import fragment_fingerprint
+from repro.core.rewriter.canonical import fragment_fingerprint, plan_fingerprint
 from repro.core.scheduler import Scheduler
 from repro.core.shard import PartitionedQuery, ShardSet
 from repro.errors import (
@@ -137,6 +137,9 @@ class CompiledQuery:
     plan: IncrementalPlan
     #: alias -> column -> atom, for every scan of the query.
     schemas: SchemaMap
+    #: :func:`plan_fingerprint` of ``plan`` under the compile's mode:
+    #: queries that hash equal run as one factory (DESIGN.md §6).
+    fingerprint: str
     #: Static state bounds (incremental plans, when limits were given).
     resources: Optional[ResourceReport] = None
     #: The plan verifier's report (incremental plans, ``verify`` only).
@@ -171,7 +174,8 @@ def compile_query(
         for scan in find_scans(planned.plan)
     }
     if mode == "reeval":
-        return CompiledQuery(planned, reevaluation_plan(planned), schemas)
+        plan = reevaluation_plan(planned)
+        return CompiledQuery(planned, plan, schemas, plan_fingerprint(plan, mode))
     plan = rewrite(planned)
     resources: Optional[ResourceReport] = None
     verified: Optional[Report] = None
@@ -188,7 +192,9 @@ def compile_query(
             )
     if verify:
         verified = (check_plan if strict else verify_plan)(plan, schemas)
-    return CompiledQuery(planned, plan, schemas, resources, verified)
+    return CompiledQuery(
+        planned, plan, schemas, plan_fingerprint(plan, mode), resources, verified
+    )
 
 
 @dataclass
@@ -218,6 +224,31 @@ class ContinuousQuery(EmittedResults):
     #: Static worst-case state bounds computed at submit time
     #: (incremental mode only; None for reeval queries).
     resources: Optional[ResourceReport] = None
+
+
+@dataclass
+class _Shared:
+    """One factory and the query handles it emits to (DESIGN.md §6,
+    "Whole-query sharing")."""
+
+    factory: IncrementalFactory
+    #: stream relation -> the factory's cursor on that stream's basket
+    cursors: dict[str, Cursor]
+    #: The handles it emits to, in submit order; it goes with the last.
+    names: list[str]
+    #: The plan fingerprint another submit may join it under; ``None``
+    #: when none may (sharing off, or rebuilt from a snapshot).
+    key: Optional[str]
+
+    def joinable(self) -> bool:
+        """A joiner emits exactly the windows a fresh factory would iff
+        no tuple has reached the factory's streams since it registered:
+        each basket's tail still stands where the factory's cursor on it
+        opened."""
+        return self.key is not None and all(
+            cursor.basket.appended_total == cursor.opened_at
+            for cursor in self.cursors.values()
+        )
 
 
 class _StreamFeed:
@@ -250,7 +281,9 @@ class DataCellEngine:
     (default on) lets queries whose per-basic-window fragments are
     equivalent share one
     computation per basic window through an engine-wide
-    :class:`FragmentCache`; it never changes results, only work.
+    :class:`FragmentCache`, and lets a query alpha-equivalent to a live
+    one submitted before its streams saw a tuple join that factory as one
+    more sink (DESIGN.md §6); it never changes results, only work.
 
     Overload control is configured per stream: ``create_stream(...,
     capacity=, overflow=)`` bounds that stream's basket and picks the
@@ -289,6 +322,12 @@ class DataCellEngine:
         self.scheduler = Scheduler(obs=self.obs)
         self.fragment_cache = FragmentCache()
         self._queries: dict[str, ContinuousQuery] = {}
+        #: query name -> its factory's record; alpha-equivalent queries
+        #: submitted before their streams saw a tuple share one
+        #: (DESIGN.md §6, "Whole-query sharing").
+        self._shared: dict[str, _Shared] = {}
+        #: plan fingerprint -> the newest factory a submit may join.
+        self._joinable: dict[str, _Shared] = {}
         # stream -> its one basket; queries read it through cursors.
         self._logs: dict[str, Basket] = {}
         #: Tuples offered per stream (partitioned streams: their arrival
@@ -542,13 +581,15 @@ class DataCellEngine:
                 )
             return handle
 
-    def _submit_impl(self, sql: str, mode: str, name: Optional[str]):
+    def _submit_impl(
+        self, sql: str, mode: str, name: Optional[str], share: bool = True
+    ):
         """Register one query.  Only a submit that registers counts
         towards auto-names: journal replay sees only those, so a restored
         engine hands out the same next name as the live one did."""
         if mode not in ("incremental", "reeval"):
             raise ReproError(f"unknown mode {mode!r}")
-        handle = self._register(sql, mode, name or self._auto_name())
+        handle = self._register(sql, mode, name or self._auto_name(), share)
         self._query_counter += 1
         return handle
 
@@ -560,7 +601,11 @@ class DataCellEngine:
             n += 1
         return f"q{n}"
 
-    def _register(self, sql: str, mode: str, query_name: str):
+    def _register(self, sql: str, mode: str, query_name: str, share: bool = True):
+        """Register one query: a new factory, or — when a joinable live
+        factory runs the same plan (:attr:`CompiledQuery.fingerprint`) —
+        one more sink of that factory.  ``share=False`` (a snapshot
+        restore) builds a factory no later submit joins."""
         stream = self._partitioned_stream(sql)
         if stream is not None:
             return self._partitioned_query(sql, mode, query_name, stream, submit=True)
@@ -584,27 +629,33 @@ class DataCellEngine:
                 )
             else:
                 streams[scan.alias] = scan.relation
-        # The query reads each stream through a cursor started at the
-        # basket's tail; a failed registration closes them again so they
-        # never pin a basket's head.
-        baskets = {
-            alias: self._logs[relation].cursor()
-            for alias, relation in streams.items()
-        }
-        try:
-            factory = IncrementalFactory(plan, baskets, tables, name=query_name)
-            if self.fragment_sharing and plan.fragment is not None:
-                self._enable_sharing(factory, plan)
-            emitter = CollectingEmitter()
-            self.scheduler.register(factory, emitter)
-        except BaseException:
-            for cursor in baskets.values():
-                cursor.close()
-            raise
+        key = compiled.fingerprint if self.fragment_sharing and share else None
+        shared = self._joinable.get(key) if key is not None else None
+        emitter = CollectingEmitter()
+        if shared is not None and shared.joinable():
+            self.scheduler.attach(query_name, shared.names[0], emitter)
+            shared.names.append(query_name)
+        else:
+            # The query reads each stream through a cursor started at the
+            # basket's tail.
+            cursors = {relation: self._logs[relation].cursor() for relation in streams.values()}
+            factory = self._new_factory(
+                plan, cursors, tables, query_name, lambda f: self.scheduler.register(f, emitter)
+            )
+            shared = _Shared(factory, cursors, [query_name], key)
+            if key is not None:
+                self._joinable[key] = shared
         handle = ContinuousQuery(
-            query_name, sql, mode, factory, emitter, baskets, compiled.resources
+            query_name,
+            sql,
+            mode,
+            shared.factory,
+            emitter,
+            {alias: shared.cursors[relation] for alias, relation in streams.items()},
+            compiled.resources,
         )
         self._queries[query_name] = handle
+        self._shared[query_name] = shared
         self._submit_order.append(query_name)
         return handle
 
@@ -688,6 +739,34 @@ class DataCellEngine:
         self._submit_order.append(name)
         return handle
 
+    def _new_factory(
+        self,
+        plan: IncrementalPlan,
+        cursors: dict[str, Cursor],
+        tables: dict[str, Table],
+        name: str,
+        install,
+    ) -> IncrementalFactory:
+        """A factory running ``plan`` over ``cursors`` (relation -> its
+        cursor), sharing fragments when sharing is on, handed to
+        ``install``.  If that fails the cursors are closed, so they never
+        pin a basket's head."""
+        try:
+            factory = IncrementalFactory(
+                plan,
+                {alias: cursors[relation] for alias, relation in plan.stream_relations.items()},
+                tables,
+                name=name,
+            )
+            if self.fragment_sharing and plan.fragment is not None:
+                self._enable_sharing(factory, plan)
+            install(factory)
+        except BaseException:
+            for cursor in cursors.values():
+                cursor.close()
+            raise
+        return factory
+
     def _enable_sharing(self, factory: IncrementalFactory, plan) -> None:
         """Register a single-stream factory with the shared fragment cache.
 
@@ -760,10 +839,43 @@ class DataCellEngine:
         handle = self._queries.get(name)
         if handle is None:
             raise CatalogError(f"unknown query {name!r}")
-        handle.factory.reset_landmark()
+        if len(self._shared[name].names) > 1:
+            self._split(handle)
+        else:
+            handle.factory.reset_landmark()
+
+    def _split(self, handle: ContinuousQuery) -> None:
+        """Reset a shared handle's landmark on a factory of its own.
+
+        The new factory is the shared one's state, reset, on cursors that
+        start where the shared ones stand; the other handles keep the
+        shared factory and its windows."""
+        shared = self._shared[handle.name]
+        plan = shared.factory.plan
+        cursors = {
+            relation: cursor.basket.cursor(at=cursor.position)
+            for relation, cursor in shared.cursors.items()
+        }
+        tables = {}
+        if plan.table_alias is not None:
+            tables[plan.table_alias] = self.catalog.table(plan.table_relation)
+
+        def adopt(factory: IncrementalFactory) -> None:
+            factory.restore_state(shared.factory.snapshot_state())
+            factory.reset_landmark()
+            self.scheduler.move(handle.name, factory)
+
+        factory = self._new_factory(plan, cursors, tables, handle.name, adopt)
+        shared.names.remove(handle.name)
+        self._shared[handle.name] = _Shared(factory, cursors, [handle.name], None)
+        handle.factory = factory
+        handle.baskets = {
+            alias: cursors[cursor.basket.name] for alias, cursor in handle.baskets.items()
+        }
 
     def remove(self, name: str) -> None:
-        """Unregister a continuous query and close its cursors."""
+        """Unregister a continuous query; its factory and cursors go
+        with the last query that shares them."""
         with self._dur_guard():
             self._remove_impl(name)
             if self._dur is not None:
@@ -779,14 +891,19 @@ class DataCellEngine:
             for state in self._partitioned.values():
                 state.pending_anchor.discard(name)
             return
-        handle = self._queries.pop(name, None)
-        if handle is None:
+        if self._queries.pop(name, None) is None:
             return
+        shared = self._shared.pop(name)
+        shared.names.remove(name)
         # Between scans: a firing already in flight may still read them.
         with self.scheduler.quiesced():
             self.scheduler.unregister(name)
-            for cursor in handle.baskets.values():
+            if shared.names:
+                return
+            for cursor in shared.cursors.values():
                 cursor.close()
+        if shared.key is not None and self._joinable.get(shared.key) is shared:
+            del self._joinable[shared.key]
 
     def query(self, name: str):
         if name in self._pqueries:
@@ -846,8 +963,9 @@ class DataCellEngine:
         timestamps)``, checked against ``stream``'s schema — row arity,
         exactly the schema's columns, equal column lengths and one
         timestamp per tuple — and typed by :func:`typed_values`.
-        Explicit timestamps must not decrease, within the batch or
-        against the stream (:meth:`Basket.admit_times`).  The check
+        Timestamps must not decrease, within the batch or against the
+        stream (:meth:`Basket.admit_times`); a batch without them is
+        stamped from the stream's counter and checked the same way.  The check
         changes nothing: the append checks again as it admits the batch,
         and only an admitted batch moves the stream's time frontier, so a
         batch the overflow policy rejects can be retried.
@@ -883,10 +1001,8 @@ class DataCellEngine:
         if timestamps is not None and len(timestamps) != count:
             raise BasketError("timestamp column length mismatch")
         typed = {name: typed_values(cols[name], atom) for name, atom in schema.columns}
-        ts = None
-        if timestamps is not None:
-            ts = np.asarray(timestamps, dtype=np.int64)
-            self._logs[stream].admit_times(ts)
+        ts = None if timestamps is None else np.asarray(timestamps, dtype=np.int64)
+        self._logs[stream].admit_times(ts, count)
         return typed, count, ts
 
     def _append(
@@ -963,8 +1079,7 @@ class DataCellEngine:
         self._stream_fed[stream] += count
         if error is not None:
             raise error
-        if timestamps is not None:
-            self._logs[stream].note_times(timestamps)
+        self._logs[stream].note_times(timestamps, count)
         return count
 
     def advance_time(self, stream: str, ts: int) -> None:
@@ -1252,7 +1367,7 @@ class DataCellEngine:
             "query_counter": self._query_counter,
             "query_states": {
                 qname: {
-                    "factory": handle.factory.snapshot_state(),
+                    "factory": self._factory_state(handle),
                     "cursors": {
                         alias: cursor.position
                         for alias, cursor in handle.baskets.items()
@@ -1294,6 +1409,22 @@ class DataCellEngine:
             state["shards"] = [part.snapshot_state() for part in self._shards.parts]
         return state
 
+    @staticmethod
+    def _factory_state(handle: ContinuousQuery) -> dict:
+        """``handle``'s factory snapshot keyed by the handle's own stream
+        aliases, as if it ran alone: a shared factory's state is keyed by
+        the aliases of the query that built it, and a restore gives
+        every handle a factory of its own."""
+        state = handle.factory.snapshot_state()
+        alias_of = {cursor.basket.name: alias for alias, cursor in handle.baskets.items()}
+        own = {
+            alias: alias_of[relation]
+            for alias, relation in handle.factory.plan.stream_relations.items()
+        }
+        for key in ("slicers", "stores"):
+            state[key] = {own[alias]: value for alias, value in state[key].items()}
+        return state
+
     def _apply_state(self, state: dict) -> None:
         """Adopt a snapshot image (restore path; journaling suppressed)."""
         for decl in state["streams"]:
@@ -1331,7 +1462,9 @@ class DataCellEngine:
                     entry, state["pqueries"][entry["name"]]
                 )
             else:
-                self._submit_impl(entry["sql"], entry["mode"], entry["name"])
+                # Every snapshot handle gets a factory of its own, which
+                # no later submit joins: its state is not a fresh one's.
+                self._submit_impl(entry["sql"], entry["mode"], entry["name"], share=False)
         self._query_counter = state["query_counter"]
         for qname, qstate in state["query_states"].items():
             handle = self._queries[qname]

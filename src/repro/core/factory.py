@@ -86,6 +86,16 @@ class ResultBatch:
     def column(self, name: str) -> list:
         return self.columns[name].to_list()
 
+    def share(self) -> "ResultBatch":
+        """Another handle's batch over the same (immutable) columns."""
+        return ResultBatch(
+            list(self.names),
+            dict(self.columns),
+            self.window_index,
+            self.response_seconds,
+            dict(self.breakdown),
+        )
+
     def __len__(self) -> int:
         if not self.names:
             return 0
@@ -244,6 +254,9 @@ class IncrementalFactory(FactoryBase):
                 raise SchedulerError(f"no table bound for {alias!r}")
         self._table_bundle: Optional[Bundle] = None
         self._empty_pair: Optional[Bundle] = None
+        # ready() held and nothing was consumed since: the next step()
+        # need not test again (the scheduler tests once per firing).
+        self._armed = False
         # An invertible plan's window is its running table, built by the
         # first merge; Fig. 7a clears the flag to measure the paper's flat
         # merge (Algorithm 2) on the same plan.
@@ -267,8 +280,12 @@ class IncrementalFactory(FactoryBase):
             self._pairs = PairStore(capacity.get(left, 0), capacity.get(right, 0))
 
     def ready(self) -> bool:
-        """The Petri-net firing condition: every input stream is ready."""
-        return all(self._stream_ready(alias) for alias in self.windows)
+        """The Petri-net firing condition: every input stream is ready.
+
+        Appends only add tuples, so a ready factory stays ready until it
+        consumes; the next :meth:`step` trusts this answer."""
+        self._armed = all(self._stream_ready(alias) for alias in self.windows)
+        return self._armed
 
     def _stream_ready(self, alias: str) -> bool:
         """A first full window unread, then one more basic window (time
@@ -325,8 +342,9 @@ class IncrementalFactory(FactoryBase):
         Only single-stream count-based sliding queries support it.
         """
         chunks = self._check_chunks(chunks) if chunks is not None else 1
-        if not self.ready():
+        if not (self._armed or self.ready()):
             return None
+        self._armed = False
         profiler = profiler if profiler is not None else Profiler()
         start = time.perf_counter()
         if chunks == 1 or not self._initialized:
@@ -781,6 +799,7 @@ class IncrementalFactory(FactoryBase):
 
     def restore_state(self, state: dict) -> None:
         """Adopt a snapshot's execution state (inverse of the above)."""
+        self._armed = False
         self.window_index = state["window_index"]
         self._initialized = state["initialized"]
         for alias, (origin, consumed_windows) in state["slicers"].items():
@@ -817,6 +836,7 @@ class IncrementalFactory(FactoryBase):
                 "sliding side's live partials; resubmit the query instead"
             )
         self._new_stores()
+        self._armed = False
         for alias, slicer in self._slicers.items():
             # Re-anchor time slicing at the next arrival after the reset.
             remaining = self._baskets[alias]

@@ -4,7 +4,8 @@ Factories are transitions; baskets are places; a factory *fires* when its
 ``ready()`` condition holds (enough unread tuples at its cursor on every
 input stream's basket).  The
 scheduler repeatedly scans for enabled factories and steps them, routing
-each produced :class:`ResultBatch` to the query's emitters.
+each produced :class:`ResultBatch` to the emitters of every query handle
+the factory serves (alpha-equivalent queries share one factory).
 
 Two driving modes:
 
@@ -52,7 +53,10 @@ ResultSink = Callable[[str, ResultBatch], None]
 @dataclass
 class _Registration:
     factory: FactoryBase
-    sinks: list[ResultSink] = field(default_factory=list)
+    #: Handle name -> its sinks.  Alpha-equivalent queries share one
+    #: factory, so one firing may emit to several handles (DESIGN.md §6,
+    #: "Whole-query sharing"); the first handle names the firing's span.
+    sinks: dict[str, list[ResultSink]] = field(default_factory=dict)
     # Written only by a scan (or restore_steps), under Scheduler._scan_lock.
     steps: int = 0
     # Per-factory accumulation of firing profilers (timings + counters).
@@ -77,7 +81,10 @@ class Scheduler:
         # from a sink on the firing thread reaches the ``_scanning`` test
         # instead of deadlocking, and so that sink can still read metrics.
         self._scan_lock = threading.RLock()
+        # handle name -> its factory's registration (shared by the handles
+        # of one factory), and each registration once, in firing order.
         self._registrations: dict[str, _Registration] = {}  # guarded-by: _scan_lock
+        self._order: list[_Registration] = []  # guarded-by: _scan_lock
         self._scanning = False  # guarded-by: _scan_lock
         self._thread: Optional[threading.Thread] = None  # guarded-by: _scan_lock
         self._stop_event = threading.Event()
@@ -91,25 +98,62 @@ class Scheduler:
 
     # -- registration ------------------------------------------------------
     def register(self, factory: FactoryBase, *sinks: ResultSink) -> None:
+        """Register ``factory`` with one handle, named after it, emitting
+        to ``sinks``."""
+        name = factory.name
         with self._scan_lock:
-            if factory.name in self._registrations:
-                raise SchedulerError(f"factory {factory.name!r} already registered")
-            self._registrations[factory.name] = _Registration(factory, list(sinks))
+            if name in self._registrations:
+                raise SchedulerError(f"factory {name!r} already registered")
+            registration = _Registration(factory, {name: list(sinks)})
+            self._registrations[name] = registration
+            self._order.append(registration)
+
+    def attach(self, name: str, to: str, *sinks: ResultSink) -> None:
+        """Handle ``name`` becomes one more sink of handle ``to``'s
+        factory: no second registration, readiness test or firing."""
+        with self._scan_lock:
+            if name in self._registrations:
+                raise SchedulerError(f"factory {name!r} already registered")
+            registration = self._registrations[to]
+            registration.sinks[name] = list(sinks)
+            self._registrations[name] = registration
 
     def unregister(self, name: str) -> None:
+        """Detach handle ``name``; its factory goes with its last handle."""
         with self._scan_lock:
-            self._registrations.pop(name, None)
+            self._detach(name)
+
+    def move(self, name: str, factory: FactoryBase) -> None:
+        """Give handle ``name`` a registration of its own for ``factory``,
+        carrying its sinks, its firing count and a copy of its profile
+        (a shared handle that splits off, as ``reset_landmark`` does)."""
+        with self._scan_lock:
+            old = self._registrations[name]
+            moved = _Registration(factory, {name: self._detach(name)}, steps=old.steps)
+            moved.profiler.merge_from(old.profiler)
+            self._registrations[name] = moved
+            self._order.append(moved)
+
+    def _detach(self, name: str) -> list[ResultSink]:  # guarded-by: self._scan_lock
+        registration = self._registrations.pop(name, None)
+        if registration is None:
+            return []
+        sinks = registration.sinks.pop(name)
+        if not registration.sinks:
+            self._order.remove(registration)
+        return sinks
 
     def add_sink(self, name: str, sink: ResultSink) -> None:
         with self._scan_lock:
-            self._registrations[name].sinks.append(sink)
+            self._registrations[name].sinks[name].append(sink)
 
     def factories(self) -> list[str]:
         with self._scan_lock:
             return list(self._registrations)
 
     def factory_stats(self) -> dict[str, dict[str, dict]]:
-        """Per-factory structured profiler snapshots.
+        """Per-handle structured profiler snapshots: the handles of one
+        shared factory each report that factory's profile.
 
         Each value is :meth:`Profiler.snapshot`'s shape: ``{"tags",
         "opcodes", "calls", "counters"}``.  Counters include ``firings``
@@ -148,7 +192,7 @@ class Scheduler:
         once in the ``worker_errors`` profiler counter and re-raises.
         """
         with self._scan_lock:
-            registrations = list(self._registrations.values())
+            registrations = list(self._order)
             if self._scanning:
                 raise SchedulerError(
                     "run_once() called from inside a firing (a sink or "
@@ -198,8 +242,11 @@ class Scheduler:
         registration.steps += 1
         registration.profiler.merge_from(profiler)
         self.profiler.merge_from(profiler)
-        for sink in registration.sinks:
-            sink(factory.name, batch)
+        for index, (name, sinks) in enumerate(registration.sinks.items()):
+            # Every further handle gets its own batch over the same columns.
+            own = batch.share() if index else batch
+            for sink in sinks:
+                sink(name, own)
         if obs is None:
             return 1
         end = time.perf_counter()
@@ -211,7 +258,7 @@ class Scheduler:
         ready_since = registration.ready_since
         obs.spans.record(
             FiringSpan(
-                factory=factory.name,
+                factory=next(iter(registration.sinks)),
                 seq=registration.steps,
                 wall=wall,
                 duration=end - start,
@@ -309,7 +356,7 @@ class Scheduler:
     def _abort_parked(self, reason: str) -> None:
         """Wake every producer parked on a registered factory's baskets."""
         with self._scan_lock:
-            registrations = list(self._registrations.values())
+            registrations = list(self._order)
         for registration in registrations:
             for basket in registration.factory.baskets():
                 basket.abort_waiters(reason)
@@ -339,7 +386,8 @@ class Scheduler:
             yield
 
     def steps_snapshot(self) -> dict[str, int]:
-        """Per-factory firing counts; call inside :meth:`quiesced` (which
+        """Per-handle firing counts (a shared factory's count under each
+        of its handles); call inside :meth:`quiesced` (which
         holds the scan lock, the only writer of ``steps``)."""
         with self._scan_lock:
             return {
@@ -348,19 +396,20 @@ class Scheduler:
             }
 
     def restore_steps(self, name: str, steps: int) -> None:
-        """Adopt a snapshot's firing count for one factory (restore path)."""
+        """Adopt a snapshot's firing count for one handle's factory
+        (restore path, where every handle has a factory of its own)."""
         with self._scan_lock:
             self._registrations[name].steps = steps
 
     def wrap_sinks(self, name: str, wrapper: Callable[[ResultSink], ResultSink]) -> None:
-        """Replace each of a factory's sinks with ``wrapper(sink)``.
+        """Replace each of handle ``name``'s sinks with ``wrapper(sink)``.
 
         The restore path uses this to interpose the duplicate-emission
         filter in front of every emitter after a recovery.
         """
         with self._scan_lock:
-            registration = self._registrations[name]
-            registration.sinks = [wrapper(sink) for sink in registration.sinks]
+            sinks = self._registrations[name].sinks
+            sinks[name] = [wrapper(sink) for sink in sinks[name]]
 
     def _raise_worker_error(self) -> None:
         with self._scan_lock:

@@ -78,6 +78,8 @@ def firing_metrics(engine) -> dict:
     metrics: dict = {
         "engine": {
             "queries": len(engine._queries),
+            # Alpha-equivalent queries share a factory (DESIGN.md §6).
+            "factories": len({id(shared) for shared in engine._shared.values()}),
             "streams": len(engine._logs),
             "partitions": engine.partitions,
             "observability": obs is not None,

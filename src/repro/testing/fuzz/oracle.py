@@ -10,9 +10,10 @@ window is compared across them:
 * ``reference`` — the naive Python evaluator
   (:mod:`repro.testing.fuzz.reference`);
 * ``incremental-dup`` — a second identical incremental query in the same
-  engine, so the cross-query fragment cache serves shared fragments;
-* ``incremental-chunked`` — the same plan driven through
-  ``step_chunked(m)`` (single-stream count-based sliding only);
+  engine, which joins the pivot's factory as one more sink (whole-query
+  sharing; with sharing off it runs a factory of its own);
+* ``incremental-chunked`` — the same plan on its own engine, driven
+  through ``step_chunked(m)`` (single-stream count-based sliding only);
 * ``incremental-partitioned`` — the same query on a separate
   ``partitions=P`` engine (hash-routed partition engines plus the
   coordinator's merge, DESIGN.md §14; single-stream non-landmark shapes
@@ -57,7 +58,7 @@ class OracleConfig:
     """One oracle run's execution axes."""
 
     fragment_sharing: bool = True
-    duplicate: bool = False  # second incremental query (fragment sharing)
+    duplicate: bool = False  # second incremental query (shares qi's factory)
     chunk_plan: Optional[dict[str, list[int]]] = None  # feed batch sizes
     step_chunk: Optional[int] = None  # m for step_chunked (chunk_ok only)
     float_tol: float = 1e-6
@@ -324,6 +325,31 @@ def run_crash_leg(
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def run_chunked_leg(
+    query: FuzzQuery, feed: Feed, config: OracleConfig
+) -> list[list[tuple]] | Divergence:
+    """The m-chunk leg: the query alone on its own engine (a twin on the
+    pivot's engine would share the pivot's factory), stepped by hand
+    through ``step_chunked(m)`` after every feed round."""
+    engine = build_engine(query, fragment_sharing=config.fragment_sharing)
+    batches: list = []
+    try:
+        handle = engine.submit(query.sql, name="qc")
+
+        def fire() -> None:
+            while (batch := handle.factory.step_chunked(config.step_chunk)) is not None:
+                batches.append(batch)
+            engine.run_until_idle()
+
+        try:
+            _feed_rounds(engine, query, feed, config.chunk_plan, fire)
+        except ReproError as exc:
+            return Divergence("error", "engine", "feed", None, str(exc))
+    finally:
+        engine.close()
+    return [batch.rows() for batch in batches]
+
+
 def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResult:
     """Execute every applicable leg and compare all fired windows."""
     windows: dict[str, list[list[tuple]]] = {}
@@ -339,29 +365,21 @@ def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResu
         sysx_query = systemx.submit(query.sql)
 
     engine = build_engine(query, fragment_sharing=config.fragment_sharing)
-    chunk_batches: list = []
     try:
         incremental: ContinuousQuery = engine.submit(query.sql, name="qi")
         reeval = engine.submit(query.sql, mode="reeval", name="qr")
+        # The same SQL again: it joins qi's factory as one more sink.
         duplicate = (
             engine.submit(query.sql, name="qd") if config.duplicate else None
         )
-        chunked = None
-        if config.step_chunk and query.chunk_ok:
-            chunked = engine.submit(query.sql, name="qc")
-
-        def fire() -> None:
-            if chunked is not None:
-                while True:
-                    batch = chunked.factory.step_chunked(config.step_chunk)
-                    if batch is None:
-                        break
-                    chunk_batches.append(batch)
-            engine.run_until_idle()
-
         try:
             _feed_rounds(
-                engine, query, feed, config.chunk_plan, fire, systemx=systemx
+                engine,
+                query,
+                feed,
+                config.chunk_plan,
+                engine.run_until_idle,
+                systemx=systemx,
             )
         except ReproError as exc:
             return OracleResult(
@@ -371,10 +389,13 @@ def run_oracle(query: FuzzQuery, feed: Feed, config: OracleConfig) -> OracleResu
         windows["reeval"] = [b.rows() for b in reeval.results()]
         if duplicate is not None:
             windows["incremental-dup"] = [b.rows() for b in duplicate.results()]
-        if chunked is not None:
-            windows["incremental-chunked"] = [b.rows() for b in chunk_batches]
     finally:
         engine.close()
+    if config.step_chunk and query.chunk_ok:
+        chunked = run_chunked_leg(query, feed, config)
+        if isinstance(chunked, Divergence):
+            return OracleResult(chunked, windows)
+        windows["incremental-chunked"] = chunked
     if sysx_query is not None:
         windows["systemx"] = [list(rows) for rows in sysx_query.results]
 

@@ -31,9 +31,14 @@ def feed(engine, count, seed=0):
 class TestChunkedStepping:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 12])
     def test_chunked_equals_plain(self, engine, m):
+        # The same query on one engine would share one factory, and this
+        # test steps each factory by hand: the chunked one runs alone.
+        other = DataCellEngine()
+        other.create_stream("s", [("x1", "int"), ("x2", "int")])
         q_plain = engine.submit(SQL)
-        q_chunk = engine.submit(SQL)
-        x1, x2 = feed(engine, 240, seed=1)
+        q_chunk = other.submit(SQL)
+        feed(engine, 240, seed=1)
+        feed(other, 240, seed=1)
         plain, chunked = [], []
         while q_plain.factory.ready():
             plain.append(q_plain.factory.step().rows())

@@ -181,10 +181,14 @@ class TestChunkedEquivalence:
             f"SELECT x1, sum(x2) FROM s [RANGE {size} SLIDE {step}] "
             f"GROUP BY x1 ORDER BY x1"
         )
+        # Two engines: the same query on one would share one factory,
+        # and each factory is stepped by hand here.
         engine, __ = make_engines()
+        other, __ = make_engines()
         q_plain = engine.submit(sql)
-        q_chunk = engine.submit(sql)
+        q_chunk = other.submit(sql)
         engine.feed("s", columns={"x1": x1, "x2": x2})
+        other.feed("s", columns={"x1": x1, "x2": x2})
         plain, chunked = [], []
         while q_plain.factory.ready():
             plain.append(q_plain.factory.step().rows())

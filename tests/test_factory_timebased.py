@@ -5,11 +5,14 @@ control exactly which tuples fall into which time slice — including empty
 basic windows, which the paper says are "recognized and simply skipped".
 """
 
+import tempfile
 import threading
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import DataCellEngine
 from repro.core.basket import Basket
@@ -164,6 +167,37 @@ class TestOutOfOrderTimestamps:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_a_batch_without_timestamps_is_checked_too(self, tmp_path, durable):
+        """A batch fed without timestamps is stamped from the stream's
+        counter; stamps that would land below the frontier are refused
+        before the batch is journaled, like explicit ones."""
+        engine = order_engine(data_dir=str(tmp_path) if durable else None)
+        try:
+            engine.feed("s", rows=[(1,), (2,)], timestamps=[1 * US, 7 * US])
+            before = state_of(engine)
+            with pytest.raises(BasketError, match="no timestamps"):
+                engine.feed("s", rows=[(3,), (4,)])
+            assert state_of(engine) == before
+            engine.feed("s", rows=[(5,)], timestamps=[26 * US])
+            engine.run_until_idle()
+            windows = [batch.rows() for batch in engine.query("q").results()]
+            # Once admitted, v = 3, 4 landed in the first window and the
+            # [6 s, 16 s) window lost v = 2.
+            assert windows == [[(2, 3)], [(1, 2)], [], []]
+        finally:
+            engine.close()
+
+    def test_counter_stamps_move_the_frontier(self):
+        engine = order_engine()
+        try:
+            engine.feed("s", rows=[(1,), (2,), (3,)])  # stamped 0, 1, 2
+            with pytest.raises(BasketError, match="before 2"):
+                engine.feed("s", rows=[(4,)], timestamps=[1])
+            engine.feed("s", rows=[(4,)], timestamps=[2])
+        finally:
+            engine.close()
+
     def test_equal_timestamps_and_the_watermark(self):
         engine = order_engine()
         try:
@@ -311,5 +345,38 @@ class TestOutOfOrderTimestamps:
             ts = engine.query("q").baskets["s"].timestamps().tail
             assert list(ts) == sorted(ts)
             assert len(errors) == 1 and "must not decrease" in str(errors[0])
+        finally:
+            engine.close()
+
+
+@pytest.mark.parametrize("durable", [False, True])
+@settings(max_examples=25)
+@given(
+    prefix=st.lists(st.integers(0, 30), max_size=4).map(sorted),
+    batch=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+)
+def test_a_shuffled_batch_is_refused_and_changes_nothing(durable, prefix, batch):
+    """Explicit timestamps out of order — within the batch, or below
+    what the stream admitted before it — raise :class:`BasketError` and
+    leave the basket, the frontier, the journal and the windows as they
+    were."""
+    assume(prefix + batch != sorted(prefix + batch))
+    with tempfile.TemporaryDirectory() as tmp:
+        engine = order_engine(data_dir=tmp if durable else None)
+        try:
+            if prefix:
+                engine.feed("s", rows=[(v,) for v in prefix], timestamps=[t * US for t in prefix])
+            engine.run_until_idle()
+
+            def observed():
+                log = engine._logs["s"]
+                windows = [b.rows() for b in engine.query("q").results()]
+                return state_of(engine), log._newest_ts, windows
+
+            before = observed()
+            with pytest.raises(BasketError, match="must not decrease"):
+                engine.feed("s", rows=[(v,) for v in batch], timestamps=[t * US for t in batch])
+            engine.run_until_idle()
+            assert observed() == before
         finally:
             engine.close()

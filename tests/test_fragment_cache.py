@@ -235,15 +235,36 @@ SQL = "SELECT x1, sum(x2) FROM s [RANGE 40 SLIDE 20] WHERE x1 > 3 GROUP BY x1"
 
 class TestEngineSharing:
     def test_identical_queries_share(self):
+        """Identical queries share the whole factory, so each basic
+        window runs the fragment once without a cache lookup hitting."""
         engine = _engine()
         queries = [engine.submit(SQL) for __ in range(4)]
         _feed(engine, 200)
         engine.run_until_idle()
+        assert all(q.factory is queries[0].factory for q in queries)
+        stats = engine.fragment_cache.stats()
+        assert stats["misses"] == 10  # one per basic window
+        assert stats["hits"] == 0  # one factory, no second lookup
+        rows = [q.result_rows() for q in queries]
+        assert rows[0] and all(r == rows[0] for r in rows)
+
+    def test_same_step_queries_share_every_fragment(self):
+        """Four factories whose windows differ in size only (same step)
+        compute each basic window's fragment once between them."""
+        sqls = [SQL.replace("RANGE 40", f"RANGE {size}") for size in (40, 60, 80, 100)]
+        engine = _engine()
+        queries = [engine.submit(sql) for sql in sqls]
+        _feed(engine, 200)
+        engine.run_until_idle()
+        assert len({id(q.factory) for q in queries}) == 4
         stats = engine.fragment_cache.stats()
         assert stats["misses"] == 10  # one per basic window
         assert stats["hits"] == 30  # three sharers per basic window
-        rows = [q.result_rows() for q in queries]
-        assert all(r == rows[0] for r in rows)
+        plain = _engine(fragment_sharing=False)
+        alone = [plain.submit(sql) for sql in sqls]
+        _feed(plain, 200)
+        plain.run_until_idle()
+        assert [q.result_rows() for q in queries] == [q.result_rows() for q in alone]
 
     def test_sharing_matches_unshared_results(self):
         shared = _engine(fragment_sharing=True)
@@ -316,25 +337,38 @@ class TestEngineSharing:
         """A receptor feeds the stream, not one query: sharers stay
         aligned and keep sharing."""
         engine = _engine()
-        queries = [engine.submit(SQL) for __ in range(2)]
+        sqls = [SQL, SQL.replace("RANGE 40", "RANGE 60")]
+        queries = [engine.submit(sql) for sql in sqls]
         receptor = engine.receptor("s")
         receptor.push_rows([(i % 7, i) for i in range(100)])
         engine.run_until_idle()
         assert all(q.factory.shares_fragments for q in queries)
         assert engine.fragment_cache.stats()["hits"] > 0
-        assert queries[0].result_rows() == queries[1].result_rows()
+        plain = _engine(fragment_sharing=False)
+        alone = [plain.submit(sql) for sql in sqls]
+        plain.feed("s", rows=[(i % 7, i) for i in range(100)])
+        plain.run_until_idle()
+        assert [q.result_rows() for q in queries] == [q.result_rows() for q in alone]
         assert queries[0].result_rows()
 
     def test_landmark_queries_share(self):
+        """A landmark and a sliding window at the same step share every
+        fragment; two identical landmarks share their factory."""
+        landmark = "SELECT max(x1), sum(x2) FROM s [LANDMARK SLIDE 25]"
+        sliding = "SELECT max(x1), sum(x2) FROM s [RANGE 50 SLIDE 25]"
         engine = _engine()
-        queries = [
-            engine.submit("SELECT max(x1), sum(x2) FROM s [LANDMARK SLIDE 25]")
-            for __ in range(2)
-        ]
+        queries = [engine.submit(sql) for sql in (landmark, sliding, landmark)]
         _feed(engine, 100, seed=6)
         engine.run_until_idle()
+        assert queries[2].factory is queries[0].factory
         assert engine.fragment_cache.stats()["hits"] == 4
-        assert queries[0].result_rows() == queries[1].result_rows()
+        plain = _engine(fragment_sharing=False)
+        alone = [plain.submit(sql) for sql in (landmark, sliding)]
+        _feed(plain, 100, seed=6)
+        plain.run_until_idle()
+        assert [q.result_rows() for q in queries] == [
+            q.result_rows() for q in (*alone, alone[0])
+        ]
 
     def test_join_queries_do_not_register(self):
         engine = _engine()

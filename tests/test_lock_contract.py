@@ -125,7 +125,8 @@ ROWS = {
     "Basket.append_columns": (basket, "append_columns", ({"a": [5]},)),
     "Basket.column": (basket, "column", ("a",)),
     "Basket.advance_watermark": (basket, "advance_watermark", (9,)),
-    "Basket.admit_times": (basket, "admit_times", (np.array([9], dtype=np.int64),)),
+    "Basket.admit_times": (basket, "admit_times", (np.array([9], dtype=np.int64), 1)),
+    "Basket.note_times": (basket, "note_times", (None, 1)),
     "Basket.snapshot_state": (basket, "snapshot_state", ()),
     "Basket.restore_state": (basket, "restore_state", snapshot),
     "CollectingEmitter.__call__": (emitter, "__call__", lambda sink: ("q", result())),
@@ -145,6 +146,8 @@ ROWS = {
     "DurabilityManager.close": (durability, "close", ()),
     "Scheduler.register": (scheduler, "register", (Idle("g"),)),
     "Scheduler.unregister": (scheduler, "unregister", ("f",)),
+    "Scheduler.attach": (scheduler, "attach", ("h", "f", print)),
+    "Scheduler.move": (scheduler, "move", ("f", Idle("g"))),
     "Scheduler.add_sink": (scheduler, "add_sink", ("f", print)),
     "Scheduler.factories": (scheduler, "factories", ()),
     "Scheduler.factory_stats": (scheduler, "factory_stats", ()),

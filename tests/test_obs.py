@@ -229,8 +229,14 @@ class TestEngineMetrics:
 
 
 GROUPED_SUM = "SELECT x1, sum(x2) FROM s [RANGE 40 SLIDE 10] GROUP BY x1 ORDER BY x1"
+# The twin differs in window size only: it shares every fragment but runs
+# a factory of its own (an identical query would share the factory).
+GROUPED_SUM_TWIN = GROUPED_SUM.replace("RANGE 40", "RANGE 20")
 FIRING_CASES = {
-    "grouped_sum_and_twin": [(GROUPED_SUM, "incremental"), (GROUPED_SUM, "incremental")],
+    "grouped_sum_and_twin": [
+        (GROUPED_SUM, "incremental"),
+        (GROUPED_SUM_TWIN, "incremental"),
+    ],
     "two_stream_join": [
         (
             "SELECT max(s1.x1), avg(s2.x1) FROM s s1 [RANGE 40 SLIDE 10], "

@@ -374,7 +374,8 @@ class TestEngineWiring:
         engine = DataCellEngine()
         engine.create_stream("s", [("x1", "int"), ("x2", "int")], capacity=30)
         fast = "SELECT x1, count(*) FROM s [RANGE 20 SLIDE 10] GROUP BY x1"
-        q1, q2 = engine.submit(fast), engine.submit(fast)
+        # Same step, other size: a factory of its own that shares fragments.
+        q1, q2 = engine.submit(fast), engine.submit(fast.replace("RANGE 20", "RANGE 10"))
         slow = engine.submit("SELECT count(*) FROM s [RANGE 40 SLIDE 10]")
         columns = {"x1": np.zeros(25, dtype=np.int64),
                    "x2": np.zeros(25, dtype=np.int64)}

@@ -44,7 +44,7 @@ SQL = "SELECT count(*) FROM s [RANGE 40 SLIDE 20]"
 class TestSynchronousScheduling:
     def test_run_once_fires_ready_factories(self, engine):
         q1 = engine.submit(SQL)
-        q2 = engine.submit(SQL)
+        q2 = engine.submit(SQL.replace("RANGE 40", "RANGE 20"))
         feed(engine, 40)
         fired = engine.scheduler.run_once()
         assert fired == 2
@@ -465,16 +465,19 @@ class TestProfilerSnapshot:
         assert snap["counters"]["main"] == 7
 
     def test_factory_stats_counters(self, engine):
+        # The sharers differ in window size only (same step): two
+        # factories over one fragment per basic window.
         engine.submit(SQL)
-        engine.submit(SQL)
+        engine.submit(SQL.replace("RANGE 40", "RANGE 60"))
         feed(engine, 100, seed=3)
         engine.run_until_idle()
         stats = engine.scheduler.factory_stats()
         assert stats["q1"]["counters"]["firings"] == 4
-        assert stats["q2"]["counters"]["firings"] == 4
-        # q2 reuses every basic window q1 computed.
-        assert stats["q2"]["counters"].get("fragment_cache_hits", 0) == 5
-        assert engine.scheduler.profiler.counter("firings") == 8
+        assert stats["q2"]["counters"]["firings"] == 3
+        # Each of the five basic windows is computed once and reused once.
+        for counter in ("fragment_cache_hits", "fragment_cache_misses"):
+            assert sum(stats[q]["counters"].get(counter, 0) for q in ("q1", "q2")) == 5
+        assert engine.scheduler.profiler.counter("firings") == 7
 
     @pytest.mark.concurrency
     def test_concurrent_record_and_merge(self):
