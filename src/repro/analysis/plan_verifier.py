@@ -41,7 +41,7 @@ from repro.analysis.dataflow import analyze_dataflow
 from repro.analysis.diagnostics import Report
 from repro.analysis.typecheck import infer_types
 from repro.core.rewriter.flows import GLOBAL_COMBINE, GROUPED_COMBINE
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
+from repro.core.rewriter.incremental import IncrementalPlan, new_slot, packed, prep_slot, seq_slot
 from repro.errors import PlanVerificationError
 from repro.kernel.atoms import Atom
 from repro.kernel.execution.program import (
@@ -283,8 +283,8 @@ def verify_plan(
                 name = prep_slot(alias, column)
                 pair_inputs[name] = env.get(slot)
                 expected_pair_inputs.append(name)
-            pair_inputs[seq_slot(alias)] = Atom.INT
-            expected_pair_inputs.append(seq_slot(alias))
+            pair_inputs[seq_slot(alias)] = pair_inputs[new_slot(alias)] = Atom.INT
+            expected_pair_inputs += [seq_slot(alias), new_slot(alias)]
 
         if plan.pair_fragment is None:
             report.error("plan", "join plan has no pair fragment")

@@ -15,6 +15,7 @@ from repro.core.rewriter.incremental import (
     TAGGED_FRAGMENT_TITLE,
     TAGGED_RUN,
     IncrementalPlan,
+    new_slot,
     packed,
     prep_slot,
     seq_slot,
@@ -119,7 +120,7 @@ def dump_plan(
         env, __ = infer_types(prep.program, scan_atoms(alias))
         for column, slot in zip(prep.columns, prep.program.outputs):
             pair_inputs[prep_slot(alias, column)] = env.get(slot)
-        pair_inputs[seq_slot(alias)] = Atom.INT
+        pair_inputs[seq_slot(alias)] = pair_inputs[new_slot(alias)] = Atom.INT
         parts.append(
             dump_program(
                 prep.program, f"prep[{alias}] (per basic window)", scan_atoms(alias)

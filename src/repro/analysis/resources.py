@@ -45,7 +45,7 @@ from typing import Any, Optional, Sequence
 
 from repro.analysis.diagnostics import Report
 from repro.core.overflow import Block, Fail
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
+from repro.core.rewriter.incremental import IncrementalPlan, new_slot, packed, prep_slot, seq_slot
 from repro.core.windows import WindowSpec
 from repro.kernel.execution.program import Instr, Lit, Program, Ref
 from repro.sql.physical import scan_slot
@@ -444,6 +444,7 @@ def _pair_inputs(plan: IncrementalPlan, alias: str, windows: Bound) -> dict[str,
         for column, bound in zip(prep.columns, outs.values())
     }
     inputs[seq_slot(alias)] = bound_max(list(inputs.values())) if inputs else ZERO
+    inputs[new_slot(alias)] = ONE
     return inputs
 
 
@@ -574,19 +575,22 @@ def analyze_resources(
         tags = frozenset(seq_slot(alias) for alias in plan.stream_aliases)
         env = program_bounds(fragment, one_each, tags)
         pair_state = bound_sum([env.get(slot, UNBOUNDED) for slot in flow_slots])
-        # Transient: one run joins a new basic window against the other
-        # side's whole live window (every prep bundle the store holds).
+        # Transient: one run per slide joins the L-shaped delta, a new
+        # left basic window against the whole live right window plus the
+        # older live left window against a new right basic window.
+        def held(alias: str, older: bool) -> Bound:
+            window = plan.windows[alias]
+            if window.is_landmark:
+                return UNBOUNDED
+            return Bound(window.basic_windows - older)
+
         transient = ZERO
-        for new in plan.stream_aliases:
+        for sides in ((ONE, held(right.alias, False)), (held(left.alias, True), ONE)):
             inputs = {}
-            for alias in plan.stream_aliases:
-                window = plan.windows[alias]
-                held = ONE if alias == new else (
-                    UNBOUNDED if window.is_landmark else Bound(window.basic_windows)
-                )
-                inputs.update(_pair_inputs(plan, alias, held))
+            for alias, windows in zip(plan.stream_aliases, sides):
+                inputs.update(_pair_inputs(plan, alias, windows))
             env = program_bounds(fragment, inputs)
-            transient = transient.max_with(bound_max(list(env.values())))
+            transient = transient.add(bound_max(list(env.values())))
         result.join_pairs = pairs
         result.pair_state = pair_state
         result.join_transient = transient

@@ -186,7 +186,12 @@ def _build_signatures() -> dict[str, OpSig]:
 
         return rule
 
-    sig("algebra.join", 2, 2, join_rule(2))
+    def delta_join_rule(a):
+        for first_new in a[2:]:
+            _require_atom(first_new, Atom.INT, "algebra.join", "first new row")
+        return join_rule(2)(a)
+
+    sig("algebra.join", 2, 4, delta_join_rule)
     sig("algebra.semijoin", 2, 2, join_rule(1))
     sig("algebra.antijoin", 2, 2, join_rule(1))
 

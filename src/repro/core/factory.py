@@ -41,7 +41,7 @@ from repro.core.partials import (
     bundle_rows,
 )
 from repro.core.rewriter.flows import GLOBAL_FRAGMENT
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
+from repro.core.rewriter.incremental import IncrementalPlan, new_slot, packed, prep_slot, seq_slot
 from repro.errors import SchedulerError, UnsupportedQueryError
 from repro.kernel.algebra.setops import concat
 from repro.kernel.atoms import Atom
@@ -379,9 +379,9 @@ class IncrementalFactory(FactoryBase):
     def _step_streams(self, profiler: Profiler) -> None:
         """Add every stream's owed basic windows to its store, each bundle
         made by the stream's per-basic-window program.  A join then joins
-        them in at most two runs of the tagged pair fragment (the bilinear
-        delta rule: new left × every live right, then older live left ×
-        new right)."""
+        them in one run of the tagged pair fragment (the bilinear delta
+        rule: new left × every live right and older live left × new
+        right)."""
         new: dict[str, list[int]] = {}
         for alias in self._stores:
             slices = self._take_slices(alias, self._owed_counts(alias))
@@ -395,11 +395,7 @@ class IncrementalFactory(FactoryBase):
         if table is not None and self._table_bundle is None:
             self._table_bundle = self._run(table, self._scan(table), profiler)
         left, right = self.plan.pair_aliases
-        self._join_run(new[left], self._side_seqs(right), profiler)
-        new_right = new.get(right, [])
-        older_left = [seq for seq in self._side_seqs(left) if seq < new[left][0]]
-        if new_right and older_left:
-            self._join_run(older_left, new_right, profiler)
+        self._join_run(new, profiler)
         self._pairs.expire(self._newest_seq(left), self._newest_seq(right))
 
     def _check_chunks(self, m: int) -> int:
@@ -566,15 +562,16 @@ class IncrementalFactory(FactoryBase):
         return [window.step] * window.basic_windows
 
     # -- prep stores and joins --------------------------------------------
-    def _side(self, alias: str, seqs: list[int]) -> tuple[Bundle, list[int]]:
+    def _side(self, alias: str, seqs: list[int]) -> tuple[Bundle, np.ndarray]:
         """Join side ``alias`` over its basic windows ``seqs`` (a
         contiguous live run): one view of their prep rows, and each one's
         row count.  A base table is one basic window, seq 0."""
         if alias == self.plan.table_alias:
             assert self._table_bundle is not None
-            return self._table_bundle, [bundle_rows(self._table_bundle)]
+            return self._table_bundle, np.array([bundle_rows(self._table_bundle)])
         store = cast(WindowStore, self._stores[alias])
-        return store.view(seqs[0], seqs[-1]), [bundle_rows(store.bundle(s)) for s in seqs]
+        sizes = np.array([bundle_rows(store.bundle(seq)) for seq in seqs], dtype=np.int64)
+        return store.view(seqs[0], seqs[-1]), sizes
 
     def _side_seqs(self, alias: str) -> list[int]:
         return [0] if alias == self.plan.table_alias else self._stores[alias].live_seqs()
@@ -588,29 +585,39 @@ class IncrementalFactory(FactoryBase):
         table = self._tables[alias]
         return {scan_slot(alias, c): table.column(c) for c in self.plan.scan_columns[alias]}
 
-    def _join_run(
-        self, left_seqs: list[int], right_seqs: list[int], profiler: Profiler
-    ) -> None:
-        """Join two runs of basic windows, each side read as one view of
-        its prep rows and tagged with their seqs, once, and merge the
-        tagged result into the pair table."""
+    def _join_run(self, new: dict[str, list[int]], profiler: Profiler) -> None:
+        """Join this slide's ``new`` basic windows in one run of the pair
+        fragment and merge the tagged result into the pair table.
+
+        Each side is read as one view of its live prep rows, tagged with
+        their seqs, and the join emits the pairs with a new row on either
+        side: new left × every live right and older left × new right.
+        With no new right rows (a base table) the left side is read from
+        its first new basic window on."""
         left, right = self.plan.pair_aliases
-        inputs: dict[str, BAT] = {}
-        for alias, seqs in ((left, left_seqs), (right, right_seqs)):
-            side, sizes = self._side(alias, seqs)
+        seqs = {alias: self._side_seqs(alias) for alias in (left, right)}
+        if not new.get(right):
+            seqs[left] = new[left]
+        inputs: dict[str, object] = {}
+        older: list[int] = []  # per side, its basic windows joined before
+        for alias in (left, right):
+            side, sizes = self._side(alias, seqs[alias])
             for column in self.plan.preps[alias].columns:
                 inputs[prep_slot(alias, column)] = side[column]
             inputs[seq_slot(alias)] = BAT(
-                np.repeat(np.asarray(seqs, dtype=np.int64), sizes),
+                np.repeat(np.asarray(seqs[alias], dtype=np.int64), sizes),
                 Atom.INT,
                 next(iter(side.values())).hseq,
             )
+            fresh = new.get(alias)
+            older.append(seqs[alias].index(fresh[0]) if fresh else len(seqs[alias]))
+            inputs[new_slot(alias)] = int(sizes[: older[-1]].sum())
         fragment = self.plan.pair_fragment
         assert fragment is not None
         outputs = self._interp.run(fragment, inputs, profiler)
         self._pairs.add(
-            left_seqs,
-            right_seqs,
+            seqs[left],
+            seqs[right],
             {
                 flow.name: outputs[slot]
                 for flow, slot in zip(self.plan.flows, fragment.outputs)
@@ -618,9 +625,10 @@ class IncrementalFactory(FactoryBase):
             outputs[fragment.outputs[-2]].tail,
             outputs[fragment.outputs[-1]].tail,
             lambda: self._empty_pair_bundle(inputs, profiler),
+            (older[0], older[1]),
         )
 
-    def _empty_pair_bundle(self, inputs: dict[str, BAT], profiler: Profiler) -> Bundle:
+    def _empty_pair_bundle(self, inputs: dict[str, object], profiler: Profiler) -> Bundle:
         """The bundle of a pair with no joined rows: the pair fragment on
         empty prep columns, global flows reduced over no rows (a 0 count,
         no sum/min/max row) — what a join of that pair alone yields."""
@@ -628,7 +636,12 @@ class IncrementalFactory(FactoryBase):
             fragment = self.plan.pair_fragment
             assert fragment is not None
             outputs = self._interp.run(
-                fragment, {slot: BAT.empty(bat.atom) for slot, bat in inputs.items()}, profiler
+                fragment,
+                {
+                    slot: BAT.empty(value.atom) if isinstance(value, BAT) else 0
+                    for slot, value in inputs.items()
+                },
+                profiler,
             )
             kernel = kernel_registry()
             self._empty_pair = {

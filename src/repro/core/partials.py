@@ -481,26 +481,36 @@ class PairStore:
         left_tags: np.ndarray,
         right_tags: np.ndarray,
         empty: Callable[[], Bundle],
+        older: tuple[int, int] = (0, 0),
     ) -> None:
-        """Add the pairs ``left_seqs × right_seqs`` (both ascending) from
-        one tagged join run.
+        """Add the pairs of ``left_seqs × right_seqs`` (both ascending)
+        from one tagged join run, but for those between the first
+        ``older`` seqs of each side, which were joined before: an
+        L-shaped set, every newer left seq with every right seq and every
+        older left seq with the newer right seqs.
 
         ``run``'s flows are row-aligned with the tags, in any order.  A
         pair the run has no row for gets ``empty()``'s rows (computed only
         then).  Every pair must be newer on the right than those its left
-        seq already has — true of the bilinear delta runs, also after a
+        seq already has — true of the bilinear delta, also after a
         landmark compaction.
         """
         lefts = np.asarray(left_seqs, dtype=np.int64)
         rights = np.asarray(right_seqs, dtype=np.int64)
+        old_left, old_right = older
+        added = (
+            (np.arange(len(lefts)) >= old_left)[:, None]
+            | (np.arange(len(rights)) >= old_right)[None, :]
+        ).ravel()
         grid_left = np.repeat(lefts, len(rights))
         grid_right = np.tile(rights, len(lefts))
-        if self._index.clashes(grid_left, grid_right):
+        pairs = grid_left[added], grid_right[added]
+        if self._index.clashes(*pairs):
             raise SchedulerError("join pairs added out of (left, right) order")
-        self._index.insert(grid_left, grid_right)
-        present = np.zeros(len(grid_left), dtype=bool)
-        present[_pair_codes(left_tags, right_tags, lefts, rights)] = True
-        absent = np.flatnonzero(~present)
+        self._index.insert(*pairs)
+        absent = added.copy()
+        absent[_pair_codes(left_tags, right_tags, lefts, rights)] = False
+        absent = np.flatnonzero(absent)
         filler = empty() if len(absent) else {}
         for name, bat in run.items():
             left, right, values = left_tags, right_tags, bat.tail

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from typing import Mapping, Optional
 
-from repro.core.rewriter.incremental import IncrementalPlan, packed, prep_slot, seq_slot
+from repro.core.rewriter.incremental import IncrementalPlan, new_slot, packed, prep_slot, seq_slot
 from repro.kernel.execution.program import Lit, Program, Ref
 from repro.sql.physical import scan_slot
 
@@ -101,9 +101,9 @@ def plan_fingerprint(plan: IncrementalPlan, mode: str) -> str:
     finalize — each alpha-renamed by :func:`canonical_text`.  Program
     inputs are renamed to what the factory binds to them: a scan slot to
     its relation's column, a prep slot to the prepped column, a seq tag
-    to its relation, a packed flow to the flow.  An input it does not
-    know keeps its slot name, so a plan with an unexpected binding never
-    hashes equal to a plan it differs from.
+    and a first-new-row slot to their relation, a packed flow to the
+    flow.  An input it does not know keeps its slot name, so a plan with
+    an unexpected binding never hashes equal to a plan it differs from.
     """
     sources = {alias: f"stream:{plan.stream_relations[alias]}" for alias in plan.stream_aliases}
     if plan.table_alias is not None:
@@ -112,6 +112,7 @@ def plan_fingerprint(plan: IncrementalPlan, mode: str) -> str:
     preps: dict[str, str] = {}
     for alias, source in sources.items():
         scans[seq_slot(alias)] = preps[seq_slot(alias)] = f"seq:{source}"
+        preps[new_slot(alias)] = f"new:{source}"
         for column in plan.scan_columns.get(alias, ()):
             scans[scan_slot(alias, column)] = f"{source}.{column}"
         if alias in plan.preps:

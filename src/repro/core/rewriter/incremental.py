@@ -79,6 +79,13 @@ def seq_slot(alias: str) -> str:
     return f"seq_{alias}"
 
 
+def new_slot(alias: str) -> str:
+    """Slot name of a join side's first new row in the pair fragment: the
+    row position, within the side's view, of its first basic window not
+    joined before (the view's length when it has none)."""
+    return f"new_{alias}"
+
+
 #: How the plan dumps label the tagged twins.
 TAGGED_RUN = "per tagged run of basic windows"
 TAGGED_FRAGMENT_TITLE = f"tagged fragment ({TAGGED_RUN})"
@@ -600,15 +607,20 @@ def _build_join_fragments(
             pair.declare_input(slot)
             slots[column] = slot
         pair.declare_input(seq_slot(alias))
+        pair.declare_input(new_slot(alias))
         base_rows[alias] = BaseRows(alias, slots)
 
     # Keep the plan's join orientation: the kernel join is stable, so the
     # rows of each tag pair come out in the order a join of that pair
-    # alone would produce them.
+    # alone would produce them.  It emits the pairs with a new row on
+    # either side, so one run per slide covers the bilinear delta.
     left_alias = _leaf_alias(shape.join.left)
     right_alias = _leaf_alias(shape.join.right)
     rows: Rows = pair.compile_join(
-        shape.join, base_rows[left_alias], base_rows[right_alias]
+        shape.join,
+        base_rows[left_alias],
+        base_rows[right_alias],
+        (new_slot(left_alias), new_slot(right_alias)),
     )
     if shape.residual is not None:
         rows = pair.compile_filter(shape.residual, rows)

@@ -66,7 +66,6 @@ class BaseRows(Rows):
     col_slots: dict[str, str]  # column -> slot of the FULL column
     cand: Optional[str] = None  # slot of the candidate OID list
     _cache: dict[str, str] = field(default_factory=dict)
-    _oids: Optional[str] = None
 
 
 @dataclass
@@ -143,16 +142,6 @@ class PlanCompiler:
         return BaseRows(scan.alias, slots)
 
     # -- column access ------------------------------------------------------
-    def base_oids(self, rows: BaseRows) -> str:
-        """Slot of the row→original-oid map for a base context."""
-        if rows.cand is not None:
-            return rows.cand
-        if rows._oids is None:
-            any_slot = next(iter(rows.col_slots.values()))
-            # Single-threaded compile-time memo on a compiler-owned helper.
-            rows._oids = self.emit("bat.mirror", [Ref(any_slot)], "oids")
-        return rows._oids
-
     def column(self, rows: Rows, ref: ColumnRef) -> str:
         """Slot holding ``ref``'s values aligned with the current rows."""
         if isinstance(rows, ColRows):
@@ -308,22 +297,35 @@ class PlanCompiler:
         raise PlanError(f"cannot filter {rows!r}")
 
     # -- joins ------------------------------------------------------
-    def compile_join(self, node: LJoin, left: BaseRows, right: BaseRows) -> JoinRows:
+    def compile_join(
+        self, node: LJoin, left: BaseRows, right: BaseRows, first_new: tuple[str, ...] = ()
+    ) -> JoinRows:
+        """Join two base contexts on ``node``'s keys.  ``first_new`` names
+        the slots of each side's first new row: the join then emits only
+        the pairs with a new row on either side (the delta join of an
+        incremental plan)."""
         left_key = self.column(left, node.left_key)
         right_key = self.column(right, node.right_key)
         lo, ro = self.emit_multi(
-            "algebra.join", [Ref(left_key), Ref(right_key)], ["lo", "ro"]
-        )
-        left_orig = self.emit(
-            "algebra.projection", [Ref(lo), Ref(self.base_oids(left))], "loids"
-        )
-        right_orig = self.emit(
-            "algebra.projection", [Ref(ro), Ref(self.base_oids(right))], "roids"
+            "algebra.join",
+            [Ref(left_key), Ref(right_key), *(Ref(slot) for slot in first_new)],
+            ["lo", "ro"],
         )
         return JoinRows(
-            {left.alias: left_orig, right.alias: right_orig},
+            {
+                left.alias: self._base_oids(lo, left, "loids"),
+                right.alias: self._base_oids(ro, right, "roids"),
+            },
             {left.alias: left, right.alias: right},
         )
+
+    def _base_oids(self, oids: str, rows: BaseRows, hint: str) -> str:
+        """Base oids of a join side's matched rows: the join's own oids
+        when the side has no candidate list (its key column is the base
+        column), else those oids mapped through the candidates."""
+        if rows.cand is None:
+            return oids
+        return self.emit("algebra.projection", [Ref(oids), Ref(rows.cand)], hint)
 
     # -- aggregation ------------------------------------------------------
     def agg_arg_slot(self, spec: AggSpec, rows: Rows, gids: Optional[str]) -> str:

@@ -7,13 +7,14 @@ so the loading-vs-processing breakdown (the paper's final figure) is
 measured, not estimated:
 
 * :func:`write_csv` materializes a workload;
-* :func:`read_csv_chunks` parses it chunk-wise into columns (DataCell's
-  bulk path);
+* :func:`read_csv_chunks` parses it chunk-wise into columns, one numpy
+  parse per chunk of a numeric schema (DataCell's bulk path);
 * :func:`read_csv_rows` parses it row-by-row (SystemX's per-tuple path).
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -31,6 +32,9 @@ _PARSERS = {
     Atom.BIT: lambda s: s == "true",
     Atom.STR: str,
 }
+
+#: Atoms ``np.loadtxt`` parses as :data:`_PARSERS` does.
+_NUMERIC = frozenset({Atom.INT, Atom.OID, Atom.TIMESTAMP, Atom.FLT})
 
 
 def write_csv(
@@ -59,37 +63,55 @@ def read_csv_chunks(
 ) -> Iterator[dict[str, np.ndarray]]:
     """Parse a CSV into column chunks of ``chunk_size`` rows.
 
-    This is DataCell's loading path: the file is read in chunks, each line
-    split and coerced, and the values packed column-wise for a bulk basket
-    append.
+    This is DataCell's loading path, a bulk load like ``COPY INTO``: the
+    file is read in chunks of lines, and a numeric schema's chunk is
+    parsed by one ``np.loadtxt`` call into column arrays for a bulk basket
+    append.  BIT and STR columns are split and coerced line by line, as
+    is a chunk the bulk parse refuses — so a bad line raises the same
+    :class:`WorkloadError` (or ``ValueError``) naming it either way.
     """
     if chunk_size <= 0:
         raise WorkloadError("chunk_size must be positive")
     names = list(schema.names)
-    parsers = [_PARSERS[schema.atom_of(name)] for name in names]
-    dtypes = [numpy_dtype(schema.atom_of(name)) for name in names]
-    buffers: list[list] = [[] for __ in names]
-    filled = 0
+    atoms = [schema.atom_of(name) for name in names]
+    parse = _parse_lines
+    if all(atom in _NUMERIC for atom in atoms):
+        parse = _parse_numeric
     with open(path) as source:
-        for line in source:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(names):
-                raise WorkloadError(f"bad CSV arity in {path}: {line!r}")
-            for buffer, parser, part in zip(buffers, parsers, parts):
-                buffer.append(parser(part))
-            filled += 1
-            if filled == chunk_size:
-                yield {
-                    name: np.asarray(buffer, dtype=dtype)
-                    for name, buffer, dtype in zip(names, buffers, dtypes)
-                }
-                buffers = [[] for __ in names]
-                filled = 0
-    if filled:
-        yield {
-            name: np.asarray(buffer, dtype=dtype)
-            for name, buffer, dtype in zip(names, buffers, dtypes)
-        }
+        while lines := list(itertools.islice(source, chunk_size)):
+            yield parse(lines, names, atoms, path)
+
+
+def _parse_numeric(
+    lines: list[str], names: list[str], atoms: list[Atom], path: str | Path
+) -> dict[str, np.ndarray]:
+    """One chunk of numeric lines in one ``np.loadtxt`` call."""
+    dtype = np.dtype([(name, numpy_dtype(atom)) for name, atom in zip(names, atoms)])
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        rows = None
+    if rows is None or len(rows) != len(lines):  # a blank line is skipped
+        return _parse_lines(lines, names, atoms, path)
+    return {name: np.ascontiguousarray(rows[name]) for name in names}
+
+
+def _parse_lines(
+    lines: list[str], names: list[str], atoms: list[Atom], path: str | Path
+) -> dict[str, np.ndarray]:
+    """One chunk, each line split and coerced."""
+    parsers = [_PARSERS[atom] for atom in atoms]
+    buffers: list[list] = [[] for __ in names]
+    for line in lines:
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != len(names):
+            raise WorkloadError(f"bad CSV arity in {path}: {line!r}")
+        for buffer, parser, part in zip(buffers, parsers, parts):
+            buffer.append(parser(part))
+    return {
+        name: np.asarray(buffer, dtype=numpy_dtype(atom))
+        for name, buffer, atom in zip(names, buffers, atoms)
+    }
 
 
 def read_csv_rows(path: str | Path, schema: Schema) -> Iterator[tuple]:

@@ -8,6 +8,7 @@ import pytest
 from repro import DataCellEngine
 from repro.core import factory as factory_module
 from repro.core.basket import Basket
+from repro.core.rewriter.incremental import new_slot, seq_slot
 
 from conftest import assert_rows_equal, ref_q2
 
@@ -254,14 +255,20 @@ def assert_same_windows(inc, ree, oracle, floats=False, ordered=True):
 
 
 def count_pair_runs(handle):
-    """Record, per firing, how often the pair fragment runs."""
+    """Record every run of the pair fragment: per side (left, right), its
+    rows and its first new row."""
     factory = handle.factory
     runs = []
     real = factory._interp.run
 
     def run(program, inputs, profiler=None):
         if program is factory.plan.pair_fragment:
-            runs.append(len(inputs[next(iter(inputs))]))
+            runs.append(
+                tuple(
+                    (len(inputs[seq_slot(alias)]), inputs[new_slot(alias)])
+                    for alias in factory.plan.pair_aliases
+                )
+            )
         return real(program, inputs, profiler)
 
     factory._interp.run = run
@@ -398,6 +405,30 @@ class TestBatchedJoinDifferential:
             inc, ree, oracle, __ = run_join(sql, join_feed(rows=120, seed=10))
             assert_same_windows(inc, ree, oracle, ordered="count" in sql)
 
+    def test_nan_keys_match_nothing(self):
+        """NaN, the in-band NULL, equals no key: incremental and
+        re-evaluation windows agree with the oracle's ``==``."""
+        sql = "SELECT count(*) AS n FROM s s1 [RANGE 2], s2 [RANGE 2] WHERE s1.f = s2.f"
+        columns = {
+            name: {"k": [0, 1], "v": [0, 0], "f": [float("nan"), key]}
+            for name, key in (("s", 1.0), ("s2", 2.0))
+        }
+        inc, ree, oracle, __ = run_join(sql, columns)
+        assert inc == ree == oracle == [[(0,)]]
+        sql = (
+            "SELECT count(*) AS n, sum(s2.v) AS t FROM s s1 [RANGE 30 SLIDE 10], "
+            "s2 [RANGE 30 SLIDE 10] WHERE s1.f = s2.f"
+        )
+        rng = np.random.default_rng(15)
+        columns = join_feed(rows=90, seed=15)
+        for cols in columns.values():
+            keys = rng.integers(0, 4, 90).astype(float)
+            keys[rng.random(90) < 0.3] = np.nan
+            cols["f"] = keys.tolist()
+        inc, ree, oracle, __ = run_join(sql, columns)
+        assert_same_windows(inc, ree, oracle)
+        assert len(inc) == 7
+
     def test_time_windows_with_empty_basic_windows(self):
         sql = (
             "SELECT count(*) AS n, max(s1.v) AS m, avg(s2.f) AS a FROM "
@@ -420,7 +451,7 @@ class TestBatchedJoinDifferential:
         )
         assert_same_windows(inc, ree, oracle, floats=True)
 
-    def test_two_runs_per_slide(self):
+    def test_one_run_per_slide(self):
         sql = (
             "SELECT count(*) AS n FROM s s1 [RANGE 40 SLIDE 10], "
             "s2 [RANGE 40 SLIDE 10] WHERE s1.k = s2.k"
@@ -434,16 +465,42 @@ class TestBatchedJoinDifferential:
         for name, cols in columns.items():
             engine.feed(name, columns={c: v[:40] for c, v in cols.items()})
         engine.run_until_idle()
-        # First firing: one run over all 4 x 4 pairs (left side = 40 rows),
-        # plus at most one run on empty inputs for the empty-pair bundle.
-        assert [rows for rows in runs if rows] == [40]
-        assert runs.count(0) <= 1
+        # First firing: one run over all 4 x 4 pairs, every row new, plus
+        # at most one run on empty inputs for the empty-pair bundle.
+        full = ((40, 0), (40, 0))
+        assert [run for run in runs if run[0][0]] == [full]
+        assert len(runs) <= 2
         for name, cols in columns.items():
             engine.feed(name, columns={c: v[40:60] for c, v in cols.items()})
         engine.run_until_idle()
-        # Then per slide: new left x every live right, older left x new right.
-        assert [rows for rows in runs if rows] == [40, 10, 30, 10, 30]
-        assert runs.count(0) <= 1
+        # Then one run per slide over both live sides, each side's newest
+        # basic window from row 30 on: new left x every live right and
+        # older left x new right.
+        slide = ((40, 30), (40, 30))
+        assert [run for run in runs if run[0][0]] == [full, slide, slide]
+        assert len(runs) <= 4
+
+    def test_stream_table_slide_reads_only_the_new_left_rows(self):
+        sql = (
+            "SELECT count(*) AS n, sum(dim.w) AS w FROM s s1 [RANGE 30 SLIDE 10], "
+            "dim WHERE s1.k = dim.k"
+        )
+        engine = DataCellEngine()
+        for name, schema in JOIN_STREAMS.items():
+            engine.create_stream(name, schema)
+        engine.create_table("dim", DIM["columns"]).append_rows(
+            [tuple(row) for row in DIM["rows"]]
+        )
+        handle = engine.submit(sql)
+        runs = count_pair_runs(handle)
+        engine.feed("s", columns=join_feed(rows=50, seed=14)["s"])
+        engine.run_until_idle()
+        # The table has no new rows: the stream side is read from its
+        # first new basic window on, every row of it new.
+        table = (len(DIM["rows"]), len(DIM["rows"]))
+        assert [run for run in runs if run[0][0]] == [
+            ((30, 0), table), ((10, 0), table), ((10, 0), table)
+        ]
 
 
 class TestTaggedPreps:

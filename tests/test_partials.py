@@ -436,11 +436,12 @@ class TestPairTableProperty:
         self, left_capacity, right_capacity, data
     ):
         """Random slides of bilinear delta runs — new left × live right,
-        older left × new right, with unequal per-pair row counts, empty
-        pairs, expiry on either side, landmark sides and compaction
-        followed by out-of-order adds: each flow's table is the model's
-        row-major concatenation, and the per-pair view, ``len`` and a
-        serialized snapshot agree."""
+        older left × new right, as one L-shaped run or two rectangular
+        ones — with unequal per-pair row counts, empty pairs, expiry on
+        either side, landmark sides and compaction followed by
+        out-of-order adds: each flow's table is the model's row-major
+        concatenation, and the per-pair view, ``len`` and a serialized
+        snapshot agree."""
         store = PairStore(left_capacity, right_capacity)
         model = PairModel(left_capacity, right_capacity)
         seqs = {"left": [], "right": []}
@@ -455,9 +456,14 @@ class TestPairTableProperty:
                 seqs[side] = seqs[side][-capacity[side]:]
             return fresh
 
-        def run(lefts, rights):
+        def run(lefts, rights, older=(0, 0)):
             nonlocal value
-            grid = [(left, right) for left in lefts for right in rights]
+            grid = [
+                (left, right)
+                for i, left in enumerate(lefts)
+                for j, right in enumerate(rights)
+                if i >= older[0] or j >= older[1]
+            ]
             rows = data.draw(
                 st.lists(st.sampled_from(grid), max_size=3 * len(grid)), "rows"
             )
@@ -480,6 +486,7 @@ class TestPairTableProperty:
                 np.array([left for left, __ in rows], dtype=np.int64),
                 np.array([right for __, right in rows], dtype=np.int64),
                 lambda: table_bundle(EMPTY_PAIR),
+                older,
             )
 
         for step in range(data.draw(st.integers(1, 8), "slides")):
@@ -488,10 +495,18 @@ class TestPairTableProperty:
             new_right = new_seqs(
                 "right", data.draw(st.integers(1 if first else 0, 2), "new right")
             )
-            run(new_left, seqs["right"])
             older_left = [seq for seq in seqs["left"] if seq < new_left[0]]
-            if new_right and older_left:
-                run(older_left, new_right)
+            if data.draw(st.booleans(), "one run"):
+                # The factory's run: both live sides, L-shaped.
+                lefts, rights = seqs["left"], seqs["right"]
+                if not new_right:
+                    lefts = new_left
+                older_right = len(rights) - len(new_right)
+                run(lefts, rights, (len(lefts) - len(new_left), older_right))
+            else:
+                run(new_left, seqs["right"])
+                if new_right and older_left:
+                    run(older_left, new_right)
             store.expire(seqs["left"][-1], seqs["right"][-1])
             model.expire(seqs["left"][-1], seqs["right"][-1])
             assert_store_matches(store, model)

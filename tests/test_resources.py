@@ -129,12 +129,14 @@ def test_join_fanout_warning_and_pair_bounds():
     )
     assert result.join_pairs == Bound(128 * 128)
     # Retained: one row per pair (a global max grouped by the seq-tag
-    # pair); transient: one new basic window against a live window.
+    # pair); transient: the slide's one L-shaped run, a new left basic
+    # window against the live right window and the older left windows
+    # against a new right one.
     assert result.pair_state == Bound(1)
-    assert result.join_transient == Bound(8 * 128 * 8)
+    assert result.join_transient == Bound(8 * 128 * 8 + 8 * 127 * 8)
     [warning] = [d for d in result.report.warnings() if d.code == "join-fanout"]
     assert "retains the rows of 16384 live basic-window pairs" in warning.message
-    assert "8192 tuples" in warning.message
+    assert "16320 tuples" in warning.message
     assert "re-evaluates" not in warning.message
 
 
@@ -146,7 +148,7 @@ def test_grouped_join_pair_state_scales_with_the_pair():
     )
     assert result.join_pairs == Bound(25)
     assert result.pair_state == Bound(2 * 8 * 8)  # key + count per joined row
-    assert result.join_transient == Bound(8 * 5 * 8)
+    assert result.join_transient == Bound(8 * 5 * 8 + 8 * 4 * 8)
     assert not result.report.warnings()
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.kernel.atoms import Atom
@@ -117,6 +118,20 @@ class TestCsvIo:
         with pytest.raises(WorkloadError):
             list(read_csv_chunks(path, self.SCHEMA, chunk_size=0))
 
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,2\n\n3,4\n", "1,2,3\n"])
+    def test_bad_arity_in_a_bulk_chunk_names_the_line(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        schema = Schema.of(("a", Atom.INT), ("b", Atom.FLT))
+        with pytest.raises(WorkloadError, match="bad CSV arity"):
+            list(read_csv_chunks(path, schema, chunk_size=8))
+
+    def test_bad_value_in_a_bulk_chunk_raises(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n1.5,3\n")
+        with pytest.raises(ValueError):
+            list(read_csv_chunks(path, Schema.of(("a", Atom.INT), ("b", Atom.INT)), 8))
+
     def test_csv_feeds_datacell(self, tmp_path):
         """End-to-end: CSV -> chunks -> baskets -> windows."""
         from repro import DataCellEngine
@@ -137,3 +152,52 @@ class TestCsvIo:
         engine.run_until_idle()
         assert len(query.results()) == 4
         assert all(batch.rows() == [(20,)] for batch in query.results())
+
+
+def per_line_chunks(path, schema, chunk_size):
+    """The per-line parse (:func:`read_csv_rows`), cut into chunks."""
+    rows = list(read_csv_rows(path, schema))
+    dtypes = [np.float64 if atom == Atom.FLT else np.int64 for __, atom in schema.columns]
+    for low in range(0, len(rows), chunk_size):
+        columns = zip(*rows[low : low + chunk_size])
+        yield {
+            name: np.array(column, dtype=dtype)
+            for (name, __), column, dtype in zip(schema.columns, columns, dtypes)
+        }
+
+
+class TestBulkCsvChunks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        atoms=st.lists(st.sampled_from([Atom.INT, Atom.FLT]), min_size=1, max_size=3),
+        rows=st.integers(0, 40),
+        chunk_size=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_bulk_chunks_equal_the_per_line_parse(
+        self, tmp_path_factory, atoms, rows, chunk_size, data
+    ):
+        """A numeric schema's chunks, parsed by one numpy call each, equal
+        the per-line parse: values, dtypes and chunk bounds."""
+        schema = Schema.of(*((f"c{i}", atom) for i, atom in enumerate(atoms)))
+        values = {
+            Atom.INT: st.integers(-(2**63), 2**63 - 1),
+            Atom.FLT: st.floats(allow_nan=True, allow_infinity=True, width=64),
+        }
+        columns = {
+            f"c{i}": np.array(
+                data.draw(st.lists(values[atom], min_size=rows, max_size=rows)),
+                dtype=np.int64 if atom == Atom.INT else np.float64,
+            )
+            for i, atom in enumerate(atoms)
+        }
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        write_csv(path, columns, order=list(columns))
+        got = list(read_csv_chunks(path, schema, chunk_size))
+        expected = list(per_line_chunks(path, schema, chunk_size))
+        assert len(got) == len(expected)
+        for chunk, want in zip(got, expected):
+            assert list(chunk) == list(want)
+            for name in want:
+                assert chunk[name].dtype == want[name].dtype
+                np.testing.assert_array_equal(chunk[name], want[name])
