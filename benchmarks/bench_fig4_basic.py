@@ -15,6 +15,7 @@ tagged fragment runs), every window compared row for row with a
 re-evaluation (DataCellR) run of the same feed.
 """
 
+import statistics
 import sys
 
 import pytest
@@ -48,6 +49,14 @@ def _q1_timings(mode, window=Q1_WINDOW, basic_windows=Q1_BW, windows=WINDOWS):
     return drive_single(
         engine, query, "stream", workload.columns(), window, step, windows
     )
+
+
+def _q1_first_window(mode, first):
+    """Median window-1 response of Q1 in ``mode`` over ``first`` (a full
+    run's window 1) and two more one-window runs: one millisecond sample
+    is at the mercy of whatever else the host runs."""
+    repeats = [_q1_timings(mode, windows=1).response_seconds[0] for __ in range(2)]
+    return statistics.median([first, *repeats])
 
 
 def _q2_timings(mode, window=Q2_WINDOW, basic_windows=Q2_BW, windows=WINDOWS):
@@ -110,8 +119,11 @@ class TestFig4a:
         # on a 2-vCPU host it read up to 3.0x, hence the 4x bound.  The
         # rest of the gap is the first merge, which folds the running
         # table from all 512 partials, and cutting 512 bundles out of the
-        # runs.
-        first = (incremental.response_seconds[0], reevaluation.response_seconds[0])
+        # runs.  Window 1 is compared as the median of 3 runs per mode.
+        first = (
+            _q1_first_window("incremental", incremental.response_seconds[0]),
+            _q1_first_window("reeval", reevaluation.response_seconds[0]),
+        )
         assert first[0] < 4 * first[1], first
         incr_steady = incremental.mean_response(skip_first=1)
         reev_steady = reevaluation.mean_response(skip_first=1)

@@ -28,10 +28,7 @@ from repro.core import (
     OverflowPolicy,
     ResultBatch,
     RetryingEmitter,
-    Sample,
     Scheduler,
-    ShedNewest,
-    ShedOldest,
     WindowSpec,
 )
 from repro.errors import ReproError
@@ -50,10 +47,7 @@ __all__ = [
     "ReproError",
     "ResultBatch",
     "RetryingEmitter",
-    "Sample",
     "Scheduler",
-    "ShedNewest",
-    "ShedOldest",
     "WindowSpec",
     "__version__",
 ]

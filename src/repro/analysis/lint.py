@@ -56,7 +56,7 @@ def lint_sql(
         compiled = compile_query(
             sql,
             engine.catalog,
-            limits=engine._stream_limits if resources else None,
+            capacities=engine._capacities() if resources else None,
             verify=True,
             strict=False,
             subject=subject,

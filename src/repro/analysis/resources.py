@@ -20,9 +20,7 @@ and sharing machinery care about:
   ``unbounded-landmark`` finding.
 * **basket depth** — tuples a basket must hold before the factory can
   fire (one basic window).  A stream ``capacity`` below that is the
-  ``capacity-starved`` finding: the query can never fire.  A shedding
-  overflow policy whose capacity is exactly one basic window is flagged
-  as fragile (``capacity-tight``).
+  ``capacity-starved`` finding: the query can never fire.
 * **join pairs** — a join retains the rows of every live basic-window
   pair (the pair fragment's flows for that pair, in the pair table) and
   merges all of them every slide; many live pairs are the
@@ -44,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.analysis.diagnostics import Report
-from repro.core.overflow import Block, Fail
 from repro.core.rewriter.incremental import IncrementalPlan, new_slot, packed, prep_slot, seq_slot
 from repro.core.windows import WindowSpec
 from repro.kernel.execution.program import Instr, Lit, Program, Ref
@@ -450,15 +447,15 @@ def _pair_inputs(plan: IncrementalPlan, alias: str, windows: Bound) -> dict[str,
 
 def analyze_resources(
     plan: IncrementalPlan,
-    limits: Optional[dict[str, tuple[Optional[int], Any]]] = None,
+    capacities: Optional[dict[str, Optional[int]]] = None,
     subject: str = "plan",
 ) -> ResourceReport:
     """Compute worst-case state bounds for one rewritten plan.
 
-    ``limits`` maps stream *relation* → ``(capacity, overflow-template)``
-    as kept by the engine; pass None when capacities are unknown (lint).
+    ``capacities`` maps stream *relation* → basket capacity (``None`` =
+    unbounded); pass None when capacities are unknown (lint).
     """
-    limits = limits or {}
+    capacities = capacities or {}
     result = ResourceReport(subject=subject, report=Report(subject=subject))
     report = result.report
     compacts = combine_compacts(plan)
@@ -468,7 +465,7 @@ def analyze_resources(
         window = plan.windows[alias]
         w_tuples = window_tuple_bound(window)
         relation = plan.stream_relations[alias]
-        capacity, template = limits.get(relation, (None, None))
+        capacity = capacities.get(relation)
 
         if window.is_landmark:
             if compacts:
@@ -479,9 +476,8 @@ def analyze_resources(
                     "plan",
                     f"landmark window on {alias!r} with a non-compacting "
                     f"combine retains every basic window: state grows "
-                    f"without bound; add an aggregate, call "
-                    f"reset_landmark periodically, or put a capacity/"
-                    f"shedding policy on stream {relation!r}",
+                    "without bound; add an aggregate, or call "
+                    "reset_landmark periodically",
                     code="unbounded-landmark",
                 )
         else:
@@ -532,20 +528,6 @@ def analyze_resources(
                 f"basic window ({int(basket_need.coeff)} tuples) for "
                 f"{alias!r}: the query can never fire",
                 code="capacity-starved",
-            )
-        elif (
-            capacity is not None
-            and template is not None
-            and not isinstance(template, (Block, Fail))  # it drops tuples
-            and basket_need.constant
-            and capacity < 2 * basket_need.coeff
-        ):
-            report.warning(
-                "plan",
-                f"stream {relation!r} sheds at capacity {capacity} with "
-                f"basic windows of {int(basket_need.coeff)} tuples for "
-                f"{alias!r}: any backlog beyond one window is dropped",
-                code="capacity-tight",
             )
 
         result.aliases.append(

@@ -28,9 +28,8 @@ The console is a thin veneer: every command maps 1:1 onto a
 
 ``--capacity N`` bounds every stream the console creates to N parked
 tuples (however many queries read it), and ``--overflow POLICY`` picks
-what happens when producers outrun the engine (``fail``, ``block[:timeout]``,
-``shed-oldest``, ``shed-newest``, ``sample:rate[:seed]`` — see
-docs/OPERATIONS.md).  The ``STATS`` command prints per-stream overload
+what happens when producers outrun the engine (``fail`` or
+``block[:timeout]`` — see docs/OPERATIONS.md).  The ``STATS`` command prints per-stream overload
 counters and per-factory profiler snapshots.
 
 ``--partitions P`` enables key-partitioned streams: ``CREATE STREAM ...
@@ -100,8 +99,7 @@ class Console:
     """The command interpreter; one instance owns one engine.
 
     ``capacity``/``overflow`` are the console-wide overload defaults
-    applied to every ``CREATE STREAM`` (the engine clones the policy
-    template once per stream).
+    applied to every ``CREATE STREAM``.
     """
 
     def __init__(
@@ -330,7 +328,7 @@ class Console:
                 self.println(
                     f"{stream}: capacity={capacity} readers={stats['baskets']} "
                     f"parked={stats['parked']} "
-                    f"shed={stats['shed']} block_waits={stats['block_waits']} "
+                    f"block_waits={stats['block_waits']} "
                     f"block_timeouts={stats['block_timeouts']}"
                 )
         if factories:

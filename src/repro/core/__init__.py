@@ -15,9 +15,6 @@ from repro.core.overflow import (
     Block,
     Fail,
     OverflowPolicy,
-    Sample,
-    ShedNewest,
-    ShedOldest,
     parse_overflow_spec,
 )
 from repro.core.receptor import Receptor
@@ -41,10 +38,7 @@ __all__ = [
     "Receptor",
     "ResultBatch",
     "RetryingEmitter",
-    "Sample",
     "Scheduler",
-    "ShedNewest",
-    "ShedOldest",
     "TS_COLUMN",
     "WindowSpec",
     "parse_overflow_spec",

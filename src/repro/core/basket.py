@@ -21,15 +21,13 @@ scheduler keeps up with arrival rates.  Passing ``capacity=`` bounds the
 basket and arms an :class:`~repro.core.overflow.OverflowPolicy` (default
 :class:`~repro.core.overflow.Fail`) that decides, batch-at-a-time on the
 append path, what happens when producers outrun factories: block with
-backpressure, shed from either end, sample, or fail loudly.  The decision
-is taken once per batch for every reader; a ``ShedOldest`` eviction moves
-each cursor it overtakes up to the new head and counts that cursor's loss.
-Shed and blocked counts are kept on the basket (``shed_total``,
-``block_waits``, ``block_timeouts``), under its lock; the engine adds them
-to its profiler counters at read time, so overload shows up in the same
-counter channel as firings and cache hits.  docs/OPERATIONS.md is
-the operator-facing guide; DESIGN.md §7 gives the correctness argument for
-shedding under the incremental merge.
+backpressure, or fail loudly.  The decision is taken once per batch for
+every reader, and a batch lands whole or not at all, so no cursor ever
+skips a tuple.  Blocked counts are kept on the basket (``block_waits``,
+``block_timeouts``), under its lock; the engine adds them to its profiler
+counters at read time, so overload shows up in the same counter channel
+as firings and cache hits.  docs/OPERATIONS.md is the operator-facing
+guide; DESIGN.md §7 gives the admission rules.
 
 Thread-safety: every mutating or snapshotting method takes the basket lock
 (cursors take their basket's); factories take it once around a whole
@@ -48,34 +46,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.overflow import Fail, Keep, OverflowPolicy
+from repro.core.overflow import Fail, OverflowPolicy
 from repro.core.windows import TS_COLUMN
 from repro.errors import BasketError, BasketOverflowError
 from repro.kernel.atoms import Atom
 from repro.kernel.bat import BAT, BATBuilder
 from repro.kernel.storage import Schema
-
-
-def _select_rows(rows: list, timestamps, keep: Keep):
-    """Apply an admission's ``keep`` selection to a row batch."""
-    if isinstance(keep, slice):
-        if keep == slice(None):
-            return rows, timestamps
-        kept_rows = rows[keep]
-        kept_ts = None if timestamps is None else list(timestamps)[keep]
-    else:
-        kept_rows = [rows[i] for i in keep]
-        kept_ts = (
-            None if timestamps is None else [timestamps[i] for i in keep]
-        )
-    return kept_rows, kept_ts
-
-
-def _select_values(values, keep: Keep):
-    """Apply ``keep`` to one column (or timestamp) array."""
-    if isinstance(keep, slice):
-        return values if keep == slice(None) else values[keep]
-    return np.asarray(values)[keep]
 
 
 class _Reader:
@@ -157,9 +133,9 @@ class _Reader:
         """Arrival stamp (perf_counter) of the newest fully-consumed batch.
 
         The arrival time of the batch containing the tuple that completed
-        the window (a batch counts once this reader has read or lost all
-        of it).  Returns ``None`` when no tracked batch finished since the
-        last call.
+        the window (a batch counts once this reader has read all of it).
+        Returns ``None`` when no tracked batch finished since the last
+        call.
         """
         basket = self.basket
         with basket._lock:
@@ -227,9 +203,6 @@ class Basket(_Reader):
         # a basket and its cursors never form a cycle that keeps dropped
         # engines' buffers alive until the next cyclic collection.
         self._cursors: weakref.WeakSet[Cursor] = weakref.WeakSet()  # guarded-by: _lock
-        #: Tuples dropped by the overflow policy (either end), counted
-        #: once per reader that lost them; monotonic.
-        self.shed_total = 0  # guarded-by: _lock
         #: Appends that had to wait for room (Block policy), monotonic.
         self.block_waits = 0  # guarded-by: _lock
         #: Blocked appends that gave up at the timeout, monotonic.
@@ -257,8 +230,7 @@ class Basket(_Reader):
 
     @property
     def appended_total(self) -> int:
-        """Total tuples ever appended (monotonic; excludes shed tuples
-        that were never admitted, includes admitted-then-evicted ones)."""
+        """Total tuples ever appended (monotonic)."""
         with self._lock:
             return self._appended_total
 
@@ -341,43 +313,13 @@ class Basket(_Reader):
             return {
                 "capacity": self._capacity or 0,
                 "parked": len(self),
-                "shed": self.shed_total,
                 "block_waits": self.block_waits,
                 "block_timeouts": self.block_timeouts,
             }
 
-    def _admit(self, incoming: int) -> Keep:  # guarded-by: self._lock
-        """Make room for ``incoming`` tuples; returns the admitted subset.
-
-        Called under the basket lock.  A batch that fits is admitted whole;
-        otherwise the policy decides (or, for ``Block``, this waits on the
-        not-full condition until consumers free enough room or the timeout
-        passes).  Evictions and shed counts happen here, so by the time
-        this returns the admitted tuples are guaranteed to fit.
-        """
-        assert self._capacity is not None and self._policy is not None
-        room = self._capacity - len(self)
-        if incoming <= room:
-            return slice(None)
-        if self._policy.blocking:
-            return self._wait_for_room(incoming, self._policy.timeout)
-        admission = self._policy.admit(room, incoming, self._capacity)
-        if admission.evict_oldest:
-            self._drop(admission.evict_oldest)
-        shed = admission.shed
-        if self._cursors:
-            # Cursors the eviction overtook skip to the new head; every
-            # reader loses what it skipped plus the batch's rejected part.
-            head = self._head()
-            rejected = admission.shed - admission.evict_oldest
-            shed = 0
-            for cursor in self._cursors:
-                shed += max(0, head - cursor.position) + rejected
-                cursor.position = max(cursor.position, head)
-        self.shed_total += shed
-        return admission.keep
-
-    def _wait_for_room(self, incoming: int, timeout: Optional[float]) -> Keep:  # guarded-by: self._lock
+    def _wait_for_room(
+        self, incoming: int, timeout: Optional[float]
+    ) -> None:  # guarded-by: self._lock
         capacity = self._capacity
         assert capacity is not None
         if incoming > capacity:
@@ -406,75 +348,75 @@ class Basket(_Reader):
                     room=capacity - len(self),
                 )
             self._not_full.wait(remaining)
-        return slice(None)
 
     # ------------------------------------------------------------------
     # appends (receptor side)
     # ------------------------------------------------------------------
-    def _admit_batch(self, count: int, timestamps: np.ndarray | None) -> Keep:  # guarded-by: self._lock
+    def _admit(self, count: int, timestamps: np.ndarray | None) -> None:  # guarded-by: self._lock
         """Check a batch's timestamps — explicit ones, or the counter's
-        when it has none — against the time frontier, then admit it
-        (:meth:`_admit` on a bounded basket); returns the admitted
-        subset.  The append commits the frontier once the batch lands,
-        in the same critical section."""
+        when it has none — against the time frontier, then make room for
+        it on a bounded basket: a batch that fits is admitted whole,
+        ``Fail`` raises :class:`~repro.errors.BasketOverflowError` and
+        ``Block`` waits for room (:meth:`_wait_for_room`).  Nothing is
+        appended when this raises.  The append commits the frontier once
+        the batch lands, in the same critical section."""
         self._check_times(timestamps, count)
         if self._capacity is None:
-            return slice(None)
-        waits = self.block_waits
-        keep = self._admit(count)
-        if self.block_waits != waits:
-            # A Block wait released the lock: another batch may have
-            # moved the frontier meanwhile.
-            self._check_times(timestamps, count)
-        return keep
+            return
+        room = self._capacity - len(self)
+        if count <= room:
+            return
+        if isinstance(self._policy, Fail):
+            raise BasketOverflowError(
+                f"batch of {count} exceeds free room {room}",
+                requested=count,
+                room=room,
+            )
+        self._wait_for_room(count, self._policy.timeout)
+        # The wait released the lock: another batch may have moved the
+        # frontier meanwhile.
+        self._check_times(timestamps, count)
 
     def append_rows(
         self, rows: Iterable[Sequence], timestamps: Sequence[int] | None = None
     ) -> int:
-        """Append tuples in schema order; returns the number admitted.
+        """Append tuples in schema order; returns the batch size.
 
-        On a bounded basket the overflow policy may thin the batch (the
-        return value is then smaller than the input), block, or raise
-        :class:`~repro.errors.BasketOverflowError`.
+        On a bounded basket the overflow policy may block, or raise
+        :class:`~repro.errors.BasketOverflowError` and append nothing.
         """
         rows = rows if isinstance(rows, list) else list(rows)
         if timestamps is not None and len(timestamps) != len(rows):
             raise BasketError("timestamp column length mismatch")
         with self._lock:
-            keep = self._admit_batch(
+            self._admit(
                 len(rows),
                 None if timestamps is None else np.asarray(timestamps, dtype=np.int64),
             )
-            kept_rows, kept_ts = _select_rows(rows, timestamps, keep)
-            return self._append_rows_locked(kept_rows, kept_ts)
-
-    def _append_rows_locked(
-        self, rows: Iterable[Sequence], timestamps: Sequence[int] | None
-    ) -> int:  # guarded-by: self._lock
-        names = self.schema.names
-        added = 0
-        stamp = None
-        for row in rows:
-            if len(row) != len(names):
-                raise BasketError(
-                    f"row arity {len(row)} != schema arity {len(names)}"
-                )
-            for name, value in zip(names, row):
-                self._builders[name].append(value)
-            if timestamps is not None:
-                stamp = timestamps[added]
-            elif self._with_ts:
-                stamp = self._clock
-                self._clock += 1
-            if self._with_ts:
-                self._builders[TS_COLUMN].append(stamp)
-            added += 1
-        self._appended_total += added
-        if stamp is not None:
-            self._newest_ts = int(stamp)
-        if added:
-            self._stamp_arrival()
-        return added
+            names = self.schema.names
+            added = 0
+            stamp = None
+            for row in rows:
+                if len(row) != len(names):
+                    raise BasketError(
+                        f"row arity {len(row)} != schema arity {len(names)}"
+                    )
+                for name, value in zip(names, row):
+                    self._builders[name].append(value)
+                if timestamps is not None:
+                    stamp = timestamps[added]
+                elif self._with_ts:
+                    stamp = self._clock
+                    self._clock += 1
+                if self._with_ts:
+                    self._builders[TS_COLUMN].append(stamp)
+                added += 1
+            self._appended_total += added
+            if stamp is not None:
+                self._newest_ts = int(stamp)
+            if added:
+                self._stamp_arrival()
+            return added
 
     def append_columns(
         self,
@@ -483,8 +425,8 @@ class Basket(_Reader):
     ) -> int:
         """Bulk columnar append (the fast receptor path).
 
-        Returns the number of tuples admitted (see :meth:`append_rows` for
-        bounded-basket semantics).
+        Returns the batch size (see :meth:`append_rows` for bounded-basket
+        semantics).
         """
         with self._lock:
             expected = set(self.schema.names)
@@ -500,15 +442,7 @@ class Basket(_Reader):
                 if len(timestamps) != count:
                     raise BasketError("timestamp column length mismatch")
                 timestamps = np.asarray(timestamps, dtype=np.int64)
-            keep = self._admit_batch(count, timestamps)
-            if not (isinstance(keep, slice) and keep == slice(None)):
-                columns = {
-                    name: _select_values(values, keep)
-                    for name, values in columns.items()
-                }
-                if timestamps is not None:
-                    timestamps = _select_values(timestamps, keep)
-                count = len(next(iter(columns.values()))) if columns else 0
+            self._admit(count, timestamps)
             for name, values in columns.items():
                 self._builders[name].extend(values)
             if self._with_ts:
@@ -605,16 +539,6 @@ class Basket(_Reader):
     # ------------------------------------------------------------------
     # deletion (expiry)
     # ------------------------------------------------------------------
-    def _drop(self, count: int) -> None:  # guarded-by: self._lock
-        for builder in self._builders.values():
-            builder.drop_head(count)
-        # Keep the newest mark at or below the head: a reader standing
-        # there still needs it to report its last finished batch.
-        head = self._head()
-        marks = self._arrival_marks
-        while len(marks) > 1 and marks[1][0] <= head:
-            marks.popleft()
-
     def delete_head(self, count: int) -> None:
         """Drop the ``count`` oldest tuples (they were consumed/expired).
 
@@ -622,7 +546,14 @@ class Basket(_Reader):
         the ``Block`` policy's not-full condition are woken here.
         """
         with self._lock:
-            self._drop(count)
+            for builder in self._builders.values():
+                builder.drop_head(count)
+            # Retain the newest mark at or below the head: a reader
+            # standing there still needs it to report its last finished batch.
+            head = self._head()
+            marks = self._arrival_marks
+            while len(marks) > 1 and marks[1][0] <= head:
+                marks.popleft()
             if self._capacity is not None and count:
                 self._not_full.notify_all()
 
@@ -633,9 +564,7 @@ class Basket(_Reader):
         """A serializable image of the basket (see core.durability).
 
         Columns are deep-copied BATs (tail + hseq), so the snapshot stays
-        valid however the live basket mutates afterwards.  Stateful
-        overflow policies contribute their RNG state, keeping shedding
-        decisions identical across a checkpoint/restore boundary.  Cursor
+        valid however the live basket mutates afterwards.  Cursor
         positions belong to their queries and are saved with them.
         """
         with self._lock:
@@ -643,20 +572,15 @@ class Basket(_Reader):
             for name, builder in self._builders.items():
                 bat = builder.snapshot()
                 columns[name] = BAT(bat.tail.copy(), bat.atom, bat.hseq)
-            state = {
+            return {
                 "columns": columns,
                 "appended_total": self._appended_total,
                 "clock": self._clock,
                 "watermark": self._watermark,
                 "newest_ts": self._newest_ts,
-                "shed_total": self.shed_total,
                 "block_waits": self.block_waits,
                 "block_timeouts": self.block_timeouts,
             }
-            rng = getattr(self._policy, "_rng", None)
-            if rng is not None:
-                state["policy_rng"] = rng.bit_generator.state
-            return state
 
     def restore_state(self, state: dict) -> None:
         """Overwrite contents and counters with a snapshot's image."""
@@ -669,12 +593,8 @@ class Basket(_Reader):
             self._clock = state["clock"]
             self._watermark = state["watermark"]
             self._newest_ts = state.get("newest_ts")
-            self.shed_total = state["shed_total"]
             self.block_waits = state["block_waits"]
             self.block_timeouts = state["block_timeouts"]
-            rng = getattr(self._policy, "_rng", None)
-            if rng is not None and "policy_rng" in state:
-                rng.bit_generator.state = state["policy_rng"]
 
 
 class Cursor(_Reader):

@@ -65,6 +65,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from repro.core.overflow import OverflowPolicy, parse_overflow_spec
 from repro.errors import ReproError
 from repro.kernel.atoms import Atom, atom_of_dtype, numpy_dtype
 from repro.kernel.bat import BAT
@@ -170,6 +171,19 @@ def typed_values(values, atom: Atom) -> np.ndarray:
             out[i] = None if value is None else str(value)
         return out
     return np.asarray(values, dtype=numpy_dtype(atom))
+
+
+def declared_policy(spec: Optional[str]) -> Optional[OverflowPolicy]:
+    """The overflow policy a journal record or snapshot declares for a
+    stream (``None``: unbounded, or the basket's default).  A spec naming
+    a policy this engine does not offer refuses the data dir with
+    :class:`DurabilityError` before anything is applied to it."""
+    if not spec:
+        return None
+    try:
+        return parse_overflow_spec(spec)
+    except ReproError as exc:
+        raise DurabilityError(f"cannot restore a stream declaration: {exc}") from None
 
 
 def pack_state(value) -> tuple[object, list[bytes]]:

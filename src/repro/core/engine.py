@@ -20,7 +20,9 @@ emitters::
 Baskets: each stream has exactly one basket (paper Figure 1) and every
 continuous query reads it through its own cursor, started at the tail when
 the query is submitted.  :meth:`feed` appends a batch once; the basket
-drops a tuple when the slowest cursor has passed it (DESIGN.md §6).
+drops a tuple when the slowest cursor has passed it (DESIGN.md §6).  A
+stream declared with a ``capacity`` blocks or fails a producer that runs
+ahead of its slowest query; it never drops a tuple (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from repro.core.durability import (
     DATA_FORMAT,
     DurabilityError,
     DurabilityManager,
+    declared_policy,
     has_data,
     typed_values,
 )
 from repro.core.emitter import CollectingEmitter, EmittedResults
 from repro.core.factory import IncrementalFactory, ResultBatch
-from repro.core.overflow import OverflowPolicy, parse_overflow_spec, policy_spec
+from repro.core.overflow import OverflowPolicy
 from repro.core.partials import FragmentCache
 from repro.core.partition import (
     SEQ_COLUMN,
@@ -81,7 +84,6 @@ from repro.kernel.execution.profiler import (
     COUNTER_BLOCK_WAITS,
     COUNTER_RECOVERY_SUPPRESSED,
     COUNTER_REPLAYED_RECORDS,
-    COUNTER_SHED,
     Profiler,
 )
 from repro.kernel.storage import Catalog, Schema, Table
@@ -150,7 +152,7 @@ def compile_query(
     sql: str,
     catalog: Catalog,
     mode: str = "incremental",
-    limits: Optional[dict[str, tuple[Optional[int], Optional[OverflowPolicy]]]] = None,
+    capacities: Optional[dict[str, Optional[int]]] = None,
     verify: bool = False,
     strict: bool = True,
     subject: str = "query",
@@ -159,8 +161,8 @@ def compile_query(
 
     :func:`plan_sql`, then the DataCell rewriter (:func:`rewrite`) or, for
     ``mode="reeval"``, :func:`reevaluation_plan`.  An incremental plan
-    goes on to the resource analyzer when ``limits`` (stream -> (capacity,
-    overflow policy)) are given, and to the plan verifier under
+    goes on to the resource analyzer when ``capacities`` (stream -> basket
+    capacity, ``None`` = unbounded) are given, and to the plan verifier under
     ``verify``.  ``verify`` is also the submit-time gate: a hard resource
     finding raises :class:`ReproError` and a verifier error
     :class:`~repro.errors.PlanVerificationError` — unless ``strict`` is
@@ -179,12 +181,12 @@ def compile_query(
     plan = rewrite(planned)
     resources: Optional[ResourceReport] = None
     verified: Optional[Report] = None
-    if limits is not None:
-        # Always computed when limits are known (one abstract-interpretation
+    if capacities is not None:
+        # Always computed when capacities are known (one abstract-interpretation
         # pass); a hard finding (a capacity that can never admit a full
         # basic window) raises only under verify, so production submits
         # keep their warn-at-runtime behaviour.
-        resources = analyze_resources(plan, limits, subject=subject)
+        resources = analyze_resources(plan, capacities, subject=subject)
         if verify and strict and not resources.ok:
             raise ReproError(
                 "plan resource analysis failed:\n"
@@ -288,8 +290,8 @@ class DataCellEngine:
     Overload control is configured per stream: ``create_stream(...,
     capacity=, overflow=)`` bounds that stream's basket and picks the
     policy applied when producers outrun factories (see
-    :mod:`repro.core.overflow` and docs/OPERATIONS.md).  Shed/blocked
-    counts surface through :attr:`profiler` and :meth:`overload_stats`.
+    :mod:`repro.core.overflow` and docs/OPERATIONS.md).  Blocked counts
+    surface through :attr:`profiler` and :meth:`overload_stats`.
     """
 
     def __init__(
@@ -331,12 +333,8 @@ class DataCellEngine:
         # stream -> its one basket; queries read it through cursors.
         self._logs: dict[str, Basket] = {}
         #: Tuples offered per stream (partitioned streams: their arrival
-        #: offset; otherwise the basket tail, unless a policy shed).
+        #: offset; otherwise the basket tail).
         self._stream_fed: dict[str, int] = {}
-        # stream -> (capacity, overflow policy as declared).
-        self._stream_limits: dict[
-            str, tuple[Optional[int], Optional[OverflowPolicy]]
-        ] = {}
         self._query_counter = 0
         # Receptors built by receptor(): each counts its own ingest
         # retries/drops, summed into `profiler` at read time.
@@ -385,8 +383,8 @@ class DataCellEngine:
         keep where their writes are already serialized: each stream's
         basket (``overflow_*``), each receptor (``ingest_*``) and the
         durability manager (``journal_*``, ``checkpoint*``).
-        ``engine.profiler.counter("overflow_shed")`` is the number the
-        acceptance tests and docs/OPERATIONS.md quote.  Read-only: count
+        ``engine.profiler.counter("overflow_block_waits")`` is the number
+        the tests and docs/OPERATIONS.md quote.  Read-only: count
         into ``scheduler.profiler`` on the firing thread instead.
         """
         with self.scheduler.scan_boundary():
@@ -402,7 +400,6 @@ class DataCellEngine:
         totals: Counter = Counter()
         for log in self._logs.values():
             stats = log.overflow_stats()
-            totals[COUNTER_SHED] += stats["shed"]
             totals[COUNTER_BLOCK_WAITS] += stats["block_waits"]
             totals[COUNTER_BLOCK_TIMEOUTS] += stats["block_timeouts"]
         for receptor in self._receptors:
@@ -448,16 +445,14 @@ class DataCellEngine:
         exact, results never differ.  Float keys are
         rejected (no deterministic hash); ``capacity``/``overflow`` are
         applied per partition, so a bounded partitioned stream parks at
-        most ``capacity × partitions × queries`` tuples and shedding
-        policies act on each partition's arrival order independently.
+        most ``capacity × partitions × queries`` tuples.
 
         ``capacity`` bounds the stream's basket: at most ``capacity``
         tuples are parked however many queries read the stream (the
         basket holds what the slowest query has not read yet).
         ``overflow`` is the policy applied when an append does not fit
         (default :class:`~repro.core.overflow.Fail`), decided once per
-        batch for every query; the instance passed here is a *template*,
-        cloned once for the stream (DESIGN.md §7).
+        batch for every query (DESIGN.md §7).
         """
         with self._dur_guard():
             schema = self._create_stream_impl(
@@ -470,7 +465,9 @@ class DataCellEngine:
                         "name": name,
                         "columns": [[c, a.value] for c, a in schema.columns],
                         "capacity": capacity,
-                        "overflow": policy_spec(overflow),
+                        "overflow": (
+                            None if overflow is None else overflow.describe()
+                        ),
                         "partition_by": partition_by,
                     },
                 )
@@ -491,18 +488,12 @@ class DataCellEngine:
         schema = _as_schema(columns)
         if partition_by is not None:
             key_atom = validate_partition_key(schema, partition_by, name)
-        log = Basket(
-            name,
-            schema,
-            capacity=capacity,
-            overflow=overflow.clone() if overflow is not None else None,
-        )
+        log = Basket(name, schema, capacity=capacity, overflow=overflow)
         self.catalog.create_stream(name, schema)
         if self.obs is not None:
             log.enable_arrival_tracking()
         self._logs[name] = log
         self._stream_fed[name] = 0
-        self._stream_limits[name] = (capacity, overflow)
         if partition_by is not None and self._shards is not None:
             spec = PartitionSpec(name, partition_by, self.partitions)
             self._partitioned[name] = _PartitionedStream(
@@ -515,12 +506,17 @@ class DataCellEngine:
                     )
         return schema
 
+    def _capacities(self) -> dict[str, Optional[int]]:
+        """Stream -> basket capacity (``None`` = unbounded): what the
+        resource analyzer checks a plan's basic windows against."""
+        return {name: log.capacity for name, log in self._logs.items()}
+
     def _drop_stream(self, name: str) -> None:
         """Forget a stream no query reads any more (a partition's private
         stream, once its query is removed).  Not journaled: partition
         engines keep no journal.  Its shared fragments go with it."""
         self.catalog.drop_stream(name)
-        del self._logs[name], self._stream_fed[name], self._stream_limits[name]
+        del self._logs[name], self._stream_fed[name]
         self.fragment_cache.forget(name)
 
     def create_table(self, name: str, columns: Sequence[tuple[str, object]]) -> Table:
@@ -613,7 +609,7 @@ class DataCellEngine:
             sql,
             self.catalog,
             mode,
-            self._stream_limits,
+            self._capacities(),
             verify=self.verify_plans,
             subject=query_name,
         )
@@ -775,8 +771,7 @@ class DataCellEngine:
         they run the same computation over the same basic-window slices —
         window *size* may differ, only the step must match.  Spans are
         cursor positions on the stream's basket, so queries submitted at
-        different times — or skipped forward by ``ShedOldest`` — never
-        alias each other's windows.
+        different times never alias each other's windows.
         """
         alias = plan.stream_aliases[0]
         relation = plan.stream_relations[alias]
@@ -786,7 +781,7 @@ class DataCellEngine:
         }
         fingerprint = fragment_fingerprint(plan.fragment, input_names)
         key = (relation, window.step, window.time_based, fingerprint)
-        # Keep one ring slot per live basic window (landmark queries read
+        # One ring slot per live basic window (landmark queries read
         # each basic window once, a short ring is plenty for them).
         capacity = window.basic_windows or 8
         self.fragment_cache.register(key, capacity)
@@ -922,14 +917,12 @@ class DataCellEngine:
     ) -> int:
         """Append tuples to ``stream``'s basket, once for every query.
 
-        Returns the batch size *offered*; on a bounded stream the overflow
-        policy admits, thins, blocks or rejects the batch once for the
-        whole stream (a ``Fail`` policy raises
+        Returns the batch size; on a bounded stream the overflow policy
+        admits, blocks or rejects the whole batch once for the whole
+        stream (a ``Fail`` policy raises
         :class:`~repro.errors.BasketOverflowError` before any query sees
-        a tuple, ``Block`` waits for the slowest query).  Shedding is
-        counted on the basket (and read through the engine profiler), not
-        in the return value.  This is the one write-ahead point for stream
-        input: receptors feed through it too.
+        a tuple, ``Block`` waits for the slowest query).  This is the one
+        write-ahead point for stream input: receptors feed through it too.
         """
         if stream not in self._logs:
             raise CatalogError(f"unknown stream {stream!r}")
@@ -937,10 +930,9 @@ class DataCellEngine:
             raise ReproError("feed needs exactly one of rows= or columns=")
         # Write-ahead: the record lands before the basket admits a tuple,
         # so replay re-offers the batch through the restored overflow
-        # policy (RNG state included) and reproduces its decision.  What
-        # is journaled is exactly what is admitted or routed.  The batch
-        # is checked under the journal lock, so batches are journaled in
-        # the order their timestamps were checked in.
+        # policy.  What is journaled is exactly what is admitted or
+        # routed.  The batch is checked under the journal lock, so batches
+        # are journaled in the order their timestamps were checked in.
         with self._dur_guard():
             typed, count, ts = self._typed_batch(stream, rows, columns, timestamps)
             if self._dur is not None:
@@ -1151,9 +1143,9 @@ class DataCellEngine:
         number of queries reading it (``baskets``: cursors), the tuples
         ``parked`` once for all of them, the deepest cursor lag
         ``max_parked`` (the same number: the basket's head is the slowest
-        cursor), and the ``shed`` (per query that lost a tuple) /
-        ``block_waits`` / ``block_timeouts`` counters.  The console's
-        ``STATS`` command and docs/OPERATIONS.md build on this.
+        cursor), and the ``block_waits`` / ``block_timeouts`` counters.
+        The console's ``STATS`` command and docs/OPERATIONS.md build on
+        this.
         """
         stats = {}
         for stream, log in self._logs.items():
@@ -1333,15 +1325,19 @@ class DataCellEngine:
                         [c, a.value]
                         for c, a in self.catalog.schema_of(name).columns
                     ],
-                    "capacity": self._stream_limits[name][0],
-                    "overflow": policy_spec(self._stream_limits[name][1]),
+                    "capacity": log.capacity,
+                    "overflow": (
+                        None
+                        if log.overflow_policy is None
+                        else log.overflow_policy.describe()
+                    ),
                     "partition_by": (
                         self._partitioned[name].spec.key
                         if name in self._partitioned
                         else None
                     ),
                 }
-                for name in self._logs
+                for name, log in self._logs.items()
             ],
             "stream_fed": dict(self._stream_fed),
             "logs": {name: log.snapshot_state() for name, log in self._logs.items()},
@@ -1432,9 +1428,7 @@ class DataCellEngine:
                 decl["name"],
                 [(c, Atom(a)) for c, a in decl["columns"]],
                 decl["capacity"],
-                parse_overflow_spec(decl["overflow"])
-                if decl["overflow"]
-                else None,
+                declared_policy(decl["overflow"]),
                 decl["partition_by"],
                 restoring=True,
             )
@@ -1525,9 +1519,7 @@ class DataCellEngine:
                     payload["name"],
                     [(c, Atom(a)) for c, a in payload["columns"]],
                     capacity=payload["capacity"],
-                    overflow=parse_overflow_spec(payload["overflow"])
-                    if payload["overflow"]
-                    else None,
+                    overflow=declared_policy(payload["overflow"]),
                     partition_by=payload["partition_by"],
                 )
             elif kind == "create_table":
@@ -1559,7 +1551,7 @@ class DataCellEngine:
                 raise DurabilityError(f"unknown journal record kind {kind!r}")
         except BasketOverflowError:
             # The live run continued past this overflow too (it admitted
-            # nothing, or what the policy kept before raising).
+            # nothing).
             pass
 
     def partition_stats(self) -> dict:

@@ -30,11 +30,6 @@ offsets into the stream's one basket, which every sharer reads through
 its own cursor, so an address names the same tuples for all of them
 (DESIGN.md §6).
 
-Overload interaction: admission control happens at the basket, strictly
-before a factory slices basic windows, so a shed tuple never reaches a
-partial — stores only ever hold bundles computed from admitted tuples,
-and expiry needs no special casing under load shedding.
-
 Thread-safety: ``PartialStore`` is confined to its owning factory (the
 scheduler's scan lock serializes steps); ``FragmentCache`` is shared
 engine-wide but only ever computed into by the one firing thread, so

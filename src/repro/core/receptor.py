@@ -21,14 +21,16 @@ starting at ``backoff`` seconds):
 * the background ingest loop cannot re-raise into anyone, so after the
   retries it shuts the batch at the receptor (counted in ``dropped`` and
   the ``ingest_dropped`` profiler counter) and keeps consuming — a stalled
-  engine degrades into load shedding instead of an unbounded thread queue.
+  engine costs batches dropped at the receptor instead of an unbounded
+  thread queue.  This is the only place ingest drops tuples: a basket
+  admits a batch whole or not at all.
 
 Every retry and drop is counted on the receptor itself (``delivered``,
 ``dropped`` and its own :class:`~repro.kernel.execution.profiler.Profiler`'s
 ``ingest_retries`` / ``ingest_dropped``), written only by the thread that
 pushes through it; an engine that built the receptor
 (:meth:`DataCellEngine.receptor`) adds those counters to its own at read
-time, beside the basket's shed/blocked counters.  docs/OPERATIONS.md shows
+time, beside the basket's blocked counters.  docs/OPERATIONS.md shows
 how to read them together.
 """
 
@@ -55,7 +57,7 @@ class Receptor:
     module docstring); the defaults (no retries) make ``push_*`` surface
     a :class:`BasketOverflowError` on the first failure, which is the
     right behaviour for the ``Fail`` policy tests and for callers that
-    implement their own shedding.
+    decide themselves what to do with a rejected batch.
     """
 
     def __init__(

@@ -610,7 +610,7 @@ def _build_join_fragments(
         pair.declare_input(new_slot(alias))
         base_rows[alias] = BaseRows(alias, slots)
 
-    # Keep the plan's join orientation: the kernel join is stable, so the
+    # The plan's join orientation stays: the kernel join is stable, so the
     # rows of each tag pair come out in the order a join of that pair
     # alone would produce them.  It emits the pairs with a new row on
     # either side, so one run per slide covers the bilinear delta.

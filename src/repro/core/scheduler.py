@@ -322,7 +322,7 @@ class Scheduler:
         also on a scheduler that was never started (the synchronous
         driving mode) — so that post-stop state is *final*: every ready
         factory has fired, baskets hold only tuples that genuinely never
-        formed a window, and the overflow counters (shed / blocked, see
+        formed a window, and the overflow counters (blocked appends, see
         docs/OPERATIONS.md) are exact rather than racing a half-finished
         scan.  Draining also frees room in bounded baskets, waking
         producers parked on the ``Block`` policy.  A repeated ``stop()``
@@ -362,7 +362,7 @@ class Scheduler:
                 basket.abort_waiters(reason)
 
     def drain(self) -> int:
-        """Fire until quiescence so shed/parked accounting is exact.
+        """Fire until quiescence so parked accounting is exact.
 
         Returns the number of firings.  Equivalent to
         :meth:`run_until_idle`; the separate name exists so call sites can

@@ -22,8 +22,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.durability import declared_policy
 from repro.core.emitter import CollectingEmitter, EmittedResults
 from repro.core.factory import ResultBatch
+from repro.core.overflow import OverflowPolicy
 from repro.core.partition import (
     SEQ_COLUMN,
     ShardPlan,
@@ -33,7 +35,6 @@ from repro.core.partition import (
     run_merge,
     sort_concat_columns,
 )
-from repro.core.overflow import parse_overflow_spec, policy_spec
 from repro.core.windows import TS_COLUMN
 from repro.kernel.atoms import Atom
 
@@ -67,7 +68,7 @@ class Partition:
         stream: str,
         columns: list[tuple[str, Atom]],
         capacity: Optional[int],
-        overflow,
+        overflow: Optional[OverflowPolicy],
     ) -> None:
         self.streams[stream] = {
             "columns": columns,
@@ -196,8 +197,7 @@ class Partition:
         """This partition's part of a coordinator checkpoint.
 
         The engine image is the engine's own snapshot; the routing tables
-        serialize with durable policy specs (the decl's policy object is a
-        live template, not a checkpointable value).
+        store each stream's policy as its spec (``describe()``).
         """
         return {
             "engine": self.engine._gather_state(),
@@ -207,7 +207,11 @@ class Partition:
                     {
                         "columns": [[c, a.value] for c, a in decl["columns"]],
                         "capacity": decl["capacity"],
-                        "overflow": policy_spec(decl["overflow"]),
+                        "overflow": (
+                            None
+                            if decl["overflow"] is None
+                            else decl["overflow"].describe()
+                        ),
                     },
                 ]
                 for stream, decl in self.streams.items()
@@ -225,11 +229,7 @@ class Partition:
             stream: {
                 "columns": [(c, Atom(a)) for c, a in decl["columns"]],
                 "capacity": decl["capacity"],
-                "overflow": (
-                    parse_overflow_spec(decl["overflow"])
-                    if decl["overflow"]
-                    else None
-                ),
+                "overflow": declared_policy(decl["overflow"]),
             }
             for stream, decl in snapshot["streams"]
         }

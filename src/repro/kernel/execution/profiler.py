@@ -27,7 +27,6 @@ COUNTER_FIRINGS = "firings"
 COUNTER_CACHE_HITS = "fragment_cache_hits"
 COUNTER_CACHE_MISSES = "fragment_cache_misses"
 #: Overload-control counters (bounded baskets; see docs/OPERATIONS.md).
-COUNTER_SHED = "overflow_shed"
 COUNTER_BLOCK_WAITS = "overflow_block_waits"
 COUNTER_BLOCK_TIMEOUTS = "overflow_block_timeouts"
 COUNTER_INGEST_RETRIES = "ingest_retries"

@@ -55,7 +55,6 @@ def render_top(engine) -> str:
         f"streams={metrics['engine']['streams']} "
         f"firings={counters['firings']} "
         f"cache_hit_rate={cache.get('hit_rate', 0.0):.3f} "
-        f"shed={counters['overflow_shed']} "
         f"worker_errors={counters['worker_errors']}"
     )
     lines.append(summary)

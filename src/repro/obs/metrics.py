@@ -26,7 +26,6 @@ BASE_COUNTERS = (
     "firings",
     "fragment_cache_hits",
     "fragment_cache_misses",
-    "overflow_shed",
     "overflow_block_waits",
     "overflow_block_timeouts",
     "ingest_retries",
@@ -176,7 +175,6 @@ def render_prometheus(metrics: dict, obs: Optional["Observability"] = None) -> s
     counter_help = {
         "fragment_cache_hits": "Shared fragment-cache hits.",
         "fragment_cache_misses": "Shared fragment-cache misses.",
-        "overflow_shed": "Tuples shed by bounded baskets.",
         "overflow_block_waits": "Appends that waited for basket room.",
         "overflow_block_timeouts": "Blocked appends that timed out.",
         "ingest_retries": "Receptor append retries after overflow.",

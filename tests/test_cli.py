@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cli import Console, _parse_schema
-from repro.core.overflow import ShedOldest
-from repro.errors import ReproError
+from repro.core.overflow import Block
+from repro.errors import BasketOverflowError, ReproError
 from repro.workloads import write_csv
 
 
@@ -140,15 +140,17 @@ class TestStatsCommand:
         assert "-- factories" not in out
 
     def test_stats_reports_overload_counters(self):
-        console = Console(out=io.StringIO(), capacity=3, overflow=ShedOldest())
+        console = Console(out=io.StringIO(), capacity=3, overflow=Block(timeout=0.0))
         console.execute("CREATE STREAM s (x1 int)")
-        console.execute("SUBMIT SELECT count(*) AS n FROM s [RANGE 2 SLIDE 2]")
-        console.engine.feed("s", rows=[(i,) for i in range(5)])  # 2 shed
+        console.execute("SUBMIT SELECT count(*) AS n FROM s [RANGE 4 SLIDE 4]")
+        console.engine.feed("s", rows=[(0,), (1,)])
+        with pytest.raises(BasketOverflowError):
+            console.engine.feed("s", rows=[(2,), (3,)])  # no room: times out at once
         console.execute("STATS")
         out = console.out.getvalue()
         assert "-- streams" in out
         assert "capacity=3" in out
-        assert "shed=2" in out
+        assert "parked=2 block_waits=1 block_timeouts=1" in out
 
     def test_stats_reports_factory_profiles_after_run(self):
         console, out = run_script(
@@ -181,12 +183,12 @@ class TestMainFlagParsing:
 
     def test_capacity_and_overflow_happy_path(self, tmp_path, capsys):
         code = self.run_main(
-            ["--capacity", "4", "--overflow", "shed-oldest"],
+            ["--capacity", "4", "--overflow", "block"],
             tmp_path,
             "CREATE STREAM s (x1 int)\nQUIT\n",
         )
         assert code == 0
-        assert "capacity 4, overflow shed-oldest" in capsys.readouterr().out
+        assert "capacity 4, overflow block" in capsys.readouterr().out
 
     def test_inline_flag_values(self, tmp_path, capsys):
         code = self.run_main(
@@ -211,7 +213,7 @@ class TestMainFlagParsing:
             ["--capacity", "0"],       # must be positive
             ["--capacity", "nope"],    # not an integer
             ["--overflow", "bogus", "--capacity", "4"],   # unknown policy
-            ["--overflow", "shed-oldest"],                # needs --capacity
+            ["--overflow", "block"],                      # needs --capacity
             ["--frobnicate", "1"],     # unknown flag
         ],
     )
@@ -219,14 +221,16 @@ class TestMainFlagParsing:
         assert self.run_main(args, tmp_path) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_overflow_sample_spec_parses(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spec", ["shed-oldest", "sample:0.5:7"])
+    def test_removed_overflow_spec_is_refused(self, spec, tmp_path, capsys):
         code = self.run_main(
-            ["--capacity", "8", "--overflow", "sample:0.5:7"],
+            ["--capacity", "4", "--overflow", spec],
             tmp_path,
             "CREATE STREAM s (x1 int)\nQUIT\n",
         )
-        assert code == 0
-        assert "overflow sample:0.5" in capsys.readouterr().out
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "was removed" in err and "DESIGN.md §7" in err
 
 
 class TestServe:

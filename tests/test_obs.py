@@ -158,7 +158,7 @@ class TestEngineMetrics:
         assert metrics["counters"]["firings"] == 4
         assert metrics["counters"]["tuples_consumed"] == 100
         assert metrics["counters"]["rows_emitted"] > 0
-        assert metrics["counters"]["overflow_shed"] == 0
+        assert metrics["counters"]["overflow_block_waits"] == 0
         assert metrics["counters"]["worker_errors"] == 0
         assert metrics["factories"]["q1"]["firings"] == 4
         assert metrics["streams"]["s"]["baskets"] == 1

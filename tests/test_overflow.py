@@ -1,8 +1,8 @@
 """Bounded baskets and overflow policies (overload-control tentpole).
 
-Covers the policy decisions (Fail / Block / ShedOldest / ShedNewest /
-Sample), the basket mechanics they drive, the engine-level wiring
-(per-stream knobs, profiler counters, one admission per stream), and —
+Covers the two policies (Fail / Block), the basket mechanics they drive,
+the engine-level wiring (per-stream knobs, profiler counters, one
+admission per stream), the refusal of the removed lossy policies, and —
 crucially — pins that an unbounded basket behaves exactly as before.
 """
 
@@ -14,17 +14,10 @@ import pytest
 
 from repro import DataCellEngine
 from repro.core.basket import Basket
-from repro.core.overflow import (
-    Block,
-    Fail,
-    Sample,
-    ShedNewest,
-    ShedOldest,
-    parse_overflow_spec,
-)
+from repro.core.overflow import Block, Fail, parse_overflow_spec
 from repro.errors import BasketError, BasketOverflowError, ReproError
 from repro.kernel.atoms import Atom
-from repro.kernel.execution.profiler import COUNTER_SHED
+from repro.kernel.execution.profiler import COUNTER_BLOCK_TIMEOUTS, COUNTER_BLOCK_WAITS
 from repro.kernel.storage import Schema
 from repro.testing import wait_until
 
@@ -46,7 +39,7 @@ class TestConstruction:
 
     def test_policy_without_capacity_rejected(self):
         with pytest.raises(BasketError):
-            make_basket(overflow=ShedOldest())
+            make_basket(overflow=Block())
 
     def test_default_policy_is_fail(self):
         basket = make_basket(capacity=3)
@@ -93,91 +86,6 @@ class TestFail:
         basket.delete_head(2)
         assert basket.append_rows(rows(4, 5)) == 2
         assert basket.column("x").to_list() == [3, 4, 5]
-
-
-class TestShedOldest:
-    def test_evicts_head_keeps_newest(self):
-        basket = make_basket(capacity=5, overflow=ShedOldest())
-        basket.append_rows(rows(*range(5)))
-        basket.append_rows(rows(5, 6, 7))
-        assert basket.column("x").to_list() == [3, 4, 5, 6, 7]
-        assert basket.shed_total == 3
-
-    def test_batch_larger_than_capacity(self):
-        basket = make_basket(capacity=4, overflow=ShedOldest())
-        basket.append_rows(rows(0, 1))
-        admitted = basket.append_rows(rows(*range(10, 20)))
-        assert admitted == 4
-        assert basket.column("x").to_list() == [16, 17, 18, 19]
-        # 2 parked evicted + 6 of the incoming batch dropped
-        assert basket.shed_total == 8
-
-    def test_timestamps_stay_monotonic(self):
-        basket = make_basket(capacity=4, overflow=ShedOldest())
-        basket.append_rows(rows(*range(4)))
-        basket.append_rows(rows(4, 5))
-        ts = basket.timestamps().to_list()
-        assert ts == sorted(ts)
-        assert basket.count_before(ts[-1]) == len(ts) - 1
-
-    def test_columnar_path(self):
-        basket = make_basket(capacity=5, overflow=ShedOldest())
-        basket.append_columns({"x": np.arange(5)})
-        basket.append_columns({"x": np.arange(5, 8)})
-        assert basket.column("x").to_list() == [3, 4, 5, 6, 7]
-
-
-class TestShedNewest:
-    def test_admits_prefix_drops_tail(self):
-        basket = make_basket(capacity=5, overflow=ShedNewest())
-        admitted = basket.append_columns({"x": np.arange(8)})
-        assert admitted == 5
-        assert basket.column("x").to_list() == [0, 1, 2, 3, 4]
-        assert basket.shed_total == 3
-
-    def test_full_basket_sheds_everything(self):
-        basket = make_basket(capacity=2, overflow=ShedNewest())
-        basket.append_rows(rows(1, 2))
-        assert basket.append_rows(rows(3, 4, 5)) == 0
-        assert basket.shed_total == 3
-
-    def test_explicit_timestamps_follow_selection(self):
-        basket = make_basket(capacity=2, overflow=ShedNewest())
-        basket.append_rows(rows(1, 2, 3), timestamps=[10, 20, 30])
-        assert basket.timestamps().to_list() == [10, 20]
-
-
-class TestSample:
-    def test_deterministic_for_seed(self):
-        outcomes = []
-        for __ in range(2):
-            basket = make_basket(capacity=10, overflow=Sample(0.5, seed=42))
-            basket.append_columns({"x": np.arange(10)})
-            basket.append_columns({"x": np.arange(10, 30)})
-            outcomes.append((basket.column("x").to_list(), basket.shed_total))
-        assert outcomes[0] == outcomes[1]
-
-    def test_capacity_is_hard_bound(self):
-        basket = make_basket(capacity=4, overflow=Sample(1.0, seed=0))
-        basket.append_columns({"x": np.arange(3)})
-        basket.append_columns({"x": np.arange(50)})
-        assert len(basket) == 4
-
-    def test_rate_zero_sheds_all_overflow(self):
-        basket = make_basket(capacity=4, overflow=Sample(0.0, seed=0))
-        basket.append_columns({"x": np.arange(4)})
-        assert basket.append_columns({"x": np.arange(6)}) == 0
-        assert basket.shed_total == 6
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ReproError):
-            Sample(1.5)
-
-    def test_clone_restarts_rng(self):
-        policy = Sample(0.5, seed=7)
-        first = policy.admit(0, 100, 10)
-        clone = policy.clone()
-        assert np.array_equal(clone.admit(0, 100, 10).keep, first.keep)
 
 
 class TestBlock:
@@ -264,16 +172,20 @@ class TestBlock:
 
 
 class TestProfilerSurface:
-    def test_shed_counts_mirrored(self):
-        """Shed counts live on the basket; the engine profiler adds them
-        up when read, so every copy it hands out carries them."""
+    def test_block_counts_mirrored(self):
+        """Blocked counts live on the basket; the engine profiler adds
+        them up when read, so every copy it hands out carries them."""
         engine = DataCellEngine()
-        engine.create_stream("s", [("x", "int")], capacity=2, overflow=ShedNewest())
+        engine.create_stream("s", [("x", "int")], capacity=2, overflow=Block(timeout=0.0))
         engine.submit("SELECT count(*) AS n FROM s [RANGE 4 SLIDE 4]")
-        engine.feed("s", rows(1, 2, 3, 4))
-        assert engine.overload_stats()["s"]["shed"] == 2
-        assert engine.profiler.counter(COUNTER_SHED) == 2
-        assert engine.metrics()["counters"][COUNTER_SHED] == 2
+        engine.feed("s", rows(1, 2))
+        with pytest.raises(BasketOverflowError):
+            engine.feed("s", rows(3))
+        stats = engine.overload_stats()["s"]
+        assert (stats["block_waits"], stats["block_timeouts"]) == (1, 1)
+        for counters in (engine.profiler.counters, engine.metrics()["counters"]):
+            assert counters[COUNTER_BLOCK_WAITS] == 1
+            assert counters[COUNTER_BLOCK_TIMEOUTS] == 1
 
 
 class TestUnboundedPinned:
@@ -283,7 +195,6 @@ class TestUnboundedPinned:
         basket = make_basket()
         basket.append_rows(rows(*range(100)))
         basket.append_columns({"x": np.arange(100)})
-        assert basket.shed_total == 0
         assert basket.block_waits == 0
         assert len(basket) == 200
         assert basket.appended_total == 200
@@ -323,6 +234,22 @@ class TestUnboundedPinned:
         assert default  # sanity: windows actually fired
 
 
+class TestSnapshot:
+    def test_restore_reads_older_format_5_basket_state(self):
+        """Format-5 snapshots written while shedding existed carry a
+        ``shed_total`` (and, for sampling, a ``policy_rng``) per basket.
+        Restore needs neither and ignores both; new snapshots omit them."""
+        basket = make_basket(capacity=8, overflow=Block(timeout=0.0))
+        basket.append_rows(rows(1, 2, 3))
+        state = basket.snapshot_state()
+        assert "shed_total" not in state and "policy_rng" not in state
+        state.update(shed_total=5, policy_rng={"state": 1})
+        twin = make_basket(capacity=8, overflow=Block(timeout=0.0))
+        twin.restore_state(state)
+        assert twin.column("x").to_list() == [1, 2, 3]
+        assert twin.snapshot_state().keys() == basket.snapshot_state().keys()
+
+
 class TestEngineWiring:
     def _overloaded_engine(self, policy):
         engine = DataCellEngine()
@@ -333,28 +260,6 @@ class TestEngineWiring:
             "SELECT x1, count(*) FROM s [RANGE 20 SLIDE 10] GROUP BY x1"
         )
         return engine, query
-
-    def test_shed_surfaces_in_engine_profiler(self):
-        engine, query = self._overloaded_engine(ShedOldest())
-        rng = np.random.default_rng(1)
-        for __ in range(4):
-            engine.feed(
-                "s",
-                columns={
-                    "x1": rng.integers(0, 3, 50),
-                    "x2": rng.integers(0, 9, 50),
-                },
-            )
-        engine.run_until_idle()
-        assert engine.profiler.counter(COUNTER_SHED) > 0
-        stats = engine.overload_stats()["s"]
-        assert stats["shed"] > 0
-        assert stats["capacity"] == 30
-        assert stats["max_parked"] <= 30
-
-    def test_shedding_stream_keeps_sharing(self):
-        engine, query = self._overloaded_engine(ShedOldest())
-        assert query.factory.shares_fragments
 
     def test_non_shedding_stream_keeps_sharing(self):
         engine = DataCellEngine()
@@ -390,11 +295,11 @@ class TestEngineWiring:
         assert q1.factory.shares_fragments and q2.factory.shares_fragments
         assert engine.fragment_cache.stats()["hits"] == 2
 
-    def test_policy_template_cloned_once_per_stream(self):
+    def test_one_policy_instance_per_stream(self):
         engine = DataCellEngine()
-        template = Sample(0.5, seed=9)
+        policy = Block(timeout=0.5)
         engine.create_stream(
-            "s", [("x1", "int"), ("x2", "int")], capacity=10, overflow=template
+            "s", [("x1", "int"), ("x2", "int")], capacity=10, overflow=policy
         )
         q1 = engine.submit("SELECT x1, count(*) FROM s [RANGE 4 SLIDE 2] GROUP BY x1")
         q2 = engine.submit("SELECT x2, count(*) FROM s [RANGE 4 SLIDE 2] GROUP BY x2")
@@ -403,13 +308,12 @@ class TestEngineWiring:
             for query in (q1, q2)
             for cursor in query.baskets.values()
         }
-        assert len(policies) == 1
-        assert id(template) not in policies
+        assert policies == {id(policy)}
 
     def test_overflow_without_capacity_rejected(self):
         engine = DataCellEngine()
         with pytest.raises(ReproError):
-            engine.create_stream("s", [("x1", "int")], overflow=ShedOldest())
+            engine.create_stream("s", [("x1", "int")], overflow=Block())
 
 
 class TestParseOverflowSpec:
@@ -419,21 +323,26 @@ class TestParseOverflowSpec:
             ("fail", Fail),
             ("block", Block),
             ("block:0.5", Block),
-            ("shed-oldest", ShedOldest),
-            ("shed_oldest", ShedOldest),
-            ("SHED-NEWEST", ShedNewest),
-            ("sample:0.25", Sample),
-            ("sample:0.25:7", Sample),
         ],
     )
     def test_valid_specs(self, spec, expected):
-        assert isinstance(parse_overflow_spec(spec), expected)
+        policy = parse_overflow_spec(spec)
+        assert isinstance(policy, expected)
+        # describe() is the spec journals and snapshots store.
+        assert parse_overflow_spec(policy.describe()).describe() == policy.describe()
 
     def test_parameters_carried(self):
         assert parse_overflow_spec("block:0.5").timeout == 0.5
-        policy = parse_overflow_spec("sample:0.25:7")
-        assert policy.rate == 0.25
-        assert policy.seed == 7
+        assert parse_overflow_spec("block").timeout is None
+
+    @pytest.mark.parametrize(
+        "spec", ["shed-oldest", "shed_oldest", "SHED-NEWEST", "sample:0.25", "sample:0.25:7"]
+    )
+    def test_removed_policies_are_refused(self, spec):
+        """The shedding and sampling policies are gone; naming one says
+        so and points at the admission rules."""
+        with pytest.raises(ReproError, match="was removed.*DESIGN.md §7"):
+            parse_overflow_spec(spec)
 
     @pytest.mark.parametrize(
         "spec", ["", "nope", "sample", "block:x", "fail:1", "shed-oldest:2"]

@@ -2,10 +2,10 @@
 threaded ingest under faults.
 
 These are the acceptance tests for the overload-control layer: a bounded
-stream under a synthetic overload must keep memory bounded and report its
-shedding through the profiler, and the failure paths (full ``Block``
-basket with nobody draining, stalled receptors, slow factories) must
-degrade instead of deadlocking.
+stream under a synthetic overload must keep memory bounded and lose
+nothing, and the failure paths (full ``Block`` basket with nobody
+draining, stalled receptors, slow factories) must degrade instead of
+deadlocking.
 """
 
 import threading
@@ -15,12 +15,9 @@ import numpy as np
 import pytest
 
 from repro import DataCellEngine
-from repro.core.overflow import Block, ShedOldest
+from repro.core.overflow import Block, Fail
 from repro.errors import BasketOverflowError
-from repro.kernel.execution.profiler import (
-    COUNTER_INGEST_DROPPED,
-    COUNTER_SHED,
-)
+from repro.kernel.execution.profiler import COUNTER_INGEST_DROPPED
 from repro.testing.faults import SlowFactory, StallingSource
 
 WINDOW = 200
@@ -48,50 +45,76 @@ def chunk(rng, size):
 
 
 class TestShedOldestUnderOverload:
-    def test_4x_overload_bounded_memory_nonzero_shed(self):
-        """The acceptance scenario: arrivals at 4× the consumption rate.
+    """Sustained 4x overload on a ``Fail`` basket: the producer sheds
+    the batches the basket refuses, and the basket stays a hard bound.
 
-        Each tick feeds 4 slides' worth of tuples but the scheduler only
-        fires once, so producers outrun the factory by 4×.  The basket
-        must never exceed its capacity and the profiler must report the
-        overflow through the shed counter.
+    The class keeps the name it had when the basket itself could shed its
+    oldest tuples; the bound and the conservation it checks are the same.
+    """
+
+    def test_4x_overload_bounded_memory_nonzero_shed(self):
+        """The acceptance scenario: arrivals at 4x the consumption rate.
+
+        Each tick offers 4 slides but the scheduler fires only once, so
+        the producer outruns the factory by 4x.  The basket must never
+        exceed its capacity, some batches must be refused, and the query
+        must see exactly the admitted batches: offered = admitted +
+        refused, and the windows equal an unbounded run over the
+        admitted batches alone.
         """
-        engine, query = overloaded_engine(ShedOldest())
+        engine, query = overloaded_engine(Fail())
         rng = np.random.default_rng(17)
         cursor = next(iter(query.baskets.values()))
-        max_parked = 0
+        admitted = []
+        refused = max_parked = 0
         for __ in range(30):
-            engine.feed("s", columns=chunk(rng, 4 * STEP))
+            for __ in range(4):
+                columns = chunk(rng, STEP)
+                try:
+                    engine.feed("s", columns=columns)
+                    admitted.append(columns)
+                except BasketOverflowError:
+                    refused += STEP
+                max_parked = max(max_parked, len(cursor))
             engine.scheduler.run_once()
-            max_parked = max(max_parked, len(cursor))
         engine.run_until_idle()
-        shed = engine.profiler.counter(COUNTER_SHED)
         assert max_parked <= CAPACITY  # bounded memory, always
-        assert shed > 0  # overload was real and accounted
-        stats = engine.overload_stats()["s"]
-        assert stats["shed"] == shed
-        assert query.results()  # the query still produced windows
-        # ShedOldest admits every incoming tuple (evicting parked ones),
-        # so the admission count equals the offered count while `shed`
-        # tracks the evictions.
+        assert refused > 0  # overload was real
+        assert engine.overload_stats()["s"]["parked"] <= CAPACITY
         offered = 30 * 4 * STEP
-        assert cursor.basket.appended_total == offered
+        assert cursor.basket.appended_total == offered - refused
+        assert query.results()  # the query still produced windows
+
+        reference = DataCellEngine()
+        reference.create_stream("s", [("x1", "int"), ("x2", "int")])
+        ref_query = reference.submit(query.sql)
+        for columns in admitted:
+            reference.feed("s", columns=columns)
+        reference.run_until_idle()
+        assert query.result_rows() == ref_query.result_rows()
 
     @pytest.mark.concurrency
     def test_threaded_4x_overload_stays_bounded(self):
         """Same scenario with a real producer thread and background
-        scheduler, plus a SlowFactory throttling the service rate."""
-        engine, query = overloaded_engine(ShedOldest(), capacity=2 * WINDOW)
+        scheduler, plus a SlowFactory throttling the service rate: a
+        ``Fail`` producer racing the firing thread never sees more than
+        the capacity parked."""
+        engine, query = overloaded_engine(Fail(), capacity=2 * WINDOW)
         registration = engine.scheduler._registrations[query.name]
         registration.factory = SlowFactory(registration.factory, delay=0.002)
         basket = next(iter(query.baskets.values()))
         rng = np.random.default_rng(23)
         occupancy: list[int] = []
+        counts = {"offered": 0, "refused": 0}
         stop = threading.Event()
 
         def producer():
             while not stop.is_set():
-                engine.feed("s", columns=chunk(rng, STEP))
+                counts["offered"] += STEP
+                try:
+                    engine.feed("s", columns=chunk(rng, STEP))
+                except BasketOverflowError:
+                    counts["refused"] += STEP
                 occupancy.append(len(basket))
                 time.sleep(0.0005)
 
@@ -102,8 +125,10 @@ class TestShedOldestUnderOverload:
         stop.set()
         thread.join(timeout=5.0)
         engine.stop(drain=True)
+        assert not thread.is_alive()
         assert max(occupancy) <= 2 * WINDOW
-        assert engine.profiler.counter(COUNTER_SHED) > 0
+        assert counts["refused"] > 0
+        assert basket.basket.appended_total == counts["offered"] - counts["refused"]
         assert query.results()
         # Drain-on-stop finalized the accounting: nothing fireable remains.
         assert not query.factory.ready()
@@ -126,15 +151,46 @@ class TestBlockFailurePaths:
     @pytest.mark.concurrency
     def test_block_backpressure_is_lossless_with_running_scheduler(self):
         """With the scheduler draining, Block never drops a tuple: every
-        window is produced exactly as in the unbounded run."""
+        window is produced exactly as in the unbounded run.
+
+        A producer thread offers a slide every 0.5 ms while a SlowFactory
+        consumes one every 2 ms (4x overload), so it parks on the full
+        basket.  Another thread samples ``overload_stats()`` the whole
+        time: no sample ever shows more tuples parked than the capacity.
+        """
         engine, query = overloaded_engine(Block(timeout=10.0), capacity=WINDOW)
+        registration = engine.scheduler._registrations[query.name]
+        registration.factory = SlowFactory(registration.factory, delay=0.002)
         rng = np.random.default_rng(31)
-        chunks = [chunk(rng, STEP) for __ in range(20)]
+        chunks = [chunk(rng, STEP) for __ in range(40)]
+        samples: list[dict] = []
+        done = threading.Event()
+
+        def producer():
+            for columns in chunks:
+                engine.feed("s", columns=columns)  # may park until room frees
+                time.sleep(0.0005)
+            done.set()
+
+        def sampler():
+            while not done.is_set():
+                samples.append(engine.overload_stats()["s"])
+                time.sleep(0.0002)
+
         engine.start(poll_interval=0.0005)
-        for columns in chunks:
-            engine.feed("s", columns=columns)  # may park until room frees
+        threads = [threading.Thread(target=f, daemon=True) for f in (producer, sampler)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
         engine.stop(drain=True)
-        assert engine.profiler.counter(COUNTER_SHED) == 0
+        assert done.is_set() and samples
+        assert max(sample["parked"] for sample in samples) <= WINDOW
+        assert max(sample["max_parked"] for sample in samples) <= WINDOW
+        stats = engine.overload_stats()["s"]
+        assert stats["block_waits"] > 0  # the overload was real
+        assert stats["block_timeouts"] == 0
+        assert query.baskets["s"].basket.appended_total == len(chunks) * STEP
 
         reference = DataCellEngine()
         reference.create_stream("s", [("x1", "int"), ("x2", "int")])

@@ -207,21 +207,6 @@ class TestHandles:
         assert second.factory is first.factory
         assert engine._logs["s"].readers == 1
 
-    def test_shed_tuples_count_once_per_shared_cursor(self):
-        from repro.core.overflow import ShedNewest
-
-        def run_with(sqls):
-            engine = DataCellEngine()
-            engine.create_stream(
-                "s", [("x1", "int"), ("x2", "int")], capacity=20, overflow=ShedNewest()
-            )
-            for sql in sqls:
-                engine.submit(sql)
-            feed(engine, 30, 1)
-            return engine.overload_stats()["s"]["shed"]
-
-        assert run_with([GSUM, GSUM_TWIN]) == run_with([GSUM]) == 10
-
 
 @pytest.mark.recovery
 class TestDurability:

@@ -20,6 +20,7 @@ two-stream join, and (for the partitioned sweep) a shard-mergeable shape.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 
@@ -28,6 +29,7 @@ import pytest
 
 from repro.core.durability import DurabilityError, read_manifest, read_snapshot
 from repro.core.engine import DataCellEngine
+from repro.core.overflow import Block, Fail
 from repro.errors import BasketError, ReproError
 from repro.testing.faults import CrashPoint, InjectedCrash
 from repro.testing.fuzz.generator import QueryGenerator, build_engine
@@ -556,13 +558,18 @@ def test_fresh_engine_refuses_existing_data_dir(tmp_path):
 
 
 def _dir_listing(data_dir) -> list:
-    """(path, size) of every file under ``data_dir``."""
+    """(path, sha256 of its bytes) of every file under ``data_dir``."""
     paths = [
         os.path.join(root, name)
         for root, __, names in os.walk(data_dir)
         for name in names
     ]
-    return sorted((os.path.relpath(p, data_dir), os.path.getsize(p)) for p in paths)
+    listing = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        listing.append((os.path.relpath(path, data_dir), digest))
+    return sorted(listing)
 
 
 @pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
@@ -609,6 +616,71 @@ def test_restore_refuses_a_dir_in_another_format(
     with pytest.raises(DurabilityError, match=named):
         DataCellEngine.restore(str(data_dir))
     assert _dir_listing(data_dir) == before
+
+
+@pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
+@pytest.mark.parametrize("spec", ["shed-oldest", "shed-newest", "sample:0.5:3"])
+def test_restore_refuses_a_removed_overflow_policy(tmp_path, monkeypatch, spec, checkpointed):
+    """A format-5 dir may declare a stream with a shedding or sampling
+    policy, which bounded baskets no longer offer: in the journal's
+    ``create_stream`` record, or in a snapshot's stream declarations.
+    Restore refuses it with an error naming DESIGN.md §7 before anything
+    is applied, and leaves the dir byte-for-byte as it was."""
+    monkeypatch.setattr(Fail, "describe", lambda self: spec)  # what the dir records
+    data_dir = tmp_path / "dd"
+    engine = DataCellEngine(data_dir=str(data_dir))
+    engine.create_stream("s", [("v", "int")], capacity=64, overflow=Fail())
+    engine.submit("SELECT sum(v) AS t FROM s [RANGE 8 SLIDE 4]", name="q")
+    engine.feed("s", columns={"v": np.arange(20, dtype=np.int64)})
+    engine.run_until_idle()
+    if checkpointed:
+        engine.checkpoint()
+    engine.feed("s", columns={"v": np.arange(20, 32, dtype=np.int64)})
+    engine.abandon()
+    monkeypatch.undo()
+
+    before = _dir_listing(data_dir)
+    with pytest.raises(DurabilityError, match="was removed.*DESIGN.md §7"):
+        DataCellEngine.restore(str(data_dir))
+    assert _dir_listing(data_dir) == before
+
+
+@pytest.mark.parametrize("checkpointed", [False, True], ids=["journal-only", "checkpointed"])
+def test_bounded_streams_restore_their_policies(tmp_path, checkpointed):
+    """Unbounded, ``Fail`` and ``Block`` streams come back from the
+    journal or a snapshot with the same capacity and policy, and their
+    queries' windows continue as in the live run.  Both feeds fit the
+    capacity together: replay does not fire between journaled feeds."""
+    data_dir = str(tmp_path / "dd")
+    sql = "SELECT sum(v) AS t FROM {} [RANGE 8 SLIDE 4]"
+    streams = {"free": {}, "fail": {"capacity": 32}, "block": {
+        "capacity": 32, "overflow": Block(timeout=0.5)}}
+    engine = DataCellEngine(data_dir=data_dir)
+    try:
+        for name, limits in streams.items():
+            engine.create_stream(name, [("v", "int")], **limits)
+            engine.submit(sql.format(name), name=f"q_{name}")
+        for start in (0, 12):
+            for name in streams:
+                engine.feed(name, columns={"v": np.arange(start, start + 12, dtype=np.int64)})
+            engine.run_until_idle()
+            if checkpointed and not start:
+                engine.checkpoint()
+        live = {name: engine.query(f"q_{name}").result_rows() for name in streams}
+    finally:
+        engine.abandon()
+    engine = DataCellEngine.restore(data_dir)
+    try:
+        engine.run_until_idle()
+        logs = engine._logs
+        assert [logs[name].capacity for name in streams] == [None, 32, 32]
+        assert logs["free"].overflow_policy is None
+        assert isinstance(logs["fail"].overflow_policy, Fail)
+        assert logs["block"].overflow_policy.timeout == 0.5
+        for name in streams:
+            assert engine.query(f"q_{name}").result_rows() == live[name]
+    finally:
+        engine.close()
 
 
 @pytest.mark.parametrize(

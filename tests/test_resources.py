@@ -13,7 +13,6 @@ from repro.analysis.resources import (
     combine_compacts,
 )
 from repro.core.engine import DataCellEngine
-from repro.core.overflow import ShedOldest
 from repro.core.rewriter import rewrite
 from repro.errors import ReproError
 from repro.sql.optimizer import optimize
@@ -22,22 +21,21 @@ from repro.sql.planner import plan_query
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "resources"
 
 
-def plan_for(sql, limits=None, streams=None):
+def plan_for(sql, capacities=None, streams=None):
     engine = DataCellEngine()
-    for name, (cap, overflow) in (limits or {"s": (None, None)}).items():
+    for name, cap in (capacities or {"s": None}).items():
         engine.create_stream(
             name,
             (streams or {}).get(name, [("a", "int"), ("b", "int")]),
             capacity=cap,
-            overflow=overflow,
         )
     plan = rewrite(optimize(plan_query(sql, engine.catalog)))
-    return plan, engine._stream_limits
+    return plan, engine._capacities()
 
 
-def analyze(sql, limits=None, streams=None):
-    plan, stream_limits = plan_for(sql, limits, streams)
-    return analyze_resources(plan, stream_limits, subject="test")
+def analyze(sql, capacities=None, streams=None):
+    plan, stream_capacities = plan_for(sql, capacities, streams)
+    return analyze_resources(plan, stream_capacities, subject="test")
 
 
 # ----------------------------------------------------------------------
@@ -84,9 +82,9 @@ def test_select_only_state_scales_with_window():
 
 
 def test_landmark_aggregate_compacts_to_constant_state():
-    plan, limits = plan_for("SELECT sum(a) AS x FROM s [LANDMARK SLIDE 10]")
+    plan, capacities = plan_for("SELECT sum(a) AS x FROM s [LANDMARK SLIDE 10]")
     assert combine_compacts(plan)
-    result = analyze_resources(plan, limits)
+    result = analyze_resources(plan, capacities)
     assert result.bounded
     assert not result.report.warnings()
 
@@ -98,12 +96,14 @@ def test_landmark_select_is_flagged_unbounded():
     assert warning.code == "unbounded-landmark"
     assert "landmark" in warning.message
     assert "reset_landmark" in warning.message  # the hint names the remedy
+    # A basket capacity never bounds the landmark's cumulative partial.
+    assert "capacity" not in warning.message and "shedding" not in warning.message
     assert result.ok  # a warning, not an error: the engine accepts it
 
 
 def test_capacity_below_one_basic_window_is_an_error():
     result = analyze(
-        "SELECT sum(a) AS x FROM s [RANGE 100 SLIDE 10]", limits={"s": (5, None)}
+        "SELECT sum(a) AS x FROM s [RANGE 100 SLIDE 10]", capacities={"s": 5}
     )
     assert not result.ok
     [error] = result.report.errors()
@@ -111,21 +111,11 @@ def test_capacity_below_one_basic_window_is_an_error():
     assert "never fire" in error.message
 
 
-def test_tight_shedding_capacity_warns():
-    result = analyze(
-        "SELECT sum(a) AS x FROM s [RANGE 100 SLIDE 10]",
-        limits={"s": (15, ShedOldest())},
-    )
-    assert result.ok
-    [warning] = result.report.warnings()
-    assert warning.code == "capacity-tight"
-
-
 def test_join_fanout_warning_and_pair_bounds():
     result = analyze(
         "SELECT max(s.a) AS x FROM s [RANGE 1024 SLIDE 8], r [RANGE 1024 SLIDE 8] "
         "WHERE s.a = r.a",
-        limits={"s": (None, None), "r": (None, None)},
+        capacities={"s": None, "r": None},
     )
     assert result.join_pairs == Bound(128 * 128)
     # Retained: one row per pair (a global max grouped by the seq-tag
@@ -144,7 +134,7 @@ def test_grouped_join_pair_state_scales_with_the_pair():
     result = analyze(
         "SELECT s.b, count(*) AS n FROM s [RANGE 40 SLIDE 8], r [RANGE 40 SLIDE 8] "
         "WHERE s.a = r.a GROUP BY s.b",
-        limits={"s": (None, None), "r": (None, None)},
+        capacities={"s": None, "r": None},
     )
     assert result.join_pairs == Bound(25)
     assert result.pair_state == Bound(2 * 8 * 8)  # key + count per joined row

@@ -2,8 +2,8 @@
 
 Pins the cursor mechanics on a bare basket, the basket/cursor invariants
 the engine keeps under random interleavings of submit, remove, feed, pump
-and ``advance_time`` (Hypothesis), fragment sharing on shedding streams
-against ``fragment_sharing=False``.
+and ``advance_time`` (Hypothesis), on unbounded, ``Fail`` and ``Block``
+streams.
 """
 
 import gc
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import DataCellEngine
 from repro.core.basket import Basket
-from repro.core.overflow import Block, Fail, Sample, ShedNewest, ShedOldest
+from repro.core.overflow import Block, Fail
 from repro.errors import BasketOverflowError, ReproError
 from repro.kernel.atoms import Atom
 from repro.kernel.storage import Schema
@@ -55,26 +55,6 @@ class TestCursors:
         cursor.close()
         cursor.close()  # idempotent
         assert len(basket) == 0 and basket.appended_total == 3
-
-    def test_shed_oldest_skips_only_the_lagging_cursor(self):
-        basket = Basket("s", SCHEMA, capacity=5, overflow=ShedOldest())
-        fast, slow = basket.cursor(), basket.cursor()
-        basket.append_rows(rows(0, 1, 2, 3))
-        fast.delete_head(4)
-        basket.append_rows(rows(4, 5, 6))  # slow lags 7 > 5: loses 2
-        assert fast.head_slice(3, ["x"])["x"].to_list() == [4, 5, 6]
-        assert slow.position == 2
-        assert slow.head_slice(5, ["x"])["x"].to_list() == [2, 3, 4, 5, 6]
-        assert basket.shed_total == 2
-
-    def test_shed_newest_decides_for_the_slowest_and_counts_per_reader(self):
-        basket = Basket("s", SCHEMA, capacity=5, overflow=ShedNewest())
-        fast, slow = basket.cursor(), basket.cursor()
-        basket.append_rows(rows(0, 1, 2, 3))
-        fast.delete_head(4)
-        assert basket.append_rows(rows(4, 5, 6)) == 1  # room for 1
-        assert fast.head_slice(1, ["x"])["x"].to_list() == [4]
-        assert basket.shed_total == 4  # 2 rejected tuples x 2 readers
 
     def test_fail_admits_nothing_for_anyone(self):
         basket = Basket("s", SCHEMA, capacity=4, overflow=Fail())
@@ -133,7 +113,6 @@ POLICIES = {
     "unbounded": lambda: {},
     "fail": lambda: {"capacity": 24, "overflow": Fail()},
     "block": lambda: {"capacity": 24, "overflow": Block(timeout=0.0)},
-    "shed-oldest": lambda: {"capacity": 24, "overflow": ShedOldest()},
 }
 
 submits = st.tuples(st.just("submit"), st.integers(0, len(QUERY_POOL) - 1))
@@ -244,8 +223,6 @@ def test_basket_and_cursor_invariants(policy, ops, seed):
     engine.run_until_idle()
     events.append(("pump", True))
     _check_basket(engine, capacity)
-    if policy == "shed-oldest":
-        return  # lossy: a lagging cursor's windows skip what it lost
     for name, (handle, first, last) in spans.items():
         solo = _solo_windows(handle.sql, handle.mode, events[first:last])
         assert handle.result_rows() == solo, name
@@ -280,6 +257,9 @@ def test_dropped_engine_frees_its_baskets_without_cyclic_gc():
         assert log() is None
     finally:
         gc.enable()
+
+
+SHARED = "SELECT x1, sum(x2) AS t FROM s [RANGE 20 SLIDE 10] GROUP BY x1 ORDER BY x1"
 
 
 @pytest.mark.concurrency
@@ -335,54 +315,3 @@ def test_failed_submit_leaves_no_cursor():
             kept.append(exc)
     assert len(kept) == 2
     assert engine._logs["s"].readers == 1  # the first "dup" only
-
-
-# ----------------------------------------------------------------------
-# fragment sharing on shedding streams
-# ----------------------------------------------------------------------
-SHARED = "SELECT x1, sum(x2) AS t FROM s [RANGE 20 SLIDE 10] GROUP BY x1 ORDER BY x1"
-RENAMED = (
-    "SELECT b.x1, sum(b.x2) AS t FROM s b [RANGE 20 SLIDE 10] "
-    "GROUP BY b.x1 ORDER BY b.x1"
-)
-WIDER = "SELECT x1, sum(x2) AS t FROM s [RANGE 40 SLIDE 10] GROUP BY x1 ORDER BY x1"
-
-
-def _sharing_run(overflow, fragment_sharing: bool):
-    engine = DataCellEngine(fragment_sharing=fragment_sharing)
-    engine.create_stream("s", [("x1", "int"), ("x2", "int")], capacity=45, overflow=overflow)
-    queries = [engine.submit(SHARED), engine.submit(RENAMED), engine.submit(WIDER)]
-    rng = np.random.default_rng(11)
-    for step in range(24):
-        size = int(rng.integers(3, 30))
-        engine.feed(
-            "s",
-            columns={"x1": rng.integers(0, 4, size), "x2": rng.integers(0, 99, size)},
-        )
-        if step == 2:
-            # Late, while the first spans are still cached: it must not
-            # read them as its own first basic windows.
-            queries.append(engine.submit(SHARED))
-        if step % 3 == 0:
-            engine.scheduler.run_once()  # uneven: one firing per query
-        elif step % 3 == 1:
-            engine.run_until_idle()
-    engine.run_until_idle()
-    windows = [
-        [
-            (b.window_index, {n: b.columns[n].tail.tobytes() for n in b.names})
-            for b in q.results()
-        ]
-        for q in queries
-    ]
-    return windows, engine.fragment_cache.stats()["hits"], engine.profiler
-
-
-@pytest.mark.parametrize("make_policy", [ShedOldest, lambda: Sample(0.6, seed=3)])
-def test_sharing_on_shedding_streams_is_byte_identical(make_policy):
-    shared, hits, profiler = _sharing_run(make_policy(), fragment_sharing=True)
-    alone, none, __ = _sharing_run(make_policy(), fragment_sharing=False)
-    assert shared == alone
-    assert hits > 0 and none == 0
-    assert profiler.counter("overflow_shed") > 0
-    assert all(windows for windows in shared)
