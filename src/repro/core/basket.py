@@ -1,11 +1,17 @@
 """Baskets — DataCell's lightweight stream tables.
 
-A basket is an append-only, lockable collection of head-aligned column
-buffers, one per stream attribute (plus the implicit arrival-timestamp
-column for time-based queries).  Receptors append incoming tuples; factories
-snapshot column views, consume basic windows, and drop expired tuples from
-the head (paper §2: "once a tuple has been seen by all relevant queries it
-is dropped from its basket").
+A basket is an append-only, lockable queue of immutable **chunks**, one
+per admitted batch, each holding one array per stream attribute (plus the
+implicit arrival-timestamp column for time-based queries).  Receptors
+append incoming tuples, copied once into a new chunk; a batch fed without
+timestamps keeps only its counter's first stamp, and the stamps are made
+when a time-based reader asks.  Factories read basic windows — views of
+one chunk when a window lies inside it, else one concatenated copy — and
+drop expired tuples from the head (paper §2: "once a tuple has been seen
+by all relevant queries it is dropped from its basket"): the head offset
+moves and the chunks wholly before it go.  Nothing is written after it is
+admitted, so a view handed out stays valid through later appends and
+trims.
 
 The engine keeps **one basket per stream** and hands every factory a
 :class:`Cursor` into it (queries that share a factory share its cursor):
@@ -38,6 +44,8 @@ wake it) while it sleeps.
 
 from __future__ import annotations
 
+import bisect
+import operator
 import threading
 import time
 import weakref
@@ -49,9 +57,69 @@ import numpy as np
 from repro.core.overflow import Fail, OverflowPolicy
 from repro.core.windows import TS_COLUMN
 from repro.errors import BasketError, BasketOverflowError
-from repro.kernel.atoms import Atom
-from repro.kernel.bat import BAT, BATBuilder
+from repro.kernel.atoms import Atom, numpy_dtype
+from repro.kernel.bat import BAT
 from repro.kernel.storage import Schema
+
+
+_START = operator.attrgetter("start")
+_END = operator.attrgetter("end")
+
+
+def _own(values: Sequence | np.ndarray, atom: Atom) -> np.ndarray:
+    """``values`` copied into a new one-dimensional array of ``atom``'s dtype."""
+    array = np.array(values, dtype=numpy_dtype(atom))
+    if array.ndim != 1:
+        raise BasketError(f"a column must be one-dimensional, got shape {array.shape}")
+    return array
+
+
+def _own_stamps(timestamps: Sequence[int] | np.ndarray | None, count: int) -> np.ndarray | None:
+    """A batch's explicit timestamps, copied as int64, if it has any."""
+    if timestamps is None:
+        return None
+    if len(timestamps) != count:
+        raise BasketError("timestamp column length mismatch")
+    return _own(timestamps, Atom.TIMESTAMP)
+
+
+class _Chunk:
+    """One admitted batch: its column arrays, written once and never
+    again, from arrival offset ``start`` to ``end``.
+
+    ``ts`` holds the batch's explicit timestamps; for a batch stamped
+    from the stream's counter it is the first stamp (the rest follow by
+    one, materialized only when a time-based reader asks).  A basket
+    without timestamps never reads it.
+    """
+
+    __slots__ = ("start", "end", "columns", "ts")
+
+    def __init__(
+        self, start: int, columns: dict[str, np.ndarray], ts: np.ndarray | int, count: int
+    ) -> None:
+        self.start = start
+        self.end = start + count
+        self.columns = columns
+        self.ts = ts
+
+    def values(self, name: str, low: int, high: int) -> np.ndarray:
+        """Rows ``low .. high - 1`` (offsets in the chunk) of one column."""
+        if name != TS_COLUMN:
+            return self.columns[name][low:high]
+        if isinstance(self.ts, np.ndarray):
+            return self.ts[low:high]
+        return np.arange(self.ts + low, self.ts + high, dtype=np.int64)
+
+    def last_stamp(self) -> int:
+        rows = self.end - self.start
+        return int(self.values(TS_COLUMN, rows - 1, rows)[0])
+
+    def count_below(self, low: int, bound: int) -> int:
+        """Rows from offset ``low`` on whose timestamp is < ``bound``."""
+        if isinstance(self.ts, np.ndarray):
+            return int(np.searchsorted(self.ts[low:], bound, side="left"))
+        return min(max(bound - self.ts - low, 0), self.end - self.start - low)
 
 
 class _Reader:
@@ -81,37 +149,40 @@ class _Reader:
         return len(self)
 
     def head_slice(self, count: int, columns: Sequence[str]) -> dict[str, BAT]:
-        """The oldest ``count`` unread tuples of the requested columns
-        (zero-copy views, valid until the basket's next delete)."""
+        """The oldest ``count`` unread tuples of the requested columns:
+        views of one chunk when they lie inside it, else one copy.
+        Chunks are never written again, so either stays valid."""
         basket = self.basket
         with basket._lock:
             if count > len(self):
                 raise BasketError(
                     f"basket {basket.name!r} holds {len(self)} tuples, need {count}"
                 )
-            offset = self.position - basket._head()
-            return {
-                name: basket._builders[name].snapshot().slice(offset, offset + count)
-                for name in columns
-            }
+            return basket._columns(self.position, self.position + count, columns)
 
     def timestamps(self) -> BAT:
         """Arrival timestamps of the unread tuples."""
         basket = self.basket
         with basket._lock:
-            if not basket._with_ts:
-                raise BasketError(f"basket {basket.name!r} has no timestamps")
-            ts = basket._builders[TS_COLUMN].snapshot()
-            return ts.slice(self.position - ts.hseq, len(ts))
+            basket._require_timestamps()
+            return basket._columns(self.position, basket._appended_total, [TS_COLUMN])[TS_COLUMN]
 
     def count_before(self, ts_bound: int) -> int:
         """Unread tuples with arrival timestamp < ``ts_bound``.
 
-        Timestamps are nondecreasing by arrival, so this is a binary search;
-        time-based factories use it to slice basic windows.
+        Timestamps are nondecreasing by arrival, so this is a binary search
+        per chunk; time-based factories use it to slice basic windows.
         """
-        with self.basket._lock:
-            return int(np.searchsorted(self.timestamps().tail, ts_bound, side="left"))
+        basket = self.basket
+        with basket._lock:
+            basket._require_timestamps()
+            total = 0
+            for chunk, low, high in basket._pieces(self.position, basket._appended_total):
+                below = chunk.count_below(low, ts_bound)
+                total += below
+                if below < high - low:
+                    break
+            return total
 
     def max_timestamp(self) -> int | None:
         """The time watermark as this reader sees it.
@@ -121,8 +192,10 @@ class _Reader:
         """
         basket = self.basket
         with basket._lock:
-            ts = self.timestamps()
-            newest = None if ts.is_empty() else int(ts.tail[-1])
+            basket._require_timestamps()
+            # The newest chunk ends at the tail, so it holds the newest
+            # unread tuple whenever there is one.
+            newest = basket._chunks[-1].last_stamp() if len(self) else None
             if basket._watermark is None:
                 return newest
             if newest is None:
@@ -149,7 +222,7 @@ class _Reader:
 
 
 class Basket(_Reader):
-    """Column-oriented append buffer for one stream.
+    """A queue of immutable column chunks for one stream (one per batch).
 
     ``capacity`` (optional) bounds the number of parked tuples; ``overflow``
     selects the policy applied when an append does not fit (default
@@ -168,13 +241,14 @@ class Basket(_Reader):
         self.name = name
         self.schema = schema
         self._lock = threading.RLock()
-        # guarded-by: _lock
-        self._builders: dict[str, BATBuilder] = {
-            col: BATBuilder(atom) for col, atom in schema.columns
-        }
         self._with_ts = with_timestamps
+        self._atoms: dict[str, Atom] = dict(schema.columns)
         if with_timestamps:
-            self._builders[TS_COLUMN] = BATBuilder(Atom.TIMESTAMP)
+            self._atoms[TS_COLUMN] = Atom.TIMESTAMP
+        # The admitted batches still (partly) unread, oldest first, and
+        # the head's arrival offset; guarded-by: _lock
+        self._chunks: list[_Chunk] = []
+        self._head = 0
         self._appended_total = 0  # the tail's arrival offset; guarded-by: _lock
         self._clock = 0  # fallback logical timestamps; guarded-by: _lock
         self._watermark: int | None = None  # explicit time progress; guarded-by: _lock
@@ -216,15 +290,12 @@ class Basket(_Reader):
         """Itself: a basket without cursors reads at its own head."""
         return self
 
-    def _head(self) -> int:  # guarded-by: self._lock
-        return next(iter(self._builders.values())).hseq
-
     @property
     def hseq(self) -> int:
         """Arrival offset of the oldest tuple still present — the read
         position of a basket used without cursors."""
         with self._lock:
-            return self._head()
+            return self._head
 
     position = hseq
 
@@ -234,6 +305,45 @@ class Basket(_Reader):
         with self._lock:
             return self._appended_total
 
+    def _pieces(
+        self, low: int, high: int
+    ) -> list[tuple[_Chunk, int, int]]:  # guarded-by: self._lock
+        """Arrival offsets ``low .. high - 1`` as ``(chunk, first, stop)``
+        runs, offsets in each chunk."""
+        chunks = self._chunks
+        index = max(bisect.bisect_right(chunks, low, key=_START) - 1, 0)
+        pieces = []
+        while low < high:
+            chunk = chunks[index]
+            stop = min(chunk.end, high)
+            pieces.append((chunk, low - chunk.start, stop - chunk.start))
+            low = stop
+            index += 1
+        return pieces
+
+    def _columns(
+        self, low: int, high: int, names: Sequence[str]
+    ) -> dict[str, BAT]:  # guarded-by: self._lock
+        """Arrival offsets ``low .. high - 1`` of columns ``names``: views
+        when they lie inside one chunk, else one concatenated copy."""
+        pieces = self._pieces(low, high)
+        out = {}
+        for name in names:
+            atom = self._atoms[name]
+            if len(pieces) == 1:
+                chunk, first, stop = pieces[0]
+                tail = chunk.values(name, first, stop)
+            elif pieces:
+                tail = np.concatenate([chunk.values(name, a, b) for chunk, a, b in pieces])
+            else:
+                tail = np.empty(0, dtype=numpy_dtype(atom))
+            out[name] = BAT(tail, atom, low)
+        return out
+
+    def _require_timestamps(self) -> None:
+        if not self._with_ts:
+            raise BasketError(f"basket {self.name!r} has no timestamps")
+
     # ------------------------------------------------------------------
     # readers (one cursor per factory on a shared basket)
     # ------------------------------------------------------------------
@@ -242,7 +352,7 @@ class Basket(_Reader):
         ``at`` starts it at an earlier offset instead, one another open
         cursor still holds (a query splitting off a shared factory)."""
         with self._lock:
-            if at is not None and at < self._head():
+            if at is not None and at < self._head:
                 raise BasketError(f"basket {self.name!r} no longer holds offset {at}")
             cursor = Cursor(self, self._appended_total if at is None else at)
             self._cursors.add(cursor)
@@ -260,8 +370,8 @@ class Basket(_Reader):
             (cursor.position for cursor in self._cursors),
             default=self._appended_total,
         )
-        if low > self._head():
-            self.delete_head(low - self._head())
+        if low > self._head:
+            self.delete_head(low - self._head)
 
     # ------------------------------------------------------------------
     # capacity / overflow
@@ -382,90 +492,78 @@ class Basket(_Reader):
     ) -> int:
         """Append tuples in schema order; returns the batch size.
 
-        On a bounded basket the overflow policy may block, or raise
-        :class:`~repro.errors.BasketOverflowError` and append nothing.
+        The batch is checked whole, then lands as one chunk, so a bad row
+        leaves the basket as it was.  On a bounded basket the overflow
+        policy may block, or raise :class:`~repro.errors.BasketOverflowError`
+        and append nothing.
         """
         rows = rows if isinstance(rows, list) else list(rows)
-        if timestamps is not None and len(timestamps) != len(rows):
-            raise BasketError("timestamp column length mismatch")
+        arity = len(self.schema.names)
+        for row in rows:
+            if len(row) != arity:
+                raise BasketError(f"row arity {len(row)} != schema arity {arity}")
+        columns = {
+            name: _own([row[i] for row in rows], atom)
+            for i, (name, atom) in enumerate(self.schema.columns)
+        }
+        ts = _own_stamps(timestamps, len(rows))
         with self._lock:
-            self._admit(
-                len(rows),
-                None if timestamps is None else np.asarray(timestamps, dtype=np.int64),
-            )
-            names = self.schema.names
-            added = 0
-            stamp = None
-            for row in rows:
-                if len(row) != len(names):
-                    raise BasketError(
-                        f"row arity {len(row)} != schema arity {len(names)}"
-                    )
-                for name, value in zip(names, row):
-                    self._builders[name].append(value)
-                if timestamps is not None:
-                    stamp = timestamps[added]
-                elif self._with_ts:
-                    stamp = self._clock
-                    self._clock += 1
-                if self._with_ts:
-                    self._builders[TS_COLUMN].append(stamp)
-                added += 1
-            self._appended_total += added
-            if stamp is not None:
-                self._newest_ts = int(stamp)
-            if added:
-                self._stamp_arrival()
-            return added
+            return self._add(columns, len(rows), ts)
 
     def append_columns(
         self,
         columns: Mapping[str, Sequence | np.ndarray],
         timestamps: Sequence[int] | np.ndarray | None = None,
     ) -> int:
-        """Bulk columnar append (the fast receptor path).
+        """Bulk columnar append (the fast receptor path): one copy of each
+        column into a new chunk.
 
         Returns the batch size (see :meth:`append_rows` for bounded-basket
         semantics).
         """
+        expected = set(self.schema.names)
+        if set(columns) != expected:
+            raise BasketError(f"append_columns needs exactly columns {sorted(expected)}")
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) != 1:
+            raise BasketError("ragged column append")
+        count = lengths.pop()
+        owned = {name: _own(columns[name], atom) for name, atom in self.schema.columns}
+        ts = _own_stamps(timestamps, count)
         with self._lock:
-            expected = set(self.schema.names)
-            if set(columns) != expected:
-                raise BasketError(
-                    f"append_columns needs exactly columns {sorted(expected)}"
-                )
-            lengths = {len(values) for values in columns.values()}
-            if len(lengths) != 1:
-                raise BasketError("ragged column append")
-            count = lengths.pop()
-            if timestamps is not None:
-                if len(timestamps) != count:
-                    raise BasketError("timestamp column length mismatch")
-                timestamps = np.asarray(timestamps, dtype=np.int64)
-            self._admit(count, timestamps)
-            for name, values in columns.items():
-                self._builders[name].extend(values)
-            if self._with_ts:
-                if timestamps is None:
-                    timestamps = np.arange(self._clock, self._clock + count, dtype=np.int64)
-                    self._clock += count
-                self._builders[TS_COLUMN].extend(timestamps)
-            if timestamps is not None and count:
-                self._newest_ts = int(timestamps[-1])
-            self._appended_total += count
-            if count:
-                self._stamp_arrival()
-            return count
+            return self._add(owned, count, ts)
+
+    def _add(
+        self, columns: dict[str, np.ndarray], count: int, ts: np.ndarray | None
+    ) -> int:  # guarded-by: self._lock
+        """Admit a batch of ``count`` tuples, its ``columns`` (and ``ts``)
+        already copied, as one chunk; a batch without timestamps keeps
+        only its counter's first stamp."""
+        self._admit(count, ts)
+        if not count:
+            return 0
+        stamps: np.ndarray | int = self._clock
+        if ts is not None:
+            stamps = ts
+            self._newest_ts = int(ts[-1])
+        elif self._with_ts:
+            self._clock += count
+            self._newest_ts = self._clock - 1
+        self._chunks.append(_Chunk(self._appended_total, columns, stamps, count))
+        self._appended_total += count
+        self._stamp_arrival()
+        return count
 
     # ------------------------------------------------------------------
     # snapshots (factory side: head_slice & co. come from _Reader)
     # ------------------------------------------------------------------
     def column(self, name: str) -> BAT:
-        """Zero-copy snapshot of one column (valid until the next delete)."""
+        """One column from the head: a view of one chunk when the basket
+        holds one, else one copy."""
         with self._lock:
-            if name not in self._builders:
+            if name not in self._atoms:
                 raise BasketError(f"basket {self.name!r} has no column {name!r}")
-            return self._builders[name].snapshot()
+            return self._columns(self._head, self._appended_total, [name])[name]
 
     def admit_times(self, ts: np.ndarray | None, count: int) -> None:
         """Refuse a batch of ``count`` tuples whose arrival timestamps
@@ -540,17 +638,17 @@ class Basket(_Reader):
     # deletion (expiry)
     # ------------------------------------------------------------------
     def delete_head(self, count: int) -> None:
-        """Drop the ``count`` oldest tuples (they were consumed/expired).
+        """Drop the ``count`` oldest tuples (they were consumed/expired):
+        the head moves, and the chunks wholly before it go.
 
         On a bounded basket this is what frees room: producers parked on
         the ``Block`` policy's not-full condition are woken here.
         """
         with self._lock:
-            for builder in self._builders.values():
-                builder.drop_head(count)
+            head = self._head = min(self._head + max(count, 0), self._appended_total)
+            del self._chunks[: bisect.bisect_right(self._chunks, head, key=_END)]
             # Retain the newest mark at or below the head: a reader
             # standing there still needs it to report its last finished batch.
-            head = self._head()
             marks = self._arrival_marks
             while len(marks) > 1 and marks[1][0] <= head:
                 marks.popleft()
@@ -563,17 +661,14 @@ class Basket(_Reader):
     def snapshot_state(self) -> dict:
         """A serializable image of the basket (see core.durability).
 
-        Columns are deep-copied BATs (tail + hseq), so the snapshot stays
-        valid however the live basket mutates afterwards.  Cursor
-        positions belong to their queries and are saved with them.
+        One BAT per column, the timestamps materialized, from the head
+        on.  Chunks are never written again, so the image stays valid
+        however the live basket moves on.  Cursor positions belong to
+        their queries and are saved with them.
         """
         with self._lock:
-            columns = {}
-            for name, builder in self._builders.items():
-                bat = builder.snapshot()
-                columns[name] = BAT(bat.tail.copy(), bat.atom, bat.hseq)
             return {
-                "columns": columns,
+                "columns": self._columns(self._head, self._appended_total, list(self._atoms)),
                 "appended_total": self._appended_total,
                 "clock": self._clock,
                 "watermark": self._watermark,
@@ -583,12 +678,17 @@ class Basket(_Reader):
             }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite contents and counters with a snapshot's image."""
+        """Overwrite contents and counters with a snapshot's image; what
+        it holds becomes one chunk."""
         with self._lock:
-            for name, bat in state["columns"].items():
-                builder = BATBuilder(bat.atom, hseq=bat.hseq)
-                builder.extend(bat.tail)
-                self._builders[name] = builder
+            columns = state["columns"]
+            head = next(iter(columns.values()))
+            self._head = head.hseq
+            self._chunks = []
+            if len(head):
+                owned = {name: _own(bat.tail, bat.atom) for name, bat in columns.items()}
+                stamps = owned.pop(TS_COLUMN, 0)  # 0: a basket without timestamps
+                self._chunks.append(_Chunk(head.hseq, owned, stamps, len(head)))
             self._appended_total = state["appended_total"]
             self._clock = state["clock"]
             self._watermark = state["watermark"]

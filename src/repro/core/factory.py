@@ -129,8 +129,9 @@ class _TimeSlicer:
 class _Slices:
     """Consecutive basic windows taken off the head of a basket.
 
-    ``columns`` are one copy of all of them, owned by the factory; slice
-    ``i`` is ``counts[i]`` rows from ``bounds[i]`` on.
+    ``columns`` hold all of them: views of one basket chunk, or one copy
+    when they span chunks; slice ``i`` is ``counts[i]`` rows from
+    ``bounds[i]`` on.
     """
 
     start: int  # basket position of the first tuple
@@ -517,20 +518,19 @@ class IncrementalFactory(FactoryBase):
     def _take_slices(self, alias: str, counts: list[int]) -> _Slices:
         """Consume ``counts`` tuples at a time off the head of the basket.
 
-        Under the basket lock, the whole range is copied once and deleted
-        with one ``delete_head``: deleting slice by slice would compact
-        the basket once per slice, quadratic in a first window.  The
-        slices are views of that copy, so fragments run after the lock
-        is released.  A slice's start is the basket position it starts
-        at, its address on the stream's arrival axis (for the shared
-        fragment cache).
+        Under the basket lock, the whole range is read once and deleted
+        with one ``delete_head``.  Basket chunks are never written again,
+        so the columns stay valid after the lock is released, and
+        fragments run outside it.  A slice's start is the basket position
+        it starts at, its address on the stream's arrival axis (for the
+        shared fragment cache).
         """
         basket = self._baskets[alias]
         bounds = [0, *itertools.accumulate(counts)]
         with basket.locked():
             start = basket.position
             columns = {
-                scan_slot(alias, col): BAT(np.array(bat.tail, copy=True), bat.atom, bat.hseq)
+                scan_slot(alias, col): bat
                 for col, bat in basket.head_slice(
                     bounds[-1], self.plan.scan_columns[alias]
                 ).items()

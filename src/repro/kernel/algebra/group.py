@@ -30,6 +30,10 @@ from repro.kernel.bat import BAT, require_aligned
 #: leaves int64.
 _CODE_LIMIT = 2**62
 
+#: The first-row scan of ``ngroups`` groups starts with this many rows per
+#: group (:func:`_first_rows`).
+_PREFIX_ROWS = 4
+
 
 @dataclass(frozen=True)
 class Grouping:
@@ -67,11 +71,27 @@ def _factorize_dense(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarra
         rank = np.empty(span, dtype=np.int64)
         rank[present] = np.arange(len(present), dtype=np.int64)
         codes, ngroups = rank[code], len(present)
-    # ``minimum.at``, not a repeated-index assignment: the write order of
-    # the latter is undocumented.
-    first = np.full(ngroups, len(code), dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(len(code), dtype=np.int64))
-    return codes, first
+    return codes, _first_rows(codes, ngroups)
+
+
+def _first_rows(codes: np.ndarray, ngroups: int) -> np.ndarray:
+    """Each group's first row, for dense codes in which every group has a
+    row.  Those rows lie in the shortest prefix that holds every group,
+    so the scan starts with ``_PREFIX_ROWS * ngroups`` rows and doubles
+    until every group has one; a column shorter than twice that is
+    scanned in one pass."""
+    n = len(codes)
+    first = np.full(ngroups, n, dtype=np.int64)
+    low, high = 0, _PREFIX_ROWS * ngroups
+    if 2 * high >= n:
+        high = n
+    while True:
+        # ``minimum.at``, not a repeated-index assignment: the write order
+        # of the latter is undocumented.
+        np.minimum.at(first, codes[low:high], np.arange(low, high, dtype=np.int64))
+        if high == n or first.max() < n:
+            return first
+        low, high = high, min(2 * high, n)
 
 
 def _factorize_code(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:

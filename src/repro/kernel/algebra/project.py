@@ -22,15 +22,15 @@ def projection(candidates: BAT, b: BAT) -> BAT:
     aligned — the property group-by and calc operators rely on.
     """
     positions = b.positions_of(candidates.tail)
-    return BAT(b.tail[positions], b.atom, candidates.hseq)
+    return BAT(np.take(b.tail, positions), b.atom, candidates.hseq)
 
 
 def materialize(b: BAT) -> BAT:
     """Copy a (possibly zero-copy view) BAT into its own storage.
 
     DataCell caches intermediates across window slides; a cached view over
-    a basket buffer would alias storage the basket is about to compact, so
-    partials are materialized before being stored.
+    a basket chunk would keep the whole chunk alive as long as the partial,
+    so partials are materialized before being stored.
     """
     return BAT(np.array(b.tail, copy=True), b.atom, b.hseq)
 

@@ -28,7 +28,10 @@ _THETA_OPS = {
 
 
 def _positions_to_oids(b: BAT, positions: np.ndarray) -> BAT:
-    return BAT(positions.astype(np.int64) + b.hseq, Atom.OID)
+    """``flatnonzero``'s (new, int64) positions shifted to ``b``'s oids in
+    place."""
+    positions += b.hseq
+    return BAT(positions, Atom.OID)
 
 
 def select(

@@ -168,7 +168,7 @@ def require_aligned(left: BAT, right: BAT) -> None:
 
 @dataclass
 class BATBuilder:
-    """Amortized append buffer used by baskets and receptors.
+    """Amortized append buffer used by base tables.
 
     Appending to an immutable BAT would be O(n) per append; the builder
     keeps a growable numpy buffer and snapshots to an immutable BAT view on
@@ -176,7 +176,6 @@ class BATBuilder:
     """
 
     atom: Atom
-    hseq: int = 0
     _buffer: np.ndarray = field(init=False, repr=False)
     _length: int = field(default=0, init=False)
 
@@ -203,7 +202,7 @@ class BATBuilder:
         self._length += 1
 
     def extend(self, values: Sequence | np.ndarray) -> None:
-        """Append many values at once (bulk path used by receptors)."""
+        """Append many values at once (the bulk path)."""
         arr = np.asarray(values, dtype=numpy_dtype(self.atom))
         self._grow_to(self._length + len(arr))
         self._buffer[self._length : self._length + len(arr)] = arr
@@ -211,18 +210,5 @@ class BATBuilder:
 
     def snapshot(self) -> BAT:
         """An immutable BAT view over the current contents (zero copy)."""
-        return BAT(self._buffer[: self._length], self.atom, self.hseq)
+        return BAT(self._buffer[: self._length], self.atom)
 
-    def drop_head(self, count: int) -> None:
-        """Delete the ``count`` oldest rows, advancing ``hseq``.
-
-        This is how baskets expire consumed stream tuples.
-        """
-        count = min(count, self._length)
-        if count <= 0:
-            return
-        remaining = self._length - count
-        # Compact in place; the buffer is reused.
-        self._buffer[:remaining] = self._buffer[count : self._length]
-        self._length = remaining
-        self.hseq += count

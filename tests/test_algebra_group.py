@@ -248,3 +248,46 @@ class TestCountingPath:
             group([int_bat([0, 8, 0, 1, 2, 3, 4, 5])])
         with pytest.raises(AssertionError, match="counting path"):
             group([keys, bits, stamps])
+
+
+class TestFirstRowPrefix:
+    """The counting path finds first rows in a doubling prefix: extents
+    equal ``np.unique(..., return_index=True)``'s first rows, on short
+    columns (one pass) and long ones, for a group whose only row is the
+    last one, and on fully present spans as on gapped ones."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4000),
+        st.integers(1, 120),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2),
+    )
+    def test_extents_are_first_rows(self, seed, n, ngroups, last_only, gapped, skew):
+        rng = np.random.default_rng(seed)
+        if skew:
+            # Rare groups show up late: the prefix has to grow.
+            codes = np.minimum(rng.geometric(1 / (4 * skew), n) - 1, ngroups - 1)
+        else:
+            codes = rng.integers(0, ngroups, n)
+        if last_only and ngroups > 1:
+            codes = codes % (ngroups - 1)
+            codes[-1] = ngroups - 1
+        if gapped:
+            codes = codes * 2
+        hseq = int(rng.integers(0, 1000))
+        g = group([BAT(codes.astype(np.int64), Atom.INT, hseq)])
+        __, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        assert g.ngroups == len(first)
+        assert g.extents.to_list() == (first + hseq).tolist()
+        assert g.gids.to_list() == inverse.tolist()
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 31, 32, 33, 65, 640, 641])
+    def test_lone_last_row_at_every_prefix_edge(self, n):
+        """Four groups: the prefix starts at 16 rows and doubles; the
+        fourth group's only row is the last one, wherever that falls."""
+        codes = np.arange(n) % 3
+        codes[-1] = 3
+        g = group([int_bat(codes.tolist())])
+        assert g.extents.to_list() == np.unique(codes, return_index=True)[1].tolist()

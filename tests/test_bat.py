@@ -96,34 +96,6 @@ class TestBuilder:
         builder.extend([9.5])
         assert builder.snapshot().to_list() == [0.0, 1.0, 2.0, 3.0, 4.0, 9.5]
 
-    def test_drop_head_advances_hseq(self):
-        builder = BATBuilder(Atom.INT)
-        builder.extend(range(10))
-        builder.drop_head(4)
-        snap = builder.snapshot()
-        assert snap.to_list() == [4, 5, 6, 7, 8, 9]
-        assert snap.hseq == 4
-
-    def test_drop_head_more_than_length(self):
-        builder = BATBuilder(Atom.INT)
-        builder.extend(range(3))
-        builder.drop_head(10)
-        assert len(builder) == 0
-        assert builder.hseq == 3
-
-    def test_drop_head_zero_noop(self):
-        builder = BATBuilder(Atom.INT)
-        builder.extend(range(3))
-        builder.drop_head(0)
-        assert len(builder) == 3
-
-    @given(st.lists(st.integers(-1000, 1000), max_size=200), st.integers(0, 50))
-    def test_drop_then_snapshot_matches_python(self, values, drop):
-        builder = BATBuilder(Atom.INT)
-        builder.extend(values)
-        builder.drop_head(drop)
-        assert builder.snapshot().to_list() == values[min(drop, len(values)):]
-
     @given(st.lists(st.lists(st.integers(-5, 5), max_size=20), max_size=20))
     def test_interleaved_extends(self, chunks):
         builder = BATBuilder(Atom.INT)
